@@ -6,6 +6,15 @@ returned monic over Q.  Pair management uses the normal (sugar) selection
 strategy with the standard coprimality and chain elimination criteria.
 Every heavy query runs under a Budget and raises ComputationTimeout rather
 than returning a wrong answer.
+
+The same engine computes Groebner bases of submodules of a free module of
+rank r (an ideal is the case r = 0).  A module term with component c and
+exponent e is the flat tuple onehot_r(c) + e, ordered by the key
+t[:r] + keyf(t[r:]): position over term, component 0 highest.  Divisibility,
+lcm, s-polynomials and reduction then work unchanged, since a term divides
+another only within its component.  Pairs form within one component only;
+two leading terms there share their one-hot slot, so the coprime criterion,
+which is unsound for modules, never fires.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from math import gcd
 from .config import Budget, Config, DEFAULT_CONFIG
 from .polyring import (
     Polynomial, Ring, MonomialOrder, block_order, morph,
-    parse_polynomial, format_polynomial, exact_divide, NOT_DIVISIBLE,
+    parse_polynomial, format_polynomial, exact_divide, NOT_DIVISIBLE, denominator_lcm,
 )
 
 # ---------------------------------------------------------------------------
@@ -61,31 +70,30 @@ def to_int_terms(poly: Polynomial) -> dict:
     """Primitive integer form of a rational polynomial (content 1)."""
     if poly.ring.prime is not None:
         raise ValueError("Groebner engine runs over the rationals")
-    den = 1
-    for c in poly.terms.values():
-        if isinstance(c, Fraction):
-            den = den * c.denominator // gcd(den, c.denominator)
+    den = denominator_lcm(poly.terms.values())
     out = {e: int(c * den) for e, c in poly.terms.items()}
     return _content_strip(out)
 
 
-def from_int_terms(ring: Ring, terms: dict, order: MonomialOrder, monic: bool = True) -> Polynomial:
+def from_int_terms(ring: Ring, terms: dict, order: MonomialOrder) -> Polynomial:
+    """Monic rational polynomial of an integer term dict."""
     if not terms:
         return ring.zero()
-    if monic:
-        keyf = order.keyfn()
-        lt = max(terms, key=keyf)
-        lc = terms[lt]
-        poly_terms = {}
-        for e, c in terms.items():
-            q = Fraction(c, lc)
-            poly_terms[e] = q.numerator if q.denominator == 1 else q
-        return Polynomial(ring, poly_terms, _clean=True)
-    return Polynomial(ring, dict(terms), _clean=True)
+    lt = max(terms, key=order.keyfn())
+    lc = terms[lt]
+    poly_terms = {}
+    for e, c in terms.items():
+        q = Fraction(c, lc)
+        poly_terms[e] = q.numerator if q.denominator == 1 else q
+    return Polynomial(ring, poly_terms, _clean=True)
 
 
 class _Entry:
-    """A basis element: leading data plus tail, all integer coefficients."""
+    """A basis element: leading data plus tail, all integer coefficients.
+
+    The sugar defaults to the total degree; module callers pass it, because
+    the one-hot component slots carry no degree.
+    """
 
     __slots__ = ("lt", "lc", "tail", "mask", "sugar")
 
@@ -108,7 +116,7 @@ class _Entry:
 
 
 def _normal_form_int(terms: dict, basis: list[_Entry], keyf, budget: Budget,
-                     skip: int = -1) -> tuple[dict, int]:
+                     skip: int = -1, what: str = "polynomial reduction") -> tuple[dict, int]:
     """Full reduction of an integer term dict; returns (remainder, scale).
 
     The invariant is scale * input == remainder (mod ideal).  The remainder
@@ -144,7 +152,7 @@ def _normal_form_int(terms: dict, basis: list[_Entry], keyf, budget: Budget,
         if red is None:
             out[e] = c
             continue
-        budget.tick(1, "polynomial reduction")
+        budget.tick(1, what)
         d = gcd(abs(c), red.lc)
         mult = c // d
         sc = red.lc // d
@@ -214,12 +222,20 @@ def _spoly(gi: _Entry, gj: _Entry) -> tuple[dict, int]:
 
 def groebner_entries(int_gens: list[dict], keyf, budget: Budget) -> list[_Entry]:
     """Reduced Groebner basis as integer entries (primitive, positive lc)."""
-    seeds = []
-    for d in int_gens:
-        if d:
-            seeds.append(_Entry(_content_strip(dict(d)), keyf))
+    seeds = [_Entry(_content_strip(dict(d)), keyf) for d in int_gens if d]
     seeds.sort(key=lambda g: (keyf(g.lt), sorted(g.tail.items())))
+    return _buchberger(seeds, keyf, budget)
 
+
+def _buchberger(seeds: list[_Entry], keyf, budget: Budget, rank: int = 0) -> list[_Entry]:
+    """Reduced Groebner basis of the seed entries, taken in the given order.
+
+    With rank r > 0 the terms are those of a free module of rank r (see the
+    module docstring): pairs form only between leading terms in the same
+    component, and the work is counted under the module labels.
+    """
+    spair_what, reduce_what = (("module Buchberger", "module reduction") if rank
+                               else ("Buchberger", "polynomial reduction"))
     basis: list[_Entry] = []
     pairs: dict[tuple, tuple] = {}  # (i,j) -> (lcm, sugar)
     heap: list = []
@@ -234,7 +250,8 @@ def groebner_entries(int_gens: list[dict], keyf, budget: Budget) -> list[_Entry]
         n = len(basis)
         new_pairs = {}
         for i, g in enumerate(basis):
-            new_pairs[i] = _lcm_exp(g.lt, h.lt)
+            if g.lt[:rank] == h.lt[:rank]:
+                new_pairs[i] = _lcm_exp(g.lt, h.lt)
         # chain criterion against new element: drop (i,n) when another new
         # pair lcm properly divides it
         drop = set()
@@ -275,7 +292,7 @@ def groebner_entries(int_gens: list[dict], keyf, budget: Budget) -> list[_Entry]
             heappush(heap, (sugar, keyf(li), i, n))
 
     for s in seeds:
-        rem, _ = _normal_form_int(s.full(), basis, keyf, budget)
+        rem, _ = _normal_form_int(s.full(), basis, keyf, budget, what=reduce_what)
         if rem:
             add_element(_Entry(_content_strip(rem), keyf, s.sugar))
 
@@ -284,11 +301,11 @@ def groebner_entries(int_gens: list[dict], keyf, budget: Budget) -> list[_Entry]
         info = pairs.pop((i, j), None)
         if info is None:
             continue
-        budget.tick(1, "Buchberger")
+        budget.tick(1, spair_what)
         sp, sp_sugar = _spoly(basis[i], basis[j])
         if not sp:
             continue
-        rem, _ = _normal_form_int(sp, basis, keyf, budget)
+        rem, _ = _normal_form_int(sp, basis, keyf, budget, what=reduce_what)
         if rem:
             add_element(_Entry(_content_strip(rem), keyf, sp_sugar))
 
@@ -303,8 +320,8 @@ def groebner_entries(int_gens: list[dict], keyf, budget: Budget) -> list[_Entry]
     # tail-reduce each against the others (reduced basis)
     reduced: list[_Entry] = []
     for pos in range(len(minimal)):
-        rem, _ = _normal_form_int(minimal[pos].full(), minimal, keyf, skip=pos,
-                                  budget=budget)
+        rem, _ = _normal_form_int(minimal[pos].full(), minimal, keyf, budget,
+                                  skip=pos, what=reduce_what)
         reduced.append(_Entry(_content_strip(rem), keyf, minimal[pos].sugar))
     reduced.sort(key=lambda g: keyf(g.lt))
     return reduced
@@ -431,10 +448,7 @@ class Ideal:
         config = config or DEFAULT_CONFIG
         if budget is None:
             budget = config.budget()
-        den = 1
-        for c in f.terms.values():
-            if isinstance(c, Fraction):
-                den = den * c.denominator // gcd(den, c.denominator)
+        den = denominator_lcm(f.terms.values())
         ints = {e: int(c * den) for e, c in f.terms.items()}
         rem, scale = _normal_form_int(ints, entries, order.keyfn(), budget)
         total = den * scale
@@ -743,10 +757,6 @@ def hilbert_data(I: Ideal, order=None, budget=None, config=None) -> HilbertData:
     q, c = _divide_out_one_minus_t(num)
     mult = sum(q.values())
     return HilbertData(nvars - c, abs(mult), num)
-
-
-def krull_dimension(I: Ideal, budget=None, config=None) -> int:
-    return hilbert_data(I, None, budget, config).dimension
 
 
 def height(I: Ideal, budget=None, config=None) -> int:

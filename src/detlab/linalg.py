@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .config import Budget
+from .polyring import denominator_lcm
 
 
 def _strip_row(row: dict) -> dict:
@@ -116,20 +117,8 @@ def kernel_basis(rows: list[dict], ncols: int, budget: Budget | None = None) -> 
     return elim.kernel_basis()
 
 
-def matrix_rank_sparse(rows: list[dict], ncols: int, budget: Budget | None = None) -> int:
-    elim = SparseEliminator(ncols, budget)
-    for row in rows:
-        irow = _intify_row(row)
-        if irow:
-            elim.add_row(irow)
-    return elim.rank
-
-
 def _intify_row(row: dict) -> dict:
-    den = 1
-    for v in row.values():
-        if isinstance(v, Fraction):
-            den = den * v.denominator // gcd(den, v.denominator)
+    den = denominator_lcm(row.values())
     out = {c: int(v * den) if isinstance(v, Fraction) else v * den for c, v in row.items()}
     return {c: v for c, v in out.items() if v}
 
@@ -198,11 +187,7 @@ def dense_det(mat: list[list], p: int | None = None):
                         m[i][j] = (m[i][j] - f * m[k][j]) % p
         return det % p
     # Bareiss over exact rationals scaled to integers
-    den = 1
-    for row in mat:
-        for v in row:
-            if isinstance(v, Fraction):
-                den = den * v.denominator // gcd(den, v.denominator)
+    den = denominator_lcm(v for row in mat for v in row)
     m = [[int(v * den) if isinstance(v, Fraction) else int(v) * den for v in row] for row in mat]
     sign = 1
     prev = 1

@@ -8,6 +8,8 @@ would be wasteful.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 # Mersenne primes used as defaults: 2^31-1 for the modular coefficient mode,
 # 2^61-1 for probabilistic identity testing (error bounds ~ deg/p per trial).
 PRIME_31 = (1 << 31) - 1
@@ -16,8 +18,12 @@ PRIME_61 = (1 << 61) - 1
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for 64-bit-and-beyond word sizes."""
+    """Deterministic Miller-Rabin for 64-bit-and-beyond word sizes.
+
+    Cached: every Ring over GF(p) validates its modulus, and rings are
+    rebuilt for the same few primes many times per run."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -132,13 +138,6 @@ def ugcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 def uderiv(a: list[int], p: int) -> list[int]:
     return utrim([(i * v) % p for i, v in enumerate(a)][1:])
-
-
-def ueval(a: list[int], x: int, p: int) -> int:
-    acc = 0
-    for v in reversed(a):
-        acc = (acc * x + v) % p
-    return acc
 
 
 def uinterpolate(points: list[tuple[int, int]], p: int) -> list[int]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .modp import is_prime
 
@@ -158,6 +159,16 @@ def _norm_q(c):
     if isinstance(c, int):
         return int(c)
     raise TypeError(f"unsupported coefficient {c!r}")
+
+
+def denominator_lcm(coeffs) -> int:
+    """Least common multiple of the denominators of rational coefficients;
+    multiplying by it makes every coefficient an integer."""
+    den = 1
+    for c in coeffs:
+        if isinstance(c, Fraction):
+            den = den * c.denominator // gcd(den, c.denominator)
+    return den
 
 
 class Ring:
@@ -547,22 +558,6 @@ class Polynomial:
                 out[e] = v
         return Polynomial(target, out, _clean=True)
 
-    def scale_to_integers(self) -> "Polynomial":
-        """Primitive integer multiple: clear denominators, strip content."""
-        if self.ring.prime is not None or not self.terms:
-            return self
-        den = 1
-        for c in self.terms.values():
-            if isinstance(c, Fraction):
-                den = den * c.denominator // _gcd(den, c.denominator)
-        ints = {e: int(c * den) for e, c in self.terms.items()}
-        g = 0
-        for v in ints.values():
-            g = _gcd(g, abs(v))
-        if g > 1:
-            ints = {e: v // g for e, v in ints.items()}
-        return Polynomial(self.ring, ints, _clean=True)
-
     def monic(self, order=None) -> "Polynomial":
         lt = self.leading_term(order)
         if lt is None:
@@ -591,12 +586,6 @@ def _ulist_mul(a: list, b: list, p: int | None) -> list:
     while out and not out[-1]:
         out.pop()
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -315,11 +315,6 @@ def minors_ideal_gens(M: PolyMatrix, t: int, budget: Budget | None = None) -> li
     return out
 
 
-def minors_ideal(M: PolyMatrix, t: int, budget: Budget | None = None):
-    from .groebner import Ideal
-    return Ideal(M.ring, minors_ideal_gens(M, t, budget))
-
-
 def partials_as_cofactor_sums(M: PolyMatrix, var_index: int,
                               budget: Budget | None = None) -> Polynomial:
     """Sum of signed cofactors over all positions holding the variable.

@@ -2,236 +2,67 @@
 syzygy modules by module Groebner bases, Fitting-height checks, and small
 minimal free resolutions with graded Betti numbers.
 
-Module terms are (component, exponent) pairs under position-over-term with
-the ambient order inside each component; the product (coprime) criterion is
-unsound for modules, so pair pruning uses the chain criterion only.
+Module Groebner bases run on the Buchberger engine of `groebner`: a term
+with component c and exponent e in a free module of rank r is the flat
+exponent tuple onehot_r(c) + e, under position-over-term with the ambient
+order inside each component.  Pairs form within one component only, where
+the coprime criterion never fires (it is unsound for modules); pruning is
+by the chain criterion.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from heapq import heapify, heappop, heappush
-from math import gcd
 
 from .config import Budget, Config, ComputationTimeout, DEFAULT_CONFIG
 from .linalg import SparseEliminator, dense_rank, nonzero_minor_witness
-from .groebner import Ideal, hilbert_data, _content_strip, _divides
-from .polyring import Polynomial, Ring
+from .groebner import (Ideal, hilbert_data, _Entry, _buchberger, _content_strip,
+                       _normal_form_int)
+from .polyring import Polynomial, Ring, denominator_lcm
 from .structmat import PolyMatrix, determinant
 
 
 # ---------------------------------------------------------------------------
-# module Groebner engine over integer coefficients
+# module Groebner bases on the groebner engine
 
-class _VEntry:
-    __slots__ = ("lt", "lc", "tail", "mask", "sugar")
-
-    def __init__(self, terms: dict, keyf, shifts, sugar=None):
-        lt = max(terms, key=keyf)
-        lc = terms[lt]
-        if lc < 0:
-            terms = {t: -c for t, c in terms.items()}
-            lc = -lc
-        self.lt = lt
-        self.lc = lc
-        self.tail = {t: c for t, c in terms.items() if t != lt}
-        m = 0
-        for i, v in enumerate(lt[1]):
-            if v:
-                m |= 1 << i
-        self.mask = m
-        if sugar is None:
-            sugar = max(sum(e) + shifts[c] for (c, e) in terms)
-        self.sugar = sugar
-
-    def full(self):
-        d = dict(self.tail)
-        d[self.lt] = self.lc
-        return d
+def _onehot(rank: int, c: int) -> tuple:
+    return (0,) * c + (1,) + (0,) * (rank - c - 1)
 
 
-def _vkeyf(order_keyf):
-    def kf(term):
-        c, e = term
-        return (-c,) + order_keyf(e)
-    return kf
+def _module_keyf(order_keyf, rank: int):
+    return lambda t: t[:rank] + order_keyf(t[rank:])
 
 
-def _vnormal_form(terms: dict, basis: list[_VEntry], kf, budget: Budget,
-                  skip: int = -1) -> dict:
-    coeffs = dict(terms)
-    heap = [(tuple(-v for v in kf(t)), t) for t in coeffs]
-    heapify(heap)
-    out: dict = {}
-    while heap:
-        _, t = heappop(heap)
-        c = coeffs.pop(t, 0)
-        if not c:
-            continue
-        comp, e = t
-        emask = 0
-        for i, v in enumerate(e):
-            if v:
-                emask |= 1 << i
-        red = None
-        for idx, g in enumerate(basis):
-            if idx == skip:
-                continue
-            if g.lt[0] != comp or (g.mask & ~emask):
-                continue
-            if _divides(g.lt[1], e):
-                red = g
-                break
-        if red is None:
-            out[t] = c
-            continue
-        budget.tick(1, "module reduction")
-        d = gcd(abs(c), red.lc)
-        mult = c // d
-        sc = red.lc // d
-        if sc != 1:
-            for k in coeffs:
-                coeffs[k] *= sc
-            for k in out:
-                out[k] *= sc
-        shift = tuple(a - b for a, b in zip(e, red.lt[1]))
-        for (tc_comp, te), tc in red.tail.items():
-            nt = (tc_comp, tuple(a + b for a, b in zip(te, shift)))
-            prev = coeffs.get(nt)
-            if prev is None:
-                coeffs[nt] = -mult * tc
-                heappush(heap, (tuple(-v for v in kf(nt)), nt))
-            else:
-                nv = prev - mult * tc
-                if nv:
-                    coeffs[nt] = nv
-                else:
-                    del coeffs[nt]
-    return _content_strip(out)
+def module_groebner(int_vectors: list[dict], order_keyf, shifts, budget: Budget) -> list[_Entry]:
+    """Reduced module Groebner basis of integer term-dict vectors.
 
-
-def _vspoly(gi: _VEntry, gj: _VEntry):
-    (c, ei), (_, ej) = gi.lt, gj.lt
-    lcm = tuple(x if x > y else y for x, y in zip(ei, ej))
-    d = gcd(gi.lc, gj.lc)
-    mi = gj.lc // d
-    mj = gi.lc // d
-    si = tuple(a - b for a, b in zip(lcm, ei))
-    sj = tuple(a - b for a, b in zip(lcm, ej))
-    out: dict = {}
-    for (tc, te), v in gi.tail.items():
-        out[(tc, tuple(a + b for a, b in zip(te, si)))] = mi * v
-    for (tc, te), v in gj.tail.items():
-        nt = (tc, tuple(a + b for a, b in zip(te, sj)))
-        nv = out.get(nt, 0) - mj * v
-        if nv:
-            out[nt] = nv
-        else:
-            out.pop(nt, None)
-    sugar = max(gi.sugar + sum(si), gj.sugar + sum(sj))
-    return out, sugar
-
-
-def module_groebner(int_vectors: list[dict], order_keyf, shifts, budget: Budget) -> list[_VEntry]:
-    """Reduced module Groebner basis of integer term-dict vectors."""
-    kf = _vkeyf(order_keyf)
-    seeds = [_VEntry(_content_strip(dict(v)), kf, shifts) for v in int_vectors if v]
+    The rank is len(shifts); a term onehot(c) + e has degree sum(e) + shifts[c]
+    (t.index(1) is its component c, the first nonzero slot).
+    """
+    rank = len(shifts)
+    kf = _module_keyf(order_keyf, rank)
+    seeds = [_Entry(_content_strip(dict(v)), kf,
+                    max(sum(t[rank:]) + shifts[t.index(1)] for t in v))
+             for v in int_vectors if v]
     seeds.sort(key=lambda g: kf(g.lt))
-    basis: list[_VEntry] = []
-    pairs: dict[tuple, tuple] = {}
-    heap: list = []
-
-    def add(h: _VEntry):
-        n = len(basis)
-        cand = {}
-        for i, g in enumerate(basis):
-            if g.lt[0] == h.lt[0]:
-                cand[i] = tuple(x if x > y else y for x, y in zip(g.lt[1], h.lt[1]))
-        drop = set()
-        for i, li in cand.items():
-            for j, lj in cand.items():
-                if i != j and j not in drop and li != lj and _divides(lj, li):
-                    drop.add(i)
-                    break
-        seen: dict[tuple, int] = {}
-        for i in sorted(cand):
-            if i in drop:
-                continue
-            li = cand[i]
-            if li in seen:
-                drop.add(i)
-            else:
-                seen[li] = i
-        for (i, j), (lij, _s) in list(pairs.items()):
-            gi, gj = basis[i], basis[j]
-            if gi.lt[0] == h.lt[0] and _divides(h.lt[1], lij):
-                lih = tuple(x if x > y else y for x, y in zip(gi.lt[1], h.lt[1]))
-                ljh = tuple(x if x > y else y for x, y in zip(gj.lt[1], h.lt[1]))
-                if lih != lij and ljh != lij:
-                    del pairs[(i, j)]
-        basis.append(h)
-        for i, li in cand.items():
-            if i in drop:
-                continue
-            si = tuple(a - b for a, b in zip(li, basis[i].lt[1]))
-            sn = tuple(a - b for a, b in zip(li, h.lt[1]))
-            sugar = max(basis[i].sugar + sum(si), h.sugar + sum(sn))
-            pairs[(i, n)] = (li, sugar)
-            heappush(heap, (sugar, kf((h.lt[0], li)), i, n))
-
-    for s in seeds:
-        rem = _vnormal_form(s.full(), basis, kf, budget)
-        if rem:
-            add(_VEntry(rem, kf, shifts, s.sugar))
-
-    while heap:
-        sugar, _lk, i, j = heappop(heap)
-        if pairs.pop((i, j), None) is None:
-            continue
-        budget.tick(1, "module Buchberger")
-        sp, sp_sugar = _vspoly(basis[i], basis[j])
-        if not sp:
-            continue
-        rem = _vnormal_form(sp, basis, kf, budget)
-        if rem:
-            add(_VEntry(rem, kf, shifts, sp_sugar))
-
-    order_idx = sorted(range(len(basis)), key=lambda i: kf(basis[i].lt))
-    kept: list[int] = []
-    for i in order_idx:
-        c, e = basis[i].lt
-        if not any(basis[k].lt[0] == c and _divides(basis[k].lt[1], e) for k in kept):
-            kept.append(i)
-    minimal = [basis[i] for i in kept]
-    reduced = []
-    for pos in range(len(minimal)):
-        rem = _vnormal_form(minimal[pos].full(), minimal, kf, budget=budget, skip=pos)
-        reduced.append(_VEntry(rem, kf, shifts, minimal[pos].sugar))
-    reduced.sort(key=lambda g: kf(g.lt))
-    return reduced
+    return _buchberger(seeds, kf, budget, rank)
 
 
-# ---------------------------------------------------------------------------
-# conversions
-
-def _column_to_int_vector(col: list[Polynomial]) -> dict:
+def _column_to_int_vector(col: list[Polynomial], rank: int) -> dict:
+    """Primitive integer vector of a column in a free module of the given rank."""
+    den = denominator_lcm(c for a in col for c in a.terms.values())
     out: dict = {}
-    den = 1
-    for a in col:
-        for c in a.terms.values():
-            if isinstance(c, Fraction):
-                den = den * c.denominator // gcd(den, c.denominator)
     for comp, a in enumerate(col):
+        hot = _onehot(rank, comp)
         for e, c in a.terms.items():
-            out[(comp, e)] = int(c * den)
+            out[hot + e] = int(c * den)
     return _content_strip(out)
 
 
 def _int_vector_to_column(vec: dict, ring: Ring, rank: int) -> list[Polynomial]:
     cols = [dict() for _ in range(rank)]
-    for (comp, e), c in vec.items():
-        cols[comp][e] = c
+    for t, c in vec.items():
+        cols[t.index(1)][t[rank:]] = c
     return [Polynomial(ring, d, _clean=True) for d in cols]
 
 
@@ -244,18 +75,22 @@ class ModuleBasis:
             raise ValueError("empty module")
         self.ring = columns[0][0].ring
         self.rank = len(columns[0])
+        if len(shifts) != self.rank:
+            raise ValueError("need one degree shift per component")
         self.shifts = list(shifts)
         config = config or DEFAULT_CONFIG
         b = budget or config.budget()
-        vecs = [_column_to_int_vector(c) for c in columns]
-        self._kf = _vkeyf(self.ring.order.keyfn())
-        self.entries = module_groebner(vecs, self.ring.order.keyfn(), self.shifts, b)
+        vecs = [_column_to_int_vector(c, self.rank) for c in columns]
+        order_keyf = self.ring.order.keyfn()
+        self._kf = _module_keyf(order_keyf, self.rank)
+        self.entries = module_groebner(vecs, order_keyf, self.shifts, b)
         self._budget = b
 
     def normal_form_vector(self, col: list[Polynomial]) -> list[Polynomial]:
-        vec = _column_to_int_vector(col)
-        rem = _vnormal_form(vec, self.entries, self._kf, self._budget)
-        return _int_vector_to_column(rem, self.ring, self.rank)
+        vec = _column_to_int_vector(col, self.rank)
+        rem, _ = _normal_form_int(vec, self.entries, self._kf, self._budget,
+                                  what="module reduction")
+        return _int_vector_to_column(_content_strip(rem), self.ring, self.rank)
 
     def contains(self, col: list[Polynomial]) -> bool:
         return all(a.is_zero() for a in self.normal_form_vector(col))
@@ -498,29 +333,17 @@ def module_syzygies(columns: list[list[Polynomial]], target_shifts: list[int],
             raise ValueError("columns must be homogeneous w.r.t. the shifts")
         col_degs.append(ds.pop())
     shifts = list(target_shifts) + col_degs
-    vecs = []
-    for j, col in enumerate(columns):
-        den = 1
-        for a in col:
-            for c in a.terms.values():
-                if isinstance(c, Fraction):
-                    den = den * c.denominator // gcd(den, c.denominator)
-        vec = {}
-        for comp, a in enumerate(col):
-            for e, c in a.terms.items():
-                vec[(comp, e)] = int(c * den)
-        vec[(r + j, ring._zero_exp)] = den
-        vecs.append(vec)
+    zero, one = ring.zero(), ring.one()
+    # the graph vector col_j ⊕ e_j
+    vecs = [_column_to_int_vector(col + [one if i == j else zero for i in range(k)], r + k)
+            for j, col in enumerate(columns)]
     gb = module_groebner(vecs, ring.order.keyfn(), shifts, b)
     syz_cols = []
     syz_degs = []
     for g in gb:
         full = g.full()
-        if all(t[0] >= r for t in full):
-            col = [dict() for _ in range(k)]
-            for (comp, e), c in full.items():
-                col[comp - r][e] = c
-            polys = [Polynomial(ring, d, _clean=True) for d in col]
+        if all(t.index(1) >= r for t in full):
+            polys = _int_vector_to_column(full, ring, r + k)[r:]
             # exact dot product against the targets before emission
             for comp in range(r):
                 acc = ring.zero()
@@ -557,11 +380,7 @@ def minimal_generators(syz: GradedSyzygyMatrix, budget: Budget | None = None) ->
 
         def vec_of(col) -> dict:
             v = {}
-            den = 1
-            for a in col:
-                for c in a.terms.values():
-                    if isinstance(c, Fraction):
-                        den = den * c.denominator // gcd(den, c.denominator)
+            den = denominator_lcm(c for a in col for c in a.terms.values())
             for comp, a in enumerate(col):
                 for e, c in a.terms.items():
                     key = (comp, e)
@@ -726,10 +545,6 @@ def graded_betti(I: Ideal, hom_cap: int = 4, deg_cap: int = 40,
 # when full elimination is out of reach; results are exact, flagged
 # truncated at the ideal level.
 
-def _ymonomials(k: int, s: int):
-    return _monomials_of_degree(k, s)
-
-
 def rees_bigraded_kernel(forms: list[Polynomial], xdeg: int, ydeg: int,
                          budget: Budget | None = None) -> list[Polynomial]:
     """k-basis of bidegree (xdeg, ydeg) elements of the blowup ideal,
@@ -739,7 +554,7 @@ def rees_bigraded_kernel(forms: list[Polynomial], xdeg: int, ydeg: int,
     k = len(forms)
     target = rees_ring(ring, k)
     xmonos = list(_monomials_of_degree(ring.nvars, xdeg))
-    ymonos = list(_ymonomials(k, ydeg))
+    ymonos = list(_monomials_of_degree(k, ydeg))
     # y-power products of the forms, cached
     prod_cache: dict[tuple, Polynomial] = {}
 
@@ -816,10 +631,7 @@ def rees_minimal_bidegree12(forms: list[Polynomial], budget: Budget | None = Non
 
     def vec_of(g: Polynomial) -> dict:
         v = {}
-        den = 1
-        for c in g.terms.values():
-            if isinstance(c, Fraction):
-                den = den * c.denominator // gcd(den, c.denominator)
+        den = denominator_lcm(g.terms.values())
         for e, c in g.terms.items():
             if e not in index:
                 index[e] = len(index)

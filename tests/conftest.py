@@ -8,11 +8,6 @@ sys.path.insert(0, os.path.dirname(__file__))
 from detlab.config import Config
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "long: heavy computations gated behind DETLAB_LONG=1")
-
-
 def pytest_collection_modifyitems(config, items):
     if os.environ.get("DETLAB_LONG") == "1":
         return

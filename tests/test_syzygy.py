@@ -1,13 +1,15 @@
 """Linear syzygies, module syzygies, Fitting condition, Betti tables."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from detlab.groebner import Ideal, hilbert_data
 from detlab.polyring import xring
 from detlab.structmat import build_structured, build_gp_associated, determinant, minors_ideal_gens
 from detlab.syzygy import (ModuleBasis, fitting_condition_F1, first_syzygy_module,
                            graded_betti, linear_syzygies, poly_matrix_rank,
-                           rees_bigraded_kernel, rees_minimal_bidegree12)
+                           rees_bigraded_kernel, rees_minimal_bidegree12,
+                           syzygy_basis_in_degree, _monomials_of_degree)
 
 
 def partials_of(kind, **kw):
@@ -100,6 +102,12 @@ def test_regular_sequence_koszul_columns():
     assert mb.contains([R.zero(), x[2], -x[1]])
 
 
+def test_module_basis_needs_one_shift_per_component():
+    x0, x1 = xring(2).gens()
+    with pytest.raises(ValueError):
+        ModuleBasis([[x0, x1]], [1])
+
+
 def test_eagon_northcott_linear_presentation_gp31():
     G = build_gp_associated(3, 1)
     gens = minors_ideal_gens(G, 2)
@@ -120,6 +128,32 @@ def test_subhankel_filtration_presentation_matches_module():
     for c in range(phi.cols):
         assert mb.contains(phi.column(c))
     assert str(phi[3, 0]) == "x4" and str(phi[3, 1]) == "0" and str(phi[3, 2]) == "0"
+
+
+@st.composite
+def _ternary_forms(draw):
+    """2-4 forms of one degree (1 or 2) in 3 variables, small coefficients."""
+    deg = draw(st.integers(1, 2))
+    monos = list(_monomials_of_degree(3, deg))
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos))
+    rows = draw(st.lists(coeffs, min_size=2, max_size=4))
+    R = xring(3)
+    return deg, [R.poly(dict(zip(monos, row))) for row in rows]
+
+
+@given(_ternary_forms())
+@settings(max_examples=40, deadline=None)
+def test_module_gb_syzygies_match_degreewise_kernels(case):
+    # the module-GB syzygies are sound, and they generate every syzygy that
+    # degree-wise linear algebra finds with entries of degree <= 2
+    deg, forms = case
+    assume(all(not f.is_zero() for f in forms))
+    syz = first_syzygy_module(forms, minimalize=False)
+    assert syz.verify(forms)
+    mb = ModuleBasis(syz.columns, [deg] * len(forms))
+    for d in range(3):
+        for col in syzygy_basis_in_degree(forms, d):
+            assert mb.contains(col)
 
 
 def test_linear_part_subset_of_full_module():
