@@ -514,7 +514,7 @@ def _cat43_facts():
         p = PRIME_61
         rng = ctx["config"].rng("cat43-residual")
         fp, gp = f.reduce_mod(p), g.reduce_mod(p)
-        Hp = [[H[i, j].reduce_mod(p) for j in range(13)] for i in range(13)]
+        Hp = H.reduce_mod(p)
         c = None
         checked = 0
         while checked < 20:
@@ -522,8 +522,7 @@ def _cat43_facts():
             fv, gv = fp.evaluate(pt), gp.evaluate(pt)
             if not fv or not gv:
                 continue
-            hv = dense_det([[Hp[i][j].evaluate(pt) for j in range(13)]
-                            for i in range(13)], p)
+            hv = dense_det(Hp.evaluate(pt), p)
             rhs = pow(fv, 5, p) * pow(gv, 2, p) % p
             if c is None:
                 c = hv * pow(rhs, -1, p) % p
@@ -756,13 +755,6 @@ def _build_subhankel(n):
 
 
 def _subhankel_facts(n):
-    def wrap(fn, *args, **kw):
-        def run(ctx):
-            rep = fn(*args, budget=None, config=ctx["config"], **kw) \
-                if "budget" in fn.__code__.co_varnames else fn(*args, **kw)
-            return _bool_fact(rep.name, rep.passed)
-        return run
-
     def recurrence(ctx):
         rep = subhankel_mod.recurrence_check(n)
         return _bool_fact("both closed-form relations hold", rep.passed)
@@ -864,7 +856,6 @@ def _dg3_facts():
     def quadric_relation(ctx):
         from .syzygy import rees_bigraded_kernel
         taus = rees_bigraded_kernel(ctx["partials"], 0, 2)
-        ring = taus[0].ring if taus else None
         found = False
         for t in taus:
             s = str(t)

@@ -30,6 +30,7 @@ from .config import Budget, Config, DEFAULT_CONFIG
 from .polyring import (
     Polynomial, Ring, MonomialOrder, block_order, morph,
     parse_polynomial, format_polynomial, exact_divide, NOT_DIVISIBLE, denominator_lcm,
+    _content_strip,
 )
 
 # ---------------------------------------------------------------------------
@@ -52,18 +53,6 @@ def _divides(a: tuple, b: tuple) -> bool:
 
 def _lcm_exp(a: tuple, b: tuple) -> tuple:
     return tuple(x if x > y else y for x, y in zip(a, b))
-
-
-def _content_strip(d: dict) -> dict:
-    g = 0
-    for v in d.values():
-        g = gcd(g, abs(v))
-        if g == 1:
-            return d
-    if g > 1:
-        for k in d:
-            d[k] //= g
-    return d
 
 
 def to_int_terms(poly: Polynomial) -> dict:

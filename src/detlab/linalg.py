@@ -2,8 +2,9 @@
 
 The sparse kernel/rank routines run over Z with cross-multiplication and
 content stripping, so results are exact; they back the degree-wise syzygy
-solvers and the bigraded blowup-equation pieces.  Dense helpers cover
-numeric matrices (rank / determinant over Q or GF(p)).
+solvers and the bigraded blowup-equation pieces.  The dense numeric
+helpers (rank with a nonzero-minor witness, determinant) share one forward
+elimination, `_echelon`, over Q (Fractions) or GF(p).
 """
 
 from __future__ import annotations
@@ -12,19 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 from .config import Budget
-from .polyring import denominator_lcm
-
-
-def _strip_row(row: dict) -> dict:
-    g = 0
-    for v in row.values():
-        g = gcd(g, abs(v))
-        if g == 1:
-            return row
-    if g > 1:
-        for k in row:
-            row[k] //= g
-    return row
+from .polyring import _content_strip, denominator_lcm
 
 
 class SparseEliminator:
@@ -62,7 +51,7 @@ class SparseEliminator:
                     row.pop(c, None)
             for c in [c for c in row if c not in prow]:
                 row[c] *= ma
-            _strip_row(row)
+            _content_strip(row)
         return row
 
     def add_row(self, row: dict) -> bool:
@@ -85,7 +74,7 @@ class SparseEliminator:
                         prow.pop(c, None)
                 for c in [c for c in prow if c not in row]:
                     prow[c] *= ma
-                _strip_row(prow)
+                _content_strip(prow)
         self.pivots[piv] = row
         return True
 
@@ -124,129 +113,62 @@ def _intify_row(row: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# dense numeric helpers
+# dense numeric helpers: one forward elimination over GF(p) or Q
 
-def dense_rank(mat: list[list], p: int | None = None) -> int:
-    """Rank of a dense matrix over Q (Fraction arithmetic) or GF(p)."""
-    if not mat:
-        return 0
-    m = [list(map((lambda v: v % p) if p is not None else Fraction, row)) for row in mat]
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
+def _echelon(mat: list[list], p: int | None = None):
+    """Forward Gaussian elimination over GF(p) (ints mod p) or Q (Fractions).
+
+    Each column's pivot is its first nonzero entry at or below the current
+    row, swapped into place.  Returns the pivot rows (indices into `mat`),
+    the pivot columns, and the product of the pivots times the sign of the
+    row swaps, which is the determinant of a square matrix of full rank.
+    """
+    m = [[v % p for v in row] if p is not None else list(map(Fraction, row)) for row in mat]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    order = list(range(nrows))
+    pivot_cols = []
+    prod = 1
+    for c in range(ncols):
+        r = len(pivot_cols)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], -1, p) if p is not None else 1 / m[r][c]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c] * inv
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            order[r], order[piv] = order[piv], order[r]
+            prod = -prod
+        top = m[r]
+        prod *= top[c]
+        inv = pow(top[c], -1, p) if p is not None else 1 / top[c]
+        for row in m[r + 1:]:
+            if row[c]:
+                f = row[c] * inv
                 if p is not None:
                     f %= p
-                for j in range(c, cols):
-                    v = m[i][j] - f * m[r][j]
-                    m[i][j] = v % p if p is not None else v
-        r += 1
-        rank += 1
-        if r == rows:
-            break
-    return rank
+                for j in range(c, ncols):
+                    v = row[j] - f * top[j]
+                    row[j] = v % p if p is not None else v
+        pivot_cols.append(c)
+        if p is not None:
+            prod %= p
+    return order[:len(pivot_cols)], pivot_cols, prod
+
+
+def dense_rank(mat: list[list], p: int | None = None):
+    """Rank over Q or GF(p), with a nonzero minor of that size:
+    (rank, (sorted rows, sorted cols))."""
+    rows, cols, _ = _echelon(mat, p)
+    return len(rows), (sorted(rows), cols)
 
 
 def dense_det(mat: list[list], p: int | None = None):
-    """Determinant by fraction-free Bareiss (Q) or modular elimination."""
-    n = len(mat)
-    if n == 0:
+    """Determinant: an int mod p, or over Q an int when integral, else a
+    Fraction; 1 for an empty matrix."""
+    if not mat:
         return 1
-    if p is not None:
-        m = [[v % p for v in row] for row in mat]
-        det = 1
-        for k in range(n):
-            piv = None
-            for i in range(k, n):
-                if m[i][k]:
-                    piv = i
-                    break
-            if piv is None:
-                return 0
-            if piv != k:
-                m[k], m[piv] = m[piv], m[k]
-                det = -det % p
-            det = det * m[k][k] % p
-            inv = pow(m[k][k], -1, p)
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    f = m[i][k] * inv % p
-                    for j in range(k, n):
-                        m[i][j] = (m[i][j] - f * m[k][j]) % p
-        return det % p
-    # Bareiss over exact rationals scaled to integers
-    den = denominator_lcm(v for row in mat for v in row)
-    m = [[int(v * den) if isinstance(v, Fraction) else int(v) * den for v in row] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        piv = None
-        for i in range(k, n):
-            if m[i][k]:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        pk = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (pk * m[i][j] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pk
-    v = Fraction(sign * m[n - 1][n - 1], den ** n)
-    return int(v) if v.denominator == 1 else v
-
-
-def nonzero_minor_witness(mat: list[list], r: int, p: int | None = None):
-    """Row/column subsets of size r with nonzero determinant, else None.
-
-    Greedy: run elimination and record the pivot positions actually used.
-    """
-    if r == 0:
-        return ([], [])
-    rows, cols = len(mat), len(mat[0]) if mat else 0
-    m = [list(map((lambda v: v % p) if p is not None else Fraction, row)) for row in mat]
-    used_rows: list[int] = []
-    used_cols: list[int] = []
-    rowidx = list(range(rows))
-    rr = 0
-    for c in range(cols):
-        pr = None
-        for i in range(rr, rows):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[rr], m[pr] = m[pr], m[rr]
-        rowidx[rr], rowidx[pr] = rowidx[pr], rowidx[rr]
-        used_rows.append(rowidx[rr])
-        used_cols.append(c)
-        inv = pow(m[rr][c], -1, p) if p is not None else 1 / m[rr][c]
-        for i in range(rr + 1, rows):
-            if m[i][c]:
-                f = m[i][c] * inv
-                if p is not None:
-                    f %= p
-                for j in range(c, cols):
-                    v = m[i][j] - f * m[rr][j]
-                    m[i][j] = v % p if p is not None else v
-        rr += 1
-        if rr == r:
-            return (sorted(used_rows), sorted(used_cols))
-    return None
+    rows, _, det = _echelon(mat, p)
+    if len(rows) < len(mat):
+        return 0
+    return int(det) if p is None and det.denominator == 1 else det

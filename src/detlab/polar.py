@@ -97,11 +97,10 @@ def hessian_det_status(f: Polynomial, config: Config | None = None,
     rng = config.rng("hessian-status")
     # an integer point with det != 0 mod p certifies a nonzero integer value
     for p in (PRIME_61, PRIME_61B):
-        Hp = [[H[i, j].reduce_mod(p) for j in range(nv)] for i in range(nv)]
+        Hp = H.reduce_mod(p)
         for _ in range(search_trials // 2):
             pt = [rng.randrange(0, 9) for _ in range(nv)]
-            num = [[Hp[i][j].evaluate(pt) for j in range(nv)] for i in range(nv)]
-            if dense_det(num, p):
+            if dense_det(Hp.evaluate(pt), p):
                 return HessianStatus("nonzero", point=pt, prime=p, trials=1)
     # candidate zero: try the symbolic route within budget
     try:
@@ -120,11 +119,10 @@ def hessian_det_status(f: Polynomial, config: Config | None = None,
         pass
     total = 0
     for p in (PRIME_61, PRIME_61B):
-        Hp = [[H[i, j].reduce_mod(p) for j in range(nv)] for i in range(nv)]
+        Hp = H.reduce_mod(p)
         for _ in range(zero_trials):
             pt = [rng.randrange(0, p) for _ in range(nv)]
-            num = [[Hp[i][j].evaluate(pt) for j in range(nv)] for i in range(nv)]
-            if dense_det(num, p):
+            if dense_det(Hp.evaluate(pt), p):
                 return HessianStatus("nonzero", point=pt, prime=p, trials=1)
             total += 1
     deg = max(0, (f.degree - 2) * nv)
@@ -146,13 +144,11 @@ class HessianDetOnLine:
         self.degree = (int(f.degree) - 2) * nv
 
     def restrict_line_mod(self, base, direction, p: int) -> list[int]:
-        nv = self.f.ring.nvars
-        Hp = [[self.matrix[i, j].reduce_mod(p) for j in range(nv)] for i in range(nv)]
+        Hp = self.matrix.reduce_mod(p)
         pts = []
         for t in range(self.degree + 1):
             point = [(b + t * d) % p for b, d in zip(base, direction)]
-            num = [[Hp[i][j].evaluate(point) for j in range(nv)] for i in range(nv)]
-            pts.append((t, dense_det(num, p)))
+            pts.append((t, dense_det(Hp.evaluate(point), p)))
         return uinterpolate(pts, p)
 
 
@@ -202,17 +198,13 @@ def factor_multiplicity(f: Polynomial, g, config: Config | None = None,
     p = PRIME_61
     nv = f.ring.nvars
     fdeg = int(f.degree)
-    fp = f.reduce_mod(p)
     values = []
     attempts = 0
     while len(values) < lines and attempts < line_cap:
         attempts += 1
         base = [rng.randrange(0, p) for _ in range(nv)]
         direction = [rng.randrange(1, p) for _ in range(nv)]
-        F = fp.restrict_to_line(base, direction)
-        Fl = [0] * (int(F.degree) + 1 if F.terms else 0)
-        for (e,), c in F.terms.items():
-            Fl[e] = c
+        Fl = _line_restrict_mod(f, base, direction, p)
         if udeg(Fl) != fdeg:
             continue
         if udeg(ugcd(Fl, uderiv(Fl, p), p)) != 0:
@@ -287,7 +279,7 @@ def totally_hessian_check(f: Polynomial, config: Config | None = None,
         fv = f.evaluate(pt)
         if not fv:
             continue
-        hv = dense_det([[H[i, j].evaluate(pt) for j in range(nv)] for i in range(nv)])
+        hv = dense_det(H.evaluate(pt))
         cand = Fraction(hv) / Fraction(fv) ** k
         c = cand
         break
@@ -296,14 +288,14 @@ def totally_hessian_check(f: Polynomial, config: Config | None = None,
     p = PRIME_61
     cp = c.numerator % p * pow(c.denominator % p, -1, p) % p
     fp = f.reduce_mod(p)
-    Hp = [[H[i, j].reduce_mod(p) for j in range(nv)] for i in range(nv)]
+    Hp = H.reduce_mod(p)
     done = 0
     while done < trials:
         pt = [rng.randrange(0, p) for _ in range(nv)]
         fv = fp.evaluate(pt)
         if not fv:
             continue
-        hv = dense_det([[Hp[i][j].evaluate(pt) for j in range(nv)] for i in range(nv)], p)
+        hv = dense_det(Hp.evaluate(pt), p)
         if hv != cp * pow(fv, k, p) % p:
             return TotallyHessianResult(False, exponent=k, trials=done + 1,
                                         reason="identity fails at a sample point")

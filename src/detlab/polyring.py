@@ -171,6 +171,19 @@ def denominator_lcm(coeffs) -> int:
     return den
 
 
+def _content_strip(d: dict) -> dict:
+    """Divide the integer values of `d` in place by their gcd; returns `d`."""
+    g = 0
+    for v in d.values():
+        g = gcd(g, abs(v))
+        if g == 1:
+            return d
+    if g > 1:
+        for k in d:
+            d[k] //= g
+    return d
+
+
 class Ring:
     """Variable names plus coefficient mode (None = rationals, p = GF(p))."""
 

@@ -4,7 +4,9 @@ All constructors produce matrices whose entries are single variables or
 zero over a fresh ring with the minimal variable set.  Determinants of
 variable-entry matrices go through memoized cofactor expansion (the shared
 subproblems across anti-diagonal patterns are massive); general polynomial
-entries go through fraction-free Bareiss elimination.
+entries go through fraction-free Bareiss elimination, `_bareiss`, the one
+polynomial echelon of the package, which also gives ranks over the
+fraction field (`syzygy.poly_matrix_rank`).
 """
 
 from __future__ import annotations
@@ -68,6 +70,11 @@ class PolyMatrix:
             if sum(exp) != 1 or c != 1:
                 return False
         return True
+
+    def reduce_mod(self, p: int) -> "PolyMatrix":
+        """Entrywise image in GF(p)."""
+        return PolyMatrix(self.rows, self.cols, [e.reduce_mod(p) for e in self.entries],
+                          self.provenance)
 
     def evaluate(self, point) -> list[list]:
         return [[self[r, c].evaluate(point) for c in range(self.cols)]
@@ -222,57 +229,67 @@ def _det_cofactor_memo(M: PolyMatrix, budget: Budget | None = None) -> Polynomia
     return rec(tuple(range(n)))
 
 
-def _det_bareiss(M: PolyMatrix, budget: Budget | None = None) -> Polynomial:
-    """Fraction-free elimination; exact divisions stay in the ring."""
-    n = M.rows
-    ring = M.ring
-    m = [[M[i, j] for j in range(n)] for i in range(n)]
+def _bareiss(rows: list[list[Polynomial]], budget: Budget | None = None,
+             stop_at_gap: bool = False) -> tuple[int, int]:
+    """Fraction-free (Bareiss) forward echelon of `rows`, in place.
+
+    Each column's pivot is its first nonzero entry at or below the current
+    row, swapped into place; the exact divisions by the previous pivot stay
+    in the ring.  Returns the rank and the sign of the row swaps.  With
+    stop_at_gap it returns at the first column without a pivot.  For a
+    square matrix of full rank the determinant is sign * rows[-1][-1].
+    """
+    nrows, ncols = len(rows), len(rows[0])
+    zero = rows[0][0].ring.zero()
     sign = 1
-    prev = ring.one()
-    for k in range(n - 1):
-        piv = None
-        for i in range(k, n):
-            if not m[i][k].is_zero():
-                piv = i
-                break
+    prev = rows[0][0].ring.one()
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
         if piv is None:
-            return ring.zero()
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
+            if stop_at_gap:
+                break
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
             sign = -sign
-        pk = m[k][k]
-        for i in range(k + 1, n):
+        top = rows[r]
+        pk = top[c]
+        for row in rows[r + 1:]:
             if budget is not None:
                 budget.tick(1, "Bareiss elimination")
-            for j in range(k + 1, n):
-                num = pk * m[i][j] - m[i][k] * m[k][j]
-                q = exact_divide(num, prev)
+            for j in range(c + 1, ncols):
+                q = exact_divide(pk * row[j] - row[c] * top[j], prev)
                 if q is NOT_DIVISIBLE:
                     raise ArithmeticError("Bareiss division failed; non-domain input?")
-                m[i][j] = q
-            m[i][k] = ring.zero()
+                row[j] = q
+            row[c] = zero
         prev = pk
-    return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
+        r += 1
+    return r, sign
 
 
 def determinant(M: PolyMatrix, budget: Budget | None = None,
-                method: str | None = None, enforce_budget: bool = True) -> Polynomial:
+                enforce_budget: bool = True) -> Polynomial:
     """Exact determinant; cofactor-memo for variable entries, Bareiss else."""
     if not M.is_square():
         raise ValueError("determinant of a non-square matrix")
-    if method is None:
-        method = "cofactor" if M.is_variable_entry() else "bareiss"
+    variable_entry = M.is_variable_entry()
     if enforce_budget:
-        cap = DET_BUDGET_VARIABLE_ENTRY if M.is_variable_entry() else DET_BUDGET_GENERAL
+        cap = DET_BUDGET_VARIABLE_ENTRY if variable_entry else DET_BUDGET_GENERAL
         if M.rows > cap:
             raise ComputationTimeout(
                 f"symbolic determinant beyond {cap}x{cap} budget; "
                 "use probabilistic identity tests")
-    if method == "cofactor":
+    if variable_entry:
         return _det_cofactor_memo(M, budget)
-    if method == "bareiss":
-        return _det_bareiss(M, budget)
-    raise ValueError(f"unknown determinant method {method!r}")
+    rows = [M.row(i) for i in range(M.rows)]
+    rank, sign = _bareiss(rows, budget, stop_at_gap=True)
+    if rank < M.rows:
+        return M.ring.zero()
+    return rows[-1][-1] if sign == 1 else -rows[-1][-1]
 
 
 def cofactor_matrix(M: PolyMatrix, budget: Budget | None = None) -> PolyMatrix:

@@ -15,11 +15,10 @@ from __future__ import annotations
 import itertools
 
 from .config import Budget, Config, ComputationTimeout, DEFAULT_CONFIG
-from .linalg import SparseEliminator, dense_rank, nonzero_minor_witness
-from .groebner import (Ideal, hilbert_data, _Entry, _buchberger, _content_strip,
-                       _normal_form_int)
-from .polyring import Polynomial, Ring, denominator_lcm
-from .structmat import PolyMatrix, determinant
+from .linalg import SparseEliminator, dense_rank
+from .groebner import Ideal, hilbert_data, _Entry, _buchberger, _normal_form_int
+from .polyring import Polynomial, Ring, _content_strip, denominator_lcm
+from .structmat import PolyMatrix, _bareiss, determinant
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +140,6 @@ class GradedSyzygyMatrix:
 
     def as_poly_matrix(self) -> PolyMatrix:
         rows = len(self.target_degrees)
-        ring = self.columns[0][0].ring if self.columns else None
         ents = []
         for r in range(rows):
             for col in self.columns:
@@ -248,57 +246,22 @@ def poly_matrix_rank(M: PolyMatrix, trials: int = 3, config: Config | None = Non
     nv = M.ring.nvars
     maxdeg = max((int(e.degree) for e in M.entries if not e.is_zero()), default=0)
     bound = min(M.rows, M.cols) * maxdeg / p
-    Mp = [[M[i, j].reduce_mod(p) for j in range(M.cols)] for i in range(M.rows)]
+    Mp = M.reduce_mod(p)
     best = 0
     witness = None
     for _ in range(trials):
         pt = [rng.randrange(0, p) for _ in range(nv)]
-        num = [[Mp[i][j].evaluate(pt) for j in range(M.cols)] for i in range(M.rows)]
-        r = dense_rank(num, p)
+        r, minor = dense_rank(Mp.evaluate(pt), p)
         if r > best:
             best = r
-            witness = {"point": pt, "prime": p,
-                       "minor": nonzero_minor_witness(num, r, p)}
+            witness = {"point": pt, "prime": p, "minor": minor}
         if best == min(M.rows, M.cols):
             return RankResult(best, "proved", witness, bound)
     if M.rows * M.cols <= exact_size_cap:
-        exact = _poly_matrix_rank_exact(M)
+        exact, _ = _bareiss([M.row(i) for i in range(M.rows)])
         # the evaluation bound never exceeds the true rank
         return RankResult(exact, "proved", witness, bound)
     return RankResult(best, "probabilistic", witness, bound)
-
-
-def _poly_matrix_rank_exact(M: PolyMatrix) -> int:
-    ring = M.ring
-    m = [[M[i, j] for j in range(M.cols)] for i in range(M.rows)]
-    from .polyring import exact_divide, NOT_DIVISIBLE
-    rank = 0
-    prev = ring.one()
-    r = 0
-    for c in range(M.cols):
-        piv = None
-        for i in range(r, M.rows):
-            if not m[i][c].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pk = m[r][c]
-        for i in range(r + 1, M.rows):
-            for j in range(c + 1, M.cols):
-                num = pk * m[i][j] - m[i][c] * m[r][j]
-                q = exact_divide(num, prev)
-                if q is NOT_DIVISIBLE:
-                    raise ArithmeticError("fraction-free elimination mismatch")
-                m[i][j] = q
-            m[i][c] = ring.zero()
-        prev = pk
-        r += 1
-        rank += 1
-        if r == M.rows:
-            break
-    return rank
 
 
 def first_syzygy_module(forms: list[Polynomial], budget: Budget | None = None,

@@ -1,14 +1,13 @@
 """Structured matrix constructors, determinants, minors, cofactor sums."""
 
-import random
-
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from detlab.polyring import xring
 from detlab.structmat import (PolyMatrix, build_structured, build_gp_associated,
                               determinant, cofactor_matrix, minors_ideal_gens,
                               partials_as_cofactor_sums, parse_matrix_spec,
-                              minor, DET_BUDGET_GENERAL)
+                              minor, DET_BUDGET_GENERAL, _bareiss, _det_cofactor_memo)
 from detlab.config import ComputationTimeout
 from oracles import hankel_entry_dicts, leibniz_det
 
@@ -100,14 +99,71 @@ def test_det_hankel3_against_leibniz_oracle():
     assert f == H.ring.from_string("x0*x2*x4 - x0*x3^2 - x1^2*x4 + 2*x1*x2*x3 - x2^3")
 
 
+def _bareiss_det(M):
+    """Determinant read off the Bareiss echelon, whatever the entries."""
+    rows = [M.row(i) for i in range(M.rows)]
+    rank, sign = _bareiss(rows)
+    if rank < M.rows:
+        return M.ring.zero()
+    return rows[-1][-1] if sign == 1 else -rows[-1][-1]
+
+
 def test_det_methods_agree():
-    rng = random.Random(4)
     for kind, kw in (("hankel", {"m": 3}), ("hankel", {"m": 4}),
                      ("catalecticant", {"m": 3, "r": 2}),
                      ("sub-hankel", {"n": 4}), ("generic", {"m": 3}),
                      ("symmetric", {"m": 3})):
         M = build_structured(kind, **kw)
-        assert determinant(M, method="cofactor") == determinant(M, method="bareiss")
+        assert _det_cofactor_memo(M) == _bareiss_det(M)
+
+
+@st.composite
+def _linear_form_products(draw):
+    """n x n products A*B of linear-form matrices in 3 variables with inner
+    dimension k = n, or n - 1 (then singular) a third of the time.  A third
+    of the forms are zero and a third single terms, so entries vanish
+    often; rows with a zero first entry go first, so Bareiss has to swap
+    rows."""
+    n = draw(st.integers(1, 4))
+    k = max(1, n - draw(st.sampled_from([0, 0, 1])))
+    R = xring(3)
+    x = R.gens()
+    coeff = st.sampled_from([1, -1, 2, -2])
+
+    def form():
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            return R.zero()
+        if kind == 1:
+            return x[draw(st.integers(0, 2))] * draw(coeff)
+        return sum((x[i] * draw(st.integers(-2, 2)) for i in range(3)), R.zero())
+
+    A = [[form() for _ in range(k)] for _ in range(n)]
+    B = [[form() for _ in range(n)] for _ in range(k)]
+    rows = [[sum((A[i][t] * B[t][j] for t in range(k)), R.zero()) for j in range(n)]
+            for i in range(n)]
+    rows.sort(key=lambda row: not row[0].is_zero())
+    return k, PolyMatrix(n, n, sum(rows, []), "custom")
+
+
+def _swap_first_product():
+    # [[0, x0], [x1, 0]] * [[x2, 0], [0, x2]]: the first pivot needs a swap
+    R = xring(3)
+    x = R.gens()
+    return 2, PolyMatrix(2, 2, [R.zero(), x[0] * x[2], x[1] * x[2], R.zero()], "custom")
+
+
+@given(_linear_form_products())
+@example(_swap_first_product())
+@settings(max_examples=100, deadline=None)
+def test_bareiss_matches_cofactor_on_products(case):
+    k, M = case
+    n = M.rows
+    rank, _ = _bareiss([M.row(i) for i in range(n)])
+    assert rank <= k
+    f = determinant(M, enforce_budget=False)
+    assert f.is_zero() == (rank < n)
+    assert f == _det_cofactor_memo(M) == _bareiss_det(M)
 
 
 def test_det_alternating_row_swap():
