@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .config import Config, ComputationTimeout, DEFAULT_CONFIG
 from .groebner import (Ideal, colon, hilbert_data, ideal_equal, ideal_sum,
                        intersect, saturation, symmetric_algebra_ideal)
-from .polyring import Ring
+from .polyring import Ring, dot
 from .structmat import (PolyMatrix, build_gp_associated, build_structured,
                         determinant, cofactor_matrix, minor, minors_ideal_gens)
 from .syzygy import linear_syzygies, rees_minimal_bidegree12
@@ -168,9 +168,7 @@ def _hankel3_facts():
             [-2 * x[0], -x[1], R.zero(), x[3], 2 * x[4]],
             [4 * x[1], 3 * x[2], 2 * x[3], x[4], R.zero()],
         ]
-        disp_ok = all(
-            sum((a * f for a, f in zip(col, ctx["partials"])), R.zero()).is_zero()
-            for col in disp)
+        disp_ok = all(dot(col, ctx["partials"]).is_zero() for col in disp)
         got = (rank.rank, len(syz.columns), disp_ok)
         return _eq_fact((3, 3, True), got)
 

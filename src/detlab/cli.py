@@ -477,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", required=True,
                    choices=["star", "golberg", "plucker", "radical", "reduction"])
     p.add_argument("--i", type=int, default=None)
-    p.add_argument("--long", action="store_true")
     _add_common(p)
     p.set_defaults(fn=_cmd_hankel)
 

@@ -52,9 +52,6 @@ class Budget:
             if time.monotonic() > self.deadline:
                 raise ComputationTimeout(what)
 
-    def check_time(self, what: str = "computation") -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise ComputationTimeout(what)
 
 def _env_int(name: str, default):
     v = os.environ.get(name)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .config import Budget, Config, ComputationTimeout, DEFAULT_CONFIG
 from .groebner import (Ideal, colon, ideal_power, ideal_product,
                        ideal_equal, radical_membership)
-from .linalg import kernel_basis
+from .linalg import linear_relations
 from .polyring import Polynomial
 from .structmat import build_structured, build_gp_associated, determinant, minor, minors_ideal_gens
 
@@ -227,20 +227,9 @@ class SolvedIdentity:
 
 def solve_bracket_identity(lhs: Polynomial, rhs_parts: list[Polynomial]) -> SolvedIdentity:
     """Solve lhs = sum_i c_i * rhs_parts[i] for rational constants exactly."""
-    index: dict = {}
-    rows: dict = {}
-
-    def add(poly: Polynomial, col: int):
-        for e, v in poly.terms.items():
-            if e not in index:
-                index[e] = len(index)
-            rows.setdefault(index[e], {})[col] = rows.get(index[e], {}).get(col, 0) + v
-
     ncols = len(rhs_parts)
-    for ci, g in enumerate(rhs_parts):
-        add(g, ci)
-    add(lhs, ncols)  # augmented column
-    vecs = kernel_basis([rows[k] for k in sorted(rows)], ncols + 1)
+    # one relation column per part plus lhs as the augmented column
+    vecs = linear_relations(rhs_parts + [lhs], [(0,) * lhs.ring.nvars])
     for vec in vecs:
         lam = vec.get(ncols, Fraction(0))
         if lam:

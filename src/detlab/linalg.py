@@ -1,26 +1,30 @@
 """Exact linear algebra: sparse fraction-free elimination and dense helpers.
 
-The sparse kernel/rank routines run over Z with cross-multiplication and
-content stripping, so results are exact; they back the degree-wise syzygy
-solvers and the bigraded blowup-equation pieces.  The dense numeric
-helpers (rank with a nonzero-minor witness, determinant) share one forward
-elimination, `_echelon`, over Q (Fractions) or GF(p).
+`SparseEliminator` runs over Z with cross-multiplication and content
+stripping, so results are exact.  `linear_relations` is the one place where
+polynomials become a kernel: the degree-wise syzygies, the bigraded
+blowup-equation pieces and the bracket identities are all its callers.  It
+accepts rational coefficients (a row is cleared of denominators when it
+holds a Fraction) and rejects GF(p) input, whose relations the Z-eliminator
+would miss.  The dense numeric helpers (rank with a nonzero-minor witness,
+determinant) share one forward elimination, `_echelon`, over Q (Fractions)
+or GF(p).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add
 
 from .config import Budget
-from .polyring import _content_strip, denominator_lcm
+from .polyring import Polynomial, _content_strip, denominator_lcm
 
 
 class SparseEliminator:
     """Incremental exact RREF over Z of rows given as {col: int} dicts."""
 
-    def __init__(self, ncols: int, budget: Budget | None = None):
-        self.ncols = ncols
+    def __init__(self, budget: Budget | None = None):
         self.budget = budget
         self.pivots: dict[int, dict] = {}  # pivot col -> reduced row
 
@@ -82,10 +86,11 @@ class SparseEliminator:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def kernel_basis(self) -> list[dict[int, Fraction]]:
-        """Basis of the right kernel, one vector per free column."""
+    def kernel_basis(self, ncols: int) -> list[dict[int, Fraction]]:
+        """Basis of the right kernel on columns 0..ncols-1, one vector per
+        free column."""
         pivot_cols = set(self.pivots)
-        free_cols = [c for c in range(self.ncols) if c not in pivot_cols]
+        free_cols = [c for c in range(ncols) if c not in pivot_cols]
         basis = []
         for fc in free_cols:
             vec: dict[int, Fraction] = {fc: Fraction(1)}
@@ -96,20 +101,33 @@ class SparseEliminator:
         return basis
 
 
-def kernel_basis(rows: list[dict], ncols: int, budget: Budget | None = None) -> list[dict[int, Fraction]]:
-    """Exact kernel of the matrix whose rows are {col: int|Fraction} dicts."""
-    elim = SparseEliminator(ncols, budget)
-    for row in rows:
-        irow = _intify_row(row)
-        if irow:
-            elim.add_row(irow)
-    return elim.kernel_basis()
+def linear_relations(polys: list[Polynomial], monos: list[tuple], budget: Budget | None = None
+                     ) -> list[dict[int, Fraction]]:
+    """Basis of the rational relations among the products p * x^m, p in
+    `polys`, m in `monos`.
 
-
-def _intify_row(row: dict) -> dict:
-    den = denominator_lcm(row.values())
-    out = {c: int(v * den) if isinstance(v, Fraction) else v * den for c, v in row.items()}
-    return {c: v for c, v in out.items() if v}
+    Column i*len(monos)+k holds polys[i] * x^monos[k]; there is one row per
+    monomial of the products, in ascending order.  Rows are built in one
+    pass from the terms, and only a row holding a Fraction is scaled.
+    """
+    if any(p.ring.prime is not None for p in polys):
+        raise ValueError("linear relations are computed over the rationals, not GF(p)")
+    rows: dict[tuple, dict] = {}
+    col = 0
+    for p in polys:
+        terms = p.terms.items()
+        for m in monos:
+            for e, c in terms:
+                rows.setdefault(tuple(map(add, e, m)), {})[col] = c
+            col += 1
+    elim = SparseEliminator(budget)
+    for mono in sorted(rows):
+        row = rows[mono]
+        if any(isinstance(c, Fraction) for c in row.values()):
+            den = denominator_lcm(row.values())
+            row = {j: int(c * den) for j, c in row.items()}
+        elim.add_row(row)
+    return elim.kernel_basis(col)
 
 
 # ---------------------------------------------------------------------------

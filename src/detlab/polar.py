@@ -81,10 +81,6 @@ class HessianStatus:
     trials: int = 0
     bound: float | None = None
 
-    @property
-    def is_dominant_certificate(self) -> bool:
-        return self.kind == "nonzero"
-
 
 def hessian_det_status(f: Polynomial, config: Config | None = None,
                        zero_trials: int = 25, search_trials: int = 40,

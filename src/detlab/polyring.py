@@ -298,9 +298,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_coeff(self):
-        return self.terms.get(self.ring._zero_exp, 0)
-
     def coeff(self, exps):
         return self.terms.get(tuple(exps), 0)
 
@@ -323,10 +320,6 @@ class Polynomial:
     def leading_monomial(self, order=None):
         lt = self.leading_term(order)
         return None if lt is None else lt[0]
-
-    def sorted_terms(self, order: MonomialOrder | None = None, reverse: bool = True):
-        keyf = (order or self.ring.order).keyfn()
-        return sorted(self.terms.items(), key=lambda it: keyf(it[0]), reverse=reverse)
 
     # -- arithmetic ---------------------------------------------------------
     def _check_ring(self, other: "Polynomial"):
@@ -601,6 +594,14 @@ def _ulist_mul(a: list, b: list, p: int | None) -> list:
     return out
 
 
+def dot(coeffs: list[Polynomial], polys: list[Polynomial]) -> Polynomial:
+    """Exact sum of coeffs[i] * polys[i]; the relation checks test it for zero."""
+    acc = polys[0].ring.zero()
+    for a, f in zip(coeffs, polys):
+        acc = acc + a * f
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # exact division
 
@@ -779,7 +780,7 @@ def format_polynomial(f: Polynomial) -> str:
     items = sorted(f.terms.items(), key=lambda it: keyf(it[0]), reverse=True)
     parts = []
     for idx, (e, c) in enumerate(items):
-        neg = (not isinstance(c, Fraction) or True) and c < 0 if f.ring.prime is None else False
+        neg = c < 0 if f.ring.prime is None else False
         factors = []
         for i, k in enumerate(e):
             if k == 1:

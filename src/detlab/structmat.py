@@ -52,10 +52,6 @@ class PolyMatrix:
         ents = [self[r, c] for r in rows for c in cols]
         return PolyMatrix(len(list(rows)), len(list(cols)), ents, "custom")
 
-    def transpose(self) -> "PolyMatrix":
-        ents = [self[r, c] for c in range(self.cols) for r in range(self.rows)]
-        return PolyMatrix(self.cols, self.rows, ents, self.provenance)
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 

@@ -17,7 +17,7 @@ from math import comb
 from .config import Budget, Config
 from .groebner import (Ideal, colon, hilbert_data, ideal_equal, ideal_sum,
                        radical_membership)
-from .polyring import Polynomial, Ring, exact_divide, NOT_DIVISIBLE
+from .polyring import Polynomial, Ring, dot, exact_divide, NOT_DIVISIBLE
 from .structmat import PolyMatrix, build_structured, determinant, minor
 from .syzygy import ModuleBasis, first_syzygy_module, graded_betti
 from . import polar
@@ -152,12 +152,7 @@ def hilbert_burch_check(n: int, budget: Budget | None = None,
     for i in range(1, n):
         gens = case.filtration_generators(i)
         phi = case.hilbert_burch(i)
-        col_ok = True
-        for c in range(phi.cols):
-            acc = case.ring.zero()
-            for r in range(phi.rows):
-                acc = acc + phi[r, c] * gens[r]
-            col_ok = col_ok and acc.is_zero()
+        col_ok = all(dot(phi.column(c), gens).is_zero() for c in range(phi.cols))
         linear_ok = all(e.is_zero() or e.degree == 1 for e in phi.entries)
         mins = []
         for drop in range(i + 1):
@@ -354,12 +349,7 @@ def subhankel_linear_type_check(n: int, budget: Budget | None = None,
     lt = polar.linear_type_check(case.partials, budget, config)
     syz = first_syzygy_module(case.partials, budget, config, minimalize=True)
     disp = displayed_symmetric_generators(case)
-    disp_ok = True
-    for col in disp:
-        acc = case.ring.zero()
-        for a, f in zip(col, case.partials):
-            acc = acc + a * f
-        disp_ok = disp_ok and acc.is_zero()
+    disp_ok = all(dot(col, case.partials).is_zero() for col in disp)
     mb = ModuleBasis(syz.columns, [p.degree for p in case.partials],
                      budget=budget, config=config)
     span_ok = all(mb.contains(col) for col in disp)

@@ -2,6 +2,12 @@
 syzygy modules by module Groebner bases, Fitting-height checks, and small
 minimal free resolutions with graded Betti numbers.
 
+The degree-wise syzygies and the bigraded blowup-equation pieces are both
+kernels of `linalg.linear_relations` (forms times x-monomials, and
+y-power products of the forms times x-monomials); this module only
+reshapes the kernel vectors.  Rational coefficients are accepted, GF(p)
+input raises ValueError.
+
 Module Groebner bases run on the Buchberger engine of `groebner`: a term
 with component c and exponent e in a free module of rank r is the flat
 exponent tuple onehot_r(c) + e, under position-over-term with the ambient
@@ -15,9 +21,10 @@ from __future__ import annotations
 import itertools
 
 from .config import Budget, Config, ComputationTimeout, DEFAULT_CONFIG
-from .linalg import SparseEliminator, dense_rank
-from .groebner import Ideal, hilbert_data, _Entry, _buchberger, _normal_form_int
-from .polyring import Polynomial, Ring, _content_strip, denominator_lcm
+from .linalg import SparseEliminator, dense_rank, linear_relations
+from .groebner import (Ideal, hilbert_data, rees_ring, symmetric_algebra_ideal,
+                       _Entry, _buchberger, _normal_form_int)
+from .polyring import Polynomial, Ring, _content_strip, denominator_lcm, dot
 from .structmat import PolyMatrix, _bareiss, determinant
 
 
@@ -124,13 +131,7 @@ class GradedSyzygyMatrix:
 
     def verify(self, forms: list[Polynomial]) -> bool:
         """Exact dot products: every column annihilates the forms."""
-        for col in self.columns:
-            acc = forms[0].ring.zero()
-            for a, f in zip(col, forms):
-                acc = acc + a * f
-            if not acc.is_zero():
-                return False
-        return True
+        return all(dot(col, forms).is_zero() for col in self.columns)
 
     def linear_part(self) -> "GradedSyzygyMatrix":
         keep = [i for i in range(len(self.columns)) if self.entry_degree(i) == 1]
@@ -152,38 +153,13 @@ def syzygy_basis_in_degree(forms: list[Polynomial], shift_degree: int,
     """k-basis of syzygies whose entries have the given degree, by exact
     linear algebra on coefficient space."""
     ring = forms[0].ring
-    nv = ring.nvars
-    monos = list(_monomials_of_degree(nv, shift_degree))
-    cols = {}
-    for i, f in enumerate(forms):
-        for mi, mono in enumerate(monos):
-            cols[(i, mi)] = {
-                tuple(a + b for a, b in zip(e, mono)): c for e, c in f.terms.items()}
-    colindex = sorted(cols)
-    rows: dict[tuple, dict] = {}
-    for ci, key in enumerate(colindex):
-        for mono, c in cols[key].items():
-            rows.setdefault(mono, {})[ci] = c
-    elim = SparseEliminator(len(colindex), budget)
-    for mono in sorted(rows):
-        elim.add_row(rows[mono])
-    basis = elim.kernel_basis()
+    monos = list(_monomials_of_degree(ring.nvars, shift_degree))
     out = []
-    pos = {key: ci for ci, key in enumerate(colindex)}
-    for vec in basis:
-        col = []
-        for i in range(len(forms)):
-            terms = {}
-            for mi, mono in enumerate(monos):
-                v = vec.get(pos[(i, mi)])
-                if v:
-                    terms[mono] = v
-            col.append(Polynomial(ring, terms))
-        # exact dot product before emission
-        acc = ring.zero()
-        for a, f in zip(col, forms):
-            acc = acc + a * f
-        if not acc.is_zero():
+    for vec in linear_relations(forms, monos, budget):
+        col = [Polynomial(ring, {mono: vec[j] for j, mono in enumerate(monos, i * len(monos))
+                                 if j in vec})
+               for i in range(len(forms))]
+        if not dot(col, forms).is_zero():
             raise ArithmeticError("kernel vector fails exact verification")
         out.append(col)
     return out
@@ -309,10 +285,7 @@ def module_syzygies(columns: list[list[Polynomial]], target_shifts: list[int],
             polys = _int_vector_to_column(full, ring, r + k)[r:]
             # exact dot product against the targets before emission
             for comp in range(r):
-                acc = ring.zero()
-                for a, target_col in zip(polys, columns):
-                    acc = acc + a * target_col[comp]
-                if not acc.is_zero():
+                if not dot(polys, [col[comp] for col in columns]).is_zero():
                     raise ArithmeticError("computed relation fails exact verification")
             ds = {a.degree + col_degs[i] for i, a in enumerate(polys) if not a.is_zero()}
             syz_cols.append(polys)
@@ -321,6 +294,19 @@ def module_syzygies(columns: list[list[Polynomial]], target_shifts: list[int],
     if minimalize and syz_cols:
         result = minimal_generators(result, budget=b)
     return result
+
+
+def _span_rows():
+    """Row builder for span tests: each term key gets a column index on
+    first sight, and each row of (key, coefficient) pairs is scaled to
+    integers."""
+    index: dict = {}
+
+    def row_of(items) -> dict:
+        items = list(items)
+        den = denominator_lcm(c for _, c in items)
+        return {index.setdefault(k, len(index)): int(c * den) for k, c in items}
+    return row_of
 
 
 def minimal_generators(syz: GradedSyzygyMatrix, budget: Budget | None = None) -> GradedSyzygyMatrix:
@@ -338,32 +324,19 @@ def minimal_generators(syz: GradedSyzygyMatrix, budget: Budget | None = None) ->
     out_degs = []
     for j in order_degs:
         cand = [i for i, d in enumerate(syz.column_degrees) if d == j]
-        elim = SparseEliminator(10 ** 9, budget)
-        index: dict = {}
-
-        def vec_of(col) -> dict:
-            v = {}
-            den = denominator_lcm(c for a in col for c in a.terms.values())
-            for comp, a in enumerate(col):
-                for e, c in a.terms.items():
-                    key = (comp, e)
-                    if key not in index:
-                        index[key] = len(index)
-                    v[index[key]] = int(c * den)
-            return v
-
+        elim = SparseEliminator(budget)
+        row_of = _span_rows()
         for i in chosen:
             g = syz.columns[i]
             dg = syz.column_degrees[i]
             if dg >= j:
                 continue
             for mono in _monomials_of_degree(ring.nvars, j - dg):
-                shifted = [Polynomial(ring, {tuple(a + b for a, b in zip(e, mono)): c
-                                             for e, c in p.terms.items()}, _clean=True)
-                           for p in g]
-                elim.add_row(vec_of(shifted))
+                elim.add_row(row_of(((comp, tuple(a + b for a, b in zip(e, mono))), c)
+                                    for comp, p in enumerate(g) for e, c in p.terms.items()))
         for i in cand:
-            if elim.add_row(vec_of(syz.columns[i])):
+            if elim.add_row(row_of(((comp, e), c) for comp, p in enumerate(syz.columns[i])
+                                   for e, c in p.terms.items())):
                 chosen.append(i)
                 out_cols.append(syz.columns[i])
                 out_degs.append(j)
@@ -512,46 +485,26 @@ def rees_bigraded_kernel(forms: list[Polynomial], xdeg: int, ydeg: int,
                          budget: Budget | None = None) -> list[Polynomial]:
     """k-basis of bidegree (xdeg, ydeg) elements of the blowup ideal,
     returned in the y,x ring."""
-    from .groebner import rees_ring
     ring = forms[0].ring
-    k = len(forms)
-    target = rees_ring(ring, k)
+    target = rees_ring(ring, len(forms))
     xmonos = list(_monomials_of_degree(ring.nvars, xdeg))
-    ymonos = list(_monomials_of_degree(k, ydeg))
-    # y-power products of the forms, cached
-    prod_cache: dict[tuple, Polynomial] = {}
-
-    def yprod(beta: tuple) -> Polynomial:
-        got = prod_cache.get(beta)
-        if got is not None:
-            return got
-        acc = ring.one()
-        for i, e in enumerate(beta):
-            for _ in range(e):
-                acc = acc * forms[i]
-        prod_cache[beta] = acc
-        return acc
-
-    colkeys = [(a, b) for b in ymonos for a in xmonos]
-    rows: dict[tuple, dict] = {}
-    for ci, (alpha, beta) in enumerate(colkeys):
+    ymonos = list(_monomials_of_degree(len(forms), ydeg))
+    prods = []
+    for beta in ymonos:
         if budget is not None:
-            budget.tick(1, "bigraded kernel assembly")
-        g = yprod(beta)
-        for e, c in g.terms.items():
-            mono = tuple(a + b for a, b in zip(e, alpha))
-            row = rows.setdefault(mono, {})
-            row[ci] = row.get(ci, 0) + c
-    elim = SparseEliminator(len(colkeys), budget)
-    for mono in sorted(rows):
-        elim.add_row(rows[mono])
-    basis = elim.kernel_basis()
+            for _ in xmonos:
+                budget.tick(1, "bigraded kernel assembly")
+        acc = ring.one()
+        for f, e in zip(forms, beta):
+            for _ in range(e):
+                acc = acc * f
+        prods.append(acc)
     out = []
-    for vec in basis:
+    for vec in linear_relations(prods, xmonos, budget):
         terms: dict = {}
-        for ci, v in vec.items():
-            alpha, beta = colkeys[ci]
-            terms[tuple(beta) + tuple(alpha)] = v
+        for j, v in vec.items():
+            beta, alpha = divmod(j, len(xmonos))
+            terms[ymonos[beta] + xmonos[alpha]] = v
         out.append(Polynomial(target, terms))
     return out
 
@@ -564,21 +517,15 @@ def rees_minimal_bidegree12(forms: list[Polynomial], budget: Budget | None = Non
     (1,2) evaluation map modulo y-multiples of syzygy forms and x-multiples
     of bidegree (0,2) relations.
     """
-    from .groebner import rees_ring
     config = config or DEFAULT_CONFIG
     b = budget or config.budget()
     ring = forms[0].ring
     k = len(forms)
     target = rees_ring(ring, k)
     kernel = rees_bigraded_kernel(forms, 1, 2, b)
-    lin, _rank = linear_syzygies(forms, b, config)
+    lin = syzygy_basis_in_degree(forms, 1, b)
     old: list[Polynomial] = []
-    for col in lin.columns:
-        sigma = target.zero()
-        for i, a in enumerate(col):
-            if not a.is_zero():
-                from .polyring import morph
-                sigma = sigma + morph(a, target) * target.var(i)
+    for sigma in symmetric_algebra_ideal(forms, lin).ideal.gens:
         for j in range(k):
             old.append(sigma * target.var(j))
     for tau in rees_bigraded_kernel(forms, 0, 2, b):
@@ -589,24 +536,13 @@ def rees_minimal_bidegree12(forms: list[Polynomial], budget: Budget | None = Non
         for v in range(ring.nvars):
             for j in range(k):
                 old.append(rho * target.var(k + v) * target.var(j))
-
-    index: dict = {}
-
-    def vec_of(g: Polynomial) -> dict:
-        v = {}
-        den = denominator_lcm(g.terms.values())
-        for e, c in g.terms.items():
-            if e not in index:
-                index[e] = len(index)
-            v[index[e]] = int(c * den)
-        return v
-
-    elim = SparseEliminator(10 ** 9, b)
+    elim = SparseEliminator(b)
+    row_of = _span_rows()
     for g in old:
-        elim.add_row(vec_of(g))
+        elim.add_row(row_of(g.terms.items()))
     old_dim = elim.rank
     new_gens = []
     for g in kernel:
-        if elim.add_row(vec_of(g)):
+        if elim.add_row(row_of(g.terms.items())):
             new_gens.append(g)
     return new_gens, len(kernel), old_dim

@@ -154,6 +154,19 @@ def test_cli_syz_linear(tmp_path):
     assert data["rank"] == 1
 
 
+def test_cli_syz_linear_rational_forms(tmp_path):
+    half = tmp_path / "half.txt"
+    half.write_text("x0^2 + 1/2*x1^2\nx0*x1\nx1^2\n")
+    whole = tmp_path / "whole.txt"
+    whole.write_text("2*x0^2 + x1^2\nx0*x1\nx1^2\n")
+    code, out, err = run_cli(["syz", "--forms", str(half), "--json"])
+    assert code == 0, err
+    code2, out2, _ = run_cli(["syz", "--forms", str(whole), "--json"])
+    assert code2 == 0
+    got, want = json.loads(out), json.loads(out2)
+    assert (got["columns"], got["rank"]) == (want["columns"], want["rank"]) == (2, 2)
+
+
 def test_cli_usage_error_exit_two():
     code, _, _ = run_cli(["ideal", "--op", "gb", "--gens", "/nonexistent-file"])
     assert code == 2

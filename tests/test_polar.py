@@ -20,6 +20,14 @@ def det_and_partials(kind, **kw):
 # ---------------------------------------------------------------------------
 # gradient and Hessian basics
 
+def test_verdict_accepts_rational_coefficients():
+    # f and 2f have the same polar map, so the same verdict and evidence
+    R = xring(3)
+    half = polar.homaloidal_verdict(R.from_string("1/2*x0^3 + x1^3 + x2^3 + x0*x1*x2"))
+    whole = polar.homaloidal_verdict(R.from_string("x0^3 + 2*x1^3 + 2*x2^3 + 2*x0*x1*x2"))
+    assert half.to_dict(no_timings=True) == whole.to_dict(no_timings=True)
+
+
 def test_gradient_ideal_quadric():
     R = xring(3)
     f = R.from_string("x0*x2 - x1^2")

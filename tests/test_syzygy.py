@@ -1,10 +1,13 @@
 """Linear syzygies, module syzygies, Fitting condition, Betti tables."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from detlab.groebner import Ideal, hilbert_data
-from detlab.polyring import xring
+from detlab.groebner import Ideal, hilbert_data, rees_ring
+from detlab.hankelplucker import solve_bracket_identity
+from detlab.polyring import dot, morph, xring
 from detlab.structmat import build_structured, build_gp_associated, determinant, minors_ideal_gens
 from detlab.syzygy import (ModuleBasis, fitting_condition_F1, first_syzygy_module,
                            graded_betti, linear_syzygies, poly_matrix_rank,
@@ -154,6 +157,50 @@ def test_module_gb_syzygies_match_degreewise_kernels(case):
     for d in range(3):
         for col in syzygy_basis_in_degree(forms, d):
             assert mb.contains(col)
+
+
+@given(_ternary_forms(), st.lists(st.tuples(st.integers(-3, 3).filter(bool), st.integers(2, 5)),
+                                  min_size=4, max_size=4))
+@settings(max_examples=30, deadline=None)
+def test_rational_forms_have_the_relations_of_integral_forms(case, scales):
+    # rescaling each form by a rational constant keeps the relation counts;
+    # every relation found for the rescaled forms holds exactly
+    _, forms = case
+    scaled = [f * Fraction(a, b) for f, (a, b) in zip(forms, scales)]
+    R = forms[0].ring
+    for d in range(2):
+        cols = syzygy_basis_in_degree(scaled, d)
+        assert all(dot(col, scaled).is_zero() for col in cols)
+        assert len(cols) == len(syzygy_basis_in_degree(forms, d))
+    taus = rees_bigraded_kernel(scaled, 0, 2)
+    assert all(t.compose(scaled + R.gens()).is_zero() for t in taus)
+    assert len(taus) == len(rees_bigraded_kernel(forms, 0, 2))
+
+
+@given(_ternary_forms())
+@settings(max_examples=30, deadline=None)
+def test_degreewise_syzygies_are_the_y_linear_rees_pieces(case):
+    # both solvers build the same coefficient matrix, column for column, so
+    # the syzygies written as y-linear forms are the (d, 1) pieces in order
+    _, forms = case
+    T = rees_ring(forms[0].ring, len(forms))
+    for d in range(3):
+        as_forms = [sum((morph(a, T) * T.var(i) for i, a in enumerate(col)), T.zero())
+                    for col in syzygy_basis_in_degree(forms, d)]
+        assert as_forms == rees_bigraded_kernel(forms, d, 1)
+
+
+def test_relations_over_a_prime_field_are_rejected():
+    # 4*f1 - f2 = 0 holds only mod 7, which elimination over Z cannot see
+    R = xring(2, prime=7)
+    x0, x1 = R.gens()
+    forms = [x0 + 2 * x1, 4 * x0 + x1]
+    with pytest.raises(ValueError):
+        syzygy_basis_in_degree(forms, 0)
+    with pytest.raises(ValueError):
+        rees_bigraded_kernel(forms, 0, 1)
+    with pytest.raises(ValueError):
+        solve_bracket_identity(forms[1], [forms[0]])
 
 
 def test_linear_part_subset_of_full_module():
