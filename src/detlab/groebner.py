@@ -7,19 +7,33 @@ strategy with the standard coprimality and chain elimination criteria.
 Every heavy query runs under a Budget and raises ComputationTimeout rather
 than returning a wrong answer.
 
+Inside the engine a monomial is one int (Monagan and Pearce's packed
+monomials).  Every order here is a nonnegative integer weight matrix W
+(`MonomialOrder.weight_rows`), and the packed form of an exponent vector e
+is W·e followed by the exponents that W does not already list, in fixed-
+width bit fields whose top bit is a guard bit.  Integer comparison is then
+the monomial order, a product or quotient of monomials is + or -, and one
+subtract-and-mask tests divisibility.  The width starts at 8 bits and is
+doubled until the input fits; a new term that sets a guard bit restarts the
+computation at twice the width, so a field never wraps silently.  Leading
+monomials also keep their exponent tuple for the pair criteria, and the
+bases leave the engine as exponent-tuple dicts.
+
 The same engine computes Groebner bases of submodules of a free module of
 rank r (an ideal is the case r = 0).  A module term with component c and
-exponent e is the flat tuple onehot_r(c) + e, ordered by the key
-t[:r] + keyf(t[r:]): position over term, component 0 highest.  Divisibility,
-lcm, s-polynomials and reduction then work unchanged, since a term divides
-another only within its component.  Pairs form within one component only;
-two leading terms there share their one-hot slot, so the coprime criterion,
-which is unsound for modules, never fires.
+exponent e is the flat tuple onehot_r(c) + e, ordered position over term,
+component 0 highest: the weight rows are the one-hot slots, then the
+order's rows.  Divisibility, lcm, s-polynomials and reduction then work
+unchanged, since a term divides another only within its component.  Pairs
+form within one component only; two leading terms there share their
+one-hot slot, so the coprime criterion, which is unsound for modules,
+never fires.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import tempfile
 from fractions import Fraction
@@ -35,14 +49,6 @@ from .polyring import (
 
 # ---------------------------------------------------------------------------
 # integer term-dict helpers
-
-def _mask(e: tuple) -> int:
-    m = 0
-    for i, v in enumerate(e):
-        if v:
-            m |= 1 << i
-    return m
-
 
 def _divides(a: tuple, b: tuple) -> bool:
     for x, y in zip(a, b):
@@ -64,82 +70,187 @@ def to_int_terms(poly: Polynomial) -> dict:
     return _content_strip(out)
 
 
-def from_int_terms(ring: Ring, terms: dict, order: MonomialOrder) -> Polynomial:
-    """Monic rational polynomial of an integer term dict."""
-    if not terms:
-        return ring.zero()
-    lt = max(terms, key=order.keyfn())
-    lc = terms[lt]
-    poly_terms = {}
-    for e, c in terms.items():
-        q = Fraction(c, lc)
-        poly_terms[e] = q.numerator if q.denominator == 1 else q
-    return Polynomial(ring, poly_terms, _clean=True)
+# ---------------------------------------------------------------------------
+# packed monomials
+
+_FIELD_BITS = 8  # narrowest field width; doubled until the input fits
+
+
+class _Overflow(Exception):
+    """A packed field reached its guard bit; the work restarts wider."""
+
+
+class _Packing:
+    """Monomials of one order as ints of fixed-width bit fields.
+
+    The fields hold W·e for the order's weight rows W, then every exponent
+    that no unit row of W already holds, most significant first.  Each
+    field is `width` bits and its top bit is a guard bit that stays clear.
+    Integer comparison is then the monomial order, multiplication and
+    division are + and -, and a divides b iff ((b | guard) - a) & guard ==
+    guard.  pack(e) is the sum of e_i * units[i].
+    """
+
+    __slots__ = ("rows", "width", "units", "guard", "_reads", "_half", "_wmax")
+
+    def __init__(self, rows: list[tuple], width: int):
+        nvars = len(rows[0]) if rows else 0
+        reads: dict[int, int] = {}  # variable -> field holding its exponent
+        for k, row in enumerate(rows):
+            if sum(row) == 1 and max(row) == 1:
+                reads.setdefault(row.index(1), k)
+        rows = list(rows)
+        for i in range(nvars):
+            if i not in reads:
+                reads[i] = len(rows)
+                rows.append(tuple(int(j == i) for j in range(nvars)))
+        top = len(rows) - 1
+        self.rows = rows
+        self.width = width
+        self.units = [sum(row[i] << (width * (top - k)) for k, row in enumerate(rows))
+                      for i in range(nvars)]
+        self.guard = sum(1 << (width * (top - k) + width - 1) for k in range(len(rows)))
+        self._reads = [width * (top - reads[i]) for i in range(nvars)]
+        self._half = 1 << (width - 1)
+        self._wmax = max((max(row) for row in rows), default=0)
+
+    @classmethod
+    def holding(cls, rows: list[tuple], degree: int) -> "_Packing":
+        """The narrowest packing whose fields hold every monomial of at most
+        the given total degree."""
+        pk = cls(rows, _FIELD_BITS)
+        while degree * pk._wmax >= pk._half:
+            pk = pk.wider()
+        return pk
+
+    def wider(self) -> "_Packing":
+        return _Packing(self.rows, 2 * self.width)
+
+    def pack(self, e: tuple) -> int:
+        # a field is at most wmax * deg(e), so this bound keeps the guards clear
+        if sum(e) * self._wmax >= self._half:
+            raise _Overflow
+        m = 0
+        for v, u in zip(e, self.units):
+            if v:
+                m += v * u
+        return m
+
+    def unpack(self, m: int) -> tuple:
+        low = self._half - 1
+        return tuple((m >> s) & low for s in self._reads)
 
 
 class _Entry:
-    """A basis element: leading data plus tail, all integer coefficients.
+    """A basis element: packed leading monomial (with its exponent tuple
+    `lt` for the pair criteria), positive leading coefficient, and tail,
+    all integer coefficients."""
 
-    The sugar defaults to the total degree; module callers pass it, because
-    the one-hot component slots carry no degree.
-    """
+    __slots__ = ("lm", "lt", "lc", "tail", "sugar", "pk")
 
-    __slots__ = ("lt", "lc", "tail", "mask", "sugar")
-
-    def __init__(self, terms: dict, keyf, sugar: int | None = None):
-        lt = max(terms, key=keyf)
-        lc = terms[lt]
+    def __init__(self, terms: dict, pk: _Packing, sugar: int):
+        lm = max(terms)
+        lc = terms[lm]
         if lc < 0:
-            terms = {e: -c for e, c in terms.items()}
+            terms = {m: -c for m, c in terms.items()}
             lc = -lc
-        self.lt = lt
+        self.lm = lm
+        self.lt = pk.unpack(lm)
         self.lc = lc
-        self.tail = {e: c for e, c in terms.items() if e != lt}
-        self.mask = _mask(lt)
-        self.sugar = sugar if sugar is not None else max(sum(e) for e in terms)
+        self.tail = {m: c for m, c in terms.items() if m != lm}
+        self.sugar = sugar
+        self.pk = pk
+
+    def packed(self) -> dict:
+        d = dict(self.tail)
+        d[self.lm] = self.lc
+        return d
 
     def full(self) -> dict:
-        d = dict(self.tail)
+        """The terms keyed by exponent tuples."""
+        unpack = self.pk.unpack
+        d = {unpack(m): c for m, c in self.tail.items()}
         d[self.lt] = self.lc
         return d
 
+    def monic(self, ring: Ring) -> Polynomial:
+        """The monic rational polynomial of this entry."""
+        terms = {}
+        for e, c in self.full().items():
+            q = Fraction(c, self.lc)
+            terms[e] = q.numerator if q.denominator == 1 else q
+        return Polynomial(ring, terms, _clean=True)
 
-def _normal_form_int(terms: dict, basis: list[_Entry], keyf, budget: Budget,
+    def repack(self, pk: _Packing) -> "_Entry":
+        return _Entry({pk.pack(e): c for e, c in self.full().items()}, pk, self.sugar)
+
+
+def _pack_entries(dicts: list[dict], sugars: list[int], rows: list[tuple]) -> list[_Entry]:
+    """Entries of exponent-tuple term dicts, at the narrowest width that
+    holds all of their monomials."""
+    pk = _Packing.holding(rows, max((sum(e) for d in dicts for e in d), default=0))
+    return [_Entry({pk.pack(e): c for e, c in d.items()}, pk, s)
+            for d, s in zip(dicts, sugars)]
+
+
+def _retry_wider(entries: list[_Entry], run):
+    """run(entries) on a copy of the list; after a guard-bit hit, repack the
+    entries at twice the width, store them back into the list (so later
+    queries start wide enough) and run again."""
+    current = list(entries)
+    while True:
+        try:
+            return run(current)
+        except _Overflow:
+            pk = current[0].pk.wider()
+            current = [g.repack(pk) for g in current]
+            entries[:] = current
+
+
+def _reduce_terms(terms: dict, basis: list[_Entry], budget: Budget,
+                  what: str = "polynomial reduction") -> tuple[dict, int]:
+    """_normal_form_int of an exponent-tuple term dict; the remainder is
+    keyed by exponent tuples too."""
+    if not basis:
+        return dict(terms), 1
+
+    def run(entries):
+        pk = entries[0].pk
+        rem, scale = _normal_form_int({pk.pack(e): c for e, c in terms.items()},
+                                      entries, budget, what=what)
+        return {pk.unpack(m): c for m, c in rem.items()}, scale
+    return _retry_wider(basis, run)
+
+
+def _normal_form_int(terms: dict, basis: list[_Entry], budget: Budget,
                      skip: int = -1, what: str = "polynomial reduction") -> tuple[dict, int]:
-    """Full reduction of an integer term dict; returns (remainder, scale).
+    """Full reduction of a packed integer term dict; returns (remainder, scale).
 
     The invariant is scale * input == remainder (mod ideal).  The remainder
-    has no term divisible by any basis leading monomial.
+    has no term divisible by any basis leading monomial.  Raises _Overflow
+    when a new term does not fit the packing.
     """
+    guard = basis[0].pk.guard if basis else 0
+    divisors = [(g.lm, g) for idx, g in enumerate(basis) if idx != skip]
     coeffs = dict(terms)
-    heap = [(tuple(-v for v in keyf(e)), e) for e in coeffs]
+    heap = [-m for m in coeffs]
     heapify(heap)
     out: dict = {}
     scale = 1
     scale_events = 0
     while heap:
-        _, e = heappop(heap)
-        c = coeffs.pop(e, 0)
+        m = -heappop(heap)
+        c = coeffs.pop(m, 0)
         if not c:
             continue
-        emask = _mask(e)
+        mg = m | guard
         red = None
-        for idx, g in enumerate(basis):
-            if idx == skip:
-                continue
-            if g.mask & ~emask:
-                continue
-            glt = g.lt
-            ok = True
-            for x, y in zip(glt, e):
-                if x > y:
-                    ok = False
-                    break
-            if ok:
+        for lm, g in divisors:
+            if (mg - lm) & guard == guard:
                 red = g
                 break
         if red is None:
-            out[e] = c
+            out[m] = c
             continue
         budget.tick(1, what)
         d = gcd(abs(c), red.lc)
@@ -171,60 +282,76 @@ def _normal_form_int(terms: dict, basis: list[_Entry], keyf, budget: Budget,
                     for k in out:
                         out[k] //= g
                     scale //= g
-        shift = tuple(a - b for a, b in zip(e, red.lt))
-        for te, tc in red.tail.items():
-            ne = tuple(a + b for a, b in zip(te, shift))
-            prev = coeffs.get(ne)
+        shift = m - red.lm
+        for tm, tc in red.tail.items():
+            nm = tm + shift
+            prev = coeffs.get(nm)
             if prev is None:
-                coeffs[ne] = -mult * tc
-                heappush(heap, (tuple(-v for v in keyf(ne)), ne))
+                if nm & guard:
+                    raise _Overflow
+                coeffs[nm] = -mult * tc
+                heappush(heap, -nm)
             else:
                 nv = prev - mult * tc
                 if nv:
-                    coeffs[ne] = nv
+                    coeffs[nm] = nv
                 else:
-                    del coeffs[ne]
+                    del coeffs[nm]
     return out, scale
 
 
 def _spoly(gi: _Entry, gj: _Entry) -> tuple[dict, int]:
-    """Integer s-polynomial and its sugar degree."""
+    """Integer s-polynomial (packed) and its sugar degree."""
     lcm = _lcm_exp(gi.lt, gj.lt)
+    top = gi.pk.pack(lcm)
+    guard = gi.pk.guard
     d = gcd(gi.lc, gj.lc)
     mi = gj.lc // d
     mj = gi.lc // d
-    si = tuple(a - b for a, b in zip(lcm, gi.lt))
-    sj = tuple(a - b for a, b in zip(lcm, gj.lt))
+    si = top - gi.lm
+    sj = top - gj.lm
     out: dict = {}
-    for e, c in gi.tail.items():
-        out[tuple(a + b for a, b in zip(e, si))] = mi * c
-    for e, c in gj.tail.items():
-        ne = tuple(a + b for a, b in zip(e, sj))
-        v = out.get(ne, 0) - mj * c
+    for m, c in gi.tail.items():
+        out[m + si] = mi * c
+    for m, c in gj.tail.items():
+        nm = m + sj
+        v = out.get(nm, 0) - mj * c
         if v:
-            out[ne] = v
+            out[nm] = v
         else:
-            out.pop(ne, None)
-    sugar = max(gi.sugar + sum(si), gj.sugar + sum(sj))
+            out.pop(nm, None)
+    if any(m & guard for m in out):
+        raise _Overflow
+    deg = sum(lcm)
+    sugar = max(gi.sugar + deg - sum(gi.lt), gj.sugar + deg - sum(gj.lt))
     return out, sugar
 
 
-def groebner_entries(int_gens: list[dict], keyf, budget: Budget) -> list[_Entry]:
+def groebner_entries(int_gens: list[dict], order: MonomialOrder, budget: Budget) -> list[_Entry]:
     """Reduced Groebner basis as integer entries (primitive, positive lc)."""
-    seeds = [_Entry(_content_strip(dict(d)), keyf) for d in int_gens if d]
-    seeds.sort(key=lambda g: (keyf(g.lt), sorted(g.tail.items())))
-    return _buchberger(seeds, keyf, budget)
+    dicts = [_content_strip(dict(d)) for d in int_gens if d]
+    seeds = _pack_entries(dicts, [max(sum(e) for e in d) for d in dicts], order.weight_rows())
+    seeds.sort(key=lambda g: (g.lm, sorted((g.pk.unpack(m), c) for m, c in g.tail.items())))
+    return _buchberger(seeds, budget)
 
 
-def _buchberger(seeds: list[_Entry], keyf, budget: Budget, rank: int = 0) -> list[_Entry]:
+def _buchberger(seeds: list[_Entry], budget: Budget, rank: int = 0) -> list[_Entry]:
     """Reduced Groebner basis of the seed entries, taken in the given order.
 
     With rank r > 0 the terms are those of a free module of rank r (see the
     module docstring): pairs form only between leading terms in the same
-    component, and the work is counted under the module labels.
+    component, and the work is counted under the module labels.  A guard-bit
+    hit restarts the whole computation at twice the field width.
     """
+    if not seeds:
+        return []
+    return _retry_wider(seeds, lambda entries: _buchberger_at_width(entries, budget, rank))
+
+
+def _buchberger_at_width(seeds: list[_Entry], budget: Budget, rank: int) -> list[_Entry]:
     spair_what, reduce_what = (("module Buchberger", "module reduction") if rank
                                else ("Buchberger", "polynomial reduction"))
+    pk = seeds[0].pk
     basis: list[_Entry] = []
     pairs: dict[tuple, tuple] = {}  # (i,j) -> (lcm, sugar)
     heap: list = []
@@ -274,16 +401,15 @@ def _buchberger(seeds: list[_Entry], keyf, budget: Budget, rank: int = 0) -> lis
         for i, li in new_pairs.items():
             if i in drop:
                 continue
-            si = tuple(a - b for a, b in zip(li, basis[i].lt))
-            sn = tuple(a - b for a, b in zip(li, h.lt))
-            sugar = max(basis[i].sugar + sum(si), h.sugar + sum(sn))
+            deg = sum(li)
+            sugar = max(basis[i].sugar + deg - sum(basis[i].lt), h.sugar + deg - sum(h.lt))
             pairs[(i, n)] = (li, sugar)
-            heappush(heap, (sugar, keyf(li), i, n))
+            heappush(heap, (sugar, pk.pack(li), i, n))
 
     for s in seeds:
-        rem, _ = _normal_form_int(s.full(), basis, keyf, budget, what=reduce_what)
+        rem, _ = _normal_form_int(s.packed(), basis, budget, what=reduce_what)
         if rem:
-            add_element(_Entry(_content_strip(rem), keyf, s.sugar))
+            add_element(_Entry(_content_strip(rem), pk, s.sugar))
 
     while heap:
         sugar, lk, i, j = heappop(heap)
@@ -294,12 +420,12 @@ def _buchberger(seeds: list[_Entry], keyf, budget: Budget, rank: int = 0) -> lis
         sp, sp_sugar = _spoly(basis[i], basis[j])
         if not sp:
             continue
-        rem, _ = _normal_form_int(sp, basis, keyf, budget, what=reduce_what)
+        rem, _ = _normal_form_int(sp, basis, budget, what=reduce_what)
         if rem:
-            add_element(_Entry(_content_strip(rem), keyf, sp_sugar))
+            add_element(_Entry(_content_strip(rem), pk, sp_sugar))
 
     # minimalize: drop entries whose lt is divisible by another kept lt
-    order_idx = sorted(range(len(basis)), key=lambda i: keyf(basis[i].lt))
+    order_idx = sorted(range(len(basis)), key=lambda i: basis[i].lm)
     kept: list[int] = []
     for i in order_idx:
         lt = basis[i].lt
@@ -309,10 +435,10 @@ def _buchberger(seeds: list[_Entry], keyf, budget: Budget, rank: int = 0) -> lis
     # tail-reduce each against the others (reduced basis)
     reduced: list[_Entry] = []
     for pos in range(len(minimal)):
-        rem, _ = _normal_form_int(minimal[pos].full(), minimal, keyf, budget,
+        rem, _ = _normal_form_int(minimal[pos].packed(), minimal, budget,
                                   skip=pos, what=reduce_what)
-        reduced.append(_Entry(_content_strip(rem), keyf, minimal[pos].sugar))
-    reduced.sort(key=lambda g: keyf(g.lt))
+        reduced.append(_Entry(_content_strip(rem), pk, minimal[pos].sugar))
+    reduced.sort(key=lambda g: g.lm)
     return reduced
 
 
@@ -404,17 +530,18 @@ class Ideal:
         lines = _MEMORY_CACHE.get(key)
         if lines is None and config.cache_dir:
             lines = _disk_get(config.cache_dir, key)
-        keyf = order.keyfn()
         if lines is not None:
             polys = [parse_polynomial(self.ring, s) for s in lines]
-            entries = [_Entry(to_int_terms(p), keyf) for p in polys]
+            dicts = [to_int_terms(p) for p in polys]
+            entries = _pack_entries(dicts, [max(map(sum, d)) for d in dicts],
+                                    order.weight_rows())
             self._gb[order.id] = (polys, entries)
             _MEMORY_CACHE[key] = lines
             return polys
         if budget is None:
             budget = config.budget()
-        entries = groebner_entries([to_int_terms(g) for g in self.gens], keyf, budget)
-        polys = [from_int_terms(self.ring, e.full(), order) for e in entries]
+        entries = groebner_entries([to_int_terms(g) for g in self.gens], order, budget)
+        polys = [e.monic(self.ring) for e in entries]
         self._gb[order.id] = (polys, entries)
         lines = [format_polynomial(p) for p in polys]
         _MEMORY_CACHE[key] = lines
@@ -439,7 +566,7 @@ class Ideal:
             budget = config.budget()
         den = denominator_lcm(f.terms.values())
         ints = {e: int(c * den) for e, c in f.terms.items()}
-        rem, scale = _normal_form_int(ints, entries, order.keyfn(), budget)
+        rem, scale = _reduce_terms(ints, entries, budget)
         total = den * scale
         return Polynomial(self.ring, {e: Fraction(c, total) for e, c in rem.items()})
 
@@ -637,6 +764,14 @@ class HilbertData:
     def __repr__(self):
         return (f"HilbertData(dim={self.dimension}, mult={self.multiplicity}, "
                 f"N={self.numerator_string()})")
+
+
+def _mask(e: tuple) -> int:
+    m = 0
+    for i, v in enumerate(e):
+        if v:
+            m |= 1 << i
+    return m
 
 
 def _minimalize_monomials(gens) -> tuple:
@@ -839,13 +974,11 @@ def certify_groebner(I: Ideal, order=None, budget=None, config=None) -> bool:
     config = config or DEFAULT_CONFIG
     if budget is None:
         budget = config.budget()
-    keyf = order.keyfn()
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            sp, _ = _spoly(entries[i], entries[j])
-            if not sp:
-                continue
-            rem, _ = _normal_form_int(sp, entries, keyf, budget)
-            if rem:
+
+    def run(basis) -> bool:
+        for gi, gj in itertools.combinations(basis, 2):
+            sp, _ = _spoly(gi, gj)
+            if sp and _normal_form_int(sp, basis, budget)[0]:
                 return False
-    return True
+        return True
+    return _retry_wider(entries, run)

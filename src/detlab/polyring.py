@@ -95,6 +95,35 @@ class MonomialOrder:
         base = self._subkeys
         return lambda e: base(tuple(e[i] for i in perm))
 
+    def weight_rows(self) -> list[tuple]:
+        """Nonnegative integer matrix W such that u < v in the order iff
+        W·u < W·v lexicographically.
+
+        Lex reads the variables in priority order, grlex puts the degree
+        first, and grevlex is the degree followed by the prefix sums
+        e_p0 + ... + e_p(k-1) for k = n-1 down to 1 (a smaller last
+        exponent means a larger prefix sum).  A block order stacks the rows
+        of its sub-orders, each spread over its block's variables.
+        """
+        n = self.nvars
+        if self.kind == "block":
+            rows = []
+            for idxs, sub in self.blocks:
+                for sub_row in sub.weight_rows():
+                    row = [0] * n
+                    for i, w in zip(idxs, sub_row):
+                        row[i] = w
+                    rows.append(tuple(row))
+            return rows
+        perm = self.perm if self.perm is not None else tuple(range(n))
+
+        def ones(idxs):
+            return tuple(1 if i in idxs else 0 for i in range(n))
+        if self.kind == "grevlex":
+            return [ones(set(perm[:k])) for k in range(n, 0, -1)]
+        units = [ones({i}) for i in perm]
+        return units if self.kind == "lex" else [ones(set(perm))] + units
+
     @property
     def id(self) -> str:
         if self.kind == "block":

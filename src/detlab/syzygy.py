@@ -11,9 +11,11 @@ input raises ValueError.
 Module Groebner bases run on the Buchberger engine of `groebner`: a term
 with component c and exponent e in a free module of rank r is the flat
 exponent tuple onehot_r(c) + e, under position-over-term with the ambient
-order inside each component.  Pairs form within one component only, where
-the coprime criterion never fires (it is unsound for modules); pruning is
-by the chain criterion.
+order inside each component (packed like any monomial, with the one-hot
+slots as the leading weight rows).  Pairs form within one component only,
+where the coprime criterion never fires (it is unsound for modules);
+pruning is by the chain criterion.  The engine and the span tests of
+`minimal_generators` work over Q, so GF(p) columns raise ValueError.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import itertools
 from .config import Budget, Config, ComputationTimeout, DEFAULT_CONFIG
 from .linalg import SparseEliminator, dense_rank, linear_relations
 from .groebner import (Ideal, hilbert_data, rees_ring, symmetric_algebra_ideal,
-                       _Entry, _buchberger, _normal_form_int)
-from .polyring import Polynomial, Ring, _content_strip, denominator_lcm, dot
+                       _Entry, _buchberger, _pack_entries, _reduce_terms)
+from .polyring import MonomialOrder, Polynomial, Ring, _content_strip, denominator_lcm, dot
 from .structmat import PolyMatrix, _bareiss, determinant
 
 
@@ -35,27 +37,32 @@ def _onehot(rank: int, c: int) -> tuple:
     return (0,) * c + (1,) + (0,) * (rank - c - 1)
 
 
-def _module_keyf(order_keyf, rank: int):
-    return lambda t: t[:rank] + order_keyf(t[rank:])
+def _module_rows(order: MonomialOrder, rank: int) -> list[tuple]:
+    """Weight rows of position over term: the one-hot slots, then the
+    order's rows on the exponent part."""
+    return ([_onehot(rank, c) + (0,) * order.nvars for c in range(rank)]
+            + [(0,) * rank + row for row in order.weight_rows()])
 
 
-def module_groebner(int_vectors: list[dict], order_keyf, shifts, budget: Budget) -> list[_Entry]:
+def module_groebner(int_vectors: list[dict], order: MonomialOrder, shifts,
+                    budget: Budget) -> list[_Entry]:
     """Reduced module Groebner basis of integer term-dict vectors.
 
     The rank is len(shifts); a term onehot(c) + e has degree sum(e) + shifts[c]
     (t.index(1) is its component c, the first nonzero slot).
     """
     rank = len(shifts)
-    kf = _module_keyf(order_keyf, rank)
-    seeds = [_Entry(_content_strip(dict(v)), kf,
-                    max(sum(t[rank:]) + shifts[t.index(1)] for t in v))
-             for v in int_vectors if v]
-    seeds.sort(key=lambda g: kf(g.lt))
-    return _buchberger(seeds, kf, budget, rank)
+    vecs = [_content_strip(dict(v)) for v in int_vectors if v]
+    seeds = _pack_entries(vecs, [max(sum(t[rank:]) + shifts[t.index(1)] for t in v)
+                                 for v in vecs], _module_rows(order, rank))
+    seeds.sort(key=lambda g: g.lm)
+    return _buchberger(seeds, budget, rank)
 
 
 def _column_to_int_vector(col: list[Polynomial], rank: int) -> dict:
     """Primitive integer vector of a column in a free module of the given rank."""
+    if any(a.ring.prime is not None for a in col):
+        raise ValueError("module Groebner bases run over the rationals")
     den = denominator_lcm(c for a in col for c in a.terms.values())
     out: dict = {}
     for comp, a in enumerate(col):
@@ -87,15 +94,12 @@ class ModuleBasis:
         config = config or DEFAULT_CONFIG
         b = budget or config.budget()
         vecs = [_column_to_int_vector(c, self.rank) for c in columns]
-        order_keyf = self.ring.order.keyfn()
-        self._kf = _module_keyf(order_keyf, self.rank)
-        self.entries = module_groebner(vecs, order_keyf, self.shifts, b)
+        self.entries = module_groebner(vecs, self.ring.order, self.shifts, b)
         self._budget = b
 
     def normal_form_vector(self, col: list[Polynomial]) -> list[Polynomial]:
         vec = _column_to_int_vector(col, self.rank)
-        rem, _ = _normal_form_int(vec, self.entries, self._kf, self._budget,
-                                  what="module reduction")
+        rem, _ = _reduce_terms(vec, self.entries, self._budget, "module reduction")
         return _int_vector_to_column(_content_strip(rem), self.ring, self.rank)
 
     def contains(self, col: list[Polynomial]) -> bool:
@@ -276,7 +280,7 @@ def module_syzygies(columns: list[list[Polynomial]], target_shifts: list[int],
     # the graph vector col_j ⊕ e_j
     vecs = [_column_to_int_vector(col + [one if i == j else zero for i in range(k)], r + k)
             for j, col in enumerate(columns)]
-    gb = module_groebner(vecs, ring.order.keyfn(), shifts, b)
+    gb = module_groebner(vecs, ring.order, shifts, b)
     syz_cols = []
     syz_degs = []
     for g in gb:
@@ -318,6 +322,8 @@ def minimal_generators(syz: GradedSyzygyMatrix, budget: Budget | None = None) ->
     if not syz.columns:
         return syz
     ring = syz.columns[0][0].ring
+    if ring.prime is not None:
+        raise ValueError("span tests run over the rationals")
     order_degs = sorted(set(syz.column_degrees))
     chosen: list[int] = []
     out_cols = []

@@ -1,0 +1,200 @@
+"""Packed monomials: the packing against tuple keys, and the packed
+Buchberger engine against the naive division oracles."""
+
+import itertools
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from detlab import groebner
+from detlab.config import Budget, ComputationTimeout
+from detlab.groebner import (Ideal, _Entry, _Overflow, _Packing, _spoly,
+                             certify_groebner, groebner_entries, to_int_terms)
+from detlab.polyring import block_order, grevlex, grlex, lex, xring
+from detlab.syzygy import _module_rows, _onehot
+from oracles import naive_normal_form, naive_spoly
+
+_SIMPLE = {"lex": lex, "grlex": grlex, "grevlex": grevlex}
+
+
+@st.composite
+def _simple_orders(draw, n):
+    kind = draw(st.sampled_from(sorted(_SIMPLE)))
+    perm = draw(st.none() | st.permutations(range(n)))
+    return _SIMPLE[kind](n, perm)
+
+
+@st.composite
+def _block_orders(draw):
+    n = draw(st.integers(2, 6))
+    nblocks = draw(st.integers(2, min(3, n)))
+    perm = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=nblocks - 1,
+                               max_size=nblocks - 1)))
+    blocks = [list(perm[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+    return block_order(blocks, [draw(_simple_orders(len(b))) for b in blocks])
+
+
+@st.composite
+def _keyed_terms(draw):
+    """(weight rows, tuple key, terms, monomials) for a monomial order on
+    1-5 variables, a block order with 2-3 blocks, or position over term on
+    a free module of rank 1-3 (terms onehot(c) + e, key onehot + order key,
+    monomials zero on the one-hot slots)."""
+    exps = lambda n: st.tuples(*[st.integers(0, 6)] * n)  # noqa: E731
+    kind = draw(st.sampled_from(["simple", "block", "module"]))
+    if kind == "block":
+        order = draw(_block_orders())
+    else:
+        order = draw(_simple_orders(draw(st.integers(1, 5))))
+    if kind != "module":
+        return order.weight_rows(), order.keyfn(), exps(order.nvars), exps(order.nvars)
+    rank = draw(st.integers(1, 3))
+    keyf = order.keyfn()
+    terms = st.builds(lambda c, e: _onehot(rank, c) + e,
+                      st.integers(0, rank - 1), exps(order.nvars))
+    monos = st.builds(lambda e: (0,) * rank + e, exps(order.nvars))
+    return _module_rows(order, rank), lambda t: t[:rank] + keyf(t[rank:]), terms, monos
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_packing_is_the_order_and_divisibility(data):
+    rows, key, terms, monos = data.draw(_keyed_terms())
+    a, b, mono = data.draw(terms), data.draw(terms), data.draw(monos)
+    pk = _Packing.holding(rows, sum(a) + sum(b) + sum(mono))
+    pa, pb, pm = pk.pack(a), pk.pack(b), pk.pack(mono)
+    assert (pa < pb) == (key(a) < key(b))
+    assert (pa == pb) == (a == b)
+    g = pk.guard
+    assert (((pb | g) - pa) & g == g) == all(x <= y for x, y in zip(a, b))
+    assert pa + pm == pk.pack(tuple(x + y for x, y in zip(a, mono)))
+    assert (pa + pm) & g == 0
+    assert pk.unpack(pa) == a and pk.unpack(pb) == b
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_sum_past_the_field_width_hits_a_guard_bit(data):
+    # never a silent wrap: a sum of two packed monomials either fits every
+    # field and is the packed product, or sets a guard bit
+    rows, _, terms, _ = data.draw(_keyed_terms())
+    a, b = data.draw(terms), data.draw(terms)
+    pk = _Packing.holding(rows, max(sum(a), sum(b)))
+    s = pk.pack(a) + pk.pack(b)
+    ab = tuple(x + y for x, y in zip(a, b))
+    fits = all(sum(w * v for w, v in zip(row, ab)) < 1 << (pk.width - 1) for row in pk.rows)
+    assert (s & pk.guard == 0) == fits
+    if fits:
+        assert pk.unpack(s) == ab
+
+
+def test_pack_refuses_a_monomial_past_the_width():
+    pk = _Packing.holding(grevlex(3).weight_rows(), 2)
+    with pytest.raises(_Overflow):
+        pk.pack((200, 0, 0))
+    assert pk.wider().unpack(pk.wider().pack((200, 0, 0))) == (200, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the engine against the oracles
+
+_ORDERS = [grevlex(3), lex(3), grevlex(3, perm=(2, 0, 1)), block_order([[1], [0, 2]])]
+
+
+@st.composite
+def _small_ideals(draw):
+    """2-3 polynomials in 3 variables, 1-3 terms of degree <= 3 each."""
+    exps = st.tuples(*[st.integers(0, 3)] * 3).filter(lambda e: sum(e) <= 3)
+    polys = st.dictionaries(exps, st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
+    return draw(st.lists(polys, min_size=2, max_size=3))
+
+
+def _basis(dicts, order, budget_steps=4000):
+    R = xring(3, order=order)
+    gens = [to_int_terms(R.poly(d)) for d in dicts]
+    try:
+        return groebner_entries(gens, order, Budget(step_cap=budget_steps))
+    except ComputationTimeout:
+        assume(False)
+
+
+def _narrow(dicts, order, bits):
+    """The basis computed with the first field width forced down to `bits`,
+    and the width the input alone would get."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "_FIELD_BITS", bits)
+        top = max(sum(e) for d in dicts for e in d)
+        return _basis(dicts, order), _Packing.holding(order.weight_rows(), top).width
+
+
+@given(_small_ideals(), st.sampled_from(_ORDERS))
+@settings(max_examples=60, deadline=None)
+def test_engine_matches_naive_division(dicts, order):
+    keyf = order.keyfn()
+    entries = _basis(dicts, order)
+    basis = [g.full() for g in entries]
+    lts = [max(g, key=keyf) for g in basis]
+    assert lts == [g.lt for g in entries]
+    # every generator and every s-polynomial reduces to zero
+    for d in dicts:
+        assert naive_normal_form(d, basis, keyf) == {}
+    for f, g in itertools.combinations(basis, 2):
+        assert naive_normal_form(naive_spoly(f, g, keyf), basis, keyf) == {}
+    # reduced: no term of an element is divisible by another leading term
+    for g, lt in zip(basis, lts):
+        for e in g:
+            assert not any(all(a <= b for a, b in zip(o, e)) for o in lts if o != lt)
+    # a narrow first width gives the same basis; when the basis does not
+    # fit that width, a guard hit must have restarted the work wider
+    narrow, first = _narrow(dicts, order, 3)
+    assert [g.full() for g in narrow] == basis
+    if any(sum(w * v for w, v in zip(row, e)) >= 1 << (first - 1)
+           for row in narrow[0].pk.rows for g in basis for e in g):
+        assert narrow[0].pk.width > first
+
+
+@pytest.mark.parametrize("dicts", [
+    # the leading terms x0*x1^2 and x0^2*x1 fit 3-bit fields, their lcm
+    # (degree 4) does not
+    [{(1, 2, 0): 1, (0, 0, 1): -1}, {(2, 1, 0): 1, (1, 0, 0): -1}],
+    # the lcm x0*x1*x2 fits, but the s-polynomial of x0*x1 - x2^3 and
+    # x0*x2 - x1 holds x2^4
+    [{(1, 1, 0): 1, (0, 0, 3): -1}, {(1, 0, 1): 1, (0, 1, 0): -1}],
+])
+def test_a_guard_hit_restarts_with_the_same_basis(dicts):
+    narrow, first = _narrow(dicts, lex(3), 3)
+    assert first == 3 and narrow[0].pk.width == 6
+    assert [g.full() for g in narrow] == [g.full() for g in _basis(dicts, lex(3))]
+
+
+def test_an_s_polynomial_term_past_the_width_is_refused():
+    pk = _Packing(lex(3).weight_rows(), 3)
+    g1 = _Entry({pk.pack((1, 1, 0)): 1, pk.pack((0, 0, 3)): -1}, pk, 3)
+    g2 = _Entry({pk.pack((1, 0, 1)): 1, pk.pack((0, 1, 0)): -1}, pk, 2)
+    with pytest.raises(_Overflow):
+        _spoly(g1, g2)  # its tail term x2^4 does not fit
+    wide = pk.wider()
+    sp, sugar = _spoly(g1.repack(wide), g2.repack(wide))
+    assert {wide.unpack(m): c for m, c in sp.items()} == {(0, 0, 4): -1, (0, 2, 0): 1}
+    assert sugar == 4
+
+
+def test_a_guard_hit_in_reduction_restarts():
+    # reducing x0^2 by x0 - x1^3 in lex reaches x1^6, past a 3-bit field
+    R = xring(2, order=lex(2))
+    x0, x1 = R.gens()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "_FIELD_BITS", 3)
+        I = Ideal(R, [x0 - x1 ** 3])
+        assert I.normal_form(x0 ** 2) == x1 ** 6
+        assert I._entries(None)[0].pk.width == 6
+
+
+def test_high_degree_queries_widen_the_cached_basis():
+    R = xring(2)
+    x0, x1 = R.gens()
+    I = Ideal(R, [x0 - x1, x1 ** 2 - x1])
+    assert str(I.normal_form(x0 ** 300)) == "x1"
+    assert I._entries(None)[0].pk.width > groebner._FIELD_BITS
+    assert certify_groebner(I)
