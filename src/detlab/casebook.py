@@ -18,7 +18,7 @@ from .config import Config, ComputationTimeout, DEFAULT_CONFIG
 from .groebner import (Ideal, colon, hilbert_data, ideal_equal, ideal_sum,
                        intersect, saturation, symmetric_algebra_ideal)
 from .polyring import Ring, dot
-from .structmat import (PolyMatrix, build_gp_associated, build_structured,
+from .structmat import (MinorLadder, PolyMatrix, build_gp_associated, build_structured,
                         determinant, cofactor_matrix, minor, minors_ideal_gens)
 from .syzygy import linear_syzygies, rees_minimal_bidegree12
 from .hankelplucker import (golberg_delta_check, integrality_check,
@@ -446,13 +446,9 @@ def _cat43_facts():
         return _eq_fact(11, rank.rank)
 
     def partial_structure(ctx):
-        C = ctx["matrix"]
-        minors3 = []
-        for rows in itertools.combinations(range(4), 3):
-            for cols in itertools.combinations(range(4), 3):
-                minors3.append(minor(C, rows, cols))
+        ladder = MinorLadder(ctx["matrix"])
         strs = set()
-        for mm in minors3:
+        for mm in ladder.minors(3):
             strs.add(str(mm))
             strs.add(str(-mm))
         hits = sum(1 for p in ctx["partials"] if str(p) in strs)
@@ -460,7 +456,7 @@ def _cat43_facts():
         sub_strs = set()
         for cols in sub_cols:
             for rows in itertools.combinations(range(4), 3):
-                mm = minor(C, rows, cols)
+                mm = ladder.minor(rows, cols)
                 sub_strs.add(str(mm))
                 sub_strs.add(str(-mm))
         sub_hits = sum(1 for p in ctx["partials"] if str(p) in sub_strs)
@@ -1019,8 +1015,8 @@ def run_scenario(scenario_id: str, config: Config | None = None,
             else:
                 match = "yes" if ok else "no"
                 certainty = fact.certainty
-        except ComputationTimeout:
-            expected, computed, match, certainty = "", "budget exceeded", "timeout", "timeout"
+        except ComputationTimeout as exc:
+            expected, computed, match, certainty = "", str(exc), "timeout", "timeout"
         millis = int((time.monotonic() - t0) * 1000)
         records.append(FactRecord(fact.fact_id, fact.anchor, fact.tag,
                                   str(expected), str(computed), match, certainty,

@@ -1,9 +1,13 @@
 """Structured matrix constructors and exact determinant/minor machinery.
 
 All constructors produce matrices whose entries are single variables or
-zero over a fresh ring with the minimal variable set.  Determinants of
-variable-entry matrices go through memoized cofactor expansion (the shared
-subproblems across anti-diagonal patterns are massive); general polynomial
+zero over a fresh ring with the minimal variable set.  Every minor comes
+from one minor ladder, `MinorLadder`: Laplace expansion along the first
+selected row, memoized on (rows, cols), so the t-minors of a matrix are
+built from its (t-1)-minors with ring `+` and `*` only.  Minor ideals,
+adjugates, cofactor sums, Fitting ideals and the determinants of
+variable-entry matrices (whose anti-diagonal patterns share massive
+subproblems) each read one ladder per matrix.  Determinants with other
 entries go through fraction-free Bareiss elimination, `_bareiss`, the one
 polynomial echelon of the package, which also gives ranks over the
 fraction field (`syzygy.poly_matrix_rank`).
@@ -14,7 +18,7 @@ from __future__ import annotations
 import itertools
 
 from .config import Budget, ComputationTimeout
-from .polyring import Polynomial, exact_divide, NOT_DIVISIBLE, xring, format_polynomial
+from .polyring import Polynomial, exact_divide, NOT_DIVISIBLE, xring
 
 # symbolic determinant size budget; larger matrices need probabilistic routes
 DET_BUDGET_GENERAL = 5
@@ -47,10 +51,6 @@ class PolyMatrix:
 
     def column(self, c: int) -> list[Polynomial]:
         return [self.entries[r * self.cols + c] for r in range(self.rows)]
-
-    def submatrix(self, rows, cols) -> "PolyMatrix":
-        ents = [self[r, c] for r in rows for c in cols]
-        return PolyMatrix(len(list(rows)), len(list(cols)), ents, "custom")
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -192,37 +192,69 @@ def build_gp_associated(m: int, r: int) -> PolyMatrix:
 # ---------------------------------------------------------------------------
 # determinants
 
-def _det_cofactor_memo(M: PolyMatrix, budget: Budget | None = None) -> Polynomial:
-    """Memoized expansion along rows, keyed by the remaining column set.
+class MinorLadder:
+    """Every minor of one matrix, from one memo keyed on (rows, cols).
 
-    Valid for any matrix, but the memoization only pays off when distinct
-    row prefixes share column subsets (variable-entry structured families).
+    A minor is expanded by Laplace along its first selected row into
+    minors on the remaining rows, which the memo shares between all the
+    minors read from this ladder; zero entries are skipped.  Selections
+    keep their given order, so a permuted selection gives the signed
+    minor.  With a budget, each new memo entry ticks "determinant
+    expansion" once.  Keep a ladder local to its caller: its memo lives as
+    long as it does.
     """
-    n = M.rows
-    ring = M.ring
-    memo: dict[tuple, Polynomial] = {}
 
-    def rec(cols: tuple) -> Polynomial:
-        k = n - len(cols)
-        if not cols:
-            return ring.one()
-        got = memo.get(cols)
+    __slots__ = ("matrix", "budget", "_rows", "_memo")
+
+    def __init__(self, M: PolyMatrix, budget: Budget | None = None):
+        self.matrix = M
+        self.budget = budget
+        self._rows = [M.row(i) for i in range(M.rows)]
+        self._memo: dict[tuple, Polynomial] = {}
+
+    def minor(self, rows, cols) -> Polynomial:
+        """Determinant of the submatrix on `rows` x `cols`, in that order."""
+        rows, cols = tuple(rows), tuple(cols)
+        if len(rows) != len(cols):
+            raise ValueError(f"minor needs as many rows as columns, got {rows} x {cols}")
+        if not rows:
+            raise ValueError("minor of an empty selection")
+        for sel, size, what in ((rows, self.matrix.rows, "row"),
+                                (cols, self.matrix.cols, "column")):
+            if len(set(sel)) != len(sel):
+                raise ValueError(f"repeated {what} index in {sel}")
+            if not all(0 <= i < size for i in sel):
+                raise ValueError(f"{what} index out of range in {sel} (size {size})")
+        return self._expand(rows, cols)
+
+    def minors(self, t: int):
+        """The t x t minors, row sets outer and column sets inner, each in
+        combination order."""
+        M = self.matrix
+        if not 1 <= t <= min(M.rows, M.cols):
+            raise ValueError("minor size out of range")
+        col_sets = list(itertools.combinations(range(M.cols), t))
+        for rows in itertools.combinations(range(M.rows), t):
+            for cols in col_sets:
+                yield self._expand(rows, cols)
+
+    def _expand(self, rows: tuple, cols: tuple) -> Polynomial:
+        memo = self._memo
+        got = memo.get((rows, cols))
         if got is not None:
             return got
-        if budget is not None:
-            budget.tick(1, "determinant expansion")
-        acc = ring.zero()
+        if self.budget is not None:
+            self.budget.tick(1, "determinant expansion")
+        top, rest = self._rows[rows[0]], rows[1:]
+        acc = self.matrix.ring.zero()
         for pos, c in enumerate(cols):
-            e = M[k, c]
+            e = top[c]
             if e.is_zero():
                 continue
-            sub = rec(cols[:pos] + cols[pos + 1:])
-            term = e * sub
+            term = e * self._expand(rest, cols[:pos] + cols[pos + 1:]) if rest else e
             acc = acc + term if pos % 2 == 0 else acc - term
-        memo[cols] = acc
+        memo[rows, cols] = acc
         return acc
-
-    return rec(tuple(range(n)))
 
 
 def _bareiss(rows: list[list[Polynomial]], budget: Budget | None = None,
@@ -269,7 +301,7 @@ def _bareiss(rows: list[list[Polynomial]], budget: Budget | None = None,
 
 def determinant(M: PolyMatrix, budget: Budget | None = None,
                 enforce_budget: bool = True) -> Polynomial:
-    """Exact determinant; cofactor-memo for variable entries, Bareiss else."""
+    """Exact determinant; the minor ladder for variable entries, Bareiss else."""
     if not M.is_square():
         raise ValueError("determinant of a non-square matrix")
     variable_entry = M.is_variable_entry()
@@ -280,7 +312,7 @@ def determinant(M: PolyMatrix, budget: Budget | None = None,
                 f"symbolic determinant beyond {cap}x{cap} budget; "
                 "use probabilistic identity tests")
     if variable_entry:
-        return _det_cofactor_memo(M, budget)
+        return MinorLadder(M, budget).minor(range(M.rows), range(M.cols))
     rows = [M.row(i) for i in range(M.rows)]
     rank, sign = _bareiss(rows, budget, stop_at_gap=True)
     if rank < M.rows:
@@ -296,36 +328,26 @@ def cofactor_matrix(M: PolyMatrix, budget: Budget | None = None) -> PolyMatrix:
     n = M.rows
     if n < 2:
         raise ValueError("adjugate needs size >= 2")
+    ladder = MinorLadder(M, budget)
     ents = []
     for i in range(n):
         for j in range(n):
             rows = [r for r in range(n) if r != j]
             cols = [c for c in range(n) if c != i]
-            minor = determinant(M.submatrix(rows, cols), budget, enforce_budget=False)
+            minor = ladder.minor(rows, cols)
             ents.append(minor if (i + j) % 2 == 0 else -minor)
     return PolyMatrix(n, n, ents, f"adjugate[{M.provenance}]")
 
 
 def minor(M: PolyMatrix, rows, cols, budget: Budget | None = None) -> Polynomial:
-    return determinant(M.submatrix(rows, cols), budget, enforce_budget=False)
+    """One minor; callers taking several minors of M share a `MinorLadder`."""
+    return MinorLadder(M, budget).minor(rows, cols)
 
 
 def minors_ideal_gens(M: PolyMatrix, t: int, budget: Budget | None = None) -> list[Polynomial]:
-    """All t x t minors, canonical duplicates and zeros removed."""
-    if not 1 <= t <= min(M.rows, M.cols):
-        raise ValueError("minor size out of range")
-    out = []
-    seen = set()
-    for rows in itertools.combinations(range(M.rows), t):
-        for cols in itertools.combinations(range(M.cols), t):
-            d = minor(M, rows, cols, budget)
-            if d.is_zero():
-                continue
-            s = format_polynomial(d)
-            if s not in seen:
-                seen.add(s)
-                out.append(d)
-    return out
+    """All t x t minors in combination order, duplicates and zeros removed."""
+    return list(dict.fromkeys(d for d in MinorLadder(M, budget).minors(t)
+                              if not d.is_zero()))
 
 
 def partials_as_cofactor_sums(M: PolyMatrix, var_index: int,
@@ -349,13 +371,14 @@ def partials_as_cofactor_sums(M: PolyMatrix, var_index: int,
         if len(col_vars) != len(set(col_vars)):
             raise ValueError(f"variable repeated within column {c}")
     target = M.ring.var(var_index)
+    ladder = MinorLadder(M, budget)
     acc = M.ring.zero()
     for i in range(n):
         for j in range(n):
             if M[i, j] == target:
                 rows = [r for r in range(n) if r != i]
                 cols = [c for c in range(n) if c != j]
-                cof = determinant(M.submatrix(rows, cols), budget, enforce_budget=False)
+                cof = ladder.minor(rows, cols)
                 acc = acc + cof if (i + j) % 2 == 0 else acc - cof
     return acc
 

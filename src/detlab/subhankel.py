@@ -18,7 +18,7 @@ from .config import Budget, Config
 from .groebner import (Ideal, colon, hilbert_data, ideal_equal, ideal_sum,
                        radical_membership)
 from .polyring import Polynomial, Ring, dot, exact_divide, NOT_DIVISIBLE
-from .structmat import PolyMatrix, build_structured, determinant, minor
+from .structmat import MinorLadder, PolyMatrix, build_structured, determinant
 from .syzygy import ModuleBasis, first_syzygy_module, graded_betti
 from . import polar
 
@@ -154,10 +154,9 @@ def hilbert_burch_check(n: int, budget: Budget | None = None,
         phi = case.hilbert_burch(i)
         col_ok = all(dot(phi.column(c), gens).is_zero() for c in range(phi.cols))
         linear_ok = all(e.is_zero() or e.degree == 1 for e in phi.entries)
-        mins = []
-        for drop in range(i + 1):
-            rows = [r for r in range(i + 1) if r != drop]
-            mins.append(minor(phi, rows, range(i)))
+        ladder = MinorLadder(phi)
+        mins = [ladder.minor([r for r in range(i + 1) if r != drop], range(i))
+                for drop in range(i + 1)]
         mins_ideal = Ideal(case.ring, mins)
         Ji = Ideal(case.ring, gens)
         eq = ideal_equal(mins_ideal, Ji, budget, config)

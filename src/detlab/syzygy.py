@@ -20,14 +20,12 @@ pruning is by the chain criterion.  The engine and the span tests of
 
 from __future__ import annotations
 
-import itertools
-
 from .config import Budget, Config, ComputationTimeout, DEFAULT_CONFIG
 from .linalg import SparseEliminator, dense_rank, linear_relations
 from .groebner import (Ideal, hilbert_data, rees_ring, symmetric_algebra_ideal,
                        _Entry, _buchberger, _pack_entries, _reduce_terms)
 from .polyring import MonomialOrder, Polynomial, Ring, _content_strip, denominator_lcm, dot
-from .structmat import PolyMatrix, _bareiss, determinant
+from .structmat import MinorLadder, PolyMatrix, _bareiss
 
 
 # ---------------------------------------------------------------------------
@@ -362,36 +360,51 @@ class FittingReport:
         return f"FittingReport(rank={self.rank}, pass={self.passed})"
 
 
+def _nonzero_minor_levels(phi: PolyMatrix, budget: Budget) -> list[list[Polynomial]]:
+    """The nonzero t-minors of phi for t = 1 .. rank(phi), from one ladder.
+
+    Once every t-minor vanishes so do all larger ones (Laplace), so the
+    level count is the rank.  Each returned level ticks "Fitting minors"
+    once per minor read.
+    """
+    ladder = MinorLadder(phi, budget)
+    levels = []
+    for t in range(1, min(phi.rows, phi.cols) + 1):
+        level = list(ladder.minors(t))
+        gens = [d for d in level if not d.is_zero()]
+        if not gens:
+            break
+        budget.tick(len(level), "Fitting minors")
+        levels.append(gens)
+    return levels
+
+
 def fitting_condition_F1(forms: list[Polynomial], budget: Budget | None = None,
                          config: Config | None = None) -> FittingReport:
-    """Height of each Fitting ideal of the presentation vs rank - t + 2."""
+    """Height of each Fitting ideal of the presentation vs rank - t + 2.
+
+    The rank and the Fitting generators both come from the minors of the
+    presentation; a timeout while reading them propagates, since no row
+    can be scored without the rank.
+    """
     config = config or DEFAULT_CONFIG
     b = budget or config.budget()
     syz = first_syzygy_module(forms, b, config)
     phi = syz.as_poly_matrix()
-    rank = poly_matrix_rank(phi, config=config).rank
+    levels = _nonzero_minor_levels(phi, b)
+    rank = len(levels)
     ring = phi.ring
     rows = []
     passed = True
-    for t in range(1, rank + 1):
+    for t, gens in enumerate(levels, 1):
         required = rank - t + 2
         try:
-            gens = []
-            for rsel in itertools.combinations(range(phi.rows), t):
-                for csel in itertools.combinations(range(phi.cols), t):
-                    b.tick(1, "Fitting minors")
-                    d = determinant(phi.submatrix(rsel, csel), enforce_budget=False)
-                    if not d.is_zero():
-                        gens.append(d)
-            if not gens:
-                ht = 0
+            I = Ideal(ring, gens)
+            if I.is_unit(b, config):
+                ht = ring.nvars  # unit Fitting ideal: condition holds trivially
             else:
-                I = Ideal(ring, gens)
-                if I.is_unit(b, config):
-                    ht = ring.nvars  # unit Fitting ideal: condition holds trivially
-                else:
-                    ht = ring.nvars - hilbert_data(I, None, b, config).dimension
-            ok = ht >= required or not gens and required <= 0
+                ht = ring.nvars - hilbert_data(I, None, b, config).dimension
+            ok = ht >= required
             rows.append({"t": t, "height": ht, "required": required,
                          "pass": bool(ok), "status": "complete"})
             passed = passed and ok

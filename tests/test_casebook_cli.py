@@ -243,3 +243,16 @@ def test_scenario_reports_incomplete_under_tiny_budget():
     assert by_id["reduction-0"].certainty == "timeout"
     # no contradiction was manufactured by the budget
     assert all(r.match != "no" for r in rep.records)
+
+
+def test_timeout_names_the_sub_computation():
+    # a timed-out fact records which budgeted computation ran out
+    from detlab.groebner import _MEMORY_CACHE
+    _MEMORY_CACHE.clear()
+    rep = run_scenario("hankel-4", config=Config(seed=5, gb_step_cap=200))
+    timed_out = [r for r in rep.records if r.match == "timeout"]
+    assert timed_out
+    for r in timed_out:
+        what, _, rest = r.computed.partition(": ")
+        assert rest == "budget exceeded"
+        assert what in ("Buchberger", "polynomial reduction", "Hilbert series")

@@ -1,5 +1,7 @@
 """Structured matrix constructors, determinants, minors, cofactor sums."""
 
+import itertools
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -7,8 +9,8 @@ from detlab.polyring import xring
 from detlab.structmat import (PolyMatrix, build_structured, build_gp_associated,
                               determinant, cofactor_matrix, minors_ideal_gens,
                               partials_as_cofactor_sums, parse_matrix_spec,
-                              minor, DET_BUDGET_GENERAL, _bareiss, _det_cofactor_memo)
-from detlab.config import ComputationTimeout
+                              minor, DET_BUDGET_GENERAL, MinorLadder, _bareiss)
+from detlab.config import Budget, ComputationTimeout
 from oracles import hankel_entry_dicts, leibniz_det
 
 
@@ -108,24 +110,27 @@ def _bareiss_det(M):
     return rows[-1][-1] if sign == 1 else -rows[-1][-1]
 
 
+def _ladder_det(M):
+    return MinorLadder(M).minor(range(M.rows), range(M.cols))
+
+
+def _submatrix(M, rows, cols):
+    return PolyMatrix(len(rows), len(cols), [M[r, c] for r in rows for c in cols])
+
+
 def test_det_methods_agree():
     for kind, kw in (("hankel", {"m": 3}), ("hankel", {"m": 4}),
                      ("catalecticant", {"m": 3, "r": 2}),
                      ("sub-hankel", {"n": 4}), ("generic", {"m": 3}),
                      ("symmetric", {"m": 3})):
         M = build_structured(kind, **kw)
-        assert _det_cofactor_memo(M) == _bareiss_det(M)
+        assert _ladder_det(M) == _bareiss_det(M)
 
 
-@st.composite
-def _linear_form_products(draw):
-    """n x n products A*B of linear-form matrices in 3 variables with inner
-    dimension k = n, or n - 1 (then singular) a third of the time.  A third
-    of the forms are zero and a third single terms, so entries vanish
-    often; rows with a zero first entry go first, so Bareiss has to swap
-    rows."""
-    n = draw(st.integers(1, 4))
-    k = max(1, n - draw(st.sampled_from([0, 0, 1])))
+def _draw_product_rows(draw, m, n, k):
+    """Rows of an m x n product A*B of linear-form matrices in 3 variables
+    with inner dimension k.  A third of the forms are zero and a third
+    single terms, so entries vanish often."""
     R = xring(3)
     x = R.gens()
     coeff = st.sampled_from([1, -1, 2, -2])
@@ -138,10 +143,20 @@ def _linear_form_products(draw):
             return x[draw(st.integers(0, 2))] * draw(coeff)
         return sum((x[i] * draw(st.integers(-2, 2)) for i in range(3)), R.zero())
 
-    A = [[form() for _ in range(k)] for _ in range(n)]
+    A = [[form() for _ in range(k)] for _ in range(m)]
     B = [[form() for _ in range(n)] for _ in range(k)]
-    rows = [[sum((A[i][t] * B[t][j] for t in range(k)), R.zero()) for j in range(n)]
-            for i in range(n)]
+    return [[sum((A[i][t] * B[t][j] for t in range(k)), R.zero()) for j in range(n)]
+            for i in range(m)]
+
+
+@st.composite
+def _linear_form_products(draw):
+    """n x n products with inner dimension k = n, or n - 1 (then singular)
+    a third of the time; rows with a zero first entry go first, so Bareiss
+    has to swap rows."""
+    n = draw(st.integers(1, 4))
+    k = max(1, n - draw(st.sampled_from([0, 0, 1])))
+    rows = _draw_product_rows(draw, n, n, k)
     rows.sort(key=lambda row: not row[0].is_zero())
     return k, PolyMatrix(n, n, sum(rows, []), "custom")
 
@@ -163,7 +178,67 @@ def test_bareiss_matches_cofactor_on_products(case):
     assert rank <= k
     f = determinant(M, enforce_budget=False)
     assert f.is_zero() == (rank < n)
-    assert f == _det_cofactor_memo(M) == _bareiss_det(M)
+    assert f == _ladder_det(M) == _bareiss_det(M)
+
+
+@st.composite
+def _rectangular_products(draw):
+    """m x n products with inner dimension k <= min(m, n), so the rank is
+    at most k and often below min(m, n)."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    k = draw(st.integers(1, min(m, n)))
+    return PolyMatrix(m, n, sum(_draw_product_rows(draw, m, n, k), []), "custom")
+
+
+@given(_rectangular_products())
+@settings(max_examples=60, deadline=None)
+def test_ladder_minors_match_bareiss_on_products(M):
+    ladder = MinorLadder(M)
+    ladder_rank = 0
+    for t in range(1, min(M.rows, M.cols) + 1):
+        pairs = [(rows, cols) for rows in itertools.combinations(range(M.rows), t)
+                 for cols in itertools.combinations(range(M.cols), t)]
+        level = list(ladder.minors(t))
+        assert len(level) == len(pairs)
+        for (rows, cols), d in zip(pairs, level):
+            assert d == _bareiss_det(_submatrix(M, rows, cols))
+        if any(not d.is_zero() for d in level):
+            ladder_rank = t
+    rank, _ = _bareiss([M.row(i) for i in range(M.rows)])
+    assert ladder_rank == rank
+
+
+def test_ladder_selection_order_is_the_sign():
+    G = build_structured("generic", m=3)
+    ladder = MinorLadder(G)
+    d = ladder.minor([0, 1], [0, 2])
+    assert ladder.minor([1, 0], [0, 2]) == -d == ladder.minor([0, 1], [2, 0])
+    f = determinant(G)
+    assert ladder.minor([0, 2, 1], range(3)) == -f == ladder.minor(range(3), [2, 1, 0])
+
+
+def test_minor_rejects_bad_selections():
+    G = build_structured("generic", m=3)
+    for rows, cols in (([0], [3]),          # column past the end
+                       ([3], [0]),          # row past the end
+                       ([0], [-1]),         # negative index
+                       ([0, 1], [0]),       # unequal lengths
+                       ([0, 0], [1, 2]),    # repeated row
+                       ([0, 1], [2, 2]),    # repeated column
+                       ([], [])):
+        with pytest.raises(ValueError):
+            minor(G, rows, cols)
+
+
+def test_ladder_ticks_once_per_memo_entry():
+    # a fully nonzero n x n determinant expands every nonempty column set
+    # once: 2^n - 1 memo entries
+    G = build_structured("generic", m=4)
+    b = Budget()
+    determinant(G, b)
+    assert b.steps == 2 ** 4 - 1
+    with pytest.raises(ComputationTimeout, match="determinant expansion"):
+        minors_ideal_gens(G, 3, Budget(step_cap=10))
 
 
 def test_det_alternating_row_swap():

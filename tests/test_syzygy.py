@@ -288,6 +288,14 @@ def test_fitting_hankel3_passes():
         assert row["pass"] and row["status"] == "complete"
 
 
+def test_fitting_rank_is_the_presentation_rank():
+    # the ladder's rank (largest t with a nonzero t-minor) against the
+    # evaluation-and-Bareiss rank of the same presentation
+    _, _, partials = partials_of("hankel", m=3)
+    phi = first_syzygy_module(partials).as_poly_matrix()
+    assert fitting_condition_F1(partials).rank == poly_matrix_rank(phi).rank
+
+
 # ---------------------------------------------------------------------------
 # Betti tables
 
