@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .config import Config, ComputationTimeout, DEFAULT_CONFIG
 from .groebner import (Ideal, colon, hilbert_data, ideal_equal, ideal_sum,
-                       intersect, saturation, symmetric_algebra_ideal)
+                       intersect, rees_ring, saturation, symmetric_algebra_ideal)
 from .polyring import Ring, dot
 from .structmat import (MinorLadder, PolyMatrix, build_gp_associated, build_structured,
                         determinant, cofactor_matrix, minor, minors_ideal_gens)
@@ -447,19 +447,13 @@ def _cat43_facts():
 
     def partial_structure(ctx):
         ladder = MinorLadder(ctx["matrix"])
-        strs = set()
-        for mm in ladder.minors(3):
-            strs.add(str(mm))
-            strs.add(str(-mm))
-        hits = sum(1 for p in ctx["partials"] if str(p) in strs)
+        signed = {s for mm in ladder.minors(3) for s in (mm, -mm)}
+        hits = sum(1 for p in ctx["partials"] if p in signed)
         sub_cols = [(0, 1, 3), (0, 2, 3)]
-        sub_strs = set()
-        for cols in sub_cols:
-            for rows in itertools.combinations(range(4), 3):
-                mm = ladder.minor(rows, cols)
-                sub_strs.add(str(mm))
-                sub_strs.add(str(-mm))
-        sub_hits = sum(1 for p in ctx["partials"] if str(p) in sub_strs)
+        sub_minors = [ladder.minor(rows, cols) for cols in sub_cols
+                      for rows in itertools.combinations(range(4), 3)]
+        sub_signed = {s for mm in sub_minors for s in (mm, -mm)}
+        sub_hits = sum(1 for p in ctx["partials"] if p in sub_signed)
         return _eq_fact((10, 8), (hits, sub_hits))
 
     def bidegree12(ctx):
@@ -850,11 +844,9 @@ def _dg3_facts():
     def quadric_relation(ctx):
         from .syzygy import rees_bigraded_kernel
         taus = rees_bigraded_kernel(ctx["partials"], 0, 2)
-        found = False
-        for t in taus:
-            s = str(t)
-            if s in ("y1*y3 - y0*y4", "-y1*y3 + y0*y4"):
-                found = True
+        y = rees_ring(ctx["ring"], len(ctx["partials"])).gens()
+        w = y[1] * y[3] - y[0] * y[4]
+        found = any(t in (w, -w) for t in taus)
         return _eq_fact(("kernel dim", 1, "contains the 2x2 relation", True),
                         ("kernel dim", len(taus), "contains the 2x2 relation", found))
 

@@ -444,33 +444,42 @@ def _buchberger_at_width(seeds: list[_Entry], budget: Budget, rank: int) -> list
 
 # ---------------------------------------------------------------------------
 # GB cache (in-memory + optional content-addressed disk cache)
+#
+# Both levels share one key: a hash of the coefficient field, the variable
+# names, the order and the sorted, deduplicated term items of the
+# generators.  The memory cache holds the engine's own entry lists (shared
+# by every Ideal with that key; `_retry_wider` widens them in place), and a
+# hit rebuilds only the monic bases.  Text exists only in the `.gb` files:
+# one basis element per line, written after a computation and parsed on a
+# disk hit.
 
-_MEMORY_CACHE: dict[str, list[str]] = {}
+_MEMORY_CACHE: dict[str, list[_Entry]] = {}
 
 
 def _cache_key(ring: Ring, order: MonomialOrder, gens: list[Polynomial]) -> str:
     mode = "QQ" if ring.prime is None else f"GF{ring.prime}"
-    body = "|".join([mode, ",".join(ring.variables), order.id,
-                     ";".join(sorted(format_polynomial(g) for g in gens))])
-    return hashlib.sha256(body.encode()).hexdigest()
+    body = sorted({tuple(sorted(g.terms.items())) for g in gens})
+    return hashlib.sha256(repr((mode, ring.variables, order.id, body)).encode()).hexdigest()
 
 
-def _disk_get(cache_dir: str, key: str) -> list[str] | None:
+def _disk_get(cache_dir: str, key: str, ring: Ring, order: MonomialOrder) -> list[_Entry] | None:
     path = os.path.join(cache_dir, key + ".gb")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return [line.strip() for line in fh if line.strip()]
+            lines = [line.strip() for line in fh if line.strip()]
     except OSError:
         return None
+    dicts = [to_int_terms(parse_polynomial(ring, s)) for s in lines]
+    return _pack_entries(dicts, [max(map(sum, d)) for d in dicts], order.weight_rows())
 
 
-def _disk_put(cache_dir: str, key: str, lines: list[str]) -> None:
+def _disk_put(cache_dir: str, key: str, polys: list[Polynomial]) -> None:
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, key + ".gb")
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("\n".join(map(format_polynomial, polys)) + "\n")
         os.replace(tmp, path)  # atomic single-writer discipline
     except BaseException:
         try:
@@ -488,20 +497,15 @@ class Ideal:
 
     def __init__(self, ring: Ring, gens):
         self.ring = ring
-        clean = []
-        seen = set()
+        clean = {}
         for g in gens:
             if not isinstance(g, Polynomial):
                 raise TypeError("ideal generators must be polynomials")
             if g.ring != ring:
                 raise ValueError("generator from a different ring")
-            if g.is_zero():
-                continue
-            s = format_polynomial(g)
-            if s not in seen:
-                seen.add(s)
-                clean.append(g)
-        self.gens = clean
+            if not g.is_zero():
+                clean.setdefault(g)
+        self.gens = list(clean)
         self._gb: dict[str, tuple[list[Polynomial], list[_Entry]]] = {}
 
     def __repr__(self):
@@ -527,26 +531,19 @@ class Ideal:
             self._gb[order.id] = ([], [])
             return []
         key = _cache_key(self.ring, order, self.gens)
-        lines = _MEMORY_CACHE.get(key)
-        if lines is None and config.cache_dir:
-            lines = _disk_get(config.cache_dir, key)
-        if lines is not None:
-            polys = [parse_polynomial(self.ring, s) for s in lines]
-            dicts = [to_int_terms(p) for p in polys]
-            entries = _pack_entries(dicts, [max(map(sum, d)) for d in dicts],
-                                    order.weight_rows())
-            self._gb[order.id] = (polys, entries)
-            _MEMORY_CACHE[key] = lines
-            return polys
-        if budget is None:
-            budget = config.budget()
-        entries = groebner_entries([to_int_terms(g) for g in self.gens], order, budget)
+        entries = _MEMORY_CACHE.get(key)
+        if entries is None and config.cache_dir:
+            entries = _disk_get(config.cache_dir, key, self.ring, order)
+        fresh = entries is None
+        if fresh:
+            if budget is None:
+                budget = config.budget()
+            entries = groebner_entries([to_int_terms(g) for g in self.gens], order, budget)
+        _MEMORY_CACHE[key] = entries
         polys = [e.monic(self.ring) for e in entries]
         self._gb[order.id] = (polys, entries)
-        lines = [format_polynomial(p) for p in polys]
-        _MEMORY_CACHE[key] = lines
-        if config.cache_dir:
-            _disk_put(config.cache_dir, key, lines)
+        if fresh and config.cache_dir:
+            _disk_put(config.cache_dir, key, polys)
         return polys
 
     def _entries(self, order, budget=None, config=None) -> list[_Entry]:
@@ -596,16 +593,7 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
 
 
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:
-    gens = []
-    seen = set()
-    for a in I.gens:
-        for b in J.gens:
-            g = a * b
-            s = format_polynomial(g)
-            if s not in seen:
-                seen.add(s)
-                gens.append(g)
-    return Ideal(I.ring, gens)
+    return Ideal(I.ring, [a * b for a in I.gens for b in J.gens])
 
 
 def ideal_power(I: Ideal, k: int) -> Ideal:

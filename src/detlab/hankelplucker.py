@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .config import Budget, Config, ComputationTimeout, DEFAULT_CONFIG
+from .config import Budget, Config, ComputationTimeout
 from .groebner import (Ideal, colon, ideal_power, ideal_product,
                        ideal_equal, radical_membership)
 from .linalg import linear_relations
@@ -263,7 +263,6 @@ def integrality_check(m: int, budget: Budget | None = None,
     certified both ways, with the quadratic-equation witnesses at m = 3."""
     if m > 4:
         raise ValueError("radical check capped at m = 4")
-    config = config or DEFAULT_CONFIG
     H = build_structured("hankel", m=m)
     f = determinant(H)
     ring = H.ring
@@ -309,7 +308,6 @@ def reduction_conjecture_check(m: int, i: int, budget: Budget | None = None,
         raise ValueError("conjecture checks capped at m = 4")
     if not 0 <= i <= m - 2:
         raise ValueError("filtration index out of range")
-    config = config or DEFAULT_CONFIG
     H = build_structured("hankel", m=m)
     f = determinant(H)
     ring = H.ring

@@ -42,14 +42,21 @@ class PolyMatrix:
         self.provenance = provenance
         self.ring = entries[0].ring
 
+    def _check(self, r: int, c: int) -> None:
+        if not (0 <= r < self.rows and 0 <= c < self.cols):
+            raise IndexError(f"entry ({r}, {c}) outside a {self.rows}x{self.cols} matrix")
+
     def __getitem__(self, rc):
         r, c = rc
+        self._check(r, c)
         return self.entries[r * self.cols + c]
 
     def row(self, r: int) -> list[Polynomial]:
+        self._check(r, 0)
         return self.entries[r * self.cols:(r + 1) * self.cols]
 
     def column(self, c: int) -> list[Polynomial]:
+        self._check(0, c)
         return [self.entries[r * self.cols + c] for r in range(self.rows)]
 
     def is_square(self) -> bool:

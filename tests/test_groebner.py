@@ -1,11 +1,14 @@
 """Buchberger engine and ideal-query contracts, with oracle-backed cases."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from detlab import groebner, polyring
 from detlab.config import Budget, Config, ComputationTimeout
-from detlab.polyring import Ring, xring, block_order
+from detlab.polyring import Ring, xring, block_order, format_polynomial, lex
 from detlab.groebner import (Ideal, certify_groebner, colon, eliminate,
                              hilbert_data, ideal_equal, ideal_power,
                              ideal_product, intersect,
@@ -89,6 +92,108 @@ def test_disk_cache_roundtrip(tmp_path):
     _MEMORY_CACHE.clear()
     gb2 = Ideal(R, partials).groebner_basis(config=cfg)
     assert [str(g) for g in gb1] == [str(g) for g in gb2]
+
+
+def test_cache_key_ignores_generator_order_and_repeats():
+    R = xring(3)
+    x0, x1, x2 = R.gens()
+    gens = [x0 * x1 - x2 ** 2, x1 + Fraction(1, 3) * x2, x0 ** 3]
+    key = _cache_key(R, R.order, gens)
+    assert _cache_key(R, R.order, list(reversed(gens))) == key
+    assert _cache_key(R, R.order, gens + gens[:2]) == key
+
+
+def test_cache_key_separates_field_order_names_and_coefficients():
+    R, Rp, Rn = xring(2), xring(2, prime=7), Ring(("a", "b"))
+    f = R.from_string("x0*x1 + 1")
+    key = _cache_key(R, R.order, [f])
+    assert _cache_key(Rp, Rp.order, [Rp.poly(f.terms)]) != key
+    assert _cache_key(R, lex(2), [f]) != key
+    assert _cache_key(Rn, Rn.order, [Rn.poly(f.terms)]) != key
+    half, two = R.from_string("x0 + 1/2"), R.from_string("x0 + 2")
+    assert _cache_key(R, R.order, [half]) != _cache_key(R, R.order, [two])
+
+
+# the reduced basis of _TEXTLESS_GENS, as the text-keyed cache computed it
+_TEXTLESS_BASIS = ["x1^2 - 1/2*x0*x2", "x0*x1 - x2^2", "x0^2 - x1*x2",
+                   "x1*x2^2", "x0*x2^2", "x2^4"]
+
+
+def _textless_gens(R):
+    x0, x1, x2 = R.gens()
+    return [x0 ** 2 - x1 * x2, x0 * x1 - x2 ** 2, x1 ** 2 - Fraction(1, 2) * x0 * x2]
+
+
+def test_basis_and_memory_hit_need_no_text(monkeypatch):
+    R = xring(3)
+    gens = _textless_gens(R)
+    _MEMORY_CACHE.clear()
+
+    def refuse(*args):
+        raise AssertionError("polynomial text used inside the program")
+    for module in (groebner, polyring):
+        monkeypatch.setattr(module, "format_polynomial", refuse)
+        monkeypatch.setattr(module, "parse_polynomial", refuse)
+    computed = Ideal(R, gens).groebner_basis(config=Config())
+    monkeypatch.setattr(groebner, "groebner_entries", refuse)
+    served = Ideal(R, list(reversed(gens))).groebner_basis(config=Config())
+    monkeypatch.undo()
+    assert [format_polynomial(g) for g in computed] == _TEXTLESS_BASIS
+    assert [format_polynomial(g) for g in served] == _TEXTLESS_BASIS
+
+
+def test_text_only_at_the_disk(tmp_path, monkeypatch):
+    R = xring(3)
+    cfg = Config(cache_dir=str(tmp_path))
+    calls = {"format": 0, "parse": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+    monkeypatch.setattr(groebner, "format_polynomial",
+                        counting("format", groebner.format_polynomial))
+    monkeypatch.setattr(groebner, "parse_polynomial",
+                        counting("parse", groebner.parse_polynomial))
+    _MEMORY_CACHE.clear()
+    Ideal(R, _textless_gens(R)).groebner_basis(config=cfg)
+    assert calls == {"format": len(_TEXTLESS_BASIS), "parse": 0}
+    Ideal(R, _textless_gens(R)).groebner_basis(config=cfg)  # memory hit
+    assert calls == {"format": len(_TEXTLESS_BASIS), "parse": 0}
+    _MEMORY_CACHE.clear()
+    served = Ideal(R, _textless_gens(R)).groebner_basis(config=cfg)  # disk hit
+    assert calls == {"format": len(_TEXTLESS_BASIS), "parse": len(_TEXTLESS_BASIS)}
+    monkeypatch.undo()
+    assert [format_polynomial(g) for g in served] == _TEXTLESS_BASIS
+
+
+def _text_dedup(gens):
+    seen, out = set(), []
+    for g in gens:
+        s = format_polynomial(g)
+        if not g.is_zero() and s not in seen:
+            seen.add(s)
+            out.append(g)
+    return out
+
+
+_QQ_COEFFS = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(2, 4), Fraction(-3, 2)])
+_GF7_COEFFS = st.integers(-8, 8)  # -1 and 6, 1 and 8, ... are one value mod 7
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_value_dedup_keeps_the_text_dedup_generators(data):
+    prime = data.draw(st.sampled_from([None, 7]))
+    R = xring(2, prime=prime)
+    coeffs = _GF7_COEFFS if prime else _QQ_COEFFS
+    term = st.tuples(st.tuples(st.integers(0, 1), st.integers(0, 1)), coeffs)
+    gens = [R.poly(dict(terms))
+            for terms in data.draw(st.lists(st.lists(term, max_size=3), max_size=8))]
+    kept = Ideal(R, gens).gens
+    want = _text_dedup(gens)
+    assert len(kept) == len(want) and all(a is b for a, b in zip(kept, want))
 
 
 def test_budget_timeout_is_explicit():

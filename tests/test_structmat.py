@@ -230,6 +230,17 @@ def test_minor_rejects_bad_selections():
             minor(G, rows, cols)
 
 
+def test_matrix_indexing_stays_inside_the_matrix():
+    G = build_structured("generic", m=3)
+    x = G.ring.gens()
+    assert G[0, 2] == x[2] and G[2, 0] == x[6]
+    assert G.row(2) == x[6:9] and G.column(0) == [x[0], x[3], x[6]]
+    for bad in (lambda: G[0, 3], lambda: G[0, -1], lambda: G[3, 0],
+                lambda: G.row(3), lambda: G.column(-1)):
+        with pytest.raises(IndexError):
+            bad()
+
+
 def test_ladder_ticks_once_per_memo_entry():
     # a fully nonzero n x n determinant expands every nonempty column set
     # once: 2^n - 1 memo entries
