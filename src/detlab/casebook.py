@@ -187,7 +187,7 @@ def _hankel3_facts():
         return "NotHomaloidal", v.status, v.status == "NotHomaloidal"
 
     def hess_mult(ctx):
-        Hf = determinant(polar.hessian(ctx["f"]), enforce_budget=False)
+        Hf = determinant(polar.hessian(ctx["f"]), ctx["config"].budget())
         mr = polar.factor_multiplicity(ctx["f"], Hf, config=ctx["config"])
         want = polar.expected_multiplicity(4, 2)
         got = (mr.value, mr.residual_degree)
@@ -395,7 +395,7 @@ def _cat32_facts():
         return "Homaloidal", v.status, v.status == "Homaloidal"
 
     def hess_mult(ctx):
-        Hf = determinant(polar.hessian(ctx["f"]), enforce_budget=False)
+        Hf = determinant(polar.hessian(ctx["f"]), ctx["config"].budget())
         mr = polar.factor_multiplicity(ctx["f"], Hf, config=ctx["config"])
         want = polar.expected_multiplicity(6, 4)
         return _eq_fact((want, 4, "proved"),
@@ -497,7 +497,7 @@ def _cat43_facts():
         x = R.gens()
         g = determinant(PolyMatrix(3, 3, [
             x[0], x[3], x[6], x[3], x[6], x[9], x[6], x[9], x[12]], "corner"),
-            enforce_budget=False)
+            ctx["config"].budget())
         H = polar.hessian(f)
         p = PRIME_61
         rng = ctx["config"].rng("cat43-residual")
@@ -626,7 +626,7 @@ def _generic3_facts():
 
     def cauchy(ctx):
         adj = cofactor_matrix(ctx["matrix"])
-        got = determinant(adj, enforce_budget=False)
+        got = determinant(adj, ctx["config"].budget())
         return _bool_fact("adjugate determinant equals the square of the form",
                           got == ctx["f"] ** 2)
 
@@ -820,8 +820,7 @@ def _build_dg3(config):
 
 def _dg3_facts():
     def hess_zero(ctx):
-        st = polar.hessian_det_status(ctx["f"], config=ctx["config"],
-                                      zero_trials=25)
+        st = polar.hessian_det_status(ctx["f"], config=ctx["config"])
         return ("zero or probably_zero", st.kind,
                 st.kind in ("zero", "probably_zero"))
 
@@ -907,7 +906,7 @@ def _sc3_facts():
 
     def hess_power(ctx):
         H = polar.hessian(ctx["f"])
-        det = determinant(H, enforce_budget=False)
+        det = determinant(H, ctx["config"].budget())
         terms = list(det.terms.items())
         ok = len(terms) == 1 and terms[0][0][4] == 6 and sum(terms[0][0]) == 6
         got = str(det)

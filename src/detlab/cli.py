@@ -110,16 +110,21 @@ def _read_forms(path: str, paths_sharing_ring: list[str] = ()):
 # subcommands
 
 def _cmd_matrix(args) -> int:
+    budget = _config_from_args(args).budget()
     M = _load_matrix(args)
     payload = {"kind": M.provenance, "rows": M.rows, "cols": M.cols,
                "ring": list(M.ring.variables)}
     if args.print or not (args.det or args.minors):
         payload["entries"] = [[str(M[i, j]) for j in range(M.cols)]
                               for i in range(M.rows)]
-    if args.det:
-        payload["det"] = str(determinant(M, enforce_budget=False))
-    if args.minors:
-        payload["minors"] = [str(g) for g in minors_ideal_gens(M, args.minors)]
+    try:
+        if args.det:
+            payload["det"] = str(determinant(M, budget))
+        if args.minors:
+            payload["minors"] = [str(g) for g in minors_ideal_gens(M, args.minors, budget)]
+    except ComputationTimeout:
+        _emit(args, {"status": "timeout"})
+        return EXIT_TIMEOUT
     _emit(args, payload)
     return EXIT_OK
 
@@ -201,8 +206,8 @@ def _cmd_syz(args) -> int:
 def _cmd_polar(args) -> int:
     config = _config_from_args(args)
     M = _load_matrix(args)
-    f = determinant(M, enforce_budget=False)
     try:
+        f = determinant(M, config.budget())
         if args.verdict:
             v = polar.homaloidal_verdict(f, config=config)
             payload = {"mode": "verdict",

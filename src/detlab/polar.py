@@ -73,6 +73,14 @@ def hessian(f: Polynomial) -> PolyMatrix:
 # ---------------------------------------------------------------------------
 # Hessian determinant status
 
+# random points tried for a nonzero Hessian determinant before the
+# symbolic route (split over two primes) and per prime after it, and the
+# symbolic route's wall-clock allowance
+_HESSIAN_SEARCH_TRIALS = 40
+_HESSIAN_ZERO_TRIALS = 25
+_HESSIAN_SYMBOLIC_SECS = 60.0
+
+
 @dataclass
 class HessianStatus:
     kind: str  # 'nonzero' | 'probably_zero' | 'zero'
@@ -82,9 +90,7 @@ class HessianStatus:
     bound: float | None = None
 
 
-def hessian_det_status(f: Polynomial, config: Config | None = None,
-                       zero_trials: int = 25, search_trials: int = 40,
-                       symbolic_budget_secs: float | None = 60.0) -> HessianStatus:
+def hessian_det_status(f: Polynomial, config: Config | None = None) -> HessianStatus:
     """Nonzero with an explicit certificate point, ProbablyZero with trial
     counts over two primes, or ZeroCertificate by symbolic determinant."""
     config = config or DEFAULT_CONFIG
@@ -94,14 +100,14 @@ def hessian_det_status(f: Polynomial, config: Config | None = None,
     # an integer point with det != 0 mod p certifies a nonzero integer value
     for p in (PRIME_61, PRIME_61B):
         Hp = H.reduce_mod(p)
-        for _ in range(search_trials // 2):
+        for _ in range(_HESSIAN_SEARCH_TRIALS // 2):
             pt = [rng.randrange(0, 9) for _ in range(nv)]
             if dense_det(Hp.evaluate(pt), p):
                 return HessianStatus("nonzero", point=pt, prime=p, trials=1)
     # candidate zero: try the symbolic route within budget
     try:
-        b = Budget(timeout_secs=symbolic_budget_secs, step_cap=None)
-        det = determinant(H, budget=b, enforce_budget=False) if nv <= 8 else None
+        b = Budget(timeout_secs=_HESSIAN_SYMBOLIC_SECS, step_cap=None)
+        det = determinant(H, budget=b) if nv <= 8 else None
         if det is not None:
             if det.is_zero():
                 return HessianStatus("zero")
@@ -116,7 +122,7 @@ def hessian_det_status(f: Polynomial, config: Config | None = None,
     total = 0
     for p in (PRIME_61, PRIME_61B):
         Hp = H.reduce_mod(p)
-        for _ in range(zero_trials):
+        for _ in range(_HESSIAN_ZERO_TRIALS):
             pt = [rng.randrange(0, p) for _ in range(nv)]
             if dense_det(Hp.evaluate(pt), p):
                 return HessianStatus("nonzero", point=pt, prime=p, trials=1)
@@ -163,6 +169,13 @@ class MultiplicityResult:
         return self.value is not None
 
 
+# agreeing trusted lines wanted, lines drawn at most, and the largest g
+# (in terms) whose multiplicity is confirmed by exact division
+_MULT_LINES = 3
+_MULT_LINE_CAP = 10
+_MULT_EXACT_CONFIRM_TERMS = 20000
+
+
 def _line_restrict_mod(g, base, direction, p: int) -> list[int]:
     if isinstance(g, Polynomial):
         u = g.reduce_mod(p).restrict_to_line(base, direction)
@@ -173,9 +186,7 @@ def _line_restrict_mod(g, base, direction, p: int) -> list[int]:
     return g.restrict_line_mod(base, direction, p)
 
 
-def factor_multiplicity(f: Polynomial, g, config: Config | None = None,
-                        lines: int = 3, line_cap: int = 10,
-                        exact_confirm_term_cap: int = 20000) -> MultiplicityResult:
+def factor_multiplicity(f: Polynomial, g, config: Config | None = None) -> MultiplicityResult:
     """Largest e with f^e dividing g, by consensus of restrictions to
     random lines over a ~2^61 prime field.
 
@@ -196,7 +207,7 @@ def factor_multiplicity(f: Polynomial, g, config: Config | None = None,
     fdeg = int(f.degree)
     values = []
     attempts = 0
-    while len(values) < lines and attempts < line_cap:
+    while len(values) < _MULT_LINES and attempts < _MULT_LINE_CAP:
         attempts += 1
         base = [rng.randrange(0, p) for _ in range(nv)]
         direction = [rng.randrange(1, p) for _ in range(nv)]
@@ -209,13 +220,13 @@ def factor_multiplicity(f: Polynomial, g, config: Config | None = None,
         if udeg(G) != gdeg:
             continue
         values.append(factor_multiplicity_upoly(Fl, G, p))
-    if len(values) < lines or len(set(values)) != 1:
+    if len(values) < _MULT_LINES or len(set(values)) != 1:
         return MultiplicityResult(None, "inconclusive", lines_used=len(values))
     e = values[0]
     bound = fdeg * gdeg / p
     certainty = "probabilistic"
     residual_degree = gdeg - e * fdeg
-    if isinstance(g, Polynomial) and len(g.terms) <= exact_confirm_term_cap:
+    if isinstance(g, Polynomial) and len(g.terms) <= _MULT_EXACT_CONFIRM_TERMS:
         h = g
         e_exact = 0
         while True:
@@ -253,8 +264,10 @@ class TotallyHessianResult:
     reason: str = ""
 
 
-def totally_hessian_check(f: Polynomial, config: Config | None = None,
-                          trials: int = 20) -> TotallyHessianResult:
+_TOTALLY_HESSIAN_TRIALS = 20  # sample points of the identity test
+
+
+def totally_hessian_check(f: Polynomial, config: Config | None = None) -> TotallyHessianResult:
     """Probabilistic identity test for H(f) = c * f^((d-2)(n+1)/d)."""
     config = config or DEFAULT_CONFIG
     nv = f.ring.nvars
@@ -286,7 +299,7 @@ def totally_hessian_check(f: Polynomial, config: Config | None = None,
     fp = f.reduce_mod(p)
     Hp = H.reduce_mod(p)
     done = 0
-    while done < trials:
+    while done < _TOTALLY_HESSIAN_TRIALS:
         pt = [rng.randrange(0, p) for _ in range(nv)]
         fv = fp.evaluate(pt)
         if not fv:
@@ -380,7 +393,7 @@ def jacobian_dual_rank(forms: list[Polynomial], generators: list[Polynomial],
         rows.append([Polynomial(yring, d) for d in coeffs])
     ents = [p for row in rows for p in row]
     M = PolyMatrix(len(rows), nx, ents, "jacobian-dual")
-    return poly_matrix_rank(M, config=config, exact_size_cap=0 if len(rows) * nx > 120 else 120)
+    return poly_matrix_rank(M, config=config)
 
 
 # ---------------------------------------------------------------------------

@@ -1,28 +1,23 @@
 """Structured matrix constructors and exact determinant/minor machinery.
 
 All constructors produce matrices whose entries are single variables or
-zero over a fresh ring with the minimal variable set.  Every minor comes
-from one minor ladder, `MinorLadder`: Laplace expansion along the first
+zero over a fresh ring with the minimal variable set.  Every minor and
+every determinant, whatever its entries (Hessians included), comes from
+one minor ladder, `MinorLadder`: Laplace expansion along the first
 selected row, memoized on (rows, cols), so the t-minors of a matrix are
-built from its (t-1)-minors with ring `+` and `*` only.  Minor ideals,
-adjugates, cofactor sums, Fitting ideals and the determinants of
-variable-entry matrices (whose anti-diagonal patterns share massive
-subproblems) each read one ladder per matrix.  Determinants with other
-entries go through fraction-free Bareiss elimination, `_bareiss`, the one
-polynomial echelon of the package, which also gives ranks over the
-fraction field (`syzygy.poly_matrix_rank`).
+built from its (t-1)-minors with ring `+` and `*` only.  Determinants,
+minor ideals, adjugates, cofactor sums and Fitting ideals each read one
+ladder per matrix.  The fraction-free Bareiss echelon, `_bareiss`, is the
+one polynomial echelon of the package; it gives ranks over the fraction
+field (`syzygy.poly_matrix_rank`).
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .config import Budget, ComputationTimeout
+from .config import Budget
 from .polyring import Polynomial, exact_divide, NOT_DIVISIBLE, xring
-
-# symbolic determinant size budget; larger matrices need probabilistic routes
-DET_BUDGET_GENERAL = 5
-DET_BUDGET_VARIABLE_ENTRY = 7
 
 
 class PolyMatrix:
@@ -264,14 +259,12 @@ class MinorLadder:
         return acc
 
 
-def _bareiss(rows: list[list[Polynomial]], budget: Budget | None = None,
-             stop_at_gap: bool = False) -> tuple[int, int]:
+def _bareiss(rows: list[list[Polynomial]]) -> tuple[int, int]:
     """Fraction-free (Bareiss) forward echelon of `rows`, in place.
 
     Each column's pivot is its first nonzero entry at or below the current
     row, swapped into place; the exact divisions by the previous pivot stay
-    in the ring.  Returns the rank and the sign of the row swaps.  With
-    stop_at_gap it returns at the first column without a pivot.  For a
+    in the ring.  Returns the rank and the sign of the row swaps.  For a
     square matrix of full rank the determinant is sign * rows[-1][-1].
     """
     nrows, ncols = len(rows), len(rows[0])
@@ -284,8 +277,6 @@ def _bareiss(rows: list[list[Polynomial]], budget: Budget | None = None,
             break
         piv = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
         if piv is None:
-            if stop_at_gap:
-                break
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
@@ -293,8 +284,6 @@ def _bareiss(rows: list[list[Polynomial]], budget: Budget | None = None,
         top = rows[r]
         pk = top[c]
         for row in rows[r + 1:]:
-            if budget is not None:
-                budget.tick(1, "Bareiss elimination")
             for j in range(c + 1, ncols):
                 q = exact_divide(pk * row[j] - row[c] * top[j], prev)
                 if q is NOT_DIVISIBLE:
@@ -306,25 +295,12 @@ def _bareiss(rows: list[list[Polynomial]], budget: Budget | None = None,
     return r, sign
 
 
-def determinant(M: PolyMatrix, budget: Budget | None = None,
-                enforce_budget: bool = True) -> Polynomial:
-    """Exact determinant; the minor ladder for variable entries, Bareiss else."""
+def determinant(M: PolyMatrix, budget: Budget | None = None) -> Polynomial:
+    """Exact determinant, read off the minor ladder; with a budget, each
+    new memo entry ticks "determinant expansion"."""
     if not M.is_square():
         raise ValueError("determinant of a non-square matrix")
-    variable_entry = M.is_variable_entry()
-    if enforce_budget:
-        cap = DET_BUDGET_VARIABLE_ENTRY if variable_entry else DET_BUDGET_GENERAL
-        if M.rows > cap:
-            raise ComputationTimeout(
-                f"symbolic determinant beyond {cap}x{cap} budget; "
-                "use probabilistic identity tests")
-    if variable_entry:
-        return MinorLadder(M, budget).minor(range(M.rows), range(M.cols))
-    rows = [M.row(i) for i in range(M.rows)]
-    rank, sign = _bareiss(rows, budget, stop_at_gap=True)
-    if rank < M.rows:
-        return M.ring.zero()
-    return rows[-1][-1] if sign == 1 else -rows[-1][-1]
+    return MinorLadder(M, budget).minor(range(M.rows), range(M.cols))
 
 
 def cofactor_matrix(M: PolyMatrix, budget: Budget | None = None) -> PolyMatrix:

@@ -226,7 +226,7 @@ def resolution_and_ass_check(n: int, budget: Budget | None = None,
     details: dict = {}
     ok = True
 
-    bt, stages = graded_betti(J, hom_cap=4, budget=budget, config=config)
+    bt, stages = graded_betti(J, budget=budget, config=config)
     want = {(0, 0): 1, (1, n - 1): n + 1, (2, n): n, (2, 2 * n - 2): 1, (3, 2 * n - 1): 1}
     betti_ok = dict(bt.items()) == want
     details["betti"] = {"got": sorted(bt.items()), "want": sorted(want.items())}

@@ -135,12 +135,6 @@ class GradedSyzygyMatrix:
         """Exact dot products: every column annihilates the forms."""
         return all(dot(col, forms).is_zero() for col in self.columns)
 
-    def linear_part(self) -> "GradedSyzygyMatrix":
-        keep = [i for i in range(len(self.columns)) if self.entry_degree(i) == 1]
-        return GradedSyzygyMatrix(self.target_degrees,
-                                  [self.columns[i] for i in keep],
-                                  [self.column_degrees[i] for i in keep])
-
     def as_poly_matrix(self) -> PolyMatrix:
         rows = len(self.target_degrees)
         ents = []
@@ -194,6 +188,12 @@ def linear_syzygies(forms: list[Polynomial], budget: Budget | None = None,
     return mat, rank
 
 
+# random evaluations tried, and the largest matrix (rows * cols) whose rank
+# a symbolic echelon settles when the evaluations fall short
+_RANK_TRIALS = 3
+_RANK_EXACT_SIZE_CAP = 120
+
+
 class RankResult:
     __slots__ = ("rank", "certainty", "witness", "per_trial_bound")
 
@@ -207,8 +207,7 @@ class RankResult:
         return f"RankResult({self.rank}, {self.certainty})"
 
 
-def poly_matrix_rank(M: PolyMatrix, trials: int = 3, config: Config | None = None,
-                     exact_size_cap: int = 120) -> RankResult:
+def poly_matrix_rank(M: PolyMatrix, config: Config | None = None) -> RankResult:
     """Rank over the fraction field.
 
     Random evaluations over a ~2^61 prime field give a certified lower
@@ -227,7 +226,7 @@ def poly_matrix_rank(M: PolyMatrix, trials: int = 3, config: Config | None = Non
     Mp = M.reduce_mod(p)
     best = 0
     witness = None
-    for _ in range(trials):
+    for _ in range(_RANK_TRIALS):
         pt = [rng.randrange(0, p) for _ in range(nv)]
         r, minor = dense_rank(Mp.evaluate(pt), p)
         if r > best:
@@ -235,7 +234,7 @@ def poly_matrix_rank(M: PolyMatrix, trials: int = 3, config: Config | None = Non
             witness = {"point": pt, "prime": p, "minor": minor}
         if best == min(M.rows, M.cols):
             return RankResult(best, "proved", witness, bound)
-    if M.rows * M.cols <= exact_size_cap:
+    if M.rows * M.cols <= _RANK_EXACT_SIZE_CAP:
         exact, _ = _bareiss([M.row(i) for i in range(M.rows)])
         # the evaluation bound never exceeds the true rank
         return RankResult(exact, "proved", witness, bound)
@@ -451,8 +450,12 @@ class BettiTable:
         return "BettiTable(" + ", ".join(f"b[{i},{j}]={v}" for (i, j), v in rows) + ")"
 
 
-def graded_betti(I: Ideal, hom_cap: int = 4, deg_cap: int = 40,
-                 budget: Budget | None = None, config: Config | None = None
+# homological levels computed, and the largest shift recorded in the table
+_BETTI_HOM_CAP = 4
+_BETTI_DEG_CAP = 40
+
+
+def graded_betti(I: Ideal, budget: Budget | None = None, config: Config | None = None
                  ) -> tuple[BettiTable, list[GradedSyzygyMatrix]]:
     """Minimal graded Betti numbers of R/I by iterated syzygies.
 
@@ -475,14 +478,14 @@ def graded_betti(I: Ideal, hom_cap: int = 4, deg_cap: int = 40,
     stages.append(gens)
     level = 1
     complete = not cur_cols
-    while cur_cols and level < hom_cap:
+    while cur_cols and level < _BETTI_HOM_CAP:
         syz = module_syzygies(cur_cols, cur_shifts, b, config, minimalize=True)
         if not syz.columns:
             complete = True
             break
         level += 1
         for d in syz.column_degrees:
-            if d <= deg_cap:
+            if d <= _BETTI_DEG_CAP:
                 data[(level, d)] = data.get((level, d), 0) + 1
         stages.append(syz)
         cur_shifts = cur_degs

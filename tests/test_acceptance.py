@@ -121,7 +121,7 @@ def test_criterion_2_cat32_suite():
     assert polar.homaloidal_verdict(f, config=CFG).status == "Homaloidal"
     assert polar.linear_type_check(partials, config=CFG).status == "LinearType"
 
-    Hf = determinant(H, enforce_budget=False)
+    Hf = determinant(H)
     mr = polar.factor_multiplicity(f, Hf, config=CFG)
     assert mr.value == 1 and mr.certainty == "proved" and mr.residual_degree == 4
 
@@ -137,14 +137,14 @@ def test_criterion_3_generic_symmetric():
     assert inv.is_inverse and inv.factor == f
 
     adj = cofactor_matrix(G)
-    assert determinant(adj, enforce_budget=False) == f ** 2
+    assert determinant(adj) == f ** 2
 
-    th = polar.totally_hessian_check(f, config=CFG, trials=20)
+    th = polar.totally_hessian_check(f, config=CFG)
     assert th.holds and th.exponent == 3
     assert th.trials == 20 and th.bound < 1e-12
 
     Ssym, fs, ps = _partials("symmetric", m=3)
-    ths = polar.totally_hessian_check(fs, config=CFG, trials=20)
+    ths = polar.totally_hessian_check(fs, config=CFG)
     assert ths.holds and ths.exponent == 2 and ths.bound < 1e-12
 
     elapsed = time.monotonic() - t0
@@ -270,7 +270,7 @@ def test_criterion_6_cat4_long_suite():
 def test_criterion_7_degenerations():
     t0 = time.monotonic()
     _, fdg, _ = _partials("degenerate-generic", m=3)
-    st = polar.hessian_det_status(fdg, config=CFG, zero_trials=25)
+    st = polar.hessian_det_status(fdg, config=CFG)
     assert st.kind in ("zero", "probably_zero")
     if st.kind == "probably_zero":
         assert st.trials >= 50  # across two primes
@@ -278,7 +278,7 @@ def test_criterion_7_degenerations():
     _, fsc, psc = _partials("sc3")
     syz, rank = linear_syzygies(psc, config=CFG)
     assert len(syz.columns) == 7 and rank.rank == 5
-    det = determinant(polar.hessian(fsc), enforce_budget=False)
+    det = determinant(polar.hessian(fsc))
     assert len(det.terms) == 1
     (exp, coeff), = det.terms.items()
     assert exp == (0, 0, 0, 0, 6, 0) and coeff != 0

@@ -83,6 +83,16 @@ def test_cli_matrix_json():
     assert data["entries"][2] == ["x4", "x5", "x6"]
 
 
+def test_cli_determinants_time_out_cleanly(monkeypatch, capsys):
+    # a 4x4 generic determinant takes 15 expansion steps
+    monkeypatch.setenv("DETLAB_GB_STEP_CAP", "5")
+    for argv in (["matrix", "--kind", "generic", "--m", "4", "--det"],
+                 ["matrix", "--kind", "generic", "--m", "4", "--minors", "4"],
+                 ["polar", "--kind", "generic", "--m", "4", "--verdict"]):
+        assert cli_main([*argv, "--json"]) == 3
+        assert json.loads(capsys.readouterr().out)["status"] == "timeout"
+
+
 def test_cli_polar_verdict():
     code, out, _ = run_cli(["polar", "--kind", "sc3", "--verdict", "--json"])
     assert code == 0

@@ -101,7 +101,7 @@ def test_factor_multiplicity_pure_power():
 
 def test_factor_multiplicity_hankel3():
     _, f, _ = det_and_partials("hankel", m=3)
-    Hf = determinant(polar.hessian(f), enforce_budget=False)
+    Hf = determinant(polar.hessian(f))
     res = polar.factor_multiplicity(f, Hf)
     assert res.value == 1 and res.certainty == "proved"
     assert res.residual_degree == 2

@@ -124,7 +124,7 @@ def test_hessian_quotient_of_hankel3_determinant():
     from detlab.polar import hessian
     H = build_structured("hankel", m=3)
     f = determinant(H)
-    Hf = determinant(hessian(f), enforce_budget=False)
+    Hf = determinant(hessian(f))
     q = exact_divide(Hf, f)
     assert q is not NOT_DIVISIBLE
     assert q.degree == 2

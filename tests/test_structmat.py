@@ -9,8 +9,9 @@ from detlab.polyring import xring
 from detlab.structmat import (PolyMatrix, build_structured, build_gp_associated,
                               determinant, cofactor_matrix, minors_ideal_gens,
                               partials_as_cofactor_sums, parse_matrix_spec,
-                              minor, DET_BUDGET_GENERAL, MinorLadder, _bareiss)
+                              minor, MinorLadder, _bareiss)
 from detlab.config import Budget, ComputationTimeout
+from detlab.polar import hessian
 from oracles import hankel_entry_dicts, leibniz_det
 
 
@@ -110,21 +111,21 @@ def _bareiss_det(M):
     return rows[-1][-1] if sign == 1 else -rows[-1][-1]
 
 
-def _ladder_det(M):
-    return MinorLadder(M).minor(range(M.rows), range(M.cols))
-
-
 def _submatrix(M, rows, cols):
     return PolyMatrix(len(rows), len(cols), [M[r, c] for r in rows for c in cols])
 
 
 def test_det_methods_agree():
-    for kind, kw in (("hankel", {"m": 3}), ("hankel", {"m": 4}),
-                     ("catalecticant", {"m": 3, "r": 2}),
-                     ("sub-hankel", {"n": 4}), ("generic", {"m": 3}),
-                     ("symmetric", {"m": 3})):
-        M = build_structured(kind, **kw)
-        assert _ladder_det(M) == _bareiss_det(M)
+    mats = [build_structured(kind, **kw) for kind, kw in (
+        ("hankel", {"m": 3}), ("hankel", {"m": 4}), ("catalecticant", {"m": 3, "r": 2}),
+        ("sub-hankel", {"n": 4}), ("generic", {"m": 3}), ("symmetric", {"m": 3}))]
+    # the casebook's symbolic Hessians (dg-3's is zero) and generic-3 adjugate
+    hessians = [hessian(determinant(build_structured(kind, **kw))) for kind, kw in (
+        ("hankel", {"m": 3}), ("catalecticant", {"m": 3, "r": 2}), ("sc3", {}),
+        ("degenerate-generic", {"m": 3}))]
+    assert determinant(hessians[-1]).is_zero()
+    for M in mats + hessians + [cofactor_matrix(build_structured("generic", m=3))]:
+        assert determinant(M) == _bareiss_det(M)
 
 
 def _draw_product_rows(draw, m, n, k):
@@ -176,9 +177,9 @@ def test_bareiss_matches_cofactor_on_products(case):
     n = M.rows
     rank, _ = _bareiss([M.row(i) for i in range(n)])
     assert rank <= k
-    f = determinant(M, enforce_budget=False)
+    f = determinant(M)
     assert f.is_zero() == (rank < n)
-    assert f == _ladder_det(M) == _bareiss_det(M)
+    assert f == _bareiss_det(M)
 
 
 @st.composite
@@ -264,17 +265,16 @@ def test_det_alternating_row_swap():
         assert determinant(swapped) == -f
 
 
-def test_det_budget_enforced():
+def test_det_budget_bounds_any_determinant():
+    # entries x + i are not single variables; a 6x6 expansion has 63 memo
+    # entries, so a 10-step cap stops it
     R = xring(1)
     x = R.gens()[0]
-    n = DET_BUDGET_GENERAL + 1
-    ents = [x + i for i in range(n * n)]
-    M = PolyMatrix(n, n, ents, "custom")
-    with pytest.raises(ComputationTimeout):
-        determinant(M)
-    # variable-entry matrices get the larger cap
-    H = build_structured("hankel", m=4)
-    determinant(H)
+    n = 6
+    M = PolyMatrix(n, n, [x + i for i in range(n * n)], "custom")
+    with pytest.raises(ComputationTimeout, match="determinant expansion"):
+        determinant(M, Budget(step_cap=10))
+    assert determinant(M).is_zero()
 
 
 def test_degenerate_generic_block_structure():
