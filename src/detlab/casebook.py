@@ -567,11 +567,13 @@ def _build_cat42(config):
 
 def _cat42_facts():
     def linrank(ctx):
-        _, rank = linear_syzygies(ctx["partials"], config=ctx["config"])
+        syz, rank = linear_syzygies(ctx["partials"], config=ctx["config"])
+        ctx["lin_syz"] = syz
         return _eq_fact(6, rank.rank)
 
     def bidegree12(ctx):
         new, _, _ = rees_minimal_bidegree12(ctx["partials"], config=ctx["config"])
+        ctx["gens12"] = new
         return _eq_fact(2, len(new))
 
     def hess_mult(ctx):
@@ -581,7 +583,14 @@ def _cat42_facts():
         return _eq_fact((want, 12), (mr.value, mr.residual_degree))
 
     def verdict(ctx):
+        # the blowup equations of the two facts above, so the pipeline does
+        # not derive them again; without them it derives its own
+        gens = None
+        if "lin_syz" in ctx and "gens12" in ctx:
+            sym = symmetric_algebra_ideal(ctx["partials"], ctx["lin_syz"].columns)
+            gens = sym.ideal.gens + ctx["gens12"]
         v = polar.homaloidal_verdict(ctx["f"], config=ctx["config"],
+                                     jacobian_dual_gens=gens,
                                      try_linear_type=False,
                                      try_saturation_obstruction=False)
         # recorded exactly as the suspicion: anything but a proved Homaloidal
@@ -842,7 +851,7 @@ def _dg3_facts():
 
     def quadric_relation(ctx):
         from .syzygy import rees_bigraded_kernel
-        taus = rees_bigraded_kernel(ctx["partials"], 0, 2)
+        taus = rees_bigraded_kernel(ctx["partials"], 0, 2, ctx["config"].budget())
         y = rees_ring(ctx["ring"], len(ctx["partials"])).gens()
         w = y[1] * y[3] - y[0] * y[4]
         found = any(t in (w, -w) for t in taus)

@@ -3,9 +3,10 @@
 The engine works on primitive integer term dicts (denominators cleared,
 content stripped) so reduction arithmetic stays in Z; reduced bases are
 returned monic over Q.  Pair management uses the normal (sugar) selection
-strategy with the standard coprimality and chain elimination criteria.
-Every heavy query runs under a Budget and raises ComputationTimeout rather
-than returning a wrong answer.
+strategy with Gebauer and Möller's criteria (JSC 1988): the coprime and
+chain criteria on the new pairs, and the chain criterion through each new
+leading monomial on the old ones.  Every heavy query runs under a Budget
+and raises ComputationTimeout rather than returning a wrong answer.
 
 Inside the engine a monomial is one int (Monagan and Pearce's packed
 monomials).  Every order here is a nonnegative integer weight matrix W
@@ -15,9 +16,20 @@ width bit fields whose top bit is a guard bit.  Integer comparison is then
 the monomial order, a product or quotient of monomials is + or -, and one
 subtract-and-mask tests divisibility.  The width starts at 8 bits and is
 doubled until the input fits; a new term that sets a guard bit restarts the
-computation at twice the width, so a field never wraps silently.  Leading
-monomials also keep their exponent tuple for the pair criteria, and the
-bases leave the engine as exponent-tuple dicts.
+computation at twice the width, so a field never wraps silently.  The pair
+criteria compare packed lcms with the same test, and the coprime test
+ANDs the leading monomials' support masks: the guard bits of the fields
+that hold a nonzero exponent, ((m | guard) - low) & var_guard.  The bases
+leave the engine as exponent-tuple dicts.
+
+A reduction looks up a term's divisor in a divisor index
+(`_DivisorIndex`): for each support mask of a term, a bitset of the basis
+positions whose leading monomial's support lies inside it.  The first of
+those bits, from the low end, whose entry passes the exact test is the
+divisor a scan of the basis in order would pick, so remainders and work
+counts do not depend on the index.  An index belongs to one basis list:
+a Buchberger run extends it as the basis grows, a restart at a wider width
+builds a new one, and it is dropped when the run or the normal form ends.
 
 The same engine computes Groebner bases of submodules of a free module of
 rank r (an ideal is the case r = 0).  A module term with component c and
@@ -39,6 +51,7 @@ import tempfile
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import mul
 
 from .config import Budget, Config, DEFAULT_CONFIG
 from .polyring import (
@@ -49,17 +62,6 @@ from .polyring import (
 
 # ---------------------------------------------------------------------------
 # integer term-dict helpers
-
-def _divides(a: tuple, b: tuple) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
-def _lcm_exp(a: tuple, b: tuple) -> tuple:
-    return tuple(x if x > y else y for x, y in zip(a, b))
-
 
 def to_int_terms(poly: Polynomial) -> dict:
     """Primitive integer form of a rational polynomial (content 1)."""
@@ -89,9 +91,14 @@ class _Packing:
     Integer comparison is then the monomial order, multiplication and
     division are + and -, and a divides b iff ((b | guard) - a) & guard ==
     guard.  pack(e) is the sum of e_i * units[i].
+
+    Every variable's exponent sits alone in one field (a unit row of W or
+    an appended one); `var_guard` holds the guard bits of those fields and
+    `low` the lowest bit of every field.
     """
 
-    __slots__ = ("rows", "width", "units", "guard", "_reads", "_half", "_wmax")
+    __slots__ = ("rows", "width", "units", "guard", "low", "var_guard",
+                 "_reads", "_half", "_wmax")
 
     def __init__(self, rows: list[tuple], width: int):
         nvars = len(rows[0]) if rows else 0
@@ -110,7 +117,9 @@ class _Packing:
         self.units = [sum(row[i] << (width * (top - k)) for k, row in enumerate(rows))
                       for i in range(nvars)]
         self.guard = sum(1 << (width * (top - k) + width - 1) for k in range(len(rows)))
+        self.low = self.guard >> (width - 1)
         self._reads = [width * (top - reads[i]) for i in range(nvars)]
+        self.var_guard = sum(1 << (s + width - 1) for s in self._reads)
         self._half = 1 << (width - 1)
         self._wmax = max((max(row) for row in rows), default=0)
 
@@ -119,16 +128,19 @@ class _Packing:
         """The narrowest packing whose fields hold every monomial of at most
         the given total degree."""
         pk = cls(rows, _FIELD_BITS)
-        while degree * pk._wmax >= pk._half:
+        while not pk.fits(degree):
             pk = pk.wider()
         return pk
 
     def wider(self) -> "_Packing":
         return _Packing(self.rows, 2 * self.width)
 
+    def fits(self, degree: int) -> bool:
+        # a field is at most wmax * degree, so this bound keeps the guards clear
+        return degree * self._wmax < self._half
+
     def pack(self, e: tuple) -> int:
-        # a field is at most wmax * deg(e), so this bound keeps the guards clear
-        if sum(e) * self._wmax >= self._half:
+        if not self.fits(sum(e)):
             raise _Overflow
         m = 0
         for v, u in zip(e, self.units):
@@ -140,13 +152,21 @@ class _Packing:
         low = self._half - 1
         return tuple((m >> s) & low for s in self._reads)
 
+    def support(self, m: int) -> int:
+        """The guard bits of the fields holding a nonzero exponent of m; a
+        monomial divides m only if its support lies inside this one."""
+        return ((m | self.guard) - self.low) & self.var_guard
+
+    def lcm(self, a: int, b: int) -> int:
+        return self.pack(tuple(map(max, self.unpack(a), self.unpack(b))))
+
 
 class _Entry:
-    """A basis element: packed leading monomial (with its exponent tuple
-    `lt` for the pair criteria), positive leading coefficient, and tail,
-    all integer coefficients."""
+    """A basis element: packed leading monomial with its support mask
+    (`_Packing.support`), positive leading coefficient, and tail, all
+    integer coefficients."""
 
-    __slots__ = ("lm", "lt", "lc", "tail", "sugar", "pk")
+    __slots__ = ("lm", "mask", "lc", "tail", "sugar", "pk")
 
     def __init__(self, terms: dict, pk: _Packing, sugar: int):
         lm = max(terms)
@@ -155,7 +175,7 @@ class _Entry:
             terms = {m: -c for m, c in terms.items()}
             lc = -lc
         self.lm = lm
-        self.lt = pk.unpack(lm)
+        self.mask = pk.support(lm)
         self.lc = lc
         self.tail = {m: c for m, c in terms.items() if m != lm}
         self.sugar = sugar
@@ -170,7 +190,7 @@ class _Entry:
         """The terms keyed by exponent tuples."""
         unpack = self.pk.unpack
         d = {unpack(m): c for m, c in self.tail.items()}
-        d[self.lt] = self.lc
+        d[unpack(self.lm)] = self.lc
         return d
 
     def monic(self, ring: Ring) -> Polynomial:
@@ -207,6 +227,54 @@ def _retry_wider(entries: list[_Entry], run):
             entries[:] = current
 
 
+class _DivisorIndex:
+    """The divisor search of one basis list, in one packing.
+
+    For the support mask s of a term (`_Packing.support`), `candidates(s)`
+    is a bitset of the basis positions whose leading monomial's support lies
+    inside s, built on first use: only those can divide the term.  Walking
+    its bits from low to high and taking the first position that passes the
+    exact packed test finds the divisor that a scan of the basis in order
+    finds.  `append` extends the basis and every bitset built so far.
+    """
+
+    __slots__ = ("pk", "entries", "lms", "uses", "table")
+
+    def __init__(self, pk: _Packing, basis=()):
+        self.pk = pk
+        self.entries: list[_Entry] = []
+        self.lms: list[int] = []
+        # guard bit of a variable's field -> positions whose lm holds it
+        self.uses: dict[int, int] = {}
+        self.table: dict[int, int] = {}
+        for g in basis:
+            self.append(g)
+
+    def append(self, g: _Entry) -> None:
+        bit = 1 << len(self.entries)
+        mk = g.mask
+        uses = self.uses
+        rest = mk
+        while rest:
+            v = rest & -rest
+            uses[v] = uses.get(v, 0) | bit
+            rest ^= v
+        table = self.table
+        for s, bits in table.items():
+            if mk & s == mk:
+                table[s] = bits | bit
+        self.entries.append(g)
+        self.lms.append(g.lm)
+
+    def candidates(self, s: int) -> int:
+        bits = (1 << len(self.entries)) - 1
+        for v, held in self.uses.items():
+            if not v & s:
+                bits &= ~held
+        self.table[s] = bits
+        return bits
+
+
 def _reduce_terms(terms: dict, basis: list[_Entry], budget: Budget,
                   what: str = "polynomial reduction") -> tuple[dict, int]:
     """_normal_form_int of an exponent-tuple term dict; the remainder is
@@ -217,21 +285,26 @@ def _reduce_terms(terms: dict, basis: list[_Entry], budget: Budget,
     def run(entries):
         pk = entries[0].pk
         rem, scale = _normal_form_int({pk.pack(e): c for e, c in terms.items()},
-                                      entries, budget, what=what)
+                                      _DivisorIndex(pk, entries), budget, what=what)
         return {pk.unpack(m): c for m, c in rem.items()}, scale
     return _retry_wider(basis, run)
 
 
-def _normal_form_int(terms: dict, basis: list[_Entry], budget: Budget,
+def _normal_form_int(terms: dict, index: _DivisorIndex, budget: Budget,
                      skip: int = -1, what: str = "polynomial reduction") -> tuple[dict, int]:
-    """Full reduction of a packed integer term dict; returns (remainder, scale).
+    """Full reduction of a packed integer term dict by the basis of the
+    index, leaving out position `skip`; returns (remainder, scale).
 
     The invariant is scale * input == remainder (mod ideal).  The remainder
-    has no term divisible by any basis leading monomial.  Raises _Overflow
-    when a new term does not fit the packing.
+    has no term divisible by any basis leading monomial.  Each term is
+    reduced by the first basis element, in basis order, whose leading
+    monomial divides it.  Raises _Overflow when a new term does not fit the
+    packing.
     """
-    guard = basis[0].pk.guard if basis else 0
-    divisors = [(g.lm, g) for idx, g in enumerate(basis) if idx != skip]
+    pk = index.pk
+    guard, low, var_guard = pk.guard, pk.low, pk.var_guard
+    table, lms, entries = index.table, index.lms, index.entries
+    keep = ~(1 << skip) if skip >= 0 else -1
     coeffs = dict(terms)
     heap = [-m for m in coeffs]
     heapify(heap)
@@ -244,11 +317,19 @@ def _normal_form_int(terms: dict, basis: list[_Entry], budget: Budget,
         if not c:
             continue
         mg = m | guard
+        s = (mg - low) & var_guard
+        bits = table.get(s)
+        if bits is None:
+            bits = index.candidates(s)
+        bits &= keep
         red = None
-        for lm, g in divisors:
-            if (mg - lm) & guard == guard:
-                red = g
+        while bits:
+            b = bits & -bits
+            k = b.bit_length() - 1
+            if (mg - lms[k]) & guard == guard:
+                red = entries[k]
                 break
+            bits ^= b
         if red is None:
             out[m] = c
             continue
@@ -300,10 +381,9 @@ def _normal_form_int(terms: dict, basis: list[_Entry], budget: Budget,
     return out, scale
 
 
-def _spoly(gi: _Entry, gj: _Entry) -> tuple[dict, int]:
-    """Integer s-polynomial (packed) and its sugar degree."""
-    lcm = _lcm_exp(gi.lt, gj.lt)
-    top = gi.pk.pack(lcm)
+def _spoly(gi: _Entry, gj: _Entry, top: int) -> dict:
+    """Integer s-polynomial (packed) of two entries whose leading monomials
+    have the packed lcm `top`."""
     guard = gi.pk.guard
     d = gcd(gi.lc, gj.lc)
     mi = gj.lc // d
@@ -322,9 +402,104 @@ def _spoly(gi: _Entry, gj: _Entry) -> tuple[dict, int]:
             out.pop(nm, None)
     if any(m & guard for m in out):
         raise _Overflow
-    deg = sum(lcm)
-    sugar = max(gi.sugar + deg - sum(gi.lt), gj.sugar + deg - sum(gj.lt))
-    return out, sugar
+    return out
+
+
+class _Pairs:
+    """The critical pairs of a growing basis under the normal (sugar)
+    selection strategy and Gebauer and Möller's criteria, all on packed
+    lcms.
+
+    `add(h)` pairs a new element with every earlier one of its component
+    (rank r > 0: the first r exponents are the one-hot component slots).
+    Among the new pairs it drops each whose lcm another new lcm properly
+    divides, those coprime to h, and all but the first of equal lcms (a
+    coprime pair kills the later ones of its lcm).  An old pair (i, j)
+    goes when lm(h) divides its lcm and differs from lcm(i, h) and
+    lcm(j, h).  `pop()` returns the next live pair as (sugar, lcm, i, j)
+    with i < j, or None.  An lcm past the packing raises _Overflow.
+    """
+
+    __slots__ = ("pk", "rank", "exps", "degs", "comps", "masks", "sugars",
+                 "live", "heap")
+
+    def __init__(self, pk: _Packing, rank: int = 0):
+        self.pk = pk
+        self.rank = rank
+        self.exps: list[tuple] = []  # leading exponents, for the lcms only
+        self.degs: list[int] = []
+        self.comps: list[tuple] = []
+        self.masks: list[int] = []
+        self.sugars: list[int] = []
+        self.live: dict[tuple, int] = {}  # (i, j) -> packed lcm
+        self.heap: list = []
+
+    def add(self, h: _Entry) -> None:
+        pk = self.pk
+        guard, units = pk.guard, pk.units
+        eh = pk.unpack(h.lm)
+        dh = sum(eh)
+        comp = eh[:self.rank]
+        comps = self.comps
+        new: dict[int, int] = {}  # i -> packed lcm(lm_i, lm_h)
+        new_degs: dict[int, int] = {}
+        for i, ei in enumerate(self.exps):
+            if comps[i] == comp:
+                lt = tuple(map(max, ei, eh))
+                d = sum(lt)
+                if not pk.fits(d):
+                    raise _Overflow
+                new[i] = sum(map(mul, lt, units))
+                new_degs[i] = d
+        # the chain criterion among the new pairs: walking the distinct lcms
+        # upwards, an lcm is properly divisible by another iff by a minimal one
+        minimal: list[int] = []
+        divisible = set()
+        for lk in sorted(set(new.values())):
+            lg = lk | guard
+            if any((lg - a) & guard == guard for a in minimal):
+                divisible.add(lk)
+            else:
+                minimal.append(lk)
+        masks, hmask = self.masks, h.mask
+        seen: dict[int, int] = {}
+        kept = []
+        for i, lk in new.items():
+            if lk in divisible:
+                continue
+            if not masks[i] & hmask:
+                seen.setdefault(lk, -1)  # coprime kills the later ones of its lcm
+            elif lk not in seen:
+                seen[lk] = i
+                kept.append(i)
+        # the old pairs: drop (i, j) when lm(h) divides lcm(i, j) and that
+        # lcm is neither lcm(i, h) nor lcm(j, h)
+        hl = h.lm
+        live = self.live
+        dead = [ij for ij, lk in live.items()
+                if ((lk | guard) - hl) & guard == guard
+                and new[ij[0]] != lk and new[ij[1]] != lk]
+        for ij in dead:
+            del live[ij]
+        n = len(self.exps)
+        for i in kept:
+            lk, d = new[i], new_degs[i]
+            sugar = max(self.sugars[i] + d - self.degs[i], h.sugar + d - dh)
+            live[(i, n)] = lk
+            heappush(self.heap, (sugar, lk, i, n))
+        self.exps.append(eh)
+        self.degs.append(dh)
+        comps.append(comp)
+        masks.append(hmask)
+        self.sugars.append(h.sugar)
+
+    def pop(self):
+        heap, live = self.heap, self.live
+        while heap:
+            pair = heappop(heap)
+            if live.pop(pair[2:], None) is not None:
+                return pair
+        return None
 
 
 def groebner_entries(int_gens: list[dict], order: MonomialOrder, budget: Budget) -> list[_Entry]:
@@ -352,92 +527,43 @@ def _buchberger_at_width(seeds: list[_Entry], budget: Budget, rank: int) -> list
     spair_what, reduce_what = (("module Buchberger", "module reduction") if rank
                                else ("Buchberger", "polynomial reduction"))
     pk = seeds[0].pk
-    basis: list[_Entry] = []
-    pairs: dict[tuple, tuple] = {}  # (i,j) -> (lcm, sugar)
-    heap: list = []
+    index = _DivisorIndex(pk)
+    basis = index.entries
+    pairs = _Pairs(pk, rank)
 
-    def coprime(a: tuple, b: tuple) -> bool:
-        for x, y in zip(a, b):
-            if x and y:
-                return False
-        return True
-
-    def add_element(h: _Entry):
-        n = len(basis)
-        new_pairs = {}
-        for i, g in enumerate(basis):
-            if g.lt[:rank] == h.lt[:rank]:
-                new_pairs[i] = _lcm_exp(g.lt, h.lt)
-        # chain criterion against new element: drop (i,n) when another new
-        # pair lcm properly divides it
-        drop = set()
-        for i, li in new_pairs.items():
-            for j, lj in new_pairs.items():
-                if i == j or j in drop:
-                    continue
-                if li != lj and _divides(lj, li):
-                    drop.add(i)
-                    break
-        # keep one representative per equal lcm, preferring coprime drop
-        seen: dict[tuple, int] = {}
-        for i in sorted(new_pairs):
-            if i in drop:
-                continue
-            li = new_pairs[i]
-            if coprime(basis[i].lt, h.lt):
-                drop.add(i)
-                seen.setdefault(li, -1)  # coprime kills the whole class
-                continue
-            if li in seen:
-                drop.add(i)
-            else:
-                seen[li] = i
-        # prune old pairs by the chain criterion through lt(h)
-        for (i, j), (lij, _s) in list(pairs.items()):
-            if _divides(h.lt, lij) and _lcm_exp(basis[i].lt, h.lt) != lij \
-                    and _lcm_exp(basis[j].lt, h.lt) != lij:
-                del pairs[(i, j)]
-        basis.append(h)
-        for i, li in new_pairs.items():
-            if i in drop:
-                continue
-            deg = sum(li)
-            sugar = max(basis[i].sugar + deg - sum(basis[i].lt), h.sugar + deg - sum(h.lt))
-            pairs[(i, n)] = (li, sugar)
-            heappush(heap, (sugar, pk.pack(li), i, n))
+    def add_element(rem: dict, sugar: int) -> None:
+        h = _Entry(_content_strip(rem), pk, sugar)
+        pairs.add(h)
+        index.append(h)
 
     for s in seeds:
-        rem, _ = _normal_form_int(s.packed(), basis, budget, what=reduce_what)
+        rem, _ = _normal_form_int(s.packed(), index, budget, what=reduce_what)
         if rem:
-            add_element(_Entry(_content_strip(rem), pk, s.sugar))
+            add_element(rem, s.sugar)
 
-    while heap:
-        sugar, lk, i, j = heappop(heap)
-        info = pairs.pop((i, j), None)
-        if info is None:
-            continue
+    while (pair := pairs.pop()) is not None:
+        sugar, lcm, i, j = pair
         budget.tick(1, spair_what)
-        sp, sp_sugar = _spoly(basis[i], basis[j])
+        sp = _spoly(basis[i], basis[j], lcm)
         if not sp:
             continue
-        rem, _ = _normal_form_int(sp, basis, budget, what=reduce_what)
+        rem, _ = _normal_form_int(sp, index, budget, what=reduce_what)
         if rem:
-            add_element(_Entry(_content_strip(rem), pk, sp_sugar))
+            add_element(rem, sugar)
 
-    # minimalize: drop entries whose lt is divisible by another kept lt
-    order_idx = sorted(range(len(basis)), key=lambda i: basis[i].lm)
-    kept: list[int] = []
-    for i in order_idx:
-        lt = basis[i].lt
-        if not any(_divides(basis[k].lt, lt) for k in kept):
-            kept.append(i)
-    minimal = [basis[i] for i in kept]
+    # minimalize: drop entries whose lm is divisible by another kept lm
+    guard = pk.guard
+    minimal: list[_Entry] = []
+    for g in sorted(basis, key=lambda g: g.lm):
+        lg = g.lm | guard
+        if not any((lg - k.lm) & guard == guard for k in minimal):
+            minimal.append(g)
     # tail-reduce each against the others (reduced basis)
+    index = _DivisorIndex(pk, minimal)
     reduced: list[_Entry] = []
-    for pos in range(len(minimal)):
-        rem, _ = _normal_form_int(minimal[pos].packed(), minimal, budget,
-                                  skip=pos, what=reduce_what)
-        reduced.append(_Entry(_content_strip(rem), pk, minimal[pos].sugar))
+    for pos, g in enumerate(minimal):
+        rem, _ = _normal_form_int(g.packed(), index, budget, skip=pos, what=reduce_what)
+        reduced.append(_Entry(_content_strip(rem), pk, g.sugar))
     reduced.sort(key=lambda g: g.lm)
     return reduced
 
@@ -450,10 +576,18 @@ def _buchberger_at_width(seeds: list[_Entry], budget: Budget, rank: int) -> list
 # generators.  The memory cache holds the engine's own entry lists (shared
 # by every Ideal with that key; `_retry_wider` widens them in place), and a
 # hit rebuilds only the monic bases.  Text exists only in the `.gb` files:
+# a header line with the format version and the sha256 of the rest, then
 # one basis element per line, written after a computation and parsed on a
-# disk hit.
+# disk hit.  A file with another header, a wrong checksum or a line that
+# does not parse is never trusted: the basis is recomputed and rewritten.
 
 _MEMORY_CACHE: dict[str, list[_Entry]] = {}
+
+_DISK_FORMAT = "detlab-gb 2"  # headerless files were the first format
+
+
+def _disk_header(body: str) -> str:
+    return f"{_DISK_FORMAT} sha256={hashlib.sha256(body.encode()).hexdigest()}\n"
 
 
 def _cache_key(ring: Ring, order: MonomialOrder, gens: list[Polynomial]) -> str:
@@ -463,23 +597,34 @@ def _cache_key(ring: Ring, order: MonomialOrder, gens: list[Polynomial]) -> str:
 
 
 def _disk_get(cache_dir: str, key: str, ring: Ring, order: MonomialOrder) -> list[_Entry] | None:
+    """The cached basis, or None when the file is missing, has another
+    format, fails its checksum or holds a line that is no nonzero
+    polynomial of the ring."""
     path = os.path.join(cache_dir, key + ".gb")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh if line.strip()]
-    except OSError:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            header = fh.readline()
+            body = fh.read()
+    except (OSError, ValueError):  # ValueError: not UTF-8
         return None
-    dicts = [to_int_terms(parse_polynomial(ring, s)) for s in lines]
-    return _pack_entries(dicts, [max(map(sum, d)) for d in dicts], order.weight_rows())
+    if header != _disk_header(body):
+        return None
+    try:
+        dicts = [to_int_terms(parse_polynomial(ring, s)) for s in body.splitlines()]
+        sugars = [max(map(sum, d)) for d in dicts]  # ValueError on a zero line
+    except ValueError:
+        return None
+    return _pack_entries(dicts, sugars, order.weight_rows())
 
 
 def _disk_put(cache_dir: str, key: str, polys: list[Polynomial]) -> None:
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, key + ".gb")
+    body = "".join(format_polynomial(p) + "\n" for p in polys)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(map(format_polynomial, polys)) + "\n")
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(_disk_header(body) + body)
         os.replace(tmp, path)  # atomic single-writer discipline
     except BaseException:
         try:
@@ -575,7 +720,7 @@ class Ideal:
 
     def leading_monomials(self, order=None, budget=None, config=None) -> list[tuple]:
         entries = self._entries(self._resolve(order), budget, config)
-        return [g.lt for g in entries]
+        return [g.pk.unpack(g.lm) for g in entries]
 
     def initial_ideal(self, order=None, budget=None, config=None) -> "Ideal":
         """Monomial ideal of leading terms of the reduced basis."""
@@ -752,6 +897,13 @@ class HilbertData:
     def __repr__(self):
         return (f"HilbertData(dim={self.dimension}, mult={self.multiplicity}, "
                 f"N={self.numerator_string()})")
+
+
+def _divides(a: tuple, b: tuple) -> bool:
+    for x, y in zip(a, b):
+        if x > y:
+            return False
+    return True
 
 
 def _mask(e: tuple) -> int:
@@ -964,9 +1116,11 @@ def certify_groebner(I: Ideal, order=None, budget=None, config=None) -> bool:
         budget = config.budget()
 
     def run(basis) -> bool:
+        pk = basis[0].pk
+        index = _DivisorIndex(pk, basis)
         for gi, gj in itertools.combinations(basis, 2):
-            sp, _ = _spoly(gi, gj)
-            if sp and _normal_form_int(sp, basis, budget)[0]:
+            sp = _spoly(gi, gj, pk.lcm(gi.lm, gj.lm))
+            if sp and _normal_form_int(sp, index, budget)[0]:
                 return False
         return True
     return _retry_wider(entries, run)

@@ -151,3 +151,103 @@ def naive_spoly(f, g, keyfn):
 
 def grevlex_key(e):
     return (sum(e),) + tuple(-v for v in reversed(e))
+
+
+# ---------------------------------------------------------------------------
+# references for the packed Buchberger engine, kept in their plain form
+
+def linear_scan_normal_form(terms, basis, budget, skip=-1, what="polynomial reduction"):
+    """Reduction of a packed term dict that looks for each term's divisor by
+    scanning the basis entries in order (the first whose leading monomial
+    divides it); returns (remainder, scale) and ticks the budget once per
+    reduction step.  Raises the engine's overflow like the engine does."""
+    from math import gcd
+    from detlab.groebner import _Overflow
+    guard = basis[0].pk.guard if basis else 0
+    coeffs = dict(terms)
+    out = {}
+    scale = 1
+    while coeffs:
+        m = max(coeffs)
+        c = coeffs.pop(m)
+        red = None
+        for idx, g in enumerate(basis):
+            if idx != skip and ((m | guard) - g.lm) & guard == guard:
+                red = g
+                break
+        if red is None:
+            out[m] = c
+            continue
+        budget.tick(1, what)
+        d = gcd(abs(c), red.lc)
+        mult, sc = c // d, red.lc // d
+        if sc != 1:
+            scale *= sc
+            coeffs = {k: v * sc for k, v in coeffs.items()}
+            out = {k: v * sc for k, v in out.items()}
+        for tm, tc in red.tail.items():
+            nm = tm + m - red.lm
+            if nm & guard:
+                raise _Overflow
+            nv = coeffs.get(nm, 0) - mult * tc
+            if nv:
+                coeffs[nm] = nv
+            else:
+                coeffs.pop(nm, None)
+    return out, scale
+
+
+class TuplePairs:
+    """The pair criteria on exponent tuples: the same selection as the
+    engine's packed `_Pairs`, written with tuple lcms and divisibility.
+    `key` is the monomial order's sort key on exponent tuples."""
+
+    def __init__(self, key, rank=0):
+        self.key = key
+        self.rank = rank
+        self.lts = []
+        self.sugars = []
+        self.pairs = {}  # (i, j) -> lcm tuple
+        self.heap = []
+
+    def add(self, lt, sugar):
+        import heapq
+        divides = lambda a, b: all(x <= y for x, y in zip(a, b))  # noqa: E731
+        lcm = lambda a, b: tuple(max(x, y) for x, y in zip(a, b))  # noqa: E731
+        rank = self.rank
+        n = len(self.lts)
+        new = {i: lcm(g, lt) for i, g in enumerate(self.lts) if g[:rank] == lt[:rank]}
+        # drop a new pair whose lcm another new lcm properly divides
+        drop = {i for i, li in new.items()
+                if any(lj != li and divides(lj, li) for lj in new.values())}
+        seen = {}
+        for i in sorted(new):
+            if i in drop:
+                continue
+            li = new[i]
+            if all(not (x and y) for x, y in zip(self.lts[i], lt)):  # coprime
+                drop.add(i)
+                seen.setdefault(li, -1)
+            elif li in seen:
+                drop.add(i)
+            else:
+                seen[li] = i
+        for (i, j), lij in list(self.pairs.items()):
+            if divides(lt, lij) and lcm(self.lts[i], lt) != lij and lcm(self.lts[j], lt) != lij:
+                del self.pairs[(i, j)]
+        self.lts.append(lt)
+        self.sugars.append(sugar)
+        for i, li in new.items():
+            if i not in drop:
+                deg = sum(li)
+                s = max(self.sugars[i] + deg - sum(self.lts[i]), sugar + deg - sum(lt))
+                self.pairs[(i, n)] = li
+                heapq.heappush(self.heap, (s, self.key(li), li, i, n))
+
+    def pop(self):
+        import heapq
+        while self.heap:
+            s, _, li, i, j = heapq.heappop(self.heap)
+            if self.pairs.pop((i, j), None) is not None:
+                return s, li, i, j
+        return None

@@ -266,3 +266,30 @@ def test_timeout_names_the_sub_computation():
         what, _, rest = r.computed.partition(": ")
         assert rest == "budget exceeded"
         assert what in ("Buchberger", "polynomial reduction", "Hilbert series")
+
+
+def test_cat42_verdict_reuses_the_bidegree12_equations(monkeypatch):
+    # the verdict takes the blowup equations of the linear-rank and
+    # bidegree-12 facts instead of deriving them a second time
+    from detlab import casebook, syzygy
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+    monkeypatch.setattr(casebook, "rees_minimal_bidegree12",
+                        counting(casebook.rees_minimal_bidegree12))
+    monkeypatch.setattr(syzygy, "rees_minimal_bidegree12",
+                        counting(syzygy.rees_minimal_bidegree12))
+    rep = run_scenario("cat-4-2", config=Config(seed=5))
+    assert rep.verdict == "pass"
+    assert calls == ["rees_minimal_bidegree12"]
+
+
+def test_dg3_quadric_relation_runs_under_the_budget():
+    rep = run_scenario("dg-3", config=Config(seed=5, gb_step_cap=20))
+    rec = {r.fact_id: r for r in rep.records}["quadric-relation"]
+    assert rec.match == "timeout"
+    assert rec.computed == "bigraded kernel assembly: budget exceeded"

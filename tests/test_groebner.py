@@ -1,6 +1,7 @@
 """Buchberger engine and ideal-query contracts, with oracle-backed cases."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from detlab import groebner, polyring
 from detlab.config import Budget, Config, ComputationTimeout
-from detlab.polyring import Ring, xring, block_order, format_polynomial, lex
+from detlab.polyring import Ring, xring, block_order, format_polynomial, grevlex, lex
 from detlab.groebner import (Ideal, certify_groebner, colon, eliminate,
                              hilbert_data, ideal_equal, ideal_power,
                              ideal_product, intersect,
                              radical_membership, rees_ideal, saturation,
-                             symmetric_algebra_ideal, _cache_key, _MEMORY_CACHE)
+                             symmetric_algebra_ideal, groebner_entries, to_int_terms,
+                             _cache_key, _MEMORY_CACHE)
 from detlab.structmat import build_structured, build_gp_associated, determinant, minors_ideal_gens
 from oracles import naive_normal_form, naive_spoly, grevlex_key
 
@@ -72,6 +74,46 @@ def test_reduced_basis_properties_and_certification():
             assert I.contains(g)
 
 
+class _LabelBudget(Budget):
+    """A Budget that also counts its ticks by label."""
+
+    __slots__ = ("by_label",)
+
+    def __init__(self):
+        super().__init__()
+        self.by_label = Counter()
+
+    def tick(self, n=1, what="computation"):
+        self.by_label[what] += n
+        super().tick(n, what)
+
+
+def _gradient_basis_work(kind, **shape):
+    M = build_structured(kind, **shape)
+    f = determinant(M)
+    R = M.ring
+    budget = _LabelBudget()
+    entries = groebner_entries([to_int_terms(f.diff(i)) for i in range(R.nvars)],
+                               grevlex(R.nvars), budget)
+    return [format_polynomial(e.monic(R)) for e in entries], dict(budget.by_label)
+
+
+def test_engine_work_is_pinned():
+    # S-pairs and reduction steps of three gradient ideals in grevlex: a
+    # change to pair pruning or to the choice of divisor moves these counts
+    basis, work = _gradient_basis_work("hankel", m=3)
+    assert basis == ["x3^2 - x2*x4", "x2*x3 - x1*x4", "x2^2 - 2/3*x1*x3 - 1/3*x0*x4",
+                     "x1*x2 - x0*x3", "x1^2 - x0*x2", "x1*x3*x4 - x0*x4^2",
+                     "x0*x1*x3 - x0^2*x4"]
+    assert work == {"Buchberger": 12, "polynomial reduction": 14}
+    basis, work = _gradient_basis_work("hankel", m=4)
+    assert len(basis) == 13
+    assert work == {"Buchberger": 30, "polynomial reduction": 225}
+    basis, work = _gradient_basis_work("catalecticant", m=3, r=2)
+    assert len(basis) == 21
+    assert work == {"Buchberger": 69, "polynomial reduction": 137}
+
+
 def test_gb_deterministic_and_cached():
     R = xring(5)
     _, _, partials, J, _ = hankel3_context()
@@ -92,6 +134,37 @@ def test_disk_cache_roundtrip(tmp_path):
     _MEMORY_CACHE.clear()
     gb2 = Ideal(R, partials).groebner_basis(config=cfg)
     assert [str(g) for g in gb1] == [str(g) for g in gb2]
+
+
+def _damaged(good: str, damage: str) -> str:
+    header, *lines = good.splitlines(keepends=True)
+    if damage == "empty":
+        return ""
+    if damage == "dropped line":
+        return header + "".join(lines[:2] + lines[3:])
+    if damage == "cut line":  # ends inside "x0*x1 - x2^2", as "x0*x1 - x2"
+        return good[:len(header) + len(lines[0]) + len("x0*x1 - x2")]
+    if damage == "old format":  # the headerless files of the first format
+        return "".join(lines)
+    body = "".join(lines[:-1]) + "x9^4\n"  # a checksummed line of no variable here
+    return groebner._disk_header(body) + body
+
+
+@pytest.mark.parametrize("damage", ["empty", "dropped line", "cut line", "old format",
+                                    "unparsable"])
+def test_a_damaged_disk_entry_is_recomputed_and_rewritten(tmp_path, damage):
+    R = xring(3)
+    cfg = Config(cache_dir=str(tmp_path))
+    _MEMORY_CACHE.clear()
+    Ideal(R, _textless_gens(R)).groebner_basis(config=cfg)
+    (path,) = tmp_path.glob("*.gb")
+    good = path.read_text(encoding="utf-8")
+    path.write_text(_damaged(good, damage), encoding="utf-8")
+    _MEMORY_CACHE.clear()
+    I = Ideal(R, _textless_gens(R))
+    assert [format_polynomial(g) for g in I.groebner_basis(config=cfg)] == _TEXTLESS_BASIS
+    assert all(I.contains(g, config=cfg) for g in I.gens)
+    assert path.read_text(encoding="utf-8") == good
 
 
 def test_cache_key_ignores_generator_order_and_repeats():

@@ -1,5 +1,6 @@
-"""Packed monomials: the packing against tuple keys, and the packed
-Buchberger engine against the naive division oracles."""
+"""Packed monomials: the packing against tuple keys, the packed
+Buchberger engine against the naive division oracles, and its divisor
+index and pair criteria against their plain forms."""
 
 import itertools
 
@@ -8,11 +9,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from detlab import groebner
 from detlab.config import Budget, ComputationTimeout
-from detlab.groebner import (Ideal, _Entry, _Overflow, _Packing, _spoly,
+from detlab.groebner import (Ideal, _DivisorIndex, _Entry, _Overflow, _Packing, _Pairs,
+                             _normal_form_int, _pack_entries, _retry_wider, _spoly,
                              certify_groebner, groebner_entries, to_int_terms)
 from detlab.polyring import block_order, grevlex, grlex, lex, xring
 from detlab.syzygy import _module_rows, _onehot
-from oracles import naive_normal_form, naive_spoly
+from oracles import TuplePairs, linear_scan_normal_form, naive_normal_form, naive_spoly
 
 _SIMPLE = {"lex": lex, "grlex": grlex, "grevlex": grevlex}
 
@@ -37,10 +39,10 @@ def _block_orders(draw):
 
 @st.composite
 def _keyed_terms(draw):
-    """(weight rows, tuple key, terms, monomials) for a monomial order on
-    1-5 variables, a block order with 2-3 blocks, or position over term on
-    a free module of rank 1-3 (terms onehot(c) + e, key onehot + order key,
-    monomials zero on the one-hot slots)."""
+    """(weight rows, tuple key, terms, monomials, rank) for a monomial order
+    on 1-5 variables, a block order with 2-3 blocks (rank 0), or position
+    over term on a free module of rank 1-3 (terms onehot(c) + e, key onehot
+    + order key, monomials zero on the one-hot slots)."""
     exps = lambda n: st.tuples(*[st.integers(0, 6)] * n)  # noqa: E731
     kind = draw(st.sampled_from(["simple", "block", "module"]))
     if kind == "block":
@@ -48,19 +50,19 @@ def _keyed_terms(draw):
     else:
         order = draw(_simple_orders(draw(st.integers(1, 5))))
     if kind != "module":
-        return order.weight_rows(), order.keyfn(), exps(order.nvars), exps(order.nvars)
+        return order.weight_rows(), order.keyfn(), exps(order.nvars), exps(order.nvars), 0
     rank = draw(st.integers(1, 3))
     keyf = order.keyfn()
     terms = st.builds(lambda c, e: _onehot(rank, c) + e,
                       st.integers(0, rank - 1), exps(order.nvars))
     monos = st.builds(lambda e: (0,) * rank + e, exps(order.nvars))
-    return _module_rows(order, rank), lambda t: t[:rank] + keyf(t[rank:]), terms, monos
+    return _module_rows(order, rank), lambda t: t[:rank] + keyf(t[rank:]), terms, monos, rank
 
 
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_packing_is_the_order_and_divisibility(data):
-    rows, key, terms, monos = data.draw(_keyed_terms())
+    rows, key, terms, monos, _ = data.draw(_keyed_terms())
     a, b, mono = data.draw(terms), data.draw(terms), data.draw(monos)
     pk = _Packing.holding(rows, sum(a) + sum(b) + sum(mono))
     pa, pb, pm = pk.pack(a), pk.pack(b), pk.pack(mono)
@@ -78,7 +80,7 @@ def test_packing_is_the_order_and_divisibility(data):
 def test_a_sum_past_the_field_width_hits_a_guard_bit(data):
     # never a silent wrap: a sum of two packed monomials either fits every
     # field and is the packed product, or sets a guard bit
-    rows, _, terms, _ = data.draw(_keyed_terms())
+    rows, _, terms, _, _ = data.draw(_keyed_terms())
     a, b = data.draw(terms), data.draw(terms)
     pk = _Packing.holding(rows, max(sum(a), sum(b)))
     s = pk.pack(a) + pk.pack(b)
@@ -135,7 +137,7 @@ def test_engine_matches_naive_division(dicts, order):
     entries = _basis(dicts, order)
     basis = [g.full() for g in entries]
     lts = [max(g, key=keyf) for g in basis]
-    assert lts == [g.lt for g in entries]
+    assert lts == [g.pk.unpack(g.lm) for g in entries]
     # every generator and every s-polynomial reduces to zero
     for d in dicts:
         assert naive_normal_form(d, basis, keyf) == {}
@@ -173,11 +175,16 @@ def test_an_s_polynomial_term_past_the_width_is_refused():
     g1 = _Entry({pk.pack((1, 1, 0)): 1, pk.pack((0, 0, 3)): -1}, pk, 3)
     g2 = _Entry({pk.pack((1, 0, 1)): 1, pk.pack((0, 1, 0)): -1}, pk, 2)
     with pytest.raises(_Overflow):
-        _spoly(g1, g2)  # its tail term x2^4 does not fit
+        _spoly(g1, g2, pk.lcm(g1.lm, g2.lm))  # its tail term x2^4 does not fit
     wide = pk.wider()
-    sp, sugar = _spoly(g1.repack(wide), g2.repack(wide))
+    w1, w2 = g1.repack(wide), g2.repack(wide)
+    sp = _spoly(w1, w2, wide.lcm(w1.lm, w2.lm))
     assert {wide.unpack(m): c for m, c in sp.items()} == {(0, 0, 4): -1, (0, 2, 0): 1}
-    assert sugar == 4
+    # the pair's sugar: max(3 + 3 - 2, 2 + 3 - 2)
+    pairs = _Pairs(wide)
+    pairs.add(w1)
+    pairs.add(w2)
+    assert pairs.pop() == (4, wide.pack((1, 1, 1)), 0, 1)
 
 
 def test_a_guard_hit_in_reduction_restarts():
@@ -198,3 +205,76 @@ def test_high_degree_queries_widen_the_cached_basis():
     assert str(I.normal_form(x0 ** 300)) == "x1"
     assert I._entries(None)[0].pk.width > groebner._FIELD_BITS
     assert certify_groebner(I)
+
+
+# ---------------------------------------------------------------------------
+# the divisor index and the pair criteria against their plain forms
+
+def _reduce_both(terms, entries, skip):
+    """(indexed, linear scan): each the remainder and scale, or the name of
+    the exception, with the ticks spent."""
+    out = []
+    for reduce in (lambda b: _normal_form_int(terms, _DivisorIndex(entries[0].pk, entries),
+                                              b, skip=skip),
+                   lambda b: linear_scan_normal_form(terms, entries, b, skip=skip)):
+        budget = Budget(step_cap=300)
+        try:
+            res = reduce(budget)
+        except (_Overflow, ComputationTimeout) as exc:
+            res = type(exc).__name__
+        out.append((res, budget.steps))
+    return out
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_indexed_reduction_is_the_linear_scan(data):
+    # same remainder, scale and reduction ticks, under every kind of order,
+    # with a left-out basis position, and after _retry_wider widened the basis
+    rows, _, terms, _, _ = data.draw(_keyed_terms())
+    poly = st.dictionaries(terms, st.integers(-4, 4).filter(bool), min_size=1, max_size=4)
+    dicts = data.draw(st.lists(poly, min_size=1, max_size=6))
+    f = data.draw(poly)
+    skip = data.draw(st.integers(-1, len(dicts) - 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "_FIELD_BITS", data.draw(st.sampled_from([3, 4, 8])))
+        entries = _pack_entries(dicts, [0] * len(dicts), rows)
+    seen = []
+
+    def run(current):
+        pk = current[0].pk
+        both = _reduce_both({pk.pack(e): c for e, c in f.items()}, current, skip)
+        seen.append(both)
+        if both[0][0] == "_Overflow":
+            raise _Overflow
+        return both
+    (indexed, linear) = _retry_wider(entries, run)
+    for a, b in seen:
+        assert a == b
+    assert indexed[0] != "_Overflow"
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_packed_pair_criteria_keep_the_tuple_pairs(data):
+    rows, key, terms, _, rank = data.draw(_keyed_terms())
+    lts = data.draw(st.lists(terms, min_size=1, max_size=10))
+    sugars = [sum(t) + data.draw(st.integers(0, 2)) for t in lts]
+    pk = _Packing.holding(rows, 2 * max(map(sum, lts)))
+    packed, plain = _Pairs(pk, rank), TuplePairs(key, rank)
+    for lt, sugar in zip(lts, sugars):
+        packed.add(_Entry({pk.pack(lt): 1}, pk, sugar))
+        plain.add(lt, sugar)
+        assert {ij: pk.unpack(lk) for ij, lk in packed.live.items()} == plain.pairs
+    while (pair := packed.pop()) is not None:
+        sugar, lk, i, j = pair
+        assert plain.pop() == (sugar, pk.unpack(lk), i, j)
+    assert plain.pop() is None
+
+
+def test_an_lcm_past_the_width_raises_overflow():
+    pk = _Packing(lex(3).weight_rows(), 3)
+    pairs = _Pairs(pk)
+    pairs.add(_Entry({pk.pack((1, 2, 0)): 1}, pk, 3))
+    with pytest.raises(_Overflow):
+        pairs.add(_Entry({pk.pack((2, 1, 0)): 1}, pk, 3))  # lcm x0^2*x1^2
