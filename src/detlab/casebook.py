@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 from .config import Config, ComputationTimeout, DEFAULT_CONFIG
 from .groebner import (Ideal, colon, hilbert_data, ideal_equal, ideal_sum,
-                       intersect, rees_ring, saturation, symmetric_algebra_ideal)
+                       intersect, rees_ring, saturation)
 from .polyring import Ring, dot
 from .structmat import (MinorLadder, PolyMatrix, build_gp_associated, build_structured,
                         determinant, cofactor_matrix, minor, minors_ideal_gens)
-from .syzygy import linear_syzygies, rees_minimal_bidegree12
 from .hankelplucker import (golberg_delta_check, integrality_check,
                             reduction_conjecture_check)
 from . import polar, subhankel as subhankel_mod
@@ -100,20 +99,44 @@ def _bool_fact(expected_desc, ok):
     return expected_desc, expected_desc if ok else f"NOT({expected_desc})", bool(ok)
 
 
+def _build(kind, extras=None, **shape):
+    """Scenario builder: the structured matrix, its determinant's polar
+    record (`form`) and gradient ideal (`J`); `extras(matrix)` returns the
+    scenario's own further entries."""
+    def build(config):
+        M = build_structured(kind, **shape)
+        form = polar.polar_data(determinant(M), config)
+        ctx = {"config": config, "matrix": M, "ring": M.ring, "form": form,
+               "J": Ideal(M.ring, form.partials)}
+        if extras is not None:
+            ctx.update(extras(M))
+        return ctx
+    return build
+
+
+def _verdict_fact(expected, accepted=None, full=False, inverse=False):
+    """Check of `polar.homaloidal_verdict` on the scenario's form.
+
+    A status in `accepted` (by default `expected` alone) matches.  Unless
+    `full`, the pipeline skips the linear-type and saturation routes;
+    `inverse` offers the gradient map as its own candidate inverse.  A
+    status that is not accepted while some criterion timed out is a
+    timeout, not a contradiction.
+    """
+    accepted = accepted or (expected,)
+
+    def check(ctx):
+        form = ctx["form"]
+        v = polar.homaloidal_verdict(form, candidate_inverse=form.partials if inverse else None,
+                                     try_linear_type=full, try_saturation_obstruction=full)
+        if v.status not in accepted and any(e.certainty == "timeout" for e in v.evidence):
+            return expected, v.status, "timeout"
+        return expected, v.status, v.status in accepted
+    return check
+
+
 # ---------------------------------------------------------------------------
 # scenario: hankel-3
-
-def _build_hankel3(config):
-    ctx = {"config": config}
-    H = build_structured("hankel", m=3)
-    ctx["matrix"] = H
-    ctx["ring"] = H.ring
-    ctx["f"] = determinant(H)
-    ctx["partials"] = [ctx["f"].diff(i) for i in range(5)]
-    ctx["J"] = Ideal(H.ring, ctx["partials"])
-    ctx["P"] = Ideal(H.ring, minors_ideal_gens(H, 2))
-    return ctx
-
 
 def _hankel3_facts():
     def mult_P(ctx):
@@ -129,8 +152,8 @@ def _hankel3_facts():
         return _eq_fact((0, 5), (hd.dimension, hd.multiplicity))
 
     def initial_terms(ctx):
-        f = ctx["f"]
-        got = tuple(ctx["ring"].monomial(f.diff(i).leading_monomial()) for i in (0, 2, 4))
+        partials = ctx["form"].partials
+        got = tuple(ctx["ring"].monomial(partials[i].leading_monomial()) for i in (0, 2, 4))
         R = ctx["ring"]
         want = (R.from_string("x3^2"), R.from_string("x2^2"), R.from_string("x1^2"))
         return _eq_fact([str(w) for w in want], [str(g) for g in got])
@@ -160,7 +183,8 @@ def _hankel3_facts():
         return _eq_fact(4, hd.multiplicity)
 
     def linrank(ctx):
-        syz, rank = linear_syzygies(ctx["partials"], config=ctx["config"])
+        syz, rank = ctx["form"].linear_syzygies()
+        partials = ctx["form"].partials
         R = ctx["ring"]
         x = R.gens()
         disp = [
@@ -168,27 +192,23 @@ def _hankel3_facts():
             [-2 * x[0], -x[1], R.zero(), x[3], 2 * x[4]],
             [4 * x[1], 3 * x[2], 2 * x[3], x[4], R.zero()],
         ]
-        disp_ok = all(dot(col, ctx["partials"]).is_zero() for col in disp)
+        disp_ok = all(dot(col, partials).is_zero() for col in disp)
         got = (rank.rank, len(syz.columns), disp_ok)
         return _eq_fact((3, 3, True), got)
 
     def fitting(ctx):
         from .syzygy import fitting_condition_F1
-        rep = fitting_condition_F1(ctx["partials"], config=ctx["config"])
+        rep = fitting_condition_F1(ctx["form"].partials, config=ctx["config"])
         return _bool_fact("Fitting heights meet rank(phi)-t+2 for all t", rep.passed)
 
     def lintype(ctx):
-        out = polar.linear_type_check(ctx["partials"], config=ctx["config"])
+        out = polar.linear_type_check(ctx["form"].partials, config=ctx["config"])
         return "LinearType", out.status, out.status == "LinearType"
 
-    def verdict(ctx):
-        v = polar.homaloidal_verdict(ctx["f"], config=ctx["config"])
-        ctx["verdict"] = v
-        return "NotHomaloidal", v.status, v.status == "NotHomaloidal"
-
     def hess_mult(ctx):
-        Hf = determinant(polar.hessian(ctx["f"]), ctx["config"].budget())
-        mr = polar.factor_multiplicity(ctx["f"], Hf, config=ctx["config"])
+        form = ctx["form"]
+        Hf = determinant(form.hessian, ctx["config"].budget())
+        mr = polar.factor_multiplicity(form.f, Hf, config=ctx["config"])
         want = polar.expected_multiplicity(4, 2)
         got = (mr.value, mr.residual_degree)
         return _eq_fact((want, 2), got)
@@ -217,7 +237,7 @@ def _hankel3_facts():
         Fact("linear-type", "gradient ideal is of linear type",
              "hankel-3/linear-type", "recorded", lintype),
         Fact("verdict", "determinant is not homaloidal",
-             "hankel-3/verdict", "recorded", verdict),
+             "hankel-3/verdict", "recorded", _verdict_fact("NotHomaloidal", full=True)),
         Fact("hessian-mult", "form divides its Hessian determinant exactly once",
              "hankel-3/hessian-mult", "recorded", hess_mult),
     ]
@@ -225,18 +245,6 @@ def _hankel3_facts():
 
 # ---------------------------------------------------------------------------
 # scenario: hankel-4
-
-def _build_hankel4(config):
-    ctx = {"config": config}
-    H = build_structured("hankel", m=4)
-    ctx["matrix"] = H
-    ctx["ring"] = H.ring
-    ctx["f"] = determinant(H)
-    ctx["partials"] = [ctx["f"].diff(i) for i in range(7)]
-    ctx["J"] = Ideal(H.ring, ctx["partials"])
-    ctx["P"] = Ideal(H.ring, minors_ideal_gens(H, 3))
-    return ctx
-
 
 def _hankel4_facts():
     def mult_P(ctx):
@@ -248,13 +256,13 @@ def _hankel4_facts():
         return _eq_fact(10, hd.multiplicity)
 
     def hess_mult(ctx):
-        mr = polar.factor_multiplicity(ctx["f"], polar.HessianDetOnLine(ctx["f"]),
-                                       config=ctx["config"])
+        f = ctx["form"].f
+        mr = polar.factor_multiplicity(f, polar.HessianDetOnLine(f), config=ctx["config"])
         want = polar.expected_multiplicity(6, 3)
         return _eq_fact((want, 6), (mr.value, mr.residual_degree))
 
     def linrank(ctx):
-        _, rank = linear_syzygies(ctx["partials"], config=ctx["config"])
+        _, rank = ctx["form"].linear_syzygies()
         return _eq_fact(3, rank.rank)
 
     def minor_sums(ctx):
@@ -275,7 +283,7 @@ def _hankel4_facts():
         return run
 
     def lintype(ctx):
-        out = polar.linear_type_check(ctx["partials"], config=ctx["config"])
+        out = polar.linear_type_check(ctx["form"].partials, config=ctx["config"])
         if out.status == "Timeout":
             return "LinearType", "Timeout", "timeout"
         return "LinearType", out.status, out.status == "LinearType"
@@ -311,27 +319,17 @@ def _hankel4_facts():
 # ---------------------------------------------------------------------------
 # scenario: cat-3-2
 
-def _build_cat32(config):
-    ctx = {"config": config}
-    C = build_structured("catalecticant", m=3, r=2)
-    ctx["matrix"] = C
-    ctx["ring"] = C.ring
-    ctx["f"] = determinant(C)
-    ctx["partials"] = [ctx["f"].diff(i) for i in range(7)]
-    ctx["J"] = Ideal(C.ring, ctx["partials"])
-    ctx["I"] = Ideal(C.ring, minors_ideal_gens(C, 2))
+def _cat32_extras(C):
     GP = build_gp_associated(3, 2)
-    ctx["gp"] = GP
-    ctx["P"] = Ideal(C.ring, minors_ideal_gens(GP, 2))
-    return ctx
+    return {"I": Ideal(C.ring, minors_ideal_gens(C, 2)), "gp": GP,
+            "P": Ideal(C.ring, minors_ideal_gens(GP, 2))}
 
 
 def _cat32_facts():
     def hess_point(ctx):
-        H = polar.hessian(ctx["f"])
         pt = [0, 0, 1, 0, 0, 1, 1]
         from .linalg import dense_det
-        got = dense_det(H.evaluate(pt))
+        got = dense_det(ctx["form"].hessian.evaluate(pt))
         return _eq_fact(8, got)
 
     def minor_exclusion(ctx):
@@ -365,7 +363,7 @@ def _cat32_facts():
 
         want = [D(4, 5), -D(3, 5), 2 * D(3, 4) - D(2, 5), D(1, 5),
                 2 * D(2, 3) - D(1, 4), -D(1, 3), D(1, 2)]
-        ok = all(w == p for w, p in zip(want, ctx["partials"]))
+        ok = all(w == p for w, p in zip(want, ctx["form"].partials))
         return _bool_fact("partials match the signed bracket combinations", ok)
 
     def colon_JI(ctx):
@@ -383,20 +381,17 @@ def _cat32_facts():
         return _eq_fact((6, 4, 5), got)
 
     def linrank(ctx):
-        _, rank = linear_syzygies(ctx["partials"], config=ctx["config"])
+        _, rank = ctx["form"].linear_syzygies()
         return _eq_fact((6, "proved"), (rank.rank, rank.certainty))
 
     def lintype(ctx):
-        out = polar.linear_type_check(ctx["partials"], config=ctx["config"])
+        out = polar.linear_type_check(ctx["form"].partials, config=ctx["config"])
         return "LinearType", out.status, out.status == "LinearType"
 
-    def verdict(ctx):
-        v = polar.homaloidal_verdict(ctx["f"], config=ctx["config"])
-        return "Homaloidal", v.status, v.status == "Homaloidal"
-
     def hess_mult(ctx):
-        Hf = determinant(polar.hessian(ctx["f"]), ctx["config"].budget())
-        mr = polar.factor_multiplicity(ctx["f"], Hf, config=ctx["config"])
+        form = ctx["form"]
+        Hf = determinant(form.hessian, ctx["config"].budget())
+        mr = polar.factor_multiplicity(form.f, Hf, config=ctx["config"])
         want = polar.expected_multiplicity(6, 4)
         return _eq_fact((want, 4, "proved"),
                         (mr.value, mr.residual_degree, mr.certainty))
@@ -419,7 +414,7 @@ def _cat32_facts():
         Fact("linear-type", "gradient ideal is of linear type",
              "cat-3-2/linear-type", "recorded", lintype),
         Fact("verdict", "determinant is homaloidal",
-             "cat-3-2/verdict", "recorded", verdict),
+             "cat-3-2/verdict", "recorded", _verdict_fact("Homaloidal", full=True)),
         Fact("hessian-mult", "multiplicity one with a quartic residual",
              "cat-3-2/hessian-mult", "recorded", hess_mult),
     ]
@@ -428,62 +423,36 @@ def _cat32_facts():
 # ---------------------------------------------------------------------------
 # scenario: cat-4-3
 
-def _build_cat43(config):
-    ctx = {"config": config}
-    C = build_structured("catalecticant", m=4, r=3)
-    ctx["matrix"] = C
-    ctx["ring"] = C.ring
-    ctx["f"] = determinant(C)
-    ctx["partials"] = [ctx["f"].diff(i) for i in range(13)]
-    ctx["J"] = Ideal(C.ring, ctx["partials"])
-    return ctx
-
-
 def _cat43_facts():
     def linrank(ctx):
-        syz, rank = linear_syzygies(ctx["partials"], config=ctx["config"])
-        ctx["lin_syz"] = syz
+        _, rank = ctx["form"].linear_syzygies()
         return _eq_fact(11, rank.rank)
 
     def partial_structure(ctx):
         ladder = MinorLadder(ctx["matrix"])
         signed = {s for mm in ladder.minors(3) for s in (mm, -mm)}
-        hits = sum(1 for p in ctx["partials"] if p in signed)
+        partials = ctx["form"].partials
+        hits = sum(1 for p in partials if p in signed)
         sub_cols = [(0, 1, 3), (0, 2, 3)]
         sub_minors = [ladder.minor(rows, cols) for cols in sub_cols
                       for rows in itertools.combinations(range(4), 3)]
         sub_signed = {s for mm in sub_minors for s in (mm, -mm)}
-        sub_hits = sum(1 for p in ctx["partials"] if p in sub_signed)
+        sub_hits = sum(1 for p in partials if p in sub_signed)
         return _eq_fact((10, 8), (hits, sub_hits))
 
     def bidegree12(ctx):
-        new, kdim, odim = rees_minimal_bidegree12(ctx["partials"],
-                                                  config=ctx["config"])
-        ctx["gens12"] = new
+        _, new = ctx["form"].blowup_equations()
         return _eq_fact(4, len(new))
 
     def jdual(ctx):
-        syz = ctx.get("lin_syz")
-        if syz is None:
-            syz, _ = linear_syzygies(ctx["partials"], config=ctx["config"])
-        sym = symmetric_algebra_ideal(ctx["partials"], syz.columns)
-        gens = sym.ideal.gens + ctx.get("gens12", [])
-        jr = polar.jacobian_dual_rank(ctx["partials"], gens, config=ctx["config"])
+        form = ctx["form"]
+        sym, new = form.blowup_equations()
+        jr = polar.jacobian_dual_rank(form.partials, sym + new, config=ctx["config"])
         return _eq_fact(12, jr.rank)
 
-    def verdict(ctx):
-        syz = ctx.get("lin_syz")
-        sym = symmetric_algebra_ideal(ctx["partials"], syz.columns)
-        gens = sym.ideal.gens + ctx.get("gens12", [])
-        v = polar.homaloidal_verdict(ctx["f"], config=ctx["config"],
-                                     jacobian_dual_gens=gens,
-                                     try_linear_type=False,
-                                     try_saturation_obstruction=False)
-        return "Homaloidal", v.status, v.status == "Homaloidal"
-
     def hess_mult(ctx):
-        mr = polar.factor_multiplicity(ctx["f"], polar.HessianDetOnLine(ctx["f"]),
-                                       config=ctx["config"])
+        f = ctx["form"].f
+        mr = polar.factor_multiplicity(f, polar.HessianDetOnLine(f), config=ctx["config"])
         want = polar.expected_multiplicity(12, 6)
         return _eq_fact((want, 6), (mr.value, mr.residual_degree))
 
@@ -492,17 +461,16 @@ def _cat43_facts():
         # determinant)^2 up to a scalar, by multi-point identity testing
         from .modp import PRIME_61
         from .linalg import dense_det
-        f = ctx["f"]
+        f = ctx["form"].f
         R = ctx["ring"]
         x = R.gens()
         g = determinant(PolyMatrix(3, 3, [
             x[0], x[3], x[6], x[3], x[6], x[9], x[6], x[9], x[12]], "corner"),
             ctx["config"].budget())
-        H = polar.hessian(f)
         p = PRIME_61
         rng = ctx["config"].rng("cat43-residual")
         fp, gp = f.reduce_mod(p), g.reduce_mod(p)
-        Hp = H.reduce_mod(p)
+        Hp = ctx["form"].hessian.reduce_mod(p)
         c = None
         checked = 0
         while checked < 20:
@@ -541,7 +509,8 @@ def _cat43_facts():
         Fact("jacobian-dual", "Jacobian dual rank twelve",
              "cat-4-3/jacobian-dual", "recorded", jdual, certainty="probabilistic"),
         Fact("verdict", "determinant is homaloidal",
-             "cat-4-3/verdict", "recorded", verdict, certainty="probabilistic"),
+             "cat-4-3/verdict", "recorded", _verdict_fact("Homaloidal"),
+             certainty="probabilistic"),
         Fact("hessian-mult", "effective multiplicity five with a degree-6 residual",
              "cat-4-3/hessian-mult", "recorded", hess_mult, certainty="probabilistic"),
         Fact("residual-square", "residual factors as the squared corner determinant",
@@ -555,47 +524,20 @@ def _cat43_facts():
 # ---------------------------------------------------------------------------
 # scenario: cat-4-2
 
-def _build_cat42(config):
-    ctx = {"config": config}
-    C = build_structured("catalecticant", m=4, r=2)
-    ctx["matrix"] = C
-    ctx["ring"] = C.ring
-    ctx["f"] = determinant(C)
-    ctx["partials"] = [ctx["f"].diff(i) for i in range(10)]
-    return ctx
-
-
 def _cat42_facts():
     def linrank(ctx):
-        syz, rank = linear_syzygies(ctx["partials"], config=ctx["config"])
-        ctx["lin_syz"] = syz
+        _, rank = ctx["form"].linear_syzygies()
         return _eq_fact(6, rank.rank)
 
     def bidegree12(ctx):
-        new, _, _ = rees_minimal_bidegree12(ctx["partials"], config=ctx["config"])
-        ctx["gens12"] = new
+        _, new = ctx["form"].blowup_equations()
         return _eq_fact(2, len(new))
 
     def hess_mult(ctx):
-        mr = polar.factor_multiplicity(ctx["f"], polar.HessianDetOnLine(ctx["f"]),
-                                       config=ctx["config"])
+        f = ctx["form"].f
+        mr = polar.factor_multiplicity(f, polar.HessianDetOnLine(f), config=ctx["config"])
         want = polar.expected_multiplicity(9, 6)
         return _eq_fact((want, 12), (mr.value, mr.residual_degree))
-
-    def verdict(ctx):
-        # the blowup equations of the two facts above, so the pipeline does
-        # not derive them again; without them it derives its own
-        gens = None
-        if "lin_syz" in ctx and "gens12" in ctx:
-            sym = symmetric_algebra_ideal(ctx["partials"], ctx["lin_syz"].columns)
-            gens = sym.ideal.gens + ctx["gens12"]
-        v = polar.homaloidal_verdict(ctx["f"], config=ctx["config"],
-                                     jacobian_dual_gens=gens,
-                                     try_linear_type=False,
-                                     try_saturation_obstruction=False)
-        # recorded exactly as the suspicion: anything but a proved Homaloidal
-        return ("Inconclusive (suspected not homaloidal)", v.status,
-                v.status in ("Inconclusive", "NotHomaloidal"))
 
     return [
         Fact("linear-rank", "linear rank six, three short of maximal",
@@ -605,31 +547,27 @@ def _cat42_facts():
         Fact("hessian-mult", "effective multiplicity two",
              "cat-4-2/hessian-mult", "recorded", hess_mult, certainty="probabilistic"),
         Fact("verdict", "suspected not homaloidal; never promoted to proved",
-             "cat-4-2/verdict", "recorded", verdict, required="report-only"),
+             "cat-4-2/verdict", "recorded",
+             # recorded exactly as the suspicion: anything but a proved Homaloidal
+             _verdict_fact("Inconclusive (suspected not homaloidal)",
+                           accepted=("Inconclusive", "NotHomaloidal")),
+             required="report-only"),
     ]
 
 
 # ---------------------------------------------------------------------------
 # scenario: generic-3 and symmetric-3
 
-def _build_generic3(config):
-    ctx = {"config": config}
-    G = build_structured("generic", m=3)
-    ctx["matrix"] = G
-    ctx["ring"] = G.ring
-    ctx["f"] = determinant(G)
-    ctx["partials"] = [ctx["f"].diff(i) for i in range(9)]
-    return ctx
-
-
 def _generic3_facts():
     def involution(ctx):
-        inv = polar.inversion_check(ctx["partials"], ctx["partials"])
-        ok = inv.is_inverse and inv.factor == ctx["f"]
+        form = ctx["form"]
+        inv = polar.inversion_check(form.partials, form.partials)
+        ok = inv.is_inverse and inv.factor == form.f
         return _bool_fact("composition gives inversion factor equal to the form", ok)
 
     def involution_symmetry(ctx):
-        inv1 = polar.inversion_check(ctx["partials"], ctx["partials"])
+        partials = ctx["form"].partials
+        inv1 = polar.inversion_check(partials, partials)
         return _bool_fact("inverse relation is symmetric for the involution",
                           inv1.is_inverse)
 
@@ -637,7 +575,7 @@ def _generic3_facts():
         adj = cofactor_matrix(ctx["matrix"])
         got = determinant(adj, ctx["config"].budget())
         return _bool_fact("adjugate determinant equals the square of the form",
-                          got == ctx["f"] ** 2)
+                          got == ctx["form"].f ** 2)
 
     def laplace(ctx):
         adj = cofactor_matrix(ctx["matrix"])
@@ -649,23 +587,16 @@ def _generic3_facts():
                 s = ring.zero()
                 for k in range(3):
                     s = s + M[i, k] * adj[k, j]
-                ok = ok and s == (ctx["f"] if i == j else ring.zero())
+                ok = ok and s == (ctx["form"].f if i == j else ring.zero())
         return _bool_fact("matrix times adjugate is the determinant times identity", ok)
 
     def totally_hessian(ctx):
-        th = polar.totally_hessian_check(ctx["f"], config=ctx["config"])
+        th = polar.totally_hessian_check(ctx["form"].f, config=ctx["config"])
         return _eq_fact((True, 3), (th.holds, th.exponent))
 
     def linrank(ctx):
-        _, rank = linear_syzygies(ctx["partials"], config=ctx["config"])
+        _, rank = ctx["form"].linear_syzygies()
         return _eq_fact(8, rank.rank)
-
-    def verdict(ctx):
-        v = polar.homaloidal_verdict(ctx["f"], config=ctx["config"],
-                                     candidate_inverse=ctx["partials"],
-                                     try_linear_type=False,
-                                     try_saturation_obstruction=False)
-        return "Homaloidal", v.status, v.status == "Homaloidal"
 
     return [
         Fact("inversion", "cofactor composition yields factor f",
@@ -682,18 +613,8 @@ def _generic3_facts():
         Fact("linear-rank", "maximal linear rank eight",
              "generic-3/linear-rank", "recorded", linrank),
         Fact("verdict", "determinant is homaloidal via the verified inverse",
-             "generic-3/verdict", "recorded", verdict),
+             "generic-3/verdict", "recorded", _verdict_fact("Homaloidal", inverse=True)),
     ]
-
-
-def _build_symmetric3(config):
-    ctx = {"config": config}
-    S = build_structured("symmetric", m=3)
-    ctx["matrix"] = S
-    ctx["ring"] = S.ring
-    ctx["f"] = determinant(S)
-    ctx["partials"] = [ctx["f"].diff(i) for i in range(6)]
-    return ctx
 
 
 def _symmetric3_facts():
@@ -707,7 +628,7 @@ def _symmetric3_facts():
                 var = S[i, j]
                 vidx = next(k for k, v in enumerate(ring.variables)
                             if ring.var(k) == var)
-                partial = ctx["partials"][vidx]
+                partial = ctx["form"].partials[vidx]
                 cof = adj[j, i]
                 want = cof if i == j else 2 * cof
                 ok = ok and partial == want
@@ -715,18 +636,12 @@ def _symmetric3_facts():
                           "the cofactor", ok)
 
     def totally_hessian(ctx):
-        th = polar.totally_hessian_check(ctx["f"], config=ctx["config"])
+        th = polar.totally_hessian_check(ctx["form"].f, config=ctx["config"])
         return _eq_fact((True, 2), (th.holds, th.exponent))
 
     def linrank(ctx):
-        _, rank = linear_syzygies(ctx["partials"], config=ctx["config"])
+        _, rank = ctx["form"].linear_syzygies()
         return _eq_fact(5, rank.rank)
-
-    def verdict(ctx):
-        v = polar.homaloidal_verdict(ctx["f"], config=ctx["config"],
-                                     try_linear_type=False,
-                                     try_saturation_obstruction=False)
-        return "Homaloidal", v.status, v.status == "Homaloidal"
 
     return [
         Fact("cofactor-structure", "partials against adjugate entries",
@@ -737,7 +652,7 @@ def _symmetric3_facts():
         Fact("linear-rank", "maximal linear rank five",
              "symmetric-3/linear-rank", "derived", linrank),
         Fact("verdict", "determinant is homaloidal",
-             "symmetric-3/verdict", "recorded", verdict),
+             "symmetric-3/verdict", "recorded", _verdict_fact("Homaloidal")),
     ]
 
 
@@ -747,7 +662,8 @@ def _symmetric3_facts():
 def _build_subhankel(n):
     def build(config):
         case = subhankel_mod.subhankel_case(n)
-        return {"config": config, "case": case, "n": n}
+        return {"config": config, "case": case, "n": n,
+                "form": polar.polar_data(case.f, config)}
     return build
 
 
@@ -798,18 +714,11 @@ def _subhankel_facts(n):
         def lt(ctx):
             rep = subhankel_mod.subhankel_linear_type_check(n, config=ctx["config"])
             return _bool_fact("linear type with matching 1-form generators", rep.passed)
-
-        def verdict(ctx):
-            case = ctx["case"]
-            v = polar.homaloidal_verdict(case.f, config=ctx["config"],
-                                         try_linear_type=False,
-                                         try_saturation_obstruction=False)
-            return "Homaloidal", v.status, v.status == "Homaloidal"
         facts += [
             Fact("linear-type", "gradient ideal is of linear type",
                  f"subhankel-{n}/linear-type", "recorded", lt),
             Fact("verdict", "determinant is homaloidal",
-                 f"subhankel-{n}/verdict", "recorded", verdict),
+                 f"subhankel-{n}/verdict", "recorded", _verdict_fact("Homaloidal")),
         ]
     return facts
 
@@ -817,19 +726,9 @@ def _subhankel_facts(n):
 # ---------------------------------------------------------------------------
 # scenario: dg-3 and sc-3
 
-def _build_dg3(config):
-    ctx = {"config": config}
-    D = build_structured("degenerate-generic", m=3)
-    ctx["matrix"] = D
-    ctx["ring"] = D.ring
-    ctx["f"] = determinant(D)
-    ctx["partials"] = [ctx["f"].diff(i) for i in range(8)]
-    return ctx
-
-
 def _dg3_facts():
     def hess_zero(ctx):
-        st = polar.hessian_det_status(ctx["f"], config=ctx["config"])
+        st = ctx["form"].hessian_status()
         return ("zero or probably_zero", st.kind,
                 st.kind in ("zero", "probably_zero"))
 
@@ -840,7 +739,7 @@ def _dg3_facts():
         row_vars = {6, 7}
         blk_vars = {0, 1, 3, 4}
         ok = True
-        for e in ctx["f"].terms:
+        for e in ctx["form"].f.terms:
             sup = [i for i, v in enumerate(e) if v]
             if sum(e) != 3 or len(sup) != 3:
                 ok = False
@@ -851,22 +750,23 @@ def _dg3_facts():
 
     def quadric_relation(ctx):
         from .syzygy import rees_bigraded_kernel
-        taus = rees_bigraded_kernel(ctx["partials"], 0, 2, ctx["config"].budget())
-        y = rees_ring(ctx["ring"], len(ctx["partials"])).gens()
+        partials = ctx["form"].partials
+        taus = rees_bigraded_kernel(partials, 0, 2, ctx["config"].budget())
+        y = rees_ring(ctx["ring"], len(partials)).gens()
         w = y[1] * y[3] - y[0] * y[4]
         found = any(t in (w, -w) for t in taus)
         return _eq_fact(("kernel dim", 1, "contains the 2x2 relation", True),
                         ("kernel dim", len(taus), "contains the 2x2 relation", found))
 
     def linrank(ctx):
-        _, rank = linear_syzygies(ctx["partials"], config=ctx["config"])
+        _, rank = ctx["form"].linear_syzygies()
         return _eq_fact(7, rank.rank)
 
     def colon_boldface(ctx):
         R = ctx["ring"]
         x = R.gens()
         I2 = Ideal(R, minors_ideal_gens(ctx["matrix"], 2))
-        J = Ideal(R, ctx["partials"])
+        J = ctx["J"]
         blockdet = x[0] * x[4] - x[1] * x[3]
         eq1 = ideal_equal(I2, ideal_sum(J, Ideal(R, [blockdet])),
                           config=ctx["config"])
@@ -874,13 +774,6 @@ def _dg3_facts():
         bold = Ideal(R, [x[2], x[5], x[6], x[7]])
         eq2 = ideal_equal(got, bold, config=ctx["config"])
         return _eq_fact((True, True), (eq1, eq2))
-
-    def verdict(ctx):
-        v = polar.homaloidal_verdict(ctx["f"], config=ctx["config"],
-                                     try_linear_type=False,
-                                     try_saturation_obstruction=False)
-        return ("NotHomaloidal or Inconclusive", v.status,
-                v.status in ("NotHomaloidal", "Inconclusive"))
 
     return [
         Fact("hessian-zero", "vanishing Hessian determinant",
@@ -894,38 +787,24 @@ def _dg3_facts():
         Fact("colon-boldface", "minor ideal splits off the border variables",
              "dg-3/colon-boldface", "recorded", colon_boldface),
         Fact("verdict", "not homaloidal once the Hessian vanishes",
-             "dg-3/verdict", "recorded", verdict, required="report-only"),
+             "dg-3/verdict", "recorded",
+             _verdict_fact("NotHomaloidal or Inconclusive",
+                           accepted=("NotHomaloidal", "Inconclusive")),
+             required="report-only"),
     ]
-
-
-def _build_sc3(config):
-    ctx = {"config": config}
-    S = build_structured("sc3")
-    ctx["matrix"] = S
-    ctx["ring"] = S.ring
-    ctx["f"] = determinant(S)
-    ctx["partials"] = [ctx["f"].diff(i) for i in range(6)]
-    return ctx
 
 
 def _sc3_facts():
     def linrank(ctx):
-        syz, rank = linear_syzygies(ctx["partials"], config=ctx["config"])
+        syz, rank = ctx["form"].linear_syzygies()
         return _eq_fact((7, 5), (len(syz.columns), rank.rank))
 
     def hess_power(ctx):
-        H = polar.hessian(ctx["f"])
-        det = determinant(H, ctx["config"].budget())
+        det = determinant(ctx["form"].hessian, ctx["config"].budget())
         terms = list(det.terms.items())
         ok = len(terms) == 1 and terms[0][0][4] == 6 and sum(terms[0][0]) == 6
         got = str(det)
         return f"c*x4^6", got, ok
-
-    def verdict(ctx):
-        v = polar.homaloidal_verdict(ctx["f"], config=ctx["config"],
-                                     try_linear_type=False,
-                                     try_saturation_obstruction=False)
-        return "Homaloidal", v.status, v.status == "Homaloidal"
 
     return [
         Fact("linear-rank", "seven linear relation columns of rank five",
@@ -933,7 +812,7 @@ def _sc3_facts():
         Fact("hessian-power", "Hessian determinant is a scalar times x4^6",
              "sc-3/hessian-power", "recorded", hess_power),
         Fact("verdict", "determinant is homaloidal",
-             "sc-3/verdict", "recorded", verdict),
+             "sc-3/verdict", "recorded", _verdict_fact("Homaloidal")),
     ]
 
 
@@ -947,26 +826,28 @@ def _registry() -> dict[str, Scenario]:
         scen[sid] = Scenario(sid, desc, build, facts, budget_secs)
 
     add("hankel-3", "3x3 anti-diagonal determinant case study",
-        _build_hankel3, _hankel3_facts())
+        _build("hankel", lambda H: {"P": Ideal(H.ring, minors_ideal_gens(H, 2))}, m=3),
+        _hankel3_facts())
     add("hankel-4", "4x4 anti-diagonal determinant case study",
-        _build_hankel4, _hankel4_facts(), budget_secs=7200)
+        _build("hankel", lambda H: {"P": Ideal(H.ring, minors_ideal_gens(H, 3))}, m=4),
+        _hankel4_facts(), budget_secs=7200)
     add("cat-3-2", "3x3 two-leap catalecticant case study",
-        _build_cat32, _cat32_facts())
+        _build("catalecticant", _cat32_extras, m=3, r=2), _cat32_facts())
     add("cat-4-3", "4x4 three-leap catalecticant case study",
-        _build_cat43, _cat43_facts(), budget_secs=7200)
+        _build("catalecticant", m=4, r=3), _cat43_facts(), budget_secs=7200)
     add("cat-4-2", "4x4 two-leap catalecticant case study",
-        _build_cat42, _cat42_facts())
+        _build("catalecticant", m=4, r=2), _cat42_facts())
     add("generic-3", "generic 3x3 determinant case study",
-        _build_generic3, _generic3_facts())
+        _build("generic", m=3), _generic3_facts())
     add("symmetric-3", "generic symmetric 3x3 determinant case study",
-        _build_symmetric3, _symmetric3_facts())
+        _build("symmetric", m=3), _symmetric3_facts())
     for n in (3, 4, 5, 6):
         add(f"subhankel-{n}", f"order-{n} sub-Hankel degeneration case study",
             _build_subhankel(n), _subhankel_facts(n))
     add("dg-3", "generic 3x3 with one zero entry (vanishing Hessian)",
-        _build_dg3, _dg3_facts())
+        _build("degenerate-generic", m=3), _dg3_facts())
     add("sc-3", "two-leap 3x3 catalecticant with one zero entry",
-        _build_sc3, _sc3_facts())
+        _build("sc3"), _sc3_facts())
     return scen
 
 

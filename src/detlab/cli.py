@@ -209,7 +209,7 @@ def _cmd_polar(args) -> int:
     try:
         f = determinant(M, config.budget())
         if args.verdict:
-            v = polar.homaloidal_verdict(f, config=config)
+            v = polar.homaloidal_verdict(polar.polar_data(f, config))
             payload = {"mode": "verdict",
                        **v.to_dict(no_timings=getattr(args, "no_timings", False))}
             _emit(args, payload)

@@ -90,9 +90,8 @@ class Config:
         kw.update(overrides)
         return cls(**kw)
 
-    def budget(self, timeout_secs: float | None = None) -> Budget:
-        t = self.timeout_secs if timeout_secs is None else timeout_secs
-        return Budget(timeout_secs=t, step_cap=self.gb_step_cap)
+    def budget(self) -> Budget:
+        return Budget(timeout_secs=self.timeout_secs, step_cap=self.gb_step_cap)
 
     def rng(self, tag: str) -> random.Random:
         """Deterministic per-purpose generator derived from (seed, tag)."""

@@ -2,6 +2,13 @@
 its Hessian determinant, inversion factors, linear-type and Jacobian-dual
 birationality criteria, and the assembled homaloidal verdicts.
 
+`polar_data(f, config)` is the one record of a form's polar data: the
+partials, the Hessian matrix, and three readers computed once on first
+use (the Hessian determinant status, the linear syzygies with their rank,
+and the blowup equations linear in x behind the Jacobian-dual criterion).
+Casebook facts and `homaloidal_verdict`, the single verdict entry point,
+all read the same record, so no derived object is computed twice.
+
 Certainty discipline: an exact nonzero integer evaluation is a proof (a
 nonzero value mod p certifies a nonzero integer), probabilistic identity
 tests carry explicit Schwartz-Zippel bounds, and a probabilistic zero
@@ -21,7 +28,7 @@ from .groebner import Ideal, rees_ideal, symmetric_algebra_ideal, saturation
 from .polyring import Polynomial, Ring, exact_divide, NOT_DIVISIBLE
 from .structmat import PolyMatrix, determinant
 from .syzygy import (linear_syzygies, first_syzygy_module, poly_matrix_rank,
-                     RankResult)
+                     rees_minimal_bidegree12, RankResult)
 
 
 # ---------------------------------------------------------------------------
@@ -29,11 +36,20 @@ from .syzygy import (linear_syzygies, first_syzygy_module, poly_matrix_rank,
 
 @dataclass
 class PolarMapData:
+    """The polar data of one form.
+
+    The readers `hessian_status`, `linear_syzygies` and `blowup_equations`
+    compute on first use and keep the result.  A reader runs under the
+    budget of the caller that first asks; when that call times out nothing
+    is kept, so the next caller computes afresh under its own budget.
+    """
     f: Polynomial
     partials: list[Polynomial]
     hessian: PolyMatrix
     n: int  # ambient projective dimension
     d: int  # degree of f
+    config: Config
+    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def verify_euler(self) -> bool:
         ring = self.f.ring
@@ -42,22 +58,38 @@ class PolarMapData:
             acc = acc + ring.var(i) * p
         return acc == self.f * self.d
 
+    def _once(self, key: str, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
-def polar_data(f: Polynomial) -> PolarMapData:
+    def hessian_status(self) -> HessianStatus:
+        return self._once("hessian", lambda: hessian_det_status(self.f, self.config))
+
+    def linear_syzygies(self, budget: Budget | None = None):
+        """(linear syzygy matrix of the partials, its rank)."""
+        return self._once("linear", lambda: linear_syzygies(self.partials, budget,
+                                                            self.config))
+
+    def blowup_equations(self, budget: Budget | None = None):
+        """(symmetric-algebra 1-forms, new minimal bidegree-(1,2)
+        generators): the blowup equations linear in x, in the y,x ring."""
+        def compute():
+            b = budget or self.config.budget()
+            syz, _ = self.linear_syzygies(b)
+            new12, _, _ = rees_minimal_bidegree12(self.partials, syz.columns, b,
+                                                  self.config)
+            return symmetric_algebra_ideal(self.partials, syz.columns).ideal.gens, new12
+        return self._once("blowup", compute)
+
+
+def polar_data(f: Polynomial, config: Config | None = None) -> PolarMapData:
     if not f.is_homogeneous() or f.degree < 2:
         raise ValueError("need a homogeneous form of degree >= 2")
     nv = f.ring.nvars
     partials = [f.diff(i) for i in range(nv)]
-    return PolarMapData(f, partials, hessian(f), nv - 1, int(f.degree))
-
-
-def gradient_ideal(f: Polynomial) -> tuple[Ideal, list[int]]:
-    """Ideal of the partial derivatives plus indices of vanishing partials."""
-    if not f.is_homogeneous() or f.degree < 2:
-        raise ValueError("need a homogeneous form of degree >= 2")
-    partials = [f.diff(i) for i in range(f.ring.nvars)]
-    zero_idx = [i for i, p in enumerate(partials) if p.is_zero()]
-    return Ideal(f.ring, partials), zero_idx
+    return PolarMapData(f, partials, hessian(f), nv - 1, int(f.degree),
+                        config or DEFAULT_CONFIG)
 
 
 def hessian(f: Polynomial) -> PolyMatrix:
@@ -358,7 +390,7 @@ def linear_type_check(forms: list[Polynomial], budget: Budget | None = None,
     config = config or DEFAULT_CONFIG
     try:
         rr = rees_ideal(forms, budget, config)
-        syz = first_syzygy_module(forms, budget, config, minimalize=True)
+        syz = first_syzygy_module(forms, budget, config)
         sym = symmetric_algebra_ideal(forms, syz.columns)
         for g in rr.ideal.gens:
             if not sym.ideal.contains(g, budget=budget, config=config):
@@ -428,13 +460,12 @@ class Verdict:
                 "timings": {"millis": 0 if no_timings else self.millis}}
 
 
-def homaloidal_verdict(f: Polynomial, config: Config | None = None,
-                       budget: Budget | None = None,
+def homaloidal_verdict(form: PolarMapData, budget: Budget | None = None,
                        candidate_inverse: list[Polynomial] | None = None,
-                       jacobian_dual_gens: list[Polynomial] | None = None,
                        try_linear_type: bool = True,
                        try_saturation_obstruction: bool = True) -> Verdict:
-    """Decision pipeline for the polar map of f.
+    """Decision pipeline for the polar map of the form of a `polar_data`
+    record, read under the record's config.
 
     Dominance certificate + maximal linear rank proves birationality;
     linear type + submaximal rank refutes it; a verified inverse or a full
@@ -443,30 +474,26 @@ def homaloidal_verdict(f: Polynomial, config: Config | None = None,
     """
     import time as _time
     t0 = _time.monotonic()
-    v = _verdict_pipeline(f, config, budget, candidate_inverse,
-                          jacobian_dual_gens, try_linear_type,
+    v = _verdict_pipeline(form, budget, candidate_inverse, try_linear_type,
                           try_saturation_obstruction)
     v.millis = int((_time.monotonic() - t0) * 1000)
     return v
 
 
-def _verdict_pipeline(f, config, budget, candidate_inverse, jacobian_dual_gens,
-                      try_linear_type, try_saturation_obstruction) -> Verdict:
-    config = config or DEFAULT_CONFIG
-    if not f.is_homogeneous() or f.degree < 2:
-        raise ValueError("need a homogeneous form of degree >= 2")
+def _verdict_pipeline(form, budget, candidate_inverse, try_linear_type,
+                      try_saturation_obstruction) -> Verdict:
+    config = form.config
+    f, partials, n, d = form.f, form.partials, form.n, form.d
     ev: list[Evidence] = []
-    n = f.ring.nvars - 1
-    d = int(f.degree)
 
-    zero_partials = [i for i in range(f.ring.nvars) if f.diff(i).is_zero()]
+    zero_partials = [i for i, p in enumerate(partials) if p.is_zero()]
     if zero_partials:
         # the image misses a coordinate hyperplane: never dominant
         ev.append(Evidence("degenerate-polar-image",
                            f"partials vanish at indices {zero_partials}", "proved"))
         return Verdict("NotHomaloidal", ev, config.seed)
 
-    status = hessian_det_status(f, config)
+    status = form.hessian_status()
     if status.kind == "nonzero":
         ev.append(Evidence("hessian-dominance", "nonzero", "proved",
                            {"point": status.point, "prime": status.prime}))
@@ -478,8 +505,7 @@ def _verdict_pipeline(f, config, budget, candidate_inverse, jacobian_dual_gens,
         ev.append(Evidence("hessian-dominance", "probably zero", "probabilistic",
                            {"trials": status.trials, "bound": status.bound}))
 
-    partials = [f.diff(i) for i in range(f.ring.nvars)]
-    syz, rank = linear_syzygies(partials, budget, config)
+    syz, rank = form.linear_syzygies(budget)
     ev.append(Evidence("linear-rank", f"{rank.rank} of max {n}", rank.certainty,
                        {"columns": len(syz.columns), "certificate": rank.witness}))
     dominant = status.kind == "nonzero"
@@ -496,12 +522,11 @@ def _verdict_pipeline(f, config, budget, candidate_inverse, jacobian_dual_gens,
         ev.append(Evidence("verified-inverse", f"candidate fails at coordinate {inv.witness}",
                            "proved"))
 
-    lt = None
     if try_linear_type:
         # keep the verdict responsive: the in-pipeline attempt runs under a
         # bounded step budget; explicit linear_type_check calls get the full one
         sub = budget if budget is not None else Budget(
-            timeout_secs=None, step_cap=min(config.gb_step_cap, 400_000))
+            timeout_secs=config.timeout_secs, step_cap=min(config.gb_step_cap, 400_000))
         lt = linear_type_check(partials, sub, config)
         ev.append(Evidence("linear-type", lt.status,
                            "proved" if lt.status != "Timeout" else "timeout"))
@@ -512,26 +537,22 @@ def _verdict_pipeline(f, config, budget, candidate_inverse, jacobian_dual_gens,
         if lt.status == "LinearType" and dominant and rank.rank == n:
             return Verdict("Homaloidal", ev, config.seed)
 
-    if jacobian_dual_gens is None and dominant and rank.rank < n:
-        # derive blowup equations linear in x: the syzygy 1-forms plus the
-        # minimal bidegree-(1,2) equations found by exact linear algebra
+    if dominant and rank.rank < n:
+        # the record's blowup equations linear in x: the syzygy 1-forms plus
+        # the minimal bidegree-(1,2) equations found by exact linear algebra
         try:
-            from .syzygy import rees_minimal_bidegree12
-            new12, _, _ = rees_minimal_bidegree12(partials, budget, config)
-            sym = symmetric_algebra_ideal(partials, syz.columns)
-            jacobian_dual_gens = sym.ideal.gens + new12
-            ev.append(Evidence("jacobian-dual-setup",
-                               f"{len(sym.ideal.gens)} linear + {len(new12)} "
-                               "quadratic blowup equations", "proved"))
+            sym, new12 = form.blowup_equations(budget)
         except ComputationTimeout:
             ev.append(Evidence("jacobian-dual-setup", "timeout", "timeout"))
-
-    if jacobian_dual_gens is not None:
-        jr = jacobian_dual_rank(partials, jacobian_dual_gens, config)
-        ev.append(Evidence("jacobian-dual-rank", f"{jr.rank} of required {n}",
-                           jr.certainty))
-        if dominant and jr.rank == n:
-            return Verdict("Homaloidal", ev, config.seed)
+        else:
+            ev.append(Evidence("jacobian-dual-setup",
+                               f"{len(sym)} linear + {len(new12)} "
+                               "quadratic blowup equations", "proved"))
+            jr = jacobian_dual_rank(partials, sym + new12, config)
+            ev.append(Evidence("jacobian-dual-rank", f"{jr.rank} of required {n}",
+                               jr.certainty))
+            if jr.rank == n:
+                return Verdict("Homaloidal", ev, config.seed)
 
     if try_saturation_obstruction:
         try:

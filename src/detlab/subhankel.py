@@ -346,7 +346,7 @@ def subhankel_linear_type_check(n: int, budget: Budget | None = None,
         raise ValueError("blowup-equation check capped at n = 4")
     case = subhankel_case(n)
     lt = polar.linear_type_check(case.partials, budget, config)
-    syz = first_syzygy_module(case.partials, budget, config, minimalize=True)
+    syz = first_syzygy_module(case.partials, budget, config)
     disp = displayed_symmetric_generators(case)
     disp_ok = all(dot(col, case.partials).is_zero() for col in disp)
     mb = ModuleBasis(syz.columns, [p.degree for p in case.partials],

@@ -242,22 +242,21 @@ def poly_matrix_rank(M: PolyMatrix, config: Config | None = None) -> RankResult:
 
 
 def first_syzygy_module(forms: list[Polynomial], budget: Budget | None = None,
-                        config: Config | None = None,
-                        minimalize: bool = True) -> GradedSyzygyMatrix:
-    """Generating set of the full first syzygy module of ring elements."""
-    cols = [[f] for f in forms]
-    shifts0 = [0]
-    return module_syzygies(cols, shifts0, budget, config, minimalize)
+                        config: Config | None = None) -> GradedSyzygyMatrix:
+    """Minimal generating set of the full first syzygy module of ring elements."""
+    return module_syzygies([[f] for f in forms], [0], budget, config)
 
 
 def module_syzygies(columns: list[list[Polynomial]], target_shifts: list[int],
-                    budget: Budget | None = None, config: Config | None = None,
-                    minimalize: bool = True) -> GradedSyzygyMatrix:
-    """Syzygies of column vectors in a shifted free module.
+                    budget: Budget | None = None, config: Config | None = None
+                    ) -> GradedSyzygyMatrix:
+    """Minimal generating set of the syzygies of column vectors in a
+    shifted free module.
 
     Graph-module elimination: compute a module GB of {col_j ⊕ e_j} with the
     target components dominant; basis elements supported purely on the tag
-    components are exactly a generating set of the syzygy module.
+    components are exactly a generating set of the syzygy module, which
+    `minimal_generators` then thins out.
     """
     if not columns:
         return GradedSyzygyMatrix([], [], [])
@@ -291,10 +290,7 @@ def module_syzygies(columns: list[list[Polynomial]], target_shifts: list[int],
             ds = {a.degree + col_degs[i] for i, a in enumerate(polys) if not a.is_zero()}
             syz_cols.append(polys)
             syz_degs.append(ds.pop())
-    result = GradedSyzygyMatrix(col_degs, syz_cols, syz_degs)
-    if minimalize and syz_cols:
-        result = minimal_generators(result, budget=b)
-    return result
+    return minimal_generators(GradedSyzygyMatrix(col_degs, syz_cols, syz_degs), budget=b)
 
 
 def _span_rows():
@@ -479,7 +475,7 @@ def graded_betti(I: Ideal, budget: Budget | None = None, config: Config | None =
     level = 1
     complete = not cur_cols
     while cur_cols and level < _BETTI_HOM_CAP:
-        syz = module_syzygies(cur_cols, cur_shifts, b, config, minimalize=True)
+        syz = module_syzygies(cur_cols, cur_shifts, b, config)
         if not syz.columns:
             complete = True
             break
@@ -531,13 +527,17 @@ def rees_bigraded_kernel(forms: list[Polynomial], xdeg: int, ydeg: int,
     return out
 
 
-def rees_minimal_bidegree12(forms: list[Polynomial], budget: Budget | None = None,
+def rees_minimal_bidegree12(forms: list[Polynomial],
+                            linear_columns: list[list[Polynomial]],
+                            budget: Budget | None = None,
                             config: Config | None = None):
     """Minimal generators of the blowup ideal in bidegree (1,2).
 
-    Returns (new_generators, kernel_dim, old_span_dim): the kernel of the
-    (1,2) evaluation map modulo y-multiples of syzygy forms and x-multiples
-    of bidegree (0,2) relations.
+    `linear_columns` spans the linear syzygies of the forms (the columns
+    of `linear_syzygies`).  Returns (new_generators, kernel_dim,
+    old_span_dim): the kernel of the (1,2) evaluation map modulo
+    y-multiples of syzygy forms and x-multiples of bidegree (0,2)
+    relations.
     """
     config = config or DEFAULT_CONFIG
     b = budget or config.budget()
@@ -545,9 +545,8 @@ def rees_minimal_bidegree12(forms: list[Polynomial], budget: Budget | None = Non
     k = len(forms)
     target = rees_ring(ring, k)
     kernel = rees_bigraded_kernel(forms, 1, 2, b)
-    lin = syzygy_basis_in_degree(forms, 1, b)
     old: list[Polynomial] = []
-    for sigma in symmetric_algebra_ideal(forms, lin).ideal.gens:
+    for sigma in symmetric_algebra_ideal(forms, linear_columns).ideal.gens:
         for j in range(k):
             old.append(sigma * target.var(j))
     for tau in rees_bigraded_kernel(forms, 0, 2, b):

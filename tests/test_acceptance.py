@@ -85,7 +85,7 @@ def test_criterion_1_hankel3_suite():
 
     assert fitting_condition_F1(partials, config=CFG).passed
     assert polar.linear_type_check(partials, config=CFG).status == "LinearType"
-    assert polar.homaloidal_verdict(f, config=CFG).status == "NotHomaloidal"
+    assert polar.homaloidal_verdict(polar.polar_data(f, CFG)).status == "NotHomaloidal"
 
     elapsed = time.monotonic() - t0
     assert elapsed < 60
@@ -118,7 +118,7 @@ def test_criterion_2_cat32_suite():
     assert rank.per_trial_bound < 2 ** -40     # stated probabilistic bound
     assert rank.certainty == "proved"          # exact confirmation
 
-    assert polar.homaloidal_verdict(f, config=CFG).status == "Homaloidal"
+    assert polar.homaloidal_verdict(polar.polar_data(f, CFG)).status == "Homaloidal"
     assert polar.linear_type_check(partials, config=CFG).status == "LinearType"
 
     Hf = determinant(H)
@@ -233,13 +233,12 @@ def test_criterion_6_cat4_long_suite():
     syz, rank = linear_syzygies(partials, config=cfg)
     assert rank.rank == 11
 
-    new12, _, _ = rees_minimal_bidegree12(partials, config=cfg)
+    new12, _, _ = rees_minimal_bidegree12(partials, syz.columns, config=cfg)
     sym = symmetric_algebra_ideal(partials, syz.columns)
     jd = polar.jacobian_dual_rank(partials, sym.ideal.gens + new12, config=cfg)
     assert jd.rank == 12
 
-    v = polar.homaloidal_verdict(f, config=cfg, jacobian_dual_gens=sym.ideal.gens + new12,
-                                 try_linear_type=False,
+    v = polar.homaloidal_verdict(polar.polar_data(f, cfg), try_linear_type=False,
                                  try_saturation_obstruction=False)
     assert v.status == "Homaloidal"
 
@@ -257,9 +256,9 @@ def test_criterion_6_cat4_long_suite():
     print(f"  [criterion 6] unmixed-part colon: {colon_status}")
 
     _, f42, p42 = _partials("catalecticant", m=4, r=2)
-    _, rank42 = linear_syzygies(p42, config=cfg)
+    syz42, rank42 = linear_syzygies(p42, config=cfg)
     assert rank42.rank == 6
-    new42, _, _ = rees_minimal_bidegree12(p42, config=cfg)
+    new42, _, _ = rees_minimal_bidegree12(p42, syz42.columns, config=cfg)
     assert len(new42) == 2
 
     elapsed = time.monotonic() - t0
@@ -294,7 +293,7 @@ def test_criterion_7_degenerations():
         hv = dense_det([[Hp[i][j].evaluate(pt) for j in range(6)]
                         for i in range(6)], PRIME_61)
         assert hv == detp.evaluate(pt)
-    assert polar.homaloidal_verdict(fsc, config=CFG,
+    assert polar.homaloidal_verdict(polar.polar_data(fsc, CFG),
                                     try_linear_type=False,
                                     try_saturation_obstruction=False
                                     ).status == "Homaloidal"

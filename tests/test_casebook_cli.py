@@ -1,8 +1,10 @@
 """Case-study registry and command-line surface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -269,9 +271,9 @@ def test_timeout_names_the_sub_computation():
 
 
 def test_cat42_verdict_reuses_the_bidegree12_equations(monkeypatch):
-    # the verdict takes the blowup equations of the linear-rank and
-    # bidegree-12 facts instead of deriving them a second time
-    from detlab import casebook, syzygy
+    # the bidegree-12 fact and the verdict read one polar record, which
+    # derives the blowup equations once
+    from detlab import polar, syzygy
     calls = []
 
     def counting(fn):
@@ -279,13 +281,68 @@ def test_cat42_verdict_reuses_the_bidegree12_equations(monkeypatch):
             calls.append(fn.__name__)
             return fn(*args, **kwargs)
         return wrapped
-    monkeypatch.setattr(casebook, "rees_minimal_bidegree12",
-                        counting(casebook.rees_minimal_bidegree12))
+    monkeypatch.setattr(polar, "rees_minimal_bidegree12",
+                        counting(polar.rees_minimal_bidegree12))
     monkeypatch.setattr(syzygy, "rees_minimal_bidegree12",
                         counting(syzygy.rees_minimal_bidegree12))
     rep = run_scenario("cat-4-2", config=Config(seed=5))
     assert rep.verdict == "pass"
     assert calls == ["rees_minimal_bidegree12"]
+
+
+@pytest.mark.parametrize("sid,columns", [("cat-4-2", 100), ("cat-4-3", 169)])
+def test_degree_one_syzygy_kernel_runs_once(monkeypatch, sid, columns):
+    # linear-rank, bidegree-12, jacobian-dual and verdict share one kernel
+    from detlab import syzygy
+    sizes = []
+    original = syzygy.linear_relations
+
+    def counting(polys, monos, budget=None):
+        sizes.append(len(polys) * len(monos))
+        return original(polys, monos, budget)
+    monkeypatch.setattr(syzygy, "linear_relations", counting)
+    assert run_scenario(sid, config=Config(seed=5)).verdict == "pass"
+    assert sizes.count(columns) == 1
+
+
+def test_dg3_hessian_status_computed_once(monkeypatch):
+    from detlab import polar
+    calls = []
+    original = polar.hessian_det_status
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(polar, "hessian_det_status", counting)
+    assert run_scenario("dg-3", config=Config(seed=5)).verdict == "pass"
+    assert len(calls) == 1
+
+
+def test_cat43_budget_timeout_is_no_contradiction():
+    # the bidegree-12 equations time out under the cap; the facts that need
+    # them report a timeout instead of judging a partial set of equations
+    from detlab.groebner import _MEMORY_CACHE
+    _MEMORY_CACHE.clear()
+    rep = run_scenario("cat-4-3", config=Config(gb_step_cap=200))
+    assert rep.verdict == "incomplete"
+    by_id = {r.fact_id: r for r in rep.records}
+    for fid in ("jacobian-dual", "verdict"):
+        assert by_id[fid].match == "timeout" and by_id[fid].certainty == "timeout"
+    assert all(r.match != "no" for r in rep.records)
+
+
+def test_casebook_run_matches_the_reference_output():
+    # the behaviour lock: default facts, default config, no timings
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if not k.startswith("DETLAB_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "detlab.cli", "casebook", "run",
+                           "--json", "--no-timings"],
+                          capture_output=True, text=True, env=env, cwd=root)
+    assert proc.returncode == 0, proc.stderr
+    reference = (root / "bench" / "reference" / "casebook-no-timings.json")
+    assert proc.stdout == reference.read_text(encoding="utf-8")
 
 
 def test_dg3_quadric_relation_runs_under_the_budget():

@@ -23,22 +23,25 @@ def det_and_partials(kind, **kw):
 def test_verdict_accepts_rational_coefficients():
     # f and 2f have the same polar map, so the same verdict and evidence
     R = xring(3)
-    half = polar.homaloidal_verdict(R.from_string("1/2*x0^3 + x1^3 + x2^3 + x0*x1*x2"))
-    whole = polar.homaloidal_verdict(R.from_string("x0^3 + 2*x1^3 + 2*x2^3 + 2*x0*x1*x2"))
+    half = polar.homaloidal_verdict(
+        polar.polar_data(R.from_string("1/2*x0^3 + x1^3 + x2^3 + x0*x1*x2")))
+    whole = polar.homaloidal_verdict(
+        polar.polar_data(R.from_string("x0^3 + 2*x1^3 + 2*x2^3 + 2*x0*x1*x2")))
     assert half.to_dict(no_timings=True) == whole.to_dict(no_timings=True)
 
 
 def test_gradient_ideal_quadric():
     R = xring(3)
     f = R.from_string("x0*x2 - x1^2")
-    J, zeros = polar.gradient_ideal(f)
-    assert zeros == []
+    partials = polar.polar_data(f).partials
+    assert not any(p.is_zero() for p in partials)
     from detlab.groebner import ideal_equal
-    assert ideal_equal(J, Ideal(R, list(R.gens())))
+    assert ideal_equal(Ideal(R, partials), Ideal(R, list(R.gens())))
 
 
 def test_gradient_ideal_generic3_cofactors():
-    G, f, partials = det_and_partials("generic", m=3)
+    G, f, _ = det_and_partials("generic", m=3)
+    partials = polar.polar_data(f).partials
     adj = cofactor_matrix(G)
     # partial wrt entry (i,j) equals adjugate entry (j,i) (signed cofactor)
     R = G.ring
@@ -51,7 +54,7 @@ def test_gradient_ideal_generic3_cofactors():
 def test_gradient_rejects_nonhomogeneous():
     R = xring(2)
     with pytest.raises(ValueError):
-        polar.gradient_ideal(R.from_string("x0^2 + x1"))
+        polar.polar_data(R.from_string("x0^2 + x1"))
 
 
 def test_hessian_symmetric_and_euler():
@@ -258,7 +261,7 @@ def test_jacobian_dual_cat43_rank_twelve():
     _, _, partials = det_and_partials("catalecticant", m=4, r=3)
     syz, _ = linear_syzygies(partials)
     sym = symmetric_algebra_ideal(partials, syz.columns)
-    new12, _, _ = rees_minimal_bidegree12(partials)
+    new12, _, _ = rees_minimal_bidegree12(partials, syz.columns)
     res = polar.jacobian_dual_rank(partials, sym.ideal.gens + new12)
     assert res.rank == 12
 
@@ -286,7 +289,7 @@ def test_jacobian_dual_rejects_nonlinear_x():
 
 def test_verdict_hankel3_not_homaloidal():
     _, f, _ = det_and_partials("hankel", m=3)
-    v = polar.homaloidal_verdict(f)
+    v = polar.homaloidal_verdict(polar.polar_data(f))
     assert v.status == "NotHomaloidal"
     crits = {e.criterion: e for e in v.evidence}
     assert "linear-type-obstruction" in crits
@@ -295,7 +298,7 @@ def test_verdict_hankel3_not_homaloidal():
 
 def test_verdict_cat32_homaloidal_with_certificates():
     _, f, _ = det_and_partials("catalecticant", m=3, r=2)
-    v = polar.homaloidal_verdict(f)
+    v = polar.homaloidal_verdict(polar.polar_data(f))
     assert v.status == "Homaloidal"
     crits = {e.criterion: e for e in v.evidence}
     dom = crits["hessian-dominance"]
@@ -305,14 +308,14 @@ def test_verdict_cat32_homaloidal_with_certificates():
 
 def test_verdict_sc3_homaloidal():
     _, f, _ = det_and_partials("sc3")
-    v = polar.homaloidal_verdict(f, try_linear_type=False,
+    v = polar.homaloidal_verdict(polar.polar_data(f), try_linear_type=False,
                                  try_saturation_obstruction=False)
     assert v.status == "Homaloidal"
 
 
 def test_verdict_generic3_via_inverse():
     _, f, partials = det_and_partials("generic", m=3)
-    v = polar.homaloidal_verdict(f, candidate_inverse=partials,
+    v = polar.homaloidal_verdict(polar.polar_data(f), candidate_inverse=partials,
                                  try_linear_type=False,
                                  try_saturation_obstruction=False)
     assert v.status == "Homaloidal"
@@ -322,14 +325,14 @@ def test_verdict_generic3_via_inverse():
 def test_verdict_saturation_obstruction_route():
     # disable the linear-type route: the saturation route must still refute
     _, f, _ = det_and_partials("hankel", m=3)
-    v = polar.homaloidal_verdict(f, try_linear_type=False)
+    v = polar.homaloidal_verdict(polar.polar_data(f), try_linear_type=False)
     assert v.status == "NotHomaloidal"
     assert any(e.criterion == "saturation-low-degree" for e in v.evidence)
 
 
 def test_verdict_json_shape():
     _, f, _ = det_and_partials("sc3")
-    v = polar.homaloidal_verdict(f, try_linear_type=False,
+    v = polar.homaloidal_verdict(polar.polar_data(f), try_linear_type=False,
                                  try_saturation_obstruction=False)
     d = v.to_dict()
     assert set(d) == {"status", "evidence", "seed", "timings"}
@@ -341,7 +344,7 @@ def test_verdict_json_shape():
 def test_proved_homaloidal_carries_certificates():
     from detlab.structmat import build_structured, determinant
     _, f, _ = det_and_partials("catalecticant", m=3, r=2)
-    v = polar.homaloidal_verdict(f, try_linear_type=False,
+    v = polar.homaloidal_verdict(polar.polar_data(f), try_linear_type=False,
                                  try_saturation_obstruction=False)
     assert v.status == "Homaloidal"
     crits = {e.criterion: e for e in v.evidence}
@@ -350,12 +353,37 @@ def test_proved_homaloidal_carries_certificates():
     assert cert is not None and cert["minor"] is not None
 
 
+def test_verdict_linear_type_attempt_keeps_the_deadline():
+    # the in-pipeline linear-type attempt runs under the config's deadline
+    from detlab.groebner import _MEMORY_CACHE
+    _MEMORY_CACHE.clear()  # a cached basis would take no steps
+    _, f, _ = det_and_partials("hankel", m=3)
+    v = polar.homaloidal_verdict(polar.polar_data(f, Config(timeout_secs=1e-6)))
+    crits = {e.criterion: e for e in v.evidence}
+    assert crits["linear-type"].result == "Timeout"
+    assert crits["linear-type"].certainty == "timeout"
+
+
+def test_polar_record_keeps_no_timed_out_reader():
+    from detlab.config import Budget, ComputationTimeout
+    _, f, partials = det_and_partials("catalecticant", m=4, r=2)
+    form = polar.polar_data(f)
+    with pytest.raises(ComputationTimeout):
+        form.blowup_equations(Budget(step_cap=10))
+    sym, new12 = form.blowup_equations()
+    assert len(new12) == 2
+    assert form.blowup_equations() == (sym, new12)
+    syz, rank = form.linear_syzygies()
+    assert form.linear_syzygies() == (syz, rank) and rank.rank == 6
+    assert len(sym) == len(symmetric_algebra_ideal(partials, syz.columns).ideal.gens)
+
+
 def test_verdict_rejects_bad_input_and_zero_partials():
     R = xring(3)
     with pytest.raises(ValueError):
-        polar.homaloidal_verdict(R.from_string("x0^2 + x1"))
+        polar.homaloidal_verdict(polar.polar_data(R.from_string("x0^2 + x1")))
     # a form missing one ambient variable: never dominant
     f = R.from_string("x0^2*x1 + x1^3")
-    v = polar.homaloidal_verdict(f)
+    v = polar.homaloidal_verdict(polar.polar_data(f))
     assert v.status == "NotHomaloidal"
     assert v.evidence[0].criterion == "degenerate-polar-image"

@@ -221,6 +221,6 @@ def test_displayed_generators_are_relations_n5():
 @pytest.mark.parametrize("n", [3, 4])
 def test_homaloidal_verdict(n):
     case = subhankel_case(n)
-    v = polar.homaloidal_verdict(case.f, try_linear_type=False,
+    v = polar.homaloidal_verdict(polar.polar_data(case.f), try_linear_type=False,
                                  try_saturation_obstruction=False)
     assert v.status == "Homaloidal"
