@@ -22,6 +22,7 @@ from .structmat import (MinorLadder, PolyMatrix, build_gp_associated, build_stru
                         determinant, cofactor_matrix, minor, minors_ideal_gens)
 from .hankelplucker import (golberg_delta_check, integrality_check,
                             reduction_conjecture_check)
+from .syzygy import fitting_condition_F1
 from . import polar, subhankel as subhankel_mod
 
 SCHEMA_VERSION = 1
@@ -135,6 +136,15 @@ def _verdict_fact(expected, accepted=None, full=False, inverse=False):
     return check
 
 
+def _linear_type_fact(ctx):
+    """Check that the gradient ideal is of linear type, read off the
+    scenario's polar record; a timeout is a timeout, not a contradiction."""
+    out = ctx["form"].linear_type()
+    if out.status == "Timeout":
+        return "LinearType", "Timeout", "timeout"
+    return "LinearType", out.status, out.status == "LinearType"
+
+
 # ---------------------------------------------------------------------------
 # scenario: hankel-3
 
@@ -197,13 +207,9 @@ def _hankel3_facts():
         return _eq_fact((3, 3, True), got)
 
     def fitting(ctx):
-        from .syzygy import fitting_condition_F1
-        rep = fitting_condition_F1(ctx["form"].partials, config=ctx["config"])
+        b = ctx["config"].budget()
+        rep = fitting_condition_F1(ctx["form"].syzygy_module(b), b, ctx["config"])
         return _bool_fact("Fitting heights meet rank(phi)-t+2 for all t", rep.passed)
-
-    def lintype(ctx):
-        out = polar.linear_type_check(ctx["form"].partials, config=ctx["config"])
-        return "LinearType", out.status, out.status == "LinearType"
 
     def hess_mult(ctx):
         form = ctx["form"]
@@ -235,7 +241,7 @@ def _hankel3_facts():
         Fact("fitting-F1", "Fitting-height condition holds",
              "hankel-3/fitting-F1", "recorded", fitting),
         Fact("linear-type", "gradient ideal is of linear type",
-             "hankel-3/linear-type", "recorded", lintype),
+             "hankel-3/linear-type", "recorded", _linear_type_fact),
         Fact("verdict", "determinant is not homaloidal",
              "hankel-3/verdict", "recorded", _verdict_fact("NotHomaloidal", full=True)),
         Fact("hessian-mult", "form divides its Hessian determinant exactly once",
@@ -282,12 +288,6 @@ def _hankel4_facts():
             return "Equal", out.status, out.status == "Equal"
         return run
 
-    def lintype(ctx):
-        out = polar.linear_type_check(ctx["form"].partials, config=ctx["config"])
-        if out.status == "Timeout":
-            return "LinearType", "Timeout", "timeout"
-        return "LinearType", out.status, out.status == "LinearType"
-
     return [
         Fact("mult-P", "multiplicity ten, codimension three for the minor quotient",
              "hankel-4/mult-P", "recorded", mult_P),
@@ -311,7 +311,7 @@ def _hankel4_facts():
              "hankel-4/reduction-2", "recorded", reduction(2), required="report-only",
              long=True),
         Fact("linear-type", "linear type (conjecture case, budget-capped)",
-             "hankel-4/linear-type", "recorded", lintype, required="report-only",
+             "hankel-4/linear-type", "recorded", _linear_type_fact, required="report-only",
              long=True),
     ]
 
@@ -384,10 +384,6 @@ def _cat32_facts():
         _, rank = ctx["form"].linear_syzygies()
         return _eq_fact((6, "proved"), (rank.rank, rank.certainty))
 
-    def lintype(ctx):
-        out = polar.linear_type_check(ctx["form"].partials, config=ctx["config"])
-        return "LinearType", out.status, out.status == "LinearType"
-
     def hess_mult(ctx):
         form = ctx["form"]
         Hf = determinant(form.hessian, ctx["config"].budget())
@@ -412,7 +408,7 @@ def _cat32_facts():
         Fact("linear-rank", "maximal linear rank six",
              "cat-3-2/linear-rank", "recorded", linrank),
         Fact("linear-type", "gradient ideal is of linear type",
-             "cat-3-2/linear-type", "recorded", lintype),
+             "cat-3-2/linear-type", "recorded", _linear_type_fact),
         Fact("verdict", "determinant is homaloidal",
              "cat-3-2/verdict", "recorded", _verdict_fact("Homaloidal", full=True)),
         Fact("hessian-mult", "multiplicity one with a quartic residual",
@@ -661,9 +657,8 @@ def _symmetric3_facts():
 
 def _build_subhankel(n):
     def build(config):
-        case = subhankel_mod.subhankel_case(n)
-        return {"config": config, "case": case, "n": n,
-                "form": polar.polar_data(case.f, config)}
+        return {"config": config,
+                "form": polar.polar_data(subhankel_mod.subhankel_case(n).f, config)}
     return build
 
 
@@ -701,7 +696,7 @@ def _subhankel_facts(n):
             return _bool_fact("colon of the last partial", rep.passed)
 
         def resolution(ctx):
-            rep = subhankel_mod.resolution_and_ass_check(n, config=ctx["config"])
+            rep = subhankel_mod.resolution_and_ass_check(ctx["form"])
             return _bool_fact("resolution, numerator, radical, embedded prime, "
                               "primary part", rep.passed)
         facts += [
@@ -712,7 +707,7 @@ def _subhankel_facts(n):
         ]
     if n <= 4:
         def lt(ctx):
-            rep = subhankel_mod.subhankel_linear_type_check(n, config=ctx["config"])
+            rep = subhankel_mod.subhankel_linear_type_check(ctx["form"])
             return _bool_fact("linear type with matching 1-form generators", rep.passed)
         facts += [
             Fact("linear-type", "gradient ideal is of linear type",

@@ -310,6 +310,7 @@ def _cmd_subhankel(args) -> int:
                 print(f"  [{r.match:>7}] {r.fact_id}")
         return {"pass": EXIT_OK, "contradiction": EXIT_CONTRADICTION,
                 "incomplete": EXIT_TIMEOUT}[rep.verdict]
+    form = polar.polar_data(subhankel_mod.subhankel_case(n).f, config)
     checks = {
         "recurrence": lambda: subhankel_mod.recurrence_check(n),
         "gcd": lambda: min((subhankel_mod.gcd_power_check(n, i, config=config)
@@ -317,8 +318,8 @@ def _cmd_subhankel(args) -> int:
         "hilbert-burch": lambda: subhankel_mod.hilbert_burch_check(n, config=config),
         "multiplicity": lambda: subhankel_mod.multiplicity_filtration_check(n, config=config),
         "colon": lambda: subhankel_mod.colon_claim_check(n, config=config),
-        "resolution": lambda: subhankel_mod.resolution_and_ass_check(n, config=config),
-        "linear-type": lambda: subhankel_mod.subhankel_linear_type_check(n, config=config),
+        "resolution": lambda: subhankel_mod.resolution_and_ass_check(form),
+        "linear-type": lambda: subhankel_mod.subhankel_linear_type_check(form),
     }
     names = list(checks) if args.all else [args.check]
     results = {}

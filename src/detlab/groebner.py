@@ -722,12 +722,6 @@ class Ideal:
         entries = self._entries(self._resolve(order), budget, config)
         return [g.pk.unpack(g.lm) for g in entries]
 
-    def initial_ideal(self, order=None, budget=None, config=None) -> "Ideal":
-        """Monomial ideal of leading terms of the reduced basis."""
-        order = self._resolve(order)
-        lms = self.leading_monomials(order, budget, config)
-        return Ideal(self.ring, [self.ring.monomial(e) for e in lms])
-
     def is_unit(self, budget=None, config=None) -> bool:
         gb = self.groebner_basis(None, budget, config)
         return any(g.is_constant() and not g.is_zero() for g in gb)
@@ -1023,11 +1017,6 @@ def hilbert_data(I: Ideal, order=None, budget=None, config=None) -> HilbertData:
     return HilbertData(nvars - c, abs(mult), num)
 
 
-def height(I: Ideal, budget=None, config=None) -> int:
-    """Codimension of I in its ambient polynomial ring."""
-    return I.ring.nvars - hilbert_data(I, None, budget, config).dimension
-
-
 # ---------------------------------------------------------------------------
 # Rees ideal by tag elimination
 
@@ -1041,20 +1030,6 @@ class ReesResult:
         self.ny = ny
         self.nx = nx
         self.truncated = truncated
-
-    def bidegree(self, g: Polynomial) -> tuple[int, int]:
-        """(x-degree, y-degree) of a bihomogeneous element."""
-        bids = set()
-        for e in g.terms:
-            yd = sum(e[:self.ny])
-            xd = sum(e[self.ny:])
-            bids.add((xd, yd))
-        if len(bids) != 1:
-            raise ValueError("element is not bihomogeneous")
-        return bids.pop()
-
-    def generators_of_y_degree(self, s: int) -> list[Polynomial]:
-        return [g for g in self.ideal.gens if self.bidegree(g)[1] == s]
 
 
 def rees_ring(ring: Ring, nforms: int) -> Ring:

@@ -3,11 +3,13 @@ its Hessian determinant, inversion factors, linear-type and Jacobian-dual
 birationality criteria, and the assembled homaloidal verdicts.
 
 `polar_data(f, config)` is the one record of a form's polar data: the
-partials, the Hessian matrix, and three readers computed once on first
-use (the Hessian determinant status, the linear syzygies with their rank,
-and the blowup equations linear in x behind the Jacobian-dual criterion).
-Casebook facts and `homaloidal_verdict`, the single verdict entry point,
-all read the same record, so no derived object is computed twice.
+partials, the Hessian matrix, and five readers computed once on first use
+(the Hessian determinant status, the linear syzygies with their rank, the
+blowup equations linear in x behind the Jacobian-dual criterion, the full
+first syzygy module of the partials, and the linear-type answer read off
+that module).  Casebook facts and `homaloidal_verdict`, the single verdict
+entry point, all read the same record, so no derived object is computed
+twice.
 
 Certainty discipline: an exact nonzero integer evaluation is a proof (a
 nonzero value mod p certifies a nonzero integer), probabilistic identity
@@ -27,8 +29,8 @@ from .modp import (PRIME_61, PRIME_61B, factor_multiplicity_upoly, udeg,
 from .groebner import Ideal, rees_ideal, symmetric_algebra_ideal, saturation
 from .polyring import Polynomial, Ring, exact_divide, NOT_DIVISIBLE
 from .structmat import PolyMatrix, determinant
-from .syzygy import (linear_syzygies, first_syzygy_module, poly_matrix_rank,
-                     rees_minimal_bidegree12, RankResult)
+from .syzygy import (GradedSyzygyMatrix, linear_syzygies, first_syzygy_module,
+                     poly_matrix_rank, rees_minimal_bidegree12, RankResult)
 
 
 # ---------------------------------------------------------------------------
@@ -38,10 +40,11 @@ from .syzygy import (linear_syzygies, first_syzygy_module, poly_matrix_rank,
 class PolarMapData:
     """The polar data of one form.
 
-    The readers `hessian_status`, `linear_syzygies` and `blowup_equations`
-    compute on first use and keep the result.  A reader runs under the
-    budget of the caller that first asks; when that call times out nothing
-    is kept, so the next caller computes afresh under its own budget.
+    The readers `hessian_status`, `linear_syzygies`, `blowup_equations`,
+    `syzygy_module` and `linear_type` compute on first use and keep the
+    result.  A reader runs under the budget of the caller that first asks;
+    when that call times out nothing is kept (nor a "Timeout" linear-type
+    answer), so the next caller computes afresh under its own budget.
     """
     f: Polynomial
     partials: list[Polynomial]
@@ -51,17 +54,13 @@ class PolarMapData:
     config: Config
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def verify_euler(self) -> bool:
-        ring = self.f.ring
-        acc = ring.zero()
-        for i, p in enumerate(self.partials):
-            acc = acc + ring.var(i) * p
-        return acc == self.f * self.d
-
-    def _once(self, key: str, compute):
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
+    def _once(self, key: str, compute, keep=lambda value: True):
+        if key in self._memo:
+            return self._memo[key]
+        value = compute()
+        if keep(value):
+            self._memo[key] = value
+        return value
 
     def hessian_status(self) -> HessianStatus:
         return self._once("hessian", lambda: hessian_det_status(self.f, self.config))
@@ -81,6 +80,22 @@ class PolarMapData:
                                                   self.config)
             return symmetric_algebra_ideal(self.partials, syz.columns).ideal.gens, new12
         return self._once("blowup", compute)
+
+    def syzygy_module(self, budget: Budget | None = None) -> GradedSyzygyMatrix:
+        """Minimal generators of the first syzygy module of the partials."""
+        return self._once("module", lambda: first_syzygy_module(self.partials, budget,
+                                                                self.config))
+
+    def linear_type(self, budget: Budget | None = None) -> LinearTypeResult:
+        """Whether the gradient ideal is of linear type, against the
+        1-forms of `syzygy_module`."""
+        def compute():
+            try:
+                syz = self.syzygy_module(budget)
+            except ComputationTimeout:
+                return LinearTypeResult("Timeout")
+            return linear_type_check(self.partials, syz.columns, budget, self.config)
+        return self._once("linear-type", compute, keep=lambda lt: lt.status != "Timeout")
 
 
 def polar_data(f: Polynomial, config: Config | None = None) -> PolarMapData:
@@ -383,15 +398,18 @@ class LinearTypeResult:
     witness: Polynomial | None = None
 
 
-def linear_type_check(forms: list[Polynomial], budget: Budget | None = None,
+def linear_type_check(forms: list[Polynomial], syzygy_columns: list[list[Polynomial]],
+                      budget: Budget | None = None,
                       config: Config | None = None) -> LinearTypeResult:
     """Blowup equations vs syzygy 1-forms: linear type iff every blowup
-    generator reduces to zero against the 1-form ideal."""
+    generator reduces to zero against the 1-form ideal.
+
+    `syzygy_columns` generates the first syzygy module of the forms (the
+    columns of `first_syzygy_module`)."""
     config = config or DEFAULT_CONFIG
     try:
         rr = rees_ideal(forms, budget, config)
-        syz = first_syzygy_module(forms, budget, config)
-        sym = symmetric_algebra_ideal(forms, syz.columns)
+        sym = symmetric_algebra_ideal(forms, syzygy_columns)
         for g in rr.ideal.gens:
             if not sym.ideal.contains(g, budget=budget, config=config):
                 return LinearTypeResult("NotLinearType", witness=g)
@@ -523,11 +541,12 @@ def _verdict_pipeline(form, budget, candidate_inverse, try_linear_type,
                            "proved"))
 
     if try_linear_type:
-        # keep the verdict responsive: the in-pipeline attempt runs under a
-        # bounded step budget; explicit linear_type_check calls get the full one
+        # keep the verdict responsive: without a budget of its own the
+        # in-pipeline attempt runs under a bounded step budget, unless the
+        # record already holds the answer
         sub = budget if budget is not None else Budget(
             timeout_secs=config.timeout_secs, step_cap=min(config.gb_step_cap, 400_000))
-        lt = linear_type_check(partials, sub, config)
+        lt = form.linear_type(sub)
         ev.append(Evidence("linear-type", lt.status,
                            "proved" if lt.status != "Timeout" else "timeout"))
         if lt.status == "LinearType" and rank.certainty == "proved" and rank.rank < n:

@@ -167,15 +167,6 @@ def block_order(index_blocks: list[list[int]], sub_orders: list[MonomialOrder] |
     return MonomialOrder("block", nvars, blocks=blocks)
 
 
-def monomial_compare(u, v, order: MonomialOrder) -> int:
-    """-1, 0 or 1 as u <, =, > v in the given order."""
-    u, v = tuple(u), tuple(v)
-    if len(u) != len(v):
-        raise ValueError("exponent length mismatch")
-    ku, kv = order.key(u), order.key(v)
-    return (ku > kv) - (ku < kv)
-
-
 # ---------------------------------------------------------------------------
 # coefficient normalization
 

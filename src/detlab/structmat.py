@@ -57,18 +57,6 @@ class PolyMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_variable_entry(self) -> bool:
-        """Every entry a single variable (coefficient 1) or zero."""
-        for e in self.entries:
-            if e.is_zero():
-                continue
-            if len(e.terms) != 1:
-                return False
-            (exp, c), = e.terms.items()
-            if sum(exp) != 1 or c != 1:
-                return False
-        return True
-
     def reduce_mod(self, p: int) -> "PolyMatrix":
         """Entrywise image in GF(p)."""
         return PolyMatrix(self.rows, self.cols, [e.reduce_mod(p) for e in self.entries],
@@ -331,39 +319,6 @@ def minors_ideal_gens(M: PolyMatrix, t: int, budget: Budget | None = None) -> li
     """All t x t minors in combination order, duplicates and zeros removed."""
     return list(dict.fromkeys(d for d in MinorLadder(M, budget).minors(t)
                               if not d.is_zero()))
-
-
-def partials_as_cofactor_sums(M: PolyMatrix, var_index: int,
-                              budget: Budget | None = None) -> Polynomial:
-    """Sum of signed cofactors over all positions holding the variable.
-
-    Hypotheses: every entry is 0 or a variable, and no variable repeats
-    within a row or column; then the sum equals d(det M)/d(x_i).
-    """
-    if not M.is_square():
-        raise ValueError("cofactor sums need a square matrix")
-    if not M.is_variable_entry():
-        raise ValueError("entries must be single variables or zero")
-    n = M.rows
-    for r in range(n):
-        row_vars = [next(iter(M[r, c].terms)) for c in range(n) if not M[r, c].is_zero()]
-        if len(row_vars) != len(set(row_vars)):
-            raise ValueError(f"variable repeated within row {r}")
-    for c in range(n):
-        col_vars = [next(iter(M[r, c].terms)) for r in range(n) if not M[r, c].is_zero()]
-        if len(col_vars) != len(set(col_vars)):
-            raise ValueError(f"variable repeated within column {c}")
-    target = M.ring.var(var_index)
-    ladder = MinorLadder(M, budget)
-    acc = M.ring.zero()
-    for i in range(n):
-        for j in range(n):
-            if M[i, j] == target:
-                rows = [r for r in range(n) if r != i]
-                cols = [c for c in range(n) if c != j]
-                cof = ladder.minor(rows, cols)
-                acc = acc + cof if (i + j) % 2 == 0 else acc - cof
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .groebner import (Ideal, colon, hilbert_data, ideal_equal, ideal_sum,
                        radical_membership)
 from .polyring import Polynomial, Ring, dot, exact_divide, NOT_DIVISIBLE
 from .structmat import MinorLadder, PolyMatrix, build_structured, determinant
-from .syzygy import ModuleBasis, first_syzygy_module, graded_betti
+from .syzygy import ModuleBasis, graded_betti
 from . import polar
 
 
@@ -214,19 +214,23 @@ def colon_claim_check(n: int, budget: Budget | None = None,
                        {"equal": eq, "x_n_in_colon": incl})
 
 
-def resolution_and_ass_check(n: int, budget: Budget | None = None,
-                             config: Config | None = None) -> CheckReport:
+def resolution_and_ass_check(form: polar.PolarMapData,
+                             budget: Budget | None = None) -> CheckReport:
     """Resolution shifts, Hilbert numerator, multiplicity, radical,
-    certified embedded prime, and the minimal-primary-part identification."""
+    certified embedded prime, and the minimal-primary-part identification,
+    for the polar record of the order-n sub-Hankel determinant (n = form.n);
+    the resolution starts from the record's syzygy module."""
+    n = form.n
     if n > 5:
         raise ValueError("resolution check capped at n = 5")
+    config = form.config
     case = subhankel_case(n)
     ring = case.ring
-    J = Ideal(ring, case.partials)
+    J = Ideal(ring, form.partials)
     details: dict = {}
     ok = True
 
-    bt, stages = graded_betti(J, budget=budget, config=config)
+    bt, stages = graded_betti(J, budget, config, syzygies=form.syzygy_module(budget))
     want = {(0, 0): 1, (1, n - 1): n + 1, (2, n): n, (2, 2 * n - 2): 1, (3, 2 * n - 1): 1}
     betti_ok = dict(bt.items()) == want
     details["betti"] = {"got": sorted(bt.items()), "want": sorted(want.items())}
@@ -312,11 +316,10 @@ def resolution_and_ass_check(n: int, budget: Budget | None = None,
     return CheckReport(f"resolution-ass(n={n})", ok, details)
 
 
-def displayed_symmetric_generators(case: SubHankelCase) -> list[list[Polynomial]]:
-    """The closed-form syzygies of all n+1 partials: the filtration columns
-    padded by zero, plus the weighted Euler-type relation."""
-    n = case.n
-    ring = case.ring
+def displayed_symmetric_generators(n: int, ring: Ring) -> list[list[Polynomial]]:
+    """The closed-form syzygies of all n+1 partials of the order-n
+    sub-Hankel determinant over `ring`: the filtration columns padded by
+    zero, plus the weighted Euler-type relation."""
     out = []
     for i in range(1, n):
         col = []
@@ -338,19 +341,21 @@ def displayed_symmetric_generators(case: SubHankelCase) -> list[list[Polynomial]
     return out
 
 
-def subhankel_linear_type_check(n: int, budget: Budget | None = None,
-                                config: Config | None = None) -> CheckReport:
+def subhankel_linear_type_check(form: polar.PolarMapData,
+                                budget: Budget | None = None) -> CheckReport:
     """Linear type of the gradient ideal, and agreement of the closed-form
-    1-form generators with the computed syzygies up to row operations."""
+    1-form generators with the computed syzygies up to row operations, for
+    the polar record of the order-n sub-Hankel determinant (n = form.n)."""
+    n = form.n
     if n > 4:
         raise ValueError("blowup-equation check capped at n = 4")
-    case = subhankel_case(n)
-    lt = polar.linear_type_check(case.partials, budget, config)
-    syz = first_syzygy_module(case.partials, budget, config)
-    disp = displayed_symmetric_generators(case)
-    disp_ok = all(dot(col, case.partials).is_zero() for col in disp)
-    mb = ModuleBasis(syz.columns, [p.degree for p in case.partials],
-                     budget=budget, config=config)
+    ring, partials = form.f.ring, form.partials
+    lt = form.linear_type(budget)
+    syz = form.syzygy_module(budget)
+    disp = displayed_symmetric_generators(n, ring)
+    disp_ok = all(dot(col, partials).is_zero() for col in disp)
+    mb = ModuleBasis(syz.columns, [p.degree for p in partials],
+                     budget=budget, config=form.config)
     span_ok = all(mb.contains(col) for col in disp)
     n_linear = sum(1 for i in range(len(syz.columns)) if syz.entry_degree(i) == 1)
     heavy = [i for i in range(len(syz.columns)) if syz.entry_degree(i) == n - 1]
@@ -359,7 +364,7 @@ def subhankel_linear_type_check(n: int, budget: Budget | None = None,
     if n >= 3:
         g = syz.columns[heavy[0]]
         yn = g[n]
-        bar = Polynomial(case.ring, {e: c for e, c in yn.terms.items() if e[n] == 0})
+        bar = Polynomial(ring, {e: c for e, c in yn.terms.items() if e[n] == 0})
         tailgen_ok = (not bar.is_zero() and len(bar.terms) == 1
                       and next(iter(bar.terms))[n - 1] == n - 1)
     passed = lt.status == "LinearType" and disp_ok and span_ok and shape_ok and tailgen_ok

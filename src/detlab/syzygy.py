@@ -131,10 +131,6 @@ class GradedSyzygyMatrix:
             raise ValueError("entry degree needs equal target degrees")
         return self.column_degrees[i] - d.pop()
 
-    def verify(self, forms: list[Polynomial]) -> bool:
-        """Exact dot products: every column annihilates the forms."""
-        return all(dot(col, forms).is_zero() for col in self.columns)
-
     def as_poly_matrix(self) -> PolyMatrix:
         rows = len(self.target_degrees)
         ents = []
@@ -374,17 +370,17 @@ def _nonzero_minor_levels(phi: PolyMatrix, budget: Budget) -> list[list[Polynomi
     return levels
 
 
-def fitting_condition_F1(forms: list[Polynomial], budget: Budget | None = None,
+def fitting_condition_F1(syz: GradedSyzygyMatrix, budget: Budget | None = None,
                          config: Config | None = None) -> FittingReport:
     """Height of each Fitting ideal of the presentation vs rank - t + 2.
 
-    The rank and the Fitting generators both come from the minors of the
-    presentation; a timeout while reading them propagates, since no row
-    can be scored without the rank.
+    `syz` is the presentation: the first syzygy module of the forms (as
+    from `first_syzygy_module`).  The rank and the Fitting generators both
+    come from its minors; a timeout while reading them propagates, since no
+    row can be scored without the rank.
     """
     config = config or DEFAULT_CONFIG
     b = budget or config.budget()
-    syz = first_syzygy_module(forms, b, config)
     phi = syz.as_poly_matrix()
     levels = _nonzero_minor_levels(phi, b)
     rank = len(levels)
@@ -438,9 +434,6 @@ class BettiTable:
                 out.pop(j, None)
         return out
 
-    def max_index(self) -> int:
-        return max((i for i, _ in self.data), default=0)
-
     def __repr__(self):
         rows = sorted(self.data.items())
         return "BettiTable(" + ", ".join(f"b[{i},{j}]={v}" for (i, j), v in rows) + ")"
@@ -451,12 +444,15 @@ _BETTI_HOM_CAP = 4
 _BETTI_DEG_CAP = 40
 
 
-def graded_betti(I: Ideal, budget: Budget | None = None, config: Config | None = None
+def graded_betti(I: Ideal, budget: Budget | None = None, config: Config | None = None,
+                 syzygies: GradedSyzygyMatrix | None = None
                  ) -> tuple[BettiTable, list[GradedSyzygyMatrix]]:
     """Minimal graded Betti numbers of R/I by iterated syzygies.
 
     Returns the table and the list of minimal presentation matrices
-    (stage k holds the differential F_{k+1} -> F_k).
+    (stage k holds the differential F_{k+1} -> F_k).  A caller that holds
+    the first syzygy module of `I.gens` passes it as `syzygies`; it is used
+    when every generator is minimal, so the first stage is not recomputed.
     """
     config = config or DEFAULT_CONFIG
     b = budget or config.budget()
@@ -475,7 +471,10 @@ def graded_betti(I: Ideal, budget: Budget | None = None, config: Config | None =
     level = 1
     complete = not cur_cols
     while cur_cols and level < _BETTI_HOM_CAP:
-        syz = module_syzygies(cur_cols, cur_shifts, b, config)
+        if level == 1 and syzygies is not None and gens.columns == gens0.columns:
+            syz = syzygies
+        else:
+            syz = module_syzygies(cur_cols, cur_shifts, b, config)
         if not syz.columns:
             complete = True
             break

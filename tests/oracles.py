@@ -251,3 +251,12 @@ class TuplePairs:
             if self.pairs.pop((i, j), None) is not None:
                 return s, li, i, j
         return None
+
+
+def bidegree(g, ny):
+    """(x-degree, y-degree) of a bihomogeneous element of k[y, x] whose
+    first ny variables are the y's."""
+    bids = {(sum(e[ny:]), sum(e[:ny])) for e in g.terms}
+    if len(bids) != 1:
+        raise ValueError("element is not bihomogeneous")
+    return bids.pop()

@@ -11,7 +11,7 @@ from math import comb
 import pytest
 
 from detlab.config import Config
-from detlab.polyring import Ring
+from detlab.polyring import Ring, dot
 from detlab.groebner import (Ideal, colon, hilbert_data, ideal_equal,
                              ideal_power, ideal_product, intersect,
                              saturation, symmetric_algebra_ideal,
@@ -83,9 +83,10 @@ def test_criterion_1_hankel3_suite():
             acc = acc + a * p
         assert acc.is_zero()
 
-    assert fitting_condition_F1(partials, config=CFG).passed
-    assert polar.linear_type_check(partials, config=CFG).status == "LinearType"
-    assert polar.homaloidal_verdict(polar.polar_data(f, CFG)).status == "NotHomaloidal"
+    form = polar.polar_data(f, CFG)
+    assert fitting_condition_F1(form.syzygy_module(), config=CFG).passed
+    assert form.linear_type().status == "LinearType"
+    assert polar.homaloidal_verdict(form).status == "NotHomaloidal"
 
     elapsed = time.monotonic() - t0
     assert elapsed < 60
@@ -118,8 +119,9 @@ def test_criterion_2_cat32_suite():
     assert rank.per_trial_bound < 2 ** -40     # stated probabilistic bound
     assert rank.certainty == "proved"          # exact confirmation
 
-    assert polar.homaloidal_verdict(polar.polar_data(f, CFG)).status == "Homaloidal"
-    assert polar.linear_type_check(partials, config=CFG).status == "LinearType"
+    form = polar.polar_data(f, CFG)
+    assert polar.homaloidal_verdict(form).status == "Homaloidal"
+    assert form.linear_type().status == "LinearType"
 
     Hf = determinant(H)
     mr = polar.factor_multiplicity(f, Hf, config=CFG)
@@ -210,7 +212,7 @@ def test_criterion_5_subhankel():
             hd = hilbert_data(case.filtration_ideal(i), config=CFG)
             assert hd.multiplicity == comb(i + 1, 2)
         assert sh.colon_claim_check(n, config=CFG).passed
-        rep = sh.resolution_and_ass_check(n, config=CFG)
+        rep = sh.resolution_and_ass_check(polar.polar_data(case.f, CFG))
         assert rep.passed, rep.details
         J = Ideal(case.ring, case.partials)
         hd = hilbert_data(J, config=CFG)
@@ -218,7 +220,8 @@ def test_criterion_5_subhankel():
         assert hd.numerator == want
         assert hd.multiplicity == comb(n - 1, 2)
     for n in (3, 4):
-        assert sh.subhankel_linear_type_check(n, config=CFG).passed
+        form = polar.polar_data(sh.subhankel_case(n).f, CFG)
+        assert sh.subhankel_linear_type_check(form).passed
     elapsed = time.monotonic() - t0
     assert elapsed < 600
     _announce(5, "sub-Hankel n=3,4,5", t0)
@@ -363,7 +366,7 @@ def test_criterion_8_property_suites():
         f = determinant(M)
         partials = [f.diff(i) for i in range(M.ring.nvars)]
         syz = first_syzygy_module(partials, config=CFG)
-        assert syz.verify(partials)
+        assert all(dot(col, partials).is_zero() for col in syz.columns)
         lin, _ = linear_syzygies(partials, config=CFG)
-        assert lin.verify(partials)
+        assert all(dot(col, partials).is_zero() for col in lin.columns)
     _announce(8, "property suites", t0)

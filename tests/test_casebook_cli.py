@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from detlab.casebook import list_scenarios, run_scenario
+from detlab.casebook import list_scenarios, registry, run_scenario
 from detlab.config import Config
 from detlab.cli import main as cli_main
 
@@ -316,6 +316,30 @@ def test_dg3_hessian_status_computed_once(monkeypatch):
     monkeypatch.setattr(polar, "hessian_det_status", counting)
     assert run_scenario("dg-3", config=Config(seed=5)).verdict == "pass"
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("sid", ["hankel-3", "subhankel-3", "subhankel-4", "cat-3-2"])
+def test_syzygy_module_and_linear_type_computed_once(monkeypatch, sid):
+    # fitting-F1, linear-type, the resolution and the verdict read the
+    # partials' first syzygy module and the linear-type answer off one record
+    from detlab import polar, syzygy
+    modules, checks = [], []
+    module_syzygies, linear_type_check = syzygy.module_syzygies, polar.linear_type_check
+
+    def counting_module(columns, shifts, *args, **kwargs):
+        modules.append((columns, shifts))
+        return module_syzygies(columns, shifts, *args, **kwargs)
+
+    def counting_check(*args, **kwargs):
+        checks.append(1)
+        return linear_type_check(*args, **kwargs)
+    monkeypatch.setattr(syzygy, "module_syzygies", counting_module)
+    monkeypatch.setattr(polar, "linear_type_check", counting_check)
+    rep = run_scenario(sid, config=Config(seed=5))
+    assert rep.verdict == "pass"
+    partials = registry()[sid].build(Config(seed=5))["form"].partials
+    assert modules.count(([[p] for p in partials], [0])) == 1
+    assert len(checks) == 1
 
 
 def test_cat43_budget_timeout_is_no_contradiction():

@@ -7,7 +7,7 @@ from detlab.config import Config
 from detlab.polyring import Ring, xring
 from detlab.groebner import Ideal, symmetric_algebra_ideal
 from detlab.structmat import build_structured, determinant, cofactor_matrix
-from detlab.syzygy import linear_syzygies, rees_minimal_bidegree12
+from detlab.syzygy import first_syzygy_module, linear_syzygies, rees_minimal_bidegree12
 from detlab import polar
 
 
@@ -62,7 +62,11 @@ def test_hessian_symmetric_and_euler():
                      ("sub-hankel", {"n": 3})):
         M, f, partials = det_and_partials(kind, **kw)
         pd = polar.polar_data(f)
-        assert pd.verify_euler()
+        ring = f.ring
+        euler = ring.zero()
+        for i, p in enumerate(pd.partials):
+            euler = euler + ring.var(i) * p
+        assert euler == f * pd.d
         H = pd.hessian
         for i in range(H.rows):
             for j in range(H.cols):
@@ -223,24 +227,28 @@ def test_inversion_rejects_non_inverse():
 # ---------------------------------------------------------------------------
 # linear type
 
+def _linear_type(forms, **kw):
+    return polar.linear_type_check(forms, first_syzygy_module(forms).columns, **kw)
+
+
 def test_linear_type_regular_pair():
     R = xring(2)
     x0, x1 = R.gens()
-    assert polar.linear_type_check([x0, x1]).status == "LinearType"
+    assert _linear_type([x0, x1]).status == "LinearType"
 
 
 def test_linear_type_hankel3_and_cat32():
     _, _, p3 = det_and_partials("hankel", m=3)
-    assert polar.linear_type_check(p3).status == "LinearType"
+    assert _linear_type(p3).status == "LinearType"
     _, _, pc = det_and_partials("catalecticant", m=3, r=2)
-    assert polar.linear_type_check(pc).status == "LinearType"
+    assert _linear_type(pc).status == "LinearType"
 
 
 def test_linear_type_timeout_reported():
     from detlab.config import Config
     _, _, p4 = det_and_partials("hankel", m=4)
     cfg = Config(gb_step_cap=500)
-    out = polar.linear_type_check(p4, budget=cfg.budget(), config=cfg)
+    out = _linear_type(p4, budget=cfg.budget(), config=cfg)
     assert out.status == "Timeout"
 
 
@@ -376,6 +384,22 @@ def test_polar_record_keeps_no_timed_out_reader():
     syz, rank = form.linear_syzygies()
     assert form.linear_syzygies() == (syz, rank) and rank.rank == 6
     assert len(sym) == len(symmetric_algebra_ideal(partials, syz.columns).ideal.gens)
+
+
+def test_polar_record_keeps_no_timed_out_module_or_linear_type():
+    from detlab.config import Budget, ComputationTimeout
+    _, f, partials = det_and_partials("hankel", m=3)
+    form = polar.polar_data(f)
+    spent = Budget(step_cap=1)
+    with pytest.raises(ComputationTimeout):
+        form.syzygy_module(spent)
+    assert form.linear_type(spent).status == "Timeout"
+    # nothing was kept: fresh budgets compute the real answers, which stay
+    syz = form.syzygy_module(Budget())
+    assert syz.columns == first_syzygy_module(partials).columns
+    assert form.linear_type(Budget()).status == "LinearType"
+    assert form.syzygy_module(spent) is syz
+    assert form.linear_type(spent).status == "LinearType"
 
 
 def test_verdict_rejects_bad_input_and_zero_partials():

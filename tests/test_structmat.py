@@ -1,4 +1,4 @@
-"""Structured matrix constructors, determinants, minors, cofactor sums."""
+"""Structured matrix constructors, determinants, minors, cofactor matrices."""
 
 import itertools
 
@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from detlab.polyring import xring
 from detlab.structmat import (PolyMatrix, build_structured, build_gp_associated,
                               determinant, cofactor_matrix, minors_ideal_gens,
-                              partials_as_cofactor_sums, parse_matrix_spec,
+                              parse_matrix_spec,
                               minor, MinorLadder, _bareiss)
 from detlab.config import Budget, ComputationTimeout
 from detlab.polar import hessian
@@ -359,49 +359,6 @@ def test_cat32_minor_exclusion_ideal_level():
     reduced = Ideal(C.ring, [g for g in minors_ideal_gens(G, 2) if g not in (b, -b)])
     assert ideal_equal(I, reduced)
     assert not I.contains(b)
-
-
-# ---------------------------------------------------------------------------
-# cofactor sums of partials
-
-def test_partials_as_cofactor_sums_single_occurrence():
-    G = build_structured("generic", m=3)
-    f = determinant(G)
-    for v in range(9):
-        assert partials_as_cofactor_sums(G, v) == f.diff(v)
-
-
-def test_partials_as_cofactor_sums_hankel_middle():
-    H = build_structured("hankel", m=3)
-    got = partials_as_cofactor_sums(H, 2)
-    assert got == H.ring.from_string("x0*x4 + 2*x1*x3 - 3*x2^2")
-    assert got == determinant(H).diff(2)
-
-
-def test_partials_as_cofactor_sums_subhankel():
-    M = build_structured("sub-hankel", n=3)
-    f = determinant(M)
-    for v in range(4):
-        assert partials_as_cofactor_sums(M, v) == f.diff(v)
-
-
-def test_partials_as_cofactor_sums_all_constructors():
-    for kind, kw in (("hankel", {"m": 3}), ("hankel", {"m": 4}),
-                     ("catalecticant", {"m": 3, "r": 2}),
-                     ("sub-hankel", {"n": 4}),
-                     ("degenerate-generic", {"m": 3}), ("sc3", {})):
-        M = build_structured(kind, **kw)
-        f = determinant(M)
-        for v in range(M.ring.nvars):
-            assert partials_as_cofactor_sums(M, v) == f.diff(v)
-
-
-def test_partials_as_cofactor_sums_hypothesis_violation():
-    R = xring(2)
-    x = R.gens()
-    M = PolyMatrix(2, 2, [x[0], x[0], x[1], x[0]], "custom")
-    with pytest.raises(ValueError):
-        partials_as_cofactor_sums(M, 0)
 
 
 def test_gp_associated_minor_ideal_matches_square_for_unit_leap():
