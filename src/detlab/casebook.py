@@ -1,7 +1,8 @@
 """Machine-checked registry of the worked case studies: every recorded
 fact carries a stable anchor, an expected value with its provenance class
 (recorded value, triviality, or value derived from an independent oracle),
-and the procedure that recomputes it.
+and the procedure that recomputes it.  The anchor is derived, never
+stored: `<scenario id>/<fact id>`.
 
 Conjectural facts are report-only: a timeout keeps the suite green, a
 proved contradiction fails it.
@@ -32,7 +33,6 @@ SCHEMA_VERSION = 1
 class Fact:
     fact_id: str
     description: str
-    anchor: str
     tag: str                    # recorded | trivial | derived
     check: object               # callable(ctx) -> (expected, computed, ok)
     certainty: str = "proved"   # certainty of the check when it succeeds
@@ -145,6 +145,27 @@ def _linear_type_fact(ctx):
     return "LinearType", out.status, out.status == "LinearType"
 
 
+def _linear_rank_fact(want):
+    """Check of the linear rank of the partials, read off the scenario's
+    polar record."""
+    def check(ctx):
+        _, rank = ctx["form"].linear_syzygies()
+        return _eq_fact(want, rank.rank)
+    return check
+
+
+def _hessian_multiplicity_fact(n, dual_dim, residual_degree):
+    """Check of the form's multiplicity in its Hessian determinant,
+    evaluated on lines, against `polar.expected_multiplicity(n, dual_dim)`
+    and the degree of the residual factor."""
+    def check(ctx):
+        f = ctx["form"].f
+        mr = polar.factor_multiplicity(f, polar.HessianDetOnLine(f), config=ctx["config"])
+        return _eq_fact((polar.expected_multiplicity(n, dual_dim), residual_degree),
+                        (mr.value, mr.residual_degree))
+    return check
+
+
 # ---------------------------------------------------------------------------
 # scenario: hankel-3
 
@@ -221,31 +242,29 @@ def _hankel3_facts():
 
     return [
         Fact("mult-P", "multiplicity and codimension of the submaximal minor quotient",
-             "hankel-3/mult-P", "recorded", mult_P),
+             "recorded", mult_P),
         Fact("artinian-count", "length of the 3-variable monomial quotient of initial terms",
-             "hankel-3/artinian-count", "recorded", artinian),
+             "recorded", artinian),
         Fact("initial-terms", "leading monomials of the outer and middle partials",
-             "hankel-3/initial-terms", "recorded", initial_terms),
+             "recorded", initial_terms),
         Fact("radical", "radical of the gradient ideal equals the minor ideal",
-             "hankel-3/radical", "recorded", radical),
+             "recorded", radical),
         Fact("colon", "gradient colon minor ideal is the irrelevant ideal",
-             "hankel-3/colon", "recorded", colon_JP),
+             "recorded", colon_JP),
         Fact("reduction-1", "reduction number one for the minor ideal",
-             "hankel-3/reduction-1", "recorded", reduction_one),
+             "recorded", reduction_one),
         Fact("saturation", "saturation of the gradient ideal is the minor ideal",
-             "hankel-3/saturation", "recorded", sat),
-        Fact("mult-J", "multiplicity of the gradient quotient",
-             "hankel-3/mult-J", "recorded", mult_J),
+             "recorded", sat),
+        Fact("mult-J", "multiplicity of the gradient quotient", "recorded", mult_J),
         Fact("linear-rank", "linear rank three with the closed-form columns",
-             "hankel-3/linear-rank", "recorded", linrank),
-        Fact("fitting-F1", "Fitting-height condition holds",
-             "hankel-3/fitting-F1", "recorded", fitting),
+             "recorded", linrank),
+        Fact("fitting-F1", "Fitting-height condition holds", "recorded", fitting),
         Fact("linear-type", "gradient ideal is of linear type",
-             "hankel-3/linear-type", "recorded", _linear_type_fact),
+             "recorded", _linear_type_fact),
         Fact("verdict", "determinant is not homaloidal",
-             "hankel-3/verdict", "recorded", _verdict_fact("NotHomaloidal", full=True)),
+             "recorded", _verdict_fact("NotHomaloidal", full=True)),
         Fact("hessian-mult", "form divides its Hessian determinant exactly once",
-             "hankel-3/hessian-mult", "recorded", hess_mult),
+             "recorded", hess_mult),
     ]
 
 
@@ -260,16 +279,6 @@ def _hankel4_facts():
     def mult_J(ctx):
         hd = hilbert_data(ctx["J"], config=ctx["config"])
         return _eq_fact(10, hd.multiplicity)
-
-    def hess_mult(ctx):
-        f = ctx["form"].f
-        mr = polar.factor_multiplicity(f, polar.HessianDetOnLine(f), config=ctx["config"])
-        want = polar.expected_multiplicity(6, 3)
-        return _eq_fact((want, 6), (mr.value, mr.residual_degree))
-
-    def linrank(ctx):
-        _, rank = ctx["form"].linear_syzygies()
-        return _eq_fact(3, rank.rank)
 
     def minor_sums(ctx):
         rep = golberg_delta_check(4)
@@ -290,29 +299,23 @@ def _hankel4_facts():
 
     return [
         Fact("mult-P", "multiplicity ten, codimension three for the minor quotient",
-             "hankel-4/mult-P", "recorded", mult_P),
-        Fact("mult-J", "gradient quotient has the same multiplicity",
-             "hankel-4/mult-J", "recorded", mult_J),
+             "recorded", mult_P),
+        Fact("mult-J", "gradient quotient has the same multiplicity", "recorded", mult_J),
         Fact("hessian-mult", "effective multiplicity two with a degree-6 residual",
-             "hankel-4/hessian-mult", "recorded", hess_mult, certainty="probabilistic"),
-        Fact("linear-rank", "linear rank stays three",
-             "hankel-4/linear-rank", "recorded", linrank),
+             "recorded", _hessian_multiplicity_fact(6, 3, 6), certainty="probabilistic"),
+        Fact("linear-rank", "linear rank stays three", "recorded", _linear_rank_fact(3)),
         Fact("minor-sums", "minor-sum and bracket expansions of all partials",
-             "hankel-4/minor-sums", "derived", minor_sums),
+             "derived", minor_sums),
         Fact("radical", "radical of gradient ideal equals the minor ideal",
-             "hankel-4/radical", "recorded", radical),
+             "recorded", radical),
         Fact("reduction-0", "colon filtration step 0 (conjecture case)",
-             "hankel-4/reduction-0", "recorded", reduction(0), required="report-only",
-             long=True),
+             "recorded", reduction(0), required="report-only", long=True),
         Fact("reduction-1", "colon filtration step 1 (conjecture case)",
-             "hankel-4/reduction-1", "recorded", reduction(1), required="report-only",
-             long=True),
+             "recorded", reduction(1), required="report-only", long=True),
         Fact("reduction-2", "colon filtration step 2 (conjecture case)",
-             "hankel-4/reduction-2", "recorded", reduction(2), required="report-only",
-             long=True),
+             "recorded", reduction(2), required="report-only", long=True),
         Fact("linear-type", "linear type (conjecture case, budget-capped)",
-             "hankel-4/linear-type", "recorded", _linear_type_fact, required="report-only",
-             long=True),
+             "recorded", _linear_type_fact, required="report-only", long=True),
     ]
 
 
@@ -394,25 +397,23 @@ def _cat32_facts():
 
     return [
         Fact("hessian-point", "Hessian determinant is 8 at the marked point",
-             "cat-3-2/hessian-point", "recorded", hess_point),
+             "recorded", hess_point),
         Fact("minor-exclusion", "minor sets differ by exactly one bracket",
-             "cat-3-2/minor-exclusion", "recorded", minor_exclusion),
+             "recorded", minor_exclusion),
         Fact("intersection", "radical splitting of the minor ideal",
-             "cat-3-2/intersection", "recorded", intersection),
+             "recorded", intersection),
         Fact("bracket-partials", "closed bracket form of the partials",
-             "cat-3-2/bracket-partials", "recorded", bracket_partials),
-        Fact("colon", "embedded prime via the gradient colon",
-             "cat-3-2/colon", "recorded", colon_JI),
+             "recorded", bracket_partials),
+        Fact("colon", "embedded prime via the gradient colon", "recorded", colon_JI),
         Fact("multiplicities", "multiplicity six, codimension four, minor quotient five",
-             "cat-3-2/multiplicities", "recorded", mults),
-        Fact("linear-rank", "maximal linear rank six",
-             "cat-3-2/linear-rank", "recorded", linrank),
+             "recorded", mults),
+        Fact("linear-rank", "maximal linear rank six", "recorded", linrank),
         Fact("linear-type", "gradient ideal is of linear type",
-             "cat-3-2/linear-type", "recorded", _linear_type_fact),
+             "recorded", _linear_type_fact),
         Fact("verdict", "determinant is homaloidal",
-             "cat-3-2/verdict", "recorded", _verdict_fact("Homaloidal", full=True)),
+             "recorded", _verdict_fact("Homaloidal", full=True)),
         Fact("hessian-mult", "multiplicity one with a quartic residual",
-             "cat-3-2/hessian-mult", "recorded", hess_mult),
+             "recorded", hess_mult),
     ]
 
 
@@ -420,10 +421,6 @@ def _cat32_facts():
 # scenario: cat-4-3
 
 def _cat43_facts():
-    def linrank(ctx):
-        _, rank = ctx["form"].linear_syzygies()
-        return _eq_fact(11, rank.rank)
-
     def partial_structure(ctx):
         ladder = MinorLadder(ctx["matrix"])
         signed = {s for mm in ladder.minors(3) for s in (mm, -mm)}
@@ -445,12 +442,6 @@ def _cat43_facts():
         sym, new = form.blowup_equations()
         jr = polar.jacobian_dual_rank(form.partials, sym + new, config=ctx["config"])
         return _eq_fact(12, jr.rank)
-
-    def hess_mult(ctx):
-        f = ctx["form"].f
-        mr = polar.factor_multiplicity(f, polar.HessianDetOnLine(f), config=ctx["config"])
-        want = polar.expected_multiplicity(12, 6)
-        return _eq_fact((want, 6), (mr.value, mr.residual_degree))
 
     def residual_square(ctx):
         # residual of the Hessian = (corner-variable 3x3 anti-diagonal
@@ -495,25 +486,21 @@ def _cat43_facts():
                           ideal_equal(got, I, config=ctx["config"]))
 
     return [
-        Fact("linear-rank", "linear rank eleven",
-             "cat-4-3/linear-rank", "recorded", linrank),
+        Fact("linear-rank", "linear rank eleven", "recorded", _linear_rank_fact(11)),
         Fact("partial-structure", "ten partials are signed maximal minors, eight "
-             "from the two marked column triples", "cat-4-3/partial-structure",
-             "recorded", partial_structure),
+             "from the two marked column triples", "recorded", partial_structure),
         Fact("bidegree-12", "four minimal blowup equations of bidegree (1,2)",
-             "cat-4-3/bidegree-12", "recorded", bidegree12),
+             "recorded", bidegree12),
         Fact("jacobian-dual", "Jacobian dual rank twelve",
-             "cat-4-3/jacobian-dual", "recorded", jdual, certainty="probabilistic"),
+             "recorded", jdual, certainty="probabilistic"),
         Fact("verdict", "determinant is homaloidal",
-             "cat-4-3/verdict", "recorded", _verdict_fact("Homaloidal"),
-             certainty="probabilistic"),
+             "recorded", _verdict_fact("Homaloidal"), certainty="probabilistic"),
         Fact("hessian-mult", "effective multiplicity five with a degree-6 residual",
-             "cat-4-3/hessian-mult", "recorded", hess_mult, certainty="probabilistic"),
+             "recorded", _hessian_multiplicity_fact(12, 6, 6), certainty="probabilistic"),
         Fact("residual-square", "residual factors as the squared corner determinant",
-             "cat-4-3/residual-square", "recorded", residual_square,
-             certainty="probabilistic"),
+             "recorded", residual_square, certainty="probabilistic"),
         Fact("colon", "unmixed part of the gradient ideal via the colon",
-             "cat-4-3/colon", "recorded", colon_JP, long=True),
+             "recorded", colon_JP, long=True),
     ]
 
 
@@ -521,29 +508,18 @@ def _cat43_facts():
 # scenario: cat-4-2
 
 def _cat42_facts():
-    def linrank(ctx):
-        _, rank = ctx["form"].linear_syzygies()
-        return _eq_fact(6, rank.rank)
-
     def bidegree12(ctx):
         _, new = ctx["form"].blowup_equations()
         return _eq_fact(2, len(new))
 
-    def hess_mult(ctx):
-        f = ctx["form"].f
-        mr = polar.factor_multiplicity(f, polar.HessianDetOnLine(f), config=ctx["config"])
-        want = polar.expected_multiplicity(9, 6)
-        return _eq_fact((want, 12), (mr.value, mr.residual_degree))
-
     return [
         Fact("linear-rank", "linear rank six, three short of maximal",
-             "cat-4-2/linear-rank", "recorded", linrank),
+             "recorded", _linear_rank_fact(6)),
         Fact("bidegree-12", "exactly two blowup equations of bidegree (1,2)",
-             "cat-4-2/bidegree-12", "recorded", bidegree12),
+             "recorded", bidegree12),
         Fact("hessian-mult", "effective multiplicity two",
-             "cat-4-2/hessian-mult", "recorded", hess_mult, certainty="probabilistic"),
-        Fact("verdict", "suspected not homaloidal; never promoted to proved",
-             "cat-4-2/verdict", "recorded",
+             "recorded", _hessian_multiplicity_fact(9, 6, 12), certainty="probabilistic"),
+        Fact("verdict", "suspected not homaloidal; never promoted to proved", "recorded",
              # recorded exactly as the suspicion: anything but a proved Homaloidal
              _verdict_fact("Inconclusive (suspected not homaloidal)",
                            accepted=("Inconclusive", "NotHomaloidal")),
@@ -590,26 +566,18 @@ def _generic3_facts():
         th = polar.totally_hessian_check(ctx["form"].f, config=ctx["config"])
         return _eq_fact((True, 3), (th.holds, th.exponent))
 
-    def linrank(ctx):
-        _, rank = ctx["form"].linear_syzygies()
-        return _eq_fact(8, rank.rank)
-
     return [
-        Fact("inversion", "cofactor composition yields factor f",
-             "generic-3/inversion", "recorded", involution),
+        Fact("inversion", "cofactor composition yields factor f", "recorded", involution),
         Fact("involution-symmetry", "inversion works identically both ways",
-             "generic-3/involution-symmetry", "recorded", involution_symmetry),
-        Fact("cauchy", "adjugate determinant identity",
-             "generic-3/cauchy", "recorded", cauchy),
+             "recorded", involution_symmetry),
+        Fact("cauchy", "adjugate determinant identity", "recorded", cauchy),
         Fact("laplace", "adjugate convention fixed by the Laplace identity",
-             "generic-3/laplace", "trivial", laplace),
+             "trivial", laplace),
         Fact("totally-hessian", "Hessian is a scalar times the cube of the form",
-             "generic-3/totally-hessian", "recorded", totally_hessian,
-             certainty="probabilistic"),
-        Fact("linear-rank", "maximal linear rank eight",
-             "generic-3/linear-rank", "recorded", linrank),
+             "recorded", totally_hessian, certainty="probabilistic"),
+        Fact("linear-rank", "maximal linear rank eight", "recorded", _linear_rank_fact(8)),
         Fact("verdict", "determinant is homaloidal via the verified inverse",
-             "generic-3/verdict", "recorded", _verdict_fact("Homaloidal", inverse=True)),
+             "recorded", _verdict_fact("Homaloidal", inverse=True)),
     ]
 
 
@@ -635,85 +603,71 @@ def _symmetric3_facts():
         th = polar.totally_hessian_check(ctx["form"].f, config=ctx["config"])
         return _eq_fact((True, 2), (th.holds, th.exponent))
 
-    def linrank(ctx):
-        _, rank = ctx["form"].linear_syzygies()
-        return _eq_fact(5, rank.rank)
-
     return [
         Fact("cofactor-structure", "partials against adjugate entries",
-             "symmetric-3/cofactor-structure", "recorded", cofactor_structure),
+             "recorded", cofactor_structure),
         Fact("totally-hessian", "Hessian is a scalar times the square of the form",
-             "symmetric-3/totally-hessian", "recorded", totally_hessian,
-             certainty="probabilistic"),
-        Fact("linear-rank", "maximal linear rank five",
-             "symmetric-3/linear-rank", "derived", linrank),
+             "recorded", totally_hessian, certainty="probabilistic"),
+        Fact("linear-rank", "maximal linear rank five", "derived", _linear_rank_fact(5)),
         Fact("verdict", "determinant is homaloidal",
-             "symmetric-3/verdict", "recorded", _verdict_fact("Homaloidal")),
+             "recorded", _verdict_fact("Homaloidal")),
     ]
 
 
 # ---------------------------------------------------------------------------
 # scenario: subhankel-n
 
-def _build_subhankel(n):
-    def build(config):
-        return {"config": config,
-                "form": polar.polar_data(subhankel_mod.subhankel_case(n).f, config)}
-    return build
-
-
 def _subhankel_facts(n):
     def recurrence(ctx):
-        rep = subhankel_mod.recurrence_check(n)
+        rep = subhankel_mod.recurrence_check(ctx["form"])
         return _bool_fact("both closed-form relations hold", rep.passed)
 
     def gcds(ctx):
-        ok = all(subhankel_mod.gcd_power_check(n, i, config=ctx["config"]).passed
-                 for i in range(n))
+        ok = all(subhankel_mod.gcd_power_check(ctx["form"], i).passed for i in range(n))
         return _bool_fact("gcd powers and variable supports", ok)
 
     def hb(ctx):
-        rep = subhankel_mod.hilbert_burch_check(n, config=ctx["config"])
+        rep = subhankel_mod.hilbert_burch_check(ctx["form"])
         return _bool_fact("recurrent presentations verified", rep.passed)
 
     def mults(ctx):
-        rep = subhankel_mod.multiplicity_filtration_check(n, config=ctx["config"])
+        rep = subhankel_mod.multiplicity_filtration_check(ctx["form"])
         return _bool_fact("filtration multiplicities binomial(i+1,2)", rep.passed)
 
+    def colon_fact(ctx):
+        rep = subhankel_mod.colon_claim_check(ctx["form"])
+        return _bool_fact("colon of the last partial", rep.passed)
+
+    def resolution(ctx):
+        rep = subhankel_mod.resolution_and_ass_check(ctx["form"])
+        return _bool_fact("resolution, numerator, radical, embedded prime, "
+                          "primary part", rep.passed)
+
+    def lt(ctx):
+        rep = subhankel_mod.subhankel_linear_type_check(ctx["form"])
+        return _bool_fact("linear type with matching 1-form generators", rep.passed)
+
+    max_order = subhankel_mod.MAX_ORDER
     facts = [
         Fact("recurrence", "closed-form linear relations among the partials",
-             f"subhankel-{n}/recurrence", "recorded", recurrence),
+             "recorded", recurrence),
         Fact("gcd-powers", "gcd of leading partials is the predicted power",
-             f"subhankel-{n}/gcd-powers", "recorded", gcds),
+             "recorded", gcds),
         Fact("hilbert-burch", "recurrent linear presentations of the filtration",
-             f"subhankel-{n}/hilbert-burch", "recorded", hb),
-        Fact("multiplicities", "filtration multiplicities",
-             f"subhankel-{n}/multiplicities", "recorded", mults),
+             "recorded", hb),
+        Fact("multiplicities", "filtration multiplicities", "recorded", mults),
     ]
-    if n <= 5:
-        def colon_fact(ctx):
-            rep = subhankel_mod.colon_claim_check(n, config=ctx["config"])
-            return _bool_fact("colon of the last partial", rep.passed)
-
-        def resolution(ctx):
-            rep = subhankel_mod.resolution_and_ass_check(ctx["form"])
-            return _bool_fact("resolution, numerator, radical, embedded prime, "
-                              "primary part", rep.passed)
+    if n <= max_order["colon"]:
+        facts.append(Fact("colon-claim", "colon of the filtration by the last partial",
+                          "recorded", colon_fact))
+    if n <= max_order["resolution"]:
+        facts.append(Fact("resolution", "three-step resolution and associated primes",
+                          "recorded", resolution))
+    if n <= max_order["linear-type"]:
         facts += [
-            Fact("colon-claim", "colon of the filtration by the last partial",
-                 f"subhankel-{n}/colon-claim", "recorded", colon_fact),
-            Fact("resolution", "three-step resolution and associated primes",
-                 f"subhankel-{n}/resolution", "recorded", resolution),
-        ]
-    if n <= 4:
-        def lt(ctx):
-            rep = subhankel_mod.subhankel_linear_type_check(ctx["form"])
-            return _bool_fact("linear type with matching 1-form generators", rep.passed)
-        facts += [
-            Fact("linear-type", "gradient ideal is of linear type",
-                 f"subhankel-{n}/linear-type", "recorded", lt),
+            Fact("linear-type", "gradient ideal is of linear type", "recorded", lt),
             Fact("verdict", "determinant is homaloidal",
-                 f"subhankel-{n}/verdict", "recorded", _verdict_fact("Homaloidal")),
+                 "recorded", _verdict_fact("Homaloidal")),
         ]
     return facts
 
@@ -753,10 +707,6 @@ def _dg3_facts():
         return _eq_fact(("kernel dim", 1, "contains the 2x2 relation", True),
                         ("kernel dim", len(taus), "contains the 2x2 relation", found))
 
-    def linrank(ctx):
-        _, rank = ctx["form"].linear_syzygies()
-        return _eq_fact(7, rank.rank)
-
     def colon_boldface(ctx):
         R = ctx["ring"]
         x = R.gens()
@@ -772,17 +722,15 @@ def _dg3_facts():
 
     return [
         Fact("hessian-zero", "vanishing Hessian determinant",
-             "dg-3/hessian-zero", "recorded", hess_zero, certainty="probabilistic"),
+             "recorded", hess_zero, certainty="probabilistic"),
         Fact("block-structure", "determinant splits across the three blocks",
-             "dg-3/block-structure", "recorded", block_structure),
+             "recorded", block_structure),
         Fact("quadric-relation", "single quadratic relation among the partials",
-             "dg-3/quadric-relation", "derived", quadric_relation),
-        Fact("linear-rank", "maximal linear rank seven",
-             "dg-3/linear-rank", "recorded", linrank),
+             "derived", quadric_relation),
+        Fact("linear-rank", "maximal linear rank seven", "recorded", _linear_rank_fact(7)),
         Fact("colon-boldface", "minor ideal splits off the border variables",
-             "dg-3/colon-boldface", "recorded", colon_boldface),
-        Fact("verdict", "not homaloidal once the Hessian vanishes",
-             "dg-3/verdict", "recorded",
+             "recorded", colon_boldface),
+        Fact("verdict", "not homaloidal once the Hessian vanishes", "recorded",
              _verdict_fact("NotHomaloidal or Inconclusive",
                            accepted=("NotHomaloidal", "Inconclusive")),
              required="report-only"),
@@ -803,11 +751,11 @@ def _sc3_facts():
 
     return [
         Fact("linear-rank", "seven linear relation columns of rank five",
-             "sc-3/linear-rank", "recorded", linrank),
+             "recorded", linrank),
         Fact("hessian-power", "Hessian determinant is a scalar times x4^6",
-             "sc-3/hessian-power", "recorded", hess_power),
+             "recorded", hess_power),
         Fact("verdict", "determinant is homaloidal",
-             "sc-3/verdict", "recorded", _verdict_fact("Homaloidal")),
+             "recorded", _verdict_fact("Homaloidal")),
     ]
 
 
@@ -838,7 +786,7 @@ def _registry() -> dict[str, Scenario]:
         _build("symmetric", m=3), _symmetric3_facts())
     for n in (3, 4, 5, 6):
         add(f"subhankel-{n}", f"order-{n} sub-Hankel degeneration case study",
-            _build_subhankel(n), _subhankel_facts(n))
+            _build("sub-hankel", n=n), _subhankel_facts(n))
     add("dg-3", "generic 3x3 with one zero entry (vanishing Hessian)",
         _build("degenerate-generic", m=3), _dg3_facts())
     add("sc-3", "two-leap 3x3 catalecticant with one zero entry",
@@ -860,7 +808,7 @@ def list_scenarios() -> list[dict]:
     out = []
     for sid, sc in sorted(registry().items()):
         out.append({"id": sid, "description": sc.description,
-                    "facts": [{"id": f.fact_id, "anchor": f.anchor, "tag": f.tag,
+                    "facts": [{"id": f.fact_id, "anchor": f"{sid}/{f.fact_id}", "tag": f.tag,
                                "required": f.required, "long": f.long}
                               for f in sc.facts]})
     return out
@@ -894,7 +842,7 @@ def run_scenario(scenario_id: str, config: Config | None = None,
         except ComputationTimeout as exc:
             expected, computed, match, certainty = "", str(exc), "timeout", "timeout"
         millis = int((time.monotonic() - t0) * 1000)
-        records.append(FactRecord(fact.fact_id, fact.anchor, fact.tag,
+        records.append(FactRecord(fact.fact_id, f"{scenario_id}/{fact.fact_id}", fact.tag,
                                   str(expected), str(computed), match, certainty,
                                   millis))
         if match == "no":

@@ -294,7 +294,9 @@ def _cmd_hankel(args) -> int:
 def _cmd_subhankel(args) -> int:
     config = _config_from_args(args)
     n = args.n
-    if args.all and 3 <= n <= 6:
+    if not 2 <= n <= 6:
+        raise ValueError("order out of supported range 2..6")
+    if args.all and n >= 3:
         # the registry holds the curated fact list; emit its FactReport
         rep = run_scenario(f"subhankel-{n}", config=config)
         if args.json or args.json_out:
@@ -310,16 +312,16 @@ def _cmd_subhankel(args) -> int:
                 print(f"  [{r.match:>7}] {r.fact_id}")
         return {"pass": EXIT_OK, "contradiction": EXIT_CONTRADICTION,
                 "incomplete": EXIT_TIMEOUT}[rep.verdict]
-    form = polar.polar_data(subhankel_mod.subhankel_case(n).f, config)
+    form = polar.polar_data(determinant(build_structured("sub-hankel", n=n)), config)
     checks = {
-        "recurrence": lambda: subhankel_mod.recurrence_check(n),
-        "gcd": lambda: min((subhankel_mod.gcd_power_check(n, i, config=config)
-                            for i in range(n)), key=lambda r: r.passed),
-        "hilbert-burch": lambda: subhankel_mod.hilbert_burch_check(n, config=config),
-        "multiplicity": lambda: subhankel_mod.multiplicity_filtration_check(n, config=config),
-        "colon": lambda: subhankel_mod.colon_claim_check(n, config=config),
-        "resolution": lambda: subhankel_mod.resolution_and_ass_check(form),
-        "linear-type": lambda: subhankel_mod.subhankel_linear_type_check(form),
+        "recurrence": subhankel_mod.recurrence_check,
+        "gcd": lambda form: min((subhankel_mod.gcd_power_check(form, i) for i in range(n)),
+                                key=lambda r: r.passed),
+        "hilbert-burch": subhankel_mod.hilbert_burch_check,
+        "multiplicity": subhankel_mod.multiplicity_filtration_check,
+        "colon": subhankel_mod.colon_claim_check,
+        "resolution": subhankel_mod.resolution_and_ass_check,
+        "linear-type": subhankel_mod.subhankel_linear_type_check,
     }
     names = list(checks) if args.all else [args.check]
     results = {}
@@ -328,12 +330,11 @@ def _cmd_subhankel(args) -> int:
         if name not in checks:
             print(f"unknown sub-hankel check {name}", file=sys.stderr)
             return EXIT_USAGE
+        if n > subhankel_mod.MAX_ORDER.get(name, n):
+            results[name] = {"status": "skipped (out of supported range)"}
+            continue
         try:
-            if name == "colon" and n > 5 or name == "resolution" and n > 5 \
-                    or name == "linear-type" and n > 4:
-                results[name] = {"status": "skipped (out of supported range)"}
-                continue
-            rep = checks[name]()
+            rep = checks[name](form)
             results[name] = {"pass": rep.passed, "details": rep.details}
             if not rep.passed:
                 worst = EXIT_CONTRADICTION

@@ -1020,25 +1020,14 @@ def hilbert_data(I: Ideal, order=None, budget=None, config=None) -> HilbertData:
 # ---------------------------------------------------------------------------
 # Rees ideal by tag elimination
 
-class ReesResult:
-    """Blowup-equation ideal in k[y, x]; y_i corresponds to forms[i]."""
-
-    __slots__ = ("ideal", "ny", "nx", "truncated")
-
-    def __init__(self, ideal: Ideal, ny: int, nx: int, truncated: bool = False):
-        self.ideal = ideal
-        self.ny = ny
-        self.nx = nx
-        self.truncated = truncated
-
-
 def rees_ring(ring: Ring, nforms: int) -> Ring:
     yvars = tuple(f"y{i}" for i in range(nforms))
     return Ring(yvars + ring.variables, prime=ring.prime)
 
 
-def rees_ideal(forms: list[Polynomial], budget=None, config=None) -> ReesResult:
-    """Kernel of y_i -> t*f_i, by eliminating t with block order t >> y >> x."""
+def rees_ideal(forms: list[Polynomial], budget=None, config=None) -> Ideal:
+    """Blowup-equation ideal in k[y, x] (y_i for forms[i]): the kernel of
+    y_i -> t*f_i, by eliminating t with block order t >> y >> x."""
     if not forms:
         raise ValueError("need at least one form")
     ring = forms[0].ring
@@ -1060,11 +1049,12 @@ def rees_ideal(forms: list[Polynomial], budget=None, config=None) -> ReesResult:
     for g in gb:
         if 0 not in g.support_vars():
             out.append(morph(g, target))
-    return ReesResult(Ideal(target, out), n, ring.nvars, truncated=False)
+    return Ideal(target, out)
 
 
-def symmetric_algebra_ideal(forms: list[Polynomial], syzygy_columns) -> ReesResult:
-    """Ideal of 1-forms sum_i a_i y_i from syzygy columns (a_0..a_n)."""
+def symmetric_algebra_ideal(forms: list[Polynomial], syzygy_columns) -> Ideal:
+    """Ideal of 1-forms sum_i a_i y_i in k[y, x] from syzygy columns
+    (a_0..a_n)."""
     ring = forms[0].ring
     n = len(forms)
     target = rees_ring(ring, n)
@@ -1076,7 +1066,7 @@ def symmetric_algebra_ideal(forms: list[Polynomial], syzygy_columns) -> ReesResu
                 acc = acc + morph(a, target) * target.var(i)
         if not acc.is_zero():
             gens.append(acc)
-    return ReesResult(Ideal(target, gens), n, ring.nvars, truncated=True)
+    return Ideal(target, gens)
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ class PolarMapData:
             syz, _ = self.linear_syzygies(b)
             new12, _, _ = rees_minimal_bidegree12(self.partials, syz.columns, b,
                                                   self.config)
-            return symmetric_algebra_ideal(self.partials, syz.columns).ideal.gens, new12
+            return symmetric_algebra_ideal(self.partials, syz.columns).gens, new12
         return self._once("blowup", compute)
 
     def syzygy_module(self, budget: Budget | None = None) -> GradedSyzygyMatrix:
@@ -410,8 +410,8 @@ def linear_type_check(forms: list[Polynomial], syzygy_columns: list[list[Polynom
     try:
         rr = rees_ideal(forms, budget, config)
         sym = symmetric_algebra_ideal(forms, syzygy_columns)
-        for g in rr.ideal.gens:
-            if not sym.ideal.contains(g, budget=budget, config=config):
+        for g in rr.gens:
+            if not sym.contains(g, budget=budget, config=config):
                 return LinearTypeResult("NotLinearType", witness=g)
         return LinearTypeResult("LinearType")
     except ComputationTimeout:

@@ -6,6 +6,11 @@ linear type.
 Index conventions: the order-n matrix has entry (i,j) = x_{i+j} when
 i+j <= n and 0 otherwise (0-based), over k[x_0..x_n]; J_i is generated by
 the first i+1 partials divided by their common power of x_n.
+
+Every check takes the polar record (`polar.polar_data`) of the order-n
+sub-Hankel determinant, with n = form.n, and reads the partials and the
+config from it; the filtration generators and ideals, the Hilbert-Burch
+matrices and the displayed syzygies are functions of that record.
 """
 
 from __future__ import annotations
@@ -14,75 +19,75 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .config import Budget, Config
+from .config import Budget
 from .groebner import (Ideal, colon, hilbert_data, ideal_equal, ideal_sum,
                        radical_membership)
 from .polyring import Polynomial, Ring, dot, exact_divide, NOT_DIVISIBLE
-from .structmat import MinorLadder, PolyMatrix, build_structured, determinant
+from .structmat import MinorLadder, PolyMatrix
 from .syzygy import ModuleBasis, graded_betti
 from . import polar
 
-
-@dataclass
-class SubHankelCase:
-    n: int
-    ring: Ring
-    matrix: PolyMatrix
-    f: Polynomial
-    partials: list[Polynomial]
-
-    def gcd_power(self, i: int) -> int:
-        """Exponent of x_n in the gcd of the first i+1 partials."""
-        return self.n - i - 1
-
-    def filtration_generators(self, i: int) -> list[Polynomial]:
-        """First i+1 partials divided by their common x_n power."""
-        if not 0 <= i <= self.n - 1:
-            raise ValueError("filtration index out of range")
-        e = max(self.gcd_power(i), 0)
-        xn = self.ring.var(self.n)
-        out = []
-        for k in range(i + 1):
-            g = self.partials[k]
-            for _ in range(e):
-                q = exact_divide(g, xn)
-                if q is NOT_DIVISIBLE:
-                    raise ArithmeticError(f"partial {k} not divisible by x_n^{e}")
-                g = q
-            out.append(g)
-        return out
-
-    def filtration_ideal(self, i: int) -> Ideal:
-        return Ideal(self.ring, self.filtration_generators(i))
-
-    def hilbert_burch(self, i: int) -> PolyMatrix:
-        """The recurrent (i+1) x i linear presentation of J_i: column j
-        (from the left) carries the relation tying the first i-j+1 forms."""
-        if not 1 <= i <= self.n - 1:
-            raise ValueError("need 1 <= i <= n-1")
-        n = self.n
-        ring = self.ring
-        cols = []
-        for jj in range(i, 0, -1):  # columns for relations j = i, i-1, ..., 1
-            col = []
-            for k in range(i + 1):
-                if k <= jj:
-                    col.append(ring.var(n - jj + k) * Fraction(2 * jj - k, jj))
-                else:
-                    col.append(ring.zero())
-            cols.append(col)
-        ents = [cols[c][r] for r in range(i + 1) for c in range(i)]
-        return PolyMatrix(i + 1, i, ents, f"hilbert-burch({self.n},{i})")
+# the largest order n each capped check is run for; the casebook and the
+# CLI read their limits here
+MAX_ORDER = {"colon": 5, "resolution": 5, "linear-type": 4}
 
 
-def subhankel_case(n: int) -> SubHankelCase:
-    if not 2 <= n <= 6:
-        raise ValueError("order out of supported range 2..6")
-    M = build_structured("sub-hankel", n=n)
-    f = determinant(M)
-    ring = M.ring
-    partials = [f.diff(i) for i in range(ring.nvars)]
-    return SubHankelCase(n, ring, M, f, partials)
+def _check_order(check: str, n: int, what: str) -> None:
+    if n > MAX_ORDER[check]:
+        raise ValueError(f"{what} capped at n = {MAX_ORDER[check]}")
+
+
+# ---------------------------------------------------------------------------
+# the filtration and its relations
+
+def _relation_column(ring: Ring, n: int, j: int, length: int) -> list[Polynomial]:
+    """The recurrent relation tying the first j+1 partials: entry k is
+    x_{n-j+k} * (2j-k)/j for k <= j and 0 below, `length` entries."""
+    return [ring.var(n - j + k) * Fraction(2 * j - k, j) if k <= j else ring.zero()
+            for k in range(length)]
+
+
+def filtration_generators(form: polar.PolarMapData, i: int) -> list[Polynomial]:
+    """The first i+1 partials divided by their common power x_n^{n-i-1}."""
+    n = form.n
+    if not 0 <= i <= n - 1:
+        raise ValueError("filtration index out of range")
+    e = n - i - 1
+    xn = form.f.ring.var(n)
+    out = []
+    for k, g in enumerate(form.partials[:i + 1]):
+        for _ in range(e):
+            q = exact_divide(g, xn)
+            if q is NOT_DIVISIBLE:
+                raise ArithmeticError(f"partial {k} not divisible by x_n^{e}")
+            g = q
+        out.append(g)
+    return out
+
+
+def filtration_ideal(form: polar.PolarMapData, i: int) -> Ideal:
+    return Ideal(form.f.ring, filtration_generators(form, i))
+
+
+def hilbert_burch(form: polar.PolarMapData, i: int) -> PolyMatrix:
+    """The recurrent (i+1) x i linear presentation of J_i: column j
+    (from the left) carries the relation tying the first i-j+1 forms."""
+    n = form.n
+    if not 1 <= i <= n - 1:
+        raise ValueError("need 1 <= i <= n-1")
+    cols = [_relation_column(form.f.ring, n, j, i + 1) for j in range(i, 0, -1)]
+    ents = [cols[c][r] for r in range(i + 1) for c in range(i)]
+    return PolyMatrix(i + 1, i, ents, f"hilbert-burch({n},{i})")
+
+
+def displayed_symmetric_generators(form: polar.PolarMapData) -> list[list[Polynomial]]:
+    """The closed-form syzygies of all n+1 partials: the relation columns
+    for i = 1..n-1 padded by zero, plus the weighted Euler-type relation."""
+    n, ring = form.n, form.f.ring
+    out = [_relation_column(ring, n, i, n + 1) for i in range(1, n)]
+    euler = [ring.var(k) * (n - 1 - k) for k in range(n - 1)]
+    out.append(euler + [ring.zero(), -ring.var(n)])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -98,116 +103,97 @@ class CheckReport:
         return self.passed
 
 
-def recurrence_check(n: int) -> CheckReport:
+def recurrence_check(form: polar.PolarMapData) -> CheckReport:
     """The two exact linear relations among the partials: x_n * f_i against
-    the lower partials, and the weighted Euler-type relation for f_n."""
-    case = subhankel_case(n)
-    ring = case.ring
-    xn = ring.var(n)
-    ok = True
-    fails = []
-    for i in range(1, n):
-        lhs = xn * case.partials[i]
-        rhs = ring.zero()
-        for k in range(i):
-            rhs = rhs - ring.var(n - i + k) * case.partials[k] * Fraction(2 * i - k, i)
-        if lhs != rhs:
-            ok = False
-            fails.append(f"relation at i={i}")
-    lhs = xn * case.partials[n]
-    rhs = ring.zero()
-    for k in range(n - 1):
-        rhs = rhs + ring.var(k) * case.partials[k] * (n - 1 - k)
-    if lhs != rhs:
-        ok = False
-        fails.append("weighted relation for the last partial")
-    return CheckReport(f"recurrence(n={n})", ok, {"failures": fails})
+    the lower partials, and the weighted Euler-type relation for f_n.  The
+    displayed column for i dotted with the partials is x_n * f_i minus the
+    right side; the Euler column's is the right side minus x_n * f_n."""
+    n = form.n
+    labels = [f"relation at i={i}" for i in range(1, n)]
+    labels.append("weighted relation for the last partial")
+    fails = [label for label, col in zip(labels, displayed_symmetric_generators(form))
+             if not dot(col, form.partials).is_zero()]
+    return CheckReport(f"recurrence(n={n})", not fails, {"failures": fails})
 
 
-def gcd_power_check(n: int, i: int, budget: Budget | None = None,
-                    config: Config | None = None) -> CheckReport:
+def gcd_power_check(form: polar.PolarMapData, i: int,
+                    budget: Budget | None = None) -> CheckReport:
     """x_n^{n-i-1} divides the first i+1 partials and nothing more divides
     the quotients (their ideal has codimension >= 2)."""
-    case = subhankel_case(n)
-    e = case.gcd_power(i)
+    n = form.n
+    ring = form.f.ring
     try:
-        gens = case.filtration_generators(i)
+        gens = filtration_generators(form, i)
     except ArithmeticError as exc:
         return CheckReport(f"gcd(n={n},i={i})", False, {"error": str(exc)})
-    J = Ideal(case.ring, gens)
-    ht = case.ring.nvars - hilbert_data(J, None, budget, config).dimension
+    ht = ring.nvars - hilbert_data(Ideal(ring, gens), None, budget, form.config).dimension
     support_ok = all(
-        p.support_vars() <= set(range(n - i, n + 1)) for p in case.partials[:i + 1])
+        p.support_vars() <= set(range(n - i, n + 1)) for p in form.partials[:i + 1])
     return CheckReport(f"gcd(n={n},i={i})", ht >= 2 and support_ok,
-                       {"power": e, "quotient_codim": ht, "support_ok": support_ok})
+                       {"power": n - i - 1, "quotient_codim": ht, "support_ok": support_ok})
 
 
-def hilbert_burch_check(n: int, budget: Budget | None = None,
-                        config: Config | None = None) -> CheckReport:
+def hilbert_burch_check(form: polar.PolarMapData,
+                        budget: Budget | None = None) -> CheckReport:
     """Each recurrent presentation column is an exact relation, the maximal
     minors regenerate the filtration ideal, and the grading is linear."""
-    case = subhankel_case(n)
+    n, ring, config = form.n, form.f.ring, form.config
     details = {}
     ok = True
     for i in range(1, n):
-        gens = case.filtration_generators(i)
-        phi = case.hilbert_burch(i)
+        gens = filtration_generators(form, i)
+        phi = hilbert_burch(form, i)
         col_ok = all(dot(phi.column(c), gens).is_zero() for c in range(phi.cols))
         linear_ok = all(e.is_zero() or e.degree == 1 for e in phi.entries)
         ladder = MinorLadder(phi)
         mins = [ladder.minor([r for r in range(i + 1) if r != drop], range(i))
                 for drop in range(i + 1)]
-        mins_ideal = Ideal(case.ring, mins)
-        Ji = Ideal(case.ring, gens)
-        eq = ideal_equal(mins_ideal, Ji, budget, config)
+        eq = ideal_equal(Ideal(ring, mins), Ideal(ring, gens), budget, config)
         details[f"i={i}"] = {"columns_are_relations": col_ok,
                              "linear": linear_ok, "minors_generate": eq}
         ok = ok and col_ok and linear_ok and eq
     return CheckReport(f"hilbert-burch(n={n})", ok, details)
 
 
-def multiplicity_filtration_check(n: int, budget: Budget | None = None,
-                                  config: Config | None = None) -> CheckReport:
+def multiplicity_filtration_check(form: polar.PolarMapData,
+                                  budget: Budget | None = None) -> CheckReport:
     """e(R/J_i) = binomial(i+1, 2), and the colon/length chain behind the
     last filtration quotient having length binomial(n-1, 2)."""
-    case = subhankel_case(n)
+    n, ring, config = form.n, form.f.ring, form.config
     details = {}
     ok = True
     for i in range(1, n):
-        hd = hilbert_data(case.filtration_ideal(i), None, budget, config)
+        hd = hilbert_data(filtration_ideal(form, i), None, budget, config)
         want = comb(i + 1, 2)
         details[f"e(R/J_{i})"] = (hd.multiplicity, want)
         ok = ok and hd.multiplicity == want
-    ring = case.ring
     xn = ring.var(n)
     xm = ring.var(n - 1)
-    Jn1 = case.filtration_ideal(n - 1)
+    Jn1 = filtration_ideal(form, n - 1)
     lhs = ideal_sum(Ideal(ring, [xn]), Jn1)
     rhs = Ideal(ring, [xn, xm ** (n - 1)])
     eq1 = ideal_equal(lhs, rhs, budget, config)
     col = colon(Jn1, xn, budget, config)
-    eq2 = ideal_equal(col, case.filtration_ideal(n - 2), budget, config) if n >= 3 else None
+    eq2 = ideal_equal(col, filtration_ideal(form, n - 2), budget, config) if n >= 3 else None
     details["(x_n, J_{n-1}) = (x_n, x_{n-1}^{n-1})"] = eq1
     details["J_{n-1} : x_n = J_{n-2}"] = eq2
     want = comb(n - 1, 2)
-    got = hilbert_data(case.filtration_ideal(n - 2), None, budget, config).multiplicity \
+    got = hilbert_data(filtration_ideal(form, n - 2), None, budget, config).multiplicity \
         if n >= 3 else 0
     details["length of the last quotient"] = (got, want)
     ok = ok and eq1 and (eq2 is not False) and got == want
     return CheckReport(f"multiplicity-filtration(n={n})", ok, details)
 
 
-def colon_claim_check(n: int, budget: Budget | None = None,
-                      config: Config | None = None) -> CheckReport:
+def colon_claim_check(form: polar.PolarMapData,
+                      budget: Budget | None = None) -> CheckReport:
     """(J_{n-1} : last partial) equals (x_n, x_{n-1}^{n-1}); membership of
     the weighted relation gives the trivial inclusion."""
-    if n > 5:
-        raise ValueError("colon claim capped at n = 5")
-    case = subhankel_case(n)
-    ring = case.ring
-    Jn1 = case.filtration_ideal(n - 1)
+    n, ring, config = form.n, form.f.ring, form.config
+    _check_order("colon", n, "colon claim")
+    Jn1 = filtration_ideal(form, n - 1)
     target = Ideal(ring, [ring.var(n), ring.var(n - 1) ** (n - 1)])
-    got = colon(Jn1, case.partials[n], budget, config)
+    got = colon(Jn1, form.partials[n], budget, config)
     eq = ideal_equal(got, target, budget, config)
     incl = got.contains(ring.var(n), budget=budget, config=config)
     return CheckReport(f"colon-claim(n={n})", eq,
@@ -217,15 +203,10 @@ def colon_claim_check(n: int, budget: Budget | None = None,
 def resolution_and_ass_check(form: polar.PolarMapData,
                              budget: Budget | None = None) -> CheckReport:
     """Resolution shifts, Hilbert numerator, multiplicity, radical,
-    certified embedded prime, and the minimal-primary-part identification,
-    for the polar record of the order-n sub-Hankel determinant (n = form.n);
+    certified embedded prime, and the minimal-primary-part identification;
     the resolution starts from the record's syzygy module."""
-    n = form.n
-    if n > 5:
-        raise ValueError("resolution check capped at n = 5")
-    config = form.config
-    case = subhankel_case(n)
-    ring = case.ring
+    n, ring, config = form.n, form.f.ring, form.config
+    _check_order("resolution", n, "resolution check")
     J = Ideal(ring, form.partials)
     details: dict = {}
     ok = True
@@ -248,7 +229,7 @@ def resolution_and_ass_check(form: polar.PolarMapData,
     P = Ideal(ring, [xm, xn])
     rad_ok = (radical_membership(xm, J, budget, config)
               and radical_membership(xn, J, budget, config)
-              and all(P.contains(p, budget=budget, config=config) for p in case.partials))
+              and all(P.contains(p, budget=budget, config=config) for p in form.partials))
     details["radical"] = rad_ok
     ok = ok and rad_ok
 
@@ -272,8 +253,8 @@ def resolution_and_ass_check(form: polar.PolarMapData,
     ok = ok and witness is not None
 
     # minimal component: J inside J_{n-2} with matching multiplicity
-    Jmin = case.filtration_ideal(n - 2)
-    inside = all(Jmin.contains(p, budget=budget, config=config) for p in case.partials)
+    Jmin = filtration_ideal(form, n - 2)
+    inside = all(Jmin.contains(p, budget=budget, config=config) for p in form.partials)
     e_match = hilbert_data(Jmin, None, budget, config).multiplicity == hd.multiplicity
     details["primary_part"] = {"J_in_J(n-2)": inside, "multiplicity_match": e_match}
     ok = ok and inside and e_match
@@ -316,43 +297,15 @@ def resolution_and_ass_check(form: polar.PolarMapData,
     return CheckReport(f"resolution-ass(n={n})", ok, details)
 
 
-def displayed_symmetric_generators(n: int, ring: Ring) -> list[list[Polynomial]]:
-    """The closed-form syzygies of all n+1 partials of the order-n
-    sub-Hankel determinant over `ring`: the filtration columns padded by
-    zero, plus the weighted Euler-type relation."""
-    out = []
-    for i in range(1, n):
-        col = []
-        for k in range(n + 1):
-            if k <= i:
-                col.append(ring.var(n - i + k) * Fraction(2 * i - k, i))
-            else:
-                col.append(ring.zero())
-        out.append(col)
-    euler = []
-    for k in range(n + 1):
-        if k <= n - 2:
-            euler.append(ring.var(k) * (n - 1 - k))
-        elif k == n - 1:
-            euler.append(ring.zero())
-        else:
-            euler.append(-ring.var(n))
-    out.append(euler)
-    return out
-
-
 def subhankel_linear_type_check(form: polar.PolarMapData,
                                 budget: Budget | None = None) -> CheckReport:
     """Linear type of the gradient ideal, and agreement of the closed-form
-    1-form generators with the computed syzygies up to row operations, for
-    the polar record of the order-n sub-Hankel determinant (n = form.n)."""
-    n = form.n
-    if n > 4:
-        raise ValueError("blowup-equation check capped at n = 4")
-    ring, partials = form.f.ring, form.partials
+    1-form generators with the computed syzygies up to row operations."""
+    n, ring, partials = form.n, form.f.ring, form.partials
+    _check_order("linear-type", n, "blowup-equation check")
     lt = form.linear_type(budget)
     syz = form.syzygy_module(budget)
-    disp = displayed_symmetric_generators(n, ring)
+    disp = displayed_symmetric_generators(form)
     disp_ok = all(dot(col, partials).is_zero() for col in disp)
     mb = ModuleBasis(syz.columns, [p.degree for p in partials],
                      budget=budget, config=form.config)

@@ -545,7 +545,7 @@ def rees_minimal_bidegree12(forms: list[Polynomial],
     target = rees_ring(ring, k)
     kernel = rees_bigraded_kernel(forms, 1, 2, b)
     old: list[Polynomial] = []
-    for sigma in symmetric_algebra_ideal(forms, linear_columns).ideal.gens:
+    for sigma in symmetric_algebra_ideal(forms, linear_columns).gens:
         for j in range(k):
             old.append(sigma * target.var(j))
     for tau in rees_bigraded_kernel(forms, 0, 2, b):

@@ -5,7 +5,9 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+from detlab import polar
 from detlab.config import Config
+from detlab.structmat import build_structured, determinant
 
 
 def pytest_collection_modifyitems(config, items):
@@ -20,3 +22,12 @@ def pytest_collection_modifyitems(config, items):
 @pytest.fixture(scope="session")
 def cfg():
     return Config(seed=424243)
+
+
+@pytest.fixture(scope="session")
+def subhankel_record():
+    """Builds the polar record of the order-n sub-Hankel determinant, the
+    object every sub-Hankel check reads; each call gives a fresh record."""
+    def build(n, config=None):
+        return polar.polar_data(determinant(build_structured("sub-hankel", n=n)), config)
+    return build

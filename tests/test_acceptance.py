@@ -200,28 +200,27 @@ def test_criterion_4_parabolism_multiplicities():
     _announce(4, "parabolism multiplicities", t0)
 
 
-def test_criterion_5_subhankel():
+def test_criterion_5_subhankel(subhankel_record):
     t0 = time.monotonic()
     for n in (3, 4, 5):
-        assert sh.recurrence_check(n).passed
+        form = subhankel_record(n, CFG)
+        assert sh.recurrence_check(form).passed
         for i in range(n):
-            assert sh.gcd_power_check(n, i, config=CFG).passed
-        assert sh.hilbert_burch_check(n, config=CFG).passed
-        case = sh.subhankel_case(n)
+            assert sh.gcd_power_check(form, i).passed
+        assert sh.hilbert_burch_check(form).passed
         for i in range(1, n):
-            hd = hilbert_data(case.filtration_ideal(i), config=CFG)
+            hd = hilbert_data(sh.filtration_ideal(form, i), config=CFG)
             assert hd.multiplicity == comb(i + 1, 2)
-        assert sh.colon_claim_check(n, config=CFG).passed
-        rep = sh.resolution_and_ass_check(polar.polar_data(case.f, CFG))
+        assert sh.colon_claim_check(form).passed
+        rep = sh.resolution_and_ass_check(form)
         assert rep.passed, rep.details
-        J = Ideal(case.ring, case.partials)
+        J = Ideal(form.f.ring, form.partials)
         hd = hilbert_data(J, config=CFG)
         want = {0: 1, n - 1: -(n + 1), n: n, 2 * n - 2: 1, 2 * n - 1: -1}
         assert hd.numerator == want
         assert hd.multiplicity == comb(n - 1, 2)
     for n in (3, 4):
-        form = polar.polar_data(sh.subhankel_case(n).f, CFG)
-        assert sh.subhankel_linear_type_check(form).passed
+        assert sh.subhankel_linear_type_check(subhankel_record(n, CFG)).passed
     elapsed = time.monotonic() - t0
     assert elapsed < 600
     _announce(5, "sub-Hankel n=3,4,5", t0)
@@ -238,7 +237,7 @@ def test_criterion_6_cat4_long_suite():
 
     new12, _, _ = rees_minimal_bidegree12(partials, syz.columns, config=cfg)
     sym = symmetric_algebra_ideal(partials, syz.columns)
-    jd = polar.jacobian_dual_rank(partials, sym.ideal.gens + new12, config=cfg)
+    jd = polar.jacobian_dual_rank(partials, sym.gens + new12, config=cfg)
     assert jd.rank == 12
 
     v = polar.homaloidal_verdict(polar.polar_data(f, cfg), try_linear_type=False,
@@ -303,7 +302,7 @@ def test_criterion_7_degenerations():
     _announce(7, "degenerations", t0)
 
 
-def test_criterion_8_property_suites():
+def test_criterion_8_property_suites(subhankel_record):
     t0 = time.monotonic()
     import random
     # ring axioms over both coefficient modes
@@ -354,8 +353,8 @@ def test_criterion_8_property_suites():
 
     # Betti / Hilbert alternating-sum consistency
     for n in (3, 4):
-        case = sh.subhankel_case(n)
-        J = Ideal(case.ring, case.partials)
+        form = subhankel_record(n)
+        J = Ideal(form.f.ring, form.partials)
         bt, _ = graded_betti(J, config=CFG)
         assert bt.alternating_sum() == hilbert_data(J, config=CFG).numerator
 

@@ -342,6 +342,24 @@ def test_syzygy_module_and_linear_type_computed_once(monkeypatch, sid):
     assert len(checks) == 1
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_subhankel_scenario_expands_its_determinant_once(monkeypatch, n):
+    # every sub-Hankel fact reads the scenario's polar record; none rebuilds
+    # the matrix and expands its determinant again
+    from detlab.structmat import MinorLadder
+    expansions = []
+    minor = MinorLadder.minor
+
+    def counting_minor(self, rows, cols):
+        rows, cols = tuple(rows), tuple(cols)
+        if self.matrix.provenance == f"sub-hankel({n})" and len(rows) == n:
+            expansions.append(rows)
+        return minor(self, rows, cols)
+    monkeypatch.setattr(MinorLadder, "minor", counting_minor)
+    assert run_scenario(f"subhankel-{n}", config=Config(seed=5)).verdict == "pass"
+    assert len(expansions) == 1
+
+
 def test_cat43_budget_timeout_is_no_contradiction():
     # the bidegree-12 equations time out under the cap; the facts that need
     # them report a timeout instead of judging a partial set of equations

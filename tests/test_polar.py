@@ -270,7 +270,7 @@ def test_jacobian_dual_cat43_rank_twelve():
     syz, _ = linear_syzygies(partials)
     sym = symmetric_algebra_ideal(partials, syz.columns)
     new12, _, _ = rees_minimal_bidegree12(partials, syz.columns)
-    res = polar.jacobian_dual_rank(partials, sym.ideal.gens + new12)
+    res = polar.jacobian_dual_rank(partials, sym.gens + new12)
     assert res.rank == 12
 
 
@@ -278,7 +278,7 @@ def test_jacobian_dual_cat32_linear_only():
     _, _, partials = det_and_partials("catalecticant", m=3, r=2)
     syz, _ = linear_syzygies(partials)
     sym = symmetric_algebra_ideal(partials, syz.columns)
-    res = polar.jacobian_dual_rank(partials, sym.ideal.gens)
+    res = polar.jacobian_dual_rank(partials, sym.gens)
     assert res.rank == 6
 
 
@@ -383,7 +383,7 @@ def test_polar_record_keeps_no_timed_out_reader():
     assert form.blowup_equations() == (sym, new12)
     syz, rank = form.linear_syzygies()
     assert form.linear_syzygies() == (syz, rank) and rank.rank == 6
-    assert len(sym) == len(symmetric_algebra_ideal(partials, syz.columns).ideal.gens)
+    assert len(sym) == len(symmetric_algebra_ideal(partials, syz.columns).gens)
 
 
 def test_polar_record_keeps_no_timed_out_module_or_linear_type():

@@ -122,12 +122,12 @@ def test_eagon_northcott_linear_presentation_gp31():
     assert len(syz.columns) == 8
 
 
-def test_subhankel_filtration_presentation_matches_module():
-    from detlab.subhankel import subhankel_case
-    case = subhankel_case(4)
-    gens = case.filtration_generators(3)
+def test_subhankel_filtration_presentation_matches_module(subhankel_record):
+    from detlab.subhankel import filtration_generators, hilbert_burch
+    form = subhankel_record(4)
+    gens = filtration_generators(form, 3)
     syz = first_syzygy_module(gens)
-    phi = case.hilbert_burch(3)
+    phi = hilbert_burch(form, 3)
     mb = ModuleBasis(syz.columns, [g.degree for g in gens])
     for c in range(phi.cols):
         assert mb.contains(phi.column(c))
@@ -306,29 +306,27 @@ def test_betti_koszul_two_variables():
     assert dict(bt.items()) == {(0, 0): 1, (1, 1): 2, (2, 2): 1}
 
 
-def test_betti_subhankel_filtration_recurrence():
-    from detlab.subhankel import subhankel_case
-    case = subhankel_case(4)
+def test_betti_subhankel_filtration_recurrence(subhankel_record):
+    from detlab.subhankel import filtration_generators
+    form = subhankel_record(4)
     for i in (1, 2, 3):
-        bt, _ = graded_betti(Ideal(case.ring, case.filtration_generators(i)))
+        bt, _ = graded_betti(Ideal(form.f.ring, filtration_generators(form, i)))
         assert bt[(1, i)] == i + 1
         assert bt[(2, i + 1)] == i
         assert max(index for (index, _), _ in bt.items()) == 2
 
 
-def test_betti_subhankel4_gradient_shifts():
-    from detlab.subhankel import subhankel_case
-    case = subhankel_case(4)
-    J = Ideal(case.ring, case.partials)
+def test_betti_subhankel4_gradient_shifts(subhankel_record):
+    form = subhankel_record(4)
+    J = Ideal(form.f.ring, form.partials)
     bt, stages = graded_betti(J)
     assert dict(bt.items()) == {(0, 0): 1, (1, 3): 5, (2, 4): 4, (2, 6): 1, (3, 7): 1}
 
 
-def test_betti_alternating_sum_matches_hilbert_numerator():
-    from detlab.subhankel import subhankel_case
+def test_betti_alternating_sum_matches_hilbert_numerator(subhankel_record):
     for n in (3, 4):
-        case = subhankel_case(n)
-        J = Ideal(case.ring, case.partials)
+        form = subhankel_record(n)
+        J = Ideal(form.f.ring, form.partials)
         bt, _ = graded_betti(J)
         hd = hilbert_data(J)
         assert bt.alternating_sum() == hd.numerator
