@@ -330,7 +330,8 @@ def _cmd_subhankel(args) -> int:
         if name not in checks:
             print(f"unknown sub-hankel check {name}", file=sys.stderr)
             return EXIT_USAGE
-        if n > subhankel_mod.MAX_ORDER.get(name, n):
+        if not (subhankel_mod.MIN_ORDER.get(name, n) <= n
+                <= subhankel_mod.MAX_ORDER.get(name, n)):
             results[name] = {"status": "skipped (out of supported range)"}
             continue
         try:

@@ -1,21 +1,35 @@
 """Exact linear algebra: sparse fraction-free elimination and dense helpers.
 
-`SparseEliminator` runs over Z with cross-multiplication and content
-stripping, so results are exact.  `linear_relations` is the one place where
-polynomials become a kernel: the degree-wise syzygies, the bigraded
-blowup-equation pieces and the bracket identities are all its callers.  It
-accepts rational coefficients (a row is cleared of denominators when it
-holds a Fraction) and rejects GF(p) input, whose relations the Z-eliminator
-would miss.  The dense numeric helpers (rank with a nonzero-minor witness,
-determinant) share one forward elimination, `_echelon`, over Q (Fractions)
-or GF(p).
+`SparseEliminator` keeps its rows over Z in reduced row echelon form (RREF):
+each stored row is primitive, and holds its own pivot column and no other.
+Two facts follow and make the elimination one pass per row:
+
+* Reducing an incoming row by a pivot row changes no other pivot column of
+  it, so the pivot columns the row holds on arrival are all it will ever
+  hit.  They are found once, eliminated together, the content is stripped
+  once, and the row costs one `Budget.tick` of that many steps under
+  "linear algebra".
+* A new pivot must be cleared from the stored rows that hold it, and only
+  from those.  The `users` index maps each free column to the pivot
+  columns whose rows hold it, so back-substitution touches just those
+  rows, and `kernel_basis` reads a free column's kernel vector off it.
+
+The RREF of a row space is unique up to row scaling, so the kernels,
+ranks and `add_row` answers do not depend on how the rows are reduced.
+
+`linear_relations` is the one place where polynomials become a kernel: the
+degree-wise syzygies, the bigraded blowup-equation pieces and the bracket
+identities are all its callers.  It accepts rational coefficients (rows
+are cleared of denominators when a polynomial holds a Fraction) and
+rejects GF(p) input, whose relations the Z-eliminator would miss.  The
+dense numeric helpers (rank with a nonzero-minor witness, determinant)
+share one forward elimination, `_echelon`, over Q (Fractions) or GF(p).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from operator import add
+from math import gcd, lcm
 
 from .config import Budget
 from .polyring import Polynomial, _content_strip, denominator_lcm
@@ -27,36 +41,29 @@ class SparseEliminator:
     def __init__(self, budget: Budget | None = None):
         self.budget = budget
         self.pivots: dict[int, dict] = {}  # pivot col -> reduced row
+        self.users: dict[int, set] = {}    # free col -> pivot cols whose rows hold it
 
     def reduce_row(self, row: dict) -> dict:
-        """Eliminate known pivots from `row` (destructive on a copy)."""
-        row = dict(row)
+        """`row` with every known pivot column eliminated, as a new dict."""
         pivots = self.pivots
-        while row:
-            hit = None
-            for c in row:
-                if c in pivots:
-                    hit = c
-                    break
-            if hit is None:
-                break
-            if self.budget is not None:
-                self.budget.tick(1, "linear algebra")
-            prow = pivots[hit]
-            a = row[hit]
-            b = prow[hit]
-            g = gcd(abs(a), abs(b))
-            ma, mb = b // g, a // g
+        hits = [c for c in row if c in pivots]
+        if not hits:
+            return dict(row)
+        if self.budget is not None:
+            self.budget.tick(len(hits), "linear algebra")
+        # row * scale - sum of f_h * (pivot row h), integral for every hit
+        scale = 1
+        for h in hits:
+            b = pivots[h][h]
+            scale = lcm(scale, b // gcd(row[h], b))
+        out = {c: v * scale for c, v in row.items()}
+        get = out.get
+        for h in hits:
+            prow = pivots[h]
+            f = row[h] * scale // prow[h]
             for c, v in prow.items():
-                nv = ma * row.get(c, 0) - mb * v
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
-            for c in [c for c in row if c not in prow]:
-                row[c] *= ma
-            _content_strip(row)
-        return row
+                out[c] = get(c, 0) - f * v
+        return _content_strip({c: v for c, v in out.items() if v})
 
     def add_row(self, row: dict) -> bool:
         """Insert a row; returns True if it increased the rank."""
@@ -64,21 +71,31 @@ class SparseEliminator:
         if not row:
             return False
         piv = min(row)
-        # back-substitute into existing pivot rows to keep RREF shape
-        for pc, prow in list(self.pivots.items()):
-            if piv in prow:
-                a, b = prow[piv], row[piv]
-                g = gcd(abs(a), abs(b))
-                ma, mb = b // g, a // g
-                for c, v in row.items():
-                    nv = ma * prow.get(c, 0) - mb * v
-                    if nv:
-                        prow[c] = nv
-                    else:
-                        prow.pop(c, None)
-                for c in [c for c in prow if c not in row]:
+        users = self.users
+        b = row[piv]
+        # back-substitute into the stored rows holding piv to keep RREF shape
+        for pc in users.pop(piv, ()):
+            prow = self.pivots[pc]
+            a = prow[piv]
+            g = gcd(a, b)
+            ma, mb = b // g, a // g
+            if ma != 1:
+                for c in prow:
                     prow[c] *= ma
-                _content_strip(prow)
+            for c, v in row.items():
+                nv = prow.get(c, 0) - mb * v
+                if nv:
+                    if c not in prow:
+                        users.setdefault(c, set()).add(pc)
+                    prow[c] = nv
+                elif c in prow:
+                    del prow[c]
+                    if c != piv:
+                        users[c].discard(pc)
+            _content_strip(prow)
+        for c in row:
+            if c != piv:
+                users.setdefault(c, set()).add(piv)
         self.pivots[piv] = row
         return True
 
@@ -89,14 +106,16 @@ class SparseEliminator:
     def kernel_basis(self, ncols: int) -> list[dict[int, Fraction]]:
         """Basis of the right kernel on columns 0..ncols-1, one vector per
         free column."""
-        pivot_cols = set(self.pivots)
-        free_cols = [c for c in range(ncols) if c not in pivot_cols]
+        pivots = self.pivots
+        age = {pc: i for i, pc in enumerate(pivots)}
         basis = []
-        for fc in free_cols:
+        for fc in range(ncols):
+            if fc in pivots:
+                continue
             vec: dict[int, Fraction] = {fc: Fraction(1)}
-            for pc, prow in self.pivots.items():
-                if fc in prow:
-                    vec[pc] = Fraction(-prow[fc], prow[pc])
+            for pc in sorted(self.users.get(fc, ()), key=age.__getitem__):
+                prow = pivots[pc]
+                vec[pc] = Fraction(-prow[fc], prow[pc])
             basis.append(vec)
         return basis
 
@@ -108,22 +127,39 @@ def linear_relations(polys: list[Polynomial], monos: list[tuple], budget: Budget
 
     Column i*len(monos)+k holds polys[i] * x^monos[k]; there is one row per
     monomial of the products, in ascending order.  Rows are built in one
-    pass from the terms, and only a row holding a Fraction is scaled.
+    pass from the terms, keyed by the monomial packed into one int (the
+    first variable in the top field, so int order is tuple order), and
+    cleared of denominators only when some polynomial holds a Fraction.
     """
     if any(p.ring.prime is not None for p in polys):
         raise ValueError("linear relations are computed over the rationals, not GF(p)")
-    rows: dict[tuple, dict] = {}
+    nvars = len(monos[0]) if monos else 0
+    top = (max((sum(e) for p in polys for e in p.terms), default=0)
+           + max(map(sum, monos), default=0))
+    width = max(top.bit_length(), 1)
+    shifts = [width * i for i in reversed(range(nvars))]
+
+    def pack(e):
+        return sum(k << s for k, s in zip(e, shifts))
+    packed_monos = [pack(m) for m in monos]
+    rows: dict[int, dict] = {}
     col = 0
+    fractional = False
     for p in polys:
-        terms = p.terms.items()
-        for m in monos:
+        terms = [(pack(e), c) for e, c in p.terms.items()]
+        fractional = fractional or any(isinstance(c, Fraction) for _, c in terms)
+        for m in packed_monos:
             for e, c in terms:
-                rows.setdefault(tuple(map(add, e, m)), {})[col] = c
+                row = rows.get(e + m)
+                if row is None:
+                    rows[e + m] = {col: c}
+                else:
+                    row[col] = c
             col += 1
     elim = SparseEliminator(budget)
-    for mono in sorted(rows):
-        row = rows[mono]
-        if any(isinstance(c, Fraction) for c in row.values()):
+    for key in sorted(rows):
+        row = rows[key]
+        if fractional:
             den = denominator_lcm(row.values())
             row = {j: int(c * den) for j, c in row.items()}
         elim.add_row(row)

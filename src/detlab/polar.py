@@ -193,11 +193,18 @@ class HessianDetOnLine:
         self.degree = (int(f.degree) - 2) * nv
 
     def restrict_line_mod(self, base, direction, p: int) -> list[int]:
-        Hp = self.matrix.reduce_mod(p)
+        # each entry is restricted to the line once, then read at the nodes
+        n = self.matrix.cols
+        lines = [_line_coefficients(e, base, direction, p) for e in self.matrix.entries]
         pts = []
         for t in range(self.degree + 1):
-            point = [(b + t * d) % p for b, d in zip(base, direction)]
-            pts.append((t, dense_det(Hp.evaluate(point), p)))
+            vals = []
+            for coeffs in lines:
+                v = 0
+                for c in reversed(coeffs):
+                    v = (v * t + c) % p
+                vals.append(v)
+            pts.append((t, dense_det([vals[r:r + n] for r in range(0, len(vals), n)], p)))
         return uinterpolate(pts, p)
 
 
@@ -223,13 +230,18 @@ _MULT_LINE_CAP = 10
 _MULT_EXACT_CONFIRM_TERMS = 20000
 
 
+def _line_coefficients(g: Polynomial, base, direction, p: int) -> list[int]:
+    """Coefficients, lowest first, of g(base + t*direction) over GF(p)."""
+    u = g.reduce_mod(p).restrict_to_line(base, direction)
+    out = [0] * (int(u.degree) + 1 if u.terms else 0)
+    for (e,), c in u.terms.items():
+        out[e] = c
+    return out
+
+
 def _line_restrict_mod(g, base, direction, p: int) -> list[int]:
     if isinstance(g, Polynomial):
-        u = g.reduce_mod(p).restrict_to_line(base, direction)
-        out = [0] * (int(u.degree) + 1 if u.terms else 0)
-        for (e,), c in u.terms.items():
-            out[e] = c
-        return out
+        return _line_coefficients(g, base, direction, p)
     return g.restrict_line_mod(base, direction, p)
 
 

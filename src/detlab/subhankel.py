@@ -27,14 +27,19 @@ from .structmat import MinorLadder, PolyMatrix
 from .syzygy import ModuleBasis, graded_betti
 from . import polar
 
-# the largest order n each capped check is run for; the casebook and the
-# CLI read their limits here
+# the largest order n each capped check is run for, and the smallest for
+# the checks whose closed forms assume n >= 3 (at n = 2 the determinant is
+# a smooth conic: its Betti shifts collide and it has no embedded prime or
+# heavy syzygy); the casebook and the CLI read their limits here
 MAX_ORDER = {"colon": 5, "resolution": 5, "linear-type": 4}
+MIN_ORDER = {"resolution": 3, "linear-type": 3}
 
 
 def _check_order(check: str, n: int, what: str) -> None:
     if n > MAX_ORDER[check]:
         raise ValueError(f"{what} capped at n = {MAX_ORDER[check]}")
+    if n < MIN_ORDER.get(check, n):
+        raise ValueError(f"{what} needs n >= {MIN_ORDER[check]}")
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +317,10 @@ def subhankel_linear_type_check(form: polar.PolarMapData,
     span_ok = all(mb.contains(col) for col in disp)
     n_linear = sum(1 for i in range(len(syz.columns)) if syz.entry_degree(i) == 1)
     heavy = [i for i in range(len(syz.columns)) if syz.entry_degree(i) == n - 1]
-    shape_ok = n_linear == n and len(heavy) == (1 if n >= 3 else 0)
-    tailgen_ok = True
-    if n >= 3:
-        g = syz.columns[heavy[0]]
-        yn = g[n]
+    shape_ok = n_linear == n and len(heavy) == 1
+    tailgen_ok = False
+    if shape_ok:
+        yn = syz.columns[heavy[0]][n]
         bar = Polynomial(ring, {e: c for e, c in yn.terms.items() if e[n] == 0})
         tailgen_ok = (not bar.is_zero() and len(bar.terms) == 1
                       and next(iter(bar.terms))[n - 1] == n - 1)

@@ -502,26 +502,35 @@ def rees_bigraded_kernel(forms: list[Polynomial], xdeg: int, ydeg: int,
                          budget: Budget | None = None) -> list[Polynomial]:
     """k-basis of bidegree (xdeg, ydeg) elements of the blowup ideal,
     returned in the y,x ring."""
+    return _bigraded_kernel(forms, _y_products(forms, ydeg), xdeg, budget)
+
+
+def _y_products(forms: list[Polynomial], ydeg: int) -> list[tuple]:
+    """(beta, f^beta) for the y-monomials beta of degree ydeg."""
+    out = []
+    for beta in _monomials_of_degree(len(forms), ydeg):
+        acc = None
+        for f, e in zip(forms, beta):
+            for _ in range(e):
+                acc = f if acc is None else acc * f
+        out.append((beta, forms[0].ring.one() if acc is None else acc))
+    return out
+
+
+def _bigraded_kernel(forms: list[Polynomial], yprods: list[tuple], xdeg: int,
+                     budget: Budget | None) -> list[Polynomial]:
+    """The kernel of rees_bigraded_kernel from its y-products."""
     ring = forms[0].ring
     target = rees_ring(ring, len(forms))
     xmonos = list(_monomials_of_degree(ring.nvars, xdeg))
-    ymonos = list(_monomials_of_degree(len(forms), ydeg))
-    prods = []
-    for beta in ymonos:
-        if budget is not None:
-            for _ in xmonos:
-                budget.tick(1, "bigraded kernel assembly")
-        acc = ring.one()
-        for f, e in zip(forms, beta):
-            for _ in range(e):
-                acc = acc * f
-        prods.append(acc)
+    if budget is not None:
+        budget.tick(len(yprods) * len(xmonos), "bigraded kernel assembly")
     out = []
-    for vec in linear_relations(prods, xmonos, budget):
+    for vec in linear_relations([acc for _, acc in yprods], xmonos, budget):
         terms: dict = {}
         for j, v in vec.items():
             beta, alpha = divmod(j, len(xmonos))
-            terms[ymonos[beta] + xmonos[alpha]] = v
+            terms[yprods[beta][0] + xmonos[alpha]] = v
         out.append(Polynomial(target, terms))
     return out
 
@@ -543,12 +552,13 @@ def rees_minimal_bidegree12(forms: list[Polynomial],
     ring = forms[0].ring
     k = len(forms)
     target = rees_ring(ring, k)
-    kernel = rees_bigraded_kernel(forms, 1, 2, b)
+    quadrics = _y_products(forms, 2)
+    kernel = _bigraded_kernel(forms, quadrics, 1, b)
     old: list[Polynomial] = []
     for sigma in symmetric_algebra_ideal(forms, linear_columns).gens:
         for j in range(k):
             old.append(sigma * target.var(j))
-    for tau in rees_bigraded_kernel(forms, 0, 2, b):
+    for tau in _bigraded_kernel(forms, quadrics, 0, b):
         for v in range(ring.nvars):
             old.append(tau * target.var(k + v))
     # constant-coefficient linear relations would multiply in as well

@@ -260,3 +260,39 @@ def bidegree(g, ny):
     if len(bids) != 1:
         raise ValueError("element is not bihomogeneous")
     return bids.pop()
+
+
+def fraction_rref(rows, ncols):
+    """Reduced row echelon form over Q of dense rows, by Gauss-Jordan on
+    Fractions: (nonzero rows with leading entry 1, their pivot columns)."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        lead = m[r][c]
+        m[r] = [v / lead for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def fraction_kernel(rows, ncols):
+    """Right kernel over Q of dense rows, one vector per free column."""
+    rref, pivots = fraction_rref(rows, ncols)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for row, pc in zip(rref, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return basis

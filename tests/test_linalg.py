@@ -1,14 +1,19 @@
-"""Dense numeric elimination: determinant and rank over Q and GF(p),
-checked against the Leibniz permutation sum."""
+"""Exact elimination: dense determinant and rank over Q and GF(p), checked
+against the Leibniz permutation sum, and the sparse RREF and polynomial
+kernels, checked against a dense Fraction RREF."""
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from detlab.linalg import dense_det, dense_rank
+from detlab.config import Budget
+from detlab.linalg import SparseEliminator, dense_det, dense_rank, linear_relations
 from detlab.modp import PRIME_61
-from oracles import perm_sign
+from detlab.polyring import Polynomial, Ring, xring
+from detlab.syzygy import _monomials_of_degree
+from oracles import dict_mul, fraction_kernel, fraction_rref, perm_sign
 
 P = PRIME_61
 
@@ -82,3 +87,99 @@ def test_dense_edge_cases():
     assert dense_rank([[0, 1], [1, 0]], 7) == (2, ([0, 1], [0, 1]))
     assert dense_det([[0, 1], [1, 0]], 7) == 6
 
+
+
+# ---------------------------------------------------------------------------
+# sparse elimination against a dense Fraction RREF
+
+def _dense(vecs, ncols):
+    return [[v.get(c, 0) for c in range(ncols)] for v in vecs]
+
+
+def _same_span(a, b, ncols):
+    return fraction_rref(a, ncols)[0] == fraction_rref(b, ncols)[0]
+
+
+@st.composite
+def _sparse_int_rows(draw):
+    """Integer rows with zero rows, repeated rows and multiples, half of
+    them from low-rank products A*B; entries share factors, so the scale
+    of a reduction and the row contents are not trivial."""
+    nrows, ncols = draw(st.integers(1, 9)), draw(st.integers(1, 8))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 6, 10, -15])
+
+    def mat(r, c):
+        return draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    if draw(st.booleans()):
+        k = draw(st.integers(1, min(nrows, ncols)))
+        A, B = mat(nrows, k), mat(k, ncols)
+        rows = [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(ncols)]
+                for i in range(nrows)]
+    else:
+        rows = mat(nrows, ncols)
+    for _ in range(draw(st.integers(0, 3))):
+        src = draw(st.sampled_from(rows))
+        scale = draw(st.sampled_from([0, 1, -1, 3]))
+        rows.insert(draw(st.integers(0, len(rows))), [scale * v for v in src])
+    return ncols, rows
+
+
+@given(_sparse_int_rows())
+@settings(max_examples=200, deadline=None)
+def test_sparse_eliminator_matches_fraction_rref(case):
+    ncols, rows = case
+    elim = SparseEliminator(Budget())
+    seen = []
+    for row in rows:
+        before = fraction_rref(seen, ncols)[1] if seen else []
+        seen.append(row)
+        grew = len(fraction_rref(seen, ncols)[1]) > len(before)
+        sparse = {c: v for c, v in enumerate(row) if v}
+        assert elim.add_row(sparse) == grew
+        assert sparse == {c: v for c, v in enumerate(row) if v}  # input untouched
+    rref, pivots = fraction_rref(rows, ncols)
+    assert elim.rank == len(pivots) and sorted(elim.pivots) == pivots
+    kernel = elim.kernel_basis(ncols)
+    # both are the basis read off the unique RREF, one vector per free column
+    assert _dense(kernel, ncols) == fraction_kernel(rows, ncols)
+    for vec in kernel:
+        assert all(sum(r[c] * vec.get(c, 0) for c in range(ncols)) == 0 for r in rows)
+
+
+@st.composite
+def _poly_families(draw):
+    """Polynomials in two or three variables with integer or Fraction
+    coefficients, some of them multiples of others (low-rank products),
+    and the degree of the x-monomials they are multiplied by."""
+    nvars = draw(st.integers(2, 3))
+    R = xring(nvars)
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    coeff = st.sampled_from([1, -1, 2, 3, -4, Fraction(1, 2), Fraction(-2, 3)])
+    polys = []
+    for _ in range(draw(st.integers(1, 4))):
+        terms = draw(st.dictionaries(exps, coeff, min_size=1, max_size=4))
+        polys.append(Polynomial(R, terms))
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.sampled_from(polys)), draw(st.sampled_from(polys))
+        polys.append(a * Polynomial(R, {draw(exps): draw(coeff)}) + b)
+    return polys, list(_monomials_of_degree(nvars, draw(st.integers(0, 1))))
+
+
+@given(_poly_families())
+@settings(max_examples=100, deadline=None)
+def test_linear_relations_match_fraction_kernel(case):
+    polys, monos = case
+    cols = [dict_mul(dict(p.terms), {m: 1}) for p in polys for m in monos]
+    row_monos = sorted({e for col in cols for e in col})
+    dense = [[col.get(e, 0) for col in cols] for e in row_monos]
+    want = fraction_kernel(dense, len(cols))
+    got = _dense(linear_relations(polys, monos, Budget()), len(cols))
+    assert len(got) == len(want) and _same_span(got, want, len(cols))
+
+
+def test_linear_relations_reject_gf_p():
+    R = Ring(("x0", "x1"), prime=7)
+    x0, x1 = R.gens()
+    with pytest.raises(ValueError, match="not GF"):
+        linear_relations([x0 + 2 * x1, 4 * x0 + x1], [(0, 0)])

@@ -125,6 +125,29 @@ def test_factor_multiplicity_line_protocol_hankel4():
     assert res.residual_degree == 6
 
 
+@pytest.mark.parametrize("kind,shape", [("catalecticant", {"m": 3, "r": 2}),
+                                        ("hankel", {"m": 3})])
+def test_hessian_on_line_matches_nodewise_evaluation(kind, shape):
+    # entries restricted to the line once, then read at each node, give the
+    # same interpolated restriction as evaluating Hp at each node's point
+    import random
+    from detlab.linalg import dense_det
+    from detlab.modp import PRIME_61, uinterpolate
+    _, f, _ = det_and_partials(kind, **shape)
+    H = polar.HessianDetOnLine(f)
+    rng, p = random.Random(2024), PRIME_61
+    base = [rng.randrange(p) for _ in range(f.ring.nvars)]
+    direction = [rng.randrange(1, p) for _ in range(f.ring.nvars)]
+    Hp = H.matrix.reduce_mod(p)
+    nodes = []
+    for t in range(H.degree + 1):
+        point = [(b + t * d) % p for b, d in zip(base, direction)]
+        nodes.append((t, dense_det(Hp.evaluate(point), p)))
+    line = H.restrict_line_mod(base, direction, p)
+    assert line == uinterpolate(nodes, p)
+    assert line  # the Hessian determinant does not vanish here
+
+
 def test_factor_multiplicity_big_catalecticants():
     _, f43, _ = det_and_partials("catalecticant", m=4, r=3)
     res = polar.factor_multiplicity(f43, polar.HessianDetOnLine(f43))

@@ -1,6 +1,7 @@
 """Sub-Hankel program: filtration, recurrences, presentations, resolution,
 associated primes, linear type."""
 
+import json
 from fractions import Fraction
 from math import comb
 
@@ -10,7 +11,7 @@ from detlab.casebook import registry
 from detlab.cli import main as cli_main
 from detlab.groebner import Ideal, hilbert_data, ideal_equal
 from detlab.polyring import exact_divide, NOT_DIVISIBLE
-from detlab.subhankel import (MAX_ORDER, colon_claim_check,
+from detlab.subhankel import (MAX_ORDER, MIN_ORDER, colon_claim_check,
                               displayed_symmetric_generators, filtration_generators,
                               filtration_ideal, gcd_power_check, hilbert_burch,
                               hilbert_burch_check, multiplicity_filtration_check,
@@ -61,6 +62,32 @@ def test_capped_checks_refuse_larger_orders(subhankel_record):
         assert ("colon-claim" in ids) == (n <= MAX_ORDER["colon"])
         assert ("resolution" in ids) == (n <= MAX_ORDER["resolution"])
         assert ("linear-type" in ids) == ("verdict" in ids) == (n <= MAX_ORDER["linear-type"])
+
+
+def test_order_two_refused_where_closed_forms_need_three(subhankel_record):
+    # at n = 2 the determinant is the smooth conic x0*x2 - x1^2: the Betti
+    # shifts (2, n) and (2, 2n-2) coincide and there is no heavy syzygy
+    assert MIN_ORDER == {"resolution": 3, "linear-type": 3}
+    form = subhankel_record(2)
+    with pytest.raises(ValueError, match="resolution check needs n >= 3"):
+        resolution_and_ass_check(form)
+    with pytest.raises(ValueError, match="blowup-equation check needs n >= 3"):
+        subhankel_linear_type_check(form)
+
+
+@pytest.mark.parametrize("check", ["resolution", "linear-type"])
+def test_cli_order_two_skips_check(capsys, check):
+    assert cli_main(["subhankel", "--n", "2", "--check", check, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["checks"] == {check: {"status": "skipped (out of supported range)"}}
+
+
+def test_cli_order_two_all(capsys):
+    assert cli_main(["subhankel", "--n", "2", "--all", "--json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    skipped = {k for k, v in checks.items() if "status" in v}
+    assert skipped == {"resolution", "linear-type"}
+    assert all(v["pass"] for k, v in checks.items() if k not in skipped)
 
 
 # ---------------------------------------------------------------------------

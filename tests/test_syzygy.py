@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from detlab.config import Budget
 from detlab.groebner import Ideal, hilbert_data, rees_ring
 from detlab.hankelplucker import solve_bracket_identity
 from detlab.polyring import dot, morph, xring
@@ -352,6 +353,23 @@ def test_bigraded_kernel_veronese_relation():
     taus = rees_bigraded_kernel([x0 ** 2, x0 * x1, x1 ** 2], 0, 2)
     assert len(taus) == 1
     assert str(taus[0]) in ("-y1^2 + y0*y2", "y1^2 - y0*y2")
+
+
+def test_bigraded_kernel_work_count_lock(monkeypatch):
+    # the (1,2) kernel of the cat-4-2 partials: its dimension and its work,
+    # as counted before the one-pass elimination; a change to the row order
+    # or to what a "linear algebra" step is moves these numbers
+    ticks = {}
+    tick = Budget.tick
+
+    def counting(self, n=1, what="computation"):
+        ticks[what] = ticks.get(what, 0) + n
+        return tick(self, n, what)
+    monkeypatch.setattr(Budget, "tick", counting)
+    _, _, p42 = partials_of("catalecticant", m=4, r=2)
+    kernel = rees_bigraded_kernel(p42, 1, 2, Budget())
+    assert len(kernel) == 62
+    assert ticks == {"bigraded kernel assembly": 550, "linear algebra": 23632}
 
 
 def test_bidegree12_counts():
