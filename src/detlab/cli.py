@@ -348,12 +348,10 @@ def _cmd_subhankel(args) -> int:
 
 
 def _run_one_scenario(payload):
+    # the workers share one cache directory: a file is replaced atomically and
+    # its name is its content's key, so two writers of one key write one file
     sid, cfg_dict, long = payload
-    cfg = Config(**cfg_dict)
-    if cfg_dict.get("cache_dir"):
-        # per-process cache namespace keeps the writers independent
-        cfg = Config(**{**cfg_dict, "cache_dir": os.path.join(cfg_dict["cache_dir"], sid)})
-    return run_scenario(sid, config=cfg, long=long)
+    return run_scenario(sid, config=Config(**cfg_dict), long=long)
 
 
 def _cmd_casebook(args) -> int:

@@ -56,7 +56,7 @@ from operator import mul
 from .config import Budget, Config, DEFAULT_CONFIG
 from .polyring import (
     Polynomial, Ring, MonomialOrder, block_order, morph,
-    parse_polynomial, format_polynomial, exact_divide, NOT_DIVISIBLE, denominator_lcm,
+    exact_divide, NOT_DIVISIBLE, denominator_lcm,
     _content_strip,
 )
 
@@ -574,20 +574,24 @@ def _buchberger_at_width(seeds: list[_Entry], budget: Budget, rank: int) -> list
 # Both levels share one key: a hash of the coefficient field, the variable
 # names, the order and the sorted, deduplicated term items of the
 # generators.  The memory cache holds the engine's own entry lists (shared
-# by every Ideal with that key; `_retry_wider` widens them in place), and a
-# hit rebuilds only the monic bases.  Text exists only in the `.gb` files:
-# a header line with the format version and the sha256 of the rest, then
-# one basis element per line, written after a computation and parsed on a
-# disk hit.  A file with another header, a wrong checksum or a line that
-# does not parse is never trusted: the basis is recomputed and rewritten.
+# by every Ideal with that key; `_retry_wider` widens them in place).  A
+# `.gb` file holds the same entries with no polynomial text: a header line
+# with the format version and the sha256 of the key and the rest, then one
+# line per entry, its primitive integer terms (positive leading
+# coefficient, content 1) as groups `c e_1 ... e_n` of decimal ints, the
+# leading term first.  It is written after a computation and read back
+# with int() alone.  A file with another header, a wrong checksum (a record
+# copied under another key's name has one) or a line that is no such
+# record is never trusted: the basis is recomputed and rewritten.
 
 _MEMORY_CACHE: dict[str, list[_Entry]] = {}
 
-_DISK_FORMAT = "detlab-gb 2"  # headerless files were the first format
+_DISK_FORMAT = b"detlab-gb 3"  # 2 held polynomial text; the first had no header
 
 
-def _disk_header(body: str) -> str:
-    return f"{_DISK_FORMAT} sha256={hashlib.sha256(body.encode()).hexdigest()}\n"
+def _disk_header(key: str, body: bytes) -> bytes:
+    digest = hashlib.sha256(key.encode() + b"\n" + body).hexdigest()
+    return _DISK_FORMAT + b" sha256=" + digest.encode() + b"\n"
 
 
 def _cache_key(ring: Ring, order: MonomialOrder, gens: list[Polynomial]) -> str:
@@ -596,35 +600,56 @@ def _cache_key(ring: Ring, order: MonomialOrder, gens: list[Polynomial]) -> str:
     return hashlib.sha256(repr((mode, ring.variables, order.id, body)).encode()).hexdigest()
 
 
-def _disk_get(cache_dir: str, key: str, ring: Ring, order: MonomialOrder) -> list[_Entry] | None:
+def _disk_get(cache_dir: str, key: str, nvars: int, order: MonomialOrder) -> list[_Entry] | None:
     """The cached basis, or None when the file is missing, has another
-    format, fails its checksum or holds a line that is no nonzero
-    polynomial of the ring."""
+    format or checksum, or holds a line that is no record of a nonzero
+    polynomial in nvars variables."""
     path = os.path.join(cache_dir, key + ".gb")
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "rb") as fh:
             header = fh.readline()
             body = fh.read()
-    except (OSError, ValueError):  # ValueError: not UTF-8
+    except OSError:
         return None
-    if header != _disk_header(body):
+    if header != _disk_header(key, body):
         return None
+    step = nvars + 1
+    dicts = []
     try:
-        dicts = [to_int_terms(parse_polynomial(ring, s)) for s in body.splitlines()]
-        sugars = [max(map(sum, d)) for d in dicts]  # ValueError on a zero line
+        for line in body.splitlines():
+            ints = list(map(int, line.split()))  # ValueError on a non-integer token
+            coeffs = ints[::step]
+            del ints[::step]
+            if not coeffs or len(ints) != nvars * len(coeffs) or 0 in coeffs \
+                    or min(ints, default=0) < 0:
+                return None
+            d = dict(zip(zip(*[iter(ints)] * nvars), coeffs))
+            if len(d) != len(coeffs):
+                return None
+            dicts.append(d)
     except ValueError:
         return None
-    return _pack_entries(dicts, sugars, order.weight_rows())
+    if not dicts:
+        return None
+    return _pack_entries(dicts, [max(map(sum, d)) for d in dicts], order.weight_rows())
 
 
-def _disk_put(cache_dir: str, key: str, polys: list[Polynomial]) -> None:
+def _disk_put(cache_dir: str, key: str, entries: list[_Entry]) -> None:
+    lines = []
+    for g in entries:
+        unpack = g.pk.unpack
+        ints = []
+        for m, c in sorted(g.packed().items(), reverse=True):
+            ints.append(c)
+            ints.extend(unpack(m))
+        lines.append(" ".join(map(str, ints)) + "\n")
+    body = "".join(lines).encode()
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, key + ".gb")
-    body = "".join(format_polynomial(p) + "\n" for p in polys)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(_disk_header(body) + body)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_disk_header(key, body) + body)
         os.replace(tmp, path)  # atomic single-writer discipline
     except BaseException:
         try:
@@ -651,7 +676,8 @@ class Ideal:
             if not g.is_zero():
                 clean.setdefault(g)
         self.gens = list(clean)
-        self._gb: dict[str, tuple[list[Polynomial], list[_Entry]]] = {}
+        self._gb: dict[str, list[_Entry]] = {}  # order id -> entries of the reduced basis
+        self._monic: dict[str, list[Polynomial]] = {}  # built on the first groebner_basis
 
     def __repr__(self):
         show = ", ".join(str(g) for g in self.gens[:4])
@@ -669,37 +695,40 @@ class Ideal:
                        config: Config | None = None) -> list[Polynomial]:
         """Reduced (monic) Groebner basis; deterministic given order."""
         order = self._resolve(order)
-        config = config or DEFAULT_CONFIG
-        if order.id in self._gb:
-            return self._gb[order.id][0]
+        polys = self._monic.get(order.id)
+        if polys is None:
+            entries = self._entries(order, budget, config)
+            polys = self._monic[order.id] = [e.monic(self.ring) for e in entries]
+        return polys
+
+    def _entries(self, order, budget=None, config=None) -> list[_Entry]:
+        """The engine's entries of the reduced basis, from this ideal, the
+        memory cache, the disk cache or a computation, in that order."""
+        order = self._resolve(order)
+        entries = self._gb.get(order.id)
+        if entries is not None:
+            return entries
         if not self.gens:
-            self._gb[order.id] = ([], [])
+            self._gb[order.id] = []
             return []
+        config = config or DEFAULT_CONFIG
         key = _cache_key(self.ring, order, self.gens)
         entries = _MEMORY_CACHE.get(key)
         if entries is None and config.cache_dir:
-            entries = _disk_get(config.cache_dir, key, self.ring, order)
+            entries = _disk_get(config.cache_dir, key, self.ring.nvars, order)
         fresh = entries is None
         if fresh:
             if budget is None:
                 budget = config.budget()
             entries = groebner_entries([to_int_terms(g) for g in self.gens], order, budget)
-        _MEMORY_CACHE[key] = entries
-        polys = [e.monic(self.ring) for e in entries]
-        self._gb[order.id] = (polys, entries)
+        _MEMORY_CACHE[key] = self._gb[order.id] = entries
         if fresh and config.cache_dir:
-            _disk_put(config.cache_dir, key, polys)
-        return polys
-
-    def _entries(self, order, budget=None, config=None) -> list[_Entry]:
-        order = self._resolve(order)
-        self.groebner_basis(order, budget, config)
-        return self._gb[order.id][1]
+            _disk_put(config.cache_dir, key, entries)
+        return entries
 
     def normal_form(self, f: Polynomial, order: MonomialOrder | None = None,
                     budget: Budget | None = None, config: Config | None = None) -> Polynomial:
         """Canonical remainder of f under full reduction."""
-        order = self._resolve(order)
         entries = self._entries(order, budget, config)
         if f.is_zero() or not entries:
             return f
@@ -719,7 +748,7 @@ class Ideal:
         return all(self.contains(g, order, budget, config) for g in other.gens)
 
     def leading_monomials(self, order=None, budget=None, config=None) -> list[tuple]:
-        entries = self._entries(self._resolve(order), budget, config)
+        entries = self._entries(order, budget, config)
         return [g.pk.unpack(g.lm) for g in entries]
 
     def is_unit(self, budget=None, config=None) -> bool:
@@ -1074,7 +1103,6 @@ def symmetric_algebra_ideal(forms: list[Polynomial], syzygy_columns) -> Ideal:
 
 def certify_groebner(I: Ideal, order=None, budget=None, config=None) -> bool:
     """All s-polynomials of basis pairs reduce to zero."""
-    order = I._resolve(order)
     entries = I._entries(order, budget, config)
     config = config or DEFAULT_CONFIG
     if budget is None:

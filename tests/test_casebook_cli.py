@@ -218,6 +218,24 @@ def test_cli_casebook_parallel_jobs():
     assert code == 0
 
 
+def test_cli_casebook_jobs_share_one_cache(tmp_path):
+    # worker processes write into the cache directory itself, so a later
+    # serial run reads every basis back and prints the same bytes
+    cache = tmp_path / "cache"
+    args = ["casebook", "run", "--cache-dir", str(cache), "--json", "--no-timings"]
+    code, parallel, err = run_cli(args + ["--jobs", "2"])
+    assert code == 0, err
+    files = sorted(cache.iterdir())
+    assert files and all(p.suffix == ".gb" for p in files)
+    written = [(p.stat().st_ino, p.stat().st_mtime_ns) for p in files]
+    code, serial, err = run_cli(args + ["--jobs", "1"])
+    assert code == 0, err
+    assert serial == parallel
+    assert [(p.stat().st_ino, p.stat().st_mtime_ns) for p in sorted(cache.iterdir())] == written
+    code, out, _ = run_cli(["cache", "info", "--cache-dir", str(cache), "--json"])
+    assert json.loads(out)["entries"] == len(files)
+
+
 def test_cli_two_ideal_ops_share_ring(tmp_path):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"

@@ -1,11 +1,17 @@
 """Buchberger engine and ideal-query contracts, with oracle-backed cases."""
 
+import hashlib
 import itertools
+import os
+import subprocess
+import sys
+import tempfile
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from detlab import groebner, polyring
 from detlab.config import Budget, Config, ComputationTimeout
@@ -136,35 +142,179 @@ def test_disk_cache_roundtrip(tmp_path):
     assert [str(g) for g in gb1] == [str(g) for g in gb2]
 
 
-def _damaged(good: str, damage: str) -> str:
+def _text_record(version: str | None) -> str:
+    """_TEXTLESS_BASIS as a file of an earlier, text format: headerless
+    (the first) or under a `detlab-gb 2` header with its body's sha256."""
+    body = "".join(s + "\n" for s in _TEXTLESS_BASIS)
+    if version is None:
+        return body
+    return f"{version} sha256={hashlib.sha256(body.encode()).hexdigest()}\n{body}"
+
+
+def _damaged(good: bytes, damage: str, key: str) -> bytes:
     header, *lines = good.splitlines(keepends=True)
     if damage == "empty":
-        return ""
+        return b""
     if damage == "dropped line":
-        return header + "".join(lines[:2] + lines[3:])
-    if damage == "cut line":  # ends inside "x0*x1 - x2^2", as "x0*x1 - x2"
-        return good[:len(header) + len(lines[0]) + len("x0*x1 - x2")]
-    if damage == "old format":  # the headerless files of the first format
-        return "".join(lines)
-    body = "".join(lines[:-1]) + "x9^4\n"  # a checksummed line of no variable here
-    return groebner._disk_header(body) + body
+        return header + b"".join(lines[:2] + lines[3:])
+    if damage == "cut line":  # the file ends inside its second record
+        return good[:len(header) + len(lines[0]) + 3]
+    if damage == "old format":
+        return _text_record(None).encode()
+    if damage == "text format 2":
+        return _text_record("detlab-gb 2").encode()
+    # the rest keep a valid checksum: damaged records, not damaged bytes
+    first = lines[0].split()
+    if damage == "wrong arity":
+        first = first[:-1]
+    elif damage == "negative exponent":
+        first[1] = b"-1"
+    elif damage == "zero coefficient":
+        first[0] = b"0"
+    elif damage == "unparsable":  # a token that is no integer
+        first[0] = b"x1"
+    elif damage == "repeated monomial":  # the last term again, another coefficient
+        first += [b"7"] + first[-3:]
+    elif damage == "blank line":
+        first = []
+    elif damage == "no lines":
+        return groebner._disk_header(key, b"")
+    body = b" ".join(first) + b"\n" + b"".join(lines[1:])
+    return groebner._disk_header(key, body) + body
 
 
 @pytest.mark.parametrize("damage", ["empty", "dropped line", "cut line", "old format",
-                                    "unparsable"])
+                                    "text format 2", "wrong arity", "negative exponent",
+                                    "zero coefficient", "unparsable", "repeated monomial",
+                                    "blank line", "no lines"])
 def test_a_damaged_disk_entry_is_recomputed_and_rewritten(tmp_path, damage):
     R = xring(3)
     cfg = Config(cache_dir=str(tmp_path))
     _MEMORY_CACHE.clear()
     Ideal(R, _textless_gens(R)).groebner_basis(config=cfg)
     (path,) = tmp_path.glob("*.gb")
-    good = path.read_text(encoding="utf-8")
-    path.write_text(_damaged(good, damage), encoding="utf-8")
+    good = path.read_bytes()
+    path.write_bytes(_damaged(good, damage, path.stem))
     _MEMORY_CACHE.clear()
     I = Ideal(R, _textless_gens(R))
     assert [format_polynomial(g) for g in I.groebner_basis(config=cfg)] == _TEXTLESS_BASIS
     assert all(I.contains(g, config=cfg) for g in I.gens)
-    assert path.read_text(encoding="utf-8") == good
+    assert path.read_bytes() == good
+
+
+def test_a_record_under_another_key_is_not_served(tmp_path):
+    # a valid file copied to another ideal's name fails the checksum, which
+    # covers the key: the other ideal's basis is recomputed and rewritten
+    R = xring(3)
+    cfg = Config(cache_dir=str(tmp_path))
+    _MEMORY_CACHE.clear()
+    x0, x1, x2 = R.gens()
+    other = [x0 * x1 - x2 ** 2, x0 + x1]
+    Ideal(R, _textless_gens(R)).groebner_basis(config=cfg)
+    want = [format_polynomial(g) for g in Ideal(R, other).groebner_basis(config=cfg)]
+    mine = tmp_path / (_cache_key(R, R.order, _textless_gens(R)) + ".gb")
+    theirs = tmp_path / (_cache_key(R, R.order, other) + ".gb")
+    good = theirs.read_bytes()
+    theirs.write_bytes(mine.read_bytes())
+    _MEMORY_CACHE.clear()
+    assert [format_polynomial(g) for g in Ideal(R, other).groebner_basis(config=cfg)] == want
+    assert theirs.read_bytes() == good
+
+
+_WRITE_HANKEL4_BASIS = """
+import sys
+from detlab.config import Config
+from detlab.groebner import Ideal
+from detlab.structmat import build_structured, determinant
+f = determinant(build_structured("hankel", m=4))
+Ideal(f.ring, [f.diff(i) for i in range(f.ring.nvars)]).groebner_basis(
+    config=Config(cache_dir=sys.argv[1]))
+"""
+
+
+def test_concurrent_writers_of_one_key_leave_one_valid_file(tmp_path):
+    # six writer processes (more than the cores of a small machine), all
+    # computing one basis into one directory: every file is replaced whole,
+    # so the survivor is the record a lone writer makes
+    shared, alone = tmp_path / "shared", tmp_path / "alone"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    procs = [subprocess.Popen([sys.executable, "-c", _WRITE_HANKEL4_BASIS, str(shared)], env=env)
+             for _ in range(6)]
+    for p in procs:
+        assert p.wait(timeout=120) == 0
+    subprocess.run([sys.executable, "-c", _WRITE_HANKEL4_BASIS, str(alone)], env=env,
+                   check=True, timeout=120)
+    (written,), (want,) = list(shared.iterdir()), list(alone.iterdir())
+    assert written.name == want.name and written.read_bytes() == want.read_bytes()
+
+
+_RECORD_COEFFS = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2), Fraction(5, 3)])
+
+
+def _small_polys(n: int, top: int, max_terms: int):
+    term = st.tuples(st.tuples(*[st.integers(0, top)] * n), _RECORD_COEFFS)
+    return st.lists(st.lists(term, min_size=1, max_size=max_terms), min_size=1, max_size=3)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_disk_record_reads_back_the_computed_basis(data):
+    n = data.draw(st.integers(2, 4))
+    R = xring(n)
+    order = data.draw(st.sampled_from([grevlex(n), lex(n)]))
+    gens = [R.poly(dict(ts)) for ts in data.draw(_small_polys(n, 2, 3))]
+    probes = [R.poly(dict(ts)) * R.gens()[0] ** data.draw(st.integers(0, 8))
+              for ts in data.draw(_small_polys(n, 3, 4))]
+    # narrow first widths make the engine restart wider on some draws, and
+    # the high-degree probes widen the read basis inside the normal forms
+    bits = data.draw(st.sampled_from([3, 4, 8]))
+
+    def entries(basis):
+        return [(g.full(), g.lc, g.pk.unpack(g.lm)) for g in basis]
+
+    def refuse(*args):
+        raise AssertionError("the basis was recomputed, not read")
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as cache:
+        mp.setattr(groebner, "_FIELD_BITS", bits)
+        cfg = Config(cache_dir=cache)
+        _MEMORY_CACHE.clear()
+        computed = Ideal(R, gens)
+        try:
+            want = entries(computed._entries(order, Budget(step_cap=3000), cfg))
+        except ComputationTimeout:
+            assume(False)
+        _MEMORY_CACHE.clear()
+        mp.setattr(groebner, "groebner_entries", refuse)
+        read = Ideal(R, gens)
+        assert entries(read._entries(order, config=cfg)) == want
+        assert read.groebner_basis(order, config=cfg) == computed.groebner_basis(order, config=cfg)
+        for p in probes:
+            want_nf = computed.normal_form(p, order, config=cfg)
+            assert read.normal_form(p, order, config=cfg) == want_nf
+
+
+@pytest.mark.parametrize("source", ["computed", "memory", "disk"])
+def test_entry_readers_build_no_monic_basis(tmp_path, monkeypatch, source):
+    H, f, partials, _, _ = hankel3_context()
+    cfg = Config(cache_dir=str(tmp_path))
+    _MEMORY_CACHE.clear()
+    if source != "computed":
+        Ideal(H.ring, partials).groebner_basis(config=cfg)
+    if source == "disk":
+        _MEMORY_CACHE.clear()
+
+    def refuse(*args):
+        raise AssertionError("a monic basis was built")
+    monkeypatch.setattr(groebner._Entry, "monic", refuse)
+    J = Ideal(H.ring, partials)
+    delta23 = H.ring.from_string("x2^2 - x1*x3")
+    assert J.normal_form(delta23, config=cfg) == H.ring.from_string("-1/3*x1*x3 + 1/3*x0*x4")
+    assert J.contains(f, config=cfg)
+    assert len(J.leading_monomials(config=cfg)) == 7
+    assert hilbert_data(J, config=cfg).multiplicity == 4
+    assert certify_groebner(J, config=cfg)
 
 
 def test_cache_key_ignores_generator_order_and_repeats():
@@ -197,16 +347,21 @@ def _textless_gens(R):
     return [x0 ** 2 - x1 * x2, x0 * x1 - x2 ** 2, x1 ** 2 - Fraction(1, 2) * x0 * x2]
 
 
+def _refusing_text(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("polynomial text used inside the program")
+    monkeypatch.setattr(polyring, "format_polynomial", refuse)
+    monkeypatch.setattr(polyring, "parse_polynomial", refuse)
+
+
 def test_basis_and_memory_hit_need_no_text(monkeypatch):
     R = xring(3)
     gens = _textless_gens(R)
     _MEMORY_CACHE.clear()
 
     def refuse(*args):
-        raise AssertionError("polynomial text used inside the program")
-    for module in (groebner, polyring):
-        monkeypatch.setattr(module, "format_polynomial", refuse)
-        monkeypatch.setattr(module, "parse_polynomial", refuse)
+        raise AssertionError("the basis was recomputed")
+    _refusing_text(monkeypatch)
     computed = Ideal(R, gens).groebner_basis(config=Config())
     monkeypatch.setattr(groebner, "groebner_entries", refuse)
     served = Ideal(R, list(reversed(gens))).groebner_basis(config=Config())
@@ -215,29 +370,18 @@ def test_basis_and_memory_hit_need_no_text(monkeypatch):
     assert [format_polynomial(g) for g in served] == _TEXTLESS_BASIS
 
 
-def test_text_only_at_the_disk(tmp_path, monkeypatch):
+def test_the_disk_cache_needs_no_text(tmp_path, monkeypatch):
+    # a computation with a cache directory, a memory hit and a disk hit
     R = xring(3)
     cfg = Config(cache_dir=str(tmp_path))
-    calls = {"format": 0, "parse": 0}
-
-    def counting(name, fn):
-        def wrapped(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapped
-    monkeypatch.setattr(groebner, "format_polynomial",
-                        counting("format", groebner.format_polynomial))
-    monkeypatch.setattr(groebner, "parse_polynomial",
-                        counting("parse", groebner.parse_polynomial))
     _MEMORY_CACHE.clear()
+    _refusing_text(monkeypatch)
     Ideal(R, _textless_gens(R)).groebner_basis(config=cfg)
-    assert calls == {"format": len(_TEXTLESS_BASIS), "parse": 0}
-    Ideal(R, _textless_gens(R)).groebner_basis(config=cfg)  # memory hit
-    assert calls == {"format": len(_TEXTLESS_BASIS), "parse": 0}
+    Ideal(R, _textless_gens(R)).groebner_basis(config=cfg)
     _MEMORY_CACHE.clear()
-    served = Ideal(R, _textless_gens(R)).groebner_basis(config=cfg)  # disk hit
-    assert calls == {"format": len(_TEXTLESS_BASIS), "parse": len(_TEXTLESS_BASIS)}
+    served = Ideal(R, _textless_gens(R)).groebner_basis(config=cfg)
     monkeypatch.undo()
+    assert len(list(tmp_path.glob("*.gb"))) == 1
     assert [format_polynomial(g) for g in served] == _TEXTLESS_BASIS
 
 
