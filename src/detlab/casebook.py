@@ -456,16 +456,15 @@ def _cat43_facts():
             ctx["config"].budget())
         p = PRIME_61
         rng = ctx["config"].rng("cat43-residual")
-        fp, gp = f.reduce_mod(p), g.reduce_mod(p)
-        Hp = ctx["form"].hessian.reduce_mod(p)
+        H = ctx["form"].hessian
         c = None
         checked = 0
         while checked < 20:
             pt = [rng.randrange(0, p) for _ in range(13)]
-            fv, gv = fp.evaluate(pt), gp.evaluate(pt)
+            fv, gv = f.evaluate(pt, p), g.evaluate(pt, p)
             if not fv or not gv:
                 continue
-            hv = dense_det(Hp.evaluate(pt), p)
+            hv = dense_det(H.evaluate(pt, p), p)
             rhs = pow(fv, 5, p) * pow(gv, 2, p) % p
             if c is None:
                 c = hv * pow(rhs, -1, p) % p

@@ -129,7 +129,15 @@ def _cmd_matrix(args) -> int:
     return EXIT_OK
 
 
+# the option each ideal op reads besides --gens
+_IDEAL_OP_NEEDS = {"member": "f", "radmember": "f", "colon": "other", "sat": "other",
+                   "intersect": "other", "eliminate": "keep"}
+
+
 def _cmd_ideal(args) -> int:
+    need = _IDEAL_OP_NEEDS.get(args.op)
+    if need and getattr(args, need) is None:
+        raise ValueError(f"--op {args.op} needs --{need}")
     config = _config_from_args(args)
     shared = [args.other] if args.other else []
     forms = _read_forms(args.gens, paths_sharing_ring=shared)
@@ -415,7 +423,8 @@ def _cmd_cache(args) -> int:
 
 def _add_common(p):
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--prime", type=int, default=None)
+    p.add_argument("--prime", type=int, default=None,
+                   help="recorded in casebook reports; read by no computation")
     p.add_argument("--timeout-secs", type=float, default=None, dest="timeout_secs")
     p.add_argument("--cache-dir", default=None, dest="cache_dir")
     p.add_argument("--json", action="store_true")

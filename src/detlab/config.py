@@ -66,6 +66,7 @@ def _env_float(name: str, default):
 @dataclass
 class Config:
     seed: int = DEFAULT_SEED
+    # recorded in every casebook report (DETLAB_PRIME, --prime); no computation reads it
     prime: int = PRIME_31
     timeout_secs: float | None = None
     gb_step_cap: int = DEFAULT_STEP_CAP

@@ -56,7 +56,7 @@ from operator import mul
 from .config import Budget, Config, DEFAULT_CONFIG
 from .polyring import (
     Polynomial, Ring, MonomialOrder, block_order, morph,
-    exact_divide, NOT_DIVISIBLE, denominator_lcm,
+    exact_divide, NOT_DIVISIBLE, clear_denominators,
     _content_strip,
 )
 
@@ -65,11 +65,7 @@ from .polyring import (
 
 def to_int_terms(poly: Polynomial) -> dict:
     """Primitive integer form of a rational polynomial (content 1)."""
-    if poly.ring.prime is not None:
-        raise ValueError("Groebner engine runs over the rationals")
-    den = denominator_lcm(poly.terms.values())
-    out = {e: int(c * den) for e, c in poly.terms.items()}
-    return _content_strip(out)
+    return _content_strip(clear_denominators(poly.terms.items())[0])
 
 
 # ---------------------------------------------------------------------------
@@ -595,9 +591,10 @@ def _disk_header(key: str, body: bytes) -> bytes:
 
 
 def _cache_key(ring: Ring, order: MonomialOrder, gens: list[Polynomial]) -> str:
-    mode = "QQ" if ring.prime is None else f"GF{ring.prime}"
     body = sorted({tuple(sorted(g.terms.items())) for g in gens})
-    return hashlib.sha256(repr((mode, ring.variables, order.id, body)).encode()).hexdigest()
+    # "QQ" names the one coefficient field; it stays so that keys and file
+    # names written by earlier versions still match
+    return hashlib.sha256(repr(("QQ", ring.variables, order.id, body)).encode()).hexdigest()
 
 
 def _disk_get(cache_dir: str, key: str, nvars: int, order: MonomialOrder) -> list[_Entry] | None:
@@ -735,8 +732,7 @@ class Ideal:
         config = config or DEFAULT_CONFIG
         if budget is None:
             budget = config.budget()
-        den = denominator_lcm(f.terms.values())
-        ints = {e: int(c * den) for e, c in f.terms.items()}
+        ints, den = clear_denominators(f.terms.items())
         rem, scale = _reduce_terms(ints, entries, budget)
         total = den * scale
         return Polynomial(self.ring, {e: Fraction(c, total) for e, c in rem.items()})
@@ -801,13 +797,15 @@ def eliminate(I: Ideal, keep_indices, budget=None, config=None) -> Ideal:
     """I ∩ k[kept variables], returned over the subring of kept variables."""
     ring = I.ring
     keep = sorted(keep_indices)
+    if not all(0 <= i < ring.nvars for i in keep):
+        raise ValueError(f"kept variable index out of range 0..{ring.nvars - 1}")
     drop = [i for i in range(ring.nvars) if i not in keep]
     if not drop:
         return Ideal(ring, list(I.gens))
     order = block_order([drop, keep])
     gb = I.groebner_basis(order, budget, config)
     keepset = set(keep)
-    sub = Ring(tuple(ring.variables[i] for i in keep), prime=ring.prime)
+    sub = Ring(tuple(ring.variables[i] for i in keep))
     out = []
     for g in gb:
         if g.support_vars() <= keepset:
@@ -823,7 +821,7 @@ def intersect(I: Ideal, J: Ideal, budget=None, config=None) -> Ideal:
     if I.is_zero() or J.is_zero():
         return Ideal(ring, [])
     tag = _fresh_names("u", 1, ring.variables)[0]
-    ext = Ring((tag,) + ring.variables, prime=ring.prime)
+    ext = Ring((tag,) + ring.variables)
     u = ext.var(0)
     gi = I.groebner_basis(None, budget, config)
     gj = J.groebner_basis(None, budget, config)
@@ -885,7 +883,7 @@ def radical_membership(f: Polynomial, I: Ideal, budget=None, config=None) -> boo
     if f.is_zero():
         return True
     tag = _fresh_names("w", 1, ring.variables)[0]
-    ext = Ring(ring.variables + (tag,), prime=ring.prime)
+    ext = Ring(ring.variables + (tag,))
     w = ext.var(ext.nvars - 1)
     gens = [morph(g, ext) for g in I.gens]
     gens.append(ext.one() - w * morph(f, ext))
@@ -1051,7 +1049,7 @@ def hilbert_data(I: Ideal, order=None, budget=None, config=None) -> HilbertData:
 
 def rees_ring(ring: Ring, nforms: int) -> Ring:
     yvars = tuple(f"y{i}" for i in range(nforms))
-    return Ring(yvars + ring.variables, prime=ring.prime)
+    return Ring(yvars + ring.variables)
 
 
 def rees_ideal(forms: list[Polynomial], budget=None, config=None) -> Ideal:
@@ -1064,8 +1062,7 @@ def rees_ideal(forms: list[Polynomial], budget=None, config=None) -> Ideal:
     if len(degs) != 1 or not all(f.is_homogeneous() for f in forms):
         raise ValueError("forms must be homogeneous of one degree")
     n = len(forms)
-    ext = Ring(("t",) + tuple(f"y{i}" for i in range(n)) + ring.variables,
-               prime=ring.prime)
+    ext = Ring(("t",) + tuple(f"y{i}" for i in range(n)) + ring.variables)
     order = block_order([[0], list(range(1, n + 1)), list(range(n + 1, ext.nvars))])
     t = ext.var(0)
     gens = []

@@ -20,8 +20,7 @@ ranks and `add_row` answers do not depend on how the rows are reduced.
 `linear_relations` is the one place where polynomials become a kernel: the
 degree-wise syzygies, the bigraded blowup-equation pieces and the bracket
 identities are all its callers.  It accepts rational coefficients (rows
-are cleared of denominators when a polynomial holds a Fraction) and
-rejects GF(p) input, whose relations the Z-eliminator would miss.  The
+are cleared of denominators when a polynomial holds a Fraction).  The
 dense numeric helpers (rank with a nonzero-minor witness, determinant)
 share one forward elimination, `_echelon`, over Q (Fractions) or GF(p).
 """
@@ -32,7 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .config import Budget
-from .polyring import Polynomial, _content_strip, denominator_lcm
+from .polyring import Polynomial, _content_strip, clear_denominators
 
 
 class SparseEliminator:
@@ -131,8 +130,6 @@ def linear_relations(polys: list[Polynomial], monos: list[tuple], budget: Budget
     first variable in the top field, so int order is tuple order), and
     cleared of denominators only when some polynomial holds a Fraction.
     """
-    if any(p.ring.prime is not None for p in polys):
-        raise ValueError("linear relations are computed over the rationals, not GF(p)")
     nvars = len(monos[0]) if monos else 0
     top = (max((sum(e) for p in polys for e in p.terms), default=0)
            + max(map(sum, monos), default=0))
@@ -160,8 +157,7 @@ def linear_relations(polys: list[Polynomial], monos: list[tuple], budget: Budget
     for key in sorted(rows):
         row = rows[key]
         if fractional:
-            den = denominator_lcm(row.values())
-            row = {j: int(c * den) for j, c in row.items()}
+            row, _ = clear_denominators(row.items())
         elim.add_row(row)
     return elim.kernel_basis(col)
 

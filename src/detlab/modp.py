@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-# Mersenne primes used as defaults: 2^31-1 for the modular coefficient mode,
-# 2^61-1 for probabilistic identity testing (error bounds ~ deg/p per trial).
+# Mersenne primes: 2^31-1 is the default of the recorded `Config.prime`,
+# 2^61-1 serves probabilistic identity testing (error bounds ~ deg/p per trial).
 PRIME_31 = (1 << 31) - 1
 PRIME_61 = (1 << 61) - 1
 
@@ -22,8 +22,7 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for 64-bit-and-beyond word sizes.
 
-    Cached: every Ring over GF(p) validates its modulus, and rings are
-    rebuilt for the same few primes many times per run."""
+    Cached: every `Config` validates its prime."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:

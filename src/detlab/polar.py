@@ -146,10 +146,9 @@ def hessian_det_status(f: Polynomial, config: Config | None = None) -> HessianSt
     rng = config.rng("hessian-status")
     # an integer point with det != 0 mod p certifies a nonzero integer value
     for p in (PRIME_61, PRIME_61B):
-        Hp = H.reduce_mod(p)
         for _ in range(_HESSIAN_SEARCH_TRIALS // 2):
             pt = [rng.randrange(0, 9) for _ in range(nv)]
-            if dense_det(Hp.evaluate(pt), p):
+            if dense_det(H.evaluate(pt, p), p):
                 return HessianStatus("nonzero", point=pt, prime=p, trials=1)
     # candidate zero: try the symbolic route within budget
     try:
@@ -168,10 +167,9 @@ def hessian_det_status(f: Polynomial, config: Config | None = None) -> HessianSt
         pass
     total = 0
     for p in (PRIME_61, PRIME_61B):
-        Hp = H.reduce_mod(p)
         for _ in range(_HESSIAN_ZERO_TRIALS):
             pt = [rng.randrange(0, p) for _ in range(nv)]
-            if dense_det(Hp.evaluate(pt), p):
+            if dense_det(H.evaluate(pt, p), p):
                 return HessianStatus("nonzero", point=pt, prime=p, trials=1)
             total += 1
     deg = max(0, (f.degree - 2) * nv)
@@ -192,10 +190,12 @@ class HessianDetOnLine:
         nv = f.ring.nvars
         self.degree = (int(f.degree) - 2) * nv
 
-    def restrict_line_mod(self, base, direction, p: int) -> list[int]:
+    def restrict_to_line(self, base, direction, p: int) -> list[int]:
+        """Coefficients mod p, lowest first, of the determinant on the line,
+        as `Polynomial.restrict_to_line` gives them."""
         # each entry is restricted to the line once, then read at the nodes
         n = self.matrix.cols
-        lines = [_line_coefficients(e, base, direction, p) for e in self.matrix.entries]
+        lines = [e.restrict_to_line(base, direction, p) for e in self.matrix.entries]
         pts = []
         for t in range(self.degree + 1):
             vals = []
@@ -230,21 +230,6 @@ _MULT_LINE_CAP = 10
 _MULT_EXACT_CONFIRM_TERMS = 20000
 
 
-def _line_coefficients(g: Polynomial, base, direction, p: int) -> list[int]:
-    """Coefficients, lowest first, of g(base + t*direction) over GF(p)."""
-    u = g.reduce_mod(p).restrict_to_line(base, direction)
-    out = [0] * (int(u.degree) + 1 if u.terms else 0)
-    for (e,), c in u.terms.items():
-        out[e] = c
-    return out
-
-
-def _line_restrict_mod(g, base, direction, p: int) -> list[int]:
-    if isinstance(g, Polynomial):
-        return _line_coefficients(g, base, direction, p)
-    return g.restrict_line_mod(base, direction, p)
-
-
 def factor_multiplicity(f: Polynomial, g, config: Config | None = None) -> MultiplicityResult:
     """Largest e with f^e dividing g, by consensus of restrictions to
     random lines over a ~2^61 prime field.
@@ -270,12 +255,12 @@ def factor_multiplicity(f: Polynomial, g, config: Config | None = None) -> Multi
         attempts += 1
         base = [rng.randrange(0, p) for _ in range(nv)]
         direction = [rng.randrange(1, p) for _ in range(nv)]
-        Fl = _line_restrict_mod(f, base, direction, p)
+        Fl = f.restrict_to_line(base, direction, p)
         if udeg(Fl) != fdeg:
             continue
         if udeg(ugcd(Fl, uderiv(Fl, p), p)) != 0:
             continue  # restriction not squarefree; resample
-        G = _line_restrict_mod(g, base, direction, p)
+        G = g.restrict_to_line(base, direction, p)
         if udeg(G) != gdeg:
             continue
         values.append(factor_multiplicity_upoly(Fl, G, p))
@@ -355,15 +340,13 @@ def totally_hessian_check(f: Polynomial, config: Config | None = None) -> Totall
         return TotallyHessianResult(False, reason="no point with f nonzero found")
     p = PRIME_61
     cp = c.numerator % p * pow(c.denominator % p, -1, p) % p
-    fp = f.reduce_mod(p)
-    Hp = H.reduce_mod(p)
     done = 0
     while done < _TOTALLY_HESSIAN_TRIALS:
         pt = [rng.randrange(0, p) for _ in range(nv)]
-        fv = fp.evaluate(pt)
+        fv = f.evaluate(pt, p)
         if not fv:
             continue
-        hv = dense_det(Hp.evaluate(pt), p)
+        hv = dense_det(H.evaluate(pt, p), p)
         if hv != cp * pow(fv, k, p) % p:
             return TotallyHessianResult(False, exponent=k, trials=done + 1,
                                         reason="identity fails at a sample point")
@@ -442,7 +425,7 @@ def jacobian_dual_rank(forms: list[Polynomial], generators: list[Polynomial],
     ring = generators[0].ring  # the y,x ring
     k = len(forms)
     nx = forms[0].ring.nvars
-    yring = Ring(ring.variables[:k], prime=ring.prime)
+    yring = Ring(ring.variables[:k])
     rows = []
     for g in generators:
         coeffs = [dict() for _ in range(nx)]

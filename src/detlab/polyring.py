@@ -1,11 +1,13 @@
-"""Exact sparse multivariate polynomials over Q or a prime field.
+"""Exact sparse multivariate polynomials over Q.
 
 Monomials are exponent tuples indexed by ring variables; a polynomial is a
-map from monomial to nonzero coefficient.  Rational coefficients are stored
-as int when the denominator is 1 and as Fraction otherwise (always lowest
-terms, positive denominator); modular coefficients are ints in [0, p).
-All operations are pure and values are immutable by convention, so sharing
-across threads is safe.
+map from monomial to nonzero coefficient.  Coefficients are stored as int
+when the denominator is 1 and as Fraction otherwise (always lowest terms,
+positive denominator).  The modular work of the identity tests reads a
+polynomial mod p without building another ring: `evaluate(point, p)` and
+`restrict_to_line(base, direction, p)` map each coefficient a/b to
+a * b^-1 mod p.  All operations are pure and values are immutable by
+convention, so sharing across threads is safe.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from .modp import is_prime
+from .modp import umul, utrim
 
 NEG_INF = float("-inf")
 
@@ -181,14 +183,26 @@ def _norm_q(c):
     raise TypeError(f"unsupported coefficient {c!r}")
 
 
-def denominator_lcm(coeffs) -> int:
-    """Least common multiple of the denominators of rational coefficients;
-    multiplying by it makes every coefficient an integer."""
+def clear_denominators(items) -> tuple[dict, int]:
+    """Integer form of (key, rational coefficient) pairs: ({key: c * den},
+    den), where den is the least common multiple of the denominators."""
+    items = list(items)
     den = 1
-    for c in coeffs:
+    for _, c in items:
         if isinstance(c, Fraction):
             den = den * c.denominator // gcd(den, c.denominator)
-    return den
+    return {k: int(c * den) for k, c in items}, den
+
+
+def _mod_p(c, p: int) -> int:
+    """Image of a rational coefficient in GF(p); raises ZeroDivisionError
+    when p divides its denominator."""
+    if type(c) is int:
+        return c % p
+    den = c.denominator % p
+    if not den:
+        raise ZeroDivisionError("denominator divisible by p")
+    return c.numerator * pow(den, -1, p) % p
 
 
 def _content_strip(d: dict) -> dict:
@@ -205,18 +219,15 @@ def _content_strip(d: dict) -> dict:
 
 
 class Ring:
-    """Variable names plus coefficient mode (None = rationals, p = GF(p))."""
+    """Q[variables] with a default monomial order."""
 
-    __slots__ = ("variables", "prime", "order", "index", "_zero_exp")
+    __slots__ = ("variables", "order", "index", "_zero_exp")
 
-    def __init__(self, variables, prime: int | None = None, order: MonomialOrder | None = None):
+    def __init__(self, variables, order: MonomialOrder | None = None):
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
-        if prime is not None and (prime == 2 or not is_prime(prime)):
-            raise ValueError(f"modulus must be an odd prime, got {prime}")
         self.variables = variables
-        self.prime = prime
         self.order = order if order is not None else grevlex(len(variables))
         self.index = {v: i for i, v in enumerate(variables)}
         self._zero_exp = (0,) * len(variables)
@@ -226,15 +237,13 @@ class Ring:
         return len(self.variables)
 
     def __eq__(self, other):
-        return (isinstance(other, Ring) and self.variables == other.variables
-                and self.prime == other.prime)
+        return isinstance(other, Ring) and self.variables == other.variables
 
     def __hash__(self):
-        return hash((self.variables, self.prime))
+        return hash(self.variables)
 
     def __repr__(self):
-        mode = "QQ" if self.prime is None else f"GF({self.prime})"
-        return f"Ring({','.join(self.variables)}; {mode})"
+        return f"Ring({','.join(self.variables)})"
 
     # -- constructors ------------------------------------------------------
     def zero(self) -> "Polynomial":
@@ -244,10 +253,7 @@ class Ring:
         return self.const(1)
 
     def const(self, c) -> "Polynomial":
-        if self.prime is not None:
-            c = int(c) % self.prime
-        else:
-            c = _norm_q(c)
+        c = _norm_q(c)
         return Polynomial(self, {self._zero_exp: c} if c else {})
 
     def var(self, i: int) -> "Polynomial":
@@ -267,15 +273,10 @@ class Ring:
     def from_string(self, s: str) -> "Polynomial":
         return parse_polynomial(self, s)
 
-    def normalize_coeff(self, c):
-        if self.prime is not None:
-            return int(c) % self.prime
-        return _norm_q(c)
 
-
-def xring(n: int, prime: int | None = None, order=None) -> Ring:
-    """The standard ring k[x0..x_{n-1}]."""
-    return Ring(tuple(f"x{i}" for i in range(n)), prime=prime, order=order)
+def xring(n: int, order=None) -> Ring:
+    """The standard ring Q[x0..x_{n-1}]."""
+    return Ring(tuple(f"x{i}" for i in range(n)), order=order)
 
 
 class Polynomial:
@@ -288,13 +289,9 @@ class Polynomial:
         if _clean:
             self.terms = terms
         else:
-            p = ring.prime
             clean = {}
             for e, c in terms.items():
-                if p is not None:
-                    c = int(c) % p
-                else:
-                    c = _norm_q(c)
+                c = _norm_q(c)
                 if c:
                     clean[tuple(e)] = c
             self.terms = clean
@@ -350,25 +347,19 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = self.ring.const(other)
         self._check_ring(other)
-        p = self.ring.prime
         out = dict(self.terms)
         for e, c in other.terms.items():
             v = out.get(e, 0) + c
-            if p is not None:
-                v %= p
             if v:
                 out[e] = v
             else:
                 out.pop(e, None)
-        return Polynomial(self.ring, out, _clean=(p is None and _all_canonical(out)))
+        return Polynomial(self.ring, out, _clean=_all_canonical(out))
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        p = self.ring.prime
-        if p is not None:
-            return Polynomial(self.ring, {e: (-c) % p for e, c in self.terms.items()}, _clean=True)
         return Polynomial(self.ring, {e: -c for e, c in self.terms.items()}, _clean=True)
 
     def __sub__(self, other):
@@ -381,30 +372,24 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            c = self.ring.normalize_coeff(other)
+            c = _norm_q(other)
             if not c:
                 return self.ring.zero()
-            p = self.ring.prime
-            if p is not None:
-                return Polynomial(self.ring, {e: v * c % p for e, v in self.terms.items()})
             return Polynomial(self.ring, {e: v * c for e, v in self.terms.items()})
         self._check_ring(other)
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        p = self.ring.prime
         out: dict = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
                 v = out.get(e, 0) + ca * cb
-                if p is not None:
-                    v %= p
                 if v:
                     out[e] = v
                 else:
                     out.pop(e, None)
-        return Polynomial(self.ring, out, _clean=(p is None and _all_canonical(out)))
+        return Polynomial(self.ring, out, _clean=_all_canonical(out))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -447,29 +432,27 @@ class Polynomial:
         """Formal partial derivative."""
         if not 0 <= var_index < self.ring.nvars:
             raise ValueError(f"variable index {var_index} out of range")
-        p = self.ring.prime
         out: dict = {}
         for e, c in self.terms.items():
             k = e[var_index]
             if k:
                 ne = e[:var_index] + (k - 1,) + e[var_index + 1:]
-                v = c * k
-                if p is not None:
-                    v %= p
-                v = out.get(ne, 0) + v
+                v = out.get(ne, 0) + c * k
                 if v:
                     out[ne] = v
                 else:
                     out.pop(ne, None)
         return Polynomial(self.ring, out)
 
-    def evaluate(self, point):
-        """Exact evaluation; point length must match the variable count."""
+    def evaluate(self, point, p: int | None = None):
+        """Exact value at `point`, or with a prime p the value mod p at an
+        integer point; the point length must match the variable count.
+        Mod p a coefficient a/b is read as a * b^-1, and p dividing b raises
+        ZeroDivisionError."""
         if len(point) != self.ring.nvars:
             raise ValueError("point length mismatch")
-        p = self.ring.prime
         if p is not None:
-            point = [int(v) % p for v in point]
+            point = [v % p for v in point]
         powers: list[dict] = [{0: 1} for _ in range(self.ring.nvars)]
 
         def pw(i, k):
@@ -483,7 +466,7 @@ class Polynomial:
 
         acc = 0
         for e, c in self.terms.items():
-            t = c
+            t = c if p is None or type(c) is int else _mod_p(c, p)
             for i, k in enumerate(e):
                 if k:
                     t *= pw(i, k)
@@ -491,7 +474,7 @@ class Polynomial:
             if p is not None:
                 acc %= p
         if p is not None:
-            return acc % p
+            return acc
         return _norm_q(Fraction(acc) if not isinstance(acc, (int, Fraction)) else acc)
 
     def compose(self, images: list["Polynomial"]) -> "Polynomial":
@@ -516,82 +499,44 @@ class Polynomial:
             acc = acc + t
         return acc
 
-    def restrict_to_line(self, base, direction) -> "Polynomial":
-        """f(base + t*direction) as a univariate polynomial in t."""
+    def restrict_to_line(self, base, direction, p: int) -> list[int]:
+        """Coefficients mod p of f(base + t*direction) as a polynomial in t,
+        lowest degree first, without trailing zeros (see `evaluate` for the
+        coefficients)."""
         if all(not d for d in direction):
             raise ValueError("zero direction")
         if len(base) != self.ring.nvars or len(direction) != self.ring.nvars:
             raise ValueError("point length mismatch")
-        p = self.ring.prime
-        tring = Ring(("t",), prime=p)
-        # univariate coefficient lists per variable power, cached
-        caches: list[dict] = [{} for _ in range(self.ring.nvars)]
-
-        def norm(c):
-            return c % p if p is not None else _norm_q(c)
+        powers: dict = {}  # variable -> powers of its coordinate on the line
 
         def upow(i, k) -> list:
-            cache = caches[i]
-            if k in cache:
-                return cache[k]
-            if k == 0:
-                r = [norm(1)]
-            else:
-                prev = upow(i, k - 1)
-                b, d = base[i], direction[i]
-                r = [0] * (len(prev) + 1)
-                for j, v in enumerate(prev):
-                    r[j] = norm(r[j] + v * b)
-                    r[j + 1] = norm(r[j + 1] + v * d)
-                while r and not r[-1]:
-                    r.pop()
-            cache[k] = r
-            return r
+            pw = powers.get(i)
+            if pw is None:
+                pw = powers[i] = [[1], utrim([base[i] % p, direction[i] % p])]
+            while len(pw) <= k:
+                pw.append(umul(pw[-1], pw[1], p))
+            return pw[k]
 
         acc: list = []
         for e, c in self.terms.items():
-            t = [norm(c)]
+            t = [_mod_p(c, p)]
             for i, k in enumerate(e):
                 if k:
-                    q = upow(i, k)
-                    if not q:
-                        t = []
-                        break
-                    t = _ulist_mul(t, q, p)
+                    t = umul(t, upow(i, k), p)
             if len(t) > len(acc):
-                acc = acc + [0] * (len(t) - len(acc))
+                acc += [0] * (len(t) - len(acc))
             for j, v in enumerate(t):
-                acc[j] = norm(acc[j] + v)
-        return Polynomial(tring, {(j,): v for j, v in enumerate(acc) if v})
+                acc[j] = (acc[j] + v) % p
+        return utrim(acc)
 
-    def map_coefficients(self, fn, target_ring: Ring | None = None) -> "Polynomial":
-        ring = target_ring or self.ring
-        return Polynomial(ring, {e: fn(c) for e, c in self.terms.items()})
-
-    def reduce_mod(self, p: int) -> "Polynomial":
-        """Image in GF(p); denominators must be coprime to p."""
-        target = Ring(self.ring.variables, prime=p)
-        out = {}
-        for e, c in self.terms.items():
-            if isinstance(c, Fraction):
-                den = c.denominator % p
-                if den == 0:
-                    raise ZeroDivisionError("denominator divisible by p")
-                v = c.numerator % p * pow(den, -1, p) % p
-            else:
-                v = c % p
-            if v:
-                out[e] = v
-        return Polynomial(target, out, _clean=True)
+    def map_coefficients(self, fn) -> "Polynomial":
+        return Polynomial(self.ring, {e: fn(c) for e, c in self.terms.items()})
 
     def monic(self, order=None) -> "Polynomial":
         lt = self.leading_term(order)
         if lt is None:
             return self
         _, c = lt
-        if self.ring.prime is not None:
-            inv = pow(c, -1, self.ring.prime)
-            return self * inv
         return self.map_coefficients(lambda v: _norm_q(Fraction(v) / c))
 
 
@@ -600,18 +545,6 @@ def _all_canonical(terms: dict) -> bool:
         if isinstance(c, Fraction) and c.denominator == 1:
             return False
     return True
-
-
-def _ulist_mul(a: list, b: list, p: int | None) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                v = out[i + j] + x * y
-                out[i + j] = v % p if p is not None else v
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 def dot(coeffs: list[Polynomial], polys: list[Polynomial]) -> Polynomial:
@@ -659,11 +592,8 @@ def exact_divide(num: Polynomial, den: Polynomial):
     if num.is_zero():
         return ring.zero()
     keyf = ring.order.keyfn()
-    p = ring.prime
     dlt_e = max(den.terms, key=keyf)
     dlt_c = den.terms[dlt_e]
-    if p is not None:
-        dlt_inv = pow(dlt_c, -1, p)
     rem = dict(num.terms)
     q: dict = {}
     while rem:
@@ -672,18 +602,11 @@ def exact_divide(num: Polynomial, den: Polynomial):
         shift = tuple(a - b for a, b in zip(e, dlt_e))
         if any(v < 0 for v in shift):
             return NOT_DIVISIBLE
-        if p is not None:
-            qc = c * dlt_inv % p
-        else:
-            qc = _norm_q(Fraction(c) / Fraction(dlt_c))
+        qc = _norm_q(Fraction(c) / Fraction(dlt_c))
         q[shift] = qc
         for te, tc in den.terms.items():
             ne = tuple(a + b for a, b in zip(te, shift))
-            v = rem.get(ne, 0) - qc * tc
-            if p is not None:
-                v %= p
-            else:
-                v = _norm_q(v)
+            v = _norm_q(rem.get(ne, 0) - qc * tc)
             if v:
                 rem[ne] = v
             else:
@@ -800,14 +723,14 @@ def format_polynomial(f: Polynomial) -> str:
     items = sorted(f.terms.items(), key=lambda it: keyf(it[0]), reverse=True)
     parts = []
     for idx, (e, c) in enumerate(items):
-        neg = c < 0 if f.ring.prime is None else False
+        neg = c < 0
         factors = []
         for i, k in enumerate(e):
             if k == 1:
                 factors.append(f.ring.variables[i])
             elif k > 1:
                 factors.append(f"{f.ring.variables[i]}^{k}")
-        ca = _fmt_coeff_abs(c) if f.ring.prime is None else str(c)
+        ca = _fmt_coeff_abs(c)
         if factors and ca == "1":
             body = "*".join(factors)
         elif factors:

@@ -57,13 +57,9 @@ class PolyMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def reduce_mod(self, p: int) -> "PolyMatrix":
-        """Entrywise image in GF(p)."""
-        return PolyMatrix(self.rows, self.cols, [e.reduce_mod(p) for e in self.entries],
-                          self.provenance)
-
-    def evaluate(self, point) -> list[list]:
-        return [[self[r, c].evaluate(point) for c in range(self.cols)]
+    def evaluate(self, point, p: int | None = None) -> list[list]:
+        """Entrywise values at `point`, exact or mod p (`Polynomial.evaluate`)."""
+        return [[self[r, c].evaluate(point, p) for c in range(self.cols)]
                 for r in range(self.rows)]
 
     def __eq__(self, other):

@@ -5,8 +5,8 @@ minimal free resolutions with graded Betti numbers.
 The degree-wise syzygies and the bigraded blowup-equation pieces are both
 kernels of `linalg.linear_relations` (forms times x-monomials, and
 y-power products of the forms times x-monomials); this module only
-reshapes the kernel vectors.  Rational coefficients are accepted, GF(p)
-input raises ValueError.
+reshapes the kernel vectors.  Coefficients are rational, cleared of
+denominators on the way into the integer kernels.
 
 Module Groebner bases run on the Buchberger engine of `groebner`: a term
 with component c and exponent e in a free module of rank r is the flat
@@ -15,7 +15,7 @@ order inside each component (packed like any monomial, with the one-hot
 slots as the leading weight rows).  Pairs form within one component only,
 where the coprime criterion never fires (it is unsound for modules);
 pruning is by the chain criterion.  The engine and the span tests of
-`minimal_generators` work over Q, so GF(p) columns raise ValueError.
+`minimal_generators` work on primitive integer vectors.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .config import Budget, Config, ComputationTimeout, DEFAULT_CONFIG
 from .linalg import SparseEliminator, dense_rank, linear_relations
 from .groebner import (Ideal, hilbert_data, rees_ring, symmetric_algebra_ideal,
                        _Entry, _buchberger, _pack_entries, _reduce_terms)
-from .polyring import MonomialOrder, Polynomial, Ring, _content_strip, denominator_lcm, dot
+from .polyring import MonomialOrder, Polynomial, Ring, _content_strip, clear_denominators, dot
 from .structmat import MinorLadder, PolyMatrix, _bareiss
 
 
@@ -59,15 +59,11 @@ def module_groebner(int_vectors: list[dict], order: MonomialOrder, shifts,
 
 def _column_to_int_vector(col: list[Polynomial], rank: int) -> dict:
     """Primitive integer vector of a column in a free module of the given rank."""
-    if any(a.ring.prime is not None for a in col):
-        raise ValueError("module Groebner bases run over the rationals")
-    den = denominator_lcm(c for a in col for c in a.terms.values())
-    out: dict = {}
+    items = []
     for comp, a in enumerate(col):
         hot = _onehot(rank, comp)
-        for e, c in a.terms.items():
-            out[hot + e] = int(c * den)
-    return _content_strip(out)
+        items += [(hot + e, c) for e, c in a.terms.items()]
+    return _content_strip(clear_denominators(items)[0])
 
 
 def _int_vector_to_column(vec: dict, ring: Ring, rank: int) -> list[Polynomial]:
@@ -219,12 +215,11 @@ def poly_matrix_rank(M: PolyMatrix, config: Config | None = None) -> RankResult:
     nv = M.ring.nvars
     maxdeg = max((int(e.degree) for e in M.entries if not e.is_zero()), default=0)
     bound = min(M.rows, M.cols) * maxdeg / p
-    Mp = M.reduce_mod(p)
     best = 0
     witness = None
     for _ in range(_RANK_TRIALS):
         pt = [rng.randrange(0, p) for _ in range(nv)]
-        r, minor = dense_rank(Mp.evaluate(pt), p)
+        r, minor = dense_rank(M.evaluate(pt, p), p)
         if r > best:
             best = r
             witness = {"point": pt, "prime": p, "minor": minor}
@@ -296,9 +291,8 @@ def _span_rows():
     index: dict = {}
 
     def row_of(items) -> dict:
-        items = list(items)
-        den = denominator_lcm(c for _, c in items)
-        return {index.setdefault(k, len(index)): int(c * den) for k, c in items}
+        ints, _ = clear_denominators(items)
+        return {index.setdefault(k, len(index)): c for k, c in ints.items()}
     return row_of
 
 
@@ -311,8 +305,6 @@ def minimal_generators(syz: GradedSyzygyMatrix, budget: Budget | None = None) ->
     if not syz.columns:
         return syz
     ring = syz.columns[0][0].ring
-    if ring.prime is not None:
-        raise ValueError("span tests run over the rationals")
     order_degs = sorted(set(syz.column_degrees))
     chosen: list[int] = []
     out_cols = []

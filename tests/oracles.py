@@ -262,6 +262,23 @@ def bidegree(g, ny):
     return bids.pop()
 
 
+def gf_image(q, p):
+    """Image of a rational number in GF(p), numerator times the inverse of
+    the denominator; ZeroDivisionError when p divides the denominator."""
+    q = Fraction(q)
+    if q.denominator % p == 0:
+        raise ZeroDivisionError("p divides the denominator")
+    return q.numerator * pow(q.denominator, -1, p) % p
+
+
+def horner_mod(coeffs, t, p):
+    """Value mod p at t of a coefficient list, lowest degree first."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v * t + c) % p
+    return v
+
+
 def fraction_rref(rows, ncols):
     """Reduced row echelon form over Q of dense rows, by Gauss-Jordan on
     Fractions: (nonzero rows with leading entry 1, their pivot columns)."""

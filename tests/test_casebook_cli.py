@@ -13,10 +13,23 @@ from detlab.config import Config
 from detlab.cli import main as cli_main
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 def run_cli(args):
     proc = subprocess.run([sys.executable, "-m", "detlab.cli", *args],
                           capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_cli_default_config(args):
+    """The CLI from the repository root with no DETLAB_* overrides, the
+    setting of the recorded reference outputs."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("DETLAB_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "detlab.cli", *args],
+                          capture_output=True, text=True, env=env, cwd=ROOT)
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +108,27 @@ def test_cli_determinants_time_out_cleanly(monkeypatch, capsys):
         assert json.loads(capsys.readouterr().out)["status"] == "timeout"
 
 
+# recorded verdict reports; they carry the Hessian point and prime and the
+# rank-witness minor, so they lock the seeded identity tests
+_POLAR_VERDICT_LOCK = {
+    "sc3": ["--kind", "sc3"],
+    "hankel-3": ["--kind", "hankel", "--m", "3"],
+    "catalecticant-3-2": ["--kind", "catalecticant", "--m", "3", "--r", "2"],
+}
+
+
 def test_cli_polar_verdict():
     code, out, _ = run_cli(["polar", "--kind", "sc3", "--verdict", "--json"])
     assert code == 0
     data = json.loads(out)
     assert data["status"] == "Homaloidal"
     assert "seed" in data and "evidence" in data
+    for name, matrix in _POLAR_VERDICT_LOCK.items():
+        proc = run_cli_default_config(["polar", *matrix, "--verdict", "--json",
+                                       "--no-timings"])
+        assert proc.returncode == 0, proc.stderr
+        reference = ROOT / "tests" / "reference" / f"polar-verdict-{name}.json"
+        assert proc.stdout == reference.read_text(encoding="utf-8"), name
 
 
 def test_cli_hankel_reduction():
@@ -184,6 +212,22 @@ def test_cli_usage_error_exit_two():
     assert code == 2
     code2, _, err = run_cli(["bogus-command"])
     assert code2 == 2
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--op", "member"], "--f"), (["--op", "radmember"], "--f"),
+    (["--op", "colon"], "--other"), (["--op", "sat"], "--other"),
+    (["--op", "intersect"], "--other"), (["--op", "eliminate"], "--keep"),
+    (["--op", "eliminate", "--keep", "9"], "out of range"),
+    (["--op", "eliminate", "--keep=-1"], "out of range"),
+], ids=["member", "radmember", "colon", "sat", "intersect", "eliminate",
+        "keep-past-the-last", "keep-negative"])
+def test_cli_ideal_usage_errors_exit_two(tmp_path, capsys, args, message):
+    gens = tmp_path / "g.txt"
+    gens.write_text("x0^2\nx0*x1\n")
+    assert cli_main(["ideal", *args, "--gens", str(gens)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_cli_cache_roundtrip(tmp_path):
@@ -393,15 +437,9 @@ def test_cat43_budget_timeout_is_no_contradiction():
 
 def test_casebook_run_matches_the_reference_output():
     # the behaviour lock: default facts, default config, no timings
-    root = Path(__file__).resolve().parent.parent
-    env = {k: v for k, v in os.environ.items() if not k.startswith("DETLAB_")}
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-m", "detlab.cli", "casebook", "run",
-                           "--json", "--no-timings"],
-                          capture_output=True, text=True, env=env, cwd=root)
+    proc = run_cli_default_config(["casebook", "run", "--json", "--no-timings"])
     assert proc.returncode == 0, proc.stderr
-    reference = (root / "bench" / "reference" / "casebook-no-timings.json")
+    reference = ROOT / "bench" / "reference" / "casebook-no-timings.json"
     assert proc.stdout == reference.read_text(encoding="utf-8")
 
 

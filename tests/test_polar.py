@@ -138,12 +138,11 @@ def test_hessian_on_line_matches_nodewise_evaluation(kind, shape):
     rng, p = random.Random(2024), PRIME_61
     base = [rng.randrange(p) for _ in range(f.ring.nvars)]
     direction = [rng.randrange(1, p) for _ in range(f.ring.nvars)]
-    Hp = H.matrix.reduce_mod(p)
     nodes = []
     for t in range(H.degree + 1):
         point = [(b + t * d) % p for b, d in zip(base, direction)]
-        nodes.append((t, dense_det(Hp.evaluate(point), p)))
-    line = H.restrict_line_mod(base, direction, p)
+        nodes.append((t, dense_det(H.matrix.evaluate(point, p), p)))
+    line = H.restrict_to_line(base, direction, p)
     assert line == uinterpolate(nodes, p)
     assert line  # the Hessian determinant does not vanish here
 

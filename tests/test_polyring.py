@@ -9,7 +9,10 @@ from hypothesis import given, settings, strategies as st
 from detlab.polyring import (Ring, xring, grevlex, lex, exact_divide,
                              NOT_DIVISIBLE, parse_polynomial, format_polynomial,
                              NEG_INF)
-from oracles import hankel_entry_dicts, leibniz_det, dict_diff, grevlex_key
+from oracles import (hankel_entry_dicts, leibniz_det, dict_diff, grevlex_key, gf_image,
+                     horner_mod)
+
+P61 = (1 << 61) - 1
 
 
 def rand_poly(ring, rng, terms=4, deg=3):
@@ -47,16 +50,15 @@ def test_square_expansion_oracle():
 
 
 def test_ring_axioms_random_both_modes():
-    for prime in (None, (1 << 31) - 1):
-        R = Ring(("x0", "x1", "x2"), prime=prime)
-        rng = random.Random(987)
-        for _ in range(1000):
-            a, b, c = (rand_poly(R, rng, terms=3, deg=2) for _ in range(3))
-            assert (a + b) + c == a + (b + c)
-            assert a + b == b + a
-            assert a * b == b * a
-            assert a * (b + c) == a * b + a * c
-            assert (a + b) - b == a
+    R = Ring(("x0", "x1", "x2"))
+    rng = random.Random(987)
+    for _ in range(1000):
+        a, b, c = (rand_poly(R, rng, terms=3, deg=2) for _ in range(3))
+        assert (a + b) + c == a + (b + c)
+        assert a + b == b + a
+        assert a * b == b * a
+        assert a * (b + c) == a * b + a * c
+        assert (a + b) - b == a
 
 
 def test_pow_negative_raises_and_mixed_rings_raise():
@@ -200,26 +202,59 @@ def test_evaluate_is_ring_homomorphism():
 def test_restrict_to_line_examples():
     R = xring(2)
     x0, x1 = R.gens()
-    u = (x0 * x1).restrict_to_line([0, 0], [1, 1])
-    assert str(u) == "t^2"
+    assert (x0 * x1).restrict_to_line([0, 0], [1, 1], P61) == [0, 0, 1]
     # homogeneous f restricted from the origin: f(dir) * t^deg
     f = R.from_string("x0^2*x1 - x1^3")
-    u = f.restrict_to_line([0, 0], [2, 3])
-    assert u.terms == {(3,): f.evaluate([2, 3])}
+    assert f.restrict_to_line([0, 0], [2, 3], P61) == [0, 0, 0, f.evaluate([2, 3]) % P61]
+    # coefficients read mod p, trailing zeros dropped
+    assert R.from_string("1/2*x0 + 7*x1").restrict_to_line([0, 1], [2, 0], 7) == [0, 1]
+    assert (7 * x0).restrict_to_line([1, 1], [1, 1], 7) == []
     with pytest.raises(ValueError):
-        f.restrict_to_line([0, 0], [0, 0])
+        f.restrict_to_line([0, 0], [0, 0], P61)
 
 
 def test_restrict_hankel3_degree():
     from detlab.structmat import build_structured, determinant
     H = build_structured("hankel", m=3)
     f = determinant(H)
-    u = f.restrict_to_line([1, 0, 2, 1, 1], [3, 1, 4, 1, 5])
-    assert u.degree == 3
+    u = f.restrict_to_line([1, 0, 2, 1, 1], [3, 1, 4, 1, 5], P61)
+    assert len(u) == 4
     # direct substitution oracle at a few t values
     for t in (0, 1, 2, 7):
         pt = [1 + 3 * t, t, 2 + 4 * t, 1 + t, 1 + 5 * t]
-        assert u.evaluate([t]) == f.evaluate(pt)
+        assert horner_mod(u, t, P61) == f.evaluate(pt) % P61
+
+
+_DIFF_COEFFS = st.one_of(st.integers(-30, 30),
+                         st.fractions(-30, 30, max_denominator=15))
+_DIFF_POLYS = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), _DIFF_COEFFS, max_size=6)
+_DIFF_POINTS = st.lists(st.integers(-40, 40), min_size=3, max_size=3)
+
+
+@given(_DIFF_POLYS, _DIFF_POINTS, _DIFF_POINTS, st.integers(-20, 20),
+       st.sampled_from([7, 11, 101, P61]))
+@settings(max_examples=200, deadline=None)
+def test_evaluation_mod_p_matches_the_exact_value(terms, base, direction, t, p):
+    f = xring(3).poly(terms)
+    if any(Fraction(c).denominator % p == 0 for c in f.terms.values()):
+        with pytest.raises(ZeroDivisionError):
+            f.evaluate(base, p)
+        return
+    assert f.evaluate(base, p) == gf_image(f.evaluate(base), p)
+    if any(direction):
+        line = f.restrict_to_line(base, direction, p)
+        assert not line or line[-1]
+        point = [b + t * d for b, d in zip(base, direction)]
+        assert horner_mod(line, t, p) == f.evaluate(point, p)
+
+
+def test_denominator_divisible_by_p_raises():
+    f = xring(2).from_string("1/14*x0 + x1")
+    for read in (lambda: f.evaluate([1, 1], 7),
+                 lambda: f.restrict_to_line([1, 1], [1, 2], 7)):
+        with pytest.raises(ZeroDivisionError):
+            read()
+    assert f.evaluate([14, 3], 5) == gf_image(f.evaluate([14, 3]), 5)
 
 
 # ---------------------------------------------------------------------------
@@ -261,25 +296,18 @@ def test_grevlex_key_matches_oracle():
 
 
 # ---------------------------------------------------------------------------
-# modular mode
+# values mod p
 
 def test_modular_matches_rational_reduction():
     p = (1 << 31) - 1
     R = xring(3)
-    Rp = Ring(R.variables, prime=p)
     rng = random.Random(77)
     for _ in range(200):
         a, b = rand_poly(R, rng), rand_poly(R, rng)
-        am, bm = a.reduce_mod(p), b.reduce_mod(p)
-        assert (a * b).reduce_mod(p) == am * bm
-        assert (a + b).reduce_mod(p) == am + bm
-
-
-def test_modular_prime_validation():
-    with pytest.raises(ValueError):
-        Ring(("x0",), prime=15)
-    with pytest.raises(ValueError):
-        Ring(("x0",), prime=2)
+        pt = [rng.randrange(p) for _ in range(3)]
+        av, bv = a.evaluate(pt, p), b.evaluate(pt, p)
+        assert (a * b).evaluate(pt, p) == av * bv % p
+        assert (a + b).evaluate(pt, p) == (av + bv) % p
 
 
 def test_rational_canonical_form():

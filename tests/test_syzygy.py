@@ -7,12 +7,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from detlab.config import Budget
 from detlab.groebner import Ideal, hilbert_data, rees_ring
-from detlab.hankelplucker import solve_bracket_identity
 from detlab.polyring import dot, morph, xring
 from detlab.structmat import build_structured, build_gp_associated, determinant, minors_ideal_gens
-from detlab.syzygy import (GradedSyzygyMatrix, ModuleBasis, fitting_condition_F1,
-                           first_syzygy_module, graded_betti, linear_syzygies,
-                           minimal_generators, module_syzygies, poly_matrix_rank,
+from detlab.syzygy import (ModuleBasis, fitting_condition_F1, first_syzygy_module,
+                           graded_betti, linear_syzygies, poly_matrix_rank,
                            rees_bigraded_kernel, rees_minimal_bidegree12,
                            syzygy_basis_in_degree, _monomials_of_degree)
 
@@ -190,35 +188,6 @@ def test_degreewise_syzygies_are_the_y_linear_rees_pieces(case):
         as_forms = [sum((morph(a, T) * T.var(i) for i, a in enumerate(col)), T.zero())
                     for col in syzygy_basis_in_degree(forms, d)]
         assert as_forms == rees_bigraded_kernel(forms, d, 1)
-
-
-def test_relations_over_a_prime_field_are_rejected():
-    # 4*f1 - f2 = 0 holds only mod 7, which elimination over Z cannot see
-    R = xring(2, prime=7)
-    x0, x1 = R.gens()
-    forms = [x0 + 2 * x1, 4 * x0 + x1]
-    with pytest.raises(ValueError):
-        syzygy_basis_in_degree(forms, 0)
-    with pytest.raises(ValueError):
-        rees_bigraded_kernel(forms, 0, 1)
-    with pytest.raises(ValueError):
-        solve_bracket_identity(forms[1], [forms[0]])
-
-
-def test_module_path_over_a_prime_field_is_rejected():
-    # over GF(7) these forms have the constant syzygy (4, -1); the module
-    # engine works over Z and would return only the Koszul column
-    R = xring(2, prime=7)
-    x0, x1 = R.gens()
-    forms = [x0 + 2 * x1, 4 * x0 + x1]
-    with pytest.raises(ValueError):
-        first_syzygy_module(forms)
-    with pytest.raises(ValueError):
-        module_syzygies([[f] for f in forms], [0])
-    with pytest.raises(ValueError):
-        ModuleBasis([[f] for f in forms], [1])
-    with pytest.raises(ValueError):
-        minimal_generators(GradedSyzygyMatrix([0], [[f] for f in forms], [1, 1]))
 
 
 def test_linear_part_subset_of_full_module():
