@@ -40,6 +40,19 @@ unchanged, since a term divides another only within its component.  Pairs
 form within one component only; two leading terms there share their
 one-hot slot, so the coprime criterion, which is unsound for modules,
 never fires.
+
+A colon I : g is computed by signatures, after the incremental G2V of Gao,
+Guan and Volny (ISSAC 2010; the setting is Gao, Volny and Wang, Math. Comp.
+2016), from the reduced basis G of I with no tag variable.  It works with
+labelled pairs (u, v), v = u*g mod I, whose signature is lm(u); the
+entries of G are (0, g_i).  J-pairs are taken in signature order, one per
+signature (the smallest lcm).  One goes when lm(G) or the signature of a
+colon element already found divides its signature, or when it is covered:
+an element whose signature divides it reaches it with a smaller multiple of
+its lm(v).  The leading term of v is reduced regularly: by G always, by a
+labelled element only below the pair's signature.  A v that reaches 0
+gives u in I : g, and G with those u is a Groebner basis of I : g, so only
+the pairs that yield colon elements reduce to zero.
 """
 
 from __future__ import annotations
@@ -55,8 +68,7 @@ from operator import mul
 
 from .config import Budget, Config, DEFAULT_CONFIG
 from .polyring import (
-    Polynomial, Ring, MonomialOrder, block_order, morph,
-    exact_divide, NOT_DIVISIBLE, clear_denominators,
+    Polynomial, Ring, MonomialOrder, block_order, morph, clear_denominators,
     _content_strip,
 )
 
@@ -547,6 +559,13 @@ def _buchberger_at_width(seeds: list[_Entry], budget: Budget, rank: int) -> list
         if rem:
             add_element(rem, sugar)
 
+    return _reduced(basis, budget, reduce_what)
+
+
+def _reduced(basis: list[_Entry], budget: Budget, what: str) -> list[_Entry]:
+    """The reduced basis of the ideal of a Groebner basis (entries of one
+    packing), sorted by leading monomial."""
+    pk = basis[0].pk
     # minimalize: drop entries whose lm is divisible by another kept lm
     guard = pk.guard
     minimal: list[_Entry] = []
@@ -558,10 +577,197 @@ def _buchberger_at_width(seeds: list[_Entry], budget: Budget, rank: int) -> list
     index = _DivisorIndex(pk, minimal)
     reduced: list[_Entry] = []
     for pos, g in enumerate(minimal):
-        rem, _ = _normal_form_int(g.packed(), index, budget, skip=pos, what=reduce_what)
+        rem, _ = _normal_form_int(g.packed(), index, budget, skip=pos, what=what)
         reduced.append(_Entry(_content_strip(rem), pk, g.sugar))
     reduced.sort(key=lambda g: g.lm)
     return reduced
+
+
+# ---------------------------------------------------------------------------
+# the colon I : g by signatures (G2V)
+
+def _first_divisor(index: _DivisorIndex, m: int) -> int:
+    """The first basis position of the index whose leading monomial divides
+    the packed monomial m, or -1."""
+    guard = index.pk.guard
+    mg = m | guard
+    s = index.pk.support(m)
+    bits = index.table.get(s)
+    if bits is None:
+        bits = index.candidates(s)
+    lms = index.lms
+    while bits:
+        b = bits & -bits
+        k = b.bit_length() - 1
+        if (mg - lms[k]) & guard == guard:
+            return k
+        bits ^= b
+    return -1
+
+
+def _regular_reduce(u: dict, v: dict, sig: int, gidx: _DivisorIndex,
+                    lidx: _DivisorIndex, sigs: list[int], us: list[dict],
+                    budget: Budget) -> tuple[dict, dict]:
+    """Regular top-reduction of a labelled pair (u, v), v = u*g mod I, of
+    signature lm(u) = sig; returns the pair, both scaled by one integer.
+
+    The leading term of v is reduced by the first entry of the basis of I
+    (gidx) whose leading monomial divides it, or else by the first labelled
+    element k (lidx, with signatures `sigs` and labels `us`) whose multiple
+    t*v_k takes it off at a signature t*sigs[k] below sig; then t*u_k is
+    taken off u with it, so lm(u) stays sig.  This repeats until v is zero
+    or its leading term has no such reducer; the tail is left as it is.
+    Raises _Overflow when a new term does not fit the packing.
+    """
+    pk = gidx.pk
+    guard = pk.guard
+    llms = lidx.lms
+    u = dict(u)
+    coeffs = dict(v)
+    heap = [-m for m in coeffs]
+    heapify(heap)
+    while heap:
+        m = -heappop(heap)
+        c = coeffs.get(m)
+        if c is None:
+            continue
+        k = _first_divisor(gidx, m)
+        red = gidx.entries[k] if k >= 0 else None
+        label = None
+        if red is None:
+            mg = m | guard
+            s = pk.support(m)
+            bits = lidx.table.get(s)
+            if bits is None:
+                bits = lidx.candidates(s)
+            while bits:
+                b = bits & -bits
+                k = b.bit_length() - 1
+                lm = llms[k]
+                if (mg - lm) & guard == guard and m - lm + sigs[k] < sig:
+                    red, label = lidx.entries[k], us[k]
+                    break
+                bits ^= b
+            if red is None:
+                return u, coeffs
+        budget.tick(1, "polynomial reduction")
+        del coeffs[m]
+        d = gcd(abs(c), red.lc)
+        mult = c // d
+        sc = red.lc // d
+        if sc != 1:
+            for k in coeffs:
+                coeffs[k] *= sc
+            for k in u:
+                u[k] *= sc
+        shift = m - red.lm
+        for tm, tc in red.tail.items():
+            nm = tm + shift
+            prev = coeffs.get(nm)
+            if prev is None:
+                if nm & guard:
+                    raise _Overflow
+                coeffs[nm] = -mult * tc
+                heappush(heap, -nm)
+            else:
+                nv = prev - mult * tc
+                if nv:
+                    coeffs[nm] = nv
+                else:
+                    del coeffs[nm]
+        if label is not None:
+            for tm, tc in label.items():
+                nm = tm + shift
+                if nm & guard:
+                    raise _Overflow
+                nv = u.get(nm, 0) - mult * tc
+                if nv:
+                    u[nm] = nv
+                else:
+                    del u[nm]
+    return u, coeffs
+
+
+def _colon_at_width(G: list[_Entry], g: dict, budget: Budget) -> list[_Entry]:
+    """Reduced Groebner basis of I : g as entries of the packing of G, the
+    reduced basis of I, for g a nonzero exponent-tuple integer term dict."""
+    pk = G[0].pk
+    guard, units = pk.guard, pk.units
+    gidx = _DivisorIndex(pk, G)
+    gexps = [pk.unpack(e.lm) for e in G]
+    # the labelled elements (u, v) with v != 0: signature lm(u), label u,
+    # and v as the entries of lidx
+    lidx = _DivisorIndex(pk)
+    sigs: list[int] = []
+    us: list[dict] = []
+    vexps: list[tuple] = []
+    found: list[tuple] = []  # (signature, label u) of the pairs whose v reached 0
+    heap: list[tuple] = []  # J-pairs (signature, lcm, element)
+
+    def lcm(a: tuple, b: tuple) -> int:
+        lt = tuple(map(max, a, b))
+        if not pk.fits(sum(lt)):
+            raise _Overflow
+        return sum(map(mul, lt, units))
+
+    def push(sig: int, top: int, i: int) -> None:
+        if sig & guard:
+            raise _Overflow
+        if _first_divisor(gidx, sig) < 0:  # else a multiple of a syzygy (h, 0), h in I
+            heappush(heap, (sig, top, i))
+
+    def add(sig: int, u: dict, v: dict) -> None:
+        if not v:
+            found.append((sig, u))
+            return
+        common = 0
+        for c in itertools.chain(v.values(), u.values()):
+            common = gcd(common, c)
+            if common == 1:
+                break
+        if v[max(v)] < 0:
+            common = -common
+        if common != 1:
+            u = {m: c // common for m, c in u.items()}
+            v = {m: c // common for m, c in v.items()}
+        h = _Entry(v, pk, 0)
+        eh = pk.unpack(h.lm)
+        n = len(sigs)
+        for ek in gexps:
+            top = lcm(eh, ek)
+            push(top - h.lm + sig, top, n)
+        for j, ej in enumerate(vexps):
+            top = lcm(eh, ej)
+            sh, sj = top - h.lm + sig, top - lidx.lms[j] + sigs[j]
+            if sh != sj:
+                push(*((sh, top, n) if sh > sj else (sj, top, j)))
+        sigs.append(sig)
+        us.append(u)
+        vexps.append(eh)
+        lidx.append(h)
+
+    add(0, *_regular_reduce({0: 1}, {pk.pack(e): c for e, c in g.items()}, 0,
+                            gidx, lidx, sigs, us, budget))
+    last = -1
+    while heap:
+        sig, top, i = heappop(heap)
+        if sig == last:  # one J-pair per signature: the smallest lcm
+            continue
+        last = sig
+        sg = sig | guard
+        if any((sg - s) & guard == guard for s, _ in found):
+            continue  # a multiple of a syzygy found
+        if any((sg - s) & guard == guard and sig - s + lm < top
+               for s, lm in zip(sigs, lidx.lms)):
+            continue  # covered: a known element reaches sig with a smaller lm(v)
+        budget.tick(1, "Buchberger")
+        t = sig - sigs[i]
+        u = {m + t: c for m, c in us[i].items()}
+        v = {m + t: c for m, c in lidx.entries[i].packed().items()}
+        if any(m & guard for m in itertools.chain(u, v)):
+            raise _Overflow
+        add(sig, *_regular_reduce(u, v, sig, gidx, lidx, sigs, us, budget))
+    return _reduced(G + [_Entry(u, pk, 0) for _, u in found], budget, "polynomial reduction")
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +775,10 @@ def _buchberger_at_width(seeds: list[_Entry], budget: Budget, rank: int) -> list
 #
 # Both levels share one key: a hash of the coefficient field, the variable
 # names, the order and the sorted, deduplicated term items of the
-# generators.  The memory cache holds the engine's own entry lists (shared
-# by every Ideal with that key; `_retry_wider` widens them in place).  A
+# generators.  The reduced basis of a colon I : g is stored the same way
+# under a key of "colon", the key of I and the terms of g.  The memory
+# cache holds the engine's own entry lists (shared by every Ideal with that
+# key; `_retry_wider` widens them in place).  A
 # `.gb` file holds the same entries with no polynomial text: a header line
 # with the format version and the sha256 of the key and the rest, then one
 # line per entry, its primitive integer terms (positive leading
@@ -595,6 +803,28 @@ def _cache_key(ring: Ring, order: MonomialOrder, gens: list[Polynomial]) -> str:
     # "QQ" names the one coefficient field; it stays so that keys and file
     # names written by earlier versions still match
     return hashlib.sha256(repr(("QQ", ring.variables, order.id, body)).encode()).hexdigest()
+
+
+def _colon_key(ideal_key: str, g: Polynomial) -> str:
+    """The key of I : g, from the key of I (which covers the variable
+    names, the order and the generators) and the terms of g."""
+    key = ("colon", ideal_key, tuple(sorted(g.terms.items())))
+    return hashlib.sha256(repr(key).encode()).hexdigest()
+
+
+def _cached(key: str, ring: Ring, order: MonomialOrder, config: Config, compute) -> list[_Entry]:
+    """The entries stored under the key in the memory cache or the disk
+    cache, or else compute() and store them in both."""
+    entries = _MEMORY_CACHE.get(key)
+    if entries is None and config.cache_dir:
+        entries = _disk_get(config.cache_dir, key, ring.nvars, order)
+    fresh = entries is None
+    if fresh:
+        entries = compute()
+    _MEMORY_CACHE[key] = entries
+    if fresh and config.cache_dir:
+        _disk_put(config.cache_dir, key, entries)
+    return entries
 
 
 def _disk_get(cache_dir: str, key: str, nvars: int, order: MonomialOrder) -> list[_Entry] | None:
@@ -674,6 +904,7 @@ class Ideal:
                 clean.setdefault(g)
         self.gens = list(clean)
         self._gb: dict[str, list[_Entry]] = {}  # order id -> entries of the reduced basis
+        self._keys: dict[str, str] = {}  # order id -> cache key
         self._monic: dict[str, list[Polynomial]] = {}  # built on the first groebner_basis
 
     def __repr__(self):
@@ -698,6 +929,12 @@ class Ideal:
             polys = self._monic[order.id] = [e.monic(self.ring) for e in entries]
         return polys
 
+    def _key(self, order: MonomialOrder) -> str:
+        key = self._keys.get(order.id)
+        if key is None:
+            key = self._keys[order.id] = _cache_key(self.ring, order, self.gens)
+        return key
+
     def _entries(self, order, budget=None, config=None) -> list[_Entry]:
         """The engine's entries of the reduced basis, from this ideal, the
         memory cache, the disk cache or a computation, in that order."""
@@ -709,18 +946,12 @@ class Ideal:
             self._gb[order.id] = []
             return []
         config = config or DEFAULT_CONFIG
-        key = _cache_key(self.ring, order, self.gens)
-        entries = _MEMORY_CACHE.get(key)
-        if entries is None and config.cache_dir:
-            entries = _disk_get(config.cache_dir, key, self.ring.nvars, order)
-        fresh = entries is None
-        if fresh:
-            if budget is None:
-                budget = config.budget()
-            entries = groebner_entries([to_int_terms(g) for g in self.gens], order, budget)
-        _MEMORY_CACHE[key] = self._gb[order.id] = entries
-        if fresh and config.cache_dir:
-            _disk_put(config.cache_dir, key, entries)
+
+        def compute():
+            return groebner_entries([to_int_terms(g) for g in self.gens], order,
+                                    budget or config.budget())
+        entries = self._gb[order.id] = _cached(self._key(order), self.ring, order,
+                                               config, compute)
         return entries
 
     def normal_form(self, f: Polynomial, order: MonomialOrder | None = None,
@@ -833,17 +1064,27 @@ def intersect(I: Ideal, J: Ideal, budget=None, config=None) -> Ideal:
 
 
 def colon_poly(I: Ideal, g: Polynomial, budget=None, config=None) -> Ideal:
-    """I : (g) via intersection with the principal ideal then exact division."""
+    """I : (g), computed from the reduced basis of I by signatures (see the
+    module docstring); the returned ideal's generators are its reduced
+    basis, and that basis is cached under the key of (I, g).  A guard-bit
+    hit restarts at twice the field width."""
     if g.is_zero():
         raise ZeroDivisionError("colon by zero polynomial")
-    K = intersect(I, Ideal(I.ring, [g]), budget, config)
-    out = []
-    for h in K.gens:
-        q = exact_divide(h, g)
-        if q is NOT_DIVISIBLE:
-            raise ArithmeticError("intersection generator not divisible; internal error")
-        out.append(q)
-    return Ideal(I.ring, out)
+    ring, order = I.ring, I.ring.order
+    if I.is_zero():
+        return Ideal(ring, [])
+    config = config or DEFAULT_CONFIG
+
+    def compute():
+        b = budget or config.budget()
+        h = to_int_terms(g)
+        return _retry_wider(I._entries(order, b, config), lambda G: _colon_at_width(G, h, b))
+    entries = _cached(_colon_key(I._key(order), g), ring, order, config, compute)
+    polys = [e.monic(ring) for e in entries]
+    out = Ideal(ring, polys)
+    out._gb[order.id] = entries
+    out._monic[order.id] = polys
+    return out
 
 
 def colon(I: Ideal, J, budget=None, config=None) -> Ideal:

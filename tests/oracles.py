@@ -313,3 +313,20 @@ def fraction_kernel(rows, ncols):
             v[pc] = -row[fc]
         basis.append(v)
     return basis
+
+
+# ---------------------------------------------------------------------------
+# the colon by a tag variable, the route the signature colon replaced
+
+def tag_colon(I, g, budget=None, config=None):
+    """I : g as (I ∩ (g)) / g: the intersection by tag-variable elimination,
+    then each of its generators divided exactly by g."""
+    from detlab.groebner import Ideal, intersect
+    from detlab.polyring import NOT_DIVISIBLE, exact_divide
+    K = intersect(I, Ideal(I.ring, [g]), budget, config)
+    out = []
+    for h in K.gens:
+        q = exact_divide(h, g)
+        assert q is not NOT_DIVISIBLE, "an element of (g) that g does not divide"
+        out.append(q)
+    return Ideal(I.ring, out)

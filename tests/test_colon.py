@@ -1,0 +1,214 @@
+"""The signature colon `colon_poly`: against the tag-variable oracle, on the
+cat-4-3 prime, through the GB cache, across restarts and under budgets."""
+
+import hashlib
+import json
+from fractions import Fraction
+from itertools import combinations_with_replacement
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from detlab import groebner
+from detlab.config import Budget, ComputationTimeout, Config
+from detlab.groebner import Ideal, colon_poly, _colon_key, _MEMORY_CACHE
+from detlab.polyring import format_polynomial, grevlex, lex, xring
+from detlab.structmat import (build_gp_associated, build_structured, determinant,
+                              minors_ideal_gens)
+from oracles import tag_colon
+from test_groebner import _LabelBudget
+
+CAT43_REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference" / "cat43-colon.json"
+
+
+def hankel3():
+    """Gradient ideal J of the 3x3 Hankel determinant and the minor
+    x1*x3 - x2^2, whose colon is the maximal ideal."""
+    H = build_structured("hankel", m=3)
+    f = determinant(H)
+    return Ideal(H.ring, [f.diff(i) for i in range(5)]), H.ring.from_string("x1*x3 - x2^2")
+
+
+def strings(ideal, config=None):
+    return [format_polynomial(g) for g in ideal.groebner_basis(config=config)]
+
+
+# ---------------------------------------------------------------------------
+# against the tag-variable colon
+
+_COEFFS = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)])
+
+
+def _monomials(n, degree):
+    """The exponent vectors of the given total degree in n variables."""
+    out = []
+    for combo in combinations_with_replacement(range(n), degree):
+        e = [0] * n
+        for i in combo:
+            e[i] += 1
+        out.append(tuple(e))
+    return out
+
+
+def _poly(data, R, homogeneous, nvars, max_terms=3):
+    """A nonzero polynomial in the first nvars variables of R: homogeneous
+    of a drawn degree 1..3, or with terms of degree 0..2."""
+    degree = data.draw(st.integers(1, 3))
+    pool = (_monomials(nvars, degree) if homogeneous
+            else [e for d in range(3) for e in _monomials(nvars, d)])
+    pad = (0,) * (R.nvars - nvars)
+    terms = data.draw(st.dictionaries(st.sampled_from(pool), _COEFFS,
+                                      min_size=1, max_size=max_terms))
+    return R.poly({e + pad: c for e, c in terms.items()})
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_the_colon_matches_the_tag_variable_colon(data):
+    n = data.draw(st.integers(2, 3))
+    R = xring(n, data.draw(st.sampled_from([grevlex(n), lex(n)])))
+    homogeneous = data.draw(st.booleans())
+    kind = data.draw(st.sampled_from(["any", "member", "nonzerodivisor", "constant"]))
+    # a nonzerodivisor: the last variable (plus one, for inhomogeneous
+    # input) against an ideal of the other variables
+    nvars = n - 1 if kind == "nonzerodivisor" else n
+    gens = [_poly(data, R, homogeneous, nvars) for _ in range(data.draw(st.integers(1, 3)))]
+    if kind == "any":
+        g = _poly(data, R, homogeneous, n)
+    elif kind == "member":
+        g = sum((_poly(data, R, homogeneous, n, 2) * h for h in gens), R.zero())
+        assume(not g.is_zero())
+    elif kind == "nonzerodivisor":
+        g = R.gens()[-1] + (R.zero() if homogeneous else R.one())
+    else:
+        g = R.one() * data.draw(st.sampled_from([1, -2, Fraction(3, 4)]))
+    I = Ideal(R, gens)
+    try:
+        got = colon_poly(I, g, budget=Budget(step_cap=20_000))
+        want = tag_colon(I, g, budget=Budget(step_cap=20_000))
+    except ComputationTimeout:
+        assume(False)
+    basis = got.groebner_basis()
+    assert basis == want.groebner_basis()
+    assert got.gens == basis  # the generators are the seeded reduced basis
+    assert all(I.contains(g * h) for h in basis)
+    if kind == "member":
+        assert got.is_unit()
+    elif kind in ("nonzerodivisor", "constant"):
+        assert basis == I.groebner_basis()
+
+
+def test_the_zero_and_the_unit_ideal():
+    R = xring(2)
+    x0, x1 = R.gens()
+    assert colon_poly(Ideal(R, []), x0).is_zero()
+    assert strings(colon_poly(Ideal(R, [x0 + 1, x0]), x1)) == ["1"]
+
+
+def test_the_cat43_prime_generators_match_the_recorded_digests():
+    # every generator of the rectangular-minor prime P of the 4x4 three-leap
+    # catalecticant, as the cat-4-3 colon fact takes them
+    ref = json.loads(CAT43_REFERENCE.read_text(encoding="utf-8"))["generators"]
+    C = build_structured("catalecticant", m=4, r=3)
+    f = determinant(C)
+    J = Ideal(C.ring, [f.diff(i) for i in range(C.ring.nvars)])
+    gens = minors_ideal_gens(build_gp_associated(4, 3), 3)
+    assert [format_polynomial(g) for g in gens] == [t["poly"] for t in ref]
+    J.groebner_basis()
+    _MEMORY_CACHE.clear()
+    budget = _LabelBudget()
+    for g, t in zip(gens, ref):
+        text = "\n".join(strings(colon_poly(J, g, budget=budget)))
+        assert hashlib.sha256(text.encode()).hexdigest() == t["digest"], t["poly"]
+    # the work of all 35 colons, pinned like the Hankel-3 colon below
+    assert dict(budget.by_label) == {"Buchberger": 1373, "polynomial reduction": 10943}
+
+
+# ---------------------------------------------------------------------------
+# the GB cache
+
+def _refuse(*args):
+    raise AssertionError("the colon was computed, not read")
+
+
+def _colon_file(cache_dir, J, g):
+    return Path(cache_dir) / (_colon_key(J._key(J.ring.order), g) + ".gb")
+
+
+def test_a_cached_colon_is_read_without_computing(tmp_path, monkeypatch):
+    J, delta = hankel3()
+    cfg = Config(cache_dir=str(tmp_path))
+    _MEMORY_CACHE.clear()
+    want = strings(colon_poly(J, delta, config=cfg))
+    assert _colon_file(tmp_path, J, delta).exists()
+    _MEMORY_CACHE.clear()  # a fresh memory cache, the same cache directory
+    monkeypatch.setattr(groebner, "_colon_at_width", _refuse)
+    monkeypatch.setattr(groebner, "groebner_entries", _refuse)
+    got = colon_poly(Ideal(J.ring, J.gens), delta, config=cfg)
+    assert strings(got, cfg) == want
+
+
+def test_a_damaged_colon_record_is_recomputed_and_rewritten(tmp_path):
+    J, delta = hankel3()
+    cfg = Config(cache_dir=str(tmp_path))
+    _MEMORY_CACHE.clear()
+    want = strings(colon_poly(J, delta, config=cfg))
+    path = _colon_file(tmp_path, J, delta)
+    good = path.read_bytes()
+    header, body = good.split(b"\n", 1)
+    path.write_bytes(header + b"\n" + body.replace(b" ", b" 0", 1))
+    _MEMORY_CACHE.clear()
+    assert strings(colon_poly(Ideal(J.ring, J.gens), delta, config=cfg)) == want
+    assert path.read_bytes() == good
+
+
+# ---------------------------------------------------------------------------
+# restarts, budgets and work counts
+
+def test_a_narrow_first_width_restarts_wider_with_the_same_basis(tmp_path, monkeypatch):
+    # the basis of J, read back from the disk cache at a first width of 3
+    # bits, fits that width; the colon's J-pairs do not
+    J, delta = hankel3()
+    cfg = Config(cache_dir=str(tmp_path))
+    _MEMORY_CACHE.clear()
+    want = strings(colon_poly(J, delta, config=cfg))
+    (tmp_path / (_colon_key(J._key(J.ring.order), delta) + ".gb")).unlink()
+    widths = []
+    at_width = groebner._colon_at_width
+
+    def counted(G, g, budget):
+        widths.append(G[0].pk.width)
+        return at_width(G, g, budget)
+    monkeypatch.setattr(groebner, "_FIELD_BITS", 3)
+    monkeypatch.setattr(groebner, "_colon_at_width", counted)
+    _MEMORY_CACHE.clear()
+    assert strings(colon_poly(Ideal(J.ring, J.gens), delta, config=cfg)) == want
+    assert widths == [3, 6]
+
+
+def test_a_budget_stops_the_colon_and_nothing_is_cached(tmp_path):
+    J, delta = hankel3()
+    cfg = Config(cache_dir=str(tmp_path))
+    _MEMORY_CACHE.clear()
+    J.groebner_basis(config=cfg)
+    key = _colon_key(J._key(J.ring.order), delta)
+    with pytest.raises(ComputationTimeout):
+        colon_poly(J, delta, budget=Budget(step_cap=5), config=cfg)
+    assert key not in _MEMORY_CACHE and not _colon_file(tmp_path, J, delta).exists()
+    got = colon_poly(J, delta, budget=Budget(step_cap=10_000), config=cfg)
+    assert key in _MEMORY_CACHE and _colon_file(tmp_path, J, delta).exists()
+    assert all(J.contains(delta * h) for h in got.gens)
+
+
+def test_the_colon_work_is_counted_and_pinned():
+    # J-pairs taken and reduction steps of a colon, with the basis of J
+    # already at hand: a change to the signature criteria or to the reducer
+    # choice moves these counts
+    J, delta = hankel3()
+    J.groebner_basis()
+    _MEMORY_CACHE.clear()
+    budget = _LabelBudget()
+    got = colon_poly(J, delta, budget=budget)
+    assert strings(got) == ["x4", "x3", "x2", "x1", "x0"]
+    assert dict(budget.by_label) == {"Buchberger": 5, "polynomial reduction": 9}
