@@ -190,7 +190,7 @@ def _hankel3_facts():
         return _eq_fact([str(w) for w in want], [str(g) for g in got])
 
     def radical(ctx):
-        rep = integrality_check(3, config=ctx["config"])
+        rep = integrality_check(ctx["matrix"], ctx["form"], ctx["P"])
         return _bool_fact("radical of gradient ideal = submaximal minors", rep.passed)
 
     def colon_JP(ctx):
@@ -200,7 +200,7 @@ def _hankel3_facts():
                           ideal_equal(got, m, config=ctx["config"]))
 
     def reduction_one(ctx):
-        out = reduction_conjecture_check(3, 1, config=ctx["config"])
+        out = reduction_conjecture_check(ctx["matrix"], ctx["form"], ctx["P"], 1)
         return "Equal", out.status, out.status == "Equal"
 
     def sat(ctx):
@@ -281,17 +281,17 @@ def _hankel4_facts():
         return _eq_fact(10, hd.multiplicity)
 
     def minor_sums(ctx):
-        rep = golberg_delta_check(4)
+        rep = golberg_delta_check(ctx["matrix"], ctx["form"])
         return _bool_fact("partials expand into submaximal minors and brackets",
                           rep.passed)
 
     def radical(ctx):
-        rep = integrality_check(4, config=ctx["config"])
+        rep = integrality_check(ctx["matrix"], ctx["form"], ctx["P"])
         return _bool_fact("radical of gradient ideal = submaximal minors", rep.passed)
 
     def reduction(i):
         def run(ctx):
-            out = reduction_conjecture_check(4, i, config=ctx["config"])
+            out = reduction_conjecture_check(ctx["matrix"], ctx["form"], ctx["P"], i)
             if out.status == "Timeout":
                 return "Equal", "Timeout", "timeout"
             return "Equal", out.status, out.status == "Equal"

@@ -9,6 +9,7 @@ incompleteness.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import shutil
@@ -21,9 +22,7 @@ from .groebner import (Ideal, colon, eliminate, hilbert_data,
 from .structmat import (build_structured, build_gp_associated, determinant,
                         minors_ideal_gens, parse_matrix_spec)
 from .syzygy import linear_syzygies, first_syzygy_module, graded_betti
-from .hankelplucker import (golberg_delta_check, integrality_check,
-                            reduction_conjecture_check, star_expansion)
-from . import polar, subhankel as subhankel_mod
+from . import hankelplucker, polar, subhankel as subhankel_mod
 from .casebook import list_scenarios, run_scenario
 
 EXIT_OK = 0
@@ -257,46 +256,46 @@ def _cmd_polar(args) -> int:
 def _cmd_hankel(args) -> int:
     config = _config_from_args(args)
     m = args.m
+    if args.check == "plucker":
+        # the three-term relations read bracket minors alone, no Hankel record
+        ok = all(hankelplucker.three_term_plucker(m, 1, q)
+                 for q in itertools.combinations(range(1, m + 2), 4)) if m >= 3 else True
+        _emit(args, {"check": "plucker", "m": m, "pass": ok})
+        return EXIT_OK if ok else EXIT_CONTRADICTION
+    hankelplucker.check_order(args.check, m, args.i)
+    H = build_structured("hankel", m=m)
+    form = polar.polar_data(determinant(H), config)
     try:
         if args.check == "star":
             rows = []
             for j in range(2 * m - 1):
-                e = star_expansion(m, j)
+                e = hankelplucker.star_expansion(form, j)
                 rows.append({"partial": j, "epsilon": e.epsilon,
                              "combination": [[c, list(b)] for c, b in e.coefficients],
                              "incomparable": e.pairwise_incomparable()})
             _emit(args, {"check": "star", "m": m, "expansions": rows})
             return EXIT_OK
         if args.check == "golberg":
-            rep = golberg_delta_check(m)
+            rep = hankelplucker.golberg_delta_check(H, form)
             _emit(args, {"check": "golberg", "m": m, "pass": rep.passed,
                          "signs": rep.partial_signs, "details": rep.details})
             return EXIT_OK if rep.passed else EXIT_CONTRADICTION
-        if args.check == "plucker":
-            from .hankelplucker import three_term_plucker
-            import itertools as it
-            ok = all(three_term_plucker(m, 1, q)
-                     for q in it.combinations(range(1, m + 2), 4)) if m >= 3 else True
-            _emit(args, {"check": "plucker", "m": m, "pass": ok})
-            return EXIT_OK if ok else EXIT_CONTRADICTION
+        P = Ideal(H.ring, minors_ideal_gens(H, m - 1))
         if args.check == "radical":
-            rep = integrality_check(m, config=config)
+            rep = hankelplucker.integrality_check(H, form, P)
             _emit(args, {"check": "radical", "m": m, "pass": rep.passed,
                          "witnesses": rep.quadratic_witnesses})
             return EXIT_OK if rep.passed else EXIT_CONTRADICTION
-        if args.check == "reduction":
-            i = args.i if args.i is not None else 0
-            out = reduction_conjecture_check(m, i, config=config)
-            _emit(args, {"check": "reduction", "m": m, "i": i, "status": out.status,
-                         "witness": out.witness})
-            if out.status == "Equal":
-                return EXIT_OK
-            return EXIT_TIMEOUT if out.status == "Timeout" else EXIT_CONTRADICTION
+        # --check is one of the parser's choices: reduction is left
+        out = hankelplucker.reduction_conjecture_check(H, form, P, args.i)
+        _emit(args, {"check": "reduction", "m": m, "i": args.i, "status": out.status,
+                     "witness": out.witness})
+        if out.status == "Equal":
+            return EXIT_OK
+        return EXIT_TIMEOUT if out.status == "Timeout" else EXIT_CONTRADICTION
     except ComputationTimeout:
         _emit(args, {"status": "timeout"})
         return EXIT_TIMEOUT
-    print("hankel: unknown --check", file=sys.stderr)
-    return EXIT_USAGE
 
 
 def _cmd_subhankel(args) -> int:
@@ -491,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--check", required=True,
                    choices=["star", "golberg", "plucker", "radical", "reduction"])
-    p.add_argument("--i", type=int, default=None)
+    p.add_argument("--i", type=int, default=0)
     _add_common(p)
     p.set_defaults(fn=_cmd_hankel)
 

@@ -1099,7 +1099,9 @@ def colon(I: Ideal, J, budget=None, config=None) -> Ideal:
     acc: Ideal | None = None
     for g in gens:
         c = colon_poly(I, g, budget, config)
-        acc = c if acc is None else intersect(acc, c, budget, config)
+        # acc ∩ c = acc when c contains acc: no tag-variable intersection then
+        if acc is None or not c.contains_ideal(acc, budget=budget, config=config):
+            acc = c if acc is None else intersect(acc, c, budget, config)
         # the result always contains I; once acc == I it cannot shrink further
         if acc is not None and I.contains_ideal(acc, budget=budget, config=config):
             return acc

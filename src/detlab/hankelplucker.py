@@ -7,6 +7,11 @@ colon-filtration conjecture checker.
 Bracket indices are 1-based, mirroring the classical diagrams.  Bracket
 formulas are verified up to one global sign per partial derivative; the
 sign is recorded, never assumed.
+
+Every check reads the Hankel record: the m x m matrix `H` (m = H.rows),
+the polar record `form = polar.polar_data(determinant(H), config)`, whose
+partials and config it uses, and, for the radical and filtration checks,
+the submaximal minor ideal `P`.  No check builds or expands a matrix.
 """
 
 from __future__ import annotations
@@ -15,12 +20,26 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .config import Budget, Config, ComputationTimeout
-from .groebner import (Ideal, colon, ideal_power, ideal_product,
-                       ideal_equal, radical_membership)
+from .config import Budget, ComputationTimeout
+from .groebner import Ideal, colon, ideal_power, ideal_product, radical_membership
 from .linalg import linear_relations
 from .polyring import Polynomial
-from .structmat import build_structured, build_gp_associated, determinant, minor, minors_ideal_gens
+from .structmat import PolyMatrix, build_gp_associated, minor, minors_ideal_gens
+from . import polar
+
+# the largest order m of each capped check, read by the checks and the CLI
+MAX_ORDER = {"golberg": 5, "radical": 4, "reduction": 4}
+_CAPPED = {"golberg": "minor-sum check", "radical": "radical check",
+           "reduction": "conjecture checks"}
+
+
+def check_order(check: str, m: int, i: int | None = None) -> None:
+    """Refuse an order m above the check's cap and, for the filtration
+    check, an index i outside 0..m-2."""
+    if m > MAX_ORDER.get(check, m):
+        raise ValueError(f"{_CAPPED[check]} capped at m = {MAX_ORDER[check]}")
+    if check == "reduction" and not 0 <= i <= m - 2:
+        raise ValueError("filtration index out of range")
 
 
 def bracket_minor(m: int, r: int, cols: tuple[int, ...]) -> Polynomial:
@@ -80,41 +99,34 @@ def _omit(m: int, omitted: tuple[int, int]) -> tuple:
     return tuple(c for c in range(1, m + 2) if c not in (a, b))
 
 
-def star_expansion(m: int, j: int) -> BracketExpansion:
+def star_expansion(form: polar.PolarMapData, j: int) -> BracketExpansion:
     """Expansion of the j-th partial of the anti-diagonal determinant into
     incomparable brackets, with the global sign solved, not assumed."""
-    n = m  # the bracket formulas use the matrix size
+    m = form.n // 2 + 1  # the determinant of the m x m matrix has 2m - 1 variables
     if not 0 <= j <= 2 * m - 2:
         raise ValueError("partial index out of range")
     combo: list[tuple[int, tuple]] = []
-    if j < n:
+    if j < m:
         for i in range(0, j // 2 + 1):
             coeff = j + 1 - 2 * i
             omitted = (i + 1, j + 2 - i)
-            if omitted[0] == omitted[1] or not all(1 <= o <= n + 1 for o in omitted):
+            if omitted[0] == omitted[1] or not all(1 <= o <= m + 1 for o in omitted):
                 continue
             combo.append((coeff, _omit(m, omitted)))
     else:
-        for i in range(1, (2 * n - j) // 2 + 1):
-            coeff = 2 * n + 1 - j - 2 * i
-            omitted = (i + 1 + j - n, n + 2 - i)
-            if omitted[0] == omitted[1] or not all(1 <= o <= n + 1 for o in omitted):
+        for i in range(1, (2 * m - j) // 2 + 1):
+            coeff = 2 * m + 1 - j - 2 * i
+            omitted = (i + 1 + j - m, m + 2 - i)
+            if omitted[0] == omitted[1] or not all(1 <= o <= m + 1 for o in omitted):
                 continue
             combo.append((coeff, _omit(m, omitted)))
-    H = build_structured("hankel", m=m)
-    f = determinant(H)
-    target = f.diff(j)
-    acc = None
-    for c, b in combo:
-        t = bracket_minor(m, 1, b) * c
-        acc = t if acc is None else acc + t
-    if acc == target:
-        eps = 1
-    elif -acc == target:
-        eps = -1
-    else:
-        raise ArithmeticError(f"bracket expansion mismatch for partial {j}")
-    return BracketExpansion(m, j, combo, eps)
+    exp = BracketExpansion(m, j, combo, 1)
+    value, target = exp.value(), form.partials[j]
+    if value != target:
+        if -value != target:
+            raise ArithmeticError(f"bracket expansion mismatch for partial {j}")
+        exp.epsilon = -1
+    return exp
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +170,11 @@ def delta_bracket_expansion(m: int, j: int, i: int) -> Polynomial:
     return acc
 
 
-def golberg_delta_check(m: int) -> GolbergReport:
+def golberg_delta_check(H: PolyMatrix, form: polar.PolarMapData) -> GolbergReport:
     """Partials as sums of submaximal minors along the anti-diagonal, and
     each minor as a bracket combination; both as exact identities."""
-    if m > 5:
-        raise ValueError("minor-sum check capped at m = 5")
-    H = build_structured("hankel", m=m)
-    f = determinant(H)
+    m = H.rows
+    check_order("golberg", m)
     signs = []
     partials_ok = True
     details = []
@@ -175,7 +185,7 @@ def golberg_delta_check(m: int) -> GolbergReport:
             if 1 <= l <= m:
                 t = _hankel_minor(H, k, l)
                 acc = t if acc is None else acc + t
-        target = f.diff(idx)
+        target = form.partials[idx]
         if acc == target:
             signs.append(1)
         elif -acc == target:
@@ -257,18 +267,14 @@ class IntegralityReport:
         return self.minors_in_radical and self.gradient_inside_minors
 
 
-def integrality_check(m: int, budget: Budget | None = None,
-                      config: Config | None = None) -> IntegralityReport:
-    """Radical of the gradient ideal equals the submaximal minor ideal,
+def integrality_check(H: PolyMatrix, form: polar.PolarMapData, P: Ideal,
+                      budget: Budget | None = None) -> IntegralityReport:
+    """Radical of the gradient ideal equals the submaximal minor ideal P,
     certified both ways, with the quadratic-equation witnesses at m = 3."""
-    if m > 4:
-        raise ValueError("radical check capped at m = 4")
-    H = build_structured("hankel", m=m)
-    f = determinant(H)
-    ring = H.ring
-    partials = [f.diff(i) for i in range(ring.nvars)]
-    J = Ideal(ring, partials)
-    P = Ideal(ring, minors_ideal_gens(H, m - 1))
+    m = H.rows
+    check_order("radical", m)
+    config = form.config
+    J = Ideal(H.ring, form.partials)
     per_minor = []
     all_in = True
     for cols in itertools.combinations(range(1, m + 2), m - 1):
@@ -276,13 +282,12 @@ def integrality_check(m: int, budget: Budget | None = None,
         ok = radical_membership(g, J, budget, config)
         per_minor.append((cols, ok))
         all_in = all_in and ok
-    inside = all(P.contains(p, budget=budget, config=config) for p in partials)
+    inside = all(P.contains(p, budget=budget, config=config) for p in form.partials)
     witnesses = []
     if m == 3:
         JP = ideal_product(J, P)
-        exp = star_expansion(3, 2)
-        bs = exp.brackets()
-        f2 = f.diff(2)
+        bs = star_expansion(form, 2).brackets()
+        f2 = form.partials[2]
         for bidx, b in enumerate(bs):
             delta = bracket_minor(3, 1, b)
             other = bracket_minor(3, 1, bs[1 - bidx])
@@ -301,19 +306,15 @@ class ReductionOutcome:
     witness: str | None = None
 
 
-def reduction_conjecture_check(m: int, i: int, budget: Budget | None = None,
-                               config: Config | None = None) -> ReductionOutcome:
-    """Colon filtration J*P^i : P^{i+1} against the minor ideal ladder."""
-    if m > 4:
-        raise ValueError("conjecture checks capped at m = 4")
-    if not 0 <= i <= m - 2:
-        raise ValueError("filtration index out of range")
-    H = build_structured("hankel", m=m)
-    f = determinant(H)
-    ring = H.ring
-    partials = [f.diff(k) for k in range(ring.nvars)]
-    J = Ideal(ring, partials)
-    P = Ideal(ring, minors_ideal_gens(H, m - 1))
+def reduction_conjecture_check(H: PolyMatrix, form: polar.PolarMapData, P: Ideal, i: int,
+                               budget: Budget | None = None) -> ReductionOutcome:
+    """Colon filtration J*P^i : P^{i+1} against the minor ideal ladder, J
+    the gradient ideal of form.  The first generator of either side
+    outside the other is the NotEqual witness."""
+    m = H.rows
+    check_order("reduction", m, i)
+    ring, config = H.ring, form.config
+    J = Ideal(ring, form.partials)
     t = m - 2 - i
     if t == 0:
         rhs = Ideal(ring, [ring.one()])
@@ -323,14 +324,10 @@ def reduction_conjecture_check(m: int, i: int, budget: Budget | None = None,
         lhs_ideal = J if i == 0 else ideal_product(J, ideal_power(P, i))
         pw = ideal_power(P, i + 1)
         got = colon(lhs_ideal, pw, budget, config)
-        if ideal_equal(got, rhs, budget, config):
-            return ReductionOutcome(m, i, "Equal")
-        for g in got.gens:
-            if not rhs.contains(g, budget=budget, config=config):
-                return ReductionOutcome(m, i, "NotEqual", witness=str(g))
-        for g in rhs.gens:
-            if not got.contains(g, budget=budget, config=config):
-                return ReductionOutcome(m, i, "NotEqual", witness=str(g))
-        return ReductionOutcome(m, i, "NotEqual", witness="generator mismatch")
+        for gens, other in ((got.gens, rhs), (rhs.gens, got)):
+            for g in gens:
+                if not other.contains(g, budget=budget, config=config):
+                    return ReductionOutcome(m, i, "NotEqual", witness=str(g))
+        return ReductionOutcome(m, i, "Equal")
     except ComputationTimeout:
         return ReductionOutcome(m, i, "Timeout")

@@ -7,7 +7,8 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 from detlab import polar
 from detlab.config import Config
-from detlab.structmat import build_structured, determinant
+from detlab.groebner import Ideal
+from detlab.structmat import build_structured, determinant, minors_ideal_gens
 
 
 def pytest_collection_modifyitems(config, items):
@@ -30,4 +31,17 @@ def subhankel_record():
     object every sub-Hankel check reads; each call gives a fresh record."""
     def build(n, config=None):
         return polar.polar_data(determinant(build_structured("sub-hankel", n=n)), config)
+    return build
+
+
+@pytest.fixture(scope="session")
+def hankel_record():
+    """Builds the Hankel record of order m, the objects every bracket and
+    filtration check reads: the matrix H, the polar record of its
+    determinant and the submaximal minor ideal P; each call gives a fresh
+    record."""
+    def build(m, config=None):
+        H = build_structured("hankel", m=m)
+        P = Ideal(H.ring, minors_ideal_gens(H, m - 1))
+        return H, polar.polar_data(determinant(H), config), P
     return build

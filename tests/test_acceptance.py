@@ -36,12 +36,12 @@ def _partials(kind, **kw):
     return M, f, [f.diff(i) for i in range(M.ring.nvars)]
 
 
-def test_criterion_1_hankel3_suite():
+def test_criterion_1_hankel3_suite(hankel_record):
     t0 = time.monotonic()
-    H, f, partials = _partials("hankel", m=3)
+    H, form, P = hankel_record(3, CFG)
+    partials = form.partials
     R = H.ring
     J = Ideal(R, partials)
-    P = Ideal(R, minors_ideal_gens(H, 2))
 
     hdP = hilbert_data(P, config=CFG)
     assert hdP.multiplicity == 4 and R.nvars - hdP.dimension == 3
@@ -56,7 +56,7 @@ def test_criterion_1_hankel3_suite():
     assert partials[2].leading_monomial() == (0, 0, 2, 0, 0)   # x2^2
     assert partials[4].leading_monomial() == (0, 2, 0, 0, 0)   # x1^2
 
-    rad = integrality_check(3, config=CFG)
+    rad = integrality_check(H, form, P)
     assert rad.passed and len(rad.per_minor) == 6
 
     m_ideal = Ideal(R, R.gens())
@@ -83,7 +83,6 @@ def test_criterion_1_hankel3_suite():
             acc = acc + a * p
         assert acc.is_zero()
 
-    form = polar.polar_data(f, CFG)
     assert fitting_condition_F1(form.syzygy_module(), config=CFG).passed
     assert form.linear_type().status == "LinearType"
     assert polar.homaloidal_verdict(form).status == "NotHomaloidal"

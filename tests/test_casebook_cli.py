@@ -137,6 +137,42 @@ def test_cli_hankel_reduction():
     assert "Equal" in out
 
 
+# `hankel --json` calls recorded with their exit code and stderr; the
+# stdout is stored parsed and compared in the CLI's own layout
+_HANKEL_LOCK = ["star-m3", "star-m4", "golberg-m4", "plucker-m4", "radical-m3",
+                "radical-m4", "reduction-m3-i0", "reduction-m3-i1"]
+
+
+@pytest.mark.parametrize("name", _HANKEL_LOCK)
+def test_cli_hankel_matches_the_recorded_output(name):
+    reference = ROOT / "tests" / "reference" / f"hankel-{name}.json"
+    ref = json.loads(reference.read_text(encoding="utf-8"))
+    proc = run_cli_default_config(ref["argv"])
+    assert (proc.returncode, proc.stderr) == (ref["exit"], ref["stderr"])
+    want = ref["stdout"]
+    assert proc.stdout == ("" if want is None else json.dumps(want, sort_keys=True, indent=2) + "\n")
+
+
+def test_cli_hankel_star_refuses_order_zero(capsys):
+    assert cli_main(["hankel", "--check", "star", "--m", "0", "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: catalecticant needs m >= 2 and 1 <= r <= m\n"
+
+
+def test_cli_hankel_refuses_an_order_before_building(monkeypatch, capsys):
+    from detlab import structmat
+    from detlab.hankelplucker import MAX_ORDER
+
+    def no_build(m, r):
+        raise AssertionError("built a matrix")
+    monkeypatch.setattr(structmat, "_catalecticant", no_build)
+    for check, cap in MAX_ORDER.items():
+        assert cli_main(["hankel", "--check", check, "--m", str(cap + 1)]) == 2
+        assert capsys.readouterr().err.endswith(f" capped at m = {cap}\n")
+    assert cli_main(["hankel", "--check", "reduction", "--m", "1"]) == 2
+    assert capsys.readouterr().err == "error: filtration index out of range\n"
+
+
 def test_cli_subhankel_all_emits_fact_report():
     code, out, _ = run_cli(["subhankel", "--n", "3", "--all", "--json"])
     assert code == 0
@@ -420,6 +456,33 @@ def test_subhankel_scenario_expands_its_determinant_once(monkeypatch, n):
     monkeypatch.setattr(MinorLadder, "minor", counting_minor)
     assert run_scenario(f"subhankel-{n}", config=Config(seed=5)).verdict == "pass"
     assert len(expansions) == 1
+
+
+@pytest.mark.parametrize("run", ["hankel-3", "hankel-4", "hankel --check star --m 4"])
+def test_hankel_record_is_built_and_expanded_once(monkeypatch, run):
+    # every Hankel check reads the one record of its scenario or CLI call:
+    # one Hankel matrix (the catalecticant with r = 1), one full-size expansion
+    from detlab import structmat
+    builds, expansions = [], []
+    catalecticant, minor = structmat._catalecticant, structmat.MinorLadder.minor
+
+    def counting_build(m, r):
+        if r == 1:
+            builds.append(m)
+        return catalecticant(m, r)
+
+    def counting_minor(self, rows, cols):
+        rows = tuple(rows)
+        if self.matrix.provenance.startswith("hankel(") and len(rows) == self.matrix.rows:
+            expansions.append(rows)
+        return minor(self, rows, cols)
+    monkeypatch.setattr(structmat, "_catalecticant", counting_build)
+    monkeypatch.setattr(structmat.MinorLadder, "minor", counting_minor)
+    if run.startswith("hankel "):
+        assert cli_main([*run.split(), "--json"]) == 0
+    else:
+        assert run_scenario(run, config=Config(seed=5)).verdict == "pass"
+    assert (len(builds), len(expansions)) == (1, 1)
 
 
 def test_cat43_budget_timeout_is_no_contradiction():

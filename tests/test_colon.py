@@ -212,3 +212,26 @@ def test_the_colon_work_is_counted_and_pinned():
     got = colon_poly(J, delta, budget=budget)
     assert strings(got) == ["x4", "x3", "x2", "x1", "x0"]
     assert dict(budget.by_label) == {"Buchberger": 5, "polynomial reduction": 9}
+
+
+def test_colon_by_an_ideal_intersects_only_colons_that_cut_the_result(monkeypatch):
+    # colon(I, J) keeps its running result when the next I : g contains it;
+    # for the hankel-3 J : P most steps need no tag-variable intersection,
+    # and the result is still the intersection of the oracle's colons
+    J, _ = hankel3()
+    H = build_structured("hankel", m=3)
+    P = Ideal(H.ring, minors_ideal_gens(H, 2))
+    gens = P.gens if len(P.gens) < len(P.groebner_basis()) else P.groebner_basis()
+    want = tag_colon(J, gens[0])
+    for g in gens[1:]:
+        want = groebner.intersect(want, tag_colon(J, g))
+    calls = []
+    intersect = groebner.intersect
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return intersect(*args, **kwargs)
+    monkeypatch.setattr(groebner, "intersect", spy)
+    got = groebner.colon(J, P)
+    assert 0 < len(calls) < len(gens) - 1
+    assert strings(got) == strings(want) == ["x4", "x3", "x2", "x1", "x0"]

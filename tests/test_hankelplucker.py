@@ -1,16 +1,19 @@
 """Bracket minors, partial order, expansions, quadratic relations, and the
-radical/colon-filtration checkers."""
+radical/colon-filtration checkers.  The checks read the Hankel record from
+the `hankel_record` fixture."""
 
 import itertools
 
 import pytest
 
-from detlab.hankelplucker import (bracket_compare, bracket_minor,
+from detlab.config import Config
+from detlab.groebner import Ideal, hilbert_data, ideal_equal
+from detlab.hankelplucker import (MAX_ORDER, bracket_compare, bracket_minor,
                                   delta_bracket_expansion, golberg_delta_check,
                                   integrality_check, plucker_verify,
                                   reduction_conjecture_check, solve_bracket_identity,
                                   star_expansion, three_term_plucker, _hankel_minor)
-from detlab.structmat import build_structured, determinant, PolyMatrix
+from detlab.structmat import PolyMatrix
 from detlab.polyring import xring
 from oracles import hankel_entry_dicts, leibniz_det
 
@@ -52,62 +55,63 @@ def test_bracket_compare_cases():
 # ---------------------------------------------------------------------------
 # star expansions
 
-def test_star_expansion_middle_partial_m3():
-    e = star_expansion(3, 2)
+def test_star_expansion_middle_partial_m3(hankel_record):
+    e = star_expansion(hankel_record(3)[1], 2)
     assert e.epsilon == 1
     assert sorted(e.coefficients) == [(1, (1, 4)), (3, (2, 3))]
     R5 = xring(5)
     assert e.value() == R5.from_string("x0*x4 + 2*x1*x3 - 3*x2^2")
 
 
-def test_star_expansion_endpoints_m3():
-    e4 = star_expansion(3, 4)
+def test_star_expansion_endpoints_m3(hankel_record):
+    _, form, _ = hankel_record(3)
+    e4 = star_expansion(form, 4)
     assert e4.coefficients == [(1, (1, 2))] and e4.epsilon == 1
-    e3 = star_expansion(3, 3)
+    e3 = star_expansion(form, 3)
     assert e3.coefficients == [(2, (1, 3))] and e3.epsilon == -1
 
 
-def test_star_expansion_matches_derivative_everywhere():
+def test_star_expansion_matches_derivative_everywhere(hankel_record):
     for m in (3, 4):
-        M = build_structured("hankel", m=m)
-        f = determinant(M)
+        _, form, _ = hankel_record(m)
         for j in range(2 * m - 1):
-            e = star_expansion(m, j)
-            assert e.value() == f.diff(j)
+            e = star_expansion(form, j)
+            assert e.value() == form.f.diff(j)
 
 
-def test_star_expansion_incomparability_through_m5():
+def test_star_expansion_incomparability_through_m5(hankel_record):
     for m in (3, 4, 5):
+        _, form, _ = hankel_record(m)
         for j in range(2 * m - 1):
-            assert star_expansion(m, j).pairwise_incomparable()
+            assert star_expansion(form, j).pairwise_incomparable()
 
 
-def test_star_expansion_range_check():
+def test_star_expansion_range_check(hankel_record):
     with pytest.raises(ValueError):
-        star_expansion(3, 5)
+        star_expansion(hankel_record(3)[1], 5)
 
 
 # ---------------------------------------------------------------------------
 # minor-sum expansions
 
-def test_golberg_m3_middle_instance():
-    H = build_structured("hankel", m=3)
-    f = determinant(H)
+def test_golberg_m3_middle_instance(hankel_record):
+    H, form, _ = hankel_record(3)
     # f_2 equals the sum of the three minors along the anti-diagonal
     want = 2 * _hankel_minor(H, 1, 3) + _hankel_minor(H, 2, 2)
-    assert f.diff(2) == want
+    assert form.partials[2] == want
 
 
-def test_golberg_delta_check_m3_m4():
+def test_golberg_delta_check_m3_m4(hankel_record):
     for m in (3, 4):
-        rep = golberg_delta_check(m)
+        H, form, _ = hankel_record(m)
+        rep = golberg_delta_check(H, form)
         assert rep.passed
         # documented sign normalization: alternating with the variable index
         assert rep.partial_signs == [(-1) ** i for i in range(2 * m - 1)]
 
 
-def test_delta_expansion_instances():
-    H = build_structured("hankel", m=3)
+def test_delta_expansion_instances(hankel_record):
+    H, _, _ = hankel_record(3)
     assert delta_bracket_expansion(3, 2, 2) == _hankel_minor(H, 2, 2)
     assert delta_bracket_expansion(3, 3, 1) == _hankel_minor(H, 3, 1)
     # bracket content of the (2,2) minor: both incomparable pairs appear
@@ -143,12 +147,11 @@ def test_three_term_relation_generic_two_row():
     assert rel.is_zero()
 
 
-def test_plucker_identity_m4_solved_coefficients():
-    H = build_structured("hankel", m=4)
-    f = determinant(H)
+def test_plucker_identity_m4_solved_coefficients(hankel_record):
+    partials = hankel_record(4)[1].partials
     lhs = bracket_minor(4, 1, (1, 3, 4)) * bracket_minor(4, 1, (1, 2, 5))
-    parts = [bracket_minor(4, 1, (1, 3, 5)) * f.diff(5),
-             f.diff(6) * bracket_minor(4, 1, (1, 4, 5))]
+    parts = [bracket_minor(4, 1, (1, 3, 5)) * partials[5],
+             partials[6] * bracket_minor(4, 1, (1, 4, 5))]
     sol = solve_bracket_identity(lhs, parts)
     assert sol.verified
     # display-normalization slack: solved constants have magnitudes 1/2 and 1
@@ -164,18 +167,16 @@ def test_plucker_verify_explicit():
 # ---------------------------------------------------------------------------
 # radical and reduction checks
 
-def test_integrality_m2_trivial():
+def test_integrality_m2_trivial(hankel_record):
     # at m=2 the gradient ideal IS the coordinate ideal
-    H = build_structured("hankel", m=2)
-    f = determinant(H)
-    from detlab.groebner import Ideal, ideal_equal
+    H, form, _ = hankel_record(2)
     R = H.ring
-    J = Ideal(R, [f.diff(i) for i in range(3)])
+    J = Ideal(R, form.partials)
     assert ideal_equal(J, Ideal(R, list(R.gens())))
 
 
-def test_integrality_m3_full():
-    rep = integrality_check(3)
+def test_integrality_m3_full(hankel_record):
+    rep = integrality_check(*hankel_record(3))
     assert rep.passed
     assert all(ok for _, ok in rep.per_minor)
     assert len(rep.per_minor) == 6
@@ -183,23 +184,49 @@ def test_integrality_m3_full():
         assert w["identity"] and w["square_in_JP"]
 
 
-def test_reduction_check_small_cases():
-    assert reduction_conjecture_check(2, 0).status == "Equal"
-    assert reduction_conjecture_check(3, 0).status == "Equal"
-    assert reduction_conjecture_check(3, 1).status == "Equal"
+def test_reduction_check_small_cases(hankel_record):
+    assert reduction_conjecture_check(*hankel_record(2), 0).status == "Equal"
+    assert reduction_conjecture_check(*hankel_record(3), 0).status == "Equal"
+    assert reduction_conjecture_check(*hankel_record(3), 1).status == "Equal"
 
 
-def test_reduction_check_range_validation():
+def test_reduction_check_witnesses_either_side(hankel_record):
+    # at m = 3, i = 0 the expected colon is the maximal ideal m.  With J in
+    # place of P the colon J : J = (1) is not inside m, and its generator 1
+    # is the witness; with m in place of P the colon J : m misses x0
+    H, form, P = hankel_record(3)
+    J = Ideal(H.ring, form.partials)
+    out = reduction_conjecture_check(H, form, J, 0)
+    assert (out.status, out.witness) == ("NotEqual", "1")
+    m_ideal = Ideal(H.ring, H.ring.gens())
+    out = reduction_conjecture_check(H, form, m_ideal, 0)
+    assert (out.status, out.witness) == ("NotEqual", "x0")
+
+
+def test_reduction_check_range_validation(hankel_record):
     with pytest.raises(ValueError):
-        reduction_conjecture_check(5, 0)
+        reduction_conjecture_check(*hankel_record(5), 0)
     with pytest.raises(ValueError):
-        reduction_conjecture_check(3, 2)
+        reduction_conjecture_check(*hankel_record(3), 2)
 
 
-def test_reduction_timeout_reported():
-    from detlab.config import Config
+def test_max_order_caps_raise_their_messages(hankel_record):
+    checks = {"golberg": lambda H, form, P: golberg_delta_check(H, form),
+              "radical": integrality_check,
+              "reduction": lambda H, form, P: reduction_conjecture_check(H, form, P, 0)}
+    messages = {"golberg": "minor-sum check capped at m = 5",
+                "radical": "radical check capped at m = 4",
+                "reduction": "conjecture checks capped at m = 4"}
+    assert set(checks) == set(MAX_ORDER) == set(messages)
+    for name, cap in MAX_ORDER.items():
+        with pytest.raises(ValueError) as err:
+            checks[name](*hankel_record(cap + 1))
+        assert str(err.value) == messages[name]
+
+
+def test_reduction_timeout_reported(hankel_record):
     cfg = Config(gb_step_cap=200)
-    out = reduction_conjecture_check(4, 0, budget=cfg.budget(), config=cfg)
+    out = reduction_conjecture_check(*hankel_record(4, cfg), 0, budget=cfg.budget())
     assert out.status == "Timeout"
 
 
@@ -221,20 +248,16 @@ def test_three_term_relation_two_row_antidiagonal_matrices():
             assert rel.is_zero()
 
 
-def test_golberg_m5():
-    rep = golberg_delta_check(5)
+def test_golberg_m5(hankel_record):
+    rep = golberg_delta_check(*hankel_record(5)[:2])
     assert rep.passed
     assert rep.partial_signs == [(-1) ** i for i in range(9)]
 
 
-def test_integrality_implies_matching_dimensions():
-    from detlab.groebner import Ideal, hilbert_data
-    from detlab.structmat import minors_ideal_gens
+def test_integrality_implies_matching_dimensions(hankel_record):
     for m in (3, 4):
-        rep = integrality_check(m)
+        H, form, P = hankel_record(m)
+        rep = integrality_check(H, form, P)
         assert rep.passed
-        H = build_structured("hankel", m=m)
-        f = determinant(H)
-        J = Ideal(H.ring, [f.diff(i) for i in range(H.ring.nvars)])
-        P = Ideal(H.ring, minors_ideal_gens(H, m - 1))
+        J = Ideal(H.ring, form.partials)
         assert hilbert_data(J).dimension == hilbert_data(P).dimension
