@@ -256,13 +256,13 @@ def _cmd_polar(args) -> int:
 def _cmd_hankel(args) -> int:
     config = _config_from_args(args)
     m = args.m
+    hankelplucker.check_order(args.check, m, args.i)
     if args.check == "plucker":
         # the three-term relations read bracket minors alone, no Hankel record
         ok = all(hankelplucker.three_term_plucker(m, 1, q)
-                 for q in itertools.combinations(range(1, m + 2), 4)) if m >= 3 else True
+                 for q in itertools.combinations(range(1, m + 2), 4))
         _emit(args, {"check": "plucker", "m": m, "pass": ok})
         return EXIT_OK if ok else EXIT_CONTRADICTION
-    hankelplucker.check_order(args.check, m, args.i)
     H = build_structured("hankel", m=m)
     form = polar.polar_data(determinant(H), config)
     try:

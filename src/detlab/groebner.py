@@ -53,6 +53,14 @@ its lm(v).  The leading term of v is reduced regularly: by G always, by a
 labelled element only below the pair's signature.  A v that reaches 0
 gives u in I : g, and G with those u is a Groebner basis of I : g, so only
 the pairs that yield colon elements reduce to zero.
+
+An intersection I ∩ J is the smaller ideal when one contains the other,
+which normal forms against the two bases decide; only otherwise is it the
+tag-variable elimination (u*I + (1-u)*J) ∩ k[x].  The colon by an ideal,
+∩ I : g over its generators, meets mostly nested pairs.  Every ideal that
+`colon_poly`, `intersect` or `eliminate` returns is generated by its
+reduced basis, already set on it (`_seeded`), so no query recomputes what
+the engine has just produced.
 """
 
 from __future__ import annotations
@@ -68,7 +76,7 @@ from operator import mul
 
 from .config import Budget, Config, DEFAULT_CONFIG
 from .polyring import (
-    Polynomial, Ring, MonomialOrder, block_order, morph, clear_denominators,
+    Polynomial, Ring, MonomialOrder, block_order, grevlex, morph, clear_denominators,
     _content_strip,
 )
 
@@ -1024,8 +1032,20 @@ def _fresh_names(base: str, count: int, taken) -> list[str]:
     return out
 
 
+def _seeded(ring: Ring, order: MonomialOrder, entries: list[_Entry]) -> Ideal:
+    """The ideal generated by the reduced basis `entries` in the given order,
+    with that basis already set on it, so no query computes it again."""
+    polys = [e.monic(ring) for e in entries]
+    out = Ideal(ring, polys)
+    out._gb[order.id] = entries
+    out._monic[order.id] = polys
+    return out
+
+
 def eliminate(I: Ideal, keep_indices, budget=None, config=None) -> Ideal:
-    """I ∩ k[kept variables], returned over the subring of kept variables."""
+    """I ∩ k[kept variables], returned over the subring of kept variables and
+    generated by its reduced basis in the subring's order, grevlex: the kept
+    block of the elimination order."""
     ring = I.ring
     keep = sorted(keep_indices)
     if not all(0 <= i < ring.nvars for i in keep):
@@ -1033,24 +1053,30 @@ def eliminate(I: Ideal, keep_indices, budget=None, config=None) -> Ideal:
     drop = [i for i in range(ring.nvars) if i not in keep]
     if not drop:
         return Ideal(ring, list(I.gens))
-    order = block_order([drop, keep])
-    gb = I.groebner_basis(order, budget, config)
-    keepset = set(keep)
+    kept = []
+    for g in I._entries(block_order([drop, keep]), budget, config):
+        terms = g.full()
+        if not any(e[i] for e in terms for i in drop):
+            kept.append({tuple(e[i] for i in keep): c for e, c in terms.items()})
     sub = Ring(tuple(ring.variables[i] for i in keep))
-    out = []
-    for g in gb:
-        if g.support_vars() <= keepset:
-            out.append(morph(g, sub))
-    return Ideal(sub, out)
+    sugars = [max(map(sum, d)) for d in kept]
+    return _seeded(sub, sub.order, _pack_entries(kept, sugars, sub.order.weight_rows()))
 
 
 def intersect(I: Ideal, J: Ideal, budget=None, config=None) -> Ideal:
-    """Tag-variable elimination: (u*I + (1-u)*J) ∩ k[x]."""
+    """I ∩ J, generated by its reduced grevlex basis.  When one ideal
+    contains the other (normal forms against the two bases), that is the
+    smaller one; otherwise the tag-variable elimination
+    (u*I + (1-u)*J) ∩ k[x], whose kept block is grevlex in any ring."""
     ring = I.ring
     if J.ring != ring:
         raise ValueError("ideals in different rings")
     if I.is_zero() or J.is_zero():
         return Ideal(ring, [])
+    for small, big in ((I, J), (J, I)):
+        if big.contains_ideal(small, budget=budget, config=config):
+            order = grevlex(ring.nvars)
+            return _seeded(ring, order, small._entries(order, budget, config))
     tag = _fresh_names("u", 1, ring.variables)[0]
     ext = Ring((tag,) + ring.variables)
     u = ext.var(0)
@@ -1058,9 +1084,9 @@ def intersect(I: Ideal, J: Ideal, budget=None, config=None) -> Ideal:
     gj = J.groebner_basis(None, budget, config)
     gens = [u * morph(g, ext) for g in gi]
     gens += [(ext.one() - u) * morph(g, ext) for g in gj]
-    K = Ideal(ext, gens)
-    elim = eliminate(K, range(1, ext.nvars), budget, config)
-    return Ideal(ring, [morph(g, ring) for g in elim.gens])
+    elim = eliminate(Ideal(ext, gens), range(1, ext.nvars), budget, config)
+    order = elim.ring.order
+    return _seeded(ring, order, elim._entries(order))
 
 
 def colon_poly(I: Ideal, g: Polynomial, budget=None, config=None) -> Ideal:
@@ -1080,15 +1106,12 @@ def colon_poly(I: Ideal, g: Polynomial, budget=None, config=None) -> Ideal:
         h = to_int_terms(g)
         return _retry_wider(I._entries(order, b, config), lambda G: _colon_at_width(G, h, b))
     entries = _cached(_colon_key(I._key(order), g), ring, order, config, compute)
-    polys = [e.monic(ring) for e in entries]
-    out = Ideal(ring, polys)
-    out._gb[order.id] = entries
-    out._monic[order.id] = polys
-    return out
+    return _seeded(ring, order, entries)
 
 
 def colon(I: Ideal, J, budget=None, config=None) -> Ideal:
-    """I : J; a non-principal J is handled generator by generator."""
+    """I : J = ∩ I : g over the generators g of J (or of its reduced basis,
+    if that is shorter), intersected one by one into a running result."""
     if isinstance(J, Polynomial):
         return colon_poly(I, J, budget, config)
     if J.is_zero():
@@ -1099,13 +1122,11 @@ def colon(I: Ideal, J, budget=None, config=None) -> Ideal:
     acc: Ideal | None = None
     for g in gens:
         c = colon_poly(I, g, budget, config)
-        # acc ∩ c = acc when c contains acc: no tag-variable intersection then
-        if acc is None or not c.contains_ideal(acc, budget=budget, config=config):
-            acc = c if acc is None else intersect(acc, c, budget, config)
+        acc = c if acc is None else intersect(acc, c, budget, config)
         # the result always contains I; once acc == I it cannot shrink further
-        if acc is not None and I.contains_ideal(acc, budget=budget, config=config):
-            return acc
-    return acc if acc is not None else Ideal(I.ring, [I.ring.one()])
+        if I.contains_ideal(acc, budget=budget, config=config):
+            break
+    return acc
 
 
 def saturation(I: Ideal, J, budget=None, config=None) -> tuple[Ideal, int]:

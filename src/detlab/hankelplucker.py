@@ -28,9 +28,9 @@ from .structmat import PolyMatrix, build_gp_associated, minor, minors_ideal_gens
 from . import polar
 
 # the largest order m of each capped check, read by the checks and the CLI
-MAX_ORDER = {"golberg": 5, "radical": 4, "reduction": 4}
-_CAPPED = {"golberg": "minor-sum check", "radical": "radical check",
-           "reduction": "conjecture checks"}
+MAX_ORDER = {"golberg": 5, "plucker": 3, "radical": 4, "reduction": 4}
+_CAPPED = {"golberg": "minor-sum check", "plucker": "three-term relation",
+           "radical": "radical check", "reduction": "conjecture checks"}
 
 
 def check_order(check: str, m: int, i: int | None = None) -> None:
@@ -223,7 +223,9 @@ def plucker_verify(m: int, r: int, terms: list[tuple[int | Fraction, tuple, tupl
 
 
 def three_term_plucker(m: int, r: int, quad: tuple[int, int, int, int]) -> bool:
-    """The classical 3-term relation on two-row matrices (m = 3)."""
+    """The classical 3-term relation on two-row matrices (m = 3): its
+    brackets are maximal minors of no larger associated matrix."""
+    check_order("plucker", m)
     a, b, c, d = quad
     return plucker_verify(m, r, [
         (1, (a, b), (c, d)), (-1, (a, c), (b, d)), (1, (a, d), (b, c))])

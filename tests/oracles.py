@@ -316,14 +316,36 @@ def fraction_kernel(rows, ncols):
 
 
 # ---------------------------------------------------------------------------
-# the colon by a tag variable, the route the signature colon replaced
+# the intersection and the colon by a tag variable, the routes that the
+# containment shortcut and the signature colon replaced
+
+def tag_intersect(I, J, budget=None, config=None):
+    """I ∩ J as (u*I + (1-u)*J) ∩ k[x], always by the elimination: the
+    reduced basis of the tagged ideal in the block order (u) > (x), grevlex
+    within each block, keeps its entries free of u."""
+    from detlab.groebner import Ideal
+    from detlab.polyring import Ring, block_order, morph
+    ring = I.ring
+    if I.is_zero() or J.is_zero():
+        return Ideal(ring, [])
+    tag = "u"
+    while tag in ring.variables:
+        tag += "u"
+    ext = Ring((tag,) + ring.variables)
+    u = ext.var(0)
+    gens = [u * morph(g, ext) for g in I.groebner_basis(None, budget, config)]
+    gens += [(ext.one() - u) * morph(g, ext) for g in J.groebner_basis(None, budget, config)]
+    order = block_order([[0], list(range(1, ext.nvars))])
+    gb = Ideal(ext, gens).groebner_basis(order, budget, config)
+    return Ideal(ring, [morph(g, ring) for g in gb if 0 not in g.support_vars()])
+
 
 def tag_colon(I, g, budget=None, config=None):
     """I : g as (I ∩ (g)) / g: the intersection by tag-variable elimination,
     then each of its generators divided exactly by g."""
-    from detlab.groebner import Ideal, intersect
+    from detlab.groebner import Ideal
     from detlab.polyring import NOT_DIVISIBLE, exact_divide
-    K = intersect(I, Ideal(I.ring, [g]), budget, config)
+    K = tag_intersect(I, Ideal(I.ring, [g]), budget, config)
     out = []
     for h in K.gens:
         q = exact_divide(h, g)

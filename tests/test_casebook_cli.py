@@ -153,6 +153,23 @@ def test_cli_hankel_matches_the_recorded_output(name):
     assert proc.stdout == ("" if want is None else json.dumps(want, sort_keys=True, indent=2) + "\n")
 
 
+# `ideal --json` calls on the pairs in tests/reference/ideal-inputs, one
+# ideal inside the other and neither inside the other, recorded in the same
+# layout; the engine may skip work on a nested pair, the output stays
+_IDEAL_LOCK = [f"{op}-{pair}" for op in ("intersect", "colon", "sat")
+               for pair in ("nested", "nested-swapped", "apart")] + \
+    ["eliminate-nested", "eliminate-apart"]
+
+
+@pytest.mark.parametrize("name", _IDEAL_LOCK)
+def test_cli_ideal_matches_the_recorded_output(name):
+    reference = ROOT / "tests" / "reference" / f"ideal-{name}.json"
+    ref = json.loads(reference.read_text(encoding="utf-8"))
+    proc = run_cli_default_config(ref["argv"])
+    assert (proc.returncode, proc.stderr) == (ref["exit"], ref["stderr"])
+    assert proc.stdout == json.dumps(ref["stdout"], sort_keys=True, indent=2) + "\n"
+
+
 def test_cli_hankel_star_refuses_order_zero(capsys):
     assert cli_main(["hankel", "--check", "star", "--m", "0", "--json"]) == 2
     out, err = capsys.readouterr()
@@ -160,12 +177,14 @@ def test_cli_hankel_star_refuses_order_zero(capsys):
 
 
 def test_cli_hankel_refuses_an_order_before_building(monkeypatch, capsys):
-    from detlab import structmat
+    from detlab import hankelplucker, structmat
     from detlab.hankelplucker import MAX_ORDER
 
     def no_build(m, r):
         raise AssertionError("built a matrix")
     monkeypatch.setattr(structmat, "_catalecticant", no_build)
+    monkeypatch.setattr(hankelplucker, "build_gp_associated", no_build)  # the brackets' matrix
+    assert set(MAX_ORDER) == {"golberg", "plucker", "radical", "reduction"}
     for check, cap in MAX_ORDER.items():
         assert cli_main(["hankel", "--check", check, "--m", str(cap + 1)]) == 2
         assert capsys.readouterr().err.endswith(f" capped at m = {cap}\n")

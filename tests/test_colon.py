@@ -1,11 +1,14 @@
 """The signature colon `colon_poly`: against the tag-variable oracle, on the
-cat-4-3 prime, through the GB cache, across restarts and under budgets."""
+cat-4-3 prime, through the GB cache, across restarts and under budgets; the
+colon by an ideal and `intersect` against the tag-variable intersection,
+and the reduced bases that ideal results carry."""
 
 import hashlib
 import json
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -16,7 +19,7 @@ from detlab.groebner import Ideal, colon_poly, _colon_key, _MEMORY_CACHE
 from detlab.polyring import format_polynomial, grevlex, lex, xring
 from detlab.structmat import (build_gp_associated, build_structured, determinant,
                               minors_ideal_gens)
-from oracles import tag_colon
+from oracles import tag_colon, tag_intersect
 from test_groebner import _LabelBudget
 
 CAT43_REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference" / "cat43-colon.json"
@@ -214,9 +217,21 @@ def test_the_colon_work_is_counted_and_pinned():
     assert dict(budget.by_label) == {"Buchberger": 5, "polynomial reduction": 9}
 
 
-def test_colon_by_an_ideal_intersects_only_colons_that_cut_the_result(monkeypatch):
-    # colon(I, J) keeps its running result when the next I : g contains it;
-    # for the hankel-3 J : P most steps need no tag-variable intersection,
+def _counting_eliminate(calls):
+    """`groebner.eliminate`, appending to calls on each call: a count of the
+    tag-variable eliminations that `intersect` runs."""
+    eliminate = groebner.eliminate
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return eliminate(*args, **kwargs)
+    return spy
+
+
+def test_colon_by_an_ideal_runs_no_tag_elimination_on_nested_colons(monkeypatch):
+    # colon(I, J) intersects each I : g into the running result; for the
+    # hankel-3 J : P every new colon contains that result, so intersect
+    # takes its containment shortcut and no step eliminates a tag variable,
     # and the result is still the intersection of the oracle's colons
     J, _ = hankel3()
     H = build_structured("hankel", m=3)
@@ -224,14 +239,90 @@ def test_colon_by_an_ideal_intersects_only_colons_that_cut_the_result(monkeypatc
     gens = P.gens if len(P.gens) < len(P.groebner_basis()) else P.groebner_basis()
     want = tag_colon(J, gens[0])
     for g in gens[1:]:
-        want = groebner.intersect(want, tag_colon(J, g))
+        want = tag_intersect(want, tag_colon(J, g))
     calls = []
-    intersect = groebner.intersect
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return intersect(*args, **kwargs)
-    monkeypatch.setattr(groebner, "intersect", spy)
+    monkeypatch.setattr(groebner, "eliminate", _counting_eliminate(calls))
     got = groebner.colon(J, P)
-    assert 0 < len(calls) < len(gens) - 1
+    assert calls == []
     assert strings(got) == strings(want) == ["x4", "x3", "x2", "x1", "x0"]
+
+
+# ---------------------------------------------------------------------------
+# the intersection against the tag-variable intersection
+
+_NESTED = ("inside", "outside", "equal")
+
+
+@pytest.mark.parametrize("kind", _NESTED + ("apart", "zero", "unit"))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_the_intersection_matches_the_tag_variable_intersection(kind, data):
+    n = data.draw(st.integers(2, 3))
+    R = xring(n, data.draw(st.sampled_from([grevlex(n), lex(n)])))
+    homogeneous = data.draw(st.booleans())
+    gens = [_poly(data, R, homogeneous, n) for _ in range(data.draw(st.integers(1, 3)))]
+    more = [_poly(data, R, homogeneous, n) for _ in range(data.draw(st.integers(1, 2)))]
+    I = Ideal(R, gens)
+    if kind in ("inside", "outside"):
+        J = Ideal(R, gens + more)  # I ⊆ J; "outside" passes them as (J, I)
+    elif kind == "equal":
+        J = Ideal(R, gens[::-1] + [gens[0] * more[0]])
+    elif kind == "apart":
+        J = Ideal(R, more)
+    elif kind == "zero":
+        J = Ideal(R, [])
+    else:
+        J = Ideal(R, [R.const(data.draw(st.sampled_from([1, -2, Fraction(3, 4)])))])
+    if kind == "outside" or (kind in ("zero", "unit") and data.draw(st.booleans())):
+        I, J = J, I
+    calls = []
+    try:
+        if kind == "apart":
+            budget = Budget(step_cap=20_000)
+            assume(not I.contains_ideal(J, budget=budget)
+                   and not J.contains_ideal(I, budget=budget))
+        with patch.object(groebner, "eliminate", _counting_eliminate(calls)):
+            got = groebner.intersect(I, J, budget=Budget(step_cap=20_000))
+        want = tag_intersect(I, J, budget=Budget(step_cap=20_000))
+    except ComputationTimeout:
+        assume(False)
+    assert got.gens == want.gens
+    assert calls == ([1] if kind == "apart" else [])
+    # the generators are the reduced grevlex basis, already set on the result
+    assert got._monic.get(grevlex(n).id, []) == got.gens
+
+
+# ---------------------------------------------------------------------------
+# results that carry their reduced basis
+
+def _cold_entries(ring, gens):
+    """The entries of the reduced basis of (gens), computed from scratch."""
+    _MEMORY_CACHE.clear()
+    return [e.full() for e in Ideal(ring, gens)._entries(None)]
+
+
+def test_ideal_results_answer_from_their_seeded_basis(monkeypatch):
+    R = xring(4)
+    x0, x1, x2, x3 = R.gens()
+    inner = Ideal(R, [x0 * x1**2 - x2**3, x0**2 * x2 - x1 * x2**2, x1 * x3 - x0 * x2])
+    outer = Ideal(R, inner.gens + [x2**2 - x0 * x3])
+    apart = Ideal(R, [x0**2 - x1 * x3, x1 * x2 - x3**2])
+    J, _ = hankel3()
+    H = build_structured("hankel", m=3)
+    P = Ideal(H.ring, minors_ideal_gens(H, 2))
+    results = {"intersect, nested": groebner.intersect(outer, inner),
+               "intersect, apart": groebner.intersect(inner, apart),
+               "eliminate": groebner.eliminate(outer, [1, 2, 3]),
+               "colon": groebner.colon(J, P),
+               "colon, not nested": groebner.colon(inner, apart)}
+    assert results["intersect, nested"].gens == inner.groebner_basis()
+    monkeypatch.setattr(groebner, "groebner_entries", _refuse)
+    for name, K in results.items():
+        basis = K.groebner_basis()
+        assert basis == K.gens, name
+        assert all(K.contains(g) for g in basis), name
+        assert not K.contains(K.ring.gens()[0] ** 7 + 1), name
+    seeded = {name: [e.full() for e in K._entries(None)] for name, K in results.items()}
+    monkeypatch.undo()
+    for name, K in results.items():
+        assert seeded[name] == _cold_entries(K.ring, K.gens), name

@@ -212,9 +212,11 @@ def test_reduction_check_range_validation(hankel_record):
 
 def test_max_order_caps_raise_their_messages(hankel_record):
     checks = {"golberg": lambda H, form, P: golberg_delta_check(H, form),
+              "plucker": lambda H, form, P: three_term_plucker(H.rows, 1, (1, 2, 3, 4)),
               "radical": integrality_check,
               "reduction": lambda H, form, P: reduction_conjecture_check(H, form, P, 0)}
     messages = {"golberg": "minor-sum check capped at m = 5",
+                "plucker": "three-term relation capped at m = 3",
                 "radical": "radical check capped at m = 4",
                 "reduction": "conjecture checks capped at m = 4"}
     assert set(checks) == set(MAX_ORDER) == set(messages)
