@@ -20,8 +20,14 @@ ranks and `add_row` answers do not depend on how the rows are reduced.
 `linear_relations` is the one place where polynomials become a kernel: the
 degree-wise syzygies, the bigraded blowup-equation pieces and the bracket
 identities are all its callers.  It accepts rational coefficients (rows
-are cleared of denominators when a polynomial holds a Fraction).  The
-dense numeric helpers (rank with a nonzero-minor witness, determinant)
+are cleared of denominators when a polynomial holds a Fraction).  It
+eliminates only the rows that can change its answer: the columns split
+into connected components (for a determinant's partials, the blocks of
+its multigrading), rows are fed in a fixed pseudo-random order, and a
+component stops at full column rank, where it has no relation.  Relations
+the caller already has come in as `known`; their pivot columns are
+dropped, and the answer is a basis modulo their span.  The dense numeric
+helpers (rank with a nonzero-minor witness, determinant)
 share one forward elimination, `_echelon`, over Q (Fractions) or GF(p).
 """
 
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .config import Budget
 from .polyring import Polynomial, _content_strip, clear_denominators
@@ -102,14 +109,14 @@ class SparseEliminator:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def kernel_basis(self, ncols: int) -> list[dict[int, Fraction]]:
+    def kernel_basis(self, ncols: int, skip=()) -> list[dict[int, Fraction]]:
         """Basis of the right kernel on columns 0..ncols-1, one vector per
-        free column."""
+        free column not in `skip`."""
         pivots = self.pivots
         age = {pc: i for i, pc in enumerate(pivots)}
         basis = []
         for fc in range(ncols):
-            if fc in pivots:
+            if fc in pivots or fc in skip:
                 continue
             vec: dict[int, Fraction] = {fc: Fraction(1)}
             for pc in sorted(self.users.get(fc, ()), key=age.__getitem__):
@@ -119,26 +126,47 @@ class SparseEliminator:
         return basis
 
 
-def linear_relations(polys: list[Polynomial], monos: list[tuple], budget: Budget | None = None
-                     ) -> list[dict[int, Fraction]]:
+# an odd 64-bit multiplier: rows are fed in the order of key * _MIX mod 2^64
+_MIX = 0x9E3779B97F4A7C15
+_MASK = (1 << 64) - 1
+
+
+def linear_relations(polys: list[Polynomial], monos: list[tuple], budget: Budget | None = None,
+                     known: SparseEliminator | None = None) -> list[dict[int, Fraction]]:
     """Basis of the rational relations among the products p * x^m, p in
     `polys`, m in `monos`.
 
     Column i*len(monos)+k holds polys[i] * x^monos[k]; there is one row per
-    monomial of the products, in ascending order.  Rows are built in one
-    pass from the terms, keyed by the monomial packed into one int (the
-    first variable in the top field, so int order is tuple order), and
-    cleared of denominators only when some polynomial holds a Fraction.
+    monomial of the products.  Rows are built in one pass from the terms,
+    keyed by the monomial packed into one int (the first variable in the
+    top field), and cleared of denominators only when some polynomial holds
+    a Fraction.  The basis is the one read off the RREF, one vector per
+    free column in column order, so it does not depend on which rows are
+    eliminated or in what order:
+
+    * the columns split into the connected components of the graph that
+      links the columns of each row, and a component whose rank reaches its
+      column count has no relation, so its remaining rows are skipped;
+    * rows are fed in a fixed pseudo-random order (key * _MIX mod 2^64),
+      which reaches a component's full rank far sooner than monomial order.
+
+    `known` is an eliminator holding relations the caller already has, on
+    the same columns.  Any relation minus a combination of its rows is zero
+    on their pivot columns, so those columns are dropped from the matrix,
+    and the result is a basis of the relations modulo the span of `known`:
+    each vector is zero on those columns, and there are dim ker -
+    known.rank of them.  This is exact only when its rows are relations.
     """
     nvars = len(monos[0]) if monos else 0
-    top = (max((sum(e) for p in polys for e in p.terms), default=0)
+    top = (max((p.degree for p in polys if p.terms), default=0)
            + max(map(sum, monos), default=0))
     width = max(top.bit_length(), 1)
-    shifts = [width * i for i in reversed(range(nvars))]
+    weights = [1 << (width * i) for i in reversed(range(nvars))]
 
     def pack(e):
-        return sum(k << s for k, s in zip(e, shifts))
+        return sum(map(mul, e, weights))
     packed_monos = [pack(m) for m in monos]
+    dropped = known.pivots if known is not None else {}
     rows: dict[int, dict] = {}
     col = 0
     fractional = False
@@ -146,20 +174,45 @@ def linear_relations(polys: list[Polynomial], monos: list[tuple], budget: Budget
         terms = [(pack(e), c) for e, c in p.terms.items()]
         fractional = fractional or any(isinstance(c, Fraction) for _, c in terms)
         for m in packed_monos:
-            for e, c in terms:
-                row = rows.get(e + m)
-                if row is None:
-                    rows[e + m] = {col: c}
-                else:
-                    row[col] = c
+            if col not in dropped:
+                for e, c in terms:
+                    row = rows.get(e + m)
+                    if row is None:
+                        rows[e + m] = {col: c}
+                    else:
+                        row[col] = c
             col += 1
+    # union-find over the columns; then each component counts its columns
+    parent = list(range(col))
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+    for row in rows.values():
+        it = iter(row)
+        r = find(next(it))
+        for c in it:
+            if parent[c] != r:
+                c = find(c)
+                if c != r:
+                    parent[c] = r
+    root = [find(c) for c in range(col)]
+    room = [0] * col
+    for c in range(col):
+        if c not in dropped:
+            room[root[c]] += 1
     elim = SparseEliminator(budget)
-    for key in sorted(rows):
+    for key in sorted(rows, key=lambda k: k * _MIX & _MASK):
         row = rows[key]
+        r = root[next(iter(row))]
+        if not room[r]:
+            continue
         if fractional:
             row, _ = clear_denominators(row.items())
-        elim.add_row(row)
-    return elim.kernel_basis(col)
+        if elim.add_row(row):
+            room[r] -= 1
+    return elim.kernel_basis(col, dropped)
 
 
 # ---------------------------------------------------------------------------

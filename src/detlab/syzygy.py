@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .config import Budget, Config, ComputationTimeout, DEFAULT_CONFIG
 from .linalg import SparseEliminator, dense_rank, linear_relations
-from .groebner import (Ideal, hilbert_data, rees_ring, symmetric_algebra_ideal,
+from .groebner import (Ideal, hilbert_data, rees_ring,
                        _Entry, _buchberger, _pack_entries, _reduce_terms)
 from .polyring import MonomialOrder, Polynomial, Ring, _content_strip, clear_denominators, dot
 from .structmat import MinorLadder, PolyMatrix, _bareiss
@@ -509,16 +509,25 @@ def _y_products(forms: list[Polynomial], ydeg: int) -> list[tuple]:
     return out
 
 
-def _bigraded_kernel(forms: list[Polynomial], yprods: list[tuple], xdeg: int,
-                     budget: Budget | None) -> list[Polynomial]:
-    """The kernel of rees_bigraded_kernel from its y-products."""
-    ring = forms[0].ring
-    target = rees_ring(ring, len(forms))
-    xmonos = list(_monomials_of_degree(ring.nvars, xdeg))
+def _bigraded_relations(yprods: list[tuple], xmonos: list[tuple], budget: Budget | None,
+                        known: SparseEliminator | None = None) -> list[dict]:
+    """The relations among the products f^beta * x^alpha: column
+    beta * len(xmonos) + alpha, modulo the span of `known` (see
+    `linear_relations`)."""
     if budget is not None:
         budget.tick(len(yprods) * len(xmonos), "bigraded kernel assembly")
+    return linear_relations([acc for _, acc in yprods], xmonos, budget, known=known)
+
+
+def _bigraded_kernel(forms: list[Polynomial], yprods: list[tuple], xdeg: int,
+                     budget: Budget | None, known: SparseEliminator | None = None
+                     ) -> list[Polynomial]:
+    """The kernel of rees_bigraded_kernel from its y-products, as
+    polynomials in the y,x ring."""
+    target = rees_ring(forms[0].ring, len(forms))
+    xmonos = list(_monomials_of_degree(forms[0].ring.nvars, xdeg))
     out = []
-    for vec in linear_relations([acc for _, acc in yprods], xmonos, budget):
+    for vec in _bigraded_relations(yprods, xmonos, budget, known):
         terms: dict = {}
         for j, v in vec.items():
             beta, alpha = divmod(j, len(xmonos))
@@ -534,37 +543,40 @@ def rees_minimal_bidegree12(forms: list[Polynomial],
     """Minimal generators of the blowup ideal in bidegree (1,2).
 
     `linear_columns` spans the linear syzygies of the forms (the columns
-    of `linear_syzygies`).  Returns (new_generators, kernel_dim,
-    old_span_dim): the kernel of the (1,2) evaluation map modulo
-    y-multiples of syzygy forms and x-multiples of bidegree (0,2)
-    relations.
+    of `linear_syzygies`).  The old span of the (1,2) piece is that of the
+    y-multiples of the syzygy 1-forms, the x-multiples of the bidegree
+    (0,2) relations and the xy-multiples of the constant (0,1) relations.
+    It is eliminated first and passed to `linear_relations` as `known`, so
+    the kernel of the (1,2) evaluation map comes back as a basis of a
+    complement of the old span: those vectors are the new generators.
+    Returns (new_generators, kernel_dim, old_span_dim), where kernel_dim =
+    old_span_dim + len(new_generators).
     """
     config = config or DEFAULT_CONFIG
     b = budget or config.budget()
     ring = forms[0].ring
-    k = len(forms)
-    target = rees_ring(ring, k)
+    k, n = len(forms), ring.nvars
     quadrics = _y_products(forms, 2)
-    kernel = _bigraded_kernel(forms, quadrics, 1, b)
-    old: list[Polynomial] = []
-    for sigma in symmetric_algebra_ideal(forms, linear_columns).gens:
+    # column of y_i*y_j*x_v in the (1,2) piece, whose x-monomials are the
+    # unit vectors in order
+    quad = {beta: q for q, (beta, _) in enumerate(quadrics)}
+    yy = [[quad[tuple((t == i) + (t == j) for t in range(k))] * n for j in range(k)]
+          for i in range(k)]
+    zero = [(0,) * n]
+    old = SparseEliminator(b)
+
+    def add(items):
+        old.add_row(clear_denominators(items)[0])
+    for col in linear_columns:
         for j in range(k):
-            old.append(sigma * target.var(j))
-    for tau in _bigraded_kernel(forms, quadrics, 0, b):
-        for v in range(ring.nvars):
-            old.append(tau * target.var(k + v))
+            add((yy[i][j] + e.index(1), c) for i, a in enumerate(col) for e, c in a.terms.items())
+    for tau in _bigraded_relations(quadrics, zero, b):
+        for v in range(n):
+            add((q * n + v, c) for q, c in tau.items())
     # constant-coefficient linear relations would multiply in as well
-    for rho in rees_bigraded_kernel(forms, 0, 1, b):
-        for v in range(ring.nvars):
+    for rho in _bigraded_relations(_y_products(forms, 1), zero, b):
+        for v in range(n):
             for j in range(k):
-                old.append(rho * target.var(k + v) * target.var(j))
-    elim = SparseEliminator(b)
-    row_of = _span_rows()
-    for g in old:
-        elim.add_row(row_of(g.terms.items()))
-    old_dim = elim.rank
-    new_gens = []
-    for g in kernel:
-        if elim.add_row(row_of(g.terms.items())):
-            new_gens.append(g)
-    return new_gens, len(kernel), old_dim
+                add((yy[i][j] + v, c) for i, c in rho.items())
+    new_gens = _bigraded_kernel(forms, quadrics, 1, b, known=old)
+    return new_gens, old.rank + len(new_gens), old.rank

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from detlab.config import Budget
 from detlab.linalg import SparseEliminator, dense_det, dense_rank, linear_relations
 from detlab.modp import PRIME_61
-from detlab.polyring import Polynomial, xring
+from detlab.polyring import Polynomial, clear_denominators, xring
 from detlab.syzygy import _monomials_of_degree
 from oracles import dict_mul, fraction_kernel, fraction_rref, perm_sign
 
@@ -148,31 +148,74 @@ def test_sparse_eliminator_matches_fraction_rref(case):
 
 @st.composite
 def _poly_families(draw):
-    """Polynomials in two or three variables with integer or Fraction
-    coefficients, some of them multiples of others (low-rank products),
-    and the degree of the x-monomials they are multiplied by."""
-    nvars = draw(st.integers(2, 3))
+    """Polynomials with integer or Fraction coefficients, and the degree of
+    the x-monomials they are multiplied by.  Three shapes:
+
+    * "mixed": up to six polynomials in two or three variables, some of
+      them multiples of others (low-rank products);
+    * "split": polynomials in the disjoint variable pairs (x0, x1) and
+      (x2, x3), whose columns fall into several components;
+    * "full": one polynomial, whose products with distinct monomials are
+      independent, so the matrix reaches full column rank early.
+
+    Any of them may hold a zero polynomial: columns with no rows."""
+    shape = draw(st.sampled_from(["mixed", "split", "full"]))
+    nvars = 4 if shape == "split" else draw(st.integers(2, 3))
     R = xring(nvars)
-    exps = st.tuples(*[st.integers(0, 2)] * nvars)
     coeff = st.sampled_from([1, -1, 2, 3, -4, Fraction(1, 2), Fraction(-2, 3)])
-    polys = []
-    for _ in range(draw(st.integers(1, 4))):
-        terms = draw(st.dictionaries(exps, coeff, min_size=1, max_size=4))
-        polys.append(Polynomial(R, terms))
-    for _ in range(draw(st.integers(0, 2))):
-        a, b = draw(st.sampled_from(polys)), draw(st.sampled_from(polys))
-        polys.append(a * Polynomial(R, {draw(exps): draw(coeff)}) + b)
+
+    def poly(variables=range(nvars)):
+        exps = st.tuples(*[st.integers(0, 2) if i in variables else st.just(0)
+                           for i in range(nvars)])
+        return Polynomial(R, draw(st.dictionaries(exps, coeff, min_size=1, max_size=4)))
+    if shape == "split":
+        polys = [poly(draw(st.sampled_from([(0, 1), (2, 3)])))
+                 for _ in range(draw(st.integers(2, 4)))]
+    elif shape == "full":
+        polys = [poly()]
+    else:
+        polys = [poly() for _ in range(draw(st.integers(1, 4)))]
+        exps = st.tuples(*[st.integers(0, 2)] * nvars)
+        for _ in range(draw(st.integers(0, 2))):
+            a, b = draw(st.sampled_from(polys)), draw(st.sampled_from(polys))
+            polys.append(a * Polynomial(R, {draw(exps): draw(coeff)}) + b)
+    if draw(st.booleans()):
+        polys.insert(draw(st.integers(0, len(polys))), R.zero())
     return polys, list(_monomials_of_degree(nvars, draw(st.integers(0, 1))))
 
 
-@given(_poly_families())
-@settings(max_examples=100, deadline=None)
-def test_linear_relations_match_fraction_kernel(case):
-    polys, monos = case
+def _product_matrix(polys, monos):
+    """Dense rows of the products p * x^m, one column per product."""
     cols = [dict_mul(dict(p.terms), {m: 1}) for p in polys for m in monos]
     row_monos = sorted({e for col in cols for e in col})
-    dense = [[col.get(e, 0) for col in cols] for e in row_monos]
-    want = fraction_kernel(dense, len(cols))
-    got = _dense(linear_relations(polys, monos, Budget()), len(cols))
-    assert len(got) == len(want) and _same_span(got, want, len(cols))
+    return [[col.get(e, 0) for col in cols] for e in row_monos], len(cols)
 
+
+@given(_poly_families())
+@settings(max_examples=150, deadline=None)
+def test_linear_relations_match_fraction_kernel(case):
+    # the basis read off the RREF, in free-column order, is canonical: the
+    # component split and the full-rank stop must return exactly it
+    polys, monos = case
+    dense, ncols = _product_matrix(polys, monos)
+    got = _dense(linear_relations(polys, monos, Budget()), ncols)
+    assert got == fraction_kernel(dense, ncols)
+
+
+@given(_poly_families(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_linear_relations_modulo_known_relations(case, data):
+    polys, monos = case
+    dense, ncols = _product_matrix(polys, monos)
+    kernel = fraction_kernel(dense, ncols)
+    known = SparseEliminator(Budget())
+    for _ in range(data.draw(st.integers(0, len(kernel) + 1))):
+        mix = data.draw(st.lists(st.integers(-2, 2), min_size=len(kernel),
+                                 max_size=len(kernel)))
+        vec = [sum(a * v[c] for a, v in zip(mix, kernel)) for c in range(ncols)]
+        known.add_row(clear_denominators((c, x) for c, x in enumerate(vec) if x)[0])
+    got = linear_relations(polys, monos, Budget(), known=known)
+    assert len(got) == len(kernel) - known.rank
+    assert all(v.get(c, 0) == 0 for v in got for c in known.pivots)
+    assert _same_span(_dense(list(known.pivots.values()), ncols) + _dense(got, ncols),
+                      kernel, ncols)

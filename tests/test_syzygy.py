@@ -1,13 +1,15 @@
 """Linear syzygies, module syzygies, Fitting condition, Betti tables."""
 
+import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from detlab.config import Budget
-from detlab.groebner import Ideal, hilbert_data, rees_ring
-from detlab.polyring import dot, morph, xring
+from detlab.groebner import Ideal, hilbert_data, rees_ring, symmetric_algebra_ideal
+from detlab.linalg import SparseEliminator
+from detlab.polyring import clear_denominators, dot, morph, xring
 from detlab.structmat import build_structured, build_gp_associated, determinant, minors_ideal_gens
 from detlab.syzygy import (ModuleBasis, fitting_condition_F1, first_syzygy_module,
                            graded_betti, linear_syzygies, poly_matrix_rank,
@@ -326,8 +328,9 @@ def test_bigraded_kernel_veronese_relation():
 
 def test_bigraded_kernel_work_count_lock(monkeypatch):
     # the (1,2) kernel of the cat-4-2 partials: its dimension and its work,
-    # as counted before the one-pass elimination; a change to the row order
-    # or to what a "linear algebra" step is moves these numbers
+    # as counted with the component split and the full-rank stop; a change
+    # to the row order or to what a "linear algebra" step is moves these
+    # numbers
     ticks = {}
     tick = Budget.tick
 
@@ -338,16 +341,93 @@ def test_bigraded_kernel_work_count_lock(monkeypatch):
     _, _, p42 = partials_of("catalecticant", m=4, r=2)
     kernel = rees_bigraded_kernel(p42, 1, 2, Budget())
     assert len(kernel) == 62
-    assert ticks == {"bigraded kernel assembly": 550, "linear algebra": 23632}
+    assert ticks == {"bigraded kernel assembly": 550, "linear algebra": 19404}
+
+
+_BIDEGREE12_CASES = {
+    "cat-4-2": (("catalecticant", {"m": 4, "r": 2}), 2, 8),
+    "cat-4-3": (("catalecticant", {"m": 4, "r": 3}), 4, 12),
+    "cat-3-2": (("catalecticant", {"m": 3, "r": 2}), 0, None),
+    "hankel-4": (("hankel", {"m": 4}), 0, None),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _bidegree12(sid):
+    (kind, kw), _, _ = _BIDEGREE12_CASES[sid]
+    _, _, forms = partials_of(kind, **kw)
+    columns = linear_syzygies(forms)[0].columns
+    return forms, columns, rees_minimal_bidegree12(forms, columns)
+
+
+def _old_span_1_2(forms, columns):
+    """The (1,2) part that the syzygy 1-forms, the (0,2) relations and the
+    constant (0,1) relations generate, as polynomials in the y,x ring."""
+    T = rees_ring(forms[0].ring, len(forms))
+    k, n = len(forms), forms[0].ring.nvars
+    ys, xs = [T.var(j) for j in range(k)], [T.var(k + v) for v in range(n)]
+    sigmas = [sum((morph(a, T) * ys[i] for i, a in enumerate(col)), T.zero())
+              for col in columns]
+    return ([s * y for s in sigmas for y in ys]
+            + [t * x for t in rees_bigraded_kernel(forms, 0, 2) for x in xs]
+            + [r * x * y for r in rees_bigraded_kernel(forms, 0, 1) for x in xs for y in ys])
+
+
+def _span_rank(polys):
+    index, elim = {}, SparseEliminator()
+    for g in polys:
+        ints, _ = clear_denominators(g.terms.items())
+        elim.add_row({index.setdefault(e, len(index)): c for e, c in ints.items()})
+    return elim.rank
 
 
 def test_bidegree12_counts():
-    _, _, p42 = partials_of("catalecticant", m=4, r=2)
-    new, kdim, odim = rees_minimal_bidegree12(p42, linear_syzygies(p42)[0].columns)
-    assert len(new) == 2
-    _, _, p43 = partials_of("catalecticant", m=4, r=3)
-    new43, _, _ = rees_minimal_bidegree12(p43, linear_syzygies(p43)[0].columns)
-    assert len(new43) == 4
+    for sid, (_, count, _) in _BIDEGREE12_CASES.items():
+        _, _, (new, kdim, odim) = _bidegree12(sid)
+        assert len(new) == count and kdim == odim + count
+
+
+@pytest.mark.parametrize("sid", sorted(_BIDEGREE12_CASES))
+def test_bidegree12_generators_complement_the_old_span(sid):
+    # the new generators are relations (they vanish at y = f), independent
+    # modulo the old span, and with it they fill the whole (1,2) kernel
+    forms, columns, (new, kdim, odim) = _bidegree12(sid)
+    R = forms[0].ring
+    assert all(g.compose(forms + R.gens()).is_zero() for g in new)
+    old = _old_span_1_2(forms, columns)
+    assert _span_rank(old) == odim
+    assert _span_rank(old + new) == odim + len(new)
+    assert kdim == len(rees_bigraded_kernel(forms, 1, 2))
+
+
+@pytest.mark.parametrize("sid", ["cat-4-2", "cat-4-3"])
+def test_bidegree12_jacobian_dual_rank(sid):
+    from detlab.polar import jacobian_dual_rank
+    forms, columns, (new, _, _) = _bidegree12(sid)
+    sym = symmetric_algebra_ideal(forms, columns).gens
+    assert jacobian_dual_rank(forms, sym + new).rank == _BIDEGREE12_CASES[sid][2]
+
+
+def test_bidegree12_row_count_lock(monkeypatch):
+    # rows fed to the eliminator by the cat-4-3 (1,2) piece, its known span
+    # and the (0,2) and (0,1) pieces: the full-rank stop and the dropped
+    # known columns cut them from 20596; the count repeats exactly
+    from detlab import linalg
+    rows = []
+    add_row = linalg.SparseEliminator.add_row
+
+    def counting(self, row):
+        rows.append(1)
+        return add_row(self, row)
+    monkeypatch.setattr(linalg.SparseEliminator, "add_row", counting)
+    _, _, forms = partials_of("catalecticant", m=4, r=3)
+    columns = linear_syzygies(forms)[0].columns
+    counts = []
+    for _ in range(2):
+        rows.clear()
+        rees_minimal_bidegree12(forms, columns)
+        counts.append(len(rows))
+    assert counts == [2926, 2926]
 
 
 def test_poly_matrix_rank_random_products():
