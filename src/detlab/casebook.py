@@ -102,13 +102,13 @@ def _bool_fact(expected_desc, ok):
 
 def _build(kind, extras=None, **shape):
     """Scenario builder: the structured matrix, its determinant's polar
-    record (`form`) and gradient ideal (`J`); `extras(matrix)` returns the
-    scenario's own further entries."""
+    record (`form`) and the record's gradient ideal (`J`); `extras(matrix)`
+    returns the scenario's own further entries."""
     def build(config):
         M = build_structured(kind, **shape)
         form = polar.polar_data(determinant(M), config)
         ctx = {"config": config, "matrix": M, "ring": M.ring, "form": form,
-               "J": Ideal(M.ring, form.partials)}
+               "J": form.J}
         if extras is not None:
             ctx.update(extras(M))
         return ctx
@@ -159,8 +159,9 @@ def _hessian_multiplicity_fact(n, dual_dim, residual_degree):
     evaluated on lines, against `polar.expected_multiplicity(n, dual_dim)`
     and the degree of the residual factor."""
     def check(ctx):
-        f = ctx["form"].f
-        mr = polar.factor_multiplicity(f, polar.HessianDetOnLine(f), config=ctx["config"])
+        form = ctx["form"]
+        mr = polar.factor_multiplicity(form.f, polar.HessianDetOnLine(form),
+                                       config=ctx["config"])
         return _eq_fact((polar.expected_multiplicity(n, dual_dim), residual_degree),
                         (mr.value, mr.residual_degree))
     return check
@@ -438,43 +439,19 @@ def _cat43_facts():
         return _eq_fact(4, len(new))
 
     def jdual(ctx):
-        form = ctx["form"]
-        sym, new = form.blowup_equations()
-        jr = polar.jacobian_dual_rank(form.partials, sym + new, config=ctx["config"])
-        return _eq_fact(12, jr.rank)
+        return _eq_fact(12, ctx["form"].jacobian_dual().rank)
 
     def residual_square(ctx):
         # residual of the Hessian = (corner-variable 3x3 anti-diagonal
-        # determinant)^2 up to a scalar, by multi-point identity testing
-        from .modp import PRIME_61
-        from .linalg import dense_det
-        f = ctx["form"].f
-        R = ctx["ring"]
-        x = R.gens()
+        # determinant)^2 up to a nonzero scalar, by multi-point identity testing
+        x = ctx["ring"].gens()
         g = determinant(PolyMatrix(3, 3, [
             x[0], x[3], x[6], x[3], x[6], x[9], x[6], x[9], x[12]], "corner"),
             ctx["config"].budget())
-        p = PRIME_61
-        rng = ctx["config"].rng("cat43-residual")
-        H = ctx["form"].hessian
-        c = None
-        checked = 0
-        while checked < 20:
-            pt = [rng.randrange(0, p) for _ in range(13)]
-            fv, gv = f.evaluate(pt, p), g.evaluate(pt, p)
-            if not fv or not gv:
-                continue
-            hv = dense_det(H.evaluate(pt, p), p)
-            rhs = pow(fv, 5, p) * pow(gv, 2, p) % p
-            if c is None:
-                c = hv * pow(rhs, -1, p) % p
-                if c == 0:
-                    return "nonzero scalar", "zero Hessian sample", False
-            elif hv != c * rhs % p:
-                return "identity holds", f"fails at sample {checked}", False
-            checked += 1
+        form = ctx["form"]
+        out = polar.hessian_identity(form, [(form.f, 5), (g, 2)])
         return _bool_fact("Hessian = c * f^5 * (corner determinant)^2 at 20 points",
-                          True)
+                          out.holds and out.constant != 0)
 
     def colon_JP(ctx):
         GP = build_gp_associated(4, 3)
@@ -562,7 +539,7 @@ def _generic3_facts():
         return _bool_fact("matrix times adjugate is the determinant times identity", ok)
 
     def totally_hessian(ctx):
-        th = polar.totally_hessian_check(ctx["form"].f, config=ctx["config"])
+        th = polar.totally_hessian_check(ctx["form"])
         return _eq_fact((True, 3), (th.holds, th.exponent))
 
     return [
@@ -599,7 +576,7 @@ def _symmetric3_facts():
                           "the cofactor", ok)
 
     def totally_hessian(ctx):
-        th = polar.totally_hessian_check(ctx["form"].f, config=ctx["config"])
+        th = polar.totally_hessian_check(ctx["form"])
         return _eq_fact((True, 2), (th.holds, th.exponent))
 
     return [

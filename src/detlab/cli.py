@@ -68,6 +68,8 @@ def _load_matrix(args):
         with open(args.spec, encoding="utf-8") as fh:
             return parse_matrix_spec(fh.read())
     kind = args.kind
+    if kind is None:
+        raise ValueError("need --kind or --spec")
     if kind == "gp-associated":
         return build_gp_associated(args.m, args.r)
     return build_structured(kind, m=args.m, r=args.r, n=args.n)
@@ -101,6 +103,8 @@ def _read_forms(path: str, paths_sharing_ring: list[str] = ()):
         idx = [int(mm.group(1)) for ln in all_lines
                for mm in re.finditer(r"x(\d+)", ln)]
         nvars = max(idx) + 1 if idx else 1
+    if not lines:
+        raise ValueError(f"no forms in {path}")
     ring = xring(nvars)
     return [parse_polynomial(ring, ln) for ln in lines]
 
@@ -213,44 +217,39 @@ def _cmd_syz(args) -> int:
 def _cmd_polar(args) -> int:
     config = _config_from_args(args)
     M = _load_matrix(args)
+    if not (args.verdict or args.hessian_mult or args.invert or args.linear_rank):
+        print("polar: choose --verdict, --hessian-mult, --invert or --linear-rank",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
-        f = determinant(M, config.budget())
+        form = polar.polar_data(determinant(M, config.budget()), config)
         if args.verdict:
-            v = polar.homaloidal_verdict(polar.polar_data(f, config))
+            v = polar.homaloidal_verdict(form)
             payload = {"mode": "verdict",
                        **v.to_dict(no_timings=getattr(args, "no_timings", False))}
-            _emit(args, payload)
-            return EXIT_OK
-        if args.hessian_mult:
-            mr = polar.factor_multiplicity(f, polar.HessianDetOnLine(f), config=config)
-            _emit(args, {"mode": "hessian-mult", "multiplicity": mr.value,
-                         "certainty": mr.certainty,
-                         "residual_degree": mr.residual_degree,
-                         "per_line_bound": mr.per_line_bound, "seed": config.seed})
-            return EXIT_OK
-        if args.invert:
-            gs = _read_forms(args.invert)
-            partials = [f.diff(i) for i in range(f.ring.nvars)]
-            inv = polar.inversion_check(partials, gs)
-            _emit(args, {"mode": "invert", "is_inverse": inv.is_inverse,
-                         "factor": str(inv.factor) if inv.factor else None,
-                         "witness": inv.witness})
-            return EXIT_OK
-        if args.linear_rank:
-            partials = [f.diff(i) for i in range(f.ring.nvars)]
-            zero_idx = [i for i, p in enumerate(partials) if p.is_zero()]
-            nonzero = [p for p in partials if not p.is_zero()]
+        elif args.hessian_mult:
+            mr = polar.factor_multiplicity(form.f, polar.HessianDetOnLine(form),
+                                           config=config)
+            payload = {"mode": "hessian-mult", "multiplicity": mr.value,
+                       "certainty": mr.certainty, "residual_degree": mr.residual_degree,
+                       "per_line_bound": mr.per_line_bound, "seed": config.seed}
+        elif args.invert:
+            inv = polar.inversion_check(form.partials, _read_forms(args.invert))
+            payload = {"mode": "invert", "is_inverse": inv.is_inverse,
+                       "factor": str(inv.factor) if inv.factor else None,
+                       "witness": inv.witness}
+        else:
+            zero_idx = [i for i, p in enumerate(form.partials) if p.is_zero()]
+            nonzero = [p for p in form.partials if not p.is_zero()]
             syz, rank = linear_syzygies(nonzero, config=config)
-            _emit(args, {"mode": "linear-rank", "columns": len(syz.columns),
-                         "rank": rank.rank, "certainty": rank.certainty,
-                         "zero_partials": zero_idx})
-            return EXIT_OK
+            payload = {"mode": "linear-rank", "columns": len(syz.columns),
+                       "rank": rank.rank, "certainty": rank.certainty,
+                       "zero_partials": zero_idx}
     except ComputationTimeout:
         _emit(args, {"status": "timeout"})
         return EXIT_TIMEOUT
-    print("polar: choose --verdict, --hessian-mult, --invert or --linear-rank",
-          file=sys.stderr)
-    return EXIT_USAGE
+    _emit(args, payload)
+    return EXIT_OK
 
 
 def _cmd_hankel(args) -> int:

@@ -276,7 +276,7 @@ def integrality_check(H: PolyMatrix, form: polar.PolarMapData, P: Ideal,
     m = H.rows
     check_order("radical", m)
     config = form.config
-    J = Ideal(H.ring, form.partials)
+    J = form.J
     per_minor = []
     all_in = True
     for cols in itertools.combinations(range(1, m + 2), m - 1):
@@ -316,7 +316,7 @@ def reduction_conjecture_check(H: PolyMatrix, form: polar.PolarMapData, P: Ideal
     m = H.rows
     check_order("reduction", m, i)
     ring, config = H.ring, form.config
-    J = Ideal(ring, form.partials)
+    J = form.J
     t = m - 2 - i
     if t == 0:
         rhs = Ideal(ring, [ring.one()])

@@ -2,14 +2,17 @@
 its Hessian determinant, inversion factors, linear-type and Jacobian-dual
 birationality criteria, and the assembled homaloidal verdicts.
 
-`polar_data(f, config)` is the one record of a form's polar data: the
-partials, the Hessian matrix, and five readers computed once on first use
-(the Hessian determinant status, the linear syzygies with their rank, the
-blowup equations linear in x behind the Jacobian-dual criterion, the full
-first syzygy module of the partials, and the linear-type answer read off
-that module).  Casebook facts and `homaloidal_verdict`, the single verdict
-entry point, all read the same record, so no derived object is computed
-twice.
+`polar_data(f, config)` is the one record of a form's polar data and the
+only place where its derived objects are built: the partials, the Hessian
+matrix (the partials differentiated once more), the gradient ideal `J`,
+and six readers computed once on first use (the Hessian determinant
+status, the linear syzygies with their rank, the blowup equations linear
+in x, the rank of their Jacobian dual matrix, the full first syzygy module
+of the partials, and the linear-type answer read off that module).  Every
+Hessian analytic takes the record; casebook facts and `homaloidal_verdict`,
+the single verdict entry point, read the same record, so no derived object
+is computed twice.  `hessian_identity` is the one sampler for identities
+H(f) = c * prod g^e, the totally-Hessian test among them.
 
 Certainty discipline: an exact nonzero integer evaluation is a proof (a
 nonzero value mod p certifies a nonzero integer), probabilistic identity
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 from .config import Budget, Config, ComputationTimeout, DEFAULT_CONFIG
 from .linalg import dense_det
@@ -41,14 +45,16 @@ class PolarMapData:
     """The polar data of one form.
 
     The readers `hessian_status`, `linear_syzygies`, `blowup_equations`,
-    `syzygy_module` and `linear_type` compute on first use and keep the
-    result.  A reader runs under the budget of the caller that first asks;
-    when that call times out nothing is kept (nor a "Timeout" linear-type
-    answer), so the next caller computes afresh under its own budget.
+    `jacobian_dual`, `syzygy_module` and `linear_type` compute on first use
+    and keep the result.  A reader runs under the budget of the caller that
+    first asks; when that call times out nothing is kept (nor a "Timeout"
+    linear-type answer), so the next caller computes afresh under its own
+    budget.
     """
     f: Polynomial
     partials: list[Polynomial]
     hessian: PolyMatrix
+    J: Ideal = field(repr=False, compare=False)  # the gradient ideal
     n: int  # ambient projective dimension
     d: int  # degree of f
     config: Config
@@ -63,7 +69,7 @@ class PolarMapData:
         return value
 
     def hessian_status(self) -> HessianStatus:
-        return self._once("hessian", lambda: hessian_det_status(self.f, self.config))
+        return self._once("hessian", lambda: hessian_det_status(self))
 
     def linear_syzygies(self, budget: Budget | None = None):
         """(linear syzygy matrix of the partials, its rank)."""
@@ -80,6 +86,13 @@ class PolarMapData:
                                                   self.config)
             return symmetric_algebra_ideal(self.partials, syz.columns).gens, new12
         return self._once("blowup", compute)
+
+    def jacobian_dual(self, budget: Budget | None = None) -> RankResult:
+        """Rank of the Jacobian dual matrix of `blowup_equations`."""
+        def compute():
+            sym, new12 = self.blowup_equations(budget)
+            return jacobian_dual_rank(self.partials, sym + new12, self.config)
+        return self._once("jacobian-dual", compute)
 
     def syzygy_module(self, budget: Budget | None = None) -> GradedSyzygyMatrix:
         """Minimal generators of the first syzygy module of the partials."""
@@ -103,18 +116,10 @@ def polar_data(f: Polynomial, config: Config | None = None) -> PolarMapData:
         raise ValueError("need a homogeneous form of degree >= 2")
     nv = f.ring.nvars
     partials = [f.diff(i) for i in range(nv)]
-    return PolarMapData(f, partials, hessian(f), nv - 1, int(f.degree),
-                        config or DEFAULT_CONFIG)
-
-
-def hessian(f: Polynomial) -> PolyMatrix:
-    nv = f.ring.nvars
-    firsts = [f.diff(i) for i in range(nv)]
-    ents = []
-    for i in range(nv):
-        for j in range(nv):
-            ents.append(firsts[i].diff(j))
-    return PolyMatrix(nv, nv, ents, "hessian")
+    hessian = PolyMatrix(nv, nv, [p.diff(j) for p in partials for j in range(nv)],
+                         "hessian")
+    return PolarMapData(f, partials, hessian, Ideal(f.ring, partials), nv - 1,
+                        int(f.degree), config or DEFAULT_CONFIG)
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +142,13 @@ class HessianStatus:
     bound: float | None = None
 
 
-def hessian_det_status(f: Polynomial, config: Config | None = None) -> HessianStatus:
-    """Nonzero with an explicit certificate point, ProbablyZero with trial
-    counts over two primes, or ZeroCertificate by symbolic determinant."""
-    config = config or DEFAULT_CONFIG
-    H = hessian(f)
-    nv = f.ring.nvars
-    rng = config.rng("hessian-status")
+def hessian_det_status(form: PolarMapData) -> HessianStatus:
+    """Status of the determinant of the record's Hessian: 'nonzero' with an
+    explicit certificate point, 'probably_zero' with its trial count over
+    two primes and their bound, or 'zero' by the symbolic determinant."""
+    H = form.hessian
+    nv = H.cols
+    rng = form.config.rng("hessian-status")
     # an integer point with det != 0 mod p certifies a nonzero integer value
     for p in (PRIME_61, PRIME_61B):
         for _ in range(_HESSIAN_SEARCH_TRIALS // 2):
@@ -172,23 +177,22 @@ def hessian_det_status(f: Polynomial, config: Config | None = None) -> HessianSt
             if dense_det(H.evaluate(pt, p), p):
                 return HessianStatus("nonzero", point=pt, prime=p, trials=1)
             total += 1
-    deg = max(0, (f.degree - 2) * nv)
+    deg = max(0, (form.d - 2) * nv)
     bound = (deg / PRIME_61) ** total if deg else 0.0
     return HessianStatus("probably_zero", trials=total, bound=bound)
 
 
 class HessianDetOnLine:
-    """Line-evaluable Hessian determinant, for matrices too large to expand.
+    """Line-evaluable determinant of a record's Hessian, for matrices too
+    large to expand.
 
     The restriction to a line is recovered exactly over GF(p) by evaluating
     the numeric determinant at deg+1 interpolation nodes.
     """
 
-    def __init__(self, f: Polynomial):
-        self.f = f
-        self.matrix = hessian(f)
-        nv = f.ring.nvars
-        self.degree = (int(f.degree) - 2) * nv
+    def __init__(self, form: PolarMapData):
+        self.matrix = form.hessian
+        self.degree = (form.d - 2) * self.matrix.cols
 
     def restrict_to_line(self, base, direction, p: int) -> list[int]:
         """Coefficients mod p, lowest first, of the determinant on the line,
@@ -296,10 +300,12 @@ def expected_multiplicity(n: int, dual_dim: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# totally-Hessian test
+# Hessian identities
 
 @dataclass
 class TotallyHessianResult:
+    """Outcome of a Hessian identity test; `exponent` is the power of f
+    that the totally-Hessian test tried."""
     holds: bool
     exponent: int | None = None
     constant: object = None     # exact rational when determined
@@ -308,52 +314,57 @@ class TotallyHessianResult:
     reason: str = ""
 
 
-_TOTALLY_HESSIAN_TRIALS = 20  # sample points of the identity test
+_IDENTITY_TRIALS = 20  # sample points of a Hessian identity test
 
 
-def totally_hessian_check(f: Polynomial, config: Config | None = None) -> TotallyHessianResult:
-    """Probabilistic identity test for H(f) = c * f^((d-2)(n+1)/d)."""
-    config = config or DEFAULT_CONFIG
-    nv = f.ring.nvars
-    d = int(f.degree)
-    num = (d - 2) * nv
-    if d == 2:
-        k = 0
-    elif num % d:
-        return TotallyHessianResult(False, reason="exponent not integral")
-    else:
-        k = num // d
-    H = hessian(f)
-    rng = config.rng("totally-hessian")
-    # determine c exactly at an integer point with f != 0
+def hessian_identity(form: PolarMapData, factors) -> TotallyHessianResult:
+    """Probabilistic identity test for H(f) = c * prod g^e over the pairs
+    (g, e) of `factors`.
+
+    c is read exactly at a small integer point where no g vanishes, and the
+    identity is then sampled at points mod a ~2^61 prime where no g
+    vanishes.  A pass carries the Schwartz-Zippel bound of its samples."""
+    H = form.hessian
+    nv = H.cols
+    rng = form.config.rng("totally-hessian")
     c = None
     for _ in range(60):
         pt = [rng.randrange(-9, 10) for _ in range(nv)]
-        fv = f.evaluate(pt)
-        if not fv:
-            continue
-        hv = dense_det(H.evaluate(pt))
-        cand = Fraction(hv) / Fraction(fv) ** k
-        c = cand
-        break
+        vals = [g.evaluate(pt) for g, _ in factors]
+        if all(vals):
+            c = Fraction(dense_det(H.evaluate(pt))) / prod(
+                Fraction(v) ** e for v, (_, e) in zip(vals, factors))
+            break
     if c is None:
-        return TotallyHessianResult(False, reason="no point with f nonzero found")
+        return TotallyHessianResult(False, reason="no point with every factor nonzero found")
     p = PRIME_61
     cp = c.numerator % p * pow(c.denominator % p, -1, p) % p
     done = 0
-    while done < _TOTALLY_HESSIAN_TRIALS:
+    while done < _IDENTITY_TRIALS:
         pt = [rng.randrange(0, p) for _ in range(nv)]
-        fv = f.evaluate(pt, p)
-        if not fv:
+        vals = [g.evaluate(pt, p) for g, _ in factors]
+        if not all(vals):
             continue
-        hv = dense_det(H.evaluate(pt, p), p)
-        if hv != cp * pow(fv, k, p) % p:
-            return TotallyHessianResult(False, exponent=k, trials=done + 1,
+        rhs = cp * prod(pow(v, e, p) for v, (_, e) in zip(vals, factors)) % p
+        if dense_det(H.evaluate(pt, p), p) != rhs:
+            return TotallyHessianResult(False, trials=done + 1,
                                         reason="identity fails at a sample point")
         done += 1
-    deg = max((d - 2) * nv, d * k)
-    return TotallyHessianResult(True, exponent=k, constant=c, trials=done,
-                                bound=(deg / p) ** done)
+    deg = max((form.d - 2) * nv, sum(e * int(g.degree) for g, e in factors))
+    return TotallyHessianResult(True, constant=c, trials=done, bound=(deg / p) ** done)
+
+
+def totally_hessian_check(form: PolarMapData) -> TotallyHessianResult:
+    """Identity test for H(f) = c * f^((d-2)(n+1)/d), by `hessian_identity`."""
+    num = (form.d - 2) * form.hessian.cols
+    if num % form.d:
+        return TotallyHessianResult(False, reason="exponent not integral")
+    k = num // form.d
+    out = hessian_identity(form, [(form.f, k)])
+    if not out.trials:
+        return TotallyHessianResult(False, reason="no point with f nonzero found")
+    out.exponent = k
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +573,7 @@ def _verdict_pipeline(form, budget, candidate_inverse, try_linear_type,
             ev.append(Evidence("jacobian-dual-setup",
                                f"{len(sym)} linear + {len(new12)} "
                                "quadratic blowup equations", "proved"))
-            jr = jacobian_dual_rank(partials, sym + new12, config)
+            jr = form.jacobian_dual(budget)
             ev.append(Evidence("jacobian-dual-rank", f"{jr.rank} of required {n}",
                                jr.certainty))
             if jr.rank == n:
@@ -570,7 +581,7 @@ def _verdict_pipeline(form, budget, candidate_inverse, try_linear_type,
 
     if try_saturation_obstruction:
         try:
-            J = Ideal(f.ring, partials)
+            J = form.J
             m = Ideal(f.ring, f.ring.gens())
             sat, _steps = saturation(J, m, budget, config)
             low = None

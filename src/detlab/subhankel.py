@@ -212,7 +212,7 @@ def resolution_and_ass_check(form: polar.PolarMapData,
     the resolution starts from the record's syzygy module."""
     n, ring, config = form.n, form.f.ring, form.config
     _check_order("resolution", n, "resolution check")
-    J = Ideal(ring, form.partials)
+    J = form.J
     details: dict = {}
     ok = True
 

@@ -98,7 +98,8 @@ def test_criterion_2_cat32_suite():
     R = C.ring
     x = R.gens()
     from detlab.linalg import dense_det
-    H = polar.hessian(f)
+    form = polar.polar_data(f, CFG)
+    H = form.hessian
     assert dense_det(H.evaluate([0, 0, 1, 0, 0, 1, 1])) == 8
 
     GP = build_gp_associated(3, 2)
@@ -118,7 +119,6 @@ def test_criterion_2_cat32_suite():
     assert rank.per_trial_bound < 2 ** -40     # stated probabilistic bound
     assert rank.certainty == "proved"          # exact confirmation
 
-    form = polar.polar_data(f, CFG)
     assert polar.homaloidal_verdict(form).status == "Homaloidal"
     assert form.linear_type().status == "LinearType"
 
@@ -140,12 +140,12 @@ def test_criterion_3_generic_symmetric():
     adj = cofactor_matrix(G)
     assert determinant(adj) == f ** 2
 
-    th = polar.totally_hessian_check(f, config=CFG)
+    th = polar.totally_hessian_check(polar.polar_data(f, CFG))
     assert th.holds and th.exponent == 3
     assert th.trials == 20 and th.bound < 1e-12
 
     Ssym, fs, ps = _partials("symmetric", m=3)
-    ths = polar.totally_hessian_check(fs, config=CFG)
+    ths = polar.totally_hessian_check(polar.polar_data(fs, CFG))
     assert ths.holds and ths.exponent == 2 and ths.bound < 1e-12
 
     elapsed = time.monotonic() - t0
@@ -160,7 +160,8 @@ def test_criterion_4_parabolism_multiplicities():
              ("catalecticant", {"m": 4, "r": 2}, 2)]
     for kind, kw, want in cases:
         _, f, _ = _partials(kind, **kw)
-        mr = polar.factor_multiplicity(f, polar.HessianDetOnLine(f), config=CFG)
+        mr = polar.factor_multiplicity(f, polar.HessianDetOnLine(polar.polar_data(f, CFG)),
+                                       config=CFG)
         assert mr.value == want, (kind, kw)
         assert mr.lines_used == 3
         assert mr.per_line_bound < 2 ** -30
@@ -175,7 +176,7 @@ def test_criterion_4_parabolism_multiplicities():
     corner = PolyMatrix(3, 3, [x[0], x[3], x[6], x[3], x[6], x[9],
                                x[6], x[9], x[12]], "corner")
     g = determinant(corner)
-    H = polar.hessian(f)
+    H = polar.polar_data(f, CFG).hessian
     p = PRIME_61
     rng = CFG.rng("acceptance-c43-residual")
     c = None
@@ -268,7 +269,7 @@ def test_criterion_6_cat4_long_suite():
 def test_criterion_7_degenerations():
     t0 = time.monotonic()
     _, fdg, _ = _partials("degenerate-generic", m=3)
-    st = polar.hessian_det_status(fdg, config=CFG)
+    st = polar.hessian_det_status(polar.polar_data(fdg, CFG))
     assert st.kind in ("zero", "probably_zero")
     if st.kind == "probably_zero":
         assert st.trials >= 50  # across two primes
@@ -276,14 +277,14 @@ def test_criterion_7_degenerations():
     _, fsc, psc = _partials("sc3")
     syz, rank = linear_syzygies(psc, config=CFG)
     assert len(syz.columns) == 7 and rank.rank == 5
-    det = determinant(polar.hessian(fsc))
+    H = polar.polar_data(fsc, CFG).hessian
+    det = determinant(H)
     assert len(det.terms) == 1
     (exp, coeff), = det.terms.items()
     assert exp == (0, 0, 0, 0, 6, 0) and coeff != 0
     # identity test agrees with the symbolic value
     from detlab.modp import PRIME_61
     rng = CFG.rng("acceptance-sc3")
-    H = polar.hessian(fsc)
     from detlab.linalg import dense_det
     for _ in range(20):
         pt = [rng.randrange(0, PRIME_61) for _ in range(6)]

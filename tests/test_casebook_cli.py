@@ -143,14 +143,36 @@ _HANKEL_LOCK = ["star-m3", "star-m4", "golberg-m4", "plucker-m4", "radical-m3",
                 "radical-m4", "reduction-m3-i0", "reduction-m3-i1"]
 
 
-@pytest.mark.parametrize("name", _HANKEL_LOCK)
-def test_cli_hankel_matches_the_recorded_output(name):
-    reference = ROOT / "tests" / "reference" / f"hankel-{name}.json"
+def _assert_matches_the_recorded_call(reference_name):
+    """Rerun a recorded call: same exit code and stderr, and the same stdout,
+    stored parsed (None for none) and printed in the CLI's own layout."""
+    reference = ROOT / "tests" / "reference" / f"{reference_name}.json"
     ref = json.loads(reference.read_text(encoding="utf-8"))
     proc = run_cli_default_config(ref["argv"])
     assert (proc.returncode, proc.stderr) == (ref["exit"], ref["stderr"])
     want = ref["stdout"]
     assert proc.stdout == ("" if want is None else json.dumps(want, sort_keys=True, indent=2) + "\n")
+
+
+@pytest.mark.parametrize("name", _HANKEL_LOCK)
+def test_cli_hankel_matches_the_recorded_output(name):
+    _assert_matches_the_recorded_call(f"hankel-{name}")
+
+
+# `polar --json` calls recorded in the same layout: the Hessian
+# multiplicity, the linear rank and the inversion test on the Hankel and
+# two-leap forms (each candidate inverse is the form's own partials), the
+# generic form's own inverse, a candidate of the wrong length, a zero
+# partial, and a call that chooses no mode
+_POLAR_LOCK = [f"{mode}-{form}" for mode in ("hessian-mult", "linear-rank", "invert")
+               for form in ("hankel-3", "hankel-4", "catalecticant-3-2")] + \
+    ["invert-generic-3", "invert-hankel-3-short", "linear-rank-sc3",
+     "linear-rank-generic-3-zero-corner", "no-mode-hankel-3"]
+
+
+@pytest.mark.parametrize("name", _POLAR_LOCK)
+def test_cli_polar_matches_the_recorded_output(name):
+    _assert_matches_the_recorded_call(f"polar-{name}")
 
 
 # `ideal --json` calls on the pairs in tests/reference/ideal-inputs, one
@@ -163,11 +185,7 @@ _IDEAL_LOCK = [f"{op}-{pair}" for op in ("intersect", "colon", "sat")
 
 @pytest.mark.parametrize("name", _IDEAL_LOCK)
 def test_cli_ideal_matches_the_recorded_output(name):
-    reference = ROOT / "tests" / "reference" / f"ideal-{name}.json"
-    ref = json.loads(reference.read_text(encoding="utf-8"))
-    proc = run_cli_default_config(ref["argv"])
-    assert (proc.returncode, proc.stderr) == (ref["exit"], ref["stderr"])
-    assert proc.stdout == json.dumps(ref["stdout"], sort_keys=True, indent=2) + "\n"
+    _assert_matches_the_recorded_call(f"ideal-{name}")
 
 
 def test_cli_hankel_star_refuses_order_zero(capsys):
@@ -267,19 +285,26 @@ def test_cli_usage_error_exit_two():
     assert code == 2
     code2, _, err = run_cli(["bogus-command"])
     assert code2 == 2
+    for args in (["polar", "--verdict"], ["matrix", "--det"]):
+        code, out, err = run_cli(args)
+        assert (code, out, err) == (2, "", "error: need --kind or --spec\n")
 
 
-@pytest.mark.parametrize("args,message", [
-    (["--op", "member"], "--f"), (["--op", "radmember"], "--f"),
-    (["--op", "colon"], "--other"), (["--op", "sat"], "--other"),
-    (["--op", "intersect"], "--other"), (["--op", "eliminate"], "--keep"),
-    (["--op", "eliminate", "--keep", "9"], "out of range"),
-    (["--op", "eliminate", "--keep=-1"], "out of range"),
+_GENS = "x0^2\nx0*x1\n"
+
+
+@pytest.mark.parametrize("args,message,text", [
+    (["--op", "member"], "--f", _GENS), (["--op", "radmember"], "--f", _GENS),
+    (["--op", "colon"], "--other", _GENS), (["--op", "sat"], "--other", _GENS),
+    (["--op", "intersect"], "--other", _GENS), (["--op", "eliminate"], "--keep", _GENS),
+    (["--op", "eliminate", "--keep", "9"], "out of range", _GENS),
+    (["--op", "eliminate", "--keep=-1"], "out of range", _GENS),
+    (["--op", "gb"], "no forms in", "# nothing but a comment\n"),
 ], ids=["member", "radmember", "colon", "sat", "intersect", "eliminate",
-        "keep-past-the-last", "keep-negative"])
-def test_cli_ideal_usage_errors_exit_two(tmp_path, capsys, args, message):
+        "keep-past-the-last", "keep-negative", "no-forms"])
+def test_cli_ideal_usage_errors_exit_two(tmp_path, capsys, args, message, text):
     gens = tmp_path / "g.txt"
-    gens.write_text("x0^2\nx0*x1\n")
+    gens.write_text(text)
     assert cli_main(["ideal", *args, "--gens", str(gens)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
@@ -433,6 +458,57 @@ def test_dg3_hessian_status_computed_once(monkeypatch):
     monkeypatch.setattr(polar, "hessian_det_status", counting)
     assert run_scenario("dg-3", config=Config(seed=5)).verdict == "pass"
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("sid", sorted(s["id"] for s in list_scenarios()))
+def test_scenario_builds_one_hessian(monkeypatch, sid):
+    # every Hessian analytic reads the matrix of the scenario's polar record
+    from detlab.structmat import PolyMatrix
+    builds = []
+    init = PolyMatrix.__init__
+
+    def counting_init(self, rows, cols, entries, provenance="custom"):
+        if provenance == "hessian":
+            builds.append(rows)
+        init(self, rows, cols, entries, provenance)
+    monkeypatch.setattr(PolyMatrix, "__init__", counting_init)
+    assert run_scenario(sid, config=Config(seed=5)).verdict == "pass"
+    assert len(builds) == 1
+
+
+def test_cat43_jacobian_dual_rank_computed_once(monkeypatch):
+    # the jacobian-dual fact and the verdict read the record's rank
+    from detlab import polar
+    calls = []
+    original = polar.jacobian_dual_rank
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(polar, "jacobian_dual_rank", counting)
+    assert run_scenario("cat-4-3", config=Config(seed=5)).verdict == "pass"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("sid", ["hankel-3", "hankel-4", "subhankel-3", "subhankel-4",
+                                 "subhankel-5"])
+def test_gradient_ideal_built_once(monkeypatch, sid):
+    # the casebook, the Hankel and sub-Hankel checks and the verdict read
+    # the gradient ideal the record holds
+    from detlab.groebner import Ideal
+    generators = []
+    init = Ideal.__init__
+
+    def counting_init(self, ring, gens):
+        gens = list(gens)
+        generators.append(gens)
+        init(self, ring, gens)
+    monkeypatch.setattr(Ideal, "__init__", counting_init)
+    assert run_scenario(sid, config=Config(seed=5)).verdict == "pass"
+    seen = list(generators)
+    monkeypatch.undo()
+    partials = registry()[sid].build(Config(seed=5))["form"].partials
+    assert seen.count(partials) == 1
 
 
 @pytest.mark.parametrize("sid", ["hankel-3", "subhankel-3", "subhankel-4", "cat-3-2"])

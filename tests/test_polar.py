@@ -1,12 +1,14 @@
 """Polar-map analytics: gradients, Hessians, multiplicities, inversion,
 linear type, Jacobian duals, and verdict assembly."""
 
+import dataclasses
+
 import pytest
 
 from detlab.config import Config
 from detlab.polyring import Ring, xring
 from detlab.groebner import Ideal, symmetric_algebra_ideal
-from detlab.structmat import build_structured, determinant, cofactor_matrix
+from detlab.structmat import PolyMatrix, build_structured, determinant, cofactor_matrix
 from detlab.syzygy import first_syzygy_module, linear_syzygies, rees_minimal_bidegree12
 from detlab import polar
 
@@ -76,22 +78,22 @@ def test_hessian_symmetric_and_euler():
 def test_hessian_status_certificates():
     # nonzero with explicit point
     _, f, _ = det_and_partials("catalecticant", m=3, r=2)
-    st = polar.hessian_det_status(f)
+    st = polar.hessian_det_status(polar.polar_data(f))
     assert st.kind == "nonzero" and st.point is not None
     # single-variable square: Hessian is the constant 2
     R1 = Ring(("x0",))
-    st2 = polar.hessian_det_status(R1.from_string("x0^2"))
+    st2 = polar.hessian_det_status(polar.polar_data(R1.from_string("x0^2")))
     assert st2.kind == "nonzero"
     # vanishing Hessian of the degenerate generic matrix
     _, fdg, _ = det_and_partials("degenerate-generic", m=3)
-    st3 = polar.hessian_det_status(fdg)
+    st3 = polar.hessian_det_status(polar.polar_data(fdg))
     assert st3.kind in ("zero", "probably_zero")
 
 
 def test_cat32_hessian_point_value_eight():
     from detlab.linalg import dense_det
     _, f, _ = det_and_partials("catalecticant", m=3, r=2)
-    H = polar.hessian(f)
+    H = polar.polar_data(f).hessian
     assert dense_det(H.evaluate([0, 0, 1, 0, 0, 1, 1])) == 8
 
 
@@ -108,7 +110,7 @@ def test_factor_multiplicity_pure_power():
 
 def test_factor_multiplicity_hankel3():
     _, f, _ = det_and_partials("hankel", m=3)
-    Hf = determinant(polar.hessian(f))
+    Hf = determinant(polar.polar_data(f).hessian)
     res = polar.factor_multiplicity(f, Hf)
     assert res.value == 1 and res.certainty == "proved"
     assert res.residual_degree == 2
@@ -118,7 +120,7 @@ def test_factor_multiplicity_hankel3():
 
 def test_factor_multiplicity_line_protocol_hankel4():
     _, f, _ = det_and_partials("hankel", m=4)
-    res = polar.factor_multiplicity(f, polar.HessianDetOnLine(f))
+    res = polar.factor_multiplicity(f, polar.HessianDetOnLine(polar.polar_data(f)))
     assert res.value == 2
     assert res.lines_used == 3
     assert res.per_line_bound < 2 ** -30
@@ -134,7 +136,7 @@ def test_hessian_on_line_matches_nodewise_evaluation(kind, shape):
     from detlab.linalg import dense_det
     from detlab.modp import PRIME_61, uinterpolate
     _, f, _ = det_and_partials(kind, **shape)
-    H = polar.HessianDetOnLine(f)
+    H = polar.HessianDetOnLine(polar.polar_data(f))
     rng, p = random.Random(2024), PRIME_61
     base = [rng.randrange(p) for _ in range(f.ring.nvars)]
     direction = [rng.randrange(1, p) for _ in range(f.ring.nvars)]
@@ -149,10 +151,10 @@ def test_hessian_on_line_matches_nodewise_evaluation(kind, shape):
 
 def test_factor_multiplicity_big_catalecticants():
     _, f43, _ = det_and_partials("catalecticant", m=4, r=3)
-    res = polar.factor_multiplicity(f43, polar.HessianDetOnLine(f43))
+    res = polar.factor_multiplicity(f43, polar.HessianDetOnLine(polar.polar_data(f43)))
     assert res.value == 5
     _, f42, _ = det_and_partials("catalecticant", m=4, r=2)
-    res2 = polar.factor_multiplicity(f42, polar.HessianDetOnLine(f42))
+    res2 = polar.factor_multiplicity(f42, polar.HessianDetOnLine(polar.polar_data(f42)))
     assert res2.value == 2
 
 
@@ -179,7 +181,7 @@ def test_expected_multiplicity():
 
 def test_totally_hessian_generic3():
     _, f, _ = det_and_partials("generic", m=3)
-    th = polar.totally_hessian_check(f)
+    th = polar.totally_hessian_check(polar.polar_data(f))
     assert th.holds and th.exponent == 3
     # constant determined exactly from an integer point (oracle-checked)
     assert th.constant == -2
@@ -188,21 +190,21 @@ def test_totally_hessian_generic3():
 
 def test_totally_hessian_symmetric3():
     _, f, _ = det_and_partials("symmetric", m=3)
-    th = polar.totally_hessian_check(f)
+    th = polar.totally_hessian_check(polar.polar_data(f))
     assert th.holds and th.exponent == 2
     assert th.constant == -16
 
 
 def test_totally_hessian_fails_hankel3():
     _, f, _ = det_and_partials("hankel", m=3)
-    th = polar.totally_hessian_check(f)
+    th = polar.totally_hessian_check(polar.polar_data(f))
     assert not th.holds
 
 
 def test_totally_hessian_quadric_exponent_zero():
     R = xring(3)
     f = R.from_string("x0*x2 - x1^2")
-    th = polar.totally_hessian_check(f)
+    th = polar.totally_hessian_check(polar.polar_data(f))
     assert th.holds and th.exponent == 0
 
 
@@ -211,8 +213,68 @@ def test_totally_hessian_structural_failure():
     R = xring(3)
     f = R.from_string("x0^2*x1 + x1^2*x2")  # d=3, n+1=3: (1)(3)/3 = 1 integral
     f = R.from_string("x0^4 + x1^4 + x2^4")  # d=4, (2)(3)/4 = 3/2
-    th = polar.totally_hessian_check(f)
+    th = polar.totally_hessian_check(polar.polar_data(f))
     assert not th.holds and "integral" in th.reason
+
+
+def _totally_hessian_input(name):
+    R = xring(3)
+    if name == "quadric":
+        return R.from_string("x0*x2 - x1^2")
+    if name == "quartic":
+        return R.from_string("x0^4 + x1^4 + x2^4")
+    kind, m = name.rsplit("-", 1)
+    return det_and_partials(kind, m=int(m))[1]
+
+
+# every field of the result on the inputs above, as the test sampled them
+# before it shared its sampler with the other Hessian identities
+@pytest.mark.parametrize("name,fields", [
+    ("generic-3", (True, 3, -2, 20, 0.0, "")),
+    ("symmetric-3", (True, 2, -16, 20, 0.0, "")),
+    ("hankel-3", (False, None, None, 0, None, "exponent not integral")),
+    ("quadric", (True, 0, 2, 20, 0.0, "")),
+    ("quartic", (False, None, None, 0, None, "exponent not integral")),
+])
+def test_totally_hessian_result_fields(name, fields):
+    th = polar.totally_hessian_check(polar.polar_data(_totally_hessian_input(name)))
+    assert dataclasses.astuple(th) == fields
+
+
+def test_totally_hessian_without_a_sample_point(monkeypatch):
+    # every drawn point is the origin, where f vanishes
+    class Origin:
+        def randrange(self, *args):
+            return 0
+    monkeypatch.setattr(Config, "rng", lambda self, tag: Origin())
+    th = polar.totally_hessian_check(polar.polar_data(_totally_hessian_input("generic-3")))
+    assert dataclasses.astuple(th) == (False, None, None, 0, None,
+                                       "no point with f nonzero found")
+
+
+@pytest.mark.parametrize("name,k,constant", [("generic-3", 3, -2), ("symmetric-3", 2, -16)])
+def test_hessian_identity_pure_powers(name, k, constant):
+    f = _totally_hessian_input(name)
+    out = polar.hessian_identity(polar.polar_data(f), [(f, k)])
+    assert out.holds and out.constant == constant
+    assert out.trials == 20 and out.bound < 1e-12
+
+
+@pytest.mark.parametrize("exponents,holds", [((5, 2), True), ((4, 2), False),
+                                             ((5, 1), False)])
+def test_hessian_identity_cat43_residual(exponents, holds):
+    # H(f) = c * f^5 * g^2 with g the corner-variable anti-diagonal
+    # determinant; the wrong exponents are negative controls
+    C, f, _ = det_and_partials("catalecticant", m=4, r=3)
+    x = C.ring.gens()
+    g = determinant(PolyMatrix(3, 3, [x[0], x[3], x[6], x[3], x[6], x[9],
+                                      x[6], x[9], x[12]]))
+    out = polar.hessian_identity(polar.polar_data(f), [(f, exponents[0]), (g, exponents[1])])
+    assert out.holds == holds
+    if holds:
+        assert out.constant != 0 and out.trials == 20 and out.bound < 1e-12
+    else:
+        assert out.reason == "identity fails at a sample point"
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +356,15 @@ def test_jacobian_dual_cat43_rank_twelve():
     new12, _, _ = rees_minimal_bidegree12(partials, syz.columns)
     res = polar.jacobian_dual_rank(partials, sym.gens + new12)
     assert res.rank == 12
+
+
+def test_record_reads_its_jacobian_dual_and_holds_its_gradient_ideal():
+    _, f, partials = det_and_partials("catalecticant", m=4, r=3)
+    form = polar.polar_data(f)
+    jd = form.jacobian_dual()
+    assert jd.rank == 12 and form.jacobian_dual() is jd
+    assert form.J.gens == partials and form.J.ring == f.ring
+    assert "J=" not in repr(form)
 
 
 def test_jacobian_dual_cat32_linear_only():

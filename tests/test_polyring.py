@@ -123,10 +123,10 @@ def test_hessian_quotient_of_hankel3_determinant():
     # the Hessian determinant of the 3x3 anti-diagonal determinant equals
     # the form times a quadric (the middle partial up to coordinates)
     from detlab.structmat import build_structured, determinant
-    from detlab.polar import hessian
+    from detlab.polar import polar_data
     H = build_structured("hankel", m=3)
     f = determinant(H)
-    Hf = determinant(hessian(f))
+    Hf = determinant(polar_data(f).hessian)
     q = exact_divide(Hf, f)
     assert q is not NOT_DIVISIBLE
     assert q.degree == 2

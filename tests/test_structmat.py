@@ -11,7 +11,7 @@ from detlab.structmat import (PolyMatrix, build_structured, build_gp_associated,
                               parse_matrix_spec,
                               minor, MinorLadder, _bareiss)
 from detlab.config import Budget, ComputationTimeout
-from detlab.polar import hessian
+from detlab.polar import polar_data
 from oracles import hankel_entry_dicts, leibniz_det
 
 
@@ -120,7 +120,7 @@ def test_det_methods_agree():
         ("hankel", {"m": 3}), ("hankel", {"m": 4}), ("catalecticant", {"m": 3, "r": 2}),
         ("sub-hankel", {"n": 4}), ("generic", {"m": 3}), ("symmetric", {"m": 3}))]
     # the casebook's symbolic Hessians (dg-3's is zero) and generic-3 adjugate
-    hessians = [hessian(determinant(build_structured(kind, **kw))) for kind, kw in (
+    hessians = [polar_data(determinant(build_structured(kind, **kw))).hessian for kind, kw in (
         ("hankel", {"m": 3}), ("catalecticant", {"m": 3, "r": 2}), ("sc3", {}),
         ("degenerate-generic", {"m": 3}))]
     assert determinant(hessians[-1]).is_zero()
