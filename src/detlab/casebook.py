@@ -6,6 +6,10 @@ stored: `<scenario id>/<fact id>`.
 
 Conjectural facts are report-only: a timeout keeps the suite green, a
 proved contradiction fails it.
+
+Each fact runs under one Budget, `ctx["budget"]`, from the scenario's
+config: the deadline and the step cap bound the whole fact, and every
+computation below it reads the GB cache directory from that budget.
 """
 
 from __future__ import annotations
@@ -100,6 +104,11 @@ def _bool_fact(expected_desc, ok):
     return expected_desc, expected_desc if ok else f"NOT({expected_desc})", bool(ok)
 
 
+def _status_fact(expected, status):
+    """A check's status against the expected one; "Timeout" is a timeout."""
+    return expected, status, "timeout" if status == "Timeout" else status == expected
+
+
 def _build(kind, extras=None, **shape):
     """Scenario builder: the structured matrix, its determinant's polar
     record (`form`) and the record's gradient ideal (`J`); `extras(matrix)`
@@ -107,8 +116,7 @@ def _build(kind, extras=None, **shape):
     def build(config):
         M = build_structured(kind, **shape)
         form = polar.polar_data(determinant(M), config)
-        ctx = {"config": config, "matrix": M, "ring": M.ring, "form": form,
-               "J": form.J}
+        ctx = {"matrix": M, "ring": M.ring, "form": form, "J": form.J}
         if extras is not None:
             ctx.update(extras(M))
         return ctx
@@ -128,7 +136,8 @@ def _verdict_fact(expected, accepted=None, full=False, inverse=False):
 
     def check(ctx):
         form = ctx["form"]
-        v = polar.homaloidal_verdict(form, candidate_inverse=form.partials if inverse else None,
+        v = polar.homaloidal_verdict(form, ctx["budget"],
+                                     candidate_inverse=form.partials if inverse else None,
                                      try_linear_type=full, try_saturation_obstruction=full)
         if v.status not in accepted and any(e.certainty == "timeout" for e in v.evidence):
             return expected, v.status, "timeout"
@@ -139,18 +148,56 @@ def _verdict_fact(expected, accepted=None, full=False, inverse=False):
 def _linear_type_fact(ctx):
     """Check that the gradient ideal is of linear type, read off the
     scenario's polar record; a timeout is a timeout, not a contradiction."""
-    out = ctx["form"].linear_type()
-    if out.status == "Timeout":
-        return "LinearType", "Timeout", "timeout"
-    return "LinearType", out.status, out.status == "LinearType"
+    return _status_fact("LinearType", ctx["form"].linear_type(ctx["budget"]).status)
 
 
 def _linear_rank_fact(want):
     """Check of the linear rank of the partials, read off the scenario's
     polar record."""
     def check(ctx):
-        _, rank = ctx["form"].linear_syzygies()
+        _, rank = ctx["form"].linear_syzygies(ctx["budget"])
         return _eq_fact(want, rank.rank)
+    return check
+
+
+def _multiplicity_fact(key, mult, codim=None):
+    """Check of the multiplicity of R/ctx[key] and, given `codim`, its codimension."""
+    def check(ctx):
+        hd = hilbert_data(ctx[key], budget=ctx["budget"])
+        if codim is None:
+            return _eq_fact(mult, hd.multiplicity)
+        return _eq_fact((mult, codim), (hd.multiplicity, ctx["ring"].nvars - hd.dimension))
+    return check
+
+
+def _radical_fact(ctx):
+    """Check that the radical of the gradient ideal is the minor ideal P."""
+    rep = integrality_check(ctx["matrix"], ctx["form"], ctx["P"], ctx["budget"])
+    return _bool_fact("radical of gradient ideal = submaximal minors", rep.passed)
+
+
+def _reduction_fact(i):
+    """Check of colon filtration step i; a timeout is not a contradiction."""
+    def check(ctx):
+        out = reduction_conjecture_check(ctx["matrix"], ctx["form"], ctx["P"], i,
+                                         ctx["budget"])
+        return _status_fact("Equal", out.status)
+    return check
+
+
+def _bidegree12_fact(want):
+    """Check of the count of new minimal bidegree-(1,2) blowup equations."""
+    def check(ctx):
+        _, new = ctx["form"].blowup_equations(ctx["budget"])
+        return _eq_fact(want, len(new))
+    return check
+
+
+def _totally_hessian_fact(exponent):
+    """Check that the Hessian is a scalar times the form to `exponent`."""
+    def check(ctx):
+        th = polar.totally_hessian_check(ctx["form"])
+        return _eq_fact((True, exponent), (th.holds, th.exponent))
     return check
 
 
@@ -161,7 +208,7 @@ def _hessian_multiplicity_fact(n, dual_dim, residual_degree):
     def check(ctx):
         form = ctx["form"]
         mr = polar.factor_multiplicity(form.f, polar.HessianDetOnLine(form),
-                                       config=ctx["config"])
+                                       config=form.config)
         return _eq_fact((polar.expected_multiplicity(n, dual_dim), residual_degree),
                         (mr.value, mr.residual_degree))
     return check
@@ -171,16 +218,11 @@ def _hessian_multiplicity_fact(n, dual_dim, residual_degree):
 # scenario: hankel-3
 
 def _hankel3_facts():
-    def mult_P(ctx):
-        hd = hilbert_data(ctx["P"], config=ctx["config"])
-        got = (hd.multiplicity, ctx["ring"].nvars - hd.dimension)
-        return _eq_fact((4, 3), got)
-
     def artinian(ctx):
         S = Ring(("x1", "x2", "x3"))
         gens = [S.from_string(s) for s in
                 ("x1^2", "x1*x2", "x2^2", "x2*x3", "x3^2")]
-        hd = hilbert_data(Ideal(S, gens), config=ctx["config"])
+        hd = hilbert_data(Ideal(S, gens), budget=ctx["budget"])
         return _eq_fact((0, 5), (hd.dimension, hd.multiplicity))
 
     def initial_terms(ctx):
@@ -190,32 +232,19 @@ def _hankel3_facts():
         want = (R.from_string("x3^2"), R.from_string("x2^2"), R.from_string("x1^2"))
         return _eq_fact([str(w) for w in want], [str(g) for g in got])
 
-    def radical(ctx):
-        rep = integrality_check(ctx["matrix"], ctx["form"], ctx["P"])
-        return _bool_fact("radical of gradient ideal = submaximal minors", rep.passed)
-
     def colon_JP(ctx):
-        got = colon(ctx["J"], ctx["P"], config=ctx["config"])
+        got = colon(ctx["J"], ctx["P"], ctx["budget"])
         m = Ideal(ctx["ring"], ctx["ring"].gens())
         return _bool_fact("J : P = irrelevant maximal ideal",
-                          ideal_equal(got, m, config=ctx["config"]))
-
-    def reduction_one(ctx):
-        out = reduction_conjecture_check(ctx["matrix"], ctx["form"], ctx["P"], 1)
-        return "Equal", out.status, out.status == "Equal"
+                          ideal_equal(got, m, ctx["budget"]))
 
     def sat(ctx):
         got, _ = saturation(ctx["J"], Ideal(ctx["ring"], ctx["ring"].gens()),
-                            config=ctx["config"])
-        return _bool_fact("saturation of J = P",
-                          ideal_equal(got, ctx["P"], config=ctx["config"]))
-
-    def mult_J(ctx):
-        hd = hilbert_data(ctx["J"], config=ctx["config"])
-        return _eq_fact(4, hd.multiplicity)
+                            ctx["budget"])
+        return _bool_fact("saturation of J = P", ideal_equal(got, ctx["P"], ctx["budget"]))
 
     def linrank(ctx):
-        syz, rank = ctx["form"].linear_syzygies()
+        syz, rank = ctx["form"].linear_syzygies(ctx["budget"])
         partials = ctx["form"].partials
         R = ctx["ring"]
         x = R.gens()
@@ -229,34 +258,35 @@ def _hankel3_facts():
         return _eq_fact((3, 3, True), got)
 
     def fitting(ctx):
-        b = ctx["config"].budget()
-        rep = fitting_condition_F1(ctx["form"].syzygy_module(b), b, ctx["config"])
+        budget = ctx["budget"]
+        rep = fitting_condition_F1(ctx["form"].syzygy_module(budget), budget)
         return _bool_fact("Fitting heights meet rank(phi)-t+2 for all t", rep.passed)
 
     def hess_mult(ctx):
         form = ctx["form"]
-        Hf = determinant(form.hessian, ctx["config"].budget())
-        mr = polar.factor_multiplicity(form.f, Hf, config=ctx["config"])
+        Hf = determinant(form.hessian, ctx["budget"])
+        mr = polar.factor_multiplicity(form.f, Hf, config=form.config)
         want = polar.expected_multiplicity(4, 2)
         got = (mr.value, mr.residual_degree)
         return _eq_fact((want, 2), got)
 
     return [
         Fact("mult-P", "multiplicity and codimension of the submaximal minor quotient",
-             "recorded", mult_P),
+             "recorded", _multiplicity_fact("P", 4, 3)),
         Fact("artinian-count", "length of the 3-variable monomial quotient of initial terms",
              "recorded", artinian),
         Fact("initial-terms", "leading monomials of the outer and middle partials",
              "recorded", initial_terms),
         Fact("radical", "radical of the gradient ideal equals the minor ideal",
-             "recorded", radical),
+             "recorded", _radical_fact),
         Fact("colon", "gradient colon minor ideal is the irrelevant ideal",
              "recorded", colon_JP),
         Fact("reduction-1", "reduction number one for the minor ideal",
-             "recorded", reduction_one),
+             "recorded", _reduction_fact(1)),
         Fact("saturation", "saturation of the gradient ideal is the minor ideal",
              "recorded", sat),
-        Fact("mult-J", "multiplicity of the gradient quotient", "recorded", mult_J),
+        Fact("mult-J", "multiplicity of the gradient quotient", "recorded",
+             _multiplicity_fact("J", 4)),
         Fact("linear-rank", "linear rank three with the closed-form columns",
              "recorded", linrank),
         Fact("fitting-F1", "Fitting-height condition holds", "recorded", fitting),
@@ -273,48 +303,29 @@ def _hankel3_facts():
 # scenario: hankel-4
 
 def _hankel4_facts():
-    def mult_P(ctx):
-        hd = hilbert_data(ctx["P"], config=ctx["config"])
-        return _eq_fact((10, 3), (hd.multiplicity, ctx["ring"].nvars - hd.dimension))
-
-    def mult_J(ctx):
-        hd = hilbert_data(ctx["J"], config=ctx["config"])
-        return _eq_fact(10, hd.multiplicity)
-
     def minor_sums(ctx):
         rep = golberg_delta_check(ctx["matrix"], ctx["form"])
         return _bool_fact("partials expand into submaximal minors and brackets",
                           rep.passed)
 
-    def radical(ctx):
-        rep = integrality_check(ctx["matrix"], ctx["form"], ctx["P"])
-        return _bool_fact("radical of gradient ideal = submaximal minors", rep.passed)
-
-    def reduction(i):
-        def run(ctx):
-            out = reduction_conjecture_check(ctx["matrix"], ctx["form"], ctx["P"], i)
-            if out.status == "Timeout":
-                return "Equal", "Timeout", "timeout"
-            return "Equal", out.status, out.status == "Equal"
-        return run
-
     return [
         Fact("mult-P", "multiplicity ten, codimension three for the minor quotient",
-             "recorded", mult_P),
-        Fact("mult-J", "gradient quotient has the same multiplicity", "recorded", mult_J),
+             "recorded", _multiplicity_fact("P", 10, 3)),
+        Fact("mult-J", "gradient quotient has the same multiplicity", "recorded",
+             _multiplicity_fact("J", 10)),
         Fact("hessian-mult", "effective multiplicity two with a degree-6 residual",
              "recorded", _hessian_multiplicity_fact(6, 3, 6), certainty="probabilistic"),
         Fact("linear-rank", "linear rank stays three", "recorded", _linear_rank_fact(3)),
         Fact("minor-sums", "minor-sum and bracket expansions of all partials",
              "derived", minor_sums),
         Fact("radical", "radical of gradient ideal equals the minor ideal",
-             "recorded", radical),
+             "recorded", _radical_fact),
         Fact("reduction-0", "colon filtration step 0 (conjecture case)",
-             "recorded", reduction(0), required="report-only", long=True),
+             "recorded", _reduction_fact(0), required="report-only", long=True),
         Fact("reduction-1", "colon filtration step 1 (conjecture case)",
-             "recorded", reduction(1), required="report-only", long=True),
+             "recorded", _reduction_fact(1), required="report-only", long=True),
         Fact("reduction-2", "colon filtration step 2 (conjecture case)",
-             "recorded", reduction(2), required="report-only", long=True),
+             "recorded", _reduction_fact(2), required="report-only", long=True),
         Fact("linear-type", "linear type (conjecture case, budget-capped)",
              "recorded", _linear_type_fact, required="report-only", long=True),
     ]
@@ -340,30 +351,30 @@ def _cat32_facts():
         # ideal-level reading: the square-matrix minors generate the same
         # ideal as the rectangular ones minus the columns-2-4 bracket, and
         # adding that bracket back recovers the full minor ideal
-        gp_minors = minors_ideal_gens(ctx["gp"], 2)
-        b = minor(ctx["gp"], range(2), [1, 3])
+        budget = ctx["budget"]
+        gp_minors = minors_ideal_gens(ctx["gp"], 2, budget)
+        b = minor(ctx["gp"], range(2), [1, 3], budget)
         R = ctx["ring"]
         reduced = Ideal(R, [g for g in gp_minors if g not in (b, -b)])
-        eq1 = ideal_equal(ctx["I"], reduced, config=ctx["config"])
-        eq2 = ideal_equal(ctx["P"], ideal_sum(ctx["I"], Ideal(R, [b])),
-                          config=ctx["config"])
-        not_inside = not ctx["I"].contains(b, config=ctx["config"])
+        eq1 = ideal_equal(ctx["I"], reduced, budget)
+        eq2 = ideal_equal(ctx["P"], ideal_sum(ctx["I"], Ideal(R, [b])), budget)
+        not_inside = not ctx["I"].contains(b, budget=budget)
         return _eq_fact((True, True, True), (eq1, eq2, not_inside))
 
     def intersection(ctx):
         R = ctx["ring"]
         x = R.gens()
         L = Ideal(R, [x[0], x[2], x[4], x[6]])
-        got = intersect(ctx["P"], L, config=ctx["config"])
+        got = intersect(ctx["P"], L, ctx["budget"])
         return _bool_fact("minor ideal = prime intersection with coordinate ideal",
-                          ideal_equal(got, ctx["I"], config=ctx["config"]))
+                          ideal_equal(got, ctx["I"], ctx["budget"]))
 
     def bracket_partials(ctx):
         R = ctx["ring"]
         gp = ctx["gp"]
 
         def D(i, j):
-            return minor(gp, range(2), [i - 1, j - 1])
+            return minor(gp, range(2), [i - 1, j - 1], ctx["budget"])
 
         want = [D(4, 5), -D(3, 5), 2 * D(3, 4) - D(2, 5), D(1, 5),
                 2 * D(2, 3) - D(1, 4), -D(1, 3), D(1, 2)]
@@ -374,24 +385,24 @@ def _cat32_facts():
         R = ctx["ring"]
         x = R.gens()
         Q = Ideal(R, [x[0], x[2], x[4], x[6], x[1] * x[5] - x[3] ** 2])
-        got = colon(ctx["J"], ctx["I"], config=ctx["config"])
+        got = colon(ctx["J"], ctx["I"], ctx["budget"])
         return _bool_fact("gradient colon minor ideal is the embedded prime",
-                          ideal_equal(got, Q, config=ctx["config"]))
+                          ideal_equal(got, Q, ctx["budget"]))
 
     def mults(ctx):
-        hdJ = hilbert_data(ctx["J"], config=ctx["config"])
-        hdP = hilbert_data(ctx["P"], config=ctx["config"])
+        hdJ = hilbert_data(ctx["J"], budget=ctx["budget"])
+        hdP = hilbert_data(ctx["P"], budget=ctx["budget"])
         got = (hdJ.multiplicity, ctx["ring"].nvars - hdJ.dimension, hdP.multiplicity)
         return _eq_fact((6, 4, 5), got)
 
     def linrank(ctx):
-        _, rank = ctx["form"].linear_syzygies()
+        _, rank = ctx["form"].linear_syzygies(ctx["budget"])
         return _eq_fact((6, "proved"), (rank.rank, rank.certainty))
 
     def hess_mult(ctx):
         form = ctx["form"]
-        Hf = determinant(form.hessian, ctx["config"].budget())
-        mr = polar.factor_multiplicity(form.f, Hf, config=ctx["config"])
+        Hf = determinant(form.hessian, ctx["budget"])
+        mr = polar.factor_multiplicity(form.f, Hf, config=form.config)
         want = polar.expected_multiplicity(6, 4)
         return _eq_fact((want, 4, "proved"),
                         (mr.value, mr.residual_degree, mr.certainty))
@@ -423,7 +434,7 @@ def _cat32_facts():
 
 def _cat43_facts():
     def partial_structure(ctx):
-        ladder = MinorLadder(ctx["matrix"])
+        ladder = MinorLadder(ctx["matrix"], ctx["budget"])
         signed = {s for mm in ladder.minors(3) for s in (mm, -mm)}
         partials = ctx["form"].partials
         hits = sum(1 for p in partials if p in signed)
@@ -434,12 +445,8 @@ def _cat43_facts():
         sub_hits = sum(1 for p in partials if p in sub_signed)
         return _eq_fact((10, 8), (hits, sub_hits))
 
-    def bidegree12(ctx):
-        _, new = ctx["form"].blowup_equations()
-        return _eq_fact(4, len(new))
-
     def jdual(ctx):
-        return _eq_fact(12, ctx["form"].jacobian_dual().rank)
+        return _eq_fact(12, ctx["form"].jacobian_dual(ctx["budget"]).rank)
 
     def residual_square(ctx):
         # residual of the Hessian = (corner-variable 3x3 anti-diagonal
@@ -447,26 +454,27 @@ def _cat43_facts():
         x = ctx["ring"].gens()
         g = determinant(PolyMatrix(3, 3, [
             x[0], x[3], x[6], x[3], x[6], x[9], x[6], x[9], x[12]], "corner"),
-            ctx["config"].budget())
+            ctx["budget"])
         form = ctx["form"]
         out = polar.hessian_identity(form, [(form.f, 5), (g, 2)])
         return _bool_fact("Hessian = c * f^5 * (corner determinant)^2 at 20 points",
                           out.holds and out.constant != 0)
 
     def colon_JP(ctx):
+        budget = ctx["budget"]
         GP = build_gp_associated(4, 3)
-        P = Ideal(ctx["ring"], minors_ideal_gens(GP, 3))
-        I = Ideal(ctx["ring"], minors_ideal_gens(ctx["matrix"], 3))
-        got = colon(ctx["J"], P, config=ctx["config"])
+        P = Ideal(ctx["ring"], minors_ideal_gens(GP, 3, budget))
+        I = Ideal(ctx["ring"], minors_ideal_gens(ctx["matrix"], 3, budget))
+        got = colon(ctx["J"], P, budget)
         return _bool_fact("gradient colon rectangular-minor prime = square-minor prime",
-                          ideal_equal(got, I, config=ctx["config"]))
+                          ideal_equal(got, I, budget))
 
     return [
         Fact("linear-rank", "linear rank eleven", "recorded", _linear_rank_fact(11)),
         Fact("partial-structure", "ten partials are signed maximal minors, eight "
              "from the two marked column triples", "recorded", partial_structure),
         Fact("bidegree-12", "four minimal blowup equations of bidegree (1,2)",
-             "recorded", bidegree12),
+             "recorded", _bidegree12_fact(4)),
         Fact("jacobian-dual", "Jacobian dual rank twelve",
              "recorded", jdual, certainty="probabilistic"),
         Fact("verdict", "determinant is homaloidal",
@@ -484,15 +492,11 @@ def _cat43_facts():
 # scenario: cat-4-2
 
 def _cat42_facts():
-    def bidegree12(ctx):
-        _, new = ctx["form"].blowup_equations()
-        return _eq_fact(2, len(new))
-
     return [
         Fact("linear-rank", "linear rank six, three short of maximal",
              "recorded", _linear_rank_fact(6)),
         Fact("bidegree-12", "exactly two blowup equations of bidegree (1,2)",
-             "recorded", bidegree12),
+             "recorded", _bidegree12_fact(2)),
         Fact("hessian-mult", "effective multiplicity two",
              "recorded", _hessian_multiplicity_fact(9, 6, 12), certainty="probabilistic"),
         Fact("verdict", "suspected not homaloidal; never promoted to proved", "recorded",
@@ -520,13 +524,13 @@ def _generic3_facts():
                           inv1.is_inverse)
 
     def cauchy(ctx):
-        adj = cofactor_matrix(ctx["matrix"])
-        got = determinant(adj, ctx["config"].budget())
+        adj = cofactor_matrix(ctx["matrix"], ctx["budget"])
+        got = determinant(adj, ctx["budget"])
         return _bool_fact("adjugate determinant equals the square of the form",
                           got == ctx["form"].f ** 2)
 
     def laplace(ctx):
-        adj = cofactor_matrix(ctx["matrix"])
+        adj = cofactor_matrix(ctx["matrix"], ctx["budget"])
         M = ctx["matrix"]
         ring = ctx["ring"]
         ok = True
@@ -538,10 +542,6 @@ def _generic3_facts():
                 ok = ok and s == (ctx["form"].f if i == j else ring.zero())
         return _bool_fact("matrix times adjugate is the determinant times identity", ok)
 
-    def totally_hessian(ctx):
-        th = polar.totally_hessian_check(ctx["form"])
-        return _eq_fact((True, 3), (th.holds, th.exponent))
-
     return [
         Fact("inversion", "cofactor composition yields factor f", "recorded", involution),
         Fact("involution-symmetry", "inversion works identically both ways",
@@ -550,7 +550,7 @@ def _generic3_facts():
         Fact("laplace", "adjugate convention fixed by the Laplace identity",
              "trivial", laplace),
         Fact("totally-hessian", "Hessian is a scalar times the cube of the form",
-             "recorded", totally_hessian, certainty="probabilistic"),
+             "recorded", _totally_hessian_fact(3), certainty="probabilistic"),
         Fact("linear-rank", "maximal linear rank eight", "recorded", _linear_rank_fact(8)),
         Fact("verdict", "determinant is homaloidal via the verified inverse",
              "recorded", _verdict_fact("Homaloidal", inverse=True)),
@@ -560,7 +560,7 @@ def _generic3_facts():
 def _symmetric3_facts():
     def cofactor_structure(ctx):
         S = ctx["matrix"]
-        adj = cofactor_matrix(S)
+        adj = cofactor_matrix(S, ctx["budget"])
         ring = ctx["ring"]
         ok = True
         for i in range(3):
@@ -575,15 +575,11 @@ def _symmetric3_facts():
         return _bool_fact("diagonal partials are cofactors, off-diagonal twice "
                           "the cofactor", ok)
 
-    def totally_hessian(ctx):
-        th = polar.totally_hessian_check(ctx["form"])
-        return _eq_fact((True, 2), (th.holds, th.exponent))
-
     return [
         Fact("cofactor-structure", "partials against adjugate entries",
              "recorded", cofactor_structure),
         Fact("totally-hessian", "Hessian is a scalar times the square of the form",
-             "recorded", totally_hessian, certainty="probabilistic"),
+             "recorded", _totally_hessian_fact(2), certainty="probabilistic"),
         Fact("linear-rank", "maximal linear rank five", "derived", _linear_rank_fact(5)),
         Fact("verdict", "determinant is homaloidal",
              "recorded", _verdict_fact("Homaloidal")),
@@ -599,28 +595,29 @@ def _subhankel_facts(n):
         return _bool_fact("both closed-form relations hold", rep.passed)
 
     def gcds(ctx):
-        ok = all(subhankel_mod.gcd_power_check(ctx["form"], i).passed for i in range(n))
+        ok = all(subhankel_mod.gcd_power_check(ctx["form"], i, ctx["budget"]).passed
+                 for i in range(n))
         return _bool_fact("gcd powers and variable supports", ok)
 
     def hb(ctx):
-        rep = subhankel_mod.hilbert_burch_check(ctx["form"])
+        rep = subhankel_mod.hilbert_burch_check(ctx["form"], ctx["budget"])
         return _bool_fact("recurrent presentations verified", rep.passed)
 
     def mults(ctx):
-        rep = subhankel_mod.multiplicity_filtration_check(ctx["form"])
+        rep = subhankel_mod.multiplicity_filtration_check(ctx["form"], ctx["budget"])
         return _bool_fact("filtration multiplicities binomial(i+1,2)", rep.passed)
 
     def colon_fact(ctx):
-        rep = subhankel_mod.colon_claim_check(ctx["form"])
+        rep = subhankel_mod.colon_claim_check(ctx["form"], ctx["budget"])
         return _bool_fact("colon of the last partial", rep.passed)
 
     def resolution(ctx):
-        rep = subhankel_mod.resolution_and_ass_check(ctx["form"])
+        rep = subhankel_mod.resolution_and_ass_check(ctx["form"], ctx["budget"])
         return _bool_fact("resolution, numerator, radical, embedded prime, "
                           "primary part", rep.passed)
 
     def lt(ctx):
-        rep = subhankel_mod.subhankel_linear_type_check(ctx["form"])
+        rep = subhankel_mod.subhankel_linear_type_check(ctx["form"], ctx["budget"])
         return _bool_fact("linear type with matching 1-form generators", rep.passed)
 
     max_order = subhankel_mod.MAX_ORDER
@@ -676,7 +673,7 @@ def _dg3_facts():
     def quadric_relation(ctx):
         from .syzygy import rees_bigraded_kernel
         partials = ctx["form"].partials
-        taus = rees_bigraded_kernel(partials, 0, 2, ctx["config"].budget())
+        taus = rees_bigraded_kernel(partials, 0, 2, ctx["budget"])
         y = rees_ring(ctx["ring"], len(partials)).gens()
         w = y[1] * y[3] - y[0] * y[4]
         found = any(t in (w, -w) for t in taus)
@@ -684,16 +681,15 @@ def _dg3_facts():
                         ("kernel dim", len(taus), "contains the 2x2 relation", found))
 
     def colon_boldface(ctx):
-        R = ctx["ring"]
+        R, budget = ctx["ring"], ctx["budget"]
         x = R.gens()
-        I2 = Ideal(R, minors_ideal_gens(ctx["matrix"], 2))
+        I2 = Ideal(R, minors_ideal_gens(ctx["matrix"], 2, budget))
         J = ctx["J"]
         blockdet = x[0] * x[4] - x[1] * x[3]
-        eq1 = ideal_equal(I2, ideal_sum(J, Ideal(R, [blockdet])),
-                          config=ctx["config"])
-        got = colon(J, I2, config=ctx["config"])
+        eq1 = ideal_equal(I2, ideal_sum(J, Ideal(R, [blockdet])), budget)
+        got = colon(J, I2, budget)
         bold = Ideal(R, [x[2], x[5], x[6], x[7]])
-        eq2 = ideal_equal(got, bold, config=ctx["config"])
+        eq2 = ideal_equal(got, bold, budget)
         return _eq_fact((True, True), (eq1, eq2))
 
     return [
@@ -715,11 +711,11 @@ def _dg3_facts():
 
 def _sc3_facts():
     def linrank(ctx):
-        syz, rank = ctx["form"].linear_syzygies()
+        syz, rank = ctx["form"].linear_syzygies(ctx["budget"])
         return _eq_fact((7, 5), (len(syz.columns), rank.rank))
 
     def hess_power(ctx):
-        det = determinant(ctx["form"].hessian, ctx["config"].budget())
+        det = determinant(ctx["form"].hessian, ctx["budget"])
         terms = list(det.terms.items())
         ok = len(terms) == 1 and terms[0][0][4] == 6 and sum(terms[0][0]) == 6
         got = str(det)
@@ -808,6 +804,7 @@ def run_scenario(scenario_id: str, config: Config | None = None,
             skipped.append(fact.fact_id)
             continue
         t0 = time.monotonic()
+        ctx["budget"] = config.budget()
         try:
             expected, computed, ok = fact.check(ctx)
             if ok == "timeout":

@@ -141,7 +141,7 @@ def _cmd_ideal(args) -> int:
     need = _IDEAL_OP_NEEDS.get(args.op)
     if need and getattr(args, need) is None:
         raise ValueError(f"--op {args.op} needs --{need}")
-    config = _config_from_args(args)
+    budget = _config_from_args(args).budget()
     shared = [args.other] if args.other else []
     forms = _read_forms(args.gens, paths_sharing_ring=shared)
     ring = forms[0].ring
@@ -149,17 +149,17 @@ def _cmd_ideal(args) -> int:
     try:
         if args.op == "gb":
             payload = {"op": "gb", "basis": [str(g) for g in
-                                             I.groebner_basis(config=config)]}
+                                             I.groebner_basis(budget=budget)]}
         elif args.op == "member":
             f = parse_polynomial(ring, args.f)
             payload = {"op": "member", "f": args.f,
-                       "member": I.contains(f, config=config)}
+                       "member": I.contains(f, budget=budget)}
         elif args.op == "radmember":
             f = parse_polynomial(ring, args.f)
             payload = {"op": "radmember", "f": args.f,
-                       "member": radical_membership(f, I, config=config)}
+                       "member": radical_membership(f, I, budget)}
         elif args.op == "hilbert":
-            hd = hilbert_data(I, config=config)
+            hd = hilbert_data(I, budget=budget)
             payload = {"op": "hilbert", "dimension": hd.dimension,
                        "multiplicity": hd.multiplicity,
                        "numerator": hd.numerator_string()}
@@ -167,16 +167,16 @@ def _cmd_ideal(args) -> int:
             other = Ideal(ring, _read_forms(args.other,
                                             paths_sharing_ring=[args.gens]))
             if args.op == "colon":
-                out = colon(I, other, config=config)
+                out = colon(I, other, budget)
             elif args.op == "sat":
-                out, _ = saturation(I, other, config=config)
+                out, _ = saturation(I, other, budget)
             else:
-                out = intersect(I, other, config=config)
+                out = intersect(I, other, budget)
             payload = {"op": args.op,
-                       "basis": [str(g) for g in out.groebner_basis(config=config)]}
+                       "basis": [str(g) for g in out.groebner_basis(budget=budget)]}
         elif args.op == "eliminate":
             keep = [int(s) for s in args.keep.split(",")]
-            out = eliminate(I, keep, config=config)
+            out = eliminate(I, keep, budget)
             payload = {"op": "eliminate", "basis": [str(g) for g in out.gens]}
         else:
             print(f"unknown ideal op {args.op}", file=sys.stderr)
@@ -189,21 +189,21 @@ def _cmd_ideal(args) -> int:
 
 
 def _cmd_syz(args) -> int:
-    config = _config_from_args(args)
+    budget = _config_from_args(args).budget()
     forms = _read_forms(args.forms)
     try:
         if args.betti:
             I = Ideal(forms[0].ring, forms)
-            bt, _ = graded_betti(I, config=config)
+            bt, _ = graded_betti(I, budget)
             payload = {"mode": "betti", "complete": bt.complete,
                        "betti": {f"{i},{j}": v for (i, j), v in sorted(bt.items())}}
         elif args.full:
-            syz = first_syzygy_module(forms, config=config)
+            syz = first_syzygy_module(forms, budget)
             payload = {"mode": "full", "columns": len(syz.columns),
                        "column_degrees": syz.column_degrees,
                        "matrix": [[str(p) for p in col] for col in syz.columns]}
         else:
-            syz, rank = linear_syzygies(forms, config=config)
+            syz, rank = linear_syzygies(forms, budget, budget.config)
             payload = {"mode": "linear", "columns": len(syz.columns),
                        "rank": rank.rank, "certainty": rank.certainty,
                        "matrix": [[str(p) for p in col] for col in syz.columns]}
@@ -221,10 +221,11 @@ def _cmd_polar(args) -> int:
         print("polar: choose --verdict, --hessian-mult, --invert or --linear-rank",
               file=sys.stderr)
         return EXIT_USAGE
+    budget = config.budget()
     try:
-        form = polar.polar_data(determinant(M, config.budget()), config)
+        form = polar.polar_data(determinant(M, budget), config)
         if args.verdict:
-            v = polar.homaloidal_verdict(form)
+            v = polar.homaloidal_verdict(form, budget)
             payload = {"mode": "verdict",
                        **v.to_dict(no_timings=getattr(args, "no_timings", False))}
         elif args.hessian_mult:
@@ -241,7 +242,7 @@ def _cmd_polar(args) -> int:
         else:
             zero_idx = [i for i, p in enumerate(form.partials) if p.is_zero()]
             nonzero = [p for p in form.partials if not p.is_zero()]
-            syz, rank = linear_syzygies(nonzero, config=config)
+            syz, rank = linear_syzygies(nonzero, budget, config)
             payload = {"mode": "linear-rank", "columns": len(syz.columns),
                        "rank": rank.rank, "certainty": rank.certainty,
                        "zero_partials": zero_idx}
@@ -264,6 +265,7 @@ def _cmd_hankel(args) -> int:
         return EXIT_OK if ok else EXIT_CONTRADICTION
     H = build_structured("hankel", m=m)
     form = polar.polar_data(determinant(H), config)
+    budget = config.budget()
     try:
         if args.check == "star":
             rows = []
@@ -281,12 +283,12 @@ def _cmd_hankel(args) -> int:
             return EXIT_OK if rep.passed else EXIT_CONTRADICTION
         P = Ideal(H.ring, minors_ideal_gens(H, m - 1))
         if args.check == "radical":
-            rep = hankelplucker.integrality_check(H, form, P)
+            rep = hankelplucker.integrality_check(H, form, P, budget)
             _emit(args, {"check": "radical", "m": m, "pass": rep.passed,
                          "witnesses": rep.quadratic_witnesses})
             return EXIT_OK if rep.passed else EXIT_CONTRADICTION
         # --check is one of the parser's choices: reduction is left
-        out = hankelplucker.reduction_conjecture_check(H, form, P, args.i)
+        out = hankelplucker.reduction_conjecture_check(H, form, P, args.i, budget)
         _emit(args, {"check": "reduction", "m": m, "i": args.i, "status": out.status,
                      "witness": out.witness})
         if out.status == "Equal":
@@ -319,10 +321,11 @@ def _cmd_subhankel(args) -> int:
         return {"pass": EXIT_OK, "contradiction": EXIT_CONTRADICTION,
                 "incomplete": EXIT_TIMEOUT}[rep.verdict]
     form = polar.polar_data(determinant(build_structured("sub-hankel", n=n)), config)
+    budget = config.budget()
     checks = {
-        "recurrence": subhankel_mod.recurrence_check,
-        "gcd": lambda form: min((subhankel_mod.gcd_power_check(form, i) for i in range(n)),
-                                key=lambda r: r.passed),
+        "recurrence": lambda form, budget: subhankel_mod.recurrence_check(form),
+        "gcd": lambda form, budget: min((subhankel_mod.gcd_power_check(form, i, budget)
+                                         for i in range(n)), key=lambda r: r.passed),
         "hilbert-burch": subhankel_mod.hilbert_burch_check,
         "multiplicity": subhankel_mod.multiplicity_filtration_check,
         "colon": subhankel_mod.colon_claim_check,
@@ -341,7 +344,7 @@ def _cmd_subhankel(args) -> int:
             results[name] = {"status": "skipped (out of supported range)"}
             continue
         try:
-            rep = checks[name](form)
+            rep = checks[name](form, budget)
             results[name] = {"pass": rep.passed, "details": rep.details}
             if not rep.passed:
                 worst = EXIT_CONTRADICTION

@@ -28,15 +28,19 @@ class ComputationTimeout(Exception):
 
 
 class Budget:
-    """Step counter plus optional wall-clock deadline.
-
-    `tick` raises ComputationTimeout rather than ever returning a wrong
-    answer; callers that promise a Timeout *result* catch it.
+    """Step counter plus optional wall-clock deadline, and the Config it was
+    built from (`DEFAULT_CONFIG` unless given).  One Budget meters a casebook
+    fact or a CLI command; the computations under it read the GB cache
+    directory from its config.  `tick` raises ComputationTimeout rather than
+    ever returning a wrong answer; callers that promise a Timeout *result*
+    catch it.
     """
 
-    __slots__ = ("step_cap", "steps", "deadline", "_timecheck")
+    __slots__ = ("step_cap", "steps", "deadline", "config", "_timecheck")
 
-    def __init__(self, timeout_secs: float | None = None, step_cap: int | None = None):
+    def __init__(self, timeout_secs: float | None = None, step_cap: int | None = None,
+                 config: "Config | None" = None):
+        self.config = config if config is not None else DEFAULT_CONFIG
         self.step_cap = step_cap
         self.steps = 0
         self.deadline = None if timeout_secs is None else time.monotonic() + timeout_secs
@@ -92,7 +96,7 @@ class Config:
         return cls(**kw)
 
     def budget(self) -> Budget:
-        return Budget(timeout_secs=self.timeout_secs, step_cap=self.gb_step_cap)
+        return Budget(self.timeout_secs, self.gb_step_cap, self)
 
     def rng(self, tag: str) -> random.Random:
         """Deterministic per-purpose generator derived from (seed, tag)."""

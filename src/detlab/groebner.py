@@ -6,7 +6,8 @@ returned monic over Q.  Pair management uses the normal (sugar) selection
 strategy with Gebauer and Möller's criteria (JSC 1988): the coprime and
 chain criteria on the new pairs, and the chain criterion through each new
 leading monomial on the old ones.  Every heavy query runs under a Budget
-and raises ComputationTimeout rather than returning a wrong answer.
+and raises ComputationTimeout rather than returning a wrong answer.  It
+reads the cache directory from the config passed, else from its budget's.
 
 Inside the engine a monomial is one int (Monagan and Pearce's packed
 monomials).  Every order here is a nonnegative integer weight matrix W
@@ -291,12 +292,13 @@ class _DivisorIndex:
         return bits
 
 
-def _reduce_terms(terms: dict, basis: list[_Entry], budget: Budget,
+def _reduce_terms(terms: dict, basis: list[_Entry], budget: Budget | None,
                   what: str = "polynomial reduction") -> tuple[dict, int]:
     """_normal_form_int of an exponent-tuple term dict; the remainder is
     keyed by exponent tuples too."""
     if not basis:
         return dict(terms), 1
+    budget = budget or DEFAULT_CONFIG.budget()
 
     def run(entries):
         pk = entries[0].pk
@@ -820,6 +822,11 @@ def _colon_key(ideal_key: str, g: Polynomial) -> str:
     return hashlib.sha256(repr(key).encode()).hexdigest()
 
 
+def _settings(budget: Budget | None, config: Config | None) -> Config:
+    """The config passed, else the one the budget was built from, else the default."""
+    return config or (budget.config if budget is not None else DEFAULT_CONFIG)
+
+
 def _cached(key: str, ring: Ring, order: MonomialOrder, config: Config, compute) -> list[_Entry]:
     """The entries stored under the key in the memory cache or the disk
     cache, or else compute() and store them in both."""
@@ -953,7 +960,7 @@ class Ideal:
         if not self.gens:
             self._gb[order.id] = []
             return []
-        config = config or DEFAULT_CONFIG
+        config = _settings(budget, config)
 
         def compute():
             return groebner_entries([to_int_terms(g) for g in self.gens], order,
@@ -968,9 +975,7 @@ class Ideal:
         entries = self._entries(order, budget, config)
         if f.is_zero() or not entries:
             return f
-        config = config or DEFAULT_CONFIG
-        if budget is None:
-            budget = config.budget()
+        budget = budget or _settings(None, config).budget()
         ints, den = clear_denominators(f.terms.items())
         rem, scale = _reduce_terms(ints, entries, budget)
         total = den * scale
@@ -1099,7 +1104,7 @@ def colon_poly(I: Ideal, g: Polynomial, budget=None, config=None) -> Ideal:
     ring, order = I.ring, I.ring.order
     if I.is_zero():
         return Ideal(ring, [])
-    config = config or DEFAULT_CONFIG
+    config = _settings(budget, config)
 
     def compute():
         b = budget or config.budget()
@@ -1293,9 +1298,8 @@ def _divide_out_one_minus_t(num: dict) -> tuple[dict, int]:
 
 def hilbert_data(I: Ideal, order=None, budget=None, config=None) -> HilbertData:
     """Dimension, multiplicity, Hilbert numerator of R/I via in(I)."""
-    config = config or DEFAULT_CONFIG
-    if budget is None:
-        budget = config.budget()
+    config = _settings(budget, config)
+    budget = budget or config.budget()
     nvars = I.ring.nvars
     if I.is_zero():
         return HilbertData(nvars, 1, {0: 1})
@@ -1365,9 +1369,7 @@ def symmetric_algebra_ideal(forms: list[Polynomial], syzygy_columns) -> Ideal:
 def certify_groebner(I: Ideal, order=None, budget=None, config=None) -> bool:
     """All s-polynomials of basis pairs reduce to zero."""
     entries = I._entries(order, budget, config)
-    config = config or DEFAULT_CONFIG
-    if budget is None:
-        budget = config.budget()
+    budget = budget or _settings(None, config).budget()
 
     def run(basis) -> bool:
         pk = basis[0].pk

@@ -10,8 +10,9 @@ sign is recorded, never assumed.
 
 Every check reads the Hankel record: the m x m matrix `H` (m = H.rows),
 the polar record `form = polar.polar_data(determinant(H), config)`, whose
-partials and config it uses, and, for the radical and filtration checks,
-the submaximal minor ideal `P`.  No check builds or expands a matrix.
+partials it uses, and, for the radical and filtration checks, the
+submaximal minor ideal `P` and the caller's budget.  No check builds or
+expands a matrix.
 """
 
 from __future__ import annotations
@@ -275,16 +276,15 @@ def integrality_check(H: PolyMatrix, form: polar.PolarMapData, P: Ideal,
     certified both ways, with the quadratic-equation witnesses at m = 3."""
     m = H.rows
     check_order("radical", m)
-    config = form.config
     J = form.J
     per_minor = []
     all_in = True
     for cols in itertools.combinations(range(1, m + 2), m - 1):
         g = bracket_minor(m, 1, cols)
-        ok = radical_membership(g, J, budget, config)
+        ok = radical_membership(g, J, budget)
         per_minor.append((cols, ok))
         all_in = all_in and ok
-    inside = all(P.contains(p, budget=budget, config=config) for p in form.partials)
+    inside = all(P.contains(p, budget=budget) for p in form.partials)
     witnesses = []
     if m == 3:
         JP = ideal_product(J, P)
@@ -294,7 +294,7 @@ def integrality_check(H: PolyMatrix, form: polar.PolarMapData, P: Ideal,
             delta = bracket_minor(3, 1, b)
             other = bracket_minor(3, 1, bs[1 - bidx])
             sol = solve_bracket_identity(delta * delta, [f2 * delta, other * delta])
-            member = JP.contains(delta * delta, budget=budget, config=config)
+            member = JP.contains(delta * delta, budget=budget)
             witnesses.append({"bracket": b, "coefficients": [str(c) for c in sol.coefficients],
                               "identity": sol.verified, "square_in_JP": member})
     return IntegralityReport(m, all_in, inside, witnesses, per_minor)
@@ -315,20 +315,17 @@ def reduction_conjecture_check(H: PolyMatrix, form: polar.PolarMapData, P: Ideal
     outside the other is the NotEqual witness."""
     m = H.rows
     check_order("reduction", m, i)
-    ring, config = H.ring, form.config
+    ring = H.ring
     J = form.J
     t = m - 2 - i
-    if t == 0:
-        rhs = Ideal(ring, [ring.one()])
-    else:
-        rhs = Ideal(ring, minors_ideal_gens(H, t))
     try:
+        rhs = Ideal(ring, minors_ideal_gens(H, t, budget) if t else [ring.one()])
         lhs_ideal = J if i == 0 else ideal_product(J, ideal_power(P, i))
         pw = ideal_power(P, i + 1)
-        got = colon(lhs_ideal, pw, budget, config)
+        got = colon(lhs_ideal, pw, budget)
         for gens, other in ((got.gens, rhs), (rhs.gens, got)):
             for g in gens:
-                if not other.contains(g, budget=budget, config=config):
+                if not other.contains(g, budget=budget):
                     return ReductionOutcome(m, i, "NotEqual", witness=str(g))
         return ReductionOutcome(m, i, "Equal")
     except ComputationTimeout:

@@ -14,6 +14,12 @@ the single verdict entry point, read the same record, so no derived object
 is computed twice.  `hessian_identity` is the one sampler for identities
 H(f) = c * prod g^e, the totally-Hessian test among them.
 
+The record's config seeds its random draws; the readers and the verdict
+run under their caller's Budget, whose config gives the cache directory.
+Two bounded attempts have Budgets of their own: the Hessian's symbolic
+route (60 s) and the verdict's linear-type attempt (400 000 steps, off the
+caller's meter so that the later routes keep theirs).
+
 Certainty discipline: an exact nonzero integer evaluation is a proof (a
 nonzero value mod p certifies a nonzero integer), probabilistic identity
 tests carry explicit Schwartz-Zippel bounds, and a probabilistic zero
@@ -80,10 +86,8 @@ class PolarMapData:
         """(symmetric-algebra 1-forms, new minimal bidegree-(1,2)
         generators): the blowup equations linear in x, in the y,x ring."""
         def compute():
-            b = budget or self.config.budget()
-            syz, _ = self.linear_syzygies(b)
-            new12, _, _ = rees_minimal_bidegree12(self.partials, syz.columns, b,
-                                                  self.config)
+            syz, _ = self.linear_syzygies(budget)
+            new12, _, _ = rees_minimal_bidegree12(self.partials, syz.columns, budget)
             return symmetric_algebra_ideal(self.partials, syz.columns).gens, new12
         return self._once("blowup", compute)
 
@@ -96,8 +100,7 @@ class PolarMapData:
 
     def syzygy_module(self, budget: Budget | None = None) -> GradedSyzygyMatrix:
         """Minimal generators of the first syzygy module of the partials."""
-        return self._once("module", lambda: first_syzygy_module(self.partials, budget,
-                                                                self.config))
+        return self._once("module", lambda: first_syzygy_module(self.partials, budget))
 
     def linear_type(self, budget: Budget | None = None) -> LinearTypeResult:
         """Whether the gradient ideal is of linear type, against the
@@ -107,7 +110,7 @@ class PolarMapData:
                 syz = self.syzygy_module(budget)
             except ComputationTimeout:
                 return LinearTypeResult("Timeout")
-            return linear_type_check(self.partials, syz.columns, budget, self.config)
+            return linear_type_check(self.partials, syz.columns, budget)
         return self._once("linear-type", compute, keep=lambda lt: lt.status != "Timeout")
 
 
@@ -405,19 +408,17 @@ class LinearTypeResult:
 
 
 def linear_type_check(forms: list[Polynomial], syzygy_columns: list[list[Polynomial]],
-                      budget: Budget | None = None,
-                      config: Config | None = None) -> LinearTypeResult:
+                      budget: Budget | None = None) -> LinearTypeResult:
     """Blowup equations vs syzygy 1-forms: linear type iff every blowup
     generator reduces to zero against the 1-form ideal.
 
     `syzygy_columns` generates the first syzygy module of the forms (the
     columns of `first_syzygy_module`)."""
-    config = config or DEFAULT_CONFIG
     try:
-        rr = rees_ideal(forms, budget, config)
+        rr = rees_ideal(forms, budget)
         sym = symmetric_algebra_ideal(forms, syzygy_columns)
         for g in rr.gens:
-            if not sym.contains(g, budget=budget, config=config):
+            if not sym.contains(g, budget=budget):
                 return LinearTypeResult("NotLinearType", witness=g)
         return LinearTypeResult("LinearType")
     except ComputationTimeout:
@@ -489,7 +490,7 @@ def homaloidal_verdict(form: PolarMapData, budget: Budget | None = None,
                        try_linear_type: bool = True,
                        try_saturation_obstruction: bool = True) -> Verdict:
     """Decision pipeline for the polar map of the form of a `polar_data`
-    record, read under the record's config.
+    record, run under `budget` (the record's config seeds the draws).
 
     Dominance certificate + maximal linear rank proves birationality;
     linear type + submaximal rank refutes it; a verified inverse or a full
@@ -547,12 +548,11 @@ def _verdict_pipeline(form, budget, candidate_inverse, try_linear_type,
                            "proved"))
 
     if try_linear_type:
-        # keep the verdict responsive: without a budget of its own the
-        # in-pipeline attempt runs under a bounded step budget, unless the
-        # record already holds the answer
-        sub = budget if budget is not None else Budget(
-            timeout_secs=config.timeout_secs, step_cap=min(config.gb_step_cap, 400_000))
-        lt = form.linear_type(sub)
+        # keep the verdict responsive: unless the record already holds the
+        # answer, the attempt runs under a bounded step budget of its own,
+        # off the caller's meter, so the routes below keep theirs
+        lt = form.linear_type(Budget(config.timeout_secs,
+                                     min(config.gb_step_cap, 400_000), config))
         ev.append(Evidence("linear-type", lt.status,
                            "proved" if lt.status != "Timeout" else "timeout"))
         if lt.status == "LinearType" and rank.certainty == "proved" and rank.rank < n:
@@ -583,10 +583,10 @@ def _verdict_pipeline(form, budget, candidate_inverse, try_linear_type,
         try:
             J = form.J
             m = Ideal(f.ring, f.ring.gens())
-            sat, _steps = saturation(J, m, budget, config)
+            sat, _steps = saturation(J, m, budget)
             low = None
-            for g in sat.groebner_basis(None, budget, config):
-                if g.degree <= d - 1 and not J.contains(g, budget=budget, config=config):
+            for g in sat.groebner_basis(None, budget):
+                if g.degree <= d - 1 and not J.contains(g, budget=budget):
                     low = g
                     break
             if low is not None:

@@ -84,12 +84,12 @@ def build_structured(kind: str, m: int | None = None, r: int | None = None,
     (position -> variable index or 0) giving provenance "custom".
     """
     kind = kind.lower().replace("_", "-")
-    if kind == "hankel":
-        mat = _catalecticant(m, 1)
+    if kind in ("hankel", "generic"):
+        if m is None or m < 2:
+            raise ValueError(f"{kind} needs m >= 2")
+        mat = _catalecticant(m, 1 if kind == "hankel" else m)
     elif kind == "catalecticant":
         mat = _catalecticant(m, r)
-    elif kind == "generic":
-        mat = _catalecticant(m, m)
     elif kind == "symmetric":
         mat = _symmetric(m)
     elif kind == "sub-hankel":
@@ -167,7 +167,7 @@ def build_gp_associated(m: int, r: int) -> PolyMatrix:
     """(m-1) x (m+r) matrix with entry (i,j) = x_{ri+j}, sharing the
     catalecticant's variable set; its maximal minors carry the submaximal
     minor combinatorics of the square matrix."""
-    if m < 2 or not 1 <= r <= m - 1:
+    if m is None or r is None or m < 2 or not 1 <= r <= m - 1:
         raise ValueError("gp-associated needs m >= 2 and 1 <= r <= m-1")
     nvars = (m - 1) * (r + 1) + 1
     ring = xring(nvars)

@@ -8,9 +8,10 @@ i+j <= n and 0 otherwise (0-based), over k[x_0..x_n]; J_i is generated by
 the first i+1 partials divided by their common power of x_n.
 
 Every check takes the polar record (`polar.polar_data`) of the order-n
-sub-Hankel determinant, with n = form.n, and reads the partials and the
-config from it; the filtration generators and ideals, the Hilbert-Burch
-matrices and the displayed syzygies are functions of that record.
+sub-Hankel determinant, with n = form.n, and reads the partials from it;
+the filtration generators and ideals, the Hilbert-Burch matrices and the
+displayed syzygies are functions of that record.  The checks run under the
+caller's budget, whose config the Groebner queries read.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def gcd_power_check(form: polar.PolarMapData, i: int,
         gens = filtration_generators(form, i)
     except ArithmeticError as exc:
         return CheckReport(f"gcd(n={n},i={i})", False, {"error": str(exc)})
-    ht = ring.nvars - hilbert_data(Ideal(ring, gens), None, budget, form.config).dimension
+    ht = ring.nvars - hilbert_data(Ideal(ring, gens), None, budget).dimension
     support_ok = all(
         p.support_vars() <= set(range(n - i, n + 1)) for p in form.partials[:i + 1])
     return CheckReport(f"gcd(n={n},i={i})", ht >= 2 and support_ok,
@@ -142,7 +143,7 @@ def hilbert_burch_check(form: polar.PolarMapData,
                         budget: Budget | None = None) -> CheckReport:
     """Each recurrent presentation column is an exact relation, the maximal
     minors regenerate the filtration ideal, and the grading is linear."""
-    n, ring, config = form.n, form.f.ring, form.config
+    n, ring = form.n, form.f.ring
     details = {}
     ok = True
     for i in range(1, n):
@@ -150,10 +151,10 @@ def hilbert_burch_check(form: polar.PolarMapData,
         phi = hilbert_burch(form, i)
         col_ok = all(dot(phi.column(c), gens).is_zero() for c in range(phi.cols))
         linear_ok = all(e.is_zero() or e.degree == 1 for e in phi.entries)
-        ladder = MinorLadder(phi)
+        ladder = MinorLadder(phi, budget)
         mins = [ladder.minor([r for r in range(i + 1) if r != drop], range(i))
                 for drop in range(i + 1)]
-        eq = ideal_equal(Ideal(ring, mins), Ideal(ring, gens), budget, config)
+        eq = ideal_equal(Ideal(ring, mins), Ideal(ring, gens), budget)
         details[f"i={i}"] = {"columns_are_relations": col_ok,
                              "linear": linear_ok, "minors_generate": eq}
         ok = ok and col_ok and linear_ok and eq
@@ -164,11 +165,11 @@ def multiplicity_filtration_check(form: polar.PolarMapData,
                                   budget: Budget | None = None) -> CheckReport:
     """e(R/J_i) = binomial(i+1, 2), and the colon/length chain behind the
     last filtration quotient having length binomial(n-1, 2)."""
-    n, ring, config = form.n, form.f.ring, form.config
+    n, ring = form.n, form.f.ring
     details = {}
     ok = True
     for i in range(1, n):
-        hd = hilbert_data(filtration_ideal(form, i), None, budget, config)
+        hd = hilbert_data(filtration_ideal(form, i), None, budget)
         want = comb(i + 1, 2)
         details[f"e(R/J_{i})"] = (hd.multiplicity, want)
         ok = ok and hd.multiplicity == want
@@ -177,13 +178,13 @@ def multiplicity_filtration_check(form: polar.PolarMapData,
     Jn1 = filtration_ideal(form, n - 1)
     lhs = ideal_sum(Ideal(ring, [xn]), Jn1)
     rhs = Ideal(ring, [xn, xm ** (n - 1)])
-    eq1 = ideal_equal(lhs, rhs, budget, config)
-    col = colon(Jn1, xn, budget, config)
-    eq2 = ideal_equal(col, filtration_ideal(form, n - 2), budget, config) if n >= 3 else None
+    eq1 = ideal_equal(lhs, rhs, budget)
+    col = colon(Jn1, xn, budget)
+    eq2 = ideal_equal(col, filtration_ideal(form, n - 2), budget) if n >= 3 else None
     details["(x_n, J_{n-1}) = (x_n, x_{n-1}^{n-1})"] = eq1
     details["J_{n-1} : x_n = J_{n-2}"] = eq2
     want = comb(n - 1, 2)
-    got = hilbert_data(filtration_ideal(form, n - 2), None, budget, config).multiplicity \
+    got = hilbert_data(filtration_ideal(form, n - 2), None, budget).multiplicity \
         if n >= 3 else 0
     details["length of the last quotient"] = (got, want)
     ok = ok and eq1 and (eq2 is not False) and got == want
@@ -194,13 +195,13 @@ def colon_claim_check(form: polar.PolarMapData,
                       budget: Budget | None = None) -> CheckReport:
     """(J_{n-1} : last partial) equals (x_n, x_{n-1}^{n-1}); membership of
     the weighted relation gives the trivial inclusion."""
-    n, ring, config = form.n, form.f.ring, form.config
+    n, ring = form.n, form.f.ring
     _check_order("colon", n, "colon claim")
     Jn1 = filtration_ideal(form, n - 1)
     target = Ideal(ring, [ring.var(n), ring.var(n - 1) ** (n - 1)])
-    got = colon(Jn1, form.partials[n], budget, config)
-    eq = ideal_equal(got, target, budget, config)
-    incl = got.contains(ring.var(n), budget=budget, config=config)
+    got = colon(Jn1, form.partials[n], budget)
+    eq = ideal_equal(got, target, budget)
+    incl = got.contains(ring.var(n), budget=budget)
     return CheckReport(f"colon-claim(n={n})", eq,
                        {"equal": eq, "x_n_in_colon": incl})
 
@@ -210,19 +211,19 @@ def resolution_and_ass_check(form: polar.PolarMapData,
     """Resolution shifts, Hilbert numerator, multiplicity, radical,
     certified embedded prime, and the minimal-primary-part identification;
     the resolution starts from the record's syzygy module."""
-    n, ring, config = form.n, form.f.ring, form.config
+    n, ring = form.n, form.f.ring
     _check_order("resolution", n, "resolution check")
     J = form.J
     details: dict = {}
     ok = True
 
-    bt, stages = graded_betti(J, budget, config, syzygies=form.syzygy_module(budget))
+    bt, stages = graded_betti(J, budget, syzygies=form.syzygy_module(budget))
     want = {(0, 0): 1, (1, n - 1): n + 1, (2, n): n, (2, 2 * n - 2): 1, (3, 2 * n - 1): 1}
     betti_ok = dict(bt.items()) == want
     details["betti"] = {"got": sorted(bt.items()), "want": sorted(want.items())}
     ok = ok and betti_ok
 
-    hd = hilbert_data(J, None, budget, config)
+    hd = hilbert_data(J, None, budget)
     s_t = {0: 1, n - 1: -(n + 1), n: n, 2 * n - 2: 1, 2 * n - 1: -1}
     num_ok = hd.numerator == s_t and dict(bt.alternating_sum()) == s_t
     details["numerator"] = {"got": hd.numerator, "want": s_t}
@@ -232,22 +233,22 @@ def resolution_and_ass_check(form: polar.PolarMapData,
 
     xn, xm, xk = ring.var(n), ring.var(n - 1), ring.var(n - 2)
     P = Ideal(ring, [xm, xn])
-    rad_ok = (radical_membership(xm, J, budget, config)
-              and radical_membership(xn, J, budget, config)
-              and all(P.contains(p, budget=budget, config=config) for p in form.partials))
+    rad_ok = (radical_membership(xm, J, budget)
+              and radical_membership(xn, J, budget)
+              and all(P.contains(p, budget=budget) for p in form.partials))
     details["radical"] = rad_ok
     ok = ok and rad_ok
 
     # embedded prime certified by an explicit colon witness
     Q = Ideal(ring, [xk, xm, xn])
-    JQ = colon(J, Q, budget, config)
+    JQ = colon(J, Q, budget)
     witness = None
-    for h in JQ.groebner_basis(None, budget, config):
+    for h in JQ.groebner_basis(None, budget):
         if h.degree > 2 * n:
             continue
-        if J.contains(h, budget=budget, config=config):
+        if J.contains(h, budget=budget):
             continue
-        if ideal_equal(colon(J, h, budget, config), Q, budget, config):
+        if ideal_equal(colon(J, h, budget), Q, budget):
             witness = h
             break
     if witness is None:
@@ -259,8 +260,8 @@ def resolution_and_ass_check(form: polar.PolarMapData,
 
     # minimal component: J inside J_{n-2} with matching multiplicity
     Jmin = filtration_ideal(form, n - 2)
-    inside = all(Jmin.contains(p, budget=budget, config=config) for p in form.partials)
-    e_match = hilbert_data(Jmin, None, budget, config).multiplicity == hd.multiplicity
+    inside = all(Jmin.contains(p, budget=budget) for p in form.partials)
+    e_match = hilbert_data(Jmin, None, budget).multiplicity == hd.multiplicity
     details["primary_part"] = {"J_in_J(n-2)": inside, "multiplicity_match": e_match}
     ok = ok and inside and e_match
 
@@ -289,7 +290,7 @@ def resolution_and_ass_check(form: polar.PolarMapData,
         vals.sort()
         val_ok = pure == 1 and all(v >= k for k, v in enumerate(vals))
         I1 = Ideal(ring, [p for p in psi if not p.is_zero()])
-        rad_tail = all(radical_membership(ring.var(v), I1, budget, config)
+        rad_tail = all(radical_membership(ring.var(v), I1, budget)
                        for v in (n - 2, n - 1, n))
         details["tail"] = {"single_column": len(tail.columns) == 1,
                            "x_n_entry": tail_ok, "valuations": vals,
@@ -312,8 +313,7 @@ def subhankel_linear_type_check(form: polar.PolarMapData,
     syz = form.syzygy_module(budget)
     disp = displayed_symmetric_generators(form)
     disp_ok = all(dot(col, partials).is_zero() for col in disp)
-    mb = ModuleBasis(syz.columns, [p.degree for p in partials],
-                     budget=budget, config=form.config)
+    mb = ModuleBasis(syz.columns, [p.degree for p in partials], budget)
     span_ok = all(mb.contains(col) for col in disp)
     n_linear = sum(1 for i in range(len(syz.columns)) if syz.entry_degree(i) == 1)
     heavy = [i for i in range(len(syz.columns)) if syz.entry_degree(i) == n - 1]

@@ -16,6 +16,11 @@ slots as the leading weight rows).  Pairs form within one component only,
 where the coprime criterion never fires (it is unsound for modules);
 pruning is by the chain criterion.  The engine and the span tests of
 `minimal_generators` work on primitive integer vectors.
+
+Computations take the Budget of the casebook fact or CLI command that runs
+them, and the Groebner queries read the cache directory from its config;
+a config is passed only to seed the rank's draws.  Without a budget the
+kernels run unmetered and each engine call builds a default one.
 """
 
 from __future__ import annotations
@@ -43,12 +48,13 @@ def _module_rows(order: MonomialOrder, rank: int) -> list[tuple]:
 
 
 def module_groebner(int_vectors: list[dict], order: MonomialOrder, shifts,
-                    budget: Budget) -> list[_Entry]:
+                    budget: Budget | None = None) -> list[_Entry]:
     """Reduced module Groebner basis of integer term-dict vectors.
 
     The rank is len(shifts); a term onehot(c) + e has degree sum(e) + shifts[c]
     (t.index(1) is its component c, the first nonzero slot).
     """
+    budget = budget or DEFAULT_CONFIG.budget()
     rank = len(shifts)
     vecs = [_content_strip(dict(v)) for v in int_vectors if v]
     seeds = _pack_entries(vecs, [max(sum(t[rank:]) + shifts[t.index(1)] for t in v)
@@ -77,7 +83,7 @@ class ModuleBasis:
     """Reduced module GB wrapper for membership/normal-form queries."""
 
     def __init__(self, columns: list[list[Polynomial]], shifts: list[int],
-                 budget: Budget | None = None, config: Config | None = None):
+                 budget: Budget | None = None):
         if not columns:
             raise ValueError("empty module")
         self.ring = columns[0][0].ring
@@ -85,11 +91,9 @@ class ModuleBasis:
         if len(shifts) != self.rank:
             raise ValueError("need one degree shift per component")
         self.shifts = list(shifts)
-        config = config or DEFAULT_CONFIG
-        b = budget or config.budget()
         vecs = [_column_to_int_vector(c, self.rank) for c in columns]
-        self.entries = module_groebner(vecs, self.ring.order, self.shifts, b)
-        self._budget = b
+        self.entries = module_groebner(vecs, self.ring.order, self.shifts, budget)
+        self._budget = budget
 
     def normal_form_vector(self, col: list[Polynomial]) -> list[Polynomial]:
         vec = _column_to_int_vector(col, self.rank)
@@ -232,15 +236,14 @@ def poly_matrix_rank(M: PolyMatrix, config: Config | None = None) -> RankResult:
     return RankResult(best, "probabilistic", witness, bound)
 
 
-def first_syzygy_module(forms: list[Polynomial], budget: Budget | None = None,
-                        config: Config | None = None) -> GradedSyzygyMatrix:
+def first_syzygy_module(forms: list[Polynomial],
+                        budget: Budget | None = None) -> GradedSyzygyMatrix:
     """Minimal generating set of the full first syzygy module of ring elements."""
-    return module_syzygies([[f] for f in forms], [0], budget, config)
+    return module_syzygies([[f] for f in forms], [0], budget)
 
 
 def module_syzygies(columns: list[list[Polynomial]], target_shifts: list[int],
-                    budget: Budget | None = None, config: Config | None = None
-                    ) -> GradedSyzygyMatrix:
+                    budget: Budget | None = None) -> GradedSyzygyMatrix:
     """Minimal generating set of the syzygies of column vectors in a
     shifted free module.
 
@@ -252,8 +255,6 @@ def module_syzygies(columns: list[list[Polynomial]], target_shifts: list[int],
     if not columns:
         return GradedSyzygyMatrix([], [], [])
     ring = columns[0][0].ring
-    config = config or DEFAULT_CONFIG
-    b = budget or config.budget()
     r = len(target_shifts)
     k = len(columns)
     col_degs = []
@@ -267,7 +268,7 @@ def module_syzygies(columns: list[list[Polynomial]], target_shifts: list[int],
     # the graph vector col_j ⊕ e_j
     vecs = [_column_to_int_vector(col + [one if i == j else zero for i in range(k)], r + k)
             for j, col in enumerate(columns)]
-    gb = module_groebner(vecs, ring.order, shifts, b)
+    gb = module_groebner(vecs, ring.order, shifts, budget)
     syz_cols = []
     syz_degs = []
     for g in gb:
@@ -281,7 +282,7 @@ def module_syzygies(columns: list[list[Polynomial]], target_shifts: list[int],
             ds = {a.degree + col_degs[i] for i, a in enumerate(polys) if not a.is_zero()}
             syz_cols.append(polys)
             syz_degs.append(ds.pop())
-    return minimal_generators(GradedSyzygyMatrix(col_degs, syz_cols, syz_degs), budget=b)
+    return minimal_generators(GradedSyzygyMatrix(col_degs, syz_cols, syz_degs), budget)
 
 
 def _span_rows():
@@ -343,12 +344,12 @@ class FittingReport:
         return f"FittingReport(rank={self.rank}, pass={self.passed})"
 
 
-def _nonzero_minor_levels(phi: PolyMatrix, budget: Budget) -> list[list[Polynomial]]:
+def _nonzero_minor_levels(phi: PolyMatrix, budget: Budget | None) -> list[list[Polynomial]]:
     """The nonzero t-minors of phi for t = 1 .. rank(phi), from one ladder.
 
     Once every t-minor vanishes so do all larger ones (Laplace), so the
-    level count is the rank.  Each returned level ticks "Fitting minors"
-    once per minor read.
+    level count is the rank.  With a budget, each returned level ticks
+    "Fitting minors" once per minor read.
     """
     ladder = MinorLadder(phi, budget)
     levels = []
@@ -357,13 +358,14 @@ def _nonzero_minor_levels(phi: PolyMatrix, budget: Budget) -> list[list[Polynomi
         gens = [d for d in level if not d.is_zero()]
         if not gens:
             break
-        budget.tick(len(level), "Fitting minors")
+        if budget is not None:
+            budget.tick(len(level), "Fitting minors")
         levels.append(gens)
     return levels
 
 
-def fitting_condition_F1(syz: GradedSyzygyMatrix, budget: Budget | None = None,
-                         config: Config | None = None) -> FittingReport:
+def fitting_condition_F1(syz: GradedSyzygyMatrix,
+                         budget: Budget | None = None) -> FittingReport:
     """Height of each Fitting ideal of the presentation vs rank - t + 2.
 
     `syz` is the presentation: the first syzygy module of the forms (as
@@ -371,10 +373,8 @@ def fitting_condition_F1(syz: GradedSyzygyMatrix, budget: Budget | None = None,
     come from its minors; a timeout while reading them propagates, since no
     row can be scored without the rank.
     """
-    config = config or DEFAULT_CONFIG
-    b = budget or config.budget()
     phi = syz.as_poly_matrix()
-    levels = _nonzero_minor_levels(phi, b)
+    levels = _nonzero_minor_levels(phi, budget)
     rank = len(levels)
     ring = phi.ring
     rows = []
@@ -383,10 +383,10 @@ def fitting_condition_F1(syz: GradedSyzygyMatrix, budget: Budget | None = None,
         required = rank - t + 2
         try:
             I = Ideal(ring, gens)
-            if I.is_unit(b, config):
+            if I.is_unit(budget):
                 ht = ring.nvars  # unit Fitting ideal: condition holds trivially
             else:
-                ht = ring.nvars - hilbert_data(I, None, b, config).dimension
+                ht = ring.nvars - hilbert_data(I, None, budget).dimension
             ok = ht >= required
             rows.append({"t": t, "height": ht, "required": required,
                          "pass": bool(ok), "status": "complete"})
@@ -436,7 +436,7 @@ _BETTI_HOM_CAP = 4
 _BETTI_DEG_CAP = 40
 
 
-def graded_betti(I: Ideal, budget: Budget | None = None, config: Config | None = None,
+def graded_betti(I: Ideal, budget: Budget | None = None,
                  syzygies: GradedSyzygyMatrix | None = None
                  ) -> tuple[BettiTable, list[GradedSyzygyMatrix]]:
     """Minimal graded Betti numbers of R/I by iterated syzygies.
@@ -446,12 +446,10 @@ def graded_betti(I: Ideal, budget: Budget | None = None, config: Config | None =
     the first syzygy module of `I.gens` passes it as `syzygies`; it is used
     when every generator is minimal, so the first stage is not recomputed.
     """
-    config = config or DEFAULT_CONFIG
-    b = budget or config.budget()
     if I.ring.nvars > 7:
         raise ValueError("Betti computation capped at 7 ambient variables")
     gens0 = GradedSyzygyMatrix([0], [[g] for g in I.gens], [g.degree for g in I.gens])
-    gens = minimal_generators(gens0, b)
+    gens = minimal_generators(gens0, budget)
     data: dict[tuple[int, int], int] = {(0, 0): 1}
     stages = []
     cur_cols = gens.columns
@@ -466,7 +464,7 @@ def graded_betti(I: Ideal, budget: Budget | None = None, config: Config | None =
         if level == 1 and syzygies is not None and gens.columns == gens0.columns:
             syz = syzygies
         else:
-            syz = module_syzygies(cur_cols, cur_shifts, b, config)
+            syz = module_syzygies(cur_cols, cur_shifts, budget)
         if not syz.columns:
             complete = True
             break
@@ -538,8 +536,7 @@ def _bigraded_kernel(forms: list[Polynomial], yprods: list[tuple], xdeg: int,
 
 def rees_minimal_bidegree12(forms: list[Polynomial],
                             linear_columns: list[list[Polynomial]],
-                            budget: Budget | None = None,
-                            config: Config | None = None):
+                            budget: Budget | None = None):
     """Minimal generators of the blowup ideal in bidegree (1,2).
 
     `linear_columns` spans the linear syzygies of the forms (the columns
@@ -552,8 +549,6 @@ def rees_minimal_bidegree12(forms: list[Polynomial],
     Returns (new_generators, kernel_dim, old_span_dim), where kernel_dim =
     old_span_dim + len(new_generators).
     """
-    config = config or DEFAULT_CONFIG
-    b = budget or config.budget()
     ring = forms[0].ring
     k, n = len(forms), ring.nvars
     quadrics = _y_products(forms, 2)
@@ -563,20 +558,20 @@ def rees_minimal_bidegree12(forms: list[Polynomial],
     yy = [[quad[tuple((t == i) + (t == j) for t in range(k))] * n for j in range(k)]
           for i in range(k)]
     zero = [(0,) * n]
-    old = SparseEliminator(b)
+    old = SparseEliminator(budget)
 
     def add(items):
         old.add_row(clear_denominators(items)[0])
     for col in linear_columns:
         for j in range(k):
             add((yy[i][j] + e.index(1), c) for i, a in enumerate(col) for e, c in a.terms.items())
-    for tau in _bigraded_relations(quadrics, zero, b):
+    for tau in _bigraded_relations(quadrics, zero, budget):
         for v in range(n):
             add((q * n + v, c) for q, c in tau.items())
     # constant-coefficient linear relations would multiply in as well
-    for rho in _bigraded_relations(_y_products(forms, 1), zero, b):
+    for rho in _bigraded_relations(_y_products(forms, 1), zero, budget):
         for v in range(n):
             for j in range(k):
                 add((yy[i][j] + v, c) for i, c in rho.items())
-    new_gens = _bigraded_kernel(forms, quadrics, 1, b, known=old)
+    new_gens = _bigraded_kernel(forms, quadrics, 1, budget, known=old)
     return new_gens, old.rank + len(new_gens), old.rank

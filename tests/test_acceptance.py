@@ -83,7 +83,7 @@ def test_criterion_1_hankel3_suite(hankel_record):
             acc = acc + a * p
         assert acc.is_zero()
 
-    assert fitting_condition_F1(form.syzygy_module(), config=CFG).passed
+    assert fitting_condition_F1(form.syzygy_module(), CFG.budget()).passed
     assert form.linear_type().status == "LinearType"
     assert polar.homaloidal_verdict(form).status == "NotHomaloidal"
 
@@ -233,7 +233,7 @@ def test_criterion_6_cat4_long_suite():
     syz, rank = linear_syzygies(partials, config=cfg)
     assert rank.rank == 11
 
-    new12, _, _ = rees_minimal_bidegree12(partials, syz.columns, config=cfg)
+    new12, _, _ = rees_minimal_bidegree12(partials, syz.columns, cfg.budget())
     sym = symmetric_algebra_ideal(partials, syz.columns)
     jd = polar.jacobian_dual_rank(partials, sym.gens + new12, config=cfg)
     assert jd.rank == 12
@@ -258,7 +258,7 @@ def test_criterion_6_cat4_long_suite():
     _, f42, p42 = _partials("catalecticant", m=4, r=2)
     syz42, rank42 = linear_syzygies(p42, config=cfg)
     assert rank42.rank == 6
-    new42, _, _ = rees_minimal_bidegree12(p42, syz42.columns, config=cfg)
+    new42, _, _ = rees_minimal_bidegree12(p42, syz42.columns, cfg.budget())
     assert len(new42) == 2
 
     elapsed = time.monotonic() - t0
@@ -350,7 +350,7 @@ def test_criterion_8_property_suites(subhankel_record):
     for n in (3, 4):
         form = subhankel_record(n)
         J = Ideal(form.f.ring, form.partials)
-        bt, _ = graded_betti(J, config=CFG)
+        bt, _ = graded_betti(J, CFG.budget())
         assert bt.alternating_sum() == hilbert_data(J, config=CFG).numerator
 
     # syzygy dot-product exactness on every family used above
@@ -359,7 +359,7 @@ def test_criterion_8_property_suites(subhankel_record):
         M = build_structured(kind, **kw)
         f = determinant(M)
         partials = [f.diff(i) for i in range(M.ring.nvars)]
-        syz = first_syzygy_module(partials, config=CFG)
+        syz = first_syzygy_module(partials, CFG.budget())
         assert all(dot(col, partials).is_zero() for col in syz.columns)
         lin, _ = linear_syzygies(partials, config=CFG)
         assert all(dot(col, partials).is_zero() for col in lin.columns)

@@ -191,7 +191,7 @@ def test_cli_ideal_matches_the_recorded_output(name):
 def test_cli_hankel_star_refuses_order_zero(capsys):
     assert cli_main(["hankel", "--check", "star", "--m", "0", "--json"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == "error: catalecticant needs m >= 2 and 1 <= r <= m\n"
+    assert out == "" and err == "error: hankel needs m >= 2\n"
 
 
 def test_cli_hankel_refuses_an_order_before_building(monkeypatch, capsys):
@@ -288,6 +288,21 @@ def test_cli_usage_error_exit_two():
     for args in (["polar", "--verdict"], ["matrix", "--det"]):
         code, out, err = run_cli(args)
         assert (code, out, err) == (2, "", "error: need --kind or --spec\n")
+    for order in (["--m", "3"], ["--r", "1"]):
+        code, out, err = run_cli(["matrix", "--kind", "gp-associated", *order])
+        assert (code, out) == (2, "")
+        assert err == "error: gp-associated needs m >= 2 and 1 <= r <= m-1\n"
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--kind", "hankel"], "hankel needs m >= 2"),
+    (["--kind", "generic", "--m", "1"], "generic needs m >= 2"),
+    (["--kind", "catalecticant", "--m", "3", "--r", "4"],
+     "catalecticant needs m >= 2 and 1 <= r <= m"),
+], ids=["hankel", "generic", "catalecticant"])
+def test_cli_matrix_error_names_the_kind_asked_for(capsys, args, message):
+    assert cli_main(["matrix", *args]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 _GENS = "x0^2\nx0*x1\n"
@@ -400,16 +415,62 @@ def test_scenario_reports_incomplete_under_tiny_budget():
 
 
 def test_timeout_names_the_sub_computation():
-    # a timed-out fact records which budgeted computation ran out
+    # a timed-out fact records which budgeted computation ran out, the same
+    # one on every run
+    from detlab.groebner import _MEMORY_CACHE
+    for _ in range(2):
+        _MEMORY_CACHE.clear()
+        rep = run_scenario("hankel-4", config=Config(seed=5, gb_step_cap=200))
+        timed_out = {r.fact_id: r.computed for r in rep.records if r.match == "timeout"}
+        assert timed_out == {"mult-J": "polynomial reduction: budget exceeded",
+                             "radical": "polynomial reduction: budget exceeded"}
+
+
+def test_casebook_builds_one_budget_per_fact(monkeypatch):
+    # one meter per fact, plus the two bounded attempts that run: hankel-3's
+    # in-verdict linear-type attempt and dg-3's symbolic Hessian route
+    from detlab.config import Budget
+    built = []
+    init = Budget.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(Budget, "__init__", counting_init)
+    facts = sum(len(run_scenario(s["id"]).records) for s in list_scenarios())
+    assert (facts, len(built)) == (86, 88)
+
+
+def test_step_cap_bounds_the_whole_fact(monkeypatch):
+    # every tick of a fact counts against its one cap: no fact passes the
+    # cap by more than the tick that ran out
+    from detlab.config import Budget
     from detlab.groebner import _MEMORY_CACHE
     _MEMORY_CACHE.clear()
-    rep = run_scenario("hankel-4", config=Config(seed=5, gb_step_cap=200))
-    timed_out = [r for r in rep.records if r.match == "timeout"]
-    assert timed_out
-    for r in timed_out:
-        what, _, rest = r.computed.partition(": ")
-        assert rest == "budget exceeded"
-        assert what in ("Buchberger", "polynomial reduction", "Hilbert series")
+    cap = 10_000
+    ticks: dict[str, list[int]] = {}
+    running = []
+    tick = Budget.tick
+
+    def logging_tick(self, n=1, what="computation"):
+        ticks.setdefault(running[-1], []).append(n)
+        return tick(self, n, what)
+
+    def running_fact(fact):
+        check = fact.check
+
+        def run(ctx):
+            running.append(fact.fact_id)
+            return check(ctx)
+        return run
+    for fact in registry()["cat-3-2"].facts:
+        monkeypatch.setattr(fact, "check", running_fact(fact))
+    monkeypatch.setattr(Budget, "tick", logging_tick)
+    rep = run_scenario("cat-3-2", config=Config(gb_step_cap=cap))
+    assert {r.fact_id: r.match for r in rep.records}["linear-type"] == "timeout"
+    assert "linear-type" in ticks
+    for fid, ns in ticks.items():
+        assert sum(ns) - ns[-1] <= cap, fid
 
 
 def test_cat42_verdict_reuses_the_bidegree12_equations(monkeypatch):

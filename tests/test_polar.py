@@ -332,7 +332,7 @@ def test_linear_type_timeout_reported():
     from detlab.config import Config
     _, _, p4 = det_and_partials("hankel", m=4)
     cfg = Config(gb_step_cap=500)
-    out = _linear_type(p4, budget=cfg.budget(), config=cfg)
+    out = _linear_type(p4, budget=cfg.budget())
     assert out.status == "Timeout"
 
 
