@@ -9,9 +9,16 @@ leading monomial on the old ones.  Every heavy query runs under a Budget
 and raises ComputationTimeout rather than returning a wrong answer.  It
 reads the cache directory from the config passed, else from its budget's.
 
+An ideal's order is its ring's order, and an ideal holds one reduced
+basis.  The orders are block orders of grevlex blocks (`MonomialOrder`):
+grevlex itself, and the elimination orders that `eliminate`, `intersect`
+and `rees_ideal` put on a ring of their own.  Rings compare by variable
+names, so the generators of one ring serve another that differs only in
+its order.
+
 Inside the engine a monomial is one int (Monagan and Pearce's packed
-monomials).  Every order here is a nonnegative integer weight matrix W
-(`MonomialOrder.weight_rows`), and the packed form of an exponent vector e
+monomials).  Every order is read as its nonnegative integer weight matrix
+W (`MonomialOrder.weight_rows`), and the packed form of an exponent vector e
 is W·e followed by the exponents that W does not already list, in fixed-
 width bit fields whose top bit is a guard bit.  Integer comparison is then
 the monomial order, a product or quotient of monomials is + or -, and one
@@ -71,14 +78,14 @@ import itertools
 import os
 import tempfile
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import mul
 
 from .config import Budget, Config, DEFAULT_CONFIG
 from .polyring import (
-    Polynomial, Ring, MonomialOrder, block_order, grevlex, morph, clear_denominators,
-    _content_strip,
+    Polynomial, Ring, MonomialOrder, block_order, morph, clear_denominators, _content_strip,
 )
 
 # ---------------------------------------------------------------------------
@@ -808,11 +815,11 @@ def _disk_header(key: str, body: bytes) -> bytes:
     return _DISK_FORMAT + b" sha256=" + digest.encode() + b"\n"
 
 
-def _cache_key(ring: Ring, order: MonomialOrder, gens: list[Polynomial]) -> str:
+def _cache_key(ring: Ring, gens: list[Polynomial]) -> str:
     body = sorted({tuple(sorted(g.terms.items())) for g in gens})
     # "QQ" names the one coefficient field; it stays so that keys and file
     # names written by earlier versions still match
-    return hashlib.sha256(repr(("QQ", ring.variables, order.id, body)).encode()).hexdigest()
+    return hashlib.sha256(repr(("QQ", ring.variables, ring.order.id, body)).encode()).hexdigest()
 
 
 def _colon_key(ideal_key: str, g: Polynomial) -> str:
@@ -827,12 +834,12 @@ def _settings(budget: Budget | None, config: Config | None) -> Config:
     return config or (budget.config if budget is not None else DEFAULT_CONFIG)
 
 
-def _cached(key: str, ring: Ring, order: MonomialOrder, config: Config, compute) -> list[_Entry]:
+def _cached(key: str, order: MonomialOrder, config: Config, compute) -> list[_Entry]:
     """The entries stored under the key in the memory cache or the disk
     cache, or else compute() and store them in both."""
     entries = _MEMORY_CACHE.get(key)
     if entries is None and config.cache_dir:
-        entries = _disk_get(config.cache_dir, key, ring.nvars, order)
+        entries = _disk_get(config.cache_dir, key, order)
     fresh = entries is None
     if fresh:
         entries = compute()
@@ -842,10 +849,10 @@ def _cached(key: str, ring: Ring, order: MonomialOrder, config: Config, compute)
     return entries
 
 
-def _disk_get(cache_dir: str, key: str, nvars: int, order: MonomialOrder) -> list[_Entry] | None:
+def _disk_get(cache_dir: str, key: str, order: MonomialOrder) -> list[_Entry] | None:
     """The cached basis, or None when the file is missing, has another
     format or checksum, or holds a line that is no record of a nonzero
-    polynomial in nvars variables."""
+    polynomial in the order's variables."""
     path = os.path.join(cache_dir, key + ".gb")
     try:
         with open(path, "rb") as fh:
@@ -855,6 +862,7 @@ def _disk_get(cache_dir: str, key: str, nvars: int, order: MonomialOrder) -> lis
         return None
     if header != _disk_header(key, body):
         return None
+    nvars = order.nvars
     step = nvars + 1
     dicts = []
     try:
@@ -905,7 +913,8 @@ def _disk_put(cache_dir: str, key: str, entries: list[_Entry]) -> None:
 # Ideal
 
 class Ideal:
-    """Generator list plus per-order cached reduced Groebner bases."""
+    """Generator list plus the reduced Groebner basis in the ring's order,
+    computed on first use."""
 
     def __init__(self, ring: Ring, gens):
         self.ring = ring
@@ -918,9 +927,8 @@ class Ideal:
             if not g.is_zero():
                 clean.setdefault(g)
         self.gens = list(clean)
-        self._gb: dict[str, list[_Entry]] = {}  # order id -> entries of the reduced basis
-        self._keys: dict[str, str] = {}  # order id -> cache key
-        self._monic: dict[str, list[Polynomial]] = {}  # built on the first groebner_basis
+        self._gb: list[_Entry] | None = None  # entries of the reduced basis
+        self._monic: list[Polynomial] | None = None  # built on the first groebner_basis
 
     def __repr__(self):
         show = ", ".join(str(g) for g in self.gens[:4])
@@ -930,49 +938,36 @@ class Ideal:
     def is_zero(self) -> bool:
         return not self.gens
 
-    def _resolve(self, order: MonomialOrder | None) -> MonomialOrder:
-        return order if order is not None else self.ring.order
-
-    def groebner_basis(self, order: MonomialOrder | None = None,
-                       budget: Budget | None = None,
+    def groebner_basis(self, budget: Budget | None = None,
                        config: Config | None = None) -> list[Polynomial]:
-        """Reduced (monic) Groebner basis; deterministic given order."""
-        order = self._resolve(order)
-        polys = self._monic.get(order.id)
-        if polys is None:
-            entries = self._entries(order, budget, config)
-            polys = self._monic[order.id] = [e.monic(self.ring) for e in entries]
-        return polys
+        """Reduced (monic) Groebner basis in the ring's order."""
+        if self._monic is None:
+            self._monic = [e.monic(self.ring) for e in self._entries(budget, config)]
+        return self._monic
 
-    def _key(self, order: MonomialOrder) -> str:
-        key = self._keys.get(order.id)
-        if key is None:
-            key = self._keys[order.id] = _cache_key(self.ring, order, self.gens)
-        return key
+    @cached_property
+    def _key(self) -> str:
+        return _cache_key(self.ring, self.gens)
 
-    def _entries(self, order, budget=None, config=None) -> list[_Entry]:
+    def _entries(self, budget=None, config=None) -> list[_Entry]:
         """The engine's entries of the reduced basis, from this ideal, the
         memory cache, the disk cache or a computation, in that order."""
-        order = self._resolve(order)
-        entries = self._gb.get(order.id)
-        if entries is not None:
-            return entries
-        if not self.gens:
-            self._gb[order.id] = []
-            return []
-        config = _settings(budget, config)
+        if self._gb is None:
+            config = _settings(budget, config)
+            order = self.ring.order
 
-        def compute():
-            return groebner_entries([to_int_terms(g) for g in self.gens], order,
-                                    budget or config.budget())
-        entries = self._gb[order.id] = _cached(self._key(order), self.ring, order,
-                                               config, compute)
-        return entries
+            def compute():
+                return groebner_entries([to_int_terms(g) for g in self.gens], order,
+                                        budget or config.budget())
+            self._gb = _cached(self._key, order, config, compute) if self.gens else []
+        return self._gb
 
-    def normal_form(self, f: Polynomial, order: MonomialOrder | None = None,
-                    budget: Budget | None = None, config: Config | None = None) -> Polynomial:
+    def normal_form(self, f: Polynomial, budget: Budget | None = None,
+                    config: Config | None = None) -> Polynomial:
         """Canonical remainder of f under full reduction."""
-        entries = self._entries(order, budget, config)
+        if f.ring != self.ring:
+            raise ValueError("polynomial from a different ring")
+        entries = self._entries(budget, config)
         if f.is_zero() or not entries:
             return f
         budget = budget or _settings(None, config).budget()
@@ -981,19 +976,18 @@ class Ideal:
         total = den * scale
         return Polynomial(self.ring, {e: Fraction(c, total) for e, c in rem.items()})
 
-    def contains(self, f: Polynomial, order=None, budget=None, config=None) -> bool:
-        return self.normal_form(f, order, budget, config).is_zero()
+    def contains(self, f: Polynomial, budget=None, config=None) -> bool:
+        return self.normal_form(f, budget, config).is_zero()
 
-    def contains_ideal(self, other: "Ideal", order=None, budget=None, config=None) -> bool:
-        return all(self.contains(g, order, budget, config) for g in other.gens)
+    def contains_ideal(self, other: "Ideal", budget=None, config=None) -> bool:
+        return all(self.contains(g, budget, config) for g in other.gens)
 
-    def leading_monomials(self, order=None, budget=None, config=None) -> list[tuple]:
-        entries = self._entries(order, budget, config)
-        return [g.pk.unpack(g.lm) for g in entries]
+    def leading_monomials(self, budget=None, config=None) -> list[tuple]:
+        return [g.pk.unpack(g.lm) for g in self._entries(budget, config)]
 
     def is_unit(self, budget=None, config=None) -> bool:
-        gb = self.groebner_basis(None, budget, config)
-        return any(g.is_constant() and not g.is_zero() for g in gb)
+        # a reduced basis holds a constant, whose monomial packs to 0, iff it is (1)
+        return any(g.lm == 0 for g in self._entries(budget, config))
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
@@ -1019,8 +1013,7 @@ def ideal_equal(I: Ideal, J: Ideal, budget=None, config=None) -> bool:
     """Mutual membership of generators."""
     if I.ring != J.ring:
         raise ValueError("ideals in different rings")
-    return I.contains_ideal(J, budget=budget, config=config) and \
-        J.contains_ideal(I, budget=budget, config=config)
+    return I.contains_ideal(J, budget, config) and J.contains_ideal(I, budget, config)
 
 
 # ---------------------------------------------------------------------------
@@ -1037,20 +1030,20 @@ def _fresh_names(base: str, count: int, taken) -> list[str]:
     return out
 
 
-def _seeded(ring: Ring, order: MonomialOrder, entries: list[_Entry]) -> Ideal:
-    """The ideal generated by the reduced basis `entries` in the given order,
-    with that basis already set on it, so no query computes it again."""
-    polys = [e.monic(ring) for e in entries]
-    out = Ideal(ring, polys)
-    out._gb[order.id] = entries
-    out._monic[order.id] = polys
+def _seeded(ring: Ring, entries: list[_Entry]) -> Ideal:
+    """The ideal generated by the reduced basis `entries` in the ring's
+    order, with that basis already set on it, so no query computes it again."""
+    out = Ideal(ring, [e.monic(ring) for e in entries])
+    out._gb = entries
+    out._monic = out.gens
     return out
 
 
 def eliminate(I: Ideal, keep_indices, budget=None, config=None) -> Ideal:
     """I ∩ k[kept variables], returned over the subring of kept variables and
-    generated by its reduced basis in the subring's order, grevlex: the kept
-    block of the elimination order."""
+    generated by its reduced basis in the ring's order on those variables
+    (grevlex for a grevlex ring).  The elimination order puts the dropped
+    variables in a first block before the ring's own blocks."""
     ring = I.ring
     keep = sorted(keep_indices)
     if not all(0 <= i < ring.nvars for i in keep):
@@ -1058,40 +1051,40 @@ def eliminate(I: Ideal, keep_indices, budget=None, config=None) -> Ideal:
     drop = [i for i in range(ring.nvars) if i not in keep]
     if not drop:
         return Ideal(ring, list(I.gens))
+    blocks = [[i for i in b if i in keep] for b in ring.order.blocks]
+    elim = Ideal(Ring(ring.variables, block_order([drop] + blocks)), I.gens)
     kept = []
-    for g in I._entries(block_order([drop, keep]), budget, config):
+    for g in elim._entries(budget, config):
         terms = g.full()
         if not any(e[i] for e in terms for i in drop):
             kept.append({tuple(e[i] for i in keep): c for e, c in terms.items()})
-    sub = Ring(tuple(ring.variables[i] for i in keep))
+    sub = Ring(tuple(ring.variables[i] for i in keep),
+               block_order([[keep.index(i) for i in b] for b in blocks]))
     sugars = [max(map(sum, d)) for d in kept]
-    return _seeded(sub, sub.order, _pack_entries(kept, sugars, sub.order.weight_rows()))
+    return _seeded(sub, _pack_entries(kept, sugars, sub.order.weight_rows()))
 
 
 def intersect(I: Ideal, J: Ideal, budget=None, config=None) -> Ideal:
-    """I ∩ J, generated by its reduced grevlex basis.  When one ideal
-    contains the other (normal forms against the two bases), that is the
-    smaller one; otherwise the tag-variable elimination
-    (u*I + (1-u)*J) ∩ k[x], whose kept block is grevlex in any ring."""
+    """I ∩ J, generated by its reduced basis.  When one ideal contains the
+    other (normal forms against the two bases), that is the smaller one;
+    otherwise the tag-variable elimination (u*I + (1-u)*J) ∩ k[x] in a
+    ring whose order is the tag block before the ring's own blocks."""
     ring = I.ring
     if J.ring != ring:
         raise ValueError("ideals in different rings")
     if I.is_zero() or J.is_zero():
-        return Ideal(ring, [])
+        return _seeded(ring, [])
     for small, big in ((I, J), (J, I)):
-        if big.contains_ideal(small, budget=budget, config=config):
-            order = grevlex(ring.nvars)
-            return _seeded(ring, order, small._entries(order, budget, config))
+        if big.contains_ideal(small, budget, config):
+            return _seeded(ring, small._entries(budget, config))
     tag = _fresh_names("u", 1, ring.variables)[0]
-    ext = Ring((tag,) + ring.variables)
+    ext = Ring((tag,) + ring.variables,
+               block_order([[0]] + [[i + 1 for i in b] for b in ring.order.blocks]))
     u = ext.var(0)
-    gi = I.groebner_basis(None, budget, config)
-    gj = J.groebner_basis(None, budget, config)
-    gens = [u * morph(g, ext) for g in gi]
-    gens += [(ext.one() - u) * morph(g, ext) for g in gj]
+    gens = [u * morph(g, ext) for g in I.groebner_basis(budget, config)]
+    gens += [(ext.one() - u) * morph(g, ext) for g in J.groebner_basis(budget, config)]
     elim = eliminate(Ideal(ext, gens), range(1, ext.nvars), budget, config)
-    order = elim.ring.order
-    return _seeded(ring, order, elim._entries(order))
+    return _seeded(ring, elim._entries())
 
 
 def colon_poly(I: Ideal, g: Polynomial, budget=None, config=None) -> Ideal:
@@ -1099,19 +1092,20 @@ def colon_poly(I: Ideal, g: Polynomial, budget=None, config=None) -> Ideal:
     module docstring); the returned ideal's generators are its reduced
     basis, and that basis is cached under the key of (I, g).  A guard-bit
     hit restarts at twice the field width."""
+    ring = I.ring
+    if g.ring != ring:
+        raise ValueError("polynomial from a different ring")
     if g.is_zero():
         raise ZeroDivisionError("colon by zero polynomial")
-    ring, order = I.ring, I.ring.order
     if I.is_zero():
-        return Ideal(ring, [])
+        return _seeded(ring, [])
     config = _settings(budget, config)
 
     def compute():
         b = budget or config.budget()
         h = to_int_terms(g)
-        return _retry_wider(I._entries(order, b, config), lambda G: _colon_at_width(G, h, b))
-    entries = _cached(_colon_key(I._key(order), g), ring, order, config, compute)
-    return _seeded(ring, order, entries)
+        return _retry_wider(I._entries(b, config), lambda G: _colon_at_width(G, h, b))
+    return _seeded(ring, _cached(_colon_key(I._key, g), ring.order, config, compute))
 
 
 def colon(I: Ideal, J, budget=None, config=None) -> Ideal:
@@ -1121,7 +1115,7 @@ def colon(I: Ideal, J, budget=None, config=None) -> Ideal:
         return colon_poly(I, J, budget, config)
     if J.is_zero():
         raise ZeroDivisionError("colon by the zero ideal")
-    gens = J.groebner_basis(None, budget, config)
+    gens = J.groebner_basis(budget, config)
     if len(J.gens) < len(gens):
         gens = J.gens
     acc: Ideal | None = None
@@ -1129,7 +1123,7 @@ def colon(I: Ideal, J, budget=None, config=None) -> Ideal:
         c = colon_poly(I, g, budget, config)
         acc = c if acc is None else intersect(acc, c, budget, config)
         # the result always contains I; once acc == I it cannot shrink further
-        if I.contains_ideal(acc, budget=budget, config=config):
+        if I.contains_ideal(acc, budget, config):
             break
     return acc
 
@@ -1296,14 +1290,15 @@ def _divide_out_one_minus_t(num: dict) -> tuple[dict, int]:
     return cur, c
 
 
-def hilbert_data(I: Ideal, order=None, budget=None, config=None) -> HilbertData:
-    """Dimension, multiplicity, Hilbert numerator of R/I via in(I)."""
+def hilbert_data(I: Ideal, budget=None, config=None) -> HilbertData:
+    """Dimension, multiplicity, Hilbert numerator of R/I via in(I), the
+    initial ideal in the ring's order."""
     config = _settings(budget, config)
     budget = budget or config.budget()
     nvars = I.ring.nvars
     if I.is_zero():
         return HilbertData(nvars, 1, {0: 1})
-    lms = I.leading_monomials(order, budget, config)
+    lms = I.leading_monomials(budget, config)
     num = _hilbert_numerator(tuple(lms), nvars, {}, budget)
     if not num:
         return HilbertData(-1, 0, {})
@@ -1330,17 +1325,14 @@ def rees_ideal(forms: list[Polynomial], budget=None, config=None) -> Ideal:
     if len(degs) != 1 or not all(f.is_homogeneous() for f in forms):
         raise ValueError("forms must be homogeneous of one degree")
     n = len(forms)
-    ext = Ring(("t",) + tuple(f"y{i}" for i in range(n)) + ring.variables)
-    order = block_order([[0], list(range(1, n + 1)), list(range(n + 1, ext.nvars))])
+    nvars = 1 + n + ring.nvars
+    ext = Ring(("t",) + tuple(f"y{i}" for i in range(n)) + ring.variables,
+               block_order([[0], range(1, n + 1), range(n + 1, nvars)]))
     t = ext.var(0)
-    gens = []
-    for i, f in enumerate(forms):
-        gens.append(ext.var(1 + i) - t * morph(f, ext))
-    K = Ideal(ext, gens)
-    gb = K.groebner_basis(order, budget, config)
+    gens = [ext.var(1 + i) - t * morph(f, ext) for i, f in enumerate(forms)]
     target = rees_ring(ring, n)
     out = []
-    for g in gb:
+    for g in Ideal(ext, gens).groebner_basis(budget, config):
         if 0 not in g.support_vars():
             out.append(morph(g, target))
     return Ideal(target, out)
@@ -1366,9 +1358,9 @@ def symmetric_algebra_ideal(forms: list[Polynomial], syzygy_columns) -> Ideal:
 # ---------------------------------------------------------------------------
 # self-certification
 
-def certify_groebner(I: Ideal, order=None, budget=None, config=None) -> bool:
+def certify_groebner(I: Ideal, budget=None, config=None) -> bool:
     """All s-polynomials of basis pairs reduce to zero."""
-    entries = I._entries(order, budget, config)
+    entries = I._entries(budget, config)
     budget = budget or _settings(None, config).budget()
 
     def run(basis) -> bool:

@@ -585,7 +585,7 @@ def _verdict_pipeline(form, budget, candidate_inverse, try_linear_type,
             m = Ideal(f.ring, f.ring.gens())
             sat, _steps = saturation(J, m, budget)
             low = None
-            for g in sat.groebner_basis(None, budget):
+            for g in sat.groebner_basis(budget):
                 if g.degree <= d - 1 and not J.contains(g, budget=budget):
                     low = g
                     break

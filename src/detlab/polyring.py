@@ -8,12 +8,22 @@ polynomial mod p without building another ring: `evaluate(point, p)` and
 `restrict_to_line(base, direction, p)` map each coefficient a/b to
 a * b^-1 mod p.  All operations are pure and values are immutable by
 convention, so sharing across threads is safe.
+
+Every monomial order here is a block order (`MonomialOrder`): variable
+blocks, earlier ones dominating, each compared by grevlex in its listed
+variable order.  grevlex(n) is the one block 0..n-1, and `block_order`
+builds the elimination orders.  An order is read as a tuple key (`key`) or
+as the nonnegative weight matrix (`weight_rows`) that the Groebner engine
+packs; every term order is a weight-matrix order (Robbiano, EUROCAL 1985).
+A ring carries one order, grevlex unless given, for leading terms and
+exact division; text lists terms in grevlex in every ring.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .modp import umul, utrim
@@ -24,117 +34,58 @@ NEG_INF = float("-inf")
 # ---------------------------------------------------------------------------
 # monomial orders
 
-def _grevlex_key(e: tuple) -> tuple:
-    s = 0
-    for v in e:
-        s += v
-    return (s,) + tuple(-v for v in reversed(e))
-
-
-def _grlex_key(e: tuple) -> tuple:
-    s = 0
-    for v in e:
-        s += v
-    return (s,) + e
-
-
-def _lex_key(e: tuple) -> tuple:
-    return e
-
-
-_KEYFN = {"grevlex": _grevlex_key, "grlex": _grlex_key, "lex": _lex_key}
-
-
 class MonomialOrder:
-    """Total multiplicative monomial order realized as a flat integer key.
+    """A block order: the variables fall into blocks, an earlier block
+    dominates a later one, and each block is compared by grevlex with its
+    variables in the listed order (the first listed is the largest).
 
-    u < v in the order iff key(u) < key(v) as tuples.  Supported kinds:
-    lex, grlex, grevlex (each with an optional variable permutation giving
-    the priority sequence), and elimination blocks of sub-orders.
+    One block over 0..n-1 is grevlex, one permuted block is grevlex under
+    that variable order, singleton blocks are lex, and several blocks make
+    an elimination order.  u < v in the order iff key(u) < key(v) as tuples
+    iff W·u < W·v lexicographically for W = weight_rows().
     """
 
-    __slots__ = ("kind", "nvars", "perm", "blocks", "_subkeys")
+    __slots__ = ("blocks", "nvars", "id")
 
-    def __init__(self, kind: str, nvars: int, perm: tuple | None = None,
-                 blocks: tuple | None = None):
-        self.kind = kind
-        self.nvars = nvars
-        self.perm = perm
-        self.blocks = blocks
-        if kind == "block":
-            self._subkeys = None
+    def __init__(self, blocks):
+        self.blocks = tuple(tuple(b) for b in blocks if len(b))
+        self.nvars = sum(map(len, self.blocks))
+        if sorted(i for b in self.blocks for i in b) != list(range(self.nvars)):
+            raise ValueError("order blocks must partition the variables")
+        if len(self.blocks) > 1:
+            inner = "|".join(f"{','.join(map(str, b))}:grevlex:{len(b)}" for b in self.blocks)
+            self.id = f"block[{inner}]"
         else:
-            if kind not in _KEYFN:
-                raise ValueError(f"unknown order kind {kind!r}")
-            self._subkeys = _KEYFN[kind]
+            b = self.blocks[0] if self.blocks else ()
+            perm = "" if b == tuple(range(self.nvars)) else ":" + ",".join(map(str, b))
+            self.id = f"grevlex:{self.nvars}{perm}"
 
     def key(self, e: tuple) -> tuple:
-        if self.kind == "block":
-            out = ()
-            for idxs, sub in self.blocks:
-                out += sub.key(tuple(e[i] for i in idxs))
-            return out
-        if self.perm is not None:
-            e = tuple(e[i] for i in self.perm)
-        return self._subkeys(e)
-
-    def keyfn(self):
-        """Bound fast-path key function (avoids attribute walks in loops)."""
-        if self.kind == "block":
-            blocks = self.blocks
-            subfns = [(idxs, sub.keyfn()) for idxs, sub in blocks]
-
-            def bk(e, _subfns=tuple(subfns)):
-                out = ()
-                for idxs, fn in _subfns:
-                    out += fn(tuple(e[i] for i in idxs))
-                return out
-
-            return bk
-        if self.perm is None:
-            return self._subkeys
-        perm = self.perm
-        base = self._subkeys
-        return lambda e: base(tuple(e[i] for i in perm))
+        """Per block: its degree, then its negated exponents, last listed
+        variable first."""
+        out = ()
+        for b in self.blocks:
+            neg = tuple([-e[i] for i in reversed(b)])
+            out += (-sum(neg),) + neg
+        return out
 
     def weight_rows(self) -> list[tuple]:
         """Nonnegative integer matrix W such that u < v in the order iff
         W·u < W·v lexicographically.
 
-        Lex reads the variables in priority order, grlex puts the degree
-        first, and grevlex is the degree followed by the prefix sums
-        e_p0 + ... + e_p(k-1) for k = n-1 down to 1 (a smaller last
-        exponent means a larger prefix sum).  A block order stacks the rows
-        of its sub-orders, each spread over its block's variables.
+        A block b_0, ..., b_(k-1) gives the rows of the prefix sums
+        e_b0 + ... + e_b(j-1) for j = k down to 1: its degree first, then
+        the sums that a smaller exponent of a later variable makes larger.
+        The blocks' rows are stacked in block order.
         """
-        n = self.nvars
-        if self.kind == "block":
-            rows = []
-            for idxs, sub in self.blocks:
-                for sub_row in sub.weight_rows():
-                    row = [0] * n
-                    for i, w in zip(idxs, sub_row):
-                        row[i] = w
-                    rows.append(tuple(row))
-            return rows
-        perm = self.perm if self.perm is not None else tuple(range(n))
-
-        def ones(idxs):
-            return tuple(1 if i in idxs else 0 for i in range(n))
-        if self.kind == "grevlex":
-            return [ones(set(perm[:k])) for k in range(n, 0, -1)]
-        units = [ones({i}) for i in perm]
-        return units if self.kind == "lex" else [ones(set(perm))] + units
-
-    @property
-    def id(self) -> str:
-        if self.kind == "block":
-            inner = "|".join(
-                f"{','.join(map(str, idxs))}:{sub.id}" for idxs, sub in self.blocks
-            )
-            return f"block[{inner}]"
-        p = "" if self.perm is None else ":" + ",".join(map(str, self.perm))
-        return f"{self.kind}:{self.nvars}{p}"
+        rows = []
+        for b in self.blocks:
+            for j in range(len(b), 0, -1):
+                row = [0] * self.nvars
+                for i in b[:j]:
+                    row[i] = 1
+                rows.append(tuple(row))
+        return rows
 
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and self.id == other.id
@@ -146,27 +97,15 @@ class MonomialOrder:
         return f"MonomialOrder({self.id})"
 
 
-def grevlex(nvars: int, perm=None) -> MonomialOrder:
-    return MonomialOrder("grevlex", nvars, tuple(perm) if perm else None)
+@lru_cache(maxsize=None)
+def grevlex(nvars: int) -> MonomialOrder:
+    return MonomialOrder([range(nvars)])
 
 
-def grlex(nvars: int, perm=None) -> MonomialOrder:
-    return MonomialOrder("grlex", nvars, tuple(perm) if perm else None)
-
-
-def lex(nvars: int, perm=None) -> MonomialOrder:
-    return MonomialOrder("lex", nvars, tuple(perm) if perm else None)
-
-
-def block_order(index_blocks: list[list[int]], sub_orders: list[MonomialOrder] | None = None,
-                nvars: int | None = None) -> MonomialOrder:
-    """Elimination order: earlier blocks dominate later ones."""
-    if nvars is None:
-        nvars = sum(len(b) for b in index_blocks)
-    if sub_orders is None:
-        sub_orders = [grevlex(len(b)) for b in index_blocks]
-    blocks = tuple((tuple(b), s) for b, s in zip(index_blocks, sub_orders))
-    return MonomialOrder("block", nvars, blocks=blocks)
+def block_order(blocks) -> MonomialOrder:
+    """Elimination order: earlier blocks dominate later ones, each block is
+    grevlex in its listed variable order."""
+    return MonomialOrder(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +158,11 @@ def _content_strip(d: dict) -> dict:
 
 
 class Ring:
-    """Q[variables] with a default monomial order."""
+    """Q[variables] with a monomial order, grevlex unless one is given.
+
+    Rings compare by their variable names alone, so one set of polynomials
+    serves rings that differ only in their order.
+    """
 
     __slots__ = ("variables", "order", "index", "_zero_exp")
 
@@ -267,9 +210,6 @@ class Ring:
     def monomial(self, exps, coeff=1) -> "Polynomial":
         return Polynomial(self, {tuple(exps): coeff})
 
-    def poly(self, terms: dict) -> "Polynomial":
-        return Polynomial(self, terms)
-
     def from_string(self, s: str) -> "Polynomial":
         return parse_polynomial(self, s)
 
@@ -315,9 +255,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def coeff(self, exps):
-        return self.terms.get(tuple(exps), 0)
-
     def support_vars(self) -> set[int]:
         out: set[int] = set()
         for e in self.terms:
@@ -326,16 +263,16 @@ class Polynomial:
                     out.add(i)
         return out
 
-    def leading_term(self, order: MonomialOrder | None = None):
-        """(exponent, coefficient) of the largest monomial; None for zero."""
+    def leading_term(self):
+        """(exponent, coefficient) of the largest monomial in the ring's
+        order; None for zero."""
         if not self.terms:
             return None
-        keyf = (order or self.ring.order).keyfn()
-        e = max(self.terms, key=keyf)
+        e = max(self.terms, key=self.ring.order.key)
         return e, self.terms[e]
 
-    def leading_monomial(self, order=None):
-        lt = self.leading_term(order)
+    def leading_monomial(self):
+        lt = self.leading_term()
         return None if lt is None else lt[0]
 
     # -- arithmetic ---------------------------------------------------------
@@ -529,16 +466,6 @@ class Polynomial:
                 acc[j] = (acc[j] + v) % p
         return utrim(acc)
 
-    def map_coefficients(self, fn) -> "Polynomial":
-        return Polynomial(self.ring, {e: fn(c) for e, c in self.terms.items()})
-
-    def monic(self, order=None) -> "Polynomial":
-        lt = self.leading_term(order)
-        if lt is None:
-            return self
-        _, c = lt
-        return self.map_coefficients(lambda v: _norm_q(Fraction(v) / c))
-
 
 def _all_canonical(terms: dict) -> bool:
     for c in terms.values():
@@ -581,7 +508,7 @@ NOT_DIVISIBLE = NotDivisible()
 def exact_divide(num: Polynomial, den: Polynomial):
     """Quotient q with q*den == num, or NOT_DIVISIBLE.
 
-    Leading-term division loop under the ring's graded order; the quotient
+    Leading-term division loop under the ring's order; the quotient
     is unique when it exists because the ring is a domain.
     """
     if den.is_zero():
@@ -591,7 +518,7 @@ def exact_divide(num: Polynomial, den: Polynomial):
     ring = num.ring
     if num.is_zero():
         return ring.zero()
-    keyf = ring.order.keyfn()
+    keyf = ring.order.key
     dlt_e = max(den.terms, key=keyf)
     dlt_c = den.terms[dlt_e]
     rem = dict(num.terms)
@@ -617,15 +544,9 @@ def exact_divide(num: Polynomial, den: Polynomial):
 # ---------------------------------------------------------------------------
 # ring morphisms
 
-def morph(poly: Polynomial, target: Ring, rename: dict | None = None) -> Polynomial:
-    """Map a polynomial into another ring by variable name (or rename map)."""
-    positions = []
-    for i, name in enumerate(poly.ring.variables):
-        tname = rename.get(name, name) if rename else name
-        if tname in target.index:
-            positions.append(target.index[tname])
-        else:
-            positions.append(None)
+def morph(poly: Polynomial, target: Ring) -> Polynomial:
+    """Map a polynomial into another ring by variable name."""
+    positions = [target.index.get(name) for name in poly.ring.variables]
     out = {}
     for e, c in poly.terms.items():
         ne = [0] * target.nvars
@@ -719,7 +640,7 @@ def format_polynomial(f: Polynomial) -> str:
     if not f.terms:
         return "0"
     # serialization always uses descending degrevlex regardless of ring order
-    keyf = _grevlex_key
+    keyf = grevlex(f.ring.nvars).key
     items = sorted(f.terms.items(), key=lambda it: keyf(it[0]), reverse=True)
     parts = []
     for idx, (e, c) in enumerate(items):

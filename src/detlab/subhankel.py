@@ -132,7 +132,7 @@ def gcd_power_check(form: polar.PolarMapData, i: int,
         gens = filtration_generators(form, i)
     except ArithmeticError as exc:
         return CheckReport(f"gcd(n={n},i={i})", False, {"error": str(exc)})
-    ht = ring.nvars - hilbert_data(Ideal(ring, gens), None, budget).dimension
+    ht = ring.nvars - hilbert_data(Ideal(ring, gens), budget).dimension
     support_ok = all(
         p.support_vars() <= set(range(n - i, n + 1)) for p in form.partials[:i + 1])
     return CheckReport(f"gcd(n={n},i={i})", ht >= 2 and support_ok,
@@ -169,7 +169,7 @@ def multiplicity_filtration_check(form: polar.PolarMapData,
     details = {}
     ok = True
     for i in range(1, n):
-        hd = hilbert_data(filtration_ideal(form, i), None, budget)
+        hd = hilbert_data(filtration_ideal(form, i), budget)
         want = comb(i + 1, 2)
         details[f"e(R/J_{i})"] = (hd.multiplicity, want)
         ok = ok and hd.multiplicity == want
@@ -184,7 +184,7 @@ def multiplicity_filtration_check(form: polar.PolarMapData,
     details["(x_n, J_{n-1}) = (x_n, x_{n-1}^{n-1})"] = eq1
     details["J_{n-1} : x_n = J_{n-2}"] = eq2
     want = comb(n - 1, 2)
-    got = hilbert_data(filtration_ideal(form, n - 2), None, budget).multiplicity \
+    got = hilbert_data(filtration_ideal(form, n - 2), budget).multiplicity \
         if n >= 3 else 0
     details["length of the last quotient"] = (got, want)
     ok = ok and eq1 and (eq2 is not False) and got == want
@@ -223,7 +223,7 @@ def resolution_and_ass_check(form: polar.PolarMapData,
     details["betti"] = {"got": sorted(bt.items()), "want": sorted(want.items())}
     ok = ok and betti_ok
 
-    hd = hilbert_data(J, None, budget)
+    hd = hilbert_data(J, budget)
     s_t = {0: 1, n - 1: -(n + 1), n: n, 2 * n - 2: 1, 2 * n - 1: -1}
     num_ok = hd.numerator == s_t and dict(bt.alternating_sum()) == s_t
     details["numerator"] = {"got": hd.numerator, "want": s_t}
@@ -243,7 +243,7 @@ def resolution_and_ass_check(form: polar.PolarMapData,
     Q = Ideal(ring, [xk, xm, xn])
     JQ = colon(J, Q, budget)
     witness = None
-    for h in JQ.groebner_basis(None, budget):
+    for h in JQ.groebner_basis(budget):
         if h.degree > 2 * n:
             continue
         if J.contains(h, budget=budget):
@@ -261,7 +261,7 @@ def resolution_and_ass_check(form: polar.PolarMapData,
     # minimal component: J inside J_{n-2} with matching multiplicity
     Jmin = filtration_ideal(form, n - 2)
     inside = all(Jmin.contains(p, budget=budget) for p in form.partials)
-    e_match = hilbert_data(Jmin, None, budget).multiplicity == hd.multiplicity
+    e_match = hilbert_data(Jmin, budget).multiplicity == hd.multiplicity
     details["primary_part"] = {"J_in_J(n-2)": inside, "multiplicity_match": e_match}
     ok = ok and inside and e_match
 

@@ -386,7 +386,7 @@ def fitting_condition_F1(syz: GradedSyzygyMatrix,
             if I.is_unit(budget):
                 ht = ring.nvars  # unit Fitting ideal: condition holds trivially
             else:
-                ht = ring.nvars - hilbert_data(I, None, budget).dimension
+                ht = ring.nvars - hilbert_data(I, budget).dimension
             ok = ht >= required
             rows.append({"t": t, "height": ht, "required": required,
                          "pass": bool(ok), "status": "complete"})

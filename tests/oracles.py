@@ -153,6 +153,12 @@ def grevlex_key(e):
     return (sum(e),) + tuple(-v for v in reversed(e))
 
 
+def lex(n):
+    """Lex on n variables, x0 largest, as singleton grevlex blocks."""
+    from detlab.polyring import block_order
+    return block_order([[i] for i in range(n)])
+
+
 # ---------------------------------------------------------------------------
 # references for the packed Buchberger engine, kept in their plain form
 
@@ -321,8 +327,8 @@ def fraction_kernel(rows, ncols):
 
 def tag_intersect(I, J, budget=None, config=None):
     """I ∩ J as (u*I + (1-u)*J) ∩ k[x], always by the elimination: the
-    reduced basis of the tagged ideal in the block order (u) > (x), grevlex
-    within each block, keeps its entries free of u."""
+    reduced basis of the tagged ideal in the block order (u) > (x), the
+    ring's own blocks on x, keeps its entries free of u."""
     from detlab.groebner import Ideal
     from detlab.polyring import Ring, block_order, morph
     ring = I.ring
@@ -331,12 +337,12 @@ def tag_intersect(I, J, budget=None, config=None):
     tag = "u"
     while tag in ring.variables:
         tag += "u"
-    ext = Ring((tag,) + ring.variables)
+    ext = Ring((tag,) + ring.variables,
+               block_order([[0]] + [[i + 1 for i in b] for b in ring.order.blocks]))
     u = ext.var(0)
-    gens = [u * morph(g, ext) for g in I.groebner_basis(None, budget, config)]
-    gens += [(ext.one() - u) * morph(g, ext) for g in J.groebner_basis(None, budget, config)]
-    order = block_order([[0], list(range(1, ext.nvars))])
-    gb = Ideal(ext, gens).groebner_basis(order, budget, config)
+    gens = [u * morph(g, ext) for g in I.groebner_basis(budget, config)]
+    gens += [(ext.one() - u) * morph(g, ext) for g in J.groebner_basis(budget, config)]
+    gb = Ideal(ext, gens).groebner_basis(budget, config)
     return Ideal(ring, [morph(g, ring) for g in gb if 0 not in g.support_vars()])
 
 

@@ -11,7 +11,7 @@ from math import comb
 import pytest
 
 from detlab.config import Config
-from detlab.polyring import Ring, dot
+from detlab.polyring import Polynomial, Ring, dot
 from detlab.groebner import (Ideal, colon, hilbert_data, ideal_equal,
                              ideal_power, ideal_product, intersect,
                              saturation, symmetric_algebra_ideal,
@@ -312,7 +312,7 @@ def test_criterion_8_property_suites(subhankel_record):
                 for _ in range(rng.randrange(3)):
                     e[rng.randrange(3)] += 1
                 d[tuple(e)] = d.get(tuple(e), 0) + rng.randrange(-5, 6)
-            return R.poly(d)
+            return Polynomial(R, d)
         a, b, c = rp(), rp(), rp()
         assert (a + b) + c == a + (b + c)
         assert a * (b + c) == a * b + a * c

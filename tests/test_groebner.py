@@ -15,15 +15,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from detlab import groebner, polyring
 from detlab.config import Budget, Config, ComputationTimeout
-from detlab.polyring import Ring, xring, block_order, format_polynomial, grevlex, lex
-from detlab.groebner import (Ideal, certify_groebner, colon, eliminate,
+from detlab.polyring import Polynomial, Ring, xring, block_order, format_polynomial, grevlex
+from detlab.groebner import (Ideal, certify_groebner, colon, colon_poly, eliminate,
                              hilbert_data, ideal_equal, ideal_power,
                              ideal_product, intersect,
                              radical_membership, rees_ideal, saturation,
                              symmetric_algebra_ideal, groebner_entries, to_int_terms,
                              _cache_key, _MEMORY_CACHE)
 from detlab.structmat import build_structured, build_gp_associated, determinant, minors_ideal_gens
-from oracles import bidegree, naive_normal_form, naive_spoly, grevlex_key
+from oracles import bidegree, naive_normal_form, naive_spoly, grevlex_key, lex
 
 
 def hankel3_context():
@@ -42,7 +42,7 @@ def test_principal_ideal_gb_is_itself():
     R = xring(3)
     f = R.from_string("x0*x2 - x1^2")
     gb = Ideal(R, [f]).groebner_basis()
-    assert len(gb) == 1 and gb[0].monic() == f.monic()
+    assert len(gb) == 1 and gb[0] * f.leading_term()[1] == f
 
 
 def test_linear_ideal_gb():
@@ -68,7 +68,6 @@ def test_reduced_basis_properties_and_certification():
     _, _, _, J, P = hankel3_context()
     for I in (J, P):
         gb = I.groebner_basis()
-        keyf = I.ring.order.keyfn()
         lms = [g.leading_monomial() for g in gb]
         for g in gb:
             assert g.leading_term()[1] == 1  # monic
@@ -126,7 +125,7 @@ def test_gb_deterministic_and_cached():
     gb1 = Ideal(J.ring, J.gens).groebner_basis()
     gb2 = Ideal(J.ring, J.gens).groebner_basis()
     assert [str(g) for g in gb1] == [str(g) for g in gb2]
-    key = _cache_key(J.ring, J.ring.order, Ideal(J.ring, J.gens).gens)
+    key = _cache_key(J.ring, Ideal(J.ring, J.gens).gens)
     assert key in _MEMORY_CACHE
 
 
@@ -212,8 +211,8 @@ def test_a_record_under_another_key_is_not_served(tmp_path):
     other = [x0 * x1 - x2 ** 2, x0 + x1]
     Ideal(R, _textless_gens(R)).groebner_basis(config=cfg)
     want = [format_polynomial(g) for g in Ideal(R, other).groebner_basis(config=cfg)]
-    mine = tmp_path / (_cache_key(R, R.order, _textless_gens(R)) + ".gb")
-    theirs = tmp_path / (_cache_key(R, R.order, other) + ".gb")
+    mine = tmp_path / (_cache_key(R, _textless_gens(R)) + ".gb")
+    theirs = tmp_path / (_cache_key(R, other) + ".gb")
     good = theirs.read_bytes()
     theirs.write_bytes(mine.read_bytes())
     _MEMORY_CACHE.clear()
@@ -262,10 +261,9 @@ def _small_polys(n: int, top: int, max_terms: int):
 @settings(max_examples=60, deadline=None)
 def test_a_disk_record_reads_back_the_computed_basis(data):
     n = data.draw(st.integers(2, 4))
-    R = xring(n)
-    order = data.draw(st.sampled_from([grevlex(n), lex(n)]))
-    gens = [R.poly(dict(ts)) for ts in data.draw(_small_polys(n, 2, 3))]
-    probes = [R.poly(dict(ts)) * R.gens()[0] ** data.draw(st.integers(0, 8))
+    R = xring(n, data.draw(st.sampled_from([grevlex(n), lex(n)])))
+    gens = [Polynomial(R, dict(ts)) for ts in data.draw(_small_polys(n, 2, 3))]
+    probes = [Polynomial(R, dict(ts)) * R.gens()[0] ** data.draw(st.integers(0, 8))
               for ts in data.draw(_small_polys(n, 3, 4))]
     # narrow first widths make the engine restart wider on some draws, and
     # the high-degree probes widen the read basis inside the normal forms
@@ -282,17 +280,17 @@ def test_a_disk_record_reads_back_the_computed_basis(data):
         _MEMORY_CACHE.clear()
         computed = Ideal(R, gens)
         try:
-            want = entries(computed._entries(order, Budget(step_cap=3000), cfg))
+            want = entries(computed._entries(Budget(step_cap=3000), cfg))
         except ComputationTimeout:
             assume(False)
         _MEMORY_CACHE.clear()
         mp.setattr(groebner, "groebner_entries", refuse)
         read = Ideal(R, gens)
-        assert entries(read._entries(order, config=cfg)) == want
-        assert read.groebner_basis(order, config=cfg) == computed.groebner_basis(order, config=cfg)
+        assert entries(read._entries(config=cfg)) == want
+        assert read.groebner_basis(config=cfg) == computed.groebner_basis(config=cfg)
         for p in probes:
-            want_nf = computed.normal_form(p, order, config=cfg)
-            assert read.normal_form(p, order, config=cfg) == want_nf
+            want_nf = computed.normal_form(p, config=cfg)
+            assert read.normal_form(p, config=cfg) == want_nf
 
 
 @pytest.mark.parametrize("source", ["computed", "memory", "disk"])
@@ -315,25 +313,26 @@ def test_entry_readers_build_no_monic_basis(tmp_path, monkeypatch, source):
     assert len(J.leading_monomials(config=cfg)) == 7
     assert hilbert_data(J, config=cfg).multiplicity == 4
     assert certify_groebner(J, config=cfg)
+    assert not J.is_unit(config=cfg)
 
 
 def test_cache_key_ignores_generator_order_and_repeats():
     R = xring(3)
     x0, x1, x2 = R.gens()
     gens = [x0 * x1 - x2 ** 2, x1 + Fraction(1, 3) * x2, x0 ** 3]
-    key = _cache_key(R, R.order, gens)
-    assert _cache_key(R, R.order, list(reversed(gens))) == key
-    assert _cache_key(R, R.order, gens + gens[:2]) == key
+    key = _cache_key(R, gens)
+    assert _cache_key(R, list(reversed(gens))) == key
+    assert _cache_key(R, gens + gens[:2]) == key
 
 
 def test_cache_key_separates_field_order_names_and_coefficients():
     R, Rn = xring(2), Ring(("a", "b"))
     f = R.from_string("x0*x1 + 1")
-    key = _cache_key(R, R.order, [f])
-    assert _cache_key(R, lex(2), [f]) != key
-    assert _cache_key(Rn, Rn.order, [Rn.poly(f.terms)]) != key
+    key = _cache_key(R, [f])
+    assert _cache_key(xring(2, lex(2)), [f]) != key
+    assert _cache_key(Rn, [Polynomial(Rn, f.terms)]) != key
     half, two = R.from_string("x0 + 1/2"), R.from_string("x0 + 2")
-    assert _cache_key(R, R.order, [half]) != _cache_key(R, R.order, [two])
+    assert _cache_key(R, [half]) != _cache_key(R, [two])
 
 
 # the reduced basis of _TEXTLESS_GENS, as the text-keyed cache computed it
@@ -402,7 +401,7 @@ _QQ_COEFFS = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(2, 4), Fract
 def test_value_dedup_keeps_the_text_dedup_generators(data):
     R = xring(2)
     term = st.tuples(st.tuples(st.integers(0, 1), st.integers(0, 1)), _QQ_COEFFS)
-    gens = [R.poly(dict(terms))
+    gens = [Polynomial(R, dict(terms))
             for terms in data.draw(st.lists(st.lists(term, max_size=3), max_size=8))]
     kept = Ideal(R, gens).gens
     want = _text_dedup(gens)
@@ -571,11 +570,10 @@ def test_hilbert_subhankel4_numerator():
 
 def test_hilbert_order_independent():
     _, _, _, J, P = hankel3_context()
-    R = J.ring
-    other = block_order([[4, 3, 2], [1, 0]])
+    other = Ring(J.ring.variables, block_order([[4, 3, 2], [1, 0]]))
     for I in (J, P):
         a = hilbert_data(I)
-        b = hilbert_data(I, order=other)
+        b = hilbert_data(Ideal(other, I.gens))
         assert (a.dimension, a.multiplicity) == (b.dimension, b.multiplicity)
 
 
@@ -653,6 +651,46 @@ def test_colon_by_zero_raises():
         colon(Ideal(R, [R.gens()[0]]), Ideal(R, []))
     with pytest.raises(ZeroDivisionError):
         colon(Ideal(R, [R.gens()[0]]), R.zero())
+
+
+def test_queries_refuse_a_polynomial_from_another_ring():
+    # read by position, the exponents of a would pass for those of x0
+    R, S = xring(2), Ring(("a", "b"))
+    x0, x1 = R.gens()
+    a = S.from_string("a")
+    for query in (lambda: Ideal(R, [x0]).contains(a),
+                  lambda: Ideal(R, [x0]).normal_form(a),
+                  lambda: colon_poly(Ideal(R, [x0 * x1]), a)):
+        with pytest.raises(ValueError, match="different ring"):
+            query()
+
+
+def test_order_ids_and_cache_keys_are_stable(monkeypatch):
+    # order ids enter the cache keys, which name the .gb files of every
+    # cache directory written so far: a change would recompute every basis
+    assert [grevlex(n).id for n in (0, 1, 5)] == ["grevlex:0", "grevlex:1", "grevlex:5"]
+    _, _, _, J, _ = hankel3_context()
+    assert J._key == _cache_key(J.ring, J.gens) == \
+        "e79493d1263bea71f11eb79edc43576425bfce83e83d6bc6cb3fe7567456db33"
+    seen = []
+
+    def recording(gens, order, budget):
+        seen.append(order.id)
+        return groebner_entries(gens, order, budget)
+    _MEMORY_CACHE.clear()
+    monkeypatch.setattr(groebner, "groebner_entries", recording)
+    R = xring(4)
+    x0, x1, x2, x3 = R.gens()
+    E = eliminate(Ideal(R, [x1 - x0 ** 2, x3 - x2 ** 2, x1 * x3 - x0]), [0, 2])
+    S = xring(2)
+    y0, y1 = S.gens()
+    rees_ideal([y0, y1])
+    K = intersect(Ideal(S, [y0]), Ideal(S, [y1]))
+    assert seen == ["block[1,3:grevlex:2|0,2:grevlex:2]",
+                    "block[0:grevlex:1|1,2:grevlex:2|3,4:grevlex:2]",
+                    "grevlex:2", "grevlex:2", "block[0:grevlex:1|1,2:grevlex:2]"]
+    assert E.ring.order.id == "grevlex:2" and [str(g) for g in E.gens] == ["x0^2*x2^2 - x0"]
+    assert [str(g) for g in K.gens] == ["x0*x1"]
 
 
 def test_reduced_basis_canonical_under_generator_permutation():

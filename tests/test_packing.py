@@ -12,47 +12,35 @@ from detlab.config import Budget, ComputationTimeout
 from detlab.groebner import (Ideal, _DivisorIndex, _Entry, _Overflow, _Packing, _Pairs,
                              _normal_form_int, _pack_entries, _retry_wider, _spoly,
                              certify_groebner, groebner_entries, to_int_terms)
-from detlab.polyring import block_order, grevlex, grlex, lex, xring
+from detlab.polyring import Polynomial, block_order, grevlex, xring
 from detlab.syzygy import _module_rows, _onehot
 from oracles import TuplePairs, linear_scan_normal_form, naive_normal_form, naive_spoly
 
-_SIMPLE = {"lex": lex, "grlex": grlex, "grevlex": grevlex}
-
-
-@st.composite
-def _simple_orders(draw, n):
-    kind = draw(st.sampled_from(sorted(_SIMPLE)))
-    perm = draw(st.none() | st.permutations(range(n)))
-    return _SIMPLE[kind](n, perm)
+_LEX3 = block_order([[0], [1], [2]])
 
 
 @st.composite
 def _block_orders(draw):
-    n = draw(st.integers(2, 6))
-    nblocks = draw(st.integers(2, min(3, n)))
-    perm = draw(st.permutations(range(n)))
-    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=nblocks - 1,
-                               max_size=nblocks - 1)))
-    blocks = [list(perm[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
-    return block_order(blocks, [draw(_simple_orders(len(b))) for b in blocks])
+    """A block order on 1-6 variables: the identity or a permutation, cut
+    into 1..n blocks (one block is grevlex, n singletons are lex)."""
+    n = draw(st.integers(1, 6))
+    perm = draw(st.just(tuple(range(n))) | st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+    return block_order([perm[a:b] for a, b in zip([0] + cuts, cuts + [n])])
 
 
 @st.composite
 def _keyed_terms(draw):
-    """(weight rows, tuple key, terms, monomials, rank) for a monomial order
-    on 1-5 variables, a block order with 2-3 blocks (rank 0), or position
-    over term on a free module of rank 1-3 (terms onehot(c) + e, key onehot
-    + order key, monomials zero on the one-hot slots)."""
+    """(weight rows, tuple key, terms, monomials, rank) for a block order
+    (rank 0), or position over term on a free module of rank 1-3 (terms
+    onehot(c) + e, key onehot + order key, monomials zero on the one-hot
+    slots)."""
     exps = lambda n: st.tuples(*[st.integers(0, 6)] * n)  # noqa: E731
-    kind = draw(st.sampled_from(["simple", "block", "module"]))
-    if kind == "block":
-        order = draw(_block_orders())
-    else:
-        order = draw(_simple_orders(draw(st.integers(1, 5))))
-    if kind != "module":
-        return order.weight_rows(), order.keyfn(), exps(order.nvars), exps(order.nvars), 0
+    order = draw(_block_orders())
+    if not draw(st.booleans()):
+        return order.weight_rows(), order.key, exps(order.nvars), exps(order.nvars), 0
     rank = draw(st.integers(1, 3))
-    keyf = order.keyfn()
+    keyf = order.key
     terms = st.builds(lambda c, e: _onehot(rank, c) + e,
                       st.integers(0, rank - 1), exps(order.nvars))
     monos = st.builds(lambda e: (0,) * rank + e, exps(order.nvars))
@@ -101,7 +89,7 @@ def test_pack_refuses_a_monomial_past_the_width():
 # ---------------------------------------------------------------------------
 # the engine against the oracles
 
-_ORDERS = [grevlex(3), lex(3), grevlex(3, perm=(2, 0, 1)), block_order([[1], [0, 2]])]
+_ORDERS = [grevlex(3), _LEX3, block_order([(2, 0, 1)]), block_order([[1], [0, 2]])]
 
 
 @st.composite
@@ -114,7 +102,7 @@ def _small_ideals(draw):
 
 def _basis(dicts, order, budget_steps=4000):
     R = xring(3, order=order)
-    gens = [to_int_terms(R.poly(d)) for d in dicts]
+    gens = [to_int_terms(Polynomial(R, d)) for d in dicts]
     try:
         return groebner_entries(gens, order, Budget(step_cap=budget_steps))
     except ComputationTimeout:
@@ -133,7 +121,7 @@ def _narrow(dicts, order, bits):
 @given(_small_ideals(), st.sampled_from(_ORDERS))
 @settings(max_examples=60, deadline=None)
 def test_engine_matches_naive_division(dicts, order):
-    keyf = order.keyfn()
+    keyf = order.key
     entries = _basis(dicts, order)
     basis = [g.full() for g in entries]
     lts = [max(g, key=keyf) for g in basis]
@@ -165,13 +153,13 @@ def test_engine_matches_naive_division(dicts, order):
     [{(1, 1, 0): 1, (0, 0, 3): -1}, {(1, 0, 1): 1, (0, 1, 0): -1}],
 ])
 def test_a_guard_hit_restarts_with_the_same_basis(dicts):
-    narrow, first = _narrow(dicts, lex(3), 3)
+    narrow, first = _narrow(dicts, _LEX3, 3)
     assert first == 3 and narrow[0].pk.width == 6
-    assert [g.full() for g in narrow] == [g.full() for g in _basis(dicts, lex(3))]
+    assert [g.full() for g in narrow] == [g.full() for g in _basis(dicts, _LEX3)]
 
 
 def test_an_s_polynomial_term_past_the_width_is_refused():
-    pk = _Packing(lex(3).weight_rows(), 3)
+    pk = _Packing(_LEX3.weight_rows(), 3)
     g1 = _Entry({pk.pack((1, 1, 0)): 1, pk.pack((0, 0, 3)): -1}, pk, 3)
     g2 = _Entry({pk.pack((1, 0, 1)): 1, pk.pack((0, 1, 0)): -1}, pk, 2)
     with pytest.raises(_Overflow):
@@ -189,13 +177,13 @@ def test_an_s_polynomial_term_past_the_width_is_refused():
 
 def test_a_guard_hit_in_reduction_restarts():
     # reducing x0^2 by x0 - x1^3 in lex reaches x1^6, past a 3-bit field
-    R = xring(2, order=lex(2))
+    R = xring(2, order=block_order([[0], [1]]))
     x0, x1 = R.gens()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groebner, "_FIELD_BITS", 3)
         I = Ideal(R, [x0 - x1 ** 3])
         assert I.normal_form(x0 ** 2) == x1 ** 6
-        assert I._entries(None)[0].pk.width == 6
+        assert I._entries()[0].pk.width == 6
 
 
 def test_high_degree_queries_widen_the_cached_basis():
@@ -203,7 +191,7 @@ def test_high_degree_queries_widen_the_cached_basis():
     x0, x1 = R.gens()
     I = Ideal(R, [x0 - x1, x1 ** 2 - x1])
     assert str(I.normal_form(x0 ** 300)) == "x1"
-    assert I._entries(None)[0].pk.width > groebner._FIELD_BITS
+    assert I._entries()[0].pk.width > groebner._FIELD_BITS
     assert certify_groebner(I)
 
 
@@ -273,7 +261,7 @@ def test_packed_pair_criteria_keep_the_tuple_pairs(data):
 
 
 def test_an_lcm_past_the_width_raises_overflow():
-    pk = _Packing(lex(3).weight_rows(), 3)
+    pk = _Packing(_LEX3.weight_rows(), 3)
     pairs = _Pairs(pk)
     pairs.add(_Entry({pk.pack((1, 2, 0)): 1}, pk, 3))
     with pytest.raises(_Overflow):

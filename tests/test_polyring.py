@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from detlab.polyring import (Ring, xring, grevlex, lex, exact_divide,
+from detlab.polyring import (Polynomial, Ring, xring, block_order, grevlex, exact_divide,
                              NOT_DIVISIBLE, parse_polynomial, format_polynomial,
                              NEG_INF)
 from oracles import (hankel_entry_dicts, leibniz_det, dict_diff, grevlex_key, gf_image,
-                     horner_mod)
+                     horner_mod, lex)
 
 P61 = (1 << 61) - 1
 
@@ -23,7 +23,7 @@ def rand_poly(ring, rng, terms=4, deg=3):
             e[rng.randrange(ring.nvars)] += 1
         c = rng.randrange(-6, 7)
         d[tuple(e)] = d.get(tuple(e), 0) + c
-    return ring.poly(d)
+    return Polynomial(ring, d)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +235,7 @@ _DIFF_POINTS = st.lists(st.integers(-40, 40), min_size=3, max_size=3)
        st.sampled_from([7, 11, 101, P61]))
 @settings(max_examples=200, deadline=None)
 def test_evaluation_mod_p_matches_the_exact_value(terms, base, direction, t, p):
-    f = xring(3).poly(terms)
+    f = Polynomial(xring(3), terms)
     if any(Fraction(c).denominator % p == 0 for c in f.terms.values()):
         with pytest.raises(ZeroDivisionError):
             f.evaluate(base, p)
@@ -262,20 +262,20 @@ def test_denominator_divisible_by_p_raises():
 
 def test_monomial_order_examples():
     R = xring(5)
-    key = R.order.keyfn()
+    key = R.order.key
     x2x4 = (0, 0, 1, 0, 1)
     x3sq = (0, 0, 0, 2, 0)
     assert key(x2x4) < key(x3sq)
     x0x3 = (1, 0, 0, 1, 0)
     x1x2 = (0, 1, 1, 0, 0)
     assert key(x0x3) < key(x1x2)
-    lkey = lex(2).keyfn()
+    lkey = lex(2).key
     assert lkey((1, 0)) > lkey((0, 100))
 
 
 def test_order_total_and_multiplicative_random():
     rng = random.Random(3)
-    key = grevlex(4).keyfn()
+    key = grevlex(4).key
     for _ in range(300):
         u = tuple(rng.randrange(4) for _ in range(4))
         v = tuple(rng.randrange(4) for _ in range(4))
@@ -288,7 +288,7 @@ def test_order_total_and_multiplicative_random():
 
 def test_grevlex_key_matches_oracle():
     rng = random.Random(9)
-    key = grevlex(5).keyfn()
+    key = grevlex(5).key
     for _ in range(200):
         u = tuple(rng.randrange(4) for _ in range(5))
         v = tuple(rng.randrange(4) for _ in range(5))
@@ -312,7 +312,7 @@ def test_modular_matches_rational_reduction():
 
 def test_rational_canonical_form():
     R = xring(1)
-    f = R.poly({(1,): Fraction(4, 2)})
+    f = Polynomial(R, {(1,): Fraction(4, 2)})
     assert f.terms == {(1,): 2}
     assert type(next(iter(f.terms.values()))) is int
 
@@ -344,8 +344,8 @@ def test_roundtrip_random_bit_exact():
     R = xring(4)
     rng = random.Random(13)
     for _ in range(200):
-        f = rand_poly(R, rng).map_coefficients(
-            lambda c: Fraction(c, rng.randrange(1, 5)))
+        f = Polynomial(R, {e: Fraction(c, rng.randrange(1, 5))
+                           for e, c in rand_poly(R, rng).terms.items()})
         assert parse_polynomial(R, format_polynomial(f)) == f
 
 
@@ -354,7 +354,7 @@ def test_roundtrip_random_bit_exact():
 @settings(max_examples=60, deadline=None)
 def test_add_sub_inverse_property(pairs):
     R = xring(2)
-    f = R.poly({e: c for e, c in pairs})
+    f = Polynomial(R, {e: c for e, c in pairs})
     g = R.from_string("x0 - 2*x1 + 1")
     assert (f + g) - g == f
 
@@ -382,7 +382,7 @@ def test_euler_identity_random_homogeneous():
             for i in pick:
                 e[i] += 1
             d[tuple(e)] = d.get(tuple(e), 0) + rng.randrange(-5, 6)
-        f = R.poly(d)
+        f = Polynomial(R, d)
         if f.is_zero():
             continue
         acc = R.zero()
@@ -391,10 +391,21 @@ def test_euler_identity_random_homogeneous():
         assert acc == f * 3
 
 
+def test_block_orders_give_the_lex_and_permuted_grevlex_rows():
+    # singleton blocks are lex in the listed variable order; one permuted
+    # block is grevlex in it: the degree, then the prefix sums from the end
+    assert block_order([[2], [0], [1]]).weight_rows() == [(0, 0, 1), (1, 0, 0), (0, 1, 0)]
+    assert block_order([(2, 0, 1)]).weight_rows() == [(1, 1, 1), (1, 0, 1), (0, 0, 1)]
+    assert block_order([(2, 0, 1)]).id == "grevlex:3:2,0,1"
+    assert block_order([[0, 1, 2]]) == grevlex(3)
+    with pytest.raises(ValueError):
+        block_order([[0, 1], [1, 2]])
+
+
 def test_order_variable_permutation():
     # priority sequence (1, 0): the second variable becomes the big one
-    o = grevlex(2, perm=(1, 0))
+    o = block_order([(1, 0)])
     assert o.key((1, 0)) < o.key((0, 1))
     assert o.key((0, 2)) > o.key((2, 0))
-    ol = lex(3, perm=(2, 1, 0))
+    ol = block_order([[2], [1], [0]])
     assert ol.key((5, 0, 0)) < ol.key((0, 0, 1))

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from detlab.config import Budget
 from detlab.groebner import Ideal, hilbert_data, rees_ring, symmetric_algebra_ideal
 from detlab.linalg import SparseEliminator
-from detlab.polyring import clear_denominators, dot, morph, xring
+from detlab.polyring import Polynomial, clear_denominators, dot, morph, xring
 from detlab.structmat import build_structured, build_gp_associated, determinant, minors_ideal_gens
 from detlab.syzygy import (ModuleBasis, fitting_condition_F1, first_syzygy_module,
                            graded_betti, linear_syzygies, poly_matrix_rank,
@@ -143,7 +143,7 @@ def _ternary_forms(draw):
     coeffs = st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos))
     rows = draw(st.lists(coeffs, min_size=2, max_size=4))
     R = xring(3)
-    return deg, [R.poly(dict(zip(monos, row))) for row in rows]
+    return deg, [Polynomial(R, dict(zip(monos, row))) for row in rows]
 
 
 @given(_ternary_forms())
