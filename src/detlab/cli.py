@@ -120,14 +120,10 @@ def _cmd_matrix(args) -> int:
     if args.print or not (args.det or args.minors):
         payload["entries"] = [[str(M[i, j]) for j in range(M.cols)]
                               for i in range(M.rows)]
-    try:
-        if args.det:
-            payload["det"] = str(determinant(M, budget))
-        if args.minors:
-            payload["minors"] = [str(g) for g in minors_ideal_gens(M, args.minors, budget)]
-    except ComputationTimeout:
-        _emit(args, {"status": "timeout"})
-        return EXIT_TIMEOUT
+    if args.det:
+        payload["det"] = str(determinant(M, budget))
+    if args.minors:
+        payload["minors"] = [str(g) for g in minors_ideal_gens(M, args.minors, budget)]
     _emit(args, payload)
     return EXIT_OK
 
@@ -146,44 +142,40 @@ def _cmd_ideal(args) -> int:
     forms = _read_forms(args.gens, paths_sharing_ring=shared)
     ring = forms[0].ring
     I = Ideal(ring, forms)
-    try:
-        if args.op == "gb":
-            payload = {"op": "gb", "basis": [str(g) for g in
-                                             I.groebner_basis(budget=budget)]}
-        elif args.op == "member":
-            f = parse_polynomial(ring, args.f)
-            payload = {"op": "member", "f": args.f,
-                       "member": I.contains(f, budget=budget)}
-        elif args.op == "radmember":
-            f = parse_polynomial(ring, args.f)
-            payload = {"op": "radmember", "f": args.f,
-                       "member": radical_membership(f, I, budget)}
-        elif args.op == "hilbert":
-            hd = hilbert_data(I, budget=budget)
-            payload = {"op": "hilbert", "dimension": hd.dimension,
-                       "multiplicity": hd.multiplicity,
-                       "numerator": hd.numerator_string()}
-        elif args.op in ("colon", "sat", "intersect"):
-            other = Ideal(ring, _read_forms(args.other,
-                                            paths_sharing_ring=[args.gens]))
-            if args.op == "colon":
-                out = colon(I, other, budget)
-            elif args.op == "sat":
-                out, _ = saturation(I, other, budget)
-            else:
-                out = intersect(I, other, budget)
-            payload = {"op": args.op,
-                       "basis": [str(g) for g in out.groebner_basis(budget=budget)]}
-        elif args.op == "eliminate":
-            keep = [int(s) for s in args.keep.split(",")]
-            out = eliminate(I, keep, budget)
-            payload = {"op": "eliminate", "basis": [str(g) for g in out.gens]}
+    if args.op == "gb":
+        payload = {"op": "gb", "basis": [str(g) for g in
+                                         I.groebner_basis(budget=budget)]}
+    elif args.op == "member":
+        f = parse_polynomial(ring, args.f)
+        payload = {"op": "member", "f": args.f,
+                   "member": I.contains(f, budget=budget)}
+    elif args.op == "radmember":
+        f = parse_polynomial(ring, args.f)
+        payload = {"op": "radmember", "f": args.f,
+                   "member": radical_membership(f, I, budget)}
+    elif args.op == "hilbert":
+        hd = hilbert_data(I, budget=budget)
+        payload = {"op": "hilbert", "dimension": hd.dimension,
+                   "multiplicity": hd.multiplicity,
+                   "numerator": hd.numerator_string()}
+    elif args.op in ("colon", "sat", "intersect"):
+        other = Ideal(ring, _read_forms(args.other,
+                                        paths_sharing_ring=[args.gens]))
+        if args.op == "colon":
+            out = colon(I, other, budget)
+        elif args.op == "sat":
+            out, _ = saturation(I, other, budget)
         else:
-            print(f"unknown ideal op {args.op}", file=sys.stderr)
-            return EXIT_USAGE
-    except ComputationTimeout:
-        _emit(args, {"op": args.op, "status": "timeout"})
-        return EXIT_TIMEOUT
+            out = intersect(I, other, budget)
+        payload = {"op": args.op,
+                   "basis": [str(g) for g in out.groebner_basis(budget=budget)]}
+    elif args.op == "eliminate":
+        keep = [int(s) for s in args.keep.split(",")]
+        out = eliminate(I, keep, budget)
+        payload = {"op": "eliminate", "basis": [str(g) for g in out.gens]}
+    else:
+        print(f"unknown ideal op {args.op}", file=sys.stderr)
+        return EXIT_USAGE
     _emit(args, payload)
     return EXIT_OK
 
@@ -191,25 +183,21 @@ def _cmd_ideal(args) -> int:
 def _cmd_syz(args) -> int:
     budget = _config_from_args(args).budget()
     forms = _read_forms(args.forms)
-    try:
-        if args.betti:
-            I = Ideal(forms[0].ring, forms)
-            bt, _ = graded_betti(I, budget)
-            payload = {"mode": "betti", "complete": bt.complete,
-                       "betti": {f"{i},{j}": v for (i, j), v in sorted(bt.items())}}
-        elif args.full:
-            syz = first_syzygy_module(forms, budget)
-            payload = {"mode": "full", "columns": len(syz.columns),
-                       "column_degrees": syz.column_degrees,
-                       "matrix": [[str(p) for p in col] for col in syz.columns]}
-        else:
-            syz, rank = linear_syzygies(forms, budget, budget.config)
-            payload = {"mode": "linear", "columns": len(syz.columns),
-                       "rank": rank.rank, "certainty": rank.certainty,
-                       "matrix": [[str(p) for p in col] for col in syz.columns]}
-    except ComputationTimeout:
-        _emit(args, {"status": "timeout"})
-        return EXIT_TIMEOUT
+    if args.betti:
+        I = Ideal(forms[0].ring, forms)
+        bt, _ = graded_betti(I, budget)
+        payload = {"mode": "betti", "complete": bt.complete,
+                   "betti": {f"{i},{j}": v for (i, j), v in sorted(bt.items())}}
+    elif args.full:
+        syz = first_syzygy_module(forms, budget)
+        payload = {"mode": "full", "columns": len(syz.columns),
+                   "column_degrees": syz.column_degrees,
+                   "matrix": [[str(p) for p in col] for col in syz.columns]}
+    else:
+        syz, rank = linear_syzygies(forms, budget, budget.config)
+        payload = {"mode": "linear", "columns": len(syz.columns),
+                   "rank": rank.rank, "certainty": rank.certainty,
+                   "matrix": [[str(p) for p in col] for col in syz.columns]}
     _emit(args, payload)
     return EXIT_OK
 
@@ -222,33 +210,29 @@ def _cmd_polar(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     budget = config.budget()
-    try:
-        form = polar.polar_data(determinant(M, budget), config)
-        if args.verdict:
-            v = polar.homaloidal_verdict(form, budget)
-            payload = {"mode": "verdict",
-                       **v.to_dict(no_timings=getattr(args, "no_timings", False))}
-        elif args.hessian_mult:
-            mr = polar.factor_multiplicity(form.f, polar.HessianDetOnLine(form),
-                                           config=config)
-            payload = {"mode": "hessian-mult", "multiplicity": mr.value,
-                       "certainty": mr.certainty, "residual_degree": mr.residual_degree,
-                       "per_line_bound": mr.per_line_bound, "seed": config.seed}
-        elif args.invert:
-            inv = polar.inversion_check(form.partials, _read_forms(args.invert))
-            payload = {"mode": "invert", "is_inverse": inv.is_inverse,
-                       "factor": str(inv.factor) if inv.factor else None,
-                       "witness": inv.witness}
-        else:
-            zero_idx = [i for i, p in enumerate(form.partials) if p.is_zero()]
-            nonzero = [p for p in form.partials if not p.is_zero()]
-            syz, rank = linear_syzygies(nonzero, budget, config)
-            payload = {"mode": "linear-rank", "columns": len(syz.columns),
-                       "rank": rank.rank, "certainty": rank.certainty,
-                       "zero_partials": zero_idx}
-    except ComputationTimeout:
-        _emit(args, {"status": "timeout"})
-        return EXIT_TIMEOUT
+    form = polar.polar_data(determinant(M, budget), config)
+    if args.verdict:
+        v = polar.homaloidal_verdict(form, budget)
+        payload = {"mode": "verdict",
+                   **v.to_dict(no_timings=getattr(args, "no_timings", False))}
+    elif args.hessian_mult:
+        mr = polar.factor_multiplicity(form.f, polar.HessianDetOnLine(form),
+                                       config=config)
+        payload = {"mode": "hessian-mult", "multiplicity": mr.value,
+                   "certainty": mr.certainty, "residual_degree": mr.residual_degree,
+                   "per_line_bound": mr.per_line_bound, "seed": config.seed}
+    elif args.invert:
+        inv = polar.inversion_check(form.partials, _read_forms(args.invert))
+        payload = {"mode": "invert", "is_inverse": inv.is_inverse,
+                   "factor": str(inv.factor) if inv.factor else None,
+                   "witness": inv.witness}
+    else:
+        zero_idx = [i for i, p in enumerate(form.partials) if p.is_zero()]
+        nonzero = [p for p in form.partials if not p.is_zero()]
+        syz, rank = linear_syzygies(nonzero, budget, config)
+        payload = {"mode": "linear-rank", "columns": len(syz.columns),
+                   "rank": rank.rank, "certainty": rank.certainty,
+                   "zero_partials": zero_idx}
     _emit(args, payload)
     return EXIT_OK
 
@@ -263,40 +247,36 @@ def _cmd_hankel(args) -> int:
                  for q in itertools.combinations(range(1, m + 2), 4))
         _emit(args, {"check": "plucker", "m": m, "pass": ok})
         return EXIT_OK if ok else EXIT_CONTRADICTION
-    H = build_structured("hankel", m=m)
-    form = polar.polar_data(determinant(H), config)
     budget = config.budget()
-    try:
-        if args.check == "star":
-            rows = []
-            for j in range(2 * m - 1):
-                e = hankelplucker.star_expansion(form, j)
-                rows.append({"partial": j, "epsilon": e.epsilon,
-                             "combination": [[c, list(b)] for c, b in e.coefficients],
-                             "incomparable": e.pairwise_incomparable()})
-            _emit(args, {"check": "star", "m": m, "expansions": rows})
-            return EXIT_OK
-        if args.check == "golberg":
-            rep = hankelplucker.golberg_delta_check(H, form)
-            _emit(args, {"check": "golberg", "m": m, "pass": rep.passed,
-                         "signs": rep.partial_signs, "details": rep.details})
-            return EXIT_OK if rep.passed else EXIT_CONTRADICTION
-        P = Ideal(H.ring, minors_ideal_gens(H, m - 1))
-        if args.check == "radical":
-            rep = hankelplucker.integrality_check(H, form, P, budget)
-            _emit(args, {"check": "radical", "m": m, "pass": rep.passed,
-                         "witnesses": rep.quadratic_witnesses})
-            return EXIT_OK if rep.passed else EXIT_CONTRADICTION
-        # --check is one of the parser's choices: reduction is left
-        out = hankelplucker.reduction_conjecture_check(H, form, P, args.i, budget)
-        _emit(args, {"check": "reduction", "m": m, "i": args.i, "status": out.status,
-                     "witness": out.witness})
-        if out.status == "Equal":
-            return EXIT_OK
-        return EXIT_TIMEOUT if out.status == "Timeout" else EXIT_CONTRADICTION
-    except ComputationTimeout:
-        _emit(args, {"status": "timeout"})
-        return EXIT_TIMEOUT
+    H = build_structured("hankel", m=m)
+    form = polar.polar_data(determinant(H, budget), config)
+    if args.check == "star":
+        rows = []
+        for j in range(2 * m - 1):
+            e = hankelplucker.star_expansion(form, j)
+            rows.append({"partial": j, "epsilon": e.epsilon,
+                         "combination": [[c, list(b)] for c, b in e.coefficients],
+                         "incomparable": e.pairwise_incomparable()})
+        _emit(args, {"check": "star", "m": m, "expansions": rows})
+        return EXIT_OK
+    if args.check == "golberg":
+        rep = hankelplucker.golberg_delta_check(H, form)
+        _emit(args, {"check": "golberg", "m": m, "pass": rep.passed,
+                     "signs": rep.partial_signs, "details": rep.details})
+        return EXIT_OK if rep.passed else EXIT_CONTRADICTION
+    P = Ideal(H.ring, minors_ideal_gens(H, m - 1))
+    if args.check == "radical":
+        rep = hankelplucker.integrality_check(H, form, P, budget)
+        _emit(args, {"check": "radical", "m": m, "pass": rep.passed,
+                     "witnesses": rep.quadratic_witnesses})
+        return EXIT_OK if rep.passed else EXIT_CONTRADICTION
+    # --check is one of the parser's choices: reduction is left
+    out = hankelplucker.reduction_conjecture_check(H, form, P, args.i, budget)
+    _emit(args, {"check": "reduction", "m": m, "i": args.i, "status": out.status,
+                 "witness": out.witness})
+    if out.status == "Equal":
+        return EXIT_OK
+    return EXIT_TIMEOUT if out.status == "Timeout" else EXIT_CONTRADICTION
 
 
 def _cmd_subhankel(args) -> int:
@@ -320,8 +300,8 @@ def _cmd_subhankel(args) -> int:
                 print(f"  [{r.match:>7}] {r.fact_id}")
         return {"pass": EXIT_OK, "contradiction": EXIT_CONTRADICTION,
                 "incomplete": EXIT_TIMEOUT}[rep.verdict]
-    form = polar.polar_data(determinant(build_structured("sub-hankel", n=n)), config)
     budget = config.budget()
+    form = polar.polar_data(determinant(build_structured("sub-hankel", n=n), budget), config)
     checks = {
         "recurrence": lambda form, budget: subhankel_mod.recurrence_check(form),
         "gcd": lambda form, budget: min((subhankel_mod.gcd_power_check(form, i, budget)
@@ -473,18 +453,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("syz", help="syzygy computations")
     p.add_argument("--forms", required=True)
-    p.add_argument("--linear", action="store_true")
-    p.add_argument("--full", action="store_true")
-    p.add_argument("--betti", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--linear", action="store_true")
+    mode.add_argument("--full", action="store_true")
+    mode.add_argument("--betti", action="store_true")
     _add_common(p)
     p.set_defaults(fn=_cmd_syz)
 
     p = sub.add_parser("polar", help="polar map analytics of a determinant")
     _add_matrix_opts(p)
-    p.add_argument("--verdict", action="store_true")
-    p.add_argument("--hessian-mult", action="store_true", dest="hessian_mult")
-    p.add_argument("--invert", default=None, help="file with candidate inverse")
-    p.add_argument("--linear-rank", action="store_true", dest="linear_rank")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--verdict", action="store_true")
+    mode.add_argument("--hessian-mult", action="store_true", dest="hessian_mult")
+    mode.add_argument("--invert", default=None, help="file with candidate inverse")
+    mode.add_argument("--linear-rank", action="store_true", dest="linear_rank")
     _add_common(p)
     p.set_defaults(fn=_cmd_polar)
 
@@ -524,6 +506,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
+    except ComputationTimeout:
+        # an ideal payload names its op, the timeout one too
+        _emit(args, {"op": args.op, "status": "timeout"} if args.command == "ideal"
+              else {"status": "timeout"})
+        return EXIT_TIMEOUT
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

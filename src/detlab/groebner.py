@@ -30,14 +30,24 @@ ANDs the leading monomials' support masks: the guard bits of the fields
 that hold a nonzero exponent, ((m | guard) - low) & var_guard.  The bases
 leave the engine as exponent-tuple dicts.
 
-A reduction looks up a term's divisor in a divisor index
-(`_DivisorIndex`): for each support mask of a term, a bitset of the basis
-positions whose leading monomial's support lies inside it.  The first of
-those bits, from the low end, whose entry passes the exact test is the
-divisor a scan of the basis in order would pick, so remainders and work
-counts do not depend on the index.  An index belongs to one basis list:
-a Buchberger run extends it as the basis grows, a restart at a wider width
-builds a new one, and it is dropped when the run or the normal form ends.
+Every reduction in the engine is made of one step, written once.  The
+divisor search `_DivisorIndex.divisor(m, keep)` keeps, for each support
+mask of a term, a bitset of the basis positions whose leading monomial's
+support lies inside it, and returns the first of those bits among `keep`,
+from the low end, whose entry passes the exact test: the divisor a scan of
+the basis in order would pick, so remainders and work counts do not depend
+on the index.  The cancellation `_cancel` scales the working terms and the
+dict passed as `scaled`, subtracts the reducer's shifted tail and pushes
+the new monomials onto the heap.  `_normal_form_int` (Buchberger, normal
+forms, module bases, tail reduction) passes the basis positions but the
+one it leaves out as `keep`, and its remainder as `scaled`;
+`_regular_reduce` (the colon below) searches the basis of I with every
+position, then the labelled elements, clearing from `keep` each that fails
+the signature test, and passes its label u as `scaled`.  The one lcm is
+`_Packing.lcm` on exponent tuples, for the pairs, the J-pairs and
+`certify_groebner`.  An index belongs to one basis list: a Buchberger run
+extends it as the basis grows, a restart at a wider width builds a new
+one, and it is dropped when the run or the normal form ends.
 
 The same engine computes Groebner bases of submodules of a free module of
 rank r (an ideal is the case r = 0).  A module term with component c and
@@ -181,8 +191,14 @@ class _Packing:
         monomial divides m only if its support lies inside this one."""
         return ((m | self.guard) - self.low) & self.var_guard
 
-    def lcm(self, a: int, b: int) -> int:
-        return self.pack(tuple(map(max, self.unpack(a), self.unpack(b))))
+    def lcm(self, a: tuple, b: tuple) -> tuple[int, int]:
+        """The packed lcm of two exponent tuples and its degree; raises
+        _Overflow when the lcm does not fit."""
+        lt = tuple(map(max, a, b))
+        d = sum(lt)
+        if not self.fits(d):
+            raise _Overflow
+        return sum(map(mul, lt, self.units)), d
 
 
 class _Entry:
@@ -252,15 +268,10 @@ def _retry_wider(entries: list[_Entry], run):
 
 
 class _DivisorIndex:
-    """The divisor search of one basis list, in one packing.
-
-    For the support mask s of a term (`_Packing.support`), `candidates(s)`
-    is a bitset of the basis positions whose leading monomial's support lies
-    inside s, built on first use: only those can divide the term.  Walking
-    its bits from low to high and taking the first position that passes the
-    exact packed test finds the divisor that a scan of the basis in order
-    finds.  `append` extends the basis and every bitset built so far.
-    """
+    """The divisor search of one basis list, in one packing (see the module
+    docstring).  `candidates(s)` is the bitset of the basis positions whose
+    leading monomial's support lies inside the support mask s, built on
+    first use; `append` extends the basis and every bitset built so far."""
 
     __slots__ = ("pk", "entries", "lms", "uses", "table")
 
@@ -298,6 +309,62 @@ class _DivisorIndex:
         self.table[s] = bits
         return bits
 
+    def divisor(self, m: int, keep: int = -1) -> int:
+        """The first position among the bits of `keep` whose leading
+        monomial divides the packed monomial m, or -1."""
+        pk = self.pk
+        guard = pk.guard
+        mg = m | guard
+        s = (mg - pk.low) & pk.var_guard
+        bits = self.table.get(s)
+        if bits is None:
+            bits = self.candidates(s)
+        bits &= keep
+        lms = self.lms
+        while bits:
+            b = bits & -bits
+            k = b.bit_length() - 1
+            if (mg - lms[k]) & guard == guard:
+                return k
+            bits ^= b
+        return -1
+
+
+def _cancel(coeffs: dict, heap: list, m: int, c: int, red: _Entry,
+            scaled: dict) -> tuple[int, int]:
+    """One reduction step: cancel the term c*m, already taken out of the
+    packed term dict `coeffs`, by the multiple of `red` whose leading
+    monomial is m.  With d = gcd(c, lc(red)), `coeffs` and the dict
+    `scaled` are multiplied by sc = lc(red) / d, then mult = c / d times the
+    shifted tail of red is subtracted from `coeffs`; a new monomial is
+    pushed, negated, onto `heap`.  Returns (mult, sc).  Raises _Overflow
+    when a new term does not fit the packing."""
+    d = gcd(abs(c), red.lc)
+    mult = c // d
+    sc = red.lc // d
+    if sc != 1:
+        for k in coeffs:
+            coeffs[k] *= sc
+        for k in scaled:
+            scaled[k] *= sc
+    guard = red.pk.guard
+    shift = m - red.lm
+    for tm, tc in red.tail.items():
+        nm = tm + shift
+        prev = coeffs.get(nm)
+        if prev is None:
+            if nm & guard:
+                raise _Overflow
+            coeffs[nm] = -mult * tc
+            heappush(heap, -nm)
+        else:
+            nv = prev - mult * tc
+            if nv:
+                coeffs[nm] = nv
+            else:
+                del coeffs[nm]
+    return mult, sc
+
 
 def _reduce_terms(terms: dict, basis: list[_Entry], budget: Budget | None,
                   what: str = "polynomial reduction") -> tuple[dict, int]:
@@ -326,9 +393,7 @@ def _normal_form_int(terms: dict, index: _DivisorIndex, budget: Budget,
     monomial divides it.  Raises _Overflow when a new term does not fit the
     packing.
     """
-    pk = index.pk
-    guard, low, var_guard = pk.guard, pk.low, pk.var_guard
-    table, lms, entries = index.table, index.lms, index.entries
+    divisor, entries = index.divisor, index.entries
     keep = ~(1 << skip) if skip >= 0 else -1
     coeffs = dict(terms)
     heap = [-m for m in coeffs]
@@ -341,68 +406,25 @@ def _normal_form_int(terms: dict, index: _DivisorIndex, budget: Budget,
         c = coeffs.pop(m, 0)
         if not c:
             continue
-        mg = m | guard
-        s = (mg - low) & var_guard
-        bits = table.get(s)
-        if bits is None:
-            bits = index.candidates(s)
-        bits &= keep
-        red = None
-        while bits:
-            b = bits & -bits
-            k = b.bit_length() - 1
-            if (mg - lms[k]) & guard == guard:
-                red = entries[k]
-                break
-            bits ^= b
-        if red is None:
+        k = divisor(m, keep)
+        if k < 0:
             out[m] = c
             continue
         budget.tick(1, what)
-        d = gcd(abs(c), red.lc)
-        mult = c // d
-        sc = red.lc // d
+        _, sc = _cancel(coeffs, heap, m, c, entries[k], out)
         if sc != 1:
             scale *= sc
-            for k in coeffs:
-                coeffs[k] *= sc
-            for k in out:
-                out[k] *= sc
             scale_events += 1
             if scale_events % 32 == 0 and abs(scale) > 1 << 2048:
                 # strip only factors shared with the scalar, keeping the
                 # invariant scale * input == remainder exact
-                g = abs(scale)
-                for v in coeffs.values():
-                    g = gcd(g, abs(v))
-                    if g == 1:
-                        break
-                if g > 1:
-                    for v in out.values():
-                        g = gcd(g, abs(v))
-                        if g == 1:
-                            break
+                g = gcd(scale, *coeffs.values(), *out.values())
                 if g > 1:
                     for k in coeffs:
                         coeffs[k] //= g
                     for k in out:
                         out[k] //= g
                     scale //= g
-        shift = m - red.lm
-        for tm, tc in red.tail.items():
-            nm = tm + shift
-            prev = coeffs.get(nm)
-            if prev is None:
-                if nm & guard:
-                    raise _Overflow
-                coeffs[nm] = -mult * tc
-                heappush(heap, -nm)
-            else:
-                nv = prev - mult * tc
-                if nv:
-                    coeffs[nm] = nv
-                else:
-                    del coeffs[nm]
     return out, scale
 
 
@@ -461,7 +483,7 @@ class _Pairs:
 
     def add(self, h: _Entry) -> None:
         pk = self.pk
-        guard, units = pk.guard, pk.units
+        guard = pk.guard
         eh = pk.unpack(h.lm)
         dh = sum(eh)
         comp = eh[:self.rank]
@@ -470,12 +492,7 @@ class _Pairs:
         new_degs: dict[int, int] = {}
         for i, ei in enumerate(self.exps):
             if comps[i] == comp:
-                lt = tuple(map(max, ei, eh))
-                d = sum(lt)
-                if not pk.fits(d):
-                    raise _Overflow
-                new[i] = sum(map(mul, lt, units))
-                new_degs[i] = d
+                new[i], new_degs[i] = pk.lcm(ei, eh)
         # the chain criterion among the new pairs: walking the distinct lcms
         # upwards, an lcm is properly divisible by another iff by a minimal one
         minimal: list[int] = []
@@ -584,16 +601,13 @@ def _reduced(basis: list[_Entry], budget: Budget, what: str) -> list[_Entry]:
     packing), sorted by leading monomial."""
     pk = basis[0].pk
     # minimalize: drop entries whose lm is divisible by another kept lm
-    guard = pk.guard
-    minimal: list[_Entry] = []
+    index = _DivisorIndex(pk)
     for g in sorted(basis, key=lambda g: g.lm):
-        lg = g.lm | guard
-        if not any((lg - k.lm) & guard == guard for k in minimal):
-            minimal.append(g)
+        if index.divisor(g.lm) < 0:
+            index.append(g)
     # tail-reduce each against the others (reduced basis)
-    index = _DivisorIndex(pk, minimal)
     reduced: list[_Entry] = []
-    for pos, g in enumerate(minimal):
+    for pos, g in enumerate(index.entries):
         rem, _ = _normal_form_int(g.packed(), index, budget, skip=pos, what=what)
         reduced.append(_Entry(_content_strip(rem), pk, g.sugar))
     reduced.sort(key=lambda g: g.lm)
@@ -602,25 +616,6 @@ def _reduced(basis: list[_Entry], budget: Budget, what: str) -> list[_Entry]:
 
 # ---------------------------------------------------------------------------
 # the colon I : g by signatures (G2V)
-
-def _first_divisor(index: _DivisorIndex, m: int) -> int:
-    """The first basis position of the index whose leading monomial divides
-    the packed monomial m, or -1."""
-    guard = index.pk.guard
-    mg = m | guard
-    s = index.pk.support(m)
-    bits = index.table.get(s)
-    if bits is None:
-        bits = index.candidates(s)
-    lms = index.lms
-    while bits:
-        b = bits & -bits
-        k = b.bit_length() - 1
-        if (mg - lms[k]) & guard == guard:
-            return k
-        bits ^= b
-    return -1
-
 
 def _regular_reduce(u: dict, v: dict, sig: int, gidx: _DivisorIndex,
                     lidx: _DivisorIndex, sigs: list[int], us: list[dict],
@@ -636,9 +631,7 @@ def _regular_reduce(u: dict, v: dict, sig: int, gidx: _DivisorIndex,
     or its leading term has no such reducer; the tail is left as it is.
     Raises _Overflow when a new term does not fit the packing.
     """
-    pk = gidx.pk
-    guard = pk.guard
-    llms = lidx.lms
+    guard = gidx.pk.guard
     u = dict(u)
     coeffs = dict(v)
     heap = [-m for m in coeffs]
@@ -648,51 +641,23 @@ def _regular_reduce(u: dict, v: dict, sig: int, gidx: _DivisorIndex,
         c = coeffs.get(m)
         if c is None:
             continue
-        k = _first_divisor(gidx, m)
-        red = gidx.entries[k] if k >= 0 else None
+        k = gidx.divisor(m)
         label = None
-        if red is None:
-            mg = m | guard
-            s = pk.support(m)
-            bits = lidx.table.get(s)
-            if bits is None:
-                bits = lidx.candidates(s)
-            while bits:
-                b = bits & -bits
-                k = b.bit_length() - 1
-                lm = llms[k]
-                if (mg - lm) & guard == guard and m - lm + sigs[k] < sig:
-                    red, label = lidx.entries[k], us[k]
-                    break
-                bits ^= b
-            if red is None:
+        if k >= 0:
+            red = gidx.entries[k]
+        else:
+            # the first labelled divisor that reduces below the signature
+            keep = -1
+            while (k := lidx.divisor(m, keep)) >= 0 and m - lidx.lms[k] + sigs[k] >= sig:
+                keep &= ~(1 << k)
+            if k < 0:
                 return u, coeffs
+            red, label = lidx.entries[k], us[k]
         budget.tick(1, "polynomial reduction")
         del coeffs[m]
-        d = gcd(abs(c), red.lc)
-        mult = c // d
-        sc = red.lc // d
-        if sc != 1:
-            for k in coeffs:
-                coeffs[k] *= sc
-            for k in u:
-                u[k] *= sc
-        shift = m - red.lm
-        for tm, tc in red.tail.items():
-            nm = tm + shift
-            prev = coeffs.get(nm)
-            if prev is None:
-                if nm & guard:
-                    raise _Overflow
-                coeffs[nm] = -mult * tc
-                heappush(heap, -nm)
-            else:
-                nv = prev - mult * tc
-                if nv:
-                    coeffs[nm] = nv
-                else:
-                    del coeffs[nm]
+        mult, _ = _cancel(coeffs, heap, m, c, red, u)
         if label is not None:
+            shift = m - red.lm
             for tm, tc in label.items():
                 nm = tm + shift
                 if nm & guard:
@@ -709,7 +674,7 @@ def _colon_at_width(G: list[_Entry], g: dict, budget: Budget) -> list[_Entry]:
     """Reduced Groebner basis of I : g as entries of the packing of G, the
     reduced basis of I, for g a nonzero exponent-tuple integer term dict."""
     pk = G[0].pk
-    guard, units = pk.guard, pk.units
+    guard = pk.guard
     gidx = _DivisorIndex(pk, G)
     gexps = [pk.unpack(e.lm) for e in G]
     # the labelled elements (u, v) with v != 0: signature lm(u), label u,
@@ -721,16 +686,10 @@ def _colon_at_width(G: list[_Entry], g: dict, budget: Budget) -> list[_Entry]:
     found: list[tuple] = []  # (signature, label u) of the pairs whose v reached 0
     heap: list[tuple] = []  # J-pairs (signature, lcm, element)
 
-    def lcm(a: tuple, b: tuple) -> int:
-        lt = tuple(map(max, a, b))
-        if not pk.fits(sum(lt)):
-            raise _Overflow
-        return sum(map(mul, lt, units))
-
     def push(sig: int, top: int, i: int) -> None:
         if sig & guard:
             raise _Overflow
-        if _first_divisor(gidx, sig) < 0:  # else a multiple of a syzygy (h, 0), h in I
+        if gidx.divisor(sig) < 0:  # else a multiple of a syzygy (h, 0), h in I
             heappush(heap, (sig, top, i))
 
     def add(sig: int, u: dict, v: dict) -> None:
@@ -751,10 +710,10 @@ def _colon_at_width(G: list[_Entry], g: dict, budget: Budget) -> list[_Entry]:
         eh = pk.unpack(h.lm)
         n = len(sigs)
         for ek in gexps:
-            top = lcm(eh, ek)
+            top, _ = pk.lcm(eh, ek)
             push(top - h.lm + sig, top, n)
         for j, ej in enumerate(vexps):
-            top = lcm(eh, ej)
+            top, _ = pk.lcm(eh, ej)
             sh, sj = top - h.lm + sig, top - lidx.lms[j] + sigs[j]
             if sh != sj:
                 push(*((sh, top, n) if sh > sj else (sj, top, j)))
@@ -1361,13 +1320,16 @@ def symmetric_algebra_ideal(forms: list[Polynomial], syzygy_columns) -> Ideal:
 def certify_groebner(I: Ideal, budget=None, config=None) -> bool:
     """All s-polynomials of basis pairs reduce to zero."""
     entries = I._entries(budget, config)
+    if not entries:
+        return True  # the zero ideal
     budget = budget or _settings(None, config).budget()
 
     def run(basis) -> bool:
         pk = basis[0].pk
         index = _DivisorIndex(pk, basis)
         for gi, gj in itertools.combinations(basis, 2):
-            sp = _spoly(gi, gj, pk.lcm(gi.lm, gj.lm))
+            top, _ = pk.lcm(pk.unpack(gi.lm), pk.unpack(gj.lm))
+            sp = _spoly(gi, gj, top)
             if sp and _normal_form_int(sp, index, budget)[0]:
                 return False
         return True

@@ -203,6 +203,56 @@ def linear_scan_normal_form(terms, basis, budget, skip=-1, what="polynomial redu
     return out, scale
 
 
+def regular_reduce_reference(u, v, sig, basis, labelled, key, budget):
+    """Regular top-reduction of a labelled pair (u, v) of signature `sig`,
+    on exponent-tuple term dicts whose leading coefficients are positive.
+    The leading term m of v goes by the first element of `basis` whose
+    leading monomial divides it, else by the first (s_k, u_k, v_k) of
+    `labelled`, in list order, whose v_k has a leading monomial lt dividing
+    m with key(m - lt + s_k) < key(sig); then (m - lt)*u_k leaves u too.
+    Each step scales u and v by lc / gcd(c, lc), as the engine does, and
+    ticks the budget once.  Returns (u, v) when v is zero or its leading
+    term has no such reducer."""
+    from math import gcd
+    divides = lambda a, b: all(x <= y for x, y in zip(a, b))  # noqa: E731
+
+    def step(d, sc, mult, g, t):
+        out = {e: sc * c for e, c in d.items()}
+        for e, c in g.items():
+            k = tuple(a + b for a, b in zip(e, t))
+            nv = out.get(k, 0) - mult * c
+            if nv:
+                out[k] = nv
+            else:
+                out.pop(k, None)
+        return out
+
+    u, v = dict(u), dict(v)
+    while v:
+        m = max(v, key=key)
+        red = label = None
+        for g in basis:
+            if divides(max(g, key=key), m):
+                red, label = g, {}
+                break
+        else:
+            for s, uk, vk in labelled:
+                lt = max(vk, key=key)
+                if divides(lt, m) and \
+                        key(tuple(a - b + c for a, b, c in zip(m, lt, s))) < key(sig):
+                    red, label = vk, uk
+                    break
+        if red is None:
+            break
+        budget.tick(1, "polynomial reduction")
+        lt = max(red, key=key)
+        d = gcd(v[m], red[lt])
+        mult, sc = v[m] // d, red[lt] // d
+        t = tuple(a - b for a, b in zip(m, lt))
+        v, u = step(v, sc, mult, red, t), step(u, sc, mult, label, t)
+    return u, v
+
+
 class TuplePairs:
     """The pair criteria on exponent tuples: the same selection as the
     engine's packed `_Pairs`, written with tuple lcms and divisibility.

@@ -99,13 +99,39 @@ def test_cli_matrix_json():
 
 
 def test_cli_determinants_time_out_cleanly(monkeypatch, capsys):
-    # a 4x4 generic determinant takes 15 expansion steps
+    # a 4x4 generic, Hankel or sub-Hankel determinant takes 15 expansion
+    # steps; `hankel` and `subhankel` expand theirs under the command's budget
     monkeypatch.setenv("DETLAB_GB_STEP_CAP", "5")
     for argv in (["matrix", "--kind", "generic", "--m", "4", "--det"],
                  ["matrix", "--kind", "generic", "--m", "4", "--minors", "4"],
-                 ["polar", "--kind", "generic", "--m", "4", "--verdict"]):
+                 ["polar", "--kind", "generic", "--m", "4", "--verdict"],
+                 ["hankel", "--m", "4", "--check", "golberg"],
+                 ["subhankel", "--n", "4", "--check", "recurrence"]):
         assert cli_main([*argv, "--json"]) == 3
-        assert json.loads(capsys.readouterr().out)["status"] == "timeout"
+        assert json.loads(capsys.readouterr().out) == {"schema": 1, "status": "timeout"}
+
+
+def test_cli_ideal_timeout_names_its_op(tmp_path, monkeypatch, capsys):
+    gens = tmp_path / "gens.txt"
+    gens.write_text("x0^2 - x1*x2\nx1^2 - x0*x2\nx2^2 - x0*x1\n")
+    monkeypatch.setenv("DETLAB_GB_STEP_CAP", "1")
+    assert cli_main(["ideal", "--op", "gb", "--gens", str(gens)]) == 3
+    assert capsys.readouterr().out == "op: gb\nstatus: timeout\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["syz", "--forms", "forms.txt", "--full", "--betti"],
+    ["syz", "--forms", "forms.txt", "--linear", "--full"],
+    ["polar", "--kind", "sc3", "--verdict", "--linear-rank"],
+    ["polar", "--kind", "sc3", "--hessian-mult", "--invert", "inverse.txt"],
+])
+def test_cli_conflicting_modes_are_a_usage_error(argv, capsys):
+    # two modes of one command are refused before any work, not silently
+    # narrowed to one of them
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 # recorded verdict reports; they carry the Hessian point and prime and the

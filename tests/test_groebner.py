@@ -79,6 +79,13 @@ def test_reduced_basis_properties_and_certification():
             assert I.contains(g)
 
 
+def test_the_zero_ideal_certifies():
+    # its basis is empty, so it has no pair to check
+    R = xring(2)
+    assert certify_groebner(Ideal(R, []))
+    assert certify_groebner(Ideal(R, [R.zero()]))
+
+
 class _LabelBudget(Budget):
     """A Budget that also counts its ticks by label."""
 

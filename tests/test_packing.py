@@ -10,11 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 from detlab import groebner
 from detlab.config import Budget, ComputationTimeout
 from detlab.groebner import (Ideal, _DivisorIndex, _Entry, _Overflow, _Packing, _Pairs,
-                             _normal_form_int, _pack_entries, _retry_wider, _spoly,
-                             certify_groebner, groebner_entries, to_int_terms)
+                             _normal_form_int, _pack_entries, _regular_reduce, _retry_wider,
+                             _spoly, certify_groebner, groebner_entries, to_int_terms)
 from detlab.polyring import Polynomial, block_order, grevlex, xring
 from detlab.syzygy import _module_rows, _onehot
-from oracles import TuplePairs, linear_scan_normal_form, naive_normal_form, naive_spoly
+from oracles import (TuplePairs, linear_scan_normal_form, naive_normal_form, naive_spoly,
+                     regular_reduce_reference)
 
 _LEX3 = block_order([[0], [1], [2]])
 
@@ -163,10 +164,10 @@ def test_an_s_polynomial_term_past_the_width_is_refused():
     g1 = _Entry({pk.pack((1, 1, 0)): 1, pk.pack((0, 0, 3)): -1}, pk, 3)
     g2 = _Entry({pk.pack((1, 0, 1)): 1, pk.pack((0, 1, 0)): -1}, pk, 2)
     with pytest.raises(_Overflow):
-        _spoly(g1, g2, pk.lcm(g1.lm, g2.lm))  # its tail term x2^4 does not fit
+        _spoly(g1, g2, pk.lcm((1, 1, 0), (1, 0, 1))[0])  # its tail term x2^4 does not fit
     wide = pk.wider()
     w1, w2 = g1.repack(wide), g2.repack(wide)
-    sp = _spoly(w1, w2, wide.lcm(w1.lm, w2.lm))
+    sp = _spoly(w1, w2, wide.lcm((1, 1, 0), (1, 0, 1))[0])
     assert {wide.unpack(m): c for m, c in sp.items()} == {(0, 0, 4): -1, (0, 2, 0): 1}
     # the pair's sugar: max(3 + 3 - 2, 2 + 3 - 2)
     pairs = _Pairs(wide)
@@ -240,6 +241,52 @@ def test_indexed_reduction_is_the_linear_scan(data):
     for a, b in seen:
         assert a == b
     assert indexed[0] != "_Overflow"
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_regular_reduction_is_the_plain_scan(data):
+    # the colon's reduction returns the same (u, v) and spends the same
+    # reduction ticks as a scan of G and then of the labelled elements in
+    # list order, under every kind of order, restarting wider on a guard hit
+    order = data.draw(_block_orders())
+    n, key = order.nvars, order.key
+    mono = st.tuples(*[st.integers(0, 3)] * n)
+    poly = st.dictionaries(mono, st.integers(-4, 4).filter(bool), min_size=1, max_size=4)
+
+    def positive(d):
+        return d if d[max(d, key=key)] > 0 else {e: -c for e, c in d.items()}
+    G = [positive(d) for d in data.draw(st.lists(poly, max_size=4))]
+    labelled = [(s, uk, positive(vk))
+                for s, uk, vk in data.draw(st.lists(st.tuples(mono, poly, poly), max_size=4))]
+    u, v, sig = data.draw(poly), data.draw(poly), data.draw(mono)
+
+    def outcome(reduce):
+        budget = Budget(step_cap=200)
+        try:
+            res = reduce(budget)
+        except ComputationTimeout:
+            res = "timeout"
+        return res, budget.steps
+
+    def engine(pk, budget):
+        def pack(d):
+            return {pk.pack(e): c for e, c in d.items()}
+        gidx = _DivisorIndex(pk, [_Entry(pack(g), pk, 0) for g in G])
+        lidx = _DivisorIndex(pk, [_Entry(pack(vk), pk, 0) for _, _, vk in labelled])
+        got = _regular_reduce(pack(u), pack(v), pk.pack(sig), gidx, lidx,
+                              [pk.pack(s) for s, _, _ in labelled],
+                              [pack(uk) for _, uk, _ in labelled], budget)
+        return tuple({pk.unpack(m): c for m, c in d.items()} for d in got)
+
+    pk = _Packing.holding(order.weight_rows(), 3 * n)
+    while True:
+        try:
+            got = outcome(lambda b: engine(pk, b))
+            break
+        except _Overflow:
+            pk = pk.wider()
+    assert got == outcome(lambda b: regular_reduce_reference(u, v, sig, G, labelled, key, b))
 
 
 @given(st.data())

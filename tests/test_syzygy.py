@@ -15,6 +15,7 @@ from detlab.syzygy import (ModuleBasis, fitting_condition_F1, first_syzygy_modul
                            graded_betti, linear_syzygies, poly_matrix_rank,
                            rees_bigraded_kernel, rees_minimal_bidegree12,
                            syzygy_basis_in_degree, _monomials_of_degree)
+from test_groebner import _LabelBudget
 
 
 def partials_of(kind, **kw):
@@ -190,6 +191,20 @@ def test_degreewise_syzygies_are_the_y_linear_rees_pieces(case):
         as_forms = [sum((morph(a, T) * T.var(i) for i, a in enumerate(col)), T.zero())
                     for col in syzygy_basis_in_degree(forms, d)]
         assert as_forms == rees_bigraded_kernel(forms, d, 1)
+
+
+def test_module_engine_work_is_pinned():
+    # module S-pairs and reduction steps of the first syzygies of two
+    # gradient ideals: module bases run the engine's reduction step and pair
+    # criteria, so a change to either moves these counts
+    for kind, shape, columns, work in (("hankel", dict(m=3), 10, (26, 65)),
+                                       ("catalecticant", dict(m=3, r=2), 17, (115, 557))):
+        _, _, partials = partials_of(kind, **shape)
+        budget = _LabelBudget()
+        syz = first_syzygy_module(partials, budget)
+        assert len(syz.columns) == columns
+        assert (budget.by_label["module Buchberger"],
+                budget.by_label["module reduction"]) == work
 
 
 def test_linear_part_subset_of_full_module():
