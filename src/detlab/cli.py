@@ -161,6 +161,8 @@ def _cmd_ideal(args) -> int:
     elif args.op in ("colon", "sat", "intersect"):
         other = Ideal(ring, _read_forms(args.other,
                                         paths_sharing_ring=[args.gens]))
+        if args.op != "intersect" and other.is_zero():
+            raise ValueError("colon by the zero ideal")
         if args.op == "colon":
             out = colon(I, other, budget)
         elif args.op == "sat":

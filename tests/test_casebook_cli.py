@@ -351,6 +351,15 @@ def test_cli_ideal_usage_errors_exit_two(tmp_path, capsys, args, message, text):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("op", ["colon", "sat"])
+def test_cli_colon_by_the_zero_ideal_is_a_usage_error(tmp_path, capsys, op):
+    gens, zero = tmp_path / "g.txt", tmp_path / "z.txt"
+    gens.write_text("x0*x1\nx1^2\n")
+    zero.write_text("0\n")
+    assert cli_main(["ideal", "--op", op, "--gens", str(gens), "--other", str(zero)]) == 2
+    assert capsys.readouterr() == ("", "error: colon by the zero ideal\n")
+
+
 def test_cli_cache_roundtrip(tmp_path):
     code, out, _ = run_cli(["cache", "info", "--cache-dir", str(tmp_path), "--json"])
     assert code == 0

@@ -109,7 +109,7 @@ def test_the_zero_and_the_unit_ideal():
     assert strings(colon_poly(Ideal(R, [x0 + 1, x0]), x1)) == ["1"]
 
 
-def test_the_cat43_prime_generators_match_the_recorded_digests():
+def test_the_cat43_prime_generators_match_the_recorded_digests(monkeypatch):
     # every generator of the rectangular-minor prime P of the 4x4 three-leap
     # catalecticant, as the cat-4-3 colon fact takes them
     ref = json.loads(CAT43_REFERENCE.read_text(encoding="utf-8"))["generators"]
@@ -121,11 +121,21 @@ def test_the_cat43_prime_generators_match_the_recorded_digests():
     J.groebner_basis()
     _MEMORY_CACHE.clear()
     budget = _LabelBudget()
+    lcms = []
+    lcm = groebner._Packing.lcm
+
+    def counted(pk, a, b):
+        lcms.append(1)
+        return lcm(pk, a, b)
+    monkeypatch.setattr(groebner._Packing, "lcm", counted)
     for g, t in zip(gens, ref):
         text = "\n".join(strings(colon_poly(J, g, budget=budget)))
         assert hashlib.sha256(text.encode()).hexdigest() == t["digest"], t["poly"]
     # the work of all 35 colons, pinned like the Hankel-3 colon below
     assert dict(budget.by_label) == {"Buchberger": 1373, "polynomial reduction": 10943}
+    # the lcms built: only the J-pairs whose signature passes the F5 test
+    # get one (every J-pair formed, 67967, did before the test ran first)
+    assert len(lcms) == 24190
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +181,15 @@ def test_a_damaged_colon_record_is_recomputed_and_rewritten(tmp_path):
 
 def test_a_narrow_first_width_restarts_wider_with_the_same_basis(tmp_path, monkeypatch):
     # the basis of J, read back from the disk cache at a first width of 3
-    # bits, fits that width; the colon's J-pairs do not
-    J, delta = hankel3()
+    # bits, fits that width; the lcm of a J-pair of J : x2 that passes the
+    # F5 test does not.  (J : delta restarts nothing: each of its J-pairs
+    # whose lcm would not fit is dropped before the lcm is built.)
+    J, _ = hankel3()
+    x2 = J.ring.from_string("x2")
     cfg = Config(cache_dir=str(tmp_path))
     _MEMORY_CACHE.clear()
-    want = strings(colon_poly(J, delta, config=cfg))
-    (tmp_path / (_colon_key(J._key, delta) + ".gb")).unlink()
+    want = strings(colon_poly(J, x2, config=cfg))
+    (tmp_path / (_colon_key(J._key, x2) + ".gb")).unlink()
     widths = []
     at_width = groebner._colon_at_width
 
@@ -186,7 +199,7 @@ def test_a_narrow_first_width_restarts_wider_with_the_same_basis(tmp_path, monke
     monkeypatch.setattr(groebner, "_FIELD_BITS", 3)
     monkeypatch.setattr(groebner, "_colon_at_width", counted)
     _MEMORY_CACHE.clear()
-    assert strings(colon_poly(Ideal(J.ring, J.gens), delta, config=cfg)) == want
+    assert strings(colon_poly(Ideal(J.ring, J.gens), x2, config=cfg)) == want
     assert widths == [3, 6]
 
 

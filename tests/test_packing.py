@@ -199,6 +199,29 @@ def test_high_degree_queries_widen_the_cached_basis():
 # ---------------------------------------------------------------------------
 # the divisor index and the pair criteria against their plain forms
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_cofactor_and_the_divisor_search_on_variable_fields(data):
+    # the colon's F5 test: the cofactor lcm(a, b) / a in the variable fields
+    # alone, and the divisor search on a monomial given on its variable
+    # fields, which finds the position that its full packing does
+    rows, _, terms, monos, _ = data.draw(_keyed_terms())
+    a, b, mono = data.draw(terms), data.draw(terms), data.draw(monos)
+    lms = data.draw(st.lists(terms, max_size=6))
+    pk = _Packing.holding(rows, sum(a) + sum(b) + sum(mono) + max(map(sum, lms), default=0))
+    t = pk.cofactor(pk.pack(a), pk.pack(b))
+    want = tuple(max(x, y) - x for x, y in zip(a, b))
+    assert pk.unpack(t) == want and t & ~pk.vals == 0
+    assert (pk.pack(a) & pk.vals) + t == pk.pack(tuple(map(max, a, b))) & pk.vals
+    index = _DivisorIndex(pk, [_Entry({pk.pack(e): 1}, pk, 0) for e in lms])
+    keep = data.draw(st.integers(0, (1 << len(lms)) - 1)) if lms else -1
+    for m in (a, b, mono):
+        pm = pk.pack(m)
+        first = next((k for k, e in enumerate(lms)
+                      if keep >> k & 1 and all(x <= y for x, y in zip(e, m))), -1)
+        assert index.divisor(pm, keep) == index.divisor(pm & pk.vals, keep) == first
+
+
 def _reduce_both(terms, entries, skip):
     """(indexed, linear scan): each the remainder and scale, or the name of
     the exception, with the ticks spent."""
