@@ -11,8 +11,8 @@ reads the cache directory from the config passed, else from its budget's.
 
 An ideal's order is its ring's order, and an ideal holds one reduced
 basis.  The orders are block orders of grevlex blocks (`MonomialOrder`):
-grevlex itself, and the elimination orders that `eliminate`, `intersect`
-and `rees_ideal` put on a ring of their own.  Rings compare by variable
+grevlex itself, and the elimination orders that `eliminate` and
+`intersect` put on a ring of their own.  Rings compare by variable
 names, so the generators of one ring serve another that differs only in
 its order.
 
@@ -1314,34 +1314,11 @@ def hilbert_data(I: Ideal, budget=None, config=None) -> HilbertData:
 
 
 # ---------------------------------------------------------------------------
-# Rees ideal by tag elimination
+# the blowup ring and the symmetric-algebra ideal
 
 def rees_ring(ring: Ring, nforms: int) -> Ring:
     yvars = tuple(f"y{i}" for i in range(nforms))
     return Ring(yvars + ring.variables)
-
-
-def rees_ideal(forms: list[Polynomial], budget=None, config=None) -> Ideal:
-    """Blowup-equation ideal in k[y, x] (y_i for forms[i]): the kernel of
-    y_i -> t*f_i, by eliminating t with block order t >> y >> x."""
-    if not forms:
-        raise ValueError("need at least one form")
-    ring = forms[0].ring
-    degs = {f.degree for f in forms}
-    if len(degs) != 1 or not all(f.is_homogeneous() for f in forms):
-        raise ValueError("forms must be homogeneous of one degree")
-    n = len(forms)
-    nvars = 1 + n + ring.nvars
-    ext = Ring(("t",) + tuple(f"y{i}" for i in range(n)) + ring.variables,
-               block_order([[0], range(1, n + 1), range(n + 1, nvars)]))
-    t = ext.var(0)
-    gens = [ext.var(1 + i) - t * morph(f, ext) for i, f in enumerate(forms)]
-    target = rees_ring(ring, n)
-    out = []
-    for g in Ideal(ext, gens).groebner_basis(budget, config):
-        if 0 not in g.support_vars():
-            out.append(morph(g, target))
-    return Ideal(target, out)
 
 
 def symmetric_algebra_ideal(forms: list[Polynomial], syzygy_columns) -> Ideal:

@@ -8,11 +8,12 @@ matrix (the partials differentiated once more), the gradient ideal `J`,
 and six readers computed once on first use (the Hessian determinant
 status, the linear syzygies with their rank, the blowup equations linear
 in x, the rank of their Jacobian dual matrix, the full first syzygy module
-of the partials, and the linear-type answer read off that module).  Every
-Hessian analytic takes the record; casebook facts and `homaloidal_verdict`,
-the single verdict entry point, read the same record, so no derived object
-is computed twice.  `hessian_identity` is the one sampler for identities
-H(f) = c * prod g^e, the totally-Hessian test among them.
+of the partials, and the linear-type answer, one colon of the ideal of
+that module's 1-forms).  Every Hessian analytic takes the record; casebook
+facts and `homaloidal_verdict`, the single verdict entry point, read the
+same record, so no derived object is computed twice.  `hessian_identity`
+is the one sampler for identities H(f) = c * prod g^e, the totally-Hessian
+test among them.
 
 The record's config seeds its random draws; the readers and the verdict
 run under their caller's Budget, whose config gives the cache directory.
@@ -36,8 +37,8 @@ from .config import Budget, Config, ComputationTimeout, DEFAULT_CONFIG
 from .linalg import dense_det
 from .modp import (PRIME_61, PRIME_61B, factor_multiplicity_upoly, udeg,
                    ugcd, uderiv, uinterpolate)
-from .groebner import Ideal, rees_ideal, symmetric_algebra_ideal, saturation
-from .polyring import Polynomial, Ring, exact_divide, NOT_DIVISIBLE
+from .groebner import Ideal, colon_poly, symmetric_algebra_ideal, saturation
+from .polyring import Polynomial, Ring, exact_divide, morph, NOT_DIVISIBLE
 from .structmat import PolyMatrix, determinant
 from .syzygy import (GradedSyzygyMatrix, linear_syzygies, first_syzygy_module,
                      poly_matrix_rank, rees_minimal_bidegree12, RankResult)
@@ -409,15 +410,23 @@ class LinearTypeResult:
 
 def linear_type_check(forms: list[Polynomial], syzygy_columns: list[list[Polynomial]],
                       budget: Budget | None = None) -> LinearTypeResult:
-    """Blowup equations vs syzygy 1-forms: linear type iff every blowup
-    generator reduces to zero against the 1-form ideal.
+    """Whether the ideal I of the forms is of linear type, by one colon.
 
     `syzygy_columns` generates the first syzygy module of the forms (the
-    columns of `first_syzygy_module`)."""
+    columns of `first_syzygy_module`); its 1-forms generate the
+    symmetric-algebra ideal L in k[y, x].  For a nonzero f in I, Sym(I) and
+    Rees(I) agree once f is inverted, and Rees(I) is R-torsion-free, so the
+    Rees ideal is L : f^inf (Vasconcelos, *Arithmetic of Blowup Algebras*,
+    1994, ch. 1).  Hence I is of linear type iff L : f = L, and a generator
+    of L : f outside L is a blowup equation that L misses: the witness of
+    NotLinearType.  f is the first form; the forms must be nonzero and
+    homogeneous of one degree."""
+    if (len({f.degree for f in forms}) != 1 or forms[0].is_zero()
+            or not all(f.is_homogeneous() for f in forms)):
+        raise ValueError("need nonzero forms, homogeneous of one degree")
     try:
-        rr = rees_ideal(forms, budget)
         sym = symmetric_algebra_ideal(forms, syzygy_columns)
-        for g in rr.gens:
+        for g in colon_poly(sym, morph(forms[0], sym.ring), budget).gens:
             if not sym.contains(g, budget=budget):
                 return LinearTypeResult("NotLinearType", witness=g)
         return LinearTypeResult("LinearType")

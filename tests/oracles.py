@@ -408,3 +408,29 @@ def tag_colon(I, g, budget=None, config=None):
         assert q is not NOT_DIVISIBLE, "an element of (g) that g does not divide"
         out.append(q)
     return Ideal(I.ring, out)
+
+
+# ---------------------------------------------------------------------------
+# the Rees ideal by tag elimination, the slow reference for the linear-type
+# test (which decides by one colon of the symmetric-algebra ideal)
+
+def rees_ideal(forms, budget=None, config=None):
+    """Blowup-equation ideal in k[y, x] (y_i for forms[i]): the kernel of
+    y_i -> t*f_i, by eliminating t with block order t >> y >> x."""
+    from detlab.groebner import Ideal, rees_ring
+    from detlab.polyring import Ring, block_order, morph
+    if not forms:
+        raise ValueError("need at least one form")
+    ring = forms[0].ring
+    degs = {f.degree for f in forms}
+    if len(degs) != 1 or not all(f.is_homogeneous() for f in forms):
+        raise ValueError("forms must be homogeneous of one degree")
+    n = len(forms)
+    nvars = 1 + n + ring.nvars
+    ext = Ring(("t",) + tuple(f"y{i}" for i in range(n)) + ring.variables,
+               block_order([[0], range(1, n + 1), range(n + 1, nvars)]))
+    t = ext.var(0)
+    gens = [ext.var(1 + i) - t * morph(f, ext) for i, f in enumerate(forms)]
+    target = rees_ring(ring, n)
+    gb = Ideal(ext, gens).groebner_basis(budget, config)
+    return Ideal(target, [morph(g, target) for g in gb if 0 not in g.support_vars()])

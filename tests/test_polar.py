@@ -4,13 +4,16 @@ linear type, Jacobian duals, and verdict assembly."""
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from detlab.config import Config
-from detlab.polyring import Ring, xring
+from detlab.config import Budget, ComputationTimeout, Config
+from detlab.polyring import Polynomial, Ring, xring
 from detlab.groebner import Ideal, symmetric_algebra_ideal
 from detlab.structmat import PolyMatrix, build_structured, determinant, cofactor_matrix
 from detlab.syzygy import first_syzygy_module, linear_syzygies, rees_minimal_bidegree12
 from detlab import polar
+from oracles import rees_ideal
+from test_colon import _monomials
 
 
 def det_and_partials(kind, **kw):
@@ -334,6 +337,88 @@ def test_linear_type_timeout_reported():
     cfg = Config(gb_step_cap=500)
     out = _linear_type(p4, budget=cfg.budget())
     assert out.status == "Timeout"
+
+
+def test_linear_type_requires_nonzero_forms_of_one_degree():
+    # without this check the colon would answer LinearType for (x0, x1^2)
+    R = xring(2)
+    x0, x1 = R.gens()
+    for forms, columns in (([x0, x1 ** 2], [[x1 ** 2, -x0]]),
+                           ([x0 ** 2 + x1, x1 ** 2], []),
+                           ([R.zero(), R.zero()], []),
+                           ([], [])):
+        with pytest.raises(ValueError):
+            polar.linear_type_check(forms, columns)
+
+
+def test_the_veronese_conic_is_not_of_linear_type():
+    # the Rees ideal of (x0^2, x0*x1, x1^2) holds the Veronese relation in
+    # y-degree 2, which no syzygy 1-form gives
+    R = xring(2)
+    x0, x1 = R.gens()
+    forms = [x0 ** 2, x0 * x1, x1 ** 2]
+    columns = first_syzygy_module(forms).columns
+    out = polar.linear_type_check(forms, columns)
+    assert out.status == "NotLinearType"
+    assert str(out.witness) == "y1^2 - y0*y2"
+    assert rees_ideal(forms).contains(out.witness)
+    assert not symmetric_algebra_ideal(forms, columns).contains(out.witness)
+
+
+def _against_the_rees_oracle(forms, cap=20_000):
+    """The colon test's answer on `forms`, checked against the Rees ideal
+    of the tag-elimination oracle: the statuses agree, and a witness is a
+    Rees element outside the symmetric-algebra ideal.  None when either
+    side runs out of its step cap."""
+    try:
+        columns = first_syzygy_module(forms, Budget(step_cap=cap)).columns
+        sym = symmetric_algebra_ideal(forms, columns)
+        rees = rees_ideal(forms, Budget(step_cap=cap))
+        budget = Budget(step_cap=cap)
+        linear = all(sym.contains(g, budget=budget) for g in rees.gens)
+    except ComputationTimeout:
+        return None
+    out = polar.linear_type_check(forms, columns, Budget(step_cap=cap))
+    if out.status == "Timeout":
+        return None
+    assert out.status == ("LinearType" if linear else "NotLinearType")
+    assert (out.witness is None) == linear
+    if out.witness is not None:
+        assert rees.contains(out.witness) and not sym.contains(out.witness)
+    return out.status
+
+
+@pytest.mark.parametrize("kind, kw", [("hankel", {"m": 3}),
+                                      ("catalecticant", {"m": 3, "r": 2}),
+                                      ("sub-hankel", {"n": 3}),
+                                      ("sub-hankel", {"n": 4})],
+                         ids=["hankel-3", "cat-3-2", "subhankel-3", "subhankel-4"])
+def test_linear_type_matches_the_rees_oracle_on_the_casebook_partials(kind, kw):
+    _, _, partials = det_and_partials(kind, **kw)
+    assert _against_the_rees_oracle(partials, cap=200_000) == "LinearType"
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_linear_type_matches_the_rees_oracle_on_small_forms(data):
+    # monomial and Veronese-type sets are often not of linear type; forms
+    # that leave a variable out catch a colon by an element outside I
+    n = data.draw(st.integers(2, 3))
+    m = data.draw(st.integers(2, n))
+    pool = [e + (0,) * (n - m) for e in _monomials(m, data.draw(st.integers(1, 3)))]
+    R = xring(n)
+    kind = data.draw(st.sampled_from(["veronese", "monomials", "general"]))
+    if kind == "veronese":
+        terms = [{e: 1} for e in pool]
+    elif kind == "monomials":
+        terms = [{e: 1} for e in data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                                    max_size=4, unique=True))]
+    else:
+        coeffs = st.integers(-3, 3).filter(bool)
+        terms = data.draw(st.lists(st.dictionaries(st.sampled_from(pool), coeffs,
+                                                   min_size=1, max_size=3),
+                                   min_size=1, max_size=4))
+    _against_the_rees_oracle([Polynomial(R, t) for t in terms])
 
 
 # ---------------------------------------------------------------------------
