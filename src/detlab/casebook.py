@@ -138,7 +138,7 @@ def _verdict_fact(expected, accepted=None, full=False, inverse=False):
         form = ctx["form"]
         v = polar.homaloidal_verdict(form, ctx["budget"],
                                      candidate_inverse=form.partials if inverse else None,
-                                     try_linear_type=full, try_saturation_obstruction=full)
+                                     try_ideal_routes=full)
         if v.status not in accepted and any(e.certainty == "timeout" for e in v.evidence):
             return expected, v.status, "timeout"
         return expected, v.status, v.status in accepted
@@ -239,8 +239,7 @@ def _hankel3_facts():
                           ideal_equal(got, m, ctx["budget"]))
 
     def sat(ctx):
-        got, _ = saturation(ctx["J"], Ideal(ctx["ring"], ctx["ring"].gens()),
-                            ctx["budget"])
+        got = saturation(ctx["J"], Ideal(ctx["ring"], ctx["ring"].gens()), ctx["budget"])
         return _bool_fact("saturation of J = P", ideal_equal(got, ctx["P"], ctx["budget"]))
 
     def linrank(ctx):

@@ -166,7 +166,7 @@ def _cmd_ideal(args) -> int:
         if args.op == "colon":
             out = colon(I, other, budget)
         elif args.op == "sat":
-            out, _ = saturation(I, other, budget)
+            out = saturation(I, other, budget)
         else:
             out = intersect(I, other, budget)
         payload = {"op": args.op,

@@ -84,8 +84,11 @@ the pairs that yield colon elements reduce to zero.
 An intersection I ∩ J is the smaller ideal when one contains the other,
 which normal forms against the two bases decide; only otherwise is it the
 tag-variable elimination (u*I + (1-u)*J) ∩ k[x].  The colon by an ideal,
-∩ I : g over its generators, meets mostly nested pairs.  Every ideal that
-`colon_poly`, `intersect` or `eliminate` returns is generated by its
+∩ I : g over its generators, meets mostly nested pairs.  So does the
+saturation, ∩ I : g^∞, where each I : g^∞ is a chain of colons by g, each
+from the basis the step before returned.  f lies in √I iff I : f^∞ = (1),
+so radical membership is one such chain, in the ring of I.  Every ideal
+that `colon_poly`, `intersect` or `eliminate` returns is generated by its
 reduced basis, already set on it (`_seeded`), so no query recomputes what
 the engine has just produced.
 """
@@ -1025,15 +1028,13 @@ def ideal_equal(I: Ideal, J: Ideal, budget=None, config=None) -> bool:
 # ---------------------------------------------------------------------------
 # elimination, intersection, colon, saturation
 
-def _fresh_names(base: str, count: int, taken) -> list[str]:
-    out = []
-    i = 0
-    while len(out) < count:
-        name = base if i == 0 else f"{base}{i}"
-        if name not in taken:
-            out.append(name)
+def _fresh_name(base: str, taken) -> str:
+    """base, or base1, base2, ..., the first not in taken."""
+    name, i = base, 0
+    while name in taken:
         i += 1
-    return out
+        name = f"{base}{i}"
+    return name
 
 
 def _seeded(ring: Ring, entries: list[_Entry]) -> Ideal:
@@ -1083,7 +1084,7 @@ def intersect(I: Ideal, J: Ideal, budget=None, config=None) -> Ideal:
     for small, big in ((I, J), (J, I)):
         if big.contains_ideal(small, budget, config):
             return _seeded(ring, small._entries(budget, config))
-    tag = _fresh_names("u", 1, ring.variables)[0]
+    tag = _fresh_name("u", ring.variables)
     ext = Ring((tag,) + ring.variables,
                block_order([[0]] + [[i + 1 for i in b] for b in ring.order.blocks]))
     u = ext.var(0)
@@ -1114,49 +1115,46 @@ def colon_poly(I: Ideal, g: Polynomial, budget=None, config=None) -> Ideal:
     return _seeded(ring, _cached(_colon_key(I._key, g), ring.order, config, compute))
 
 
-def colon(I: Ideal, J, budget=None, config=None) -> Ideal:
-    """I : J = ∩ I : g over the generators g of J (or of its reduced basis,
-    if that is shorter), intersected one by one into a running result."""
+def _fold(I: Ideal, J, per_generator, budget, config) -> Ideal:
+    """∩ per_generator(g) over the generators g of J (or g = J for a
+    polynomial), each an ideal containing I, intersected one by one into a
+    running result that stops once it is I."""
     if isinstance(J, Polynomial):
-        return colon_poly(I, J, budget, config)
+        return per_generator(J)
     if J.is_zero():
         raise ZeroDivisionError("colon by the zero ideal")
-    gens = J.groebner_basis(budget, config)
-    if len(J.gens) < len(gens):
-        gens = J.gens
     acc: Ideal | None = None
-    for g in gens:
-        c = colon_poly(I, g, budget, config)
+    for g in J.gens:
+        c = per_generator(g)
         acc = c if acc is None else intersect(acc, c, budget, config)
-        # the result always contains I; once acc == I it cannot shrink further
         if I.contains_ideal(acc, budget, config):
             break
     return acc
 
 
-def saturation(I: Ideal, J, budget=None, config=None) -> tuple[Ideal, int]:
-    """Stabilized iterated colon; returns (saturation, number of steps)."""
-    steps = 0
-    cur = I
-    while True:
-        nxt = colon(cur, J, budget, config)
-        steps += 1
-        if ideal_equal(nxt, cur, budget, config):
-            return cur, steps
-        cur = nxt
+def colon(I: Ideal, J, budget=None, config=None) -> Ideal:
+    """I : J = ∩ I : g over the generators g of J."""
+    return _fold(I, J, lambda g: colon_poly(I, g, budget, config), budget, config)
+
+
+def saturation(I: Ideal, J, budget=None, config=None) -> Ideal:
+    """I : J^∞ = ∩ I : g^∞ over the generators g of J, since a power of J
+    lies in (g_1^k, ..., g_s^k).  Each I : g^∞ is the chain of colons
+    I : g, (I : g) : g, ..., which grows until a step adds nothing or
+    reaches the unit ideal."""
+    def chain(g):
+        cur = I
+        while True:
+            nxt = colon_poly(cur, g, budget, config)
+            if nxt.is_unit() or cur.contains_ideal(nxt, budget, config):
+                return nxt
+            cur = nxt
+    return _fold(I, J, chain, budget, config)
 
 
 def radical_membership(f: Polynomial, I: Ideal, budget=None, config=None) -> bool:
-    """True iff 1 ∈ I + (1 - w*f) in the ring extended by a tag variable."""
-    ring = I.ring
-    if f.is_zero():
-        return True
-    tag = _fresh_names("w", 1, ring.variables)[0]
-    ext = Ring(ring.variables + (tag,))
-    w = ext.var(ext.nvars - 1)
-    gens = [morph(g, ext) for g in I.gens]
-    gens.append(ext.one() - w * morph(f, ext))
-    return Ideal(ext, gens).is_unit(budget, config)
+    """f ∈ √I iff I : f^∞ is the unit ideal."""
+    return f.is_zero() or saturation(I, f, budget, config).is_unit(budget, config)
 
 
 # ---------------------------------------------------------------------------

@@ -496,8 +496,7 @@ class Verdict:
 
 def homaloidal_verdict(form: PolarMapData, budget: Budget | None = None,
                        candidate_inverse: list[Polynomial] | None = None,
-                       try_linear_type: bool = True,
-                       try_saturation_obstruction: bool = True) -> Verdict:
+                       try_ideal_routes: bool = True) -> Verdict:
     """Decision pipeline for the polar map of the form of a `polar_data`
     record, run under `budget` (the record's config seeds the draws).
 
@@ -505,17 +504,16 @@ def homaloidal_verdict(form: PolarMapData, budget: Budget | None = None,
     linear type + submaximal rank refutes it; a verified inverse or a full
     Jacobian-dual rank also decide; the saturation low-degree obstruction
     is the last proved route.  Anything else is Inconclusive.
+    `try_ideal_routes=False` skips the linear-type and saturation routes.
     """
     import time as _time
     t0 = _time.monotonic()
-    v = _verdict_pipeline(form, budget, candidate_inverse, try_linear_type,
-                          try_saturation_obstruction)
+    v = _verdict_pipeline(form, budget, candidate_inverse, try_ideal_routes)
     v.millis = int((_time.monotonic() - t0) * 1000)
     return v
 
 
-def _verdict_pipeline(form, budget, candidate_inverse, try_linear_type,
-                      try_saturation_obstruction) -> Verdict:
+def _verdict_pipeline(form, budget, candidate_inverse, try_ideal_routes) -> Verdict:
     config = form.config
     f, partials, n, d = form.f, form.partials, form.n, form.d
     ev: list[Evidence] = []
@@ -556,7 +554,7 @@ def _verdict_pipeline(form, budget, candidate_inverse, try_linear_type,
         ev.append(Evidence("verified-inverse", f"candidate fails at coordinate {inv.witness}",
                            "proved"))
 
-    if try_linear_type:
+    if try_ideal_routes:
         # keep the verdict responsive: unless the record already holds the
         # answer, the attempt runs under a bounded step budget of its own,
         # off the caller's meter, so the routes below keep theirs
@@ -588,11 +586,11 @@ def _verdict_pipeline(form, budget, candidate_inverse, try_linear_type,
             if jr.rank == n:
                 return Verdict("Homaloidal", ev, config.seed)
 
-    if try_saturation_obstruction:
+    if try_ideal_routes:
         try:
             J = form.J
             m = Ideal(f.ring, f.ring.gens())
-            sat, _steps = saturation(J, m, budget)
+            sat = saturation(J, m, budget)
             low = None
             for g in sat.groebner_basis(budget):
                 if g.degree <= d - 1 and not J.contains(g, budget=budget):

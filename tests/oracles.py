@@ -434,3 +434,41 @@ def rees_ideal(forms, budget=None, config=None):
     target = rees_ring(ring, n)
     gb = Ideal(ext, gens).groebner_basis(budget, config)
     return Ideal(target, [morph(g, target) for g in gb if 0 not in g.support_vars()])
+
+
+# ---------------------------------------------------------------------------
+# saturation and radical membership by the routes that the colon chains
+# replaced: rounds of the colon by the whole ideal, and the Rabinowitsch tag
+
+def rounds_saturation(I, J, budget=None, config=None):
+    """I : J^∞ as the rounds I : J, (I : J) : J, ... until a round adds
+    nothing; each round is ∩ I : g over the generators g of J, by the
+    tag-variable colon and intersection."""
+    from detlab.groebner import ideal_equal
+    if J.is_zero():
+        raise ZeroDivisionError("saturation by the zero ideal")
+    cur = I
+    while True:
+        nxt = tag_colon(cur, J.gens[0], budget, config)
+        for g in J.gens[1:]:
+            nxt = tag_intersect(nxt, tag_colon(cur, g, budget, config), budget, config)
+        if ideal_equal(nxt, cur, budget, config):
+            return cur
+        cur = nxt
+
+
+def rabinowitsch_radical_membership(f, I, budget=None, config=None):
+    """f ∈ √I iff 1 ∈ I + (1 - w*f) in the ring extended by a tag variable w."""
+    from detlab.groebner import Ideal
+    from detlab.polyring import Ring, morph
+    if f.is_zero():
+        return True
+    ring = I.ring
+    tag = "w"
+    while tag in ring.variables:
+        tag += "w"
+    ext = Ring(ring.variables + (tag,))
+    w = ext.var(ext.nvars - 1)
+    gens = [morph(g, ext) for g in I.gens]
+    gens.append(ext.one() - w * morph(f, ext))
+    return Ideal(ext, gens).is_unit(budget, config)

@@ -63,7 +63,7 @@ def test_criterion_1_hankel3_suite(hankel_record):
     assert ideal_equal(colon(J, P, config=CFG), m_ideal, config=CFG)
     assert colon(ideal_product(J, P), ideal_power(P, 2), config=CFG).is_unit()
 
-    sat, _ = saturation(J, m_ideal, config=CFG)
+    sat = saturation(J, m_ideal, config=CFG)
     assert ideal_equal(sat, P, config=CFG)
 
     hdJ = hilbert_data(J, config=CFG)
@@ -238,8 +238,7 @@ def test_criterion_6_cat4_long_suite():
     jd = polar.jacobian_dual_rank(partials, sym.gens + new12, config=cfg)
     assert jd.rank == 12
 
-    v = polar.homaloidal_verdict(polar.polar_data(f, cfg), try_linear_type=False,
-                                 try_saturation_obstruction=False)
+    v = polar.homaloidal_verdict(polar.polar_data(f, cfg), try_ideal_routes=False)
     assert v.status == "Homaloidal"
 
     # colon: Equal or Timeout acceptable, NotEqual fails the build
@@ -292,9 +291,7 @@ def test_criterion_7_degenerations():
                         for i in range(6)], PRIME_61)
         assert hv == det.evaluate(pt, PRIME_61)
     assert polar.homaloidal_verdict(polar.polar_data(fsc, CFG),
-                                    try_linear_type=False,
-                                    try_saturation_obstruction=False
-                                    ).status == "Homaloidal"
+                                    try_ideal_routes=False).status == "Homaloidal"
     _announce(7, "degenerations", t0)
 
 

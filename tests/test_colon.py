@@ -1,7 +1,9 @@
 """The signature colon `colon_poly`: against the tag-variable oracle, on the
 cat-4-3 prime, through the GB cache, across restarts and under budgets; the
-colon by an ideal and `intersect` against the tag-variable intersection,
-and the reduced bases that ideal results carry."""
+colon by an ideal and `intersect` against the tag-variable intersection;
+saturation and radical membership, chains of colons, against the rounds of
+tag-variable colons and the Rabinowitsch test; and the reduced bases that
+ideal results carry."""
 
 import hashlib
 import json
@@ -15,11 +17,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from detlab import groebner
 from detlab.config import Budget, ComputationTimeout, Config
-from detlab.groebner import Ideal, colon_poly, _colon_key, _MEMORY_CACHE
+from detlab.groebner import (Ideal, colon_poly, radical_membership, saturation, _colon_key,
+                             _MEMORY_CACHE)
 from detlab.polyring import Polynomial, format_polynomial, grevlex, xring
 from detlab.structmat import (build_gp_associated, build_structured, determinant,
                               minors_ideal_gens)
-from oracles import lex, tag_colon, tag_intersect
+from oracles import (lex, rabinowitsch_radical_membership, rounds_saturation, tag_colon,
+                     tag_intersect)
 from test_groebner import _LabelBudget
 
 CAT43_REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference" / "cat43-colon.json"
@@ -249,9 +253,8 @@ def test_colon_by_an_ideal_runs_no_tag_elimination_on_nested_colons(monkeypatch)
     J, _ = hankel3()
     H = build_structured("hankel", m=3)
     P = Ideal(H.ring, minors_ideal_gens(H, 2))
-    gens = P.gens if len(P.gens) < len(P.groebner_basis()) else P.groebner_basis()
-    want = tag_colon(J, gens[0])
-    for g in gens[1:]:
+    want = tag_colon(J, P.gens[0])
+    for g in P.gens[1:]:
         want = tag_intersect(want, tag_colon(J, g))
     calls = []
     monkeypatch.setattr(groebner, "eliminate", _counting_eliminate(calls))
@@ -303,6 +306,100 @@ def test_the_intersection_matches_the_tag_variable_intersection(kind, data):
     assert calls == ([1] if kind == "apart" else [])
     # the generators are the reduced basis, already set on the result
     assert got._monic == got.gens
+
+
+# ---------------------------------------------------------------------------
+# saturation and radical membership against the rounds of colons and the
+# Rabinowitsch test
+
+_CONSTANTS = st.sampled_from([1, -2, Fraction(3, 4)])
+
+
+@pytest.mark.parametrize("kind", ["any", "zero", "unit", "constant", "apart"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_the_saturation_matches_the_rounds_of_colons(kind, data):
+    R = xring(3, data.draw(st.sampled_from([grevlex(3), lex(3)])))
+    x0, x1, _ = R.gens()
+    homogeneous = data.draw(st.booleans())
+    gens = [_poly(data, R, homogeneous, 3) for _ in range(data.draw(st.integers(1, 2)))]
+    I = Ideal(R, gens)
+    J = Ideal(R, [_poly(data, R, homogeneous, 3) for _ in range(data.draw(st.integers(1, 2)))])
+    if kind == "zero":
+        I = Ideal(R, [])
+    elif kind == "unit":
+        I = Ideal(R, gens + [R.const(data.draw(_CONSTANTS))])
+    elif kind == "constant":
+        J = Ideal(R, [R.const(data.draw(_CONSTANTS))])
+    elif kind == "apart":
+        # I = (x0^i * x1^j * h): I : x0^∞ and I : x1^∞ are principal, the one
+        # a power of x1 times a factor of h, the other a power of x0 times
+        # one, so neither contains the other and intersect eliminates a tag
+        h = _poly(data, R, homogeneous, 3)
+        I = Ideal(R, [x0 ** data.draw(st.integers(1, 2)) * x1 ** data.draw(st.integers(1, 2)) * h])
+        J = Ideal(R, [x0, x1])
+    calls = []
+    try:
+        with patch.object(groebner, "eliminate", _counting_eliminate(calls)):
+            got = saturation(I, J, budget=Budget(step_cap=20_000))
+        want = rounds_saturation(I, J, budget=Budget(step_cap=20_000))
+    except ComputationTimeout:
+        assume(False)
+    assert got.groebner_basis() == want.groebner_basis()
+    assert got.contains_ideal(I)
+    if kind == "zero":
+        assert got.is_zero()
+    elif kind == "unit":
+        assert got.is_unit()
+    elif kind == "constant":
+        assert got.groebner_basis() == I.groebner_basis()
+    elif kind == "apart":
+        assert calls
+
+
+def test_saturation_by_the_zero_ideal_raises():
+    R = xring(3)
+    I = Ideal(R, [R.gens()[0] ** 2])
+    for zero in (Ideal(R, []), R.zero()):
+        with pytest.raises(ZeroDivisionError):
+            saturation(I, zero)
+
+
+@pytest.mark.parametrize("kind", ["any", "nilpotent", "outside", "zero", "unit", "constant"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_radical_membership_matches_the_rabinowitsch_test(kind, data):
+    R = xring(3, data.draw(st.sampled_from([grevlex(3), lex(3)])))
+    homogeneous = kind == "outside" or data.draw(st.booleans())
+    # for "outside", homogeneous generators in x0 and x1: a proper ideal
+    # whose radical leaves out x2
+    nvars = 2 if kind == "outside" else 3
+    gens = [_poly(data, R, homogeneous, nvars) for _ in range(data.draw(st.integers(1, 3)))]
+    f = _poly(data, R, homogeneous, 3)
+    I = Ideal(R, gens)
+    if kind == "nilpotent":
+        I = Ideal(R, gens + [f * f])
+        assume(not I.contains(f, budget=Budget(step_cap=20_000)))
+    elif kind == "outside":
+        f = R.gens()[2]
+    elif kind == "zero":
+        I = Ideal(R, [])
+    elif kind == "unit":
+        I = Ideal(R, gens + [R.const(data.draw(_CONSTANTS))])
+    elif kind == "constant":
+        f = R.const(data.draw(_CONSTANTS))
+    try:
+        got = radical_membership(f, I, budget=Budget(step_cap=20_000))
+        want = rabinowitsch_radical_membership(f, I, budget=Budget(step_cap=20_000))
+    except ComputationTimeout:
+        assume(False)
+    assert got == want
+    if kind in ("nilpotent", "unit"):
+        assert got
+    elif kind in ("outside", "zero"):
+        assert not got
+    elif kind == "constant":
+        assert got == I.is_unit()
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ import itertools
 
 import pytest
 
-from detlab.config import Config
-from detlab.groebner import Ideal, hilbert_data, ideal_equal
+from detlab import groebner
+from detlab.config import Budget, Config
+from detlab.groebner import Ideal, hilbert_data, ideal_equal, _MEMORY_CACHE
 from detlab.hankelplucker import (MAX_ORDER, bracket_compare, bracket_minor,
                                   delta_bracket_expansion, golberg_delta_check,
                                   integrality_check, plucker_verify,
@@ -182,6 +183,26 @@ def test_integrality_m3_full(hankel_record):
     assert len(rep.per_minor) == 6
     for w in rep.quadratic_witnesses:
         assert w["identity"] and w["square_in_JP"]
+
+
+def test_integrality_m4_work_is_pinned(hankel_record, monkeypatch):
+    # each bracket's radical test is a chain of colons from the basis of J,
+    # so the check computes the bases of J and P and no other basis; a
+    # change to the chain or to the colon engine moves the steps
+    H, form, P = hankel_record(4)
+    _MEMORY_CACHE.clear()
+    computed = []
+    entries = groebner.groebner_entries
+
+    def counted(gens, order, budget):
+        computed.append(order.id)
+        return entries(gens, order, budget)
+    monkeypatch.setattr(groebner, "groebner_entries", counted)
+    budget = Budget()
+    rep = integrality_check(H, form, P, budget)
+    assert rep.passed and len(rep.per_minor) == 10
+    assert computed == ["grevlex:7", "grevlex:7"]
+    assert budget.steps == 950
 
 
 def test_reduction_check_small_cases(hankel_record):

@@ -494,32 +494,21 @@ def test_verdict_cat32_homaloidal_with_certificates():
 
 def test_verdict_sc3_homaloidal():
     _, f, _ = det_and_partials("sc3")
-    v = polar.homaloidal_verdict(polar.polar_data(f), try_linear_type=False,
-                                 try_saturation_obstruction=False)
+    v = polar.homaloidal_verdict(polar.polar_data(f), try_ideal_routes=False)
     assert v.status == "Homaloidal"
 
 
 def test_verdict_generic3_via_inverse():
     _, f, partials = det_and_partials("generic", m=3)
     v = polar.homaloidal_verdict(polar.polar_data(f), candidate_inverse=partials,
-                                 try_linear_type=False,
-                                 try_saturation_obstruction=False)
+                                 try_ideal_routes=False)
     assert v.status == "Homaloidal"
     assert any(e.criterion == "verified-inverse" for e in v.evidence)
 
 
-def test_verdict_saturation_obstruction_route():
-    # disable the linear-type route: the saturation route must still refute
-    _, f, _ = det_and_partials("hankel", m=3)
-    v = polar.homaloidal_verdict(polar.polar_data(f), try_linear_type=False)
-    assert v.status == "NotHomaloidal"
-    assert any(e.criterion == "saturation-low-degree" for e in v.evidence)
-
-
 def test_verdict_json_shape():
     _, f, _ = det_and_partials("sc3")
-    v = polar.homaloidal_verdict(polar.polar_data(f), try_linear_type=False,
-                                 try_saturation_obstruction=False)
+    v = polar.homaloidal_verdict(polar.polar_data(f), try_ideal_routes=False)
     d = v.to_dict()
     assert set(d) == {"status", "evidence", "seed", "timings"}
     for e in d["evidence"]:
@@ -530,8 +519,7 @@ def test_verdict_json_shape():
 def test_proved_homaloidal_carries_certificates():
     from detlab.structmat import build_structured, determinant
     _, f, _ = det_and_partials("catalecticant", m=3, r=2)
-    v = polar.homaloidal_verdict(polar.polar_data(f), try_linear_type=False,
-                                 try_saturation_obstruction=False)
+    v = polar.homaloidal_verdict(polar.polar_data(f), try_ideal_routes=False)
     assert v.status == "Homaloidal"
     crits = {e.criterion: e for e in v.evidence}
     assert crits["hessian-dominance"].witness["point"] is not None
@@ -540,7 +528,8 @@ def test_proved_homaloidal_carries_certificates():
 
 
 def test_verdict_linear_type_attempt_keeps_the_deadline():
-    # the in-pipeline linear-type attempt runs under the config's deadline
+    # the in-pipeline linear-type attempt runs under the config's deadline;
+    # with it timed out, the saturation route must still refute hankel-3
     from detlab.groebner import _MEMORY_CACHE
     _MEMORY_CACHE.clear()  # a cached basis would take no steps
     _, f, _ = det_and_partials("hankel", m=3)
@@ -548,6 +537,8 @@ def test_verdict_linear_type_attempt_keeps_the_deadline():
     crits = {e.criterion: e for e in v.evidence}
     assert crits["linear-type"].result == "Timeout"
     assert crits["linear-type"].certainty == "timeout"
+    assert v.status == "NotHomaloidal"
+    assert crits["saturation-low-degree"].certainty == "proved"
 
 
 def test_polar_record_keeps_no_timed_out_reader():

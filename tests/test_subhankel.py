@@ -277,6 +277,5 @@ def test_displayed_generators_are_relations_n5(subhankel_record):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_homaloidal_verdict(subhankel_record, n):
-    v = polar.homaloidal_verdict(subhankel_record(n), try_linear_type=False,
-                                 try_saturation_obstruction=False)
+    v = polar.homaloidal_verdict(subhankel_record(n), try_ideal_routes=False)
     assert v.status == "Homaloidal"
