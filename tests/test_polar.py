@@ -527,9 +527,20 @@ def test_proved_homaloidal_carries_certificates():
     assert cert is not None and cert["minor"] is not None
 
 
+def test_verdict_saturation_obstruction_route():
+    # time the linear-type route out: the saturation route must still refute
+    from detlab.groebner import _MEMORY_CACHE
+    _MEMORY_CACHE.clear()  # a cached basis would let linear type finish
+    _, f, _ = det_and_partials("hankel", m=3)
+    v = polar.homaloidal_verdict(polar.polar_data(f, Config(timeout_secs=1e-6)))
+    crits = {e.criterion: e for e in v.evidence}
+    assert crits["linear-type"].certainty == "timeout"
+    assert v.status == "NotHomaloidal"
+    assert crits["saturation-low-degree"].certainty == "proved"
+
+
 def test_verdict_linear_type_attempt_keeps_the_deadline():
-    # the in-pipeline linear-type attempt runs under the config's deadline;
-    # with it timed out, the saturation route must still refute hankel-3
+    # the in-pipeline linear-type attempt runs under the config's deadline
     from detlab.groebner import _MEMORY_CACHE
     _MEMORY_CACHE.clear()  # a cached basis would take no steps
     _, f, _ = det_and_partials("hankel", m=3)
@@ -537,8 +548,6 @@ def test_verdict_linear_type_attempt_keeps_the_deadline():
     crits = {e.criterion: e for e in v.evidence}
     assert crits["linear-type"].result == "Timeout"
     assert crits["linear-type"].certainty == "timeout"
-    assert v.status == "NotHomaloidal"
-    assert crits["saturation-low-degree"].certainty == "proved"
 
 
 def test_polar_record_keeps_no_timed_out_reader():
