@@ -258,7 +258,8 @@ def _hankel3_facts():
 
     def fitting(ctx):
         budget = ctx["budget"]
-        rep = fitting_condition_F1(ctx["form"].syzygy_module(budget), budget)
+        form = ctx["form"]
+        rep = fitting_condition_F1(form.partials, form.syzygy_module(budget), budget)
         return _bool_fact("Fitting heights meet rank(phi)-t+2 for all t", rep.passed)
 
     def hess_mult(ctx):

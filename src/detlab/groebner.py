@@ -1154,6 +1154,8 @@ def saturation(I: Ideal, J, budget=None, config=None) -> Ideal:
 
 def radical_membership(f: Polynomial, I: Ideal, budget=None, config=None) -> bool:
     """f ∈ √I iff I : f^∞ is the unit ideal."""
+    if f.ring != I.ring:
+        raise ValueError("polynomial from a different ring")
     return f.is_zero() or saturation(I, f, budget, config).is_unit(budget, config)
 
 

@@ -172,7 +172,7 @@ def linear_relations(polys: list[Polynomial], monos: list[tuple], budget: Budget
     fractional = False
     for p in polys:
         terms = [(pack(e), c) for e, c in p.terms.items()]
-        fractional = fractional or any(isinstance(c, Fraction) for _, c in terms)
+        fractional = fractional or any(type(c) is Fraction for _, c in terms)
         for m in packed_monos:
             if col not in dropped:
                 for e, c in terms:

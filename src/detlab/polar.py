@@ -498,7 +498,8 @@ def homaloidal_verdict(form: PolarMapData, budget: Budget | None = None,
                        candidate_inverse: list[Polynomial] | None = None,
                        try_ideal_routes: bool = True) -> Verdict:
     """Decision pipeline for the polar map of the form of a `polar_data`
-    record, run under `budget` (the record's config seeds the draws).
+    record, run under `budget`, or under one `form.config.budget()` when
+    none is given (the record's config seeds the draws).
 
     Dominance certificate + maximal linear rank proves birationality;
     linear type + submaximal rank refutes it; a verified inverse or a full
@@ -508,7 +509,8 @@ def homaloidal_verdict(form: PolarMapData, budget: Budget | None = None,
     """
     import time as _time
     t0 = _time.monotonic()
-    v = _verdict_pipeline(form, budget, candidate_inverse, try_ideal_routes)
+    v = _verdict_pipeline(form, budget or form.config.budget(), candidate_inverse,
+                          try_ideal_routes)
     v.millis = int((_time.monotonic() - t0) * 1000)
     return v
 

@@ -112,11 +112,15 @@ def block_order(blocks) -> MonomialOrder:
 # coefficient normalization
 
 def _norm_q(c):
-    """Canonical rational: int when integral, Fraction in lowest terms else."""
+    """Canonical rational: int when integral, Fraction in lowest terms else.
+    Subclasses become the plain types, so the kind of a canonical
+    coefficient is told by `type(c) is Fraction`, without the ABC check."""
     if type(c) is int:
         return c
-    if isinstance(c, Fraction):
+    if type(c) is Fraction:
         return c.numerator if c.denominator == 1 else c
+    if isinstance(c, Fraction):
+        return _norm_q(Fraction(c.numerator, c.denominator))
     if isinstance(c, int):
         return int(c)
     raise TypeError(f"unsupported coefficient {c!r}")
@@ -128,7 +132,7 @@ def clear_denominators(items) -> tuple[dict, int]:
     items = list(items)
     den = 1
     for _, c in items:
-        if isinstance(c, Fraction):
+        if type(c) is Fraction:
             den = den * c.denominator // gcd(den, c.denominator)
     return {k: int(c * den) for k, c in items}, den
 
@@ -469,7 +473,7 @@ class Polynomial:
 
 def _all_canonical(terms: dict) -> bool:
     for c in terms.values():
-        if isinstance(c, Fraction) and c.denominator == 1:
+        if type(c) is Fraction and c.denominator == 1:
             return False
     return True
 

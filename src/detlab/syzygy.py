@@ -25,6 +25,8 @@ kernels run unmetered and each engine call builds a default one.
 
 from __future__ import annotations
 
+import itertools
+
 from .config import Budget, Config, ComputationTimeout, DEFAULT_CONFIG
 from .linalg import SparseEliminator, dense_rank, linear_relations
 from .groebner import (Ideal, hilbert_data, rees_ring,
@@ -335,66 +337,109 @@ def minimal_generators(syz: GradedSyzygyMatrix, budget: Budget | None = None) ->
 # Fitting condition and Betti tables
 
 class FittingReport:
+    """The F1 check of a presentation.  Each row is a dict with keys "t",
+    "height", "required", "pass", "status" ("complete" or "timeout") and
+    "exact".  An exact height is ht I_t itself; otherwise "height" is the
+    height of an ideal of some t-minors, a lower bound that already meets
+    "required"."""
+
     def __init__(self, rank: int, rows: list[dict], passed: bool):
         self.rank = rank
-        self.rows = rows  # per-t: {"t", "height", "required", "pass", "status"}
+        self.rows = rows
         self.passed = passed
 
     def __repr__(self):
         return f"FittingReport(rank={self.rank}, pass={self.passed})"
 
 
-def _nonzero_minor_levels(phi: PolyMatrix, budget: Budget | None) -> list[list[Polynomial]]:
-    """The nonzero t-minors of phi for t = 1 .. rank(phi), from one ladder.
-
-    Once every t-minor vanishes so do all larger ones (Laplace), so the
-    level count is the rank.  With a budget, each returned level ticks
-    "Fitting minors" once per minor read.
-    """
-    ladder = MinorLadder(phi, budget)
-    levels = []
-    for t in range(1, min(phi.rows, phi.cols) + 1):
-        level = list(ladder.minors(t))
-        gens = [d for d in level if not d.is_zero()]
-        if not gens:
-            break
-        if budget is not None:
-            budget.tick(len(level), "Fitting minors")
-        levels.append(gens)
-    return levels
+def _nonzero_minors(ladder: MinorLadder, t: int):
+    """The distinct nonzero t-minors, column sets outer and row sets inner,
+    read lazily; each minor read ticks "Fitting minors" once on the
+    ladder's budget."""
+    M, budget = ladder.matrix, ladder.budget
+    seen = set()
+    row_sets = list(itertools.combinations(range(M.rows), t))
+    for cols in itertools.combinations(range(M.cols), t):
+        for rows in row_sets:
+            if budget is not None:
+                budget.tick(1, "Fitting minors")
+            d = ladder.minor(rows, cols)
+            if not d.is_zero() and d not in seen:
+                seen.add(d)
+                yield d
 
 
-def fitting_condition_F1(syz: GradedSyzygyMatrix,
+def _height(ring: Ring, gens: list[Polynomial], budget: Budget | None) -> int:
+    I = Ideal(ring, gens)
+    if I.is_unit(budget):
+        return ring.nvars  # a unit Fitting ideal meets any requirement
+    return ring.nvars - hilbert_data(I, budget).dimension
+
+
+def _certified_height(ring: Ring, minors, required: int,
+                      budget: Budget | None) -> tuple[int, bool]:
+    """(height, exact) for the ideal of `minors`, certified on a sub-ideal.
+
+    K ⊆ I_t gives ht I_t >= ht K, so the first `required` minors (Krull:
+    fewer never reach that height), then twice as many, and so on, until
+    ht K meets `required`.  When the minors run out K is I_t, and the
+    height is exact."""
+    gens: list[Polynomial] = []
+    want, ht = required, None
+    for d in minors:
+        gens.append(d)
+        if len(gens) == want:
+            ht = _height(ring, gens, budget)
+            if ht >= required:
+                return ht, False
+            want *= 2
+    if ht is None or len(gens) > want // 2:  # the last K measured was not all of I_t
+        ht = _height(ring, gens, budget)
+    return ht, True
+
+
+def fitting_condition_F1(forms: list[Polynomial], syz: GradedSyzygyMatrix,
                          budget: Budget | None = None) -> FittingReport:
-    """Height of each Fitting ideal of the presentation vs rank - t + 2.
+    """Height of each Fitting ideal I_t of the presentation vs rank - t + 2.
 
-    `syz` is the presentation: the first syzygy module of the forms (as
-    from `first_syzygy_module`).  The rank and the Fitting generators both
-    come from its minors; a timeout while reading them propagates, since no
-    row can be scored without the rank.
+    `syz` presents the k forms: its columns are syzygies of them (as from
+    `first_syzygy_module`).  Each column is checked orthogonal to the
+    forms, which are not all zero, so the rank is at most k - 1; the
+    certificate at t = k - 1 reads a nonzero minor, so it is k - 1.  Each
+    height is certified by a few t-minors (`_certified_height`).  A
+    timeout while the rank is certified propagates, since no row can be
+    scored without it; a timeout in a row marks that row.
     """
+    k = len(forms)
+    if all(f.is_zero() for f in forms):
+        raise ValueError("Fitting condition of zero forms")
+    for col in syz.columns:
+        if len(col) != k or not dot(col, forms).is_zero():
+            raise ValueError("a presentation column is no syzygy of the forms")
+    rank = k - 1
+    if rank == 0:
+        return FittingReport(0, [], True)
+    if not syz.columns:
+        raise ValueError(f"the presentation has no nonzero {rank}-minor")
     phi = syz.as_poly_matrix()
-    levels = _nonzero_minor_levels(phi, budget)
-    rank = len(levels)
-    ring = phi.ring
+    ladder = MinorLadder(phi, budget)
+    if next(_nonzero_minors(ladder, rank), None) is None:
+        raise ValueError(f"the presentation has no nonzero {rank}-minor")
     rows = []
     passed = True
-    for t, gens in enumerate(levels, 1):
+    for t in range(1, rank + 1):
         required = rank - t + 2
         try:
-            I = Ideal(ring, gens)
-            if I.is_unit(budget):
-                ht = ring.nvars  # unit Fitting ideal: condition holds trivially
-            else:
-                ht = ring.nvars - hilbert_data(I, budget).dimension
+            ht, exact = _certified_height(phi.ring, _nonzero_minors(ladder, t), required,
+                                          budget)
             ok = ht >= required
             rows.append({"t": t, "height": ht, "required": required,
-                         "pass": bool(ok), "status": "complete"})
-            passed = passed and ok
+                         "pass": ok, "status": "complete", "exact": exact})
         except ComputationTimeout:
+            ok = False
             rows.append({"t": t, "height": None, "required": required,
-                         "pass": False, "status": "timeout"})
-            passed = False
+                         "pass": False, "status": "timeout", "exact": False})
+        passed = passed and ok
     return FittingReport(rank, rows, passed)
 
 

@@ -472,3 +472,33 @@ def rabinowitsch_radical_membership(f, I, budget=None, config=None):
     gens = [morph(g, ext) for g in I.gens]
     gens.append(ext.one() - w * morph(f, ext))
     return Ideal(ext, gens).is_unit(budget, config)
+
+
+# ---------------------------------------------------------------------------
+# the Fitting condition from every minor, the route that the height
+# certificates replaced
+
+def all_minors_fitting_F1(syz, budget=None):
+    """F1 of a presentation read off all its minors: the rank is the largest
+    t with a nonzero t-minor (once every t-minor vanishes, so do all larger
+    ones), and each height is that of the ideal of every t-minor.  Returns
+    (rank, heights by t, passed)."""
+    from detlab.groebner import Ideal, hilbert_data
+    from detlab.structmat import MinorLadder
+    phi = syz.as_poly_matrix()
+    ring = phi.ring
+    ladder = MinorLadder(phi, budget)
+    levels = []
+    for t in range(1, min(phi.rows, phi.cols) + 1):
+        gens = [d for d in ladder.minors(t) if not d.is_zero()]
+        if not gens:
+            break
+        levels.append(gens)
+    rank = len(levels)
+    heights = []
+    for gens in levels:
+        I = Ideal(ring, gens)
+        heights.append(ring.nvars if I.is_unit(budget)
+                       else ring.nvars - hilbert_data(I, budget).dimension)
+    passed = all(ht >= rank - t + 2 for t, ht in enumerate(heights, 1))
+    return rank, heights, passed

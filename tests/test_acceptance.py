@@ -83,7 +83,7 @@ def test_criterion_1_hankel3_suite(hankel_record):
             acc = acc + a * p
         assert acc.is_zero()
 
-    assert fitting_condition_F1(form.syzygy_module(), CFG.budget()).passed
+    assert fitting_condition_F1(form.partials, form.syzygy_module(), CFG.budget()).passed
     assert form.linear_type().status == "LinearType"
     assert polar.homaloidal_verdict(form).status == "NotHomaloidal"
 

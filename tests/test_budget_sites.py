@@ -2,9 +2,10 @@
 
 A casebook fact or a CLI command runs under one Budget, which every
 computation below it takes.  So `.budget()` is called only where such a
-unit of work starts (`casebook.run_scenario`, the CLI command functions)
-and where the engine needs an object to tick when a library caller passes
-no budget (the Groebner query fallbacks and `syzygy.module_groebner`).
+unit of work starts (`casebook.run_scenario`, the CLI command functions,
+and `polar.homaloidal_verdict` when its caller passes none) and where the
+engine needs an object to tick when a library caller passes no budget (the
+Groebner query fallbacks and `syzygy.module_groebner`).
 `Budget(...)` is built only in `config.py` and by the two bounded attempts
 of `polar.py`: the Hessian's symbolic route and the verdict's linear-type
 attempt.
@@ -20,6 +21,7 @@ BUDGET_CALLS = {
     "groebner.py": {"Ideal._entries", "Ideal.normal_form", "_reduce_terms", "colon_poly",
                     "hilbert_data", "certify_groebner"},
     "syzygy.py": {"module_groebner"},
+    "polar.py": {"homaloidal_verdict"},
 }
 BUDGET_BUILDS = {"polar.py": {"hessian_det_status", "_verdict_pipeline"}}
 

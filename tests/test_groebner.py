@@ -545,6 +545,9 @@ def test_radical_membership_refuses_a_polynomial_from_another_ring():
     f = Ring(("x1", "x0")).from_string("x0")
     with pytest.raises(ValueError, match="different ring"):
         radical_membership(f, Ideal(R, [x0 ** 2]))
+    # the zero polynomial of another ring too, as Ideal.contains refuses it
+    with pytest.raises(ValueError, match="different ring"):
+        radical_membership(Ring(("a", "b")).zero(), Ideal(R, [x0 ** 2]))
 
 
 def test_radical_membership_hankel3_minors():

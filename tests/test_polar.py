@@ -528,11 +528,14 @@ def test_proved_homaloidal_carries_certificates():
 
 
 def test_verdict_saturation_obstruction_route():
-    # time the linear-type route out: the saturation route must still refute
+    # time the linear-type route out: the saturation route, run under an
+    # unbounded budget of its own, must still refute
+    from detlab.config import Budget
     from detlab.groebner import _MEMORY_CACHE
     _MEMORY_CACHE.clear()  # a cached basis would let linear type finish
     _, f, _ = det_and_partials("hankel", m=3)
-    v = polar.homaloidal_verdict(polar.polar_data(f, Config(timeout_secs=1e-6)))
+    cfg = Config(timeout_secs=1e-6)
+    v = polar.homaloidal_verdict(polar.polar_data(f, cfg), Budget(None, None, cfg))
     crits = {e.criterion: e for e in v.evidence}
     assert crits["linear-type"].certainty == "timeout"
     assert v.status == "NotHomaloidal"
@@ -540,7 +543,8 @@ def test_verdict_saturation_obstruction_route():
 
 
 def test_verdict_linear_type_attempt_keeps_the_deadline():
-    # the in-pipeline linear-type attempt runs under the config's deadline
+    # the in-pipeline linear-type attempt runs under the config's deadline,
+    # and so, without a budget given, does the saturation route
     from detlab.groebner import _MEMORY_CACHE
     _MEMORY_CACHE.clear()  # a cached basis would take no steps
     _, f, _ = det_and_partials("hankel", m=3)
@@ -548,6 +552,8 @@ def test_verdict_linear_type_attempt_keeps_the_deadline():
     crits = {e.criterion: e for e in v.evidence}
     assert crits["linear-type"].result == "Timeout"
     assert crits["linear-type"].certainty == "timeout"
+    assert crits["saturation-low-degree"].certainty == "timeout"
+    assert v.status == "Inconclusive"
 
 
 def test_polar_record_keeps_no_timed_out_reader():

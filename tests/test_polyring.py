@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from detlab.polyring import (Polynomial, Ring, xring, block_order, grevlex, exact_divide,
                              NOT_DIVISIBLE, parse_polynomial, format_polynomial,
-                             NEG_INF)
+                             NEG_INF, clear_denominators)
 from oracles import (hankel_entry_dicts, leibniz_det, dict_diff, grevlex_key, gf_image,
                      horner_mod, lex)
 
@@ -315,6 +315,13 @@ def test_rational_canonical_form():
     f = Polynomial(R, {(1,): Fraction(4, 2)})
     assert f.terms == {(1,): 2}
     assert type(next(iter(f.terms.values()))) is int
+    # a Fraction subclass becomes a plain Fraction, which the denominator
+    # clearing recognises by its exact type
+    class Ratio(Fraction):
+        pass
+    g = Polynomial(R, {(1,): Ratio(1, 3), (0,): Ratio(6, 2)})
+    assert [type(c) for c in g.terms.values()] == [Fraction, int]
+    assert clear_denominators(g.terms.items()) == ({(1,): 1, (0,): 9}, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from detlab import groebner
 from detlab.config import Budget
-from detlab.groebner import Ideal, hilbert_data, rees_ring, symmetric_algebra_ideal
+from detlab.groebner import (Ideal, hilbert_data, rees_ring, symmetric_algebra_ideal,
+                             _MEMORY_CACHE)
 from detlab.linalg import SparseEliminator
 from detlab.polyring import Polynomial, clear_denominators, dot, morph, xring
 from detlab.structmat import build_structured, build_gp_associated, determinant, minors_ideal_gens
-from detlab.syzygy import (ModuleBasis, fitting_condition_F1, first_syzygy_module,
-                           graded_betti, linear_syzygies, poly_matrix_rank,
+from detlab.syzygy import (GradedSyzygyMatrix, ModuleBasis, fitting_condition_F1,
+                           first_syzygy_module, graded_betti, linear_syzygies, poly_matrix_rank,
                            rees_bigraded_kernel, rees_minimal_bidegree12,
                            syzygy_basis_in_degree, _monomials_of_degree)
+from oracles import all_minors_fitting_F1
 from test_groebner import _LabelBudget
 
 
@@ -247,9 +250,12 @@ def test_rank_bound_reported():
 def test_fitting_complete_intersection():
     R = xring(2)
     x0, x1 = R.gens()
-    rep = fitting_condition_F1(first_syzygy_module([x0, x1]))
+    rep = fitting_condition_F1([x0, x1], first_syzygy_module([x0, x1]))
     assert rep.passed and rep.rank == 1
     assert rep.rows[0]["height"] >= 2
+    # one form has rank 0 and no Fitting condition to meet
+    rep = fitting_condition_F1([x0], first_syzygy_module([x0]))
+    assert rep.passed and rep.rank == 0 and rep.rows == []
 
 
 def test_fitting_fails_for_squares():
@@ -260,15 +266,15 @@ def test_fitting_fails_for_squares():
     forms = [x0 ** 2, x0 * x1, x1 ** 2]
     syz = first_syzygy_module(forms)
     assert all(syz.entry_degree(i) == 1 for i in range(len(syz.columns)))
-    rep = fitting_condition_F1(syz)
+    rep = fitting_condition_F1(forms, syz)
     assert not rep.passed
     t1 = rep.rows[0]
-    assert t1["t"] == 1 and t1["required"] == 3 and t1["height"] == 2
+    assert t1["t"] == 1 and t1["required"] == 3 and t1["height"] == 2 and t1["exact"]
 
 
 def test_fitting_hankel3_passes():
     _, _, partials = partials_of("hankel", m=3)
-    rep = fitting_condition_F1(first_syzygy_module(partials))
+    rep = fitting_condition_F1(partials, first_syzygy_module(partials))
     assert rep.passed
     assert rep.rank == 4
     for row in rep.rows:
@@ -276,11 +282,92 @@ def test_fitting_hankel3_passes():
 
 
 def test_fitting_rank_is_the_presentation_rank():
-    # the ladder's rank (largest t with a nonzero t-minor) against the
+    # the rank k - 1, certified by a nonzero minor, against the
     # evaluation-and-Bareiss rank of the same presentation
     _, _, partials = partials_of("hankel", m=3)
     syz = first_syzygy_module(partials)
-    assert fitting_condition_F1(syz).rank == poly_matrix_rank(syz.as_poly_matrix()).rank
+    rank = fitting_condition_F1(partials, syz).rank
+    assert rank == len(partials) - 1 == poly_matrix_rank(syz.as_poly_matrix()).rank
+
+
+def test_fitting_refuses_what_presents_no_forms():
+    R = xring(2)
+    x0, x1 = R.gens()
+    syz = first_syzygy_module([x0, x1])
+    with pytest.raises(ValueError):
+        fitting_condition_F1([R.zero(), R.zero()], syz)
+    with pytest.raises(ValueError):  # a column that is no syzygy of the forms
+        fitting_condition_F1([x0, x1 ** 2], syz)
+    with pytest.raises(ValueError):  # the columns have rank 1, below k - 1 = 2
+        fitting_condition_F1([x0, x1, x0 + x1],
+                             GradedSyzygyMatrix([1, 1, 1], [[x1, -x0, R.zero()]], [2]))
+
+
+def test_fitting_hankel3_work_is_pinned(monkeypatch):
+    # the heights are certified by a few minors per level; the all-minors
+    # check (`all_minors_fitting_F1`) computes bases of 31, 281, 844 and 841
+    # generators in 21 052 steps
+    _, _, partials = partials_of("hankel", m=3)
+    syz = first_syzygy_module(partials)
+    _MEMORY_CACHE.clear()
+    sizes = []
+    entries = groebner.groebner_entries
+
+    def counted(gens, order, budget):
+        sizes.append(len(gens))
+        return entries(gens, order, budget)
+    monkeypatch.setattr(groebner, "groebner_entries", counted)
+    budget = Budget()
+    assert fitting_condition_F1(partials, syz, budget).passed
+    assert sizes and max(sizes) <= 16
+    assert budget.steps <= 1_000
+
+
+@st.composite
+def _one_degree_forms(draw):
+    """2-4 nonzero forms of one degree in 2 or 3 variables: distinct
+    monomials, all monomials of the degree in 2 variables (Veronese type),
+    or forms with small random coefficients."""
+    kind = draw(st.sampled_from(["monomial", "veronese", "general"]))
+    R = xring(draw(st.integers(2, 3)))
+    if kind == "veronese":
+        deg = draw(st.integers(1, 3))
+        return [Polynomial(R, {e + (0,) * (R.nvars - 2): 1})
+                for e in _monomials_of_degree(2, deg)]
+    deg = draw(st.integers(1, 2))
+    monos = list(_monomials_of_degree(R.nvars, deg))
+    if kind == "monomial":
+        picked = draw(st.lists(st.sampled_from(monos), min_size=2, max_size=4, unique=True))
+        return [Polynomial(R, {e: 1}) for e in picked]
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos))
+    rows = draw(st.lists(coeffs.filter(any), min_size=2, max_size=4))
+    return [Polynomial(R, dict(zip(monos, row))) for row in rows]
+
+
+def _agrees_with_all_minors(forms):
+    syz = first_syzygy_module(forms)
+    rank, heights, passed = all_minors_fitting_F1(syz)
+    rep = fitting_condition_F1(forms, syz)
+    assert (rep.rank, rep.passed) == (rank, passed)
+    assert [row["t"] for row in rep.rows] == list(range(1, rank + 1))
+    for row, ht in zip(rep.rows, heights):
+        assert row["status"] == "complete" and row["pass"] == (ht >= row["required"])
+        if row["exact"]:
+            assert row["height"] == ht
+        else:
+            assert row["required"] <= row["height"] <= ht
+
+
+@given(_one_degree_forms())
+@settings(max_examples=60, deadline=None)
+def test_fitting_matches_the_all_minors_check(forms):
+    _agrees_with_all_minors(forms)
+
+
+@pytest.mark.parametrize("kind,size", [("hankel", 3), ("sub-hankel", 3), ("sub-hankel", 4)])
+def test_fitting_matches_the_all_minors_check_on_partials(kind, size):
+    _, _, partials = partials_of(kind, **({"m": size} if kind == "hankel" else {"n": size}))
+    _agrees_with_all_minors(partials)
 
 
 # ---------------------------------------------------------------------------
