@@ -11,10 +11,10 @@ reads the cache directory from the config passed, else from its budget's.
 
 An ideal's order is its ring's order, and an ideal holds one reduced
 basis.  The orders are block orders of grevlex blocks (`MonomialOrder`):
-grevlex itself, and the elimination orders that `eliminate` and
-`intersect` put on a ring of their own.  Rings compare by variable
-names, so the generators of one ring serve another that differs only in
-its order.
+grevlex itself, the x-first grevlex of `rees_ring`, and the elimination
+orders that `eliminate` and `intersect` put on a ring of their own.  Rings
+compare by variable names, so the generators of one ring serve another
+that differs only in its order.
 
 Inside the engine a monomial is one int (Monagan and Pearce's packed
 monomials).  Every order is read as its nonnegative integer weight matrix
@@ -79,7 +79,10 @@ so the heap holds what it would if every lcm were built first.  The
 leading term of v is reduced regularly: by G always, by a labelled element
 only below the pair's signature.  A v that reaches 0
 gives u in I : g, and G with those u is a Groebner basis of I : g, so only
-the pairs that yield colon elements reduce to zero.
+the pairs that yield colon elements reduce to zero.  Each pair the colon
+keeps ticks its budget by its number of terms, len(u) + len(v), under the
+label "colon labels": the v keep their unreduced tails, which can fill
+memory long before the J-pairs and reduction steps reach a step cap.
 
 An intersection I ∩ J is the smaller ideal when one contains the other,
 which normal forms against the two bases decide; only otherwise is it the
@@ -722,6 +725,7 @@ def _colon_at_width(G: list[_Entry], g: dict, budget: Budget) -> list[_Entry]:
         heappush(heap, (sig, top, i))
 
     def add(sig: int, u: dict, v: dict) -> None:
+        budget.tick(len(u) + len(v), "colon labels")  # the stored terms
         if not v:
             found.append((sig, u))
             return
@@ -1317,8 +1321,15 @@ def hilbert_data(I: Ideal, budget=None, config=None) -> HilbertData:
 # the blowup ring and the symmetric-algebra ideal
 
 def rees_ring(ring: Ring, nforms: int) -> Ring:
+    """k[y, x] for `nforms` forms of `ring`: the variables y0.. then those
+    of `ring`, in that order, so a term's y exponents are e[:nforms].  The
+    order is grevlex with the x variables listed first: on the
+    symmetric-algebra ideal, whose generators are linear in y, that keeps
+    the bases and colons several times smaller than y-first grevlex."""
     yvars = tuple(f"y{i}" for i in range(nforms))
-    return Ring(yvars + ring.variables)
+    n = ring.nvars
+    return Ring(yvars + ring.variables,
+                MonomialOrder([list(range(nforms, nforms + n)) + list(range(nforms))]))
 
 
 def symmetric_algebra_ideal(forms: list[Polynomial], syzygy_columns) -> Ideal:

@@ -5,15 +5,16 @@ birationality criteria, and the assembled homaloidal verdicts.
 `polar_data(f, config)` is the one record of a form's polar data and the
 only place where its derived objects are built: the partials, the Hessian
 matrix (the partials differentiated once more), the gradient ideal `J`,
-and six readers computed once on first use (the Hessian determinant
+and seven readers computed once on first use (the Hessian determinant
 status, the linear syzygies with their rank, the blowup equations linear
-in x, the rank of their Jacobian dual matrix, the full first syzygy module
-of the partials, and the linear-type answer, one colon of the ideal of
-that module's 1-forms).  Every Hessian analytic takes the record; casebook
-facts and `homaloidal_verdict`, the single verdict entry point, read the
-same record, so no derived object is computed twice.  `hessian_identity`
-is the one sampler for identities H(f) = c * prod g^e, the totally-Hessian
-test among them.
+in x, the rank of their Jacobian dual matrix, the generators of the first
+syzygy module of the partials that one module basis gives, the minimal
+generators picked from them, and the linear-type answer, one colon of the
+ideal of the generators' 1-forms).  Every Hessian analytic takes the
+record; casebook facts and `homaloidal_verdict`, the single verdict entry
+point, read the same record, so no derived object is computed twice.
+`hessian_identity` is the one sampler for identities H(f) = c * prod g^e,
+the totally-Hessian test among them.
 
 The record's config seeds its random draws; the readers and the verdict
 run under their caller's Budget, whose config gives the cache directory.
@@ -40,8 +41,8 @@ from .modp import (PRIME_61, PRIME_61B, factor_multiplicity_upoly, udeg,
 from .groebner import Ideal, colon_poly, symmetric_algebra_ideal, saturation
 from .polyring import Polynomial, Ring, exact_divide, morph, NOT_DIVISIBLE
 from .structmat import PolyMatrix, determinant
-from .syzygy import (GradedSyzygyMatrix, linear_syzygies, first_syzygy_module,
-                     poly_matrix_rank, rees_minimal_bidegree12, RankResult)
+from .syzygy import (GradedSyzygyMatrix, linear_syzygies, minimal_generators,
+                     poly_matrix_rank, rees_minimal_bidegree12, syzygy_generators, RankResult)
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +53,13 @@ class PolarMapData:
     """The polar data of one form.
 
     The readers `hessian_status`, `linear_syzygies`, `blowup_equations`,
-    `jacobian_dual`, `syzygy_module` and `linear_type` compute on first use
-    and keep the result.  A reader runs under the budget of the caller that
+    `jacobian_dual`, `syzygy_generators`, `syzygy_module` and `linear_type`
+    compute on first use and keep the result.  The first syzygy module of
+    the partials comes from one module Groebner basis: `syzygy_generators`
+    holds its syzygy part, which `linear_type` reads as it is, since any
+    generating set gives the same symmetric-algebra ideal, and
+    `syzygy_module` picks minimal generators from it for the readers of a
+    minimal presentation.  A reader runs under the budget of the caller that
     first asks; when that call times out nothing is kept (nor a "Timeout"
     linear-type answer), so the next caller computes afresh under its own
     budget.
@@ -99,16 +105,25 @@ class PolarMapData:
             return jacobian_dual_rank(self.partials, sym + new12, self.config)
         return self._once("jacobian-dual", compute)
 
+    def syzygy_generators(self, budget: Budget | None = None) -> GradedSyzygyMatrix:
+        """Generators, not minimal, of the first syzygy module of the
+        partials: the syzygy part of one module Groebner basis."""
+        return self._once("generators", lambda: syzygy_generators(
+            [[p] for p in self.partials], [0], budget))
+
     def syzygy_module(self, budget: Budget | None = None) -> GradedSyzygyMatrix:
-        """Minimal generators of the first syzygy module of the partials."""
-        return self._once("module", lambda: first_syzygy_module(self.partials, budget))
+        """Minimal generators of the first syzygy module of the partials,
+        picked from `syzygy_generators`."""
+        return self._once("module", lambda: minimal_generators(self.syzygy_generators(budget),
+                                                               budget))
 
     def linear_type(self, budget: Budget | None = None) -> LinearTypeResult:
         """Whether the gradient ideal is of linear type, against the
-        1-forms of `syzygy_module`."""
+        1-forms of `syzygy_generators`: any generating set of the syzygies
+        gives the same symmetric-algebra ideal, so none is minimalised."""
         def compute():
             try:
-                syz = self.syzygy_module(budget)
+                syz = self.syzygy_generators(budget)
             except ComputationTimeout:
                 return LinearTypeResult("Timeout")
             return linear_type_check(self.partials, syz.columns, budget)
@@ -412,24 +427,28 @@ def linear_type_check(forms: list[Polynomial], syzygy_columns: list[list[Polynom
                       budget: Budget | None = None) -> LinearTypeResult:
     """Whether the ideal I of the forms is of linear type, by one colon.
 
-    `syzygy_columns` generates the first syzygy module of the forms (the
-    columns of `first_syzygy_module`); its 1-forms generate the
-    symmetric-algebra ideal L in k[y, x].  For a nonzero f in I, Sym(I) and
+    `syzygy_columns` is any generating set of the first syzygy module of
+    the forms (the columns of `syzygy_generators` or of
+    `first_syzygy_module`); its 1-forms generate the symmetric-algebra
+    ideal L in k[y, x] (`rees_ring`).  For a nonzero f in I, Sym(I) and
     Rees(I) agree once f is inverted, and Rees(I) is R-torsion-free, so the
     Rees ideal is L : f^inf (Vasconcelos, *Arithmetic of Blowup Algebras*,
-    1994, ch. 1).  Hence I is of linear type iff L : f = L, and a generator
-    of L : f outside L is a blowup equation that L misses: the witness of
-    NotLinearType.  f is the first form; the forms must be nonzero and
-    homogeneous of one degree."""
+    1994, ch. 1).  Hence I is of linear type iff L : f = L.  Since L lies
+    in L : f, that holds iff the two reduced bases are equal; otherwise a
+    generator of L : f outside L, found by normal forms, is a blowup
+    equation that L misses: the witness of NotLinearType.  f is the first
+    form; the forms must be nonzero and homogeneous of one degree."""
     if (len({f.degree for f in forms}) != 1 or forms[0].is_zero()
             or not all(f.is_homogeneous() for f in forms)):
         raise ValueError("need nonzero forms, homogeneous of one degree")
     try:
         sym = symmetric_algebra_ideal(forms, syzygy_columns)
-        for g in colon_poly(sym, morph(forms[0], sym.ring), budget).gens:
-            if not sym.contains(g, budget=budget):
-                return LinearTypeResult("NotLinearType", witness=g)
-        return LinearTypeResult("LinearType")
+        basis = sym.groebner_basis(budget)
+        quotient = colon_poly(sym, morph(forms[0], sym.ring), budget).gens
+        if quotient == basis:
+            return LinearTypeResult("LinearType")
+        witness = next(g for g in quotient if not sym.contains(g, budget=budget))
+        return LinearTypeResult("NotLinearType", witness=witness)
     except ComputationTimeout:
         return LinearTypeResult("Timeout")
 

@@ -247,12 +247,19 @@ def first_syzygy_module(forms: list[Polynomial],
 def module_syzygies(columns: list[list[Polynomial]], target_shifts: list[int],
                     budget: Budget | None = None) -> GradedSyzygyMatrix:
     """Minimal generating set of the syzygies of column vectors in a
-    shifted free module.
+    shifted free module: `minimal_generators` of `syzygy_generators`."""
+    return minimal_generators(syzygy_generators(columns, target_shifts, budget), budget)
+
+
+def syzygy_generators(columns: list[list[Polynomial]], target_shifts: list[int],
+                      budget: Budget | None = None) -> GradedSyzygyMatrix:
+    """A generating set, not minimal, of the syzygies of column vectors in
+    a shifted free module.
 
     Graph-module elimination: compute a module GB of {col_j ⊕ e_j} with the
     target components dominant; basis elements supported purely on the tag
-    components are exactly a generating set of the syzygy module, which
-    `minimal_generators` then thins out.
+    components are exactly a generating set of the syzygy module.  Each is
+    checked to be a syzygy by exact dot products before it is returned.
     """
     if not columns:
         return GradedSyzygyMatrix([], [], [])
@@ -284,7 +291,7 @@ def module_syzygies(columns: list[list[Polynomial]], target_shifts: list[int],
             ds = {a.degree + col_degs[i] for i, a in enumerate(polys) if not a.is_zero()}
             syz_cols.append(polys)
             syz_degs.append(ds.pop())
-    return minimal_generators(GradedSyzygyMatrix(col_degs, syz_cols, syz_degs), budget)
+    return GradedSyzygyMatrix(col_degs, syz_cols, syz_degs)
 
 
 def _span_rows():

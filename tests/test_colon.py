@@ -136,7 +136,8 @@ def test_the_cat43_prime_generators_match_the_recorded_digests(monkeypatch):
         text = "\n".join(strings(colon_poly(J, g, budget=budget)))
         assert hashlib.sha256(text.encode()).hexdigest() == t["digest"], t["poly"]
     # the work of all 35 colons, pinned like the Hankel-3 colon below
-    assert dict(budget.by_label) == {"Buchberger": 1373, "polynomial reduction": 10943}
+    assert dict(budget.by_label) == {"Buchberger": 1373, "polynomial reduction": 10943,
+                                     "colon labels": 76277}
     # the lcms built: only the J-pairs whose signature passes the F5 test
     # get one (every J-pair formed, 67967, did before the test ran first)
     assert len(lcms) == 24190
@@ -222,16 +223,17 @@ def test_a_budget_stops_the_colon_and_nothing_is_cached(tmp_path):
 
 
 def test_the_colon_work_is_counted_and_pinned():
-    # J-pairs taken and reduction steps of a colon, with the basis of J
-    # already at hand: a change to the signature criteria or to the reducer
-    # choice moves these counts
+    # J-pairs taken, reduction steps and stored terms of a colon, with the
+    # basis of J already at hand: a change to the signature criteria or to
+    # the reducer choice moves these counts
     J, delta = hankel3()
     J.groebner_basis()
     _MEMORY_CACHE.clear()
     budget = _LabelBudget()
     got = colon_poly(J, delta, budget=budget)
     assert strings(got) == ["x4", "x3", "x2", "x1", "x0"]
-    assert dict(budget.by_label) == {"Buchberger": 5, "polynomial reduction": 9}
+    assert dict(budget.by_label) == {"Buchberger": 5, "polynomial reduction": 9,
+                                     "colon labels": 8}
 
 
 def _counting_eliminate(calls):

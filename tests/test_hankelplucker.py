@@ -202,7 +202,7 @@ def test_integrality_m4_work_is_pinned(hankel_record, monkeypatch):
     rep = integrality_check(H, form, P, budget)
     assert rep.passed and len(rep.per_minor) == 10
     assert computed == ["grevlex:7", "grevlex:7"]
-    assert budget.steps == 950
+    assert budget.steps == 1368
 
 
 def test_reduction_check_small_cases(hankel_record):

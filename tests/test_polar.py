@@ -10,7 +10,8 @@ from detlab.config import Budget, ComputationTimeout, Config
 from detlab.polyring import Polynomial, Ring, xring
 from detlab.groebner import Ideal, symmetric_algebra_ideal
 from detlab.structmat import PolyMatrix, build_structured, determinant, cofactor_matrix
-from detlab.syzygy import first_syzygy_module, linear_syzygies, rees_minimal_bidegree12
+from detlab.syzygy import (first_syzygy_module, linear_syzygies, rees_minimal_bidegree12,
+                           syzygy_generators)
 from detlab import polar
 from oracles import rees_ideal
 from test_colon import _monomials
@@ -365,13 +366,14 @@ def test_the_veronese_conic_is_not_of_linear_type():
     assert not symmetric_algebra_ideal(forms, columns).contains(out.witness)
 
 
-def _against_the_rees_oracle(forms, cap=20_000):
-    """The colon test's answer on `forms`, checked against the Rees ideal
-    of the tag-elimination oracle: the statuses agree, and a witness is a
-    Rees element outside the symmetric-algebra ideal.  None when either
-    side runs out of its step cap."""
+def _against_the_rees_oracle(forms, cap=20_000, syzygies=first_syzygy_module):
+    """The colon test's answer on `forms`, against the syzygy columns that
+    `syzygies(forms, budget)` gives, checked against the Rees ideal of the
+    tag-elimination oracle: the statuses agree, and a witness is a Rees
+    element outside the symmetric-algebra ideal.  None when either side
+    runs out of its step cap."""
     try:
-        columns = first_syzygy_module(forms, Budget(step_cap=cap)).columns
+        columns = syzygies(forms, Budget(step_cap=cap)).columns
         sym = symmetric_algebra_ideal(forms, columns)
         rees = rees_ideal(forms, Budget(step_cap=cap))
         budget = Budget(step_cap=cap)
@@ -396,6 +398,44 @@ def _against_the_rees_oracle(forms, cap=20_000):
 def test_linear_type_matches_the_rees_oracle_on_the_casebook_partials(kind, kw):
     _, _, partials = det_and_partials(kind, **kw)
     assert _against_the_rees_oracle(partials, cap=200_000) == "LinearType"
+
+
+def _generators(forms, budget):
+    """The syzygy part of one module basis of the forms, not minimalised."""
+    return syzygy_generators([[f] for f in forms], [0], budget)
+
+
+@pytest.mark.parametrize("kind, kw, want", [("hankel", {"m": 3}, "LinearType"),
+                                            ("catalecticant", {"m": 3, "r": 2}, "LinearType"),
+                                            ("sub-hankel", {"n": 3}, "LinearType"),
+                                            ("sub-hankel", {"n": 4}, "LinearType"),
+                                            ("veronese", {}, "NotLinearType")],
+                         ids=["hankel-3", "cat-3-2", "subhankel-3", "subhankel-4",
+                              "veronese-conic"])
+def test_linear_type_on_unminimised_generators_matches_the_rees_oracle(kind, kw, want):
+    # the polar record decides linear type on the module basis's syzygies,
+    # which on the casebook partials are more than the minimal generators
+    # (cat-3-2: 28 against 17) but generate the same symmetric-algebra ideal
+    if kind == "veronese":
+        x0, x1 = xring(2).gens()
+        forms = [x0 ** 2, x0 * x1, x1 ** 2]
+    else:
+        _, _, forms = det_and_partials(kind, **kw)
+        assert len(_generators(forms, None)) > len(first_syzygy_module(forms))
+    assert _against_the_rees_oracle(forms, cap=200_000, syzygies=_generators) == want
+
+
+def test_the_linear_type_reader_never_minimalises(monkeypatch):
+    # linear type reads the record's syzygy generators as they come from the
+    # module basis; picking minimal generators is left to syzygy_module
+    from detlab import syzygy
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the syzygies were minimalised")
+    monkeypatch.setattr(syzygy, "minimal_generators", refuse)
+    monkeypatch.setattr(polar, "minimal_generators", refuse, raising=False)
+    _, f, _ = det_and_partials("catalecticant", m=3, r=2)
+    assert polar.polar_data(f).linear_type(Budget()).status == "LinearType"
 
 
 @given(data=st.data())
