@@ -39,7 +39,8 @@ from .linalg import dense_det
 from .modp import (PRIME_61, PRIME_61B, factor_multiplicity_upoly, udeg,
                    ugcd, uderiv, uinterpolate)
 from .groebner import Ideal, colon_poly, symmetric_algebra_ideal, saturation
-from .polyring import Polynomial, Ring, exact_divide, morph, NOT_DIVISIBLE
+from .polyring import (Polynomial, Ring, evaluate_all, exact_divide, morph, restrict_all,
+                       NOT_DIVISIBLE)
 from .structmat import PolyMatrix, determinant
 from .syzygy import (GradedSyzygyMatrix, linear_syzygies, minimal_generators,
                      poly_matrix_rank, rees_minimal_bidegree12, syzygy_generators, RankResult)
@@ -205,8 +206,11 @@ class HessianDetOnLine:
     """Line-evaluable determinant of a record's Hessian, for matrices too
     large to expand.
 
-    The restriction to a line is recovered exactly over GF(p) by evaluating
-    the numeric determinant at deg+1 interpolation nodes.
+    The Hessian is symmetric, so only its n(n+1)/2 entries on or above the
+    diagonal are restricted to the line, from one table of coordinate
+    powers (`restrict_all`).  The determinant's restriction is recovered
+    exactly over GF(p) from the numeric determinants, the entries read by
+    Horner's rule and mirrored, at deg+1 interpolation nodes.
     """
 
     def __init__(self, form: PolarMapData):
@@ -216,18 +220,18 @@ class HessianDetOnLine:
     def restrict_to_line(self, base, direction, p: int) -> list[int]:
         """Coefficients mod p, lowest first, of the determinant on the line,
         as `Polynomial.restrict_to_line` gives them."""
-        # each entry is restricted to the line once, then read at the nodes
         n = self.matrix.cols
-        lines = [e.restrict_to_line(base, direction, p) for e in self.matrix.entries]
+        upper = [(r, c) for r in range(n) for c in range(r, n)]
+        lines = restrict_all([self.matrix[r, c] for r, c in upper], base, direction, p)
         pts = []
         for t in range(self.degree + 1):
-            vals = []
-            for coeffs in lines:
+            vals = [[0] * n for _ in range(n)]
+            for (r, c), coeffs in zip(upper, lines):
                 v = 0
-                for c in reversed(coeffs):
-                    v = (v * t + c) % p
-                vals.append(v)
-            pts.append((t, dense_det([vals[r:r + n] for r in range(0, len(vals), n)], p)))
+                for a in reversed(coeffs):
+                    v = (v * t + a) % p
+                vals[r][c] = vals[c][r] = v
+            pts.append((t, dense_det(vals, p)))
         return uinterpolate(pts, p)
 
 
@@ -342,14 +346,16 @@ def hessian_identity(form: PolarMapData, factors) -> TotallyHessianResult:
 
     c is read exactly at a small integer point where no g vanishes, and the
     identity is then sampled at points mod a ~2^61 prime where no g
-    vanishes.  A pass carries the Schwartz-Zippel bound of its samples."""
+    vanishes.  The factors are read at each point by one `evaluate_all`
+    call.  A pass carries the Schwartz-Zippel bound of its samples."""
     H = form.hessian
+    gs = [g for g, _ in factors]
     nv = H.cols
     rng = form.config.rng("totally-hessian")
     c = None
     for _ in range(60):
         pt = [rng.randrange(-9, 10) for _ in range(nv)]
-        vals = [g.evaluate(pt) for g, _ in factors]
+        vals = evaluate_all(gs, pt)
         if all(vals):
             c = Fraction(dense_det(H.evaluate(pt))) / prod(
                 Fraction(v) ** e for v, (_, e) in zip(vals, factors))
@@ -361,7 +367,7 @@ def hessian_identity(form: PolarMapData, factors) -> TotallyHessianResult:
     done = 0
     while done < _IDENTITY_TRIALS:
         pt = [rng.randrange(0, p) for _ in range(nv)]
-        vals = [g.evaluate(pt, p) for g, _ in factors]
+        vals = evaluate_all(gs, pt, p)
         if not all(vals):
             continue
         rhs = cp * prod(pow(v, e, p) for v, (_, e) in zip(vals, factors)) % p

@@ -3,11 +3,14 @@
 Monomials are exponent tuples indexed by ring variables; a polynomial is a
 map from monomial to nonzero coefficient.  Coefficients are stored as int
 when the denominator is 1 and as Fraction otherwise (always lowest terms,
-positive denominator).  The modular work of the identity tests reads a
-polynomial mod p without building another ring: `evaluate(point, p)` and
-`restrict_to_line(base, direction, p)` map each coefficient a/b to
-a * b^-1 mod p.  All operations are pure and values are immutable by
-convention, so sharing across threads is safe.
+positive denominator).  The identity tests read a family of polynomials
+at a point or on a line without building another ring:
+`evaluate_all(polys, point, p)` and `restrict_all(polys, base, direction,
+p)` share one table of coordinate powers across the family, and
+`Polynomial.evaluate` and `restrict_to_line` are their one-polynomial
+cases.  Mod p a coefficient or coordinate a/b is read as a * b^-1.  All
+operations are pure and values are immutable by convention, so sharing
+across threads is safe.
 
 Every monomial order here is a block order (`MonomialOrder`): variable
 blocks, earlier ones dominating, each compared by grevlex in its listed
@@ -123,7 +126,7 @@ def _norm_q(c):
         return _norm_q(Fraction(c.numerator, c.denominator))
     if isinstance(c, int):
         return int(c)
-    raise TypeError(f"unsupported coefficient {c!r}")
+    raise TypeError(f"not an int or a Fraction: {c!r}")
 
 
 def clear_denominators(items) -> tuple[dict, int]:
@@ -138,7 +141,7 @@ def clear_denominators(items) -> tuple[dict, int]:
 
 
 def _mod_p(c, p: int) -> int:
-    """Image of a rational coefficient in GF(p); raises ZeroDivisionError
+    """Image of a rational number in GF(p); raises ZeroDivisionError
     when p divides its denominator."""
     if type(c) is int:
         return c % p
@@ -386,37 +389,8 @@ class Polynomial:
         return Polynomial(self.ring, out)
 
     def evaluate(self, point, p: int | None = None):
-        """Exact value at `point`, or with a prime p the value mod p at an
-        integer point; the point length must match the variable count.
-        Mod p a coefficient a/b is read as a * b^-1, and p dividing b raises
-        ZeroDivisionError."""
-        if len(point) != self.ring.nvars:
-            raise ValueError("point length mismatch")
-        if p is not None:
-            point = [v % p for v in point]
-        powers: list[dict] = [{0: 1} for _ in range(self.ring.nvars)]
-
-        def pw(i, k):
-            cache = powers[i]
-            if k not in cache:
-                v = pw(i, k - 1) * point[i]
-                if p is not None:
-                    v %= p
-                cache[k] = v
-            return cache[k]
-
-        acc = 0
-        for e, c in self.terms.items():
-            t = c if p is None or type(c) is int else _mod_p(c, p)
-            for i, k in enumerate(e):
-                if k:
-                    t *= pw(i, k)
-            acc += t
-            if p is not None:
-                acc %= p
-        if p is not None:
-            return acc
-        return _norm_q(Fraction(acc) if not isinstance(acc, (int, Fraction)) else acc)
+        """Value at `point`, exact or mod p (`evaluate_all`)."""
+        return evaluate_all([self], point, p)[0]
 
     def compose(self, images: list["Polynomial"]) -> "Polynomial":
         """Substitute variable i -> images[i]; images live in one common ring."""
@@ -441,34 +415,8 @@ class Polynomial:
         return acc
 
     def restrict_to_line(self, base, direction, p: int) -> list[int]:
-        """Coefficients mod p of f(base + t*direction) as a polynomial in t,
-        lowest degree first, without trailing zeros (see `evaluate` for the
-        coefficients)."""
-        if all(not d for d in direction):
-            raise ValueError("zero direction")
-        if len(base) != self.ring.nvars or len(direction) != self.ring.nvars:
-            raise ValueError("point length mismatch")
-        powers: dict = {}  # variable -> powers of its coordinate on the line
-
-        def upow(i, k) -> list:
-            pw = powers.get(i)
-            if pw is None:
-                pw = powers[i] = [[1], utrim([base[i] % p, direction[i] % p])]
-            while len(pw) <= k:
-                pw.append(umul(pw[-1], pw[1], p))
-            return pw[k]
-
-        acc: list = []
-        for e, c in self.terms.items():
-            t = [_mod_p(c, p)]
-            for i, k in enumerate(e):
-                if k:
-                    t = umul(t, upow(i, k), p)
-            if len(t) > len(acc):
-                acc += [0] * (len(t) - len(acc))
-            for j, v in enumerate(t):
-                acc[j] = (acc[j] + v) % p
-        return utrim(acc)
+        """Coefficients mod p of f(base + t*direction) (`restrict_all`)."""
+        return restrict_all([self], base, direction, p)[0]
 
 
 def _all_canonical(terms: dict) -> bool:
@@ -476,6 +424,64 @@ def _all_canonical(terms: dict) -> bool:
         if type(c) is Fraction and c.denominator == 1:
             return False
     return True
+
+
+def _coordinates(point, polys, p):
+    """The point's coordinates, exact or mod p (a/b read as a * b^-1)."""
+    if any(len(point) != f.ring.nvars for f in polys):
+        raise ValueError("point length mismatch")
+    return [_norm_q(v) if p is None else _mod_p(_norm_q(v), p) for v in point]
+
+
+def evaluate_all(polys, point, p: int | None = None) -> list:
+    """Values of `polys` at `point`, exact or mod a prime p, from one table
+    of the coordinates' powers.  A coordinate or coefficient is an int or a
+    Fraction; mod p, a/b is read as a * b^-1, and p dividing b raises
+    ZeroDivisionError."""
+    point = _coordinates(point, polys, p)
+    powers = [[1, v] for v in point]
+    out = []
+    for f in polys:
+        acc = 0
+        for e, c in f.terms.items():
+            t = c if p is None or type(c) is int else _mod_p(c, p)
+            for i, k in enumerate(e):
+                if k:
+                    pw = powers[i]
+                    while len(pw) <= k:
+                        pw.append(pw[-1] * pw[1] if p is None else pw[-1] * pw[1] % p)
+                    t *= pw[k]
+            acc += t
+        out.append(_norm_q(acc) if p is None else acc % p)
+    return out
+
+
+def restrict_all(polys, base, direction, p: int) -> list[list[int]]:
+    """Per polynomial f, the coefficients mod p of f(base + t*direction)
+    as a polynomial in t, lowest degree first, without trailing zeros, from
+    one table of the powers of base_i + t*direction_i (values read as in
+    `evaluate_all`)."""
+    if all(not d for d in direction):
+        raise ValueError("zero direction")
+    base, direction = _coordinates(base, polys, p), _coordinates(direction, polys, p)
+    powers = [[[1], utrim([b, d])] for b, d in zip(base, direction)]
+    out = []
+    for f in polys:
+        acc: list = []
+        for e, c in f.terms.items():
+            t = [_mod_p(c, p)]
+            for i, k in enumerate(e):
+                if k:
+                    pw = powers[i]
+                    while len(pw) <= k:
+                        pw.append(umul(pw[-1], pw[1], p))
+                    t = umul(t, pw[k], p)
+            if len(t) > len(acc):
+                acc += [0] * (len(t) - len(acc))
+            for j, v in enumerate(t):
+                acc[j] = (acc[j] + v) % p
+        out.append(utrim(acc))
+    return out
 
 
 def dot(coeffs: list[Polynomial], polys: list[Polynomial]) -> Polynomial:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 
 from .config import Budget
-from .polyring import Polynomial, exact_divide, NOT_DIVISIBLE, xring
+from .polyring import Polynomial, evaluate_all, exact_divide, NOT_DIVISIBLE, xring
 
 
 class PolyMatrix:
@@ -58,9 +58,9 @@ class PolyMatrix:
         return self.rows == self.cols
 
     def evaluate(self, point, p: int | None = None) -> list[list]:
-        """Entrywise values at `point`, exact or mod p (`Polynomial.evaluate`)."""
-        return [[self[r, c].evaluate(point, p) for c in range(self.cols)]
-                for r in range(self.rows)]
+        """Entrywise values at `point`, exact or mod p (`evaluate_all`)."""
+        vals = evaluate_all(self.entries, point, p)
+        return [vals[r:r + self.cols] for r in range(0, len(vals), self.cols)]
 
     def __eq__(self, other):
         return (isinstance(other, PolyMatrix) and self.rows == other.rows

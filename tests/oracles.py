@@ -327,6 +327,18 @@ def gf_image(q, p):
     return q.numerator * pow(q.denominator, -1, p) % p
 
 
+def term_value(terms, point, p=None):
+    """Value of a {exp: coeff} polynomial at a point, term by term with
+    `pow` over the rationals; with a prime p, its image in GF(p)."""
+    acc = Fraction(0)
+    for e, c in terms.items():
+        t = Fraction(c)
+        for x, k in zip(point, e):
+            t *= pow(Fraction(x), k)
+        acc += t
+    return acc if p is None else gf_image(acc, p)
+
+
 def horner_mod(coeffs, t, p):
     """Value mod p at t of a coefficient list, lowest degree first."""
     v = 0

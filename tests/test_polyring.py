@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from detlab.polyring import (Polynomial, Ring, xring, block_order, grevlex, exact_divide,
                              NOT_DIVISIBLE, parse_polynomial, format_polynomial,
-                             NEG_INF, clear_denominators)
+                             NEG_INF, clear_denominators, evaluate_all, restrict_all)
 from oracles import (hankel_entry_dicts, leibniz_det, dict_diff, grevlex_key, gf_image,
-                     horner_mod, lex)
+                     horner_mod, lex, term_value)
 
 P61 = (1 << 61) - 1
 
@@ -255,6 +255,82 @@ def test_denominator_divisible_by_p_raises():
         with pytest.raises(ZeroDivisionError):
             read()
     assert f.evaluate([14, 3], 5) == gf_image(f.evaluate([14, 3]), 5)
+
+
+def test_coordinates_are_ints_or_fractions():
+    R = xring(2)
+    x0, x1 = R.gens()
+    # mod p a coordinate a/b is read as a * b^-1, like a coefficient
+    assert x0.evaluate([Fraction(1, 2), 0], 7) == 4
+    assert evaluate_all([x0, x1], [Fraction(1, 2), Fraction(-3)], 7) == [4, 4]
+    assert (x0 * x1 + 1).restrict_to_line([Fraction(1, 2), 0], [1, 1], 7) == [1, 4, 1]
+    for read in (lambda: x0.evaluate([Fraction(1, 7), 0], 7),
+                 lambda: x0.restrict_to_line([0, 0], [Fraction(2, 7), 1], 7)):
+        with pytest.raises(ZeroDivisionError):
+            read()
+    # exact values stay exact: a float is no exact coordinate in either mode
+    assert (x0 ** 3).evaluate([Fraction(1, 10), 0]) == Fraction(1, 1000)
+    for read in (lambda: (x0 ** 3).evaluate([0.1, 0]),
+                 lambda: (x0 ** 3).evaluate([0.1, 0], 7),
+                 lambda: x0.restrict_to_line([0.5, 0], [1, 1], 7)):
+        with pytest.raises(TypeError):
+            read()
+
+
+_DIFF_VALUES = st.one_of(st.integers(-40, 40), st.fractions(-30, 30, max_denominator=15))
+
+
+def _family(term_dicts, c):
+    """The drawn polynomials, then the zero polynomial, a constant and the
+    first one again: a family of one ring as `evaluate_all` gets it."""
+    R = xring(3)
+    polys = [Polynomial(R, t) for t in term_dicts] + [R.zero(), R.const(c)]
+    return polys + polys[:1]
+
+
+def _needs_inverse_of_p(polys, values, p):
+    return any(Fraction(v).denominator % p == 0
+               for v in [c for f in polys for c in f.terms.values()] + list(values))
+
+
+@given(st.lists(_DIFF_POLYS, min_size=1, max_size=3), _DIFF_COEFFS,
+       st.lists(_DIFF_VALUES, min_size=3, max_size=3),
+       st.sampled_from([None, 7, 11, 101, P61]))
+@settings(max_examples=200, deadline=None)
+def test_evaluate_all_matches_the_term_oracle(term_dicts, c, point, p):
+    polys = _family(term_dicts, c)
+    if p is not None and _needs_inverse_of_p(polys, point, p):
+        with pytest.raises(ZeroDivisionError):
+            evaluate_all(polys, point, p)
+        return
+    values = evaluate_all(polys, point, p)
+    assert values == [term_value(f.terms, point, p) for f in polys]
+    assert values == [f.evaluate(point, p) for f in polys]
+    # exact values are canonical: int when integral
+    assert all(type(v) is int or v.denominator > 1 for v in values)
+
+
+@given(st.lists(_DIFF_POLYS, min_size=1, max_size=3), _DIFF_COEFFS,
+       st.lists(_DIFF_VALUES, min_size=3, max_size=3),
+       st.lists(_DIFF_VALUES, min_size=3, max_size=3), st.integers(-20, 20),
+       st.sampled_from([7, 11, 101, P61]))
+@settings(max_examples=200, deadline=None)
+def test_restrict_all_matches_the_term_oracle_on_the_line(term_dicts, c, base, direction, t, p):
+    polys = _family(term_dicts, c)
+    if not any(direction):
+        with pytest.raises(ValueError):
+            restrict_all(polys, base, direction, p)
+        return
+    if _needs_inverse_of_p(polys, base + direction, p):
+        with pytest.raises(ZeroDivisionError):
+            restrict_all(polys, base, direction, p)
+        return
+    lines = restrict_all(polys, base, direction, p)
+    point = [b + t * d for b, d in zip(base, direction)]
+    for f, line in zip(polys, lines):
+        assert not line or line[-1]
+        assert horner_mod(line, t, p) == term_value(f.terms, point, p)
+    assert lines == [f.restrict_to_line(base, direction, p) for f in polys]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,23 @@ def _rows(M):
     return [[str(M[i, j]) for j in range(M.cols)] for i in range(M.rows)]
 
 
+def test_matrix_evaluate_reads_its_entries_in_one_call(monkeypatch):
+    from detlab import structmat
+    from detlab.polyring import evaluate_all
+    calls = []
+
+    def counting(polys, *args):
+        calls.append(len(polys))
+        return evaluate_all(polys, *args)
+    monkeypatch.setattr(structmat, "evaluate_all", counting)
+    M = build_structured("catalecticant", m=3, r=2)
+    pt = list(range(-3, M.ring.nvars - 3))
+    for p in (None, 7):
+        assert M.evaluate(pt, p) == [[M[r, c].evaluate(pt, p) for c in range(M.cols)]
+                                     for r in range(M.rows)]
+    assert calls == [9, 9]
+
+
 # ---------------------------------------------------------------------------
 # constructors
 
