@@ -17,18 +17,22 @@ Two facts follow and make the elimination one pass per row:
 The RREF of a row space is unique up to row scaling, so the kernels,
 ranks and `add_row` answers do not depend on how the rows are reduced.
 
-`linear_relations` is the one place where polynomials become a kernel: the
-degree-wise syzygies, the bigraded blowup-equation pieces and the bracket
-identities are all its callers.  It accepts rational coefficients (rows
-are cleared of denominators when a polynomial holds a Fraction).  It
-eliminates only the rows that can change its answer: the columns split
-into connected components (for a determinant's partials, the blocks of
-its multigrading), rows are fed in a fixed pseudo-random order, and a
-component stops at full column rank, where it has no relation.  Relations
-the caller already has come in as `known`; their pivot columns are
-dropped, and the answer is a basis modulo their span.  The dense numeric
-helpers (rank with a nonzero-minor witness, determinant)
-share one forward elimination, `_echelon`, over Q (Fractions) or GF(p).
+`packed_relations` is the one place where polynomials become a kernel: the
+degree-wise syzygies and the bracket identities (through
+`linear_relations`, which packs Polynomials for it) and the bigraded
+blowup-equation pieces are all its callers.  It works on columns, after
+F4 (Faugere, JPAA 139, 1999): each polynomial is cleared of denominators
+and packed once, so a product p * x^m is its packed terms shifted by
+x^m, and the columns are reduced in column order against pivots keyed by
+their leading monomial, each carrying its combination of the product
+columns.  A column that reduces to zero gives the RREF kernel vector of
+its free column, so the answer is the canonical basis whatever the
+elimination does.  Relations
+the caller already has come in as `known`, a `SparseEliminator` on the
+same columns; their pivot columns are skipped, and the answer is a basis
+modulo their span.  The dense numeric helpers (rank with a nonzero-minor
+witness, determinant) share one forward elimination, `_echelon`, over Q
+(Fractions) or GF(p).
 """
 
 from __future__ import annotations
@@ -109,14 +113,14 @@ class SparseEliminator:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def kernel_basis(self, ncols: int, skip=()) -> list[dict[int, Fraction]]:
+    def kernel_basis(self, ncols: int) -> list[dict[int, Fraction]]:
         """Basis of the right kernel on columns 0..ncols-1, one vector per
-        free column not in `skip`."""
+        free column."""
         pivots = self.pivots
         age = {pc: i for i, pc in enumerate(pivots)}
         basis = []
         for fc in range(ncols):
-            if fc in pivots or fc in skip:
+            if fc in pivots:
                 continue
             vec: dict[int, Fraction] = {fc: Fraction(1)}
             for pc in sorted(self.users.get(fc, ()), key=age.__getitem__):
@@ -126,93 +130,133 @@ class SparseEliminator:
         return basis
 
 
-# an odd 64-bit multiplier: rows are fed in the order of key * _MIX mod 2^64
-_MIX = 0x9E3779B97F4A7C15
-_MASK = (1 << 64) - 1
+def _packer(nvars: int, degree: int):
+    """pack(e) for exponent tuples of total degree at most `degree`: one
+    field per variable, the first variable in the top field, each wide
+    enough to hold `degree`.  No field carries, so the pack of a product
+    of two monomials is the sum of their packs while its degree stays in
+    bounds."""
+    width = max(degree.bit_length(), 1)
+    weights = [1 << (width * i) for i in reversed(range(nvars))]
+
+    def pack(e):
+        return sum(map(mul, e, weights))
+    return pack
 
 
 def linear_relations(polys: list[Polynomial], monos: list[tuple], budget: Budget | None = None,
                      known: SparseEliminator | None = None) -> list[dict[int, Fraction]]:
     """Basis of the rational relations among the products p * x^m, p in
-    `polys`, m in `monos`.
+    `polys`, m in `monos`: `packed_relations` of the polynomials cleared of
+    denominators and packed once, with the monomials as shifts."""
+    pack = _packer(len(monos[0]) if monos else 0,
+                   max((p.degree for p in polys if p.terms), default=0)
+                   + max(map(sum, monos), default=0))
+    ints = [clear_denominators(p.terms.items()) for p in polys]
+    return packed_relations([{pack(e): c for e, c in t.items()} for t, _ in ints],
+                            [den for _, den in ints], [pack(m) for m in monos], budget, known)
 
-    Column i*len(monos)+k holds polys[i] * x^monos[k]; there is one row per
-    monomial of the products.  Rows are built in one pass from the terms,
-    keyed by the monomial packed into one int (the first variable in the
-    top field), and cleared of denominators only when some polynomial holds
-    a Fraction.  The basis is the one read off the RREF, one vector per
-    free column in column order, so it does not depend on which rows are
-    eliminated or in what order:
 
-    * the columns split into the connected components of the graph that
-      links the columns of each row, and a component whose rank reaches its
-      column count has no relation, so its remaining rows are skipped;
-    * rows are fed in a fixed pseudo-random order (key * _MIX mod 2^64),
-      which reaches a component's full rank far sooner than monomial order.
+def packed_relations(columns: list[dict], dens: list[int], shifts: list[int],
+                     budget: Budget | None = None,
+                     known: SparseEliminator | None = None) -> list[dict[int, Fraction]]:
+    """Basis of the rational relations among the products p_i * x^m.
+
+    `columns[i]` holds the integer terms {packed monomial: c} of
+    dens[i] * p_i, and each x^m in `shifts` is packed the same way, so the
+    product column i*len(shifts)+k is columns[i] with every key shifted by
+    shifts[k]; the packing must hold every product without a carry.
+
+    The columns are reduced in column order, fraction-free, against pivot
+    columns keyed by their leading (largest) packed monomial, each carrying
+    its integer combination of the product columns; a column whose leading
+    monomial no pivot holds becomes a pivot, and each reduction step ticks
+    the budget under "linear algebra".  A column that reduces to zero
+    depends on the pivots before it, which involve only pivot columns, so
+    its combination, scaled by the cleared denominators and divided by its
+    own entry, is the RREF basis vector of that free column: 1 there, 0 at
+    every other free column.  That basis is unique, so the answer, one
+    vector per free column in column order, does not depend on the
+    elimination.
 
     `known` is an eliminator holding relations the caller already has, on
     the same columns.  Any relation minus a combination of its rows is zero
-    on their pivot columns, so those columns are dropped from the matrix,
-    and the result is a basis of the relations modulo the span of `known`:
-    each vector is zero on those columns, and there are dim ker -
-    known.rank of them.  This is exact only when its rows are relations.
+    on their pivot columns, so those columns are skipped, and the result
+    is a basis of the relations modulo the span of `known`: each vector is
+    zero on those columns, and there are dim ker - known.rank of them.
+    This is exact only when its rows are relations.
     """
-    nvars = len(monos[0]) if monos else 0
-    top = (max((p.degree for p in polys if p.terms), default=0)
-           + max(map(sum, monos), default=0))
-    width = max(top.bit_length(), 1)
-    weights = [1 << (width * i) for i in reversed(range(nvars))]
-
-    def pack(e):
-        return sum(map(mul, e, weights))
-    packed_monos = [pack(m) for m in monos]
-    dropped = known.pivots if known is not None else {}
-    rows: dict[int, dict] = {}
+    skip = known.pivots if known is not None else {}
+    # leading monomial -> (terms, shift, combination) of a pivot column;
+    # a column that needs no reduction is kept as its product's terms and
+    # shift, and shifted only when it reduces another
+    pivots: dict[int, tuple[dict, int, dict]] = {}
+    found = []
     col = 0
-    fractional = False
-    for p in polys:
-        terms = [(pack(e), c) for e, c in p.terms.items()]
-        fractional = fractional or any(type(c) is Fraction for _, c in terms)
-        for m in packed_monos:
-            if col not in dropped:
-                for e, c in terms:
-                    row = rows.get(e + m)
-                    if row is None:
-                        rows[e + m] = {col: c}
-                    else:
-                        row[col] = c
+    for terms in columns:
+        top = max(terms, default=None)
+        for s in shifts:
+            if col not in skip:
+                if top is not None and top + s not in pivots:
+                    pivots[top + s] = (terms, s, {col: 1})
+                else:
+                    comb = _reduce_column(terms, s, col, pivots, budget)
+                    if comb is not None:
+                        found.append((col, comb))
             col += 1
-    # union-find over the columns; then each component counts its columns
-    parent = list(range(col))
+    n = len(shifts)
+    out = []
+    for fc, comb in found:
+        lead = comb[fc] * dens[fc // n]
+        out.append({c: Fraction(comb[c] * dens[c // n], lead) for c in sorted(comb)})
+    return out
 
-    def find(c):
-        while parent[c] != c:
-            parent[c] = c = parent[parent[c]]
-        return c
-    for row in rows.values():
-        it = iter(row)
-        r = find(next(it))
-        for c in it:
-            if parent[c] != r:
-                c = find(c)
-                if c != r:
-                    parent[c] = r
-    root = [find(c) for c in range(col)]
-    room = [0] * col
-    for c in range(col):
-        if c not in dropped:
-            room[root[c]] += 1
-    elim = SparseEliminator(budget)
-    for key in sorted(rows, key=lambda k: k * _MIX & _MASK):
-        row = rows[key]
-        r = root[next(iter(row))]
-        if not room[r]:
-            continue
-        if fractional:
-            row, _ = clear_denominators(row.items())
-        if elim.add_row(row):
-            room[r] -= 1
-    return elim.kernel_basis(col, dropped)
+
+def _reduce_column(terms: dict, shift: int, col: int, pivots: dict,
+                   budget: Budget | None) -> dict | None:
+    """Reduce product column `col`, `terms` shifted by `shift`, by the
+    pivots; store it as a new pivot and return None, or return its
+    combination when it reduces to zero."""
+    vec = {e + shift: c for e, c in terms.items()}
+    comb = {col: 1}
+    steps = 0
+    while vec:
+        lead = max(vec)
+        piv = pivots.get(lead)
+        if piv is None:
+            g = gcd(*vec.values(), *comb.values())
+            if g != 1:
+                vec = {e: c // g for e, c in vec.items()}
+                comb = {k: c // g for k, c in comb.items()}
+            pivots[lead] = (vec, 0, comb)
+            break
+        pterms, ps, pcomb = piv
+        a, b = pterms[lead - ps], vec[lead]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        # vec * a - pivot * b clears the leading monomial
+        if a != 1:
+            vec = {e: c * a for e, c in vec.items()}
+            comb = {k: c * a for k, c in comb.items()}
+        get = vec.get
+        for e, c in pterms.items():
+            e += ps
+            v = get(e, 0) - b * c
+            if v:
+                vec[e] = v
+            else:
+                del vec[e]
+        get = comb.get
+        for k, c in pcomb.items():
+            v = get(k, 0) - b * c
+            if v:
+                comb[k] = v
+            else:
+                del comb[k]
+        steps += 1
+    if steps and budget is not None:
+        budget.tick(steps, "linear algebra")
+    return None if vec else comb
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@ syzygy modules by module Groebner bases, Fitting-height checks, and small
 minimal free resolutions with graded Betti numbers.
 
 The degree-wise syzygies and the bigraded blowup-equation pieces are both
-kernels of `linalg.linear_relations` (forms times x-monomials, and
-y-power products of the forms times x-monomials); this module only
-reshapes the kernel vectors.  Coefficients are rational, cleared of
-denominators on the way into the integer kernels.
+kernels of `linalg.packed_relations` (forms times x-monomials, through
+`linalg.linear_relations`, and y-power products of the forms times
+x-monomials); this module builds the y-power products on packed integer
+terms and reshapes the kernel vectors.  Coefficients are rational,
+cleared of denominators on the way into the integer kernels.
 
 Module Groebner bases run on the Buchberger engine of `groebner`: a term
 with component c and exponent e in a free module of rank r is the flat
@@ -28,9 +29,9 @@ from __future__ import annotations
 import itertools
 
 from .config import Budget, Config, ComputationTimeout, DEFAULT_CONFIG
-from .linalg import SparseEliminator, dense_rank, linear_relations
+from .linalg import SparseEliminator, _packer, dense_rank, linear_relations, packed_relations
 from .groebner import (Ideal, hilbert_data, rees_ring,
-                       _Entry, _buchberger, _pack_entries, _reduce_terms)
+                       _Entry, _buchberger, _pack_entries, _poly_t_mul, _reduce_terms)
 from .polyring import MonomialOrder, Polynomial, Ring, _content_strip, clear_denominators, dot
 from .structmat import MinorLadder, PolyMatrix, _bareiss
 
@@ -544,32 +545,42 @@ def rees_bigraded_kernel(forms: list[Polynomial], xdeg: int, ydeg: int,
                          budget: Budget | None = None) -> list[Polynomial]:
     """k-basis of bidegree (xdeg, ydeg) elements of the blowup ideal,
     returned in the y,x ring."""
-    return _bigraded_kernel(forms, _y_products(forms, ydeg), xdeg, budget)
+    pack = _packer(forms[0].ring.nvars, ydeg * _top_degree(forms) + xdeg)
+    return _bigraded_kernel(forms, _y_products(forms, ydeg, pack), xdeg, pack, budget)
 
 
-def _y_products(forms: list[Polynomial], ydeg: int) -> list[tuple]:
-    """(beta, f^beta) for the y-monomials beta of degree ydeg."""
+def _top_degree(forms: list[Polynomial]) -> int:
+    return max((f.degree for f in forms if f.terms), default=0)
+
+
+def _y_products(forms: list[Polynomial], ydeg: int, pack) -> list[tuple]:
+    """(beta, terms, den) for the y-monomials beta of degree ydeg: terms
+    are the integer terms of den * f^beta, keyed by `pack`.  Packed
+    monomials multiply by adding, as the powers of t in `_poly_t_mul` do."""
+    ints = [clear_denominators(f.terms.items()) for f in forms]
+    packed = [({pack(e): c for e, c in t.items()}, den) for t, den in ints]
     out = []
     for beta in _monomials_of_degree(len(forms), ydeg):
-        acc = None
-        for f, e in zip(forms, beta):
+        acc, den = None, 1
+        for (f, d), e in zip(packed, beta):
             for _ in range(e):
-                acc = f if acc is None else acc * f
-        out.append((beta, forms[0].ring.one() if acc is None else acc))
+                acc, den = f if acc is None else _poly_t_mul(acc, f), den * d
+        out.append((beta, {0: 1} if acc is None else acc, den))  # 0 packs x^0
     return out
 
 
-def _bigraded_relations(yprods: list[tuple], xmonos: list[tuple], budget: Budget | None,
+def _bigraded_relations(yprods: list[tuple], shifts: list[int], budget: Budget | None,
                         known: SparseEliminator | None = None) -> list[dict]:
-    """The relations among the products f^beta * x^alpha: column
-    beta * len(xmonos) + alpha, modulo the span of `known` (see
-    `linear_relations`)."""
+    """The relations among the products f^beta * x^alpha, x^alpha packed
+    in `shifts`: column beta * len(shifts) + alpha, modulo the span of
+    `known` (see `linalg.packed_relations`)."""
     if budget is not None:
-        budget.tick(len(yprods) * len(xmonos), "bigraded kernel assembly")
-    return linear_relations([acc for _, acc in yprods], xmonos, budget, known=known)
+        budget.tick(len(yprods) * len(shifts), "bigraded kernel assembly")
+    return packed_relations([t for _, t, _ in yprods], [den for _, _, den in yprods], shifts,
+                            budget, known)
 
 
-def _bigraded_kernel(forms: list[Polynomial], yprods: list[tuple], xdeg: int,
+def _bigraded_kernel(forms: list[Polynomial], yprods: list[tuple], xdeg: int, pack,
                      budget: Budget | None, known: SparseEliminator | None = None
                      ) -> list[Polynomial]:
     """The kernel of rees_bigraded_kernel from its y-products, as
@@ -577,7 +588,7 @@ def _bigraded_kernel(forms: list[Polynomial], yprods: list[tuple], xdeg: int,
     target = rees_ring(forms[0].ring, len(forms))
     xmonos = list(_monomials_of_degree(forms[0].ring.nvars, xdeg))
     out = []
-    for vec in _bigraded_relations(yprods, xmonos, budget, known):
+    for vec in _bigraded_relations(yprods, [pack(m) for m in xmonos], budget, known):
         terms: dict = {}
         for j, v in vec.items():
             beta, alpha = divmod(j, len(xmonos))
@@ -595,21 +606,24 @@ def rees_minimal_bidegree12(forms: list[Polynomial],
     of `linear_syzygies`).  The old span of the (1,2) piece is that of the
     y-multiples of the syzygy 1-forms, the x-multiples of the bidegree
     (0,2) relations and the xy-multiples of the constant (0,1) relations.
-    It is eliminated first and passed to `linear_relations` as `known`, so
-    the kernel of the (1,2) evaluation map comes back as a basis of a
-    complement of the old span: those vectors are the new generators.
-    Returns (new_generators, kernel_dim, old_span_dim), where kernel_dim =
-    old_span_dim + len(new_generators).
+    It is eliminated first and passed to `linalg.packed_relations` as
+    `known`, so the kernel of the (1,2) evaluation map comes back as a
+    basis of a complement of the old span: those vectors are the new
+    generators.  The quadric products f_i * f_j are built once, as packed
+    integer terms, for both the (0,2) and the (1,2) pieces; the x-multiples
+    are shifts of them.  Returns (new_generators, kernel_dim,
+    old_span_dim), where kernel_dim = old_span_dim + len(new_generators).
     """
     ring = forms[0].ring
     k, n = len(forms), ring.nvars
-    quadrics = _y_products(forms, 2)
+    pack = _packer(n, 2 * _top_degree(forms) + 1)
+    quadrics = _y_products(forms, 2, pack)
     # column of y_i*y_j*x_v in the (1,2) piece, whose x-monomials are the
     # unit vectors in order
-    quad = {beta: q for q, (beta, _) in enumerate(quadrics)}
+    quad = {beta: q for q, (beta, _, _) in enumerate(quadrics)}
     yy = [[quad[tuple((t == i) + (t == j) for t in range(k))] * n for j in range(k)]
           for i in range(k)]
-    zero = [(0,) * n]
+    zero = [pack((0,) * n)]
     old = SparseEliminator(budget)
 
     def add(items):
@@ -621,9 +635,9 @@ def rees_minimal_bidegree12(forms: list[Polynomial],
         for v in range(n):
             add((q * n + v, c) for q, c in tau.items())
     # constant-coefficient linear relations would multiply in as well
-    for rho in _bigraded_relations(_y_products(forms, 1), zero, budget):
+    for rho in _bigraded_relations(_y_products(forms, 1, pack), zero, budget):
         for v in range(n):
             for j in range(k):
                 add((yy[i][j] + v, c) for i, c in rho.items())
-    new_gens = _bigraded_kernel(forms, quadrics, 1, budget, known=old)
+    new_gens = _bigraded_kernel(forms, quadrics, 1, pack, budget, known=old)
     return new_gens, old.rank + len(new_gens), old.rank

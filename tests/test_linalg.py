@@ -139,6 +139,9 @@ def test_sparse_eliminator_matches_fraction_rref(case):
         assert sparse == {c: v for c, v in enumerate(row) if v}  # input untouched
     rref, pivots = fraction_rref(rows, ncols)
     assert elim.rank == len(pivots) and sorted(elim.pivots) == pivots
+    # each stored row is its RREF row scaled to primitive integers
+    stored = _dense([elim.pivots[pc] for pc in pivots], ncols)
+    assert [[Fraction(v, row[pc]) for v in row] for row, pc in zip(stored, pivots)] == rref
     kernel = elim.kernel_basis(ncols)
     # both are the basis read off the unique RREF, one vector per free column
     assert _dense(kernel, ncols) == fraction_kernel(rows, ncols)
@@ -191,20 +194,29 @@ def _product_matrix(polys, monos):
     return [[col.get(e, 0) for col in cols] for e in row_monos], len(cols)
 
 
-@given(_poly_families())
+@given(_poly_families(), st.randoms(use_true_random=False))
 @settings(max_examples=150, deadline=None)
-def test_linear_relations_match_fraction_kernel(case):
+def test_linear_relations_match_fraction_kernel(case, rnd):
     # the basis read off the RREF, in free-column order, is canonical: the
-    # component split and the full-rank stop must return exactly it
+    # column reduction must return exactly it, whatever order each
+    # polynomial holds its terms in
     polys, monos = case
     dense, ncols = _product_matrix(polys, monos)
-    got = _dense(linear_relations(polys, monos, Budget()), ncols)
-    assert got == fraction_kernel(dense, ncols)
+    got = linear_relations(polys, monos, Budget())
+    assert _dense(got, ncols) == fraction_kernel(dense, ncols)
+    shuffled = []
+    for p in polys:
+        terms = list(p.terms.items())
+        rnd.shuffle(terms)
+        shuffled.append(Polynomial(p.ring, dict(terms)))
+    assert linear_relations(shuffled, monos, Budget()) == got
 
 
 @given(_poly_families(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_linear_relations_modulo_known_relations(case, data):
+    # modulo `known` the answer is the canonical basis of the matrix
+    # without known's pivot columns, embedded back
     polys, monos = case
     dense, ncols = _product_matrix(polys, monos)
     kernel = fraction_kernel(dense, ncols)
@@ -215,6 +227,14 @@ def test_linear_relations_modulo_known_relations(case, data):
         vec = [sum(a * v[c] for a, v in zip(mix, kernel)) for c in range(ncols)]
         known.add_row(clear_denominators((c, x) for c, x in enumerate(vec) if x)[0])
     got = linear_relations(polys, monos, Budget(), known=known)
+    kept = [c for c in range(ncols) if c not in known.pivots]
+    want = []
+    for v in fraction_kernel([[row[c] for c in kept] for row in dense], len(kept)):
+        full = [Fraction(0)] * ncols
+        for c, x in zip(kept, v):
+            full[c] = x
+        want.append(full)
+    assert _dense(got, ncols) == want
     assert len(got) == len(kernel) - known.rank
     assert all(v.get(c, 0) == 0 for v in got for c in known.pivots)
     assert _same_span(_dense(list(known.pivots.values()), ncols) + _dense(got, ncols),

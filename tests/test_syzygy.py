@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from detlab import groebner
-from detlab.config import Budget
+from detlab.config import Budget, ComputationTimeout
 from detlab.groebner import (Ideal, hilbert_data, rees_ring, symmetric_algebra_ideal,
                              _MEMORY_CACHE)
 from detlab.linalg import SparseEliminator
@@ -428,11 +428,9 @@ def test_bigraded_kernel_veronese_relation():
     assert str(taus[0]) in ("-y1^2 + y0*y2", "y1^2 - y0*y2")
 
 
-def test_bigraded_kernel_work_count_lock(monkeypatch):
-    # the (1,2) kernel of the cat-4-2 partials: its dimension and its work,
-    # as counted with the component split and the full-rank stop; a change
-    # to the row order or to what a "linear algebra" step is moves these
-    # numbers
+def _counting_ticks(monkeypatch) -> dict:
+    """Steps ticked on any Budget by label, in a dict that the caller
+    clears between runs."""
     ticks = {}
     tick = Budget.tick
 
@@ -440,10 +438,31 @@ def test_bigraded_kernel_work_count_lock(monkeypatch):
         ticks[what] = ticks.get(what, 0) + n
         return tick(self, n, what)
     monkeypatch.setattr(Budget, "tick", counting)
+    return ticks
+
+
+def test_bigraded_kernel_work_count_lock(monkeypatch):
+    # the (1,2) kernel of the cat-4-2 partials: its dimension and its work,
+    # one "linear algebra" step per pivot column subtracted while the 550
+    # product columns are reduced; a change to the column order or to the
+    # pivot choice moves the count, and it repeats exactly
+    ticks = _counting_ticks(monkeypatch)
     _, _, p42 = partials_of("catalecticant", m=4, r=2)
-    kernel = rees_bigraded_kernel(p42, 1, 2, Budget())
-    assert len(kernel) == 62
-    assert ticks == {"bigraded kernel assembly": 550, "linear algebra": 19404}
+    counts = []
+    for _ in range(2):
+        ticks.clear()
+        assert len(rees_bigraded_kernel(p42, 1, 2, Budget())) == 62
+        counts.append(dict(ticks))
+    assert counts == [{"bigraded kernel assembly": 550, "linear algebra": 783}] * 2
+
+
+def test_bigraded_kernel_keeps_its_step_cap():
+    # the (1,2) kernel of the cat-4-2 partials stops inside the column
+    # reduction when its budget runs out there
+    _, _, p42 = partials_of("catalecticant", m=4, r=2)
+    with pytest.raises(ComputationTimeout) as err:
+        rees_bigraded_kernel(p42, 1, 2, Budget(step_cap=550 + 783 // 2))
+    assert err.value.what == "linear algebra"
 
 
 _BIDEGREE12_CASES = {
@@ -510,26 +529,37 @@ def test_bidegree12_jacobian_dual_rank(sid):
     assert jacobian_dual_rank(forms, sym + new).rank == _BIDEGREE12_CASES[sid][2]
 
 
-def test_bidegree12_row_count_lock(monkeypatch):
-    # rows fed to the eliminator by the cat-4-3 (1,2) piece, its known span
-    # and the (0,2) and (0,1) pieces: the full-rank stop and the dropped
-    # known columns cut them from 20596; the count repeats exactly
-    from detlab import linalg
-    rows = []
-    add_row = linalg.SparseEliminator.add_row
-
-    def counting(self, row):
-        rows.append(1)
-        return add_row(self, row)
-    monkeypatch.setattr(linalg.SparseEliminator, "add_row", counting)
+def test_bidegree12_reduction_step_lock(monkeypatch):
+    # "linear algebra" steps of the cat-4-3 (1,2) piece: the column
+    # reductions of its (0,2), (0,1) and (1,2) kernels, whose known
+    # columns are skipped, and the row reductions of the known span; the
+    # count repeats exactly
     _, _, forms = partials_of("catalecticant", m=4, r=3)
     columns = linear_syzygies(forms)[0].columns
+    ticks = _counting_ticks(monkeypatch)
     counts = []
     for _ in range(2):
-        rows.clear()
-        rees_minimal_bidegree12(forms, columns)
-        counts.append(len(rows))
-    assert counts == [2926, 2926]
+        ticks.clear()
+        rees_minimal_bidegree12(forms, columns, Budget())
+        counts.append(ticks["linear algebra"])
+    assert counts == [987, 987]
+
+
+def test_bidegree12_multiplies_no_polynomials(monkeypatch):
+    # the quadric products are built once on packed terms, and their
+    # x-multiples are shifts: no Polynomial product on the cat-4-3 piece
+    _, _, forms = partials_of("catalecticant", m=4, r=3)
+    columns = linear_syzygies(forms)[0].columns
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    new, _, _ = rees_minimal_bidegree12(forms, columns)
+    assert len(new) == 4
+    assert calls == []
 
 
 def test_poly_matrix_rank_random_products():
