@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .config import Config, ComputationTimeout, DEFAULT_CONFIG
 from .groebner import (Ideal, colon, hilbert_data, ideal_equal, ideal_sum,
@@ -793,7 +793,7 @@ def run_scenario(scenario_id: str, config: Config | None = None,
     if sc is None:
         raise KeyError(f"unknown scenario {scenario_id!r}")
     if sc.budget_secs is not None and config.timeout_secs is None:
-        config = Config(**{**config.to_dict(), "timeout_secs": sc.budget_secs})
+        config = replace(config, timeout_secs=sc.budget_secs)
     ctx = sc.build(config)
     records = []
     skipped = []

@@ -35,8 +35,6 @@ def _config_from_args(args) -> Config:
     kw = {}
     if getattr(args, "seed", None) is not None:
         kw["seed"] = args.seed
-    if getattr(args, "prime", None) is not None:
-        kw["prime"] = args.prime
     if getattr(args, "timeout_secs", None) is not None:
         kw["timeout_secs"] = args.timeout_secs
     if getattr(args, "cache_dir", None) is not None:
@@ -341,8 +339,8 @@ def _cmd_subhankel(args) -> int:
 def _run_one_scenario(payload):
     # the workers share one cache directory: a file is replaced atomically and
     # its name is its content's key, so two writers of one key write one file
-    sid, cfg_dict, long = payload
-    return run_scenario(sid, config=Config(**cfg_dict), long=long)
+    sid, config, long = payload
+    return run_scenario(sid, config=config, long=long)
 
 
 def _cmd_casebook(args) -> int:
@@ -358,7 +356,7 @@ def _cmd_casebook(args) -> int:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(
                 _run_one_scenario,
-                [(sid, config.to_dict(), args.long) for sid in ids]))
+                [(sid, config, args.long) for sid in ids]))
     else:
         for sid in ids:
             reports.append(run_scenario(sid, config=config, long=args.long))
@@ -406,8 +404,6 @@ def _cmd_cache(args) -> int:
 
 def _add_common(p):
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--prime", type=int, default=None,
-                   help="recorded in casebook reports; read by no computation")
     p.add_argument("--timeout-secs", type=float, default=None, dest="timeout_secs")
     p.add_argument("--cache-dir", default=None, dest="cache_dir")
     p.add_argument("--json", action="store_true")

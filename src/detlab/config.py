@@ -13,10 +13,13 @@ import random
 import time
 from dataclasses import dataclass, asdict
 
-from .modp import PRIME_31, is_prime
+from .modp import PRIME_31
 
 DEFAULT_SEED = 94089
 DEFAULT_STEP_CAP = 2_000_000
+# fields of two knobs that no computation read, "prime" and "output": every
+# report still records their old defaults, so reports stay comparable
+_RECORDED = {"prime": PRIME_31, "output": "text"}
 
 
 class ComputationTimeout(Exception):
@@ -70,24 +73,14 @@ def _env_float(name: str, default):
 @dataclass
 class Config:
     seed: int = DEFAULT_SEED
-    # recorded in every casebook report (DETLAB_PRIME, --prime); no computation reads it
-    prime: int = PRIME_31
     timeout_secs: float | None = None
     gb_step_cap: int = DEFAULT_STEP_CAP
     cache_dir: str | None = None
-    output: str = "text"
-
-    def __post_init__(self):
-        if not is_prime(self.prime) or self.prime == 2:
-            raise ValueError(f"modular prime must be an odd prime, got {self.prime}")
-        if self.prime < (1 << 30):
-            raise ValueError("modular prime must exceed 2^30")
 
     @classmethod
     def from_env(cls, **overrides) -> "Config":
         kw = dict(
             seed=_env_int("DETLAB_SEED", DEFAULT_SEED),
-            prime=_env_int("DETLAB_PRIME", PRIME_31),
             timeout_secs=_env_float("DETLAB_TIMEOUT_SECS", None),
             gb_step_cap=_env_int("DETLAB_GB_STEP_CAP", DEFAULT_STEP_CAP),
             cache_dir=os.environ.get("DETLAB_CACHE_DIR") or None,
@@ -104,7 +97,8 @@ class Config:
         return random.Random(int.from_bytes(h[:8], "big"))
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields as a casebook report records them."""
+        return {**asdict(self), **_RECORDED}
 
 
 DEFAULT_CONFIG = Config()

@@ -8,9 +8,7 @@ would be wasteful.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-# Mersenne primes: 2^31-1 is the default of the recorded `Config.prime`,
+# Mersenne primes: 2^31-1 is the prime every casebook report records,
 # 2^61-1 serves probabilistic identity testing (error bounds ~ deg/p per trial).
 PRIME_31 = (1 << 31) - 1
 PRIME_61 = (1 << 61) - 1
@@ -18,11 +16,8 @@ PRIME_61 = (1 << 61) - 1
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for 64-bit-and-beyond word sizes.
-
-    Cached: every `Config` validates its prime."""
+    """Deterministic Miller-Rabin for 64-bit-and-beyond word sizes."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:

@@ -15,8 +15,9 @@ exponent tuple onehot_r(c) + e, under position-over-term with the ambient
 order inside each component (packed like any monomial, with the one-hot
 slots as the leading weight rows).  Pairs form within one component only,
 where the coprime criterion never fires (it is unsound for modules);
-pruning is by the chain criterion.  The engine and the span tests of
-`minimal_generators` work on primitive integer vectors.
+pruning is by the chain criterion.  The engine works on primitive integer
+vectors; the span tests of `minimal_generators` run on the same packed
+column reduction as the kernels, `linalg.SparseEliminator`.
 
 Computations take the Budget of the casebook fact or CLI command that runs
 them, and the Groebner queries read the cache directory from its config;
@@ -295,50 +296,36 @@ def syzygy_generators(columns: list[list[Polynomial]], target_shifts: list[int],
     return GradedSyzygyMatrix(col_degs, syz_cols, syz_degs)
 
 
-def _span_rows():
-    """Row builder for span tests: each term key gets a column index on
-    first sight, and each row of (key, coefficient) pairs is scaled to
-    integers."""
-    index: dict = {}
-
-    def row_of(items) -> dict:
-        ints, _ = clear_denominators(items)
-        return {index.setdefault(k, len(index)): c for k, c in ints.items()}
-    return row_of
-
-
 def minimal_generators(syz: GradedSyzygyMatrix, budget: Budget | None = None) -> GradedSyzygyMatrix:
     """Graded minimal generating subset via degreewise exact linear algebra.
 
     An element of degree j is a new generator iff it is independent of
     (chosen generators of lower degree) * monomials plus same-degree picks.
+    Each column is cleared of denominators and packed once, its component
+    in the top field, so a product g * x^m is the packing of g shifted by
+    x^m; the span tests are `SparseEliminator.add_row` answers, one
+    eliminator per degree.
     """
     if not syz.columns:
         return syz
-    ring = syz.columns[0][0].ring
-    order_degs = sorted(set(syz.column_degrees))
+    nvars = syz.columns[0][0].ring.nvars
+    degs = syz.column_degrees
+    top = max(degs)
+    pack = _packer(nvars + 1, max([len(syz.columns[0]) - 1]
+                                  + [p.degree + top - d for col, d in zip(syz.columns, degs)
+                                     for p in col if p.terms]))
+    packed = [clear_denominators((pack((comp,) + e), c) for comp, p in enumerate(col)
+                                 for e, c in p.terms.items())[0]
+              for col in syz.columns]
     chosen: list[int] = []
-    out_cols = []
-    out_degs = []
-    for j in order_degs:
-        cand = [i for i, d in enumerate(syz.column_degrees) if d == j]
+    for j in sorted(set(degs)):
         elim = SparseEliminator(budget)
-        row_of = _span_rows()
         for i in chosen:
-            g = syz.columns[i]
-            dg = syz.column_degrees[i]
-            if dg >= j:
-                continue
-            for mono in _monomials_of_degree(ring.nvars, j - dg):
-                elim.add_row(row_of(((comp, tuple(a + b for a, b in zip(e, mono))), c)
-                                    for comp, p in enumerate(g) for e, c in p.terms.items()))
-        for i in cand:
-            if elim.add_row(row_of(((comp, e), c) for comp, p in enumerate(syz.columns[i])
-                                   for e, c in p.terms.items())):
-                chosen.append(i)
-                out_cols.append(syz.columns[i])
-                out_degs.append(j)
-    return GradedSyzygyMatrix(syz.target_degrees, out_cols, out_degs)
+            for mono in _monomials_of_degree(nvars, j - degs[i]):
+                elim.add_row(packed[i], pack((0,) + mono))
+        chosen += [i for i, d in enumerate(degs) if d == j and elim.add_row(packed[i])]
+    return GradedSyzygyMatrix(syz.target_degrees, [syz.columns[i] for i in chosen],
+                              [degs[i] for i in chosen])
 
 
 # ---------------------------------------------------------------------------
@@ -570,25 +557,24 @@ def _y_products(forms: list[Polynomial], ydeg: int, pack) -> list[tuple]:
 
 
 def _bigraded_relations(yprods: list[tuple], shifts: list[int], budget: Budget | None,
-                        known: SparseEliminator | None = None) -> list[dict]:
+                        skip=frozenset()) -> list[dict]:
     """The relations among the products f^beta * x^alpha, x^alpha packed
-    in `shifts`: column beta * len(shifts) + alpha, modulo the span of
-    `known` (see `linalg.packed_relations`)."""
+    in `shifts`: column beta * len(shifts) + alpha, the columns in `skip`
+    left out (see `linalg.packed_relations`)."""
     if budget is not None:
         budget.tick(len(yprods) * len(shifts), "bigraded kernel assembly")
     return packed_relations([t for _, t, _ in yprods], [den for _, _, den in yprods], shifts,
-                            budget, known)
+                            budget, skip)
 
 
 def _bigraded_kernel(forms: list[Polynomial], yprods: list[tuple], xdeg: int, pack,
-                     budget: Budget | None, known: SparseEliminator | None = None
-                     ) -> list[Polynomial]:
+                     budget: Budget | None, skip=frozenset()) -> list[Polynomial]:
     """The kernel of rees_bigraded_kernel from its y-products, as
     polynomials in the y,x ring."""
     target = rees_ring(forms[0].ring, len(forms))
     xmonos = list(_monomials_of_degree(forms[0].ring.nvars, xdeg))
     out = []
-    for vec in _bigraded_relations(yprods, [pack(m) for m in xmonos], budget, known):
+    for vec in _bigraded_relations(yprods, [pack(m) for m in xmonos], budget, skip):
         terms: dict = {}
         for j, v in vec.items():
             beta, alpha = divmod(j, len(xmonos))
@@ -606,12 +592,14 @@ def rees_minimal_bidegree12(forms: list[Polynomial],
     of `linear_syzygies`).  The old span of the (1,2) piece is that of the
     y-multiples of the syzygy 1-forms, the x-multiples of the bidegree
     (0,2) relations and the xy-multiples of the constant (0,1) relations.
-    It is eliminated first and passed to `linalg.packed_relations` as
-    `known`, so the kernel of the (1,2) evaluation map comes back as a
-    basis of a complement of the old span: those vectors are the new
-    generators.  The quadric products f_i * f_j are built once, as packed
-    integer terms, for both the (0,2) and the (1,2) pieces; the x-multiples
-    are shifts of them.  Returns (new_generators, kernel_dim,
+    It is eliminated first, its rows keyed by minus their column index so
+    that each pivot is a row's first column, and its pivot columns are
+    skipped in the kernel of the (1,2) evaluation map (see
+    `linalg.packed_relations`).  That kernel comes back as a basis of a
+    complement of the old span: those vectors are the new generators.
+    The quadric products f_i * f_j are built once, as packed integer
+    terms, for both the (0,2) and the (1,2) pieces; the x-multiples are
+    shifts of them.  Returns (new_generators, kernel_dim,
     old_span_dim), where kernel_dim = old_span_dim + len(new_generators).
     """
     ring = forms[0].ring
@@ -627,7 +615,8 @@ def rees_minimal_bidegree12(forms: list[Polynomial],
     old = SparseEliminator(budget)
 
     def add(items):
-        old.add_row(clear_denominators(items)[0])
+        # keyed by minus the column, a row's leading key is its first column
+        old.add_row(clear_denominators((-key, c) for key, c in items)[0])
     for col in linear_columns:
         for j in range(k):
             add((yy[i][j] + e.index(1), c) for i, a in enumerate(col) for e, c in a.terms.items())
@@ -639,5 +628,5 @@ def rees_minimal_bidegree12(forms: list[Polynomial],
         for v in range(n):
             for j in range(k):
                 add((yy[i][j] + v, c) for i, c in rho.items())
-    new_gens = _bigraded_kernel(forms, quadrics, 1, pack, budget, known=old)
+    new_gens = _bigraded_kernel(forms, quadrics, 1, pack, budget, {-key for key in old.pivots})
     return new_gens, old.rank + len(new_gens), old.rank

@@ -7,7 +7,7 @@ the tests were produced by these oracles and then frozen.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 
 def perm_sign(perm):
@@ -381,6 +381,34 @@ def fraction_kernel(rows, ncols):
             v[pc] = -row[fc]
         basis.append(v)
     return basis
+
+
+def row_minimal_generators(columns, degrees, nvars):
+    """Indices of the minimal generators of graded columns of Polynomials,
+    by the row path that the packed column reduction replaced: degree by
+    degree, a candidate is kept iff its row {(component, exponent): c}
+    raises the Fraction rank of the rows of the kept lower-degree columns
+    times every monomial of the degree gap, together with the candidates
+    of its degree kept before it."""
+    chosen = []
+    for j in sorted(set(degrees)):
+        rows = []
+        for i in chosen:
+            for vs in combinations_with_replacement(range(nvars), j - degrees[i]):
+                mono = [vs.count(v) for v in range(nvars)]
+                rows.append({(comp, tuple(a + b for a, b in zip(e, mono))): c
+                             for comp, p in enumerate(columns[i]) for e, c in p.terms.items()})
+        for i, d in enumerate(degrees):
+            if d != j:
+                continue
+            cand = {(comp, e): c for comp, p in enumerate(columns[i]) for e, c in p.terms.items()}
+            keys = sorted({k for row in rows + [cand] for k in row})
+            rank = len(fraction_rref([[row.get(k, 0) for k in keys] for row in rows], len(keys))[1])
+            dense = [[row.get(k, 0) for k in keys] for row in rows + [cand]]
+            if len(fraction_rref(dense, len(keys))[1]) > rank:
+                rows.append(cand)
+                chosen.append(i)
+    return chosen
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "detlab"
 
-# public names kept without a caller in the package: the tests' oracle, and
-# the eliminator's kernel, which the benchmark's tracer wraps by name
-ALLOWED = {"certify_groebner", "kernel_basis"}
+# public names kept without a caller in the package: the tests' oracle
+ALLOWED = {"certify_groebner"}
 
 
 def _references(node) -> tuple[Counter, Counter]:

@@ -535,9 +535,9 @@ def test_degree_one_syzygy_kernel_runs_once(monkeypatch, sid, columns):
     sizes = []
     original = syzygy.linear_relations
 
-    def counting(polys, monos, budget=None, known=None):
+    def counting(polys, monos, budget=None):
         sizes.append(len(polys) * len(monos))
-        return original(polys, monos, budget, known=known)
+        return original(polys, monos, budget)
     monkeypatch.setattr(syzygy, "linear_relations", counting)
     assert run_scenario(sid, config=Config(seed=5)).verdict == "pass"
     assert sizes.count(columns) == 1

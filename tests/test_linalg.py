@@ -1,6 +1,6 @@
 """Exact elimination: dense determinant and rank over Q and GF(p), checked
-against the Leibniz permutation sum, and the sparse RREF and polynomial
-kernels, checked against a dense Fraction RREF."""
+against the Leibniz permutation sum, and the sparse eliminator and the
+polynomial kernels, checked against a dense Fraction RREF."""
 
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -8,7 +8,8 @@ from itertools import combinations, permutations
 from hypothesis import given, settings, strategies as st
 
 from detlab.config import Budget
-from detlab.linalg import SparseEliminator, dense_det, dense_rank, linear_relations
+from detlab.linalg import (SparseEliminator, _packer, dense_det, dense_rank, linear_relations,
+                           packed_relations)
 from detlab.modp import PRIME_61
 from detlab.polyring import Polynomial, clear_denominators, xring
 from detlab.syzygy import _monomials_of_degree
@@ -127,26 +128,46 @@ def _sparse_int_rows(draw):
 @given(_sparse_int_rows())
 @settings(max_examples=200, deadline=None)
 def test_sparse_eliminator_matches_fraction_rref(case):
+    # each row, tagged by its index, is added twice over: keyed by its
+    # column indices and by minus them.  Either way the rank grows exactly
+    # when the Fraction RREF says so, and the relations of the tagged rows
+    # are the canonical basis of the left kernel; under negated keys each
+    # pivot is a row's first column, so the pivot set is the RREF's
     ncols, rows = case
-    elim = SparseEliminator(Budget())
-    seen = []
-    for row in rows:
-        before = fraction_rref(seen, ncols)[1] if seen else []
-        seen.append(row)
-        grew = len(fraction_rref(seen, ncols)[1]) > len(before)
-        sparse = {c: v for c, v in enumerate(row) if v}
-        assert elim.add_row(sparse) == grew
-        assert sparse == {c: v for c, v in enumerate(row) if v}  # input untouched
-    rref, pivots = fraction_rref(rows, ncols)
-    assert elim.rank == len(pivots) and sorted(elim.pivots) == pivots
-    # each stored row is its RREF row scaled to primitive integers
-    stored = _dense([elim.pivots[pc] for pc in pivots], ncols)
-    assert [[Fraction(v, row[pc]) for v in row] for row, pc in zip(stored, pivots)] == rref
-    kernel = elim.kernel_basis(ncols)
-    # both are the basis read off the unique RREF, one vector per free column
-    assert _dense(kernel, ncols) == fraction_kernel(rows, ncols)
-    for vec in kernel:
-        assert all(sum(r[c] * vec.get(c, 0) for c in range(ncols)) == 0 for r in rows)
+    nrows = len(rows)
+    transposed = [[row[c] for row in rows] for c in range(ncols)]
+    for sign in (1, -1):
+        elim = SparseEliminator(Budget())
+        seen = []
+        for tag, row in enumerate(rows):
+            before = fraction_rref(seen, ncols)[1] if seen else []
+            seen.append(row)
+            grew = len(fraction_rref(seen, ncols)[1]) > len(before)
+            sparse = {sign * c: v for c, v in enumerate(row) if v}
+            copy = dict(sparse)
+            assert elim.add_row(sparse, tag=tag) == grew
+            assert sparse == copy  # input untouched
+        pivots = fraction_rref(rows, ncols)[1]
+        assert elim.rank == len(pivots)
+        if sign < 0:
+            assert sorted(-key for key in elim.pivots) == pivots
+        relations = elim.kernel_basis([1] * nrows)
+        assert _dense(relations, nrows) == fraction_kernel(transposed, nrows)
+        for vec in relations:
+            assert all(sum(vec.get(r, 0) * rows[r][c] for r in range(nrows)) == 0
+                       for c in range(ncols))
+
+
+def test_sparse_eliminator_shifts_and_untagged_rows():
+    # a shifted row is its terms with every key moved by the shift; an
+    # untagged row that reduces to zero records no relation
+    elim = SparseEliminator()
+    assert elim.add_row({3: 2, 1: 1}, shift=4)
+    assert not elim.add_row({7: 4, 5: 2})
+    assert not elim.add_row({})
+    assert elim.add_row({5: 1})
+    assert elim.rank == 2 and elim.relations == []
+    assert elim.kernel_basis([]) == []
 
 
 @st.composite
@@ -215,19 +236,27 @@ def test_linear_relations_match_fraction_kernel(case, rnd):
 @given(_poly_families(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_linear_relations_modulo_known_relations(case, data):
-    # modulo `known` the answer is the canonical basis of the matrix
-    # without known's pivot columns, embedded back
+    # a span of relations, eliminated under negated keys, gives its pivot
+    # columns; skipping them, the answer is the canonical basis of the
+    # matrix without them, embedded back, and a basis modulo the span
     polys, monos = case
     dense, ncols = _product_matrix(polys, monos)
     kernel = fraction_kernel(dense, ncols)
-    known = SparseEliminator(Budget())
+    known, rows = SparseEliminator(Budget()), []
     for _ in range(data.draw(st.integers(0, len(kernel) + 1))):
         mix = data.draw(st.lists(st.integers(-2, 2), min_size=len(kernel),
                                  max_size=len(kernel)))
         vec = [sum(a * v[c] for a, v in zip(mix, kernel)) for c in range(ncols)]
-        known.add_row(clear_denominators((c, x) for c, x in enumerate(vec) if x)[0])
-    got = linear_relations(polys, monos, Budget(), known=known)
-    kept = [c for c in range(ncols) if c not in known.pivots]
+        rows.append(vec)
+        known.add_row(clear_denominators((-c, x) for c, x in enumerate(vec) if x)[0])
+    skip = {-key for key in known.pivots}
+    assert sorted(skip) == (fraction_rref(rows, ncols)[1] if rows else [])
+    pack = _packer(len(monos[0]), max((p.degree for p in polys if p.terms), default=0)
+                   + max(map(sum, monos)))
+    ints = [clear_denominators(p.terms.items()) for p in polys]
+    got = packed_relations([{pack(e): c for e, c in t.items()} for t, _ in ints],
+                           [den for _, den in ints], [pack(m) for m in monos], Budget(), skip)
+    kept = [c for c in range(ncols) if c not in skip]
     want = []
     for v in fraction_kernel([[row[c] for c in kept] for row in dense], len(kept)):
         full = [Fraction(0)] * ncols
@@ -236,6 +265,4 @@ def test_linear_relations_modulo_known_relations(case, data):
         want.append(full)
     assert _dense(got, ncols) == want
     assert len(got) == len(kernel) - known.rank
-    assert all(v.get(c, 0) == 0 for v in got for c in known.pivots)
-    assert _same_span(_dense(list(known.pivots.values()), ncols) + _dense(got, ncols),
-                      kernel, ncols)
+    assert _same_span(rows + _dense(got, ncols), kernel, ncols)
