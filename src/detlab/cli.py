@@ -337,8 +337,8 @@ def _cmd_subhankel(args) -> int:
 
 
 def _run_one_scenario(payload):
-    # the workers share one cache directory: a file is replaced atomically and
-    # its name is its content's key, so two writers of one key write one file
+    # the workers share one cache directory, each appending to a pack of its
+    # own (see the GB cache in `groebner`)
     sid, config, long = payload
     return run_scenario(sid, config=config, long=long)
 

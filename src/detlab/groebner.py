@@ -148,12 +148,16 @@ class _Packing:
     test, ((b | guard) - a) & var_guard == var_guard, and that test holds
     as well for a monomial given on its variable fields only (every other
     field 0): no field borrows from the next.
+
+    A packing is never changed after it is built, so `holding` and `wider`
+    hand out one shared packing per (rows, width).
     """
 
     __slots__ = ("rows", "width", "units", "guard", "low", "var_guard", "vals",
-                 "_reads", "_half", "_wmax")
+                 "_given", "_reads", "_half", "_wmax")
 
     def __init__(self, rows: list[tuple], width: int):
+        self._given = tuple(rows)
         nvars = len(rows[0]) if rows else 0
         reads: dict[int, int] = {}  # variable -> field holding its exponent
         for k, row in enumerate(rows):
@@ -177,17 +181,26 @@ class _Packing:
         self._half = 1 << (width - 1)
         self._wmax = max((max(row) for row in rows), default=0)
 
-    @classmethod
-    def holding(cls, rows: list[tuple], degree: int) -> "_Packing":
+    @staticmethod
+    def shared(rows, width: int) -> "_Packing":
+        """The one packing of these rows at this width."""
+        key = (tuple(rows), width)
+        pk = _PACKINGS.get(key)
+        if pk is None:
+            pk = _PACKINGS[key] = _Packing(rows, width)
+        return pk
+
+    @staticmethod
+    def holding(rows: list[tuple], degree: int) -> "_Packing":
         """The narrowest packing whose fields hold every monomial of at most
         the given total degree."""
-        pk = cls(rows, _FIELD_BITS)
+        pk = _Packing.shared(rows, _FIELD_BITS)
         while not pk.fits(degree):
             pk = pk.wider()
         return pk
 
     def wider(self) -> "_Packing":
-        return _Packing(self.rows, 2 * self.width)
+        return _Packing.shared(self._given, 2 * self.width)
 
     def fits(self, degree: int) -> bool:
         # a field is at most wmax * degree, so this bound keeps the guards clear
@@ -229,6 +242,9 @@ class _Packing:
         d = ((b & vals) | self.var_guard) - (a & vals)
         ge = d & self.var_guard
         return d & (ge - (ge >> (self.width - 1)))
+
+
+_PACKINGS: dict[tuple, _Packing] = {}  # (rows, width) -> its packing
 
 
 class _Entry:
@@ -801,37 +817,55 @@ def _colon_at_width(G: list[_Entry], g: dict, budget: Budget) -> list[_Entry]:
 
 
 # ---------------------------------------------------------------------------
-# GB cache (in-memory + optional content-addressed disk cache)
+# GB cache (in-memory + optional disk cache of append-only packs)
 #
 # Both levels share one key: a hash of the coefficient field, the variable
 # names, the order and the sorted, deduplicated term items of the
 # generators.  The reduced basis of a colon I : g is stored the same way
-# under a key of "colon", the key of I and the terms of g.  The memory
-# cache holds the engine's own entry lists (shared by every Ideal with that
-# key; `_retry_wider` widens them in place).  A
-# `.gb` file holds the same entries with no polynomial text: a header line
-# with the format version and the sha256 of the key and the rest, then one
-# line per entry, its primitive integer terms (positive leading
+# under a key of "colon", the key of I and the terms of g, and a module
+# basis (`syzygy.module_groebner`) under a key of "module", the order, the
+# degree shifts and the vectors.  The memory cache holds the engine's own
+# entry lists (shared by every Ideal with that key; `_retry_wider` widens
+# them in place).
+#
+# On disk a cache directory holds `.gb` packs, one for each process that
+# wrote there.  A pack is a run of records: a header line `detlab-gb 4
+# <key> <body length> sha256=<sha256 of key, newline, body>`, then the body,
+# one line per entry with its primitive integer terms (positive leading
 # coefficient, content 1) as groups `c e_1 ... e_n` of decimal ints, the
-# leading term first.  It is written after a computation and read back
-# with int() alone.  A file with another header, a wrong checksum (a record
-# copied under another key's name has one) or a line that is no such
-# record is never trusted: the basis is recomputed and rewritten.
+# leading term first.  A process's first fresh basis for a directory
+# creates its pack; each later one is appended with one write.  Its first
+# lookup there reads every pack once into an index of key -> bodies, each
+# file up to the first header that does not parse (a torn tail, or a file
+# of an older format), skipping records whose digest does not match (a
+# record copied under another key has one).  The records the process
+# appends join its index; those other processes append later are not
+# seen, and such a basis is recomputed and appended again.  A body is
+# served only when every line is a record of a nonzero polynomial (a
+# module element, for a module basis); otherwise the next record of its
+# key is tried, and when none is left the basis is recomputed.
 
 _MEMORY_CACHE: dict[str, list[_Entry]] = {}
 
-_DISK_FORMAT = b"detlab-gb 3"  # 2 held polynomial text; the first had no header
+_DISK_FORMAT = b"detlab-gb 4"  # 3 held one basis per file, 2 polynomial text
+
+# cache directory -> key -> bodies of its records, read at the first lookup
+_DISK_INDEX: dict[str, dict[bytes, list[bytes]]] = {}
+# cache directory -> (pid, fd) of the pack that process appends to; a forked
+# worker sees its parent's pid there and opens a pack of its own
+_PACKS: dict[str, tuple[int, int]] = {}
 
 
-def _disk_header(key: str, body: bytes) -> bytes:
+def _disk_record(key: str, body: bytes) -> bytes:
     digest = hashlib.sha256(key.encode() + b"\n" + body).hexdigest()
-    return _DISK_FORMAT + b" sha256=" + digest.encode() + b"\n"
+    return b"%s %s %d sha256=%s\n" % (_DISK_FORMAT, key.encode(), len(body),
+                                       digest.encode()) + body
 
 
 def _cache_key(ring: Ring, gens: list[Polynomial]) -> str:
     body = sorted({tuple(sorted(g.terms.items())) for g in gens})
-    # "QQ" names the one coefficient field; it stays so that keys and file
-    # names written by earlier versions still match
+    # "QQ" names the one coefficient field; it stays so that keys written by
+    # earlier versions still match
     return hashlib.sha256(repr(("QQ", ring.variables, ring.order.id, body)).encode()).hexdigest()
 
 
@@ -847,12 +881,15 @@ def _settings(budget: Budget | None, config: Config | None) -> Config:
     return config or (budget.config if budget is not None else DEFAULT_CONFIG)
 
 
-def _cached(key: str, order: MonomialOrder, config: Config, compute) -> list[_Entry]:
+def _cached(key: str, rows: list[tuple], config: Config, compute,
+            rank: int = 0) -> list[_Entry]:
     """The entries stored under the key in the memory cache or the disk
-    cache, or else compute() and store them in both."""
+    cache, or else compute() and store them in both.  A disk record is
+    packed in the weight rows `rows`, and holds a basis of a free module of
+    the given rank when that is positive (`_disk_get`)."""
     entries = _MEMORY_CACHE.get(key)
     if entries is None and config.cache_dir:
-        entries = _disk_get(config.cache_dir, key, order)
+        entries = _disk_get(config.cache_dir, key, rows, rank)
     fresh = entries is None
     if fresh:
         entries = compute()
@@ -862,20 +899,59 @@ def _cached(key: str, order: MonomialOrder, config: Config, compute) -> list[_En
     return entries
 
 
-def _disk_get(cache_dir: str, key: str, order: MonomialOrder) -> list[_Entry] | None:
-    """The cached basis, or None when the file is missing, has another
-    format or checksum, or holds a line that is no record of a nonzero
-    polynomial in the order's variables."""
-    path = os.path.join(cache_dir, key + ".gb")
-    try:
-        with open(path, "rb") as fh:
-            header = fh.readline()
-            body = fh.read()
-    except OSError:
-        return None
-    if header != _disk_header(key, body):
-        return None
-    nvars = order.nvars
+def _read_pack(data: bytes, index: dict) -> None:
+    """Add the records of a pack whose digest matches to the index, up to
+    the first header that does not parse; a body cut short fails its digest."""
+    pos = 0
+    while (end := data.find(b"\n", pos)) >= 0:
+        head = data[pos:end].split(b" ")
+        if len(head) != 5 or b" ".join(head[:2]) != _DISK_FORMAT \
+                or not head[3].isdigit() or not head[4].startswith(b"sha256="):
+            return
+        start, pos = end + 1, end + 1 + int(head[3])
+        body = data[start:pos]
+        if hashlib.sha256(head[2] + b"\n" + body).hexdigest().encode() == head[4][7:]:
+            index.setdefault(head[2], []).append(body)
+
+
+def _disk_index(cache_dir: str) -> dict[bytes, list[bytes]]:
+    """The records of the cache directory, read from its packs at the
+    process's first lookup there."""
+    index = _DISK_INDEX.get(cache_dir)
+    if index is None:
+        index = _DISK_INDEX[cache_dir] = {}
+        try:
+            names = sorted(n for n in os.listdir(cache_dir) if n.endswith(".gb"))
+        except OSError:
+            names = []
+        for name in names:
+            try:
+                with open(os.path.join(cache_dir, name), "rb") as fh:
+                    data = fh.read()
+            except OSError:
+                continue
+            _read_pack(data, index)
+    return index
+
+
+def _disk_get(cache_dir: str, key: str, rows: list[tuple], rank: int = 0) -> list[_Entry] | None:
+    """The cached basis, packed in the weight rows, or None when no record
+    of the key is a basis: lines that each hold a nonzero polynomial in
+    len(rows[0]) variables, the first `rank` exponents of every term
+    one-hot for a module basis."""
+    bodies = _disk_index(cache_dir).get(key.encode(), [])
+    nvars = len(rows[0]) if rows else 0
+    while bodies:
+        dicts = _read_body(bodies[0], nvars, rank)
+        if dicts:
+            return _pack_entries(dicts, [max(map(sum, d)) for d in dicts], rows)
+        del bodies[0]  # no basis: never tried again
+    return None
+
+
+def _read_body(body: bytes, nvars: int, rank: int) -> list[dict] | None:
+    """The term dicts of a record's lines, or None when a line is no record
+    of a nonzero polynomial (see `_disk_get`)."""
     step = nvars + 1
     dicts = []
     try:
@@ -887,17 +963,17 @@ def _disk_get(cache_dir: str, key: str, order: MonomialOrder) -> list[_Entry] | 
                     or min(ints, default=0) < 0:
                 return None
             d = dict(zip(zip(*[iter(ints)] * nvars), coeffs))
-            if len(d) != len(coeffs):
+            if len(d) != len(coeffs) or rank and any(sum(t[:rank]) != 1 for t in d):
                 return None
             dicts.append(d)
     except ValueError:
         return None
-    if not dicts:
-        return None
-    return _pack_entries(dicts, [max(map(sum, d)) for d in dicts], order.weight_rows())
+    return dicts
 
 
 def _disk_put(cache_dir: str, key: str, entries: list[_Entry]) -> None:
+    """Append the record of the entries to this process's pack in the cache
+    directory, creating the pack on its first record."""
     lines = []
     for g in entries:
         unpack = g.pk.unpack
@@ -907,19 +983,23 @@ def _disk_put(cache_dir: str, key: str, entries: list[_Entry]) -> None:
             ints.extend(unpack(m))
         lines.append(" ".join(map(str, ints)) + "\n")
     body = "".join(lines).encode()
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, key + ".gb")
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    pid = os.getpid()
+    pack = _PACKS.get(cache_dir)
+    if pack is None or pack[0] != pid:
+        if pack is not None:
+            os.close(pack[1])  # the parent's descriptor, inherited by a fork
+        os.makedirs(cache_dir, exist_ok=True)
+        pack = _PACKS[cache_dir] = (pid, tempfile.mkstemp(prefix="pack-", suffix=".gb",
+                                                          dir=cache_dir)[0])
+    rest = memoryview(_disk_record(key, body))
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(_disk_header(key, body) + body)
-        os.replace(tmp, path)  # atomic single-writer discipline
+        while rest:
+            rest = rest[os.write(pack[1], rest):]
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        del _PACKS[cache_dir]  # a torn record ends what a read sees of the pack
+        os.close(pack[1])
         raise
+    _disk_index(cache_dir)[key.encode()] = [body]
 
 
 # ---------------------------------------------------------------------------
@@ -972,7 +1052,8 @@ class Ideal:
             def compute():
                 return groebner_entries([to_int_terms(g) for g in self.gens], order,
                                         budget or config.budget())
-            self._gb = _cached(self._key, order, config, compute) if self.gens else []
+            self._gb = (_cached(self._key, order.weight_rows(), config, compute)
+                        if self.gens else [])
         return self._gb
 
     def normal_form(self, f: Polynomial, budget: Budget | None = None,
@@ -1116,7 +1197,8 @@ def colon_poly(I: Ideal, g: Polynomial, budget=None, config=None) -> Ideal:
         b = budget or config.budget()
         h = to_int_terms(g)
         return _retry_wider(I._entries(b, config), lambda G: _colon_at_width(G, h, b))
-    return _seeded(ring, _cached(_colon_key(I._key, g), ring.order, config, compute))
+    return _seeded(ring, _cached(_colon_key(I._key, g), ring.order.weight_rows(), config,
+                                 compute))
 
 
 def _fold(I: Ideal, J, per_generator, budget, config) -> Ideal:

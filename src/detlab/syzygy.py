@@ -16,8 +16,11 @@ order inside each component (packed like any monomial, with the one-hot
 slots as the leading weight rows).  Pairs form within one component only,
 where the coprime criterion never fires (it is unsound for modules);
 pruning is by the chain criterion.  The engine works on primitive integer
-vectors; the span tests of `minimal_generators` run on the same packed
-column reduction as the kernels, `linalg.SparseEliminator`.
+vectors.  A module basis goes through the GB cache of `groebner`, in memory
+and in the disk packs, like the basis of an ideal; the syzygies read from
+it are still checked by exact dot products.  The span tests of
+`minimal_generators` run on the same packed column reduction as the
+kernels, `linalg.SparseEliminator`.
 
 Computations take the Budget of the casebook fact or CLI command that runs
 them, and the Groebner queries read the cache directory from its config;
@@ -27,12 +30,13 @@ kernels run unmetered and each engine call builds a default one.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 from .config import Budget, Config, ComputationTimeout, DEFAULT_CONFIG
 from .linalg import SparseEliminator, _packer, dense_rank, linear_relations, packed_relations
-from .groebner import (Ideal, hilbert_data, rees_ring,
-                       _Entry, _buchberger, _pack_entries, _poly_t_mul, _reduce_terms)
+from .groebner import (Ideal, hilbert_data, rees_ring, _Entry, _buchberger, _cached,
+                       _pack_entries, _poly_t_mul, _reduce_terms, _settings)
 from .polyring import MonomialOrder, Polynomial, Ring, _content_strip, clear_denominators, dot
 from .structmat import MinorLadder, PolyMatrix, _bareiss
 
@@ -53,18 +57,27 @@ def _module_rows(order: MonomialOrder, rank: int) -> list[tuple]:
 
 def module_groebner(int_vectors: list[dict], order: MonomialOrder, shifts,
                     budget: Budget | None = None) -> list[_Entry]:
-    """Reduced module Groebner basis of integer term-dict vectors.
+    """Reduced module Groebner basis of integer term-dict vectors, from the
+    GB cache when it holds the basis, under a key of the order, the shifts
+    and the content-stripped vectors.
 
     The rank is len(shifts); a term onehot(c) + e has degree sum(e) + shifts[c]
     (t.index(1) is its component c, the first nonzero slot).
     """
-    budget = budget or DEFAULT_CONFIG.budget()
     rank = len(shifts)
     vecs = [_content_strip(dict(v)) for v in int_vectors if v]
-    seeds = _pack_entries(vecs, [max(sum(t[rank:]) + shifts[t.index(1)] for t in v)
-                                 for v in vecs], _module_rows(order, rank))
-    seeds.sort(key=lambda g: g.lm)
-    return _buchberger(seeds, budget, rank)
+    if not vecs:
+        return []
+    rows = _module_rows(order, rank)
+    key = ("module", order.id, tuple(shifts), sorted({tuple(sorted(v.items())) for v in vecs}))
+
+    def compute():
+        seeds = _pack_entries(vecs, [max(sum(t[rank:]) + shifts[t.index(1)] for t in v)
+                                     for v in vecs], rows)
+        seeds.sort(key=lambda g: g.lm)
+        return _buchberger(seeds, budget or DEFAULT_CONFIG.budget(), rank)
+    return _cached(hashlib.sha256(repr(key).encode()).hexdigest(), rows,
+                   _settings(budget, None), compute, rank)
 
 
 def _column_to_int_vector(col: list[Polynomial], rank: int) -> dict:

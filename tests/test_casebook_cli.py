@@ -410,6 +410,34 @@ def test_cli_casebook_jobs_share_one_cache(tmp_path):
     assert json.loads(out)["entries"] == len(files)
 
 
+_TWO_SCENARIOS = """
+import sys
+from detlab import cli
+cli.list_scenarios = lambda: [{"id": "dg-3"}, {"id": "sc-3"}]
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_cli_jobs_leave_a_pack_per_worker_and_a_second_run_writes_none(tmp_path):
+    # two scenarios on two workers: each worker that computes a basis
+    # appends to one pack of its own; the second run reads them all
+    cache = tmp_path / "cache"
+    args = [sys.executable, "-c", _TWO_SCENARIOS, "casebook", "run", "--jobs", "2",
+            "--cache-dir", str(cache), "--json", "--no-timings"]
+    first = subprocess.run(args, capture_output=True, text=True)
+    assert first.returncode == 0, first.stderr
+    assert first.stdout.count('"scenario": ') == 2
+    assert '"scenario": "dg-3"' in first.stdout and '"scenario": "sc-3"' in first.stdout
+    packs = sorted(cache.iterdir())
+    assert 1 <= len(packs) <= 2 and all(p.suffix == ".gb" for p in packs)
+    written = [(p.name, p.stat().st_size, p.stat().st_mtime_ns) for p in packs]
+    second = subprocess.run(args, capture_output=True, text=True)
+    assert second.returncode == 0, second.stderr
+    assert second.stdout == first.stdout
+    assert [(p.name, p.stat().st_size, p.stat().st_mtime_ns)
+            for p in sorted(cache.iterdir())] == written
+
+
 def test_cli_two_ideal_ops_share_ring(tmp_path):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"

@@ -24,7 +24,7 @@ from detlab.structmat import (build_gp_associated, build_structured, determinant
                               minors_ideal_gens)
 from oracles import (lex, rabinowitsch_radical_membership, rounds_saturation, tag_colon,
                      tag_intersect)
-from test_groebner import _LabelBudget
+from test_groebner import _LabelBudget, _disk_records, _fresh_process
 
 CAT43_REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference" / "cat43-colon.json"
 
@@ -150,17 +150,13 @@ def _refuse(*args):
     raise AssertionError("the colon was computed, not read")
 
 
-def _colon_file(cache_dir, J, g):
-    return Path(cache_dir) / (_colon_key(J._key, g) + ".gb")
-
-
 def test_a_cached_colon_is_read_without_computing(tmp_path, monkeypatch):
     J, delta = hankel3()
     cfg = Config(cache_dir=str(tmp_path))
-    _MEMORY_CACHE.clear()
+    _fresh_process()
     want = strings(colon_poly(J, delta, config=cfg))
-    assert _colon_file(tmp_path, J, delta).exists()
-    _MEMORY_CACHE.clear()  # a fresh memory cache, the same cache directory
+    assert _colon_key(J._key, delta) in _disk_records(tmp_path)
+    _fresh_process()  # a new process, the same cache directory
     monkeypatch.setattr(groebner, "_colon_at_width", _refuse)
     monkeypatch.setattr(groebner, "groebner_entries", _refuse)
     got = colon_poly(Ideal(J.ring, J.gens), delta, config=cfg)
@@ -168,17 +164,27 @@ def test_a_cached_colon_is_read_without_computing(tmp_path, monkeypatch):
 
 
 def test_a_damaged_colon_record_is_recomputed_and_rewritten(tmp_path):
+    # the colon's record follows the basis of J in the pack; a damaged byte
+    # fails its digest, so a new process reads J's basis, recomputes the
+    # colon and writes its record into a pack of its own
     J, delta = hankel3()
+    key = _colon_key(J._key, delta)
     cfg = Config(cache_dir=str(tmp_path))
-    _MEMORY_CACHE.clear()
+    _fresh_process()
+    J.groebner_basis(config=cfg)
+    (path,) = tmp_path.glob("*.gb")
+    start = path.stat().st_size
     want = strings(colon_poly(J, delta, config=cfg))
-    path = _colon_file(tmp_path, J, delta)
-    good = path.read_bytes()
-    header, body = good.split(b"\n", 1)
-    path.write_bytes(header + b"\n" + body.replace(b" ", b" 0", 1))
-    _MEMORY_CACHE.clear()
+    data = path.read_bytes()
+    record = data[start:]
+    header, body = record.split(b"\n", 1)
+    path.write_bytes(data[:start] + header + b"\n" + body.replace(b" ", b" 0", 1))
+    assert list(_disk_records(tmp_path)) == [J._key]
+    _fresh_process()
     assert strings(colon_poly(Ideal(J.ring, J.gens), delta, config=cfg)) == want
-    assert path.read_bytes() == good
+    (fresh,) = set(tmp_path.glob("*.gb")) - {path}
+    assert fresh.read_bytes() == record
+    assert _disk_records(tmp_path)[key] == [body]
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +198,9 @@ def test_a_narrow_first_width_restarts_wider_with_the_same_basis(tmp_path, monke
     J, _ = hankel3()
     x2 = J.ring.from_string("x2")
     cfg = Config(cache_dir=str(tmp_path))
-    _MEMORY_CACHE.clear()
-    want = strings(colon_poly(J, x2, config=cfg))
-    (tmp_path / (_colon_key(J._key, x2) + ".gb")).unlink()
+    _fresh_process()
+    J.groebner_basis(config=cfg)  # only the basis of J goes to the disk
+    want = strings(colon_poly(J, x2))
     widths = []
     at_width = groebner._colon_at_width
 
@@ -203,7 +209,7 @@ def test_a_narrow_first_width_restarts_wider_with_the_same_basis(tmp_path, monke
         return at_width(G, g, budget)
     monkeypatch.setattr(groebner, "_FIELD_BITS", 3)
     monkeypatch.setattr(groebner, "_colon_at_width", counted)
-    _MEMORY_CACHE.clear()
+    _fresh_process()
     assert strings(colon_poly(Ideal(J.ring, J.gens), x2, config=cfg)) == want
     assert widths == [3, 6]
 
@@ -211,14 +217,14 @@ def test_a_narrow_first_width_restarts_wider_with_the_same_basis(tmp_path, monke
 def test_a_budget_stops_the_colon_and_nothing_is_cached(tmp_path):
     J, delta = hankel3()
     cfg = Config(cache_dir=str(tmp_path))
-    _MEMORY_CACHE.clear()
+    _fresh_process()
     J.groebner_basis(config=cfg)
     key = _colon_key(J._key, delta)
     with pytest.raises(ComputationTimeout):
         colon_poly(J, delta, budget=Budget(step_cap=5), config=cfg)
-    assert key not in _MEMORY_CACHE and not _colon_file(tmp_path, J, delta).exists()
+    assert key not in _MEMORY_CACHE and key not in _disk_records(tmp_path)
     got = colon_poly(J, delta, budget=Budget(step_cap=10_000), config=cfg)
-    assert key in _MEMORY_CACHE and _colon_file(tmp_path, J, delta).exists()
+    assert key in _MEMORY_CACHE and key in _disk_records(tmp_path)
     assert all(J.contains(delta * h) for h in got.gens)
 
 

@@ -91,8 +91,8 @@ class _LabelBudget(Budget):
 
     __slots__ = ("by_label",)
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, config=None):
+        super().__init__(config=config)
         self.by_label = Counter()
 
     def tick(self, n=1, what="computation"):
@@ -136,14 +136,38 @@ def test_gb_deterministic_and_cached():
     assert key in _MEMORY_CACHE
 
 
+def _fresh_process():
+    """Forget the memory cache, the disk-cache index and this process's
+    packs, so that the next query reads its cache directory as a new
+    process would."""
+    _MEMORY_CACHE.clear()
+    groebner._DISK_INDEX.clear()
+    for _, fd in groebner._PACKS.values():
+        os.close(fd)
+    groebner._PACKS.clear()
+
+
+def _disk_records(cache_dir) -> dict:
+    """key -> bodies of the records whose digest matches, in every pack of
+    the cache directory."""
+    index: dict = {}
+    for path in sorted(Path(cache_dir).glob("*.gb")):
+        groebner._read_pack(path.read_bytes(), index)
+    return {k.decode(): v for k, v in index.items()}
+
+
+def _refuse(*args):
+    raise AssertionError("the basis was recomputed, not read")
+
+
 def test_disk_cache_roundtrip(tmp_path):
     cfg = Config(cache_dir=str(tmp_path))
-    _MEMORY_CACHE.clear()
+    _fresh_process()
     _, _, partials, _, _ = hankel3_context()
     R = partials[0].ring
     gb1 = Ideal(R, partials).groebner_basis(config=cfg)
     assert any(p.suffix == ".gb" for p in tmp_path.iterdir())
-    _MEMORY_CACHE.clear()
+    _fresh_process()
     gb2 = Ideal(R, partials).groebner_basis(config=cfg)
     assert [str(g) for g in gb1] == [str(g) for g in gb2]
 
@@ -161,15 +185,19 @@ def _damaged(good: bytes, damage: str, key: str) -> bytes:
     header, *lines = good.splitlines(keepends=True)
     if damage == "empty":
         return b""
-    if damage == "dropped line":
+    if damage == "dropped line":  # the header's length runs past the end
         return header + b"".join(lines[:2] + lines[3:])
-    if damage == "cut line":  # the file ends inside its second record
+    if damage == "cut line":  # the pack ends inside its second line
         return good[:len(header) + len(lines[0]) + 3]
     if damage == "old format":
         return _text_record(None).encode()
     if damage == "text format 2":
         return _text_record("detlab-gb 2").encode()
-    # the rest keep a valid checksum: damaged records, not damaged bytes
+    if damage == "one basis per file":  # the format before the packs
+        body = b"".join(lines)
+        digest = hashlib.sha256(key.encode() + b"\n" + body).hexdigest().encode()
+        return b"detlab-gb 3 sha256=" + digest + b"\n" + body
+    # the rest keep a valid length and digest: damaged records, not damaged bytes
     first = lines[0].split()
     if damage == "wrong arity":
         first = first[:-1]
@@ -184,47 +212,67 @@ def _damaged(good: bytes, damage: str, key: str) -> bytes:
     elif damage == "blank line":
         first = []
     elif damage == "no lines":
-        return groebner._disk_header(key, b"")
-    body = b" ".join(first) + b"\n" + b"".join(lines[1:])
-    return groebner._disk_header(key, body) + body
+        return groebner._disk_record(key, b"")
+    return groebner._disk_record(key, b" ".join(first) + b"\n" + b"".join(lines[1:]))
 
 
 @pytest.mark.parametrize("damage", ["empty", "dropped line", "cut line", "old format",
-                                    "text format 2", "wrong arity", "negative exponent",
-                                    "zero coefficient", "unparsable", "repeated monomial",
-                                    "blank line", "no lines"])
-def test_a_damaged_disk_entry_is_recomputed_and_rewritten(tmp_path, damage):
+                                    "text format 2", "one basis per file", "wrong arity",
+                                    "negative exponent", "zero coefficient", "unparsable",
+                                    "repeated monomial", "blank line", "no lines"])
+def test_a_damaged_disk_entry_is_recomputed_and_rewritten(tmp_path, monkeypatch, damage):
+    # the one record of a pack is damaged: a new process recomputes the
+    # basis and writes the record a lone writer makes into a pack of its own,
+    # which the next process serves
     R = xring(3)
     cfg = Config(cache_dir=str(tmp_path))
-    _MEMORY_CACHE.clear()
+    _fresh_process()
     Ideal(R, _textless_gens(R)).groebner_basis(config=cfg)
     (path,) = tmp_path.glob("*.gb")
     good = path.read_bytes()
-    path.write_bytes(_damaged(good, damage, path.stem))
-    _MEMORY_CACHE.clear()
+    path.write_bytes(_damaged(good, damage, _cache_key(R, _textless_gens(R))))
+    _fresh_process()
+    computed = []
+    entries = groebner.groebner_entries
+    monkeypatch.setattr(groebner, "groebner_entries",
+                        lambda *args: computed.append(1) or entries(*args))
     I = Ideal(R, _textless_gens(R))
     assert [format_polynomial(g) for g in I.groebner_basis(config=cfg)] == _TEXTLESS_BASIS
     assert all(I.contains(g, config=cfg) for g in I.gens)
-    assert path.read_bytes() == good
+    assert computed == [1]
+    (fresh,) = set(tmp_path.glob("*.gb")) - {path}
+    assert fresh.read_bytes() == good
+    _fresh_process()
+    monkeypatch.setattr(groebner, "groebner_entries", _refuse)
+    served = Ideal(R, _textless_gens(R)).groebner_basis(config=cfg)
+    assert [format_polynomial(g) for g in served] == _TEXTLESS_BASIS
 
 
-def test_a_record_under_another_key_is_not_served(tmp_path):
-    # a valid file copied to another ideal's name fails the checksum, which
-    # covers the key: the other ideal's basis is recomputed and rewritten
+def test_a_record_under_another_key_is_not_served(tmp_path, monkeypatch):
+    # a valid record whose header names another ideal's key fails the
+    # digest, which covers the key: the other ideal's basis is recomputed,
+    # and the record after it in the pack is still served
     R = xring(3)
     cfg = Config(cache_dir=str(tmp_path))
-    _MEMORY_CACHE.clear()
     x0, x1, x2 = R.gens()
-    other = [x0 * x1 - x2 ** 2, x0 + x1]
+    other, last = [x0 * x1 - x2 ** 2, x0 + x1], [x0 * x2 - x1 ** 2]
+    _fresh_process()
+    want = [format_polynomial(g) for g in Ideal(R, other).groebner_basis()]
+    _fresh_process()
     Ideal(R, _textless_gens(R)).groebner_basis(config=cfg)
-    want = [format_polynomial(g) for g in Ideal(R, other).groebner_basis(config=cfg)]
-    mine = tmp_path / (_cache_key(R, _textless_gens(R)) + ".gb")
-    theirs = tmp_path / (_cache_key(R, other) + ".gb")
-    good = theirs.read_bytes()
-    theirs.write_bytes(mine.read_bytes())
-    _MEMORY_CACHE.clear()
+    Ideal(R, last).groebner_basis(config=cfg)
+    (path,) = tmp_path.glob("*.gb")
+    mine, theirs = _cache_key(R, _textless_gens(R)), _cache_key(R, other)
+    path.write_bytes(path.read_bytes().replace(mine.encode(), theirs.encode(), 1))
+    assert list(_disk_records(tmp_path)) == [_cache_key(R, last)]
+    _fresh_process()
+    computed = []
+    entries = groebner.groebner_entries
+    monkeypatch.setattr(groebner, "groebner_entries",
+                        lambda *args: computed.append(1) or entries(*args))
     assert [format_polynomial(g) for g in Ideal(R, other).groebner_basis(config=cfg)] == want
-    assert theirs.read_bytes() == good
+    assert [str(g) for g in Ideal(R, last).groebner_basis(config=cfg)] == ["x1^2 - x0*x2"]
+    assert computed == [1] and theirs in _disk_records(tmp_path)
 
 
 _WRITE_HANKEL4_BASIS = """
@@ -238,10 +286,11 @@ Ideal(f.ring, [f.diff(i) for i in range(f.ring.nvars)]).groebner_basis(
 """
 
 
-def test_concurrent_writers_of_one_key_leave_one_valid_file(tmp_path):
+def test_concurrent_writers_of_one_key_leave_only_valid_records(tmp_path, monkeypatch):
     # six writer processes (more than the cores of a small machine), all
-    # computing one basis into one directory: every file is replaced whole,
-    # so the survivor is the record a lone writer makes
+    # asking for one basis in one directory: each that does not find it
+    # there computes it into a pack of its own, so every pack is the one a
+    # lone writer makes, and it is served
     shared, alone = tmp_path / "shared", tmp_path / "alone"
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -252,8 +301,77 @@ def test_concurrent_writers_of_one_key_leave_one_valid_file(tmp_path):
         assert p.wait(timeout=120) == 0
     subprocess.run([sys.executable, "-c", _WRITE_HANKEL4_BASIS, str(alone)], env=env,
                    check=True, timeout=120)
-    (written,), (want,) = list(shared.iterdir()), list(alone.iterdir())
-    assert written.name == want.name and written.read_bytes() == want.read_bytes()
+    (want,) = alone.iterdir()
+    written = list(shared.iterdir())
+    assert 1 <= len(written) <= 6
+    assert all(p.suffix == ".gb" and p.read_bytes() == want.read_bytes() for p in written)
+    f = determinant(build_structured("hankel", m=4))
+    _fresh_process()
+    monkeypatch.setattr(groebner, "groebner_entries", _refuse)
+    I = Ideal(f.ring, [f.diff(i) for i in range(f.ring.nvars)])
+    assert len(I.groebner_basis(config=Config(cache_dir=str(shared)))) == 13
+
+
+def test_a_pack_cut_inside_a_record_serves_the_records_before_it(tmp_path, monkeypatch):
+    R = xring(3)
+    x0, x1, x2 = R.gens()
+    other = [x0 * x1 - x2 ** 2, x0 + x1]
+    cfg = Config(cache_dir=str(tmp_path))
+    _fresh_process()
+    Ideal(R, _textless_gens(R)).groebner_basis(config=cfg)
+    (path,) = tmp_path.glob("*.gb")
+    first = path.stat().st_size
+    want = [format_polynomial(g) for g in Ideal(R, other).groebner_basis(config=cfg)]
+    path.write_bytes(path.read_bytes()[:first + 40])  # a torn tail
+    _fresh_process()
+    computed = []
+    entries = groebner.groebner_entries
+    monkeypatch.setattr(groebner, "groebner_entries",
+                        lambda *args: computed.append(1) or entries(*args))
+    served = Ideal(R, _textless_gens(R)).groebner_basis(config=cfg)
+    assert [format_polynomial(g) for g in served] == _TEXTLESS_BASIS and computed == []
+    assert [format_polynomial(g) for g in Ideal(R, other).groebner_basis(config=cfg)] == want
+    assert computed == [1]
+
+
+def test_a_forked_child_appends_to_a_pack_of_its_own(tmp_path):
+    R = xring(3)
+    x0, x1, x2 = R.gens()
+    cfg = Config(cache_dir=str(tmp_path))
+    _fresh_process()
+    Ideal(R, _textless_gens(R)).groebner_basis(config=cfg)
+    (parent,) = tmp_path.glob("*.gb")
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            Ideal(R, [x0 + x1]).groebner_basis(config=cfg)
+            code = 0
+        finally:
+            os._exit(code)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    Ideal(R, [x0 * x1 - x2 ** 2]).groebner_basis(config=cfg)  # the parent appends on
+    (child,) = set(tmp_path.glob("*.gb")) - {parent}
+    keys = {}
+    for path in (parent, child):
+        index: dict = {}
+        groebner._read_pack(path.read_bytes(), index)
+        keys[path] = {k.decode() for k in index}
+    assert keys[parent] == {_cache_key(R, _textless_gens(R)), _cache_key(R, [x0 * x1 - x2 ** 2])}
+    assert keys[child] == {_cache_key(R, [x0 + x1])}
+
+
+def test_bases_of_one_order_read_from_disk_share_one_packing(tmp_path):
+    R = xring(3)
+    x0, x1, x2 = R.gens()
+    cfg = Config(cache_dir=str(tmp_path))
+    _fresh_process()
+    gens = [_textless_gens(R), [x0 * x1 - x2 ** 2, x0 + x1]]
+    for g in gens:
+        Ideal(R, g).groebner_basis(config=cfg)
+    _fresh_process()
+    a, b = (Ideal(R, g)._entries(config=cfg) for g in gens)
+    assert a[0].pk is b[0].pk and all(e.pk is a[0].pk for e in a + b)
 
 
 _RECORD_COEFFS = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2), Fraction(5, 3)])
@@ -284,13 +402,13 @@ def test_a_disk_record_reads_back_the_computed_basis(data):
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as cache:
         mp.setattr(groebner, "_FIELD_BITS", bits)
         cfg = Config(cache_dir=cache)
-        _MEMORY_CACHE.clear()
+        _fresh_process()
         computed = Ideal(R, gens)
         try:
             want = entries(computed._entries(Budget(step_cap=3000), cfg))
         except ComputationTimeout:
             assume(False)
-        _MEMORY_CACHE.clear()
+        _fresh_process()
         mp.setattr(groebner, "groebner_entries", refuse)
         read = Ideal(R, gens)
         assert entries(read._entries(config=cfg)) == want
@@ -308,7 +426,7 @@ def test_entry_readers_build_no_monic_basis(tmp_path, monkeypatch, source):
     if source != "computed":
         Ideal(H.ring, partials).groebner_basis(config=cfg)
     if source == "disk":
-        _MEMORY_CACHE.clear()
+        _fresh_process()
 
     def refuse(*args):
         raise AssertionError("a monic basis was built")
@@ -383,7 +501,7 @@ def test_the_disk_cache_needs_no_text(tmp_path, monkeypatch):
     _refusing_text(monkeypatch)
     Ideal(R, _textless_gens(R)).groebner_basis(config=cfg)
     Ideal(R, _textless_gens(R)).groebner_basis(config=cfg)
-    _MEMORY_CACHE.clear()
+    _fresh_process()
     served = Ideal(R, _textless_gens(R)).groebner_basis(config=cfg)
     monkeypatch.undo()
     assert len(list(tmp_path.glob("*.gb"))) == 1
@@ -677,8 +795,8 @@ def test_queries_refuse_a_polynomial_from_another_ring():
 
 
 def test_order_ids_and_cache_keys_are_stable(monkeypatch):
-    # order ids enter the cache keys, which name the .gb files of every
-    # cache directory written so far: a change would recompute every basis
+    # order ids enter the cache keys, which head the records of every cache
+    # directory written so far: a change would recompute every basis
     assert [grevlex(n).id for n in (0, 1, 5)] == ["grevlex:0", "grevlex:1", "grevlex:5"]
     _, _, _, J, _ = hankel3_context()
     assert J._key == _cache_key(J.ring, J.gens) == \

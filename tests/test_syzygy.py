@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from detlab import groebner
-from detlab.config import Budget, ComputationTimeout
+from detlab.config import Budget, ComputationTimeout, Config
 from detlab.groebner import (Ideal, hilbert_data, rees_ring, symmetric_algebra_ideal,
                              _MEMORY_CACHE)
 from detlab.linalg import SparseEliminator
@@ -15,10 +15,11 @@ from detlab.polyring import Polynomial, clear_denominators, dot, morph, xring
 from detlab.structmat import build_structured, build_gp_associated, determinant, minors_ideal_gens
 from detlab.syzygy import (GradedSyzygyMatrix, ModuleBasis, fitting_condition_F1,
                            first_syzygy_module, graded_betti, linear_syzygies, minimal_generators,
-                           poly_matrix_rank, rees_bigraded_kernel, rees_minimal_bidegree12,
-                           syzygy_basis_in_degree, _monomials_of_degree)
+                           module_groebner, poly_matrix_rank, rees_bigraded_kernel,
+                           rees_minimal_bidegree12, syzygy_basis_in_degree, syzygy_generators,
+                           _column_to_int_vector, _monomials_of_degree)
 from oracles import all_minors_fitting_F1, row_minimal_generators
-from test_groebner import _LabelBudget
+from test_groebner import _LabelBudget, _disk_records, _fresh_process
 
 
 def partials_of(kind, **kw):
@@ -203,11 +204,66 @@ def test_module_engine_work_is_pinned():
     for kind, shape, columns, work in (("hankel", dict(m=3), 10, (26, 65)),
                                        ("catalecticant", dict(m=3, r=2), 17, (115, 557))):
         _, _, partials = partials_of(kind, **shape)
+        _MEMORY_CACHE.clear()  # a module basis cached by an earlier test takes no steps
         budget = _LabelBudget()
         syz = first_syzygy_module(partials, budget)
         assert len(syz.columns) == columns
         assert (budget.by_label["module Buchberger"],
                 budget.by_label["module reduction"]) == work
+
+
+def _module_work(budget):
+    return budget.by_label["module Buchberger"], budget.by_label["module reduction"]
+
+
+def test_a_module_basis_is_read_back_from_the_disk(tmp_path):
+    # the first syzygies of the Hankel-3 partials: a new process reads the
+    # module basis from the pack and runs no module step
+    _, _, partials = partials_of("hankel", m=3)
+    cfg = Config(cache_dir=str(tmp_path))
+    columns, shifts = [[f] for f in partials], [0]
+    _fresh_process()
+    budget = _LabelBudget(cfg)
+    computed = syzygy_generators(columns, shifts, budget)
+    assert _module_work(budget) == (26, 65)
+    vecs = [_column_to_int_vector(col + [partials[0].ring.one() if i == j else
+                                         partials[0].ring.zero() for i in range(len(columns))],
+                                  1 + len(columns)) for j, col in enumerate(columns)]
+    degs = computed.target_degrees
+    want = [g.full() for g in module_groebner(vecs, partials[0].ring.order, shifts + degs,
+                                              _LabelBudget(cfg))]
+    _fresh_process()
+    budget = _LabelBudget(cfg)
+    read = syzygy_generators(columns, shifts, budget)
+    assert _module_work(budget) == (0, 0)
+    assert read.columns == computed.columns and read.column_degrees == computed.column_degrees
+    _fresh_process()
+    budget = _LabelBudget(cfg)
+    assert [g.full() for g in module_groebner(vecs, partials[0].ring.order, shifts + degs,
+                                              budget)] == want
+    assert _module_work(budget) == (0, 0)
+
+
+def test_a_module_record_without_a_one_hot_prefix_is_recomputed(tmp_path):
+    # a record with a valid digest whose first term has two component
+    # slots set is no module element: the basis is recomputed
+    R = xring(3)
+    x0, x1, x2 = R.gens()
+    columns = [[x0 * x1], [x1 * x2], [x0 * x2]]
+    cfg = Config(cache_dir=str(tmp_path))
+    _fresh_process()
+    want = syzygy_generators(columns, [0], _LabelBudget(cfg))
+    ((key, [body]),) = _disk_records(tmp_path).items()
+    first, rest = body.split(b"\n", 1)
+    terms = first.split()
+    assert sorted(terms[1:5]) == [b"0", b"0", b"0", b"1"]  # after the coefficient, rank 4
+    terms[1 + terms[1:5].index(b"0")] = b"1"
+    (path,) = tmp_path.glob("*.gb")
+    path.write_bytes(groebner._disk_record(key, b" ".join(terms) + b"\n" + rest))
+    _fresh_process()
+    budget = _LabelBudget(cfg)
+    got = syzygy_generators(columns, [0], budget)
+    assert got.columns == want.columns and _module_work(budget)[0] > 0
 
 
 def test_linear_part_subset_of_full_module():
