@@ -160,6 +160,15 @@ def _refuse(*args):
     raise AssertionError("the basis was recomputed, not read")
 
 
+def _counting_computations(monkeypatch) -> list:
+    """A list that gains one item per `groebner_entries` call from now on."""
+    computed = []
+    entries = groebner.groebner_entries
+    monkeypatch.setattr(groebner, "groebner_entries",
+                        lambda *args: computed.append(1) or entries(*args))
+    return computed
+
+
 def test_disk_cache_roundtrip(tmp_path):
     cfg = Config(cache_dir=str(tmp_path))
     _fresh_process()
@@ -232,10 +241,7 @@ def test_a_damaged_disk_entry_is_recomputed_and_rewritten(tmp_path, monkeypatch,
     good = path.read_bytes()
     path.write_bytes(_damaged(good, damage, _cache_key(R, _textless_gens(R))))
     _fresh_process()
-    computed = []
-    entries = groebner.groebner_entries
-    monkeypatch.setattr(groebner, "groebner_entries",
-                        lambda *args: computed.append(1) or entries(*args))
+    computed = _counting_computations(monkeypatch)
     I = Ideal(R, _textless_gens(R))
     assert [format_polynomial(g) for g in I.groebner_basis(config=cfg)] == _TEXTLESS_BASIS
     assert all(I.contains(g, config=cfg) for g in I.gens)
@@ -266,10 +272,7 @@ def test_a_record_under_another_key_is_not_served(tmp_path, monkeypatch):
     path.write_bytes(path.read_bytes().replace(mine.encode(), theirs.encode(), 1))
     assert list(_disk_records(tmp_path)) == [_cache_key(R, last)]
     _fresh_process()
-    computed = []
-    entries = groebner.groebner_entries
-    monkeypatch.setattr(groebner, "groebner_entries",
-                        lambda *args: computed.append(1) or entries(*args))
+    computed = _counting_computations(monkeypatch)
     assert [format_polynomial(g) for g in Ideal(R, other).groebner_basis(config=cfg)] == want
     assert [str(g) for g in Ideal(R, last).groebner_basis(config=cfg)] == ["x1^2 - x0*x2"]
     assert computed == [1] and theirs in _disk_records(tmp_path)
@@ -324,10 +327,7 @@ def test_a_pack_cut_inside_a_record_serves_the_records_before_it(tmp_path, monke
     want = [format_polynomial(g) for g in Ideal(R, other).groebner_basis(config=cfg)]
     path.write_bytes(path.read_bytes()[:first + 40])  # a torn tail
     _fresh_process()
-    computed = []
-    entries = groebner.groebner_entries
-    monkeypatch.setattr(groebner, "groebner_entries",
-                        lambda *args: computed.append(1) or entries(*args))
+    computed = _counting_computations(monkeypatch)
     served = Ideal(R, _textless_gens(R)).groebner_basis(config=cfg)
     assert [format_polynomial(g) for g in served] == _TEXTLESS_BASIS and computed == []
     assert [format_polynomial(g) for g in Ideal(R, other).groebner_basis(config=cfg)] == want

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from detlab import groebner
+from detlab import groebner, syzygy
 from detlab.config import Budget, ComputationTimeout, Config
 from detlab.groebner import (Ideal, hilbert_data, rees_ring, symmetric_algebra_ideal,
                              _MEMORY_CACHE)
@@ -17,7 +17,7 @@ from detlab.syzygy import (GradedSyzygyMatrix, ModuleBasis, fitting_condition_F1
                            first_syzygy_module, graded_betti, linear_syzygies, minimal_generators,
                            module_groebner, poly_matrix_rank, rees_bigraded_kernel,
                            rees_minimal_bidegree12, syzygy_basis_in_degree, syzygy_generators,
-                           _column_to_int_vector, _monomials_of_degree)
+                           _monomials_of_degree)
 from oracles import all_minors_fitting_F1, row_minimal_generators
 from test_groebner import _LabelBudget, _disk_records, _fresh_process
 
@@ -216,32 +216,24 @@ def _module_work(budget):
     return budget.by_label["module Buchberger"], budget.by_label["module reduction"]
 
 
-def test_a_module_basis_is_read_back_from_the_disk(tmp_path):
+def test_a_module_basis_is_read_back_from_the_disk(tmp_path, monkeypatch):
     # the first syzygies of the Hankel-3 partials: a new process reads the
     # module basis from the pack and runs no module step
     _, _, partials = partials_of("hankel", m=3)
     cfg = Config(cache_dir=str(tmp_path))
-    columns, shifts = [[f] for f in partials], [0]
-    _fresh_process()
-    budget = _LabelBudget(cfg)
-    computed = syzygy_generators(columns, shifts, budget)
-    assert _module_work(budget) == (26, 65)
-    vecs = [_column_to_int_vector(col + [partials[0].ring.one() if i == j else
-                                         partials[0].ring.zero() for i in range(len(columns))],
-                                  1 + len(columns)) for j, col in enumerate(columns)]
-    degs = computed.target_degrees
-    want = [g.full() for g in module_groebner(vecs, partials[0].ring.order, shifts + degs,
-                                              _LabelBudget(cfg))]
-    _fresh_process()
-    budget = _LabelBudget(cfg)
-    read = syzygy_generators(columns, shifts, budget)
-    assert _module_work(budget) == (0, 0)
+    bases = []
+    monkeypatch.setattr(syzygy, "module_groebner",
+                        lambda *args: bases.append(module_groebner(*args)) or bases[-1])
+    runs = []
+    for _ in range(2):
+        _fresh_process()
+        budget = _LabelBudget(cfg)
+        runs.append((syzygy_generators([[f] for f in partials], [0], budget),
+                     _module_work(budget)))
+    (computed, work), (read, none) = runs
+    assert work == (26, 65) and none == (0, 0)
+    assert [g.full() for g in bases[1]] == [g.full() for g in bases[0]]
     assert read.columns == computed.columns and read.column_degrees == computed.column_degrees
-    _fresh_process()
-    budget = _LabelBudget(cfg)
-    assert [g.full() for g in module_groebner(vecs, partials[0].ring.order, shifts + degs,
-                                              budget)] == want
-    assert _module_work(budget) == (0, 0)
 
 
 def test_a_module_record_without_a_one_hot_prefix_is_recomputed(tmp_path):
