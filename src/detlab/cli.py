@@ -18,7 +18,7 @@ import sys
 from .config import Config, ComputationTimeout
 from .polyring import parse_polynomial, xring
 from .groebner import (Ideal, colon, eliminate, hilbert_data,
-                       intersect, radical_membership, saturation)
+                       intersect, radical_membership, saturation, _read_packs)
 from .structmat import (build_structured, build_gp_associated, determinant,
                         minors_ideal_gens, parse_matrix_spec)
 from .syzygy import linear_syzygies, first_syzygy_module, graded_betti
@@ -386,11 +386,9 @@ def _cmd_cache(args) -> int:
     config = _config_from_args(args)
     cdir = config.cache_dir
     if args.action == "info":
-        if not cdir or not os.path.isdir(cdir):
-            _emit(args, {"cache_dir": cdir, "entries": 0})
-        else:
-            entries = [f for f in os.listdir(cdir) if f.endswith(".gb")]
-            _emit(args, {"cache_dir": cdir, "entries": len(entries)})
+        # the cached bases: the distinct keys with a record whose digest matches
+        entries = len(_read_packs(cdir)) if cdir else 0
+        _emit(args, {"cache_dir": cdir, "entries": entries})
         return EXIT_OK
     if args.action == "clear":
         if cdir and os.path.isdir(cdir):

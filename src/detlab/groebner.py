@@ -914,23 +914,30 @@ def _read_pack(data: bytes, index: dict) -> None:
             index.setdefault(head[2], []).append(body)
 
 
+def _read_packs(cache_dir: str) -> dict[bytes, list[bytes]]:
+    """Key -> bodies of the records in the cache directory's packs whose
+    digest matches (see `_read_pack`)."""
+    index: dict[bytes, list[bytes]] = {}
+    try:
+        names = sorted(n for n in os.listdir(cache_dir) if n.endswith(".gb"))
+    except OSError:
+        names = []
+    for name in names:
+        try:
+            with open(os.path.join(cache_dir, name), "rb") as fh:
+                data = fh.read()
+        except OSError:
+            continue
+        _read_pack(data, index)
+    return index
+
+
 def _disk_index(cache_dir: str) -> dict[bytes, list[bytes]]:
     """The records of the cache directory, read from its packs at the
     process's first lookup there."""
     index = _DISK_INDEX.get(cache_dir)
     if index is None:
-        index = _DISK_INDEX[cache_dir] = {}
-        try:
-            names = sorted(n for n in os.listdir(cache_dir) if n.endswith(".gb"))
-        except OSError:
-            names = []
-        for name in names:
-            try:
-                with open(os.path.join(cache_dir, name), "rb") as fh:
-                    data = fh.read()
-            except OSError:
-                continue
-            _read_pack(data, index)
+        index = _DISK_INDEX[cache_dir] = _read_packs(cache_dir)
     return index
 
 

@@ -15,29 +15,32 @@ reduces to zero that combination is a relation.  Its callers:
   packs Polynomials for it) and the bigraded blowup-equation pieces.  Each
   polynomial is cleared of denominators and packed once, so a product
   p * x^m is its packed terms shifted by x^m, and the product columns are
-  added in column order, tagged by their index.  A column that reduces to
-  zero gives the RREF kernel vector of its free column, so the answer is
-  the canonical basis whatever the elimination does.  Columns the caller
-  can skip come in as `skip`, and the answer is the canonical basis of
-  the matrix without them.
+  added in the order of their leading keys, tagged by their index: a
+  column then meets only pivots whose leading keys are at most its own.  The relations
+  found span the kernel, and `kernel_basis` inter-reduces them into its
+  canonical (RREF) basis, one vector per free column, so the answer does
+  not depend on the feed order.  Columns the caller can skip come in as
+  `skip`, and the answer is the canonical basis of the matrix without
+  them.
 * `syzygy.minimal_generators`, whose span tests are `add_row` answers.
 * the old span of `syzygy.rees_minimal_bidegree12`, whose rows are keyed
   by minus their column index: a row's leading key is then its first
   column, and the pivot set is that of the span's RREF.
 
 The dense numeric helpers (rank with a nonzero-minor witness,
-determinant) share one forward elimination, `_echelon`, over Q
-(Fractions) or GF(p).
+determinant) share one forward elimination, `_echelon`, over GF(p), or
+over Q fraction-free: each row is cleared of its denominators and the
+rows are eliminated by Bareiss's rule over Z.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 from operator import mul
 
 from .config import Budget
-from .polyring import Polynomial, clear_denominators
+from .polyring import Polynomial, _content_strip, clear_denominators
 
 
 class SparseEliminator:
@@ -114,26 +117,55 @@ class SparseEliminator:
         return len(self.pivots)
 
     def kernel_basis(self, dens) -> list[dict[int, Fraction]]:
-        """The relations as rational vectors, entries in tag order: each
-        combination scaled by `dens[tag]`, the denominator cleared from the
-        tagged vector, and divided by its own tag's entry.
+        """The span of the relations in its canonical basis, as rational
+        vectors with entries in tag order.
 
-        When the tags are column indices added in increasing order, each
-        relation involves only pivot columns besides its own, which it
-        holds with entry 1: it is the RREF kernel vector of its free column,
-        and the answer is the canonical basis, whatever the reduction did."""
-        return [{c: Fraction(comb[c] * dens[c], comb[tag] * dens[tag]) for c in sorted(comb)}
-                for tag, comb in self.relations]
+        The combinations are inter-reduced, fraction-free, until each has
+        a largest tag of its own (its lead) and 0 at the leads of the
+        others.  Then entry c is scaled by `dens[c]`, the denominator
+        cleared from the vector tagged c, and each vector is divided by
+        its entry at its lead; the vectors come in lead order.  That basis
+        is unique: it is the RREF basis of the span, one vector per free
+        column.  When every tagged vector has come in, the span is the
+        whole kernel of the tagged vectors, whatever order they came in."""
+        basis: dict[int, dict] = {}  # lead -> combination, 0 at the other leads
+        for _, comb in self.relations:
+            for lead, row in basis.items():
+                if comb.get(lead):
+                    comb = _combine(comb, row, lead)
+            top = max(comb)
+            for lead, row in basis.items():
+                if row.get(top):
+                    basis[lead] = _combine(row, comb, top)
+            basis[top] = comb
+        return [{c: Fraction(comb[c] * dens[c], comb[top] * dens[top]) for c in sorted(comb)}
+                for top, comb in sorted(basis.items())]
+
+
+def _combine(u: dict, v: dict, key) -> dict:
+    """The integer combination a*u - b*v that clears u at `key`, divided
+    by its content."""
+    a, b = v[key], u[key]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = {k: a * c for k, c in u.items()}
+    for k, c in v.items():
+        c = out.get(k, 0) - b * c
+        if c:
+            out[k] = c
+        else:
+            del out[k]
+    return _content_strip(out)
 
 
 def _packer(nvars: int, degree: int):
     """pack(e) for exponent tuples of total degree at most `degree`: one
-    field per variable, the first variable in the top field, each wide
+    field per variable, the last variable in the top field, each wide
     enough to hold `degree`.  No field carries, so the pack of a product
     of two monomials is the sum of their packs while its degree stays in
     bounds."""
     width = max(degree.bit_length(), 1)
-    weights = [1 << (width * i) for i in reversed(range(nvars))]
+    weights = [1 << (width * i) for i in range(nvars)]
 
     def pack(e):
         return sum(map(mul, e, weights))
@@ -162,22 +194,23 @@ def packed_relations(columns: list[dict], dens: list[int], shifts: list[int],
     dens[i] * p_i, and each x^m in `shifts` is packed the same way, so the
     product column i*len(shifts)+k is columns[i] with every key shifted by
     shifts[k]; the packing must hold every product without a carry.  The
-    product columns are added to a `SparseEliminator` in column order,
-    tagged by their index, and the answer is its `kernel_basis`: the RREF
-    basis, one vector per free column in column order.
+    product columns are added to a `SparseEliminator` sorted by (leading
+    key, column index), tagged by their index, and the answer is its
+    `kernel_basis`: the RREF basis, one vector per free column in column
+    order.
 
     The product columns in `skip` are left out.  When they are the pivot
     columns of relations the caller already has, the answer is a basis of
     the relations modulo their span: any relation minus a combination of
     them is zero on those columns.
     """
+    n = len(shifts)
+    feed = sorted((max(terms, default=0) + s, i * n + k, terms, s)
+                  for i, terms in enumerate(columns) for k, s in enumerate(shifts)
+                  if i * n + k not in skip)
     elim = SparseEliminator(budget)
-    col = 0
-    for terms in columns:
-        for s in shifts:
-            if col not in skip:
-                elim.add_row(terms, s, col)
-            col += 1
+    for _, col, terms, s in feed:
+        elim.add_row(terms, s, col)
     return elim.kernel_basis([den for den in dens for _ in shifts])
 
 
@@ -185,18 +218,21 @@ def packed_relations(columns: list[dict], dens: list[int], shifts: list[int],
 # dense numeric helpers: one forward elimination over GF(p) or Q
 
 def _echelon(mat: list[list], p: int | None = None):
-    """Forward Gaussian elimination over GF(p) (ints mod p) or Q (Fractions).
+    """Forward elimination over GF(p) (ints mod p) or Q (ints and Fractions).
 
     Each column's pivot is its first nonzero entry at or below the current
     row, swapped into place.  Returns the pivot rows (indices into `mat`),
     the pivot columns, and the product of the pivots times the sign of the
     row swaps, which is the determinant of a square matrix of full rank.
+    Over Q the elimination is `_bareiss_q`'s.
     """
-    m = [[v % p for v in row] if p is not None else list(map(Fraction, row)) for row in mat]
+    if p is None:
+        return _bareiss_q(mat)
+    m = [[v % p for v in row] for row in mat]
     nrows, ncols = len(m), len(m[0]) if m else 0
     order = list(range(nrows))
     pivot_cols = []
-    prod = 1
+    det = 1
     for c in range(ncols):
         r = len(pivot_cols)
         if r == nrows:
@@ -207,22 +243,58 @@ def _echelon(mat: list[list], p: int | None = None):
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
             order[r], order[piv] = order[piv], order[r]
-            prod = -prod
+            det = -det
         top = m[r]
-        prod *= top[c]
-        inv = pow(top[c], -1, p) if p is not None else 1 / top[c]
+        det = det * top[c] % p
+        inv = pow(top[c], -1, p)
         for row in m[r + 1:]:
             if row[c]:
-                f = row[c] * inv
-                if p is not None:
-                    f %= p
+                f = row[c] * inv % p
                 for j in range(c, ncols):
-                    v = row[j] - f * top[j]
-                    row[j] = v % p if p is not None else v
+                    row[j] = (row[j] - f * top[j]) % p
         pivot_cols.append(c)
-        if p is not None:
-            prod %= p
-    return order[:len(pivot_cols)], pivot_cols, prod
+    return order[:len(pivot_cols)], pivot_cols, det
+
+
+def _bareiss_q(mat: list[list]):
+    """`_echelon` over Q, fraction-free: each row is multiplied by the
+    least common multiple of its denominators, and the integer rows are
+    eliminated by Bareiss's rule, each update divided exactly by the
+    previous pivot.  An entry then differs from the one a Fraction
+    elimination leaves only by a nonzero factor, so the pivots fall in the
+    same rows and columns, and the last pivot is the determinant of the
+    pivot rows' scaled minor: divided by their scales, it is the product
+    of the Fraction pivots."""
+    m, scales = [], []
+    for row in mat:
+        den = lcm(*[v.denominator for v in row])
+        m.append([v.numerator * (den // v.denominator) for v in row])
+        scales.append(den)
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    order = list(range(nrows))
+    pivot_cols = []
+    sign, prev = 1, 1
+    for c in range(ncols):
+        r = len(pivot_cols)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            order[r], order[piv] = order[piv], order[r]
+            sign = -sign
+        top = m[r]
+        pk = top[c]
+        for row in m[r + 1:]:
+            f = row[c]
+            for j in range(c + 1, ncols):
+                row[j] = (pk * row[j] - f * top[j]) // prev
+        prev = pk
+        pivot_cols.append(c)
+    rows = order[:len(pivot_cols)]
+    return rows, pivot_cols, Fraction(sign * prev, prod(scales[i] for i in rows))
 
 
 def dense_rank(mat: list[list], p: int | None = None):

@@ -28,6 +28,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import add
 
 from .modp import umul, utrim
 
@@ -325,14 +326,7 @@ class Polynomial:
         if len(a) > len(b):
             a, b = b, a
         out: dict = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                v = out.get(e, 0) + ca * cb
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
+        _add_products(out, a, b)
         return Polynomial(self.ring, out, _clean=_all_canonical(out))
 
     def __rmul__(self, other):
@@ -419,6 +413,20 @@ class Polynomial:
         return restrict_all([self], base, direction, p)[0]
 
 
+def _add_products(out: dict, a: dict, b: dict) -> None:
+    """Add every product of a term of `a` and a term of `b` into the term
+    dict `out`, dropping the terms that cancel."""
+    get = out.get
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            v = get(e, 0) + ca * cb
+            if v:
+                out[e] = v
+            else:
+                out.pop(e, None)
+
+
 def _all_canonical(terms: dict) -> bool:
     for c in terms.values():
         if type(c) is Fraction and c.denominator == 1:
@@ -485,11 +493,15 @@ def restrict_all(polys, base, direction, p: int) -> list[list[int]]:
 
 
 def dot(coeffs: list[Polynomial], polys: list[Polynomial]) -> Polynomial:
-    """Exact sum of coeffs[i] * polys[i]; the relation checks test it for zero."""
-    acc = polys[0].ring.zero()
+    """Exact sum of coeffs[i] * polys[i], every product added into one
+    term dict; the relation checks test it for zero."""
+    ring = polys[0].ring
+    out: dict = {}
     for a, f in zip(coeffs, polys):
-        acc = acc + a * f
-    return acc
+        a._check_ring(f)
+        f._check_ring(polys[0])
+        _add_products(out, a.terms, f.terms)
+    return Polynomial(ring, out, _clean=_all_canonical(out))
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,11 @@ def _monomials_of_degree(nvars: int, d: int):
 
 def linear_syzygies(forms: list[Polynomial], budget: Budget | None = None,
                     config: Config | None = None) -> tuple[GradedSyzygyMatrix, "RankResult"]:
-    """Basis of the linear syzygy space and the rank of its column matrix."""
+    """Basis of the linear syzygy space and the rank of its column matrix.
+
+    The columns are verified syzygies, so the vector of the forms lies in
+    the left kernel of that matrix: when a form is nonzero the rank is at
+    most len(forms) - 1, and `poly_matrix_rank` is told so."""
     degs = {f.degree for f in forms}
     if len(degs) != 1:
         raise ValueError("forms must be homogeneous of one degree")
@@ -196,7 +200,8 @@ def linear_syzygies(forms: list[Polynomial], budget: Budget | None = None,
     cols = syzygy_basis_in_degree(forms, 1, budget)
     d = degs.pop()
     mat = GradedSyzygyMatrix([d] * len(forms), cols, [d + 1] * len(cols))
-    rank = poly_matrix_rank(mat.as_poly_matrix(), config=config) if cols else \
+    bound = len(forms) - 1 if any(f.terms for f in forms) else None
+    rank = poly_matrix_rank(mat.as_poly_matrix(), config, bound) if cols else \
         RankResult(0, "proved", None)
     return mat, rank
 
@@ -220,14 +225,16 @@ class RankResult:
         return f"RankResult({self.rank}, {self.certainty})"
 
 
-def poly_matrix_rank(M: PolyMatrix, config: Config | None = None) -> RankResult:
+def poly_matrix_rank(M: PolyMatrix, config: Config | None = None,
+                     at_most: int | None = None) -> RankResult:
     """Rank over the fraction field.
 
     Random evaluations over a ~2^61 prime field give a certified lower
-    bound (a minor nonzero mod p is a nonzero rational).  Full row or
-    column rank at a point is already exact; otherwise a fraction-free
-    symbolic echelon pass settles the value when the matrix is within
-    budget, and the result is labeled probabilistic beyond it.
+    bound (a minor nonzero mod p is a nonzero rational).  A rank at a
+    point that reaches an upper bound is already exact: full row or column
+    rank, or `at_most`, a bound the caller has proved.  Otherwise a
+    fraction-free symbolic echelon pass settles the value when the matrix
+    is within budget, and the result is labeled probabilistic beyond it.
     """
     from .modp import PRIME_61
     config = config or DEFAULT_CONFIG
@@ -236,6 +243,7 @@ def poly_matrix_rank(M: PolyMatrix, config: Config | None = None) -> RankResult:
     nv = M.ring.nvars
     maxdeg = max((int(e.degree) for e in M.entries if not e.is_zero()), default=0)
     bound = min(M.rows, M.cols) * maxdeg / p
+    top = min(M.rows, M.cols) if at_most is None else min(M.rows, M.cols, at_most)
     best = 0
     witness = None
     for _ in range(_RANK_TRIALS):
@@ -244,7 +252,7 @@ def poly_matrix_rank(M: PolyMatrix, config: Config | None = None) -> RankResult:
         if r > best:
             best = r
             witness = {"point": pt, "prime": p, "minor": minor}
-        if best == min(M.rows, M.cols):
+        if best == top:
             return RankResult(best, "proved", witness, bound)
     if M.rows * M.cols <= _RANK_EXACT_SIZE_CAP:
         exact, _ = _bareiss([M.row(i) for i in range(M.rows)])
@@ -315,9 +323,9 @@ def minimal_generators(syz: GradedSyzygyMatrix, budget: Budget | None = None) ->
     An element of degree j is a new generator iff it is independent of
     (chosen generators of lower degree) * monomials plus same-degree picks.
     Each column is cleared of denominators and packed once, its component
-    in the top field, so a product g * x^m is the packing of g shifted by
-    x^m; the span tests are `SparseEliminator.add_row` answers, one
-    eliminator per degree.
+    in the top field (packed as the last variable), so a product g * x^m
+    is the packing of g shifted by x^m; the span tests are
+    `SparseEliminator.add_row` answers, one eliminator per degree.
     """
     if not syz.columns:
         return syz
@@ -327,7 +335,7 @@ def minimal_generators(syz: GradedSyzygyMatrix, budget: Budget | None = None) ->
     pack = _packer(nvars + 1, max([len(syz.columns[0]) - 1]
                                   + [p.degree + top - d for col, d in zip(syz.columns, degs)
                                      for p in col if p.terms]))
-    packed = [clear_denominators((pack((comp,) + e), c) for comp, p in enumerate(col)
+    packed = [clear_denominators((pack(e + (comp,)), c) for comp, p in enumerate(col)
                                  for e, c in p.terms.items())[0]
               for col in syz.columns]
     chosen: list[int] = []
@@ -335,7 +343,7 @@ def minimal_generators(syz: GradedSyzygyMatrix, budget: Budget | None = None) ->
         elim = SparseEliminator(budget)
         for i in chosen:
             for mono in _monomials_of_degree(nvars, j - degs[i]):
-                elim.add_row(packed[i], pack((0,) + mono))
+                elim.add_row(packed[i], pack(mono + (0,)))
         chosen += [i for i, d in enumerate(degs) if d == j and elim.add_row(packed[i])]
     return GradedSyzygyMatrix(syz.target_degrees, [syz.columns[i] for i in chosen],
                               [degs[i] for i in chosen])

@@ -542,3 +542,58 @@ def all_minors_fitting_F1(syz, budget=None):
                        else ring.nvars - hilbert_data(I, budget).dimension)
     passed = all(ht >= rank - t + 2 for t, ht in enumerate(heights, 1))
     return rank, heights, passed
+
+
+# ---------------------------------------------------------------------------
+# the column-order kernel and the Fraction elimination, the routes that the
+# leading-key feed and the fraction-free elimination over Q replaced
+
+def column_order_relations(columns, dens, shifts, skip=frozenset()):
+    """The relations among the packed product columns (the arguments of
+    `linalg.packed_relations`), the columns added to a `SparseEliminator`
+    in column order: each relation found then involves only earlier pivot
+    columns besides its own, and scaled to 1 there it is the RREF kernel
+    vector of its free column."""
+    from detlab.linalg import SparseEliminator
+    elim = SparseEliminator()
+    col = 0
+    for terms in columns:
+        for s in shifts:
+            if col not in skip:
+                elim.add_row(terms, s, col)
+            col += 1
+    den = [d for d in dens for _ in shifts]
+    return [{c: Fraction(comb[c] * den[c], comb[tag] * den[tag]) for c in sorted(comb)}
+            for tag, comb in elim.relations]
+
+
+def fraction_echelon(mat):
+    """Forward Gaussian elimination over Q on Fractions: each column's pivot
+    is its first nonzero entry at or below the current row, swapped into
+    place.  Returns (pivot rows as indices into `mat`, pivot columns, the
+    product of the pivots times the sign of the row swaps)."""
+    m = [list(map(Fraction, row)) for row in mat]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    order = list(range(nrows))
+    pivot_cols = []
+    prod = 1
+    for c in range(ncols):
+        r = len(pivot_cols)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            order[r], order[piv] = order[piv], order[r]
+            prod = -prod
+        top = m[r]
+        prod *= top[c]
+        for row in m[r + 1:]:
+            if row[c]:
+                f = row[c] / top[c]
+                for j in range(c, ncols):
+                    row[j] -= f * top[j]
+        pivot_cols.append(c)
+    return order[:len(pivot_cols)], pivot_cols, prod

@@ -407,7 +407,34 @@ def test_cli_casebook_jobs_share_one_cache(tmp_path):
     assert serial == parallel
     assert [(p.stat().st_ino, p.stat().st_mtime_ns) for p in sorted(cache.iterdir())] == written
     code, out, _ = run_cli(["cache", "info", "--cache-dir", str(cache), "--json"])
-    assert json.loads(out)["entries"] == len(files)
+    assert json.loads(out)["entries"] == len(set(_pack_keys(files)))
+
+
+def _pack_keys(files):
+    """The key of every record in the packs, read off the record headers
+    `detlab-gb 4 <key> <body length> sha256=<digest>`."""
+    keys = []
+    for path in files:
+        data, pos = path.read_bytes(), 0
+        while pos < len(data):
+            end = data.index(b"\n", pos)
+            head = data[pos:end].split(b" ")
+            keys.append(head[2])
+            pos = end + 1 + int(head[3])
+    return keys
+
+
+def test_cli_cache_info_counts_the_cached_bases(tmp_path):
+    # one scenario in one process writes one pack, one record per basis
+    # it computed; the info counts those bases, not the pack files
+    cache = tmp_path / "cache"
+    code, _, err = run_cli(["casebook", "run", "--id", "dg-3", "--cache-dir", str(cache)])
+    assert code == 0, err
+    files = sorted(cache.iterdir())
+    keys = _pack_keys(files)
+    assert len(files) == 1 and len(keys) > 1 and len(set(keys)) == len(keys)
+    code, out, _ = run_cli(["cache", "info", "--cache-dir", str(cache), "--json"])
+    assert json.loads(out)["entries"] == len(keys)
 
 
 _TWO_SCENARIOS = """

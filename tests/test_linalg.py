@@ -1,6 +1,7 @@
 """Exact elimination: dense determinant and rank over Q and GF(p), checked
-against the Leibniz permutation sum, and the sparse eliminator and the
-polynomial kernels, checked against a dense Fraction RREF."""
+against the Leibniz permutation sum and, over Q, against a Fraction
+elimination; the sparse eliminator and the polynomial kernels, checked
+against a dense Fraction RREF and against the column-order feed."""
 
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -8,12 +9,13 @@ from itertools import combinations, permutations
 from hypothesis import given, settings, strategies as st
 
 from detlab.config import Budget
-from detlab.linalg import (SparseEliminator, _packer, dense_det, dense_rank, linear_relations,
-                           packed_relations)
+from detlab.linalg import (SparseEliminator, _echelon, _packer, dense_det, dense_rank,
+                           linear_relations, packed_relations)
 from detlab.modp import PRIME_61
 from detlab.polyring import Polynomial, clear_denominators, xring
 from detlab.syzygy import _monomials_of_degree
-from oracles import dict_mul, fraction_kernel, fraction_rref, perm_sign
+from oracles import (column_order_relations, dict_mul, fraction_echelon, fraction_kernel,
+                     fraction_rref, perm_sign)
 
 P = PRIME_61
 
@@ -80,6 +82,31 @@ def test_dense_rank_over_q_and_mod_p_with_witness(M):
             assert _leibniz(_sub(M, rs, cs)) == 0
 
 
+@st.composite
+def _rational_matrices(draw):
+    """`_int_matrices`, some of them with rows divided by small integers,
+    some with extra rows or columns, so that square, rectangular and
+    singular matrices with integer and rational entries all come."""
+    M = draw(_int_matrices())
+    if draw(st.booleans()):
+        M = [[Fraction(v, draw(st.sampled_from([1, 2, 3, -4, 6]))) for v in row] for row in M]
+    if draw(st.booleans()):
+        M.append([sum(col) for col in zip(*M)])  # a dependent row
+    if draw(st.booleans()):
+        M = [row + [Fraction(draw(st.integers(-3, 3)), 5)] for row in M]
+    return M
+
+
+@given(_rational_matrices())
+@settings(max_examples=200, deadline=None)
+def test_fraction_free_echelon_matches_fraction_elimination(M):
+    # the same pivot rows and columns, and the same signed product of the
+    # pivots: the determinant of a square matrix of full rank
+    rows, cols, prod = _echelon(M)
+    assert (rows, cols, prod) == fraction_echelon(M)
+    assert type(prod) is Fraction
+
+
 def test_dense_edge_cases():
     assert dense_det([]) == 1
     assert dense_det([[0, 0], [0, 0]], P) == 0
@@ -128,8 +155,8 @@ def _sparse_int_rows(draw):
 @given(_sparse_int_rows())
 @settings(max_examples=200, deadline=None)
 def test_sparse_eliminator_matches_fraction_rref(case):
-    # each row, tagged by its index, is added twice over: keyed by its
-    # column indices and by minus them.  Either way the rank grows exactly
+    # each row, tagged by its index, is added twice over in tag order:
+    # keyed by its column indices and by minus them.  Either way the rank grows exactly
     # when the Fraction RREF says so, and the relations of the tagged rows
     # are the canonical basis of the left kernel; under negated keys each
     # pivot is a row's first column, so the pivot set is the RREF's
@@ -156,6 +183,12 @@ def test_sparse_eliminator_matches_fraction_rref(case):
         for vec in relations:
             assert all(sum(vec.get(r, 0) * rows[r][c] for r in range(nrows)) == 0
                        for c in range(ncols))
+    # fed last row first, the relations differ, and `kernel_basis`
+    # inter-reduces them into the same canonical basis
+    backwards = SparseEliminator()
+    for tag in reversed(range(nrows)):
+        backwards.add_row({c: v for c, v in enumerate(rows[tag]) if v}, tag=tag)
+    assert backwards.kernel_basis([1] * nrows) == relations
 
 
 def test_sparse_eliminator_shifts_and_untagged_rows():
@@ -215,6 +248,15 @@ def _product_matrix(polys, monos):
     return [[col.get(e, 0) for col in cols] for e in row_monos], len(cols)
 
 
+def _packed_family(polys, monos):
+    """The arguments of `packed_relations` for the products p * x^m."""
+    pack = _packer(len(monos[0]), max((p.degree for p in polys if p.terms), default=0)
+                   + max(map(sum, monos)))
+    ints = [clear_denominators(p.terms.items()) for p in polys]
+    return ([{pack(e): c for e, c in t.items()} for t, _ in ints], [den for _, den in ints],
+            [pack(m) for m in monos])
+
+
 @given(_poly_families(), st.randoms(use_true_random=False))
 @settings(max_examples=150, deadline=None)
 def test_linear_relations_match_fraction_kernel(case, rnd):
@@ -251,11 +293,7 @@ def test_linear_relations_modulo_known_relations(case, data):
         known.add_row(clear_denominators((-c, x) for c, x in enumerate(vec) if x)[0])
     skip = {-key for key in known.pivots}
     assert sorted(skip) == (fraction_rref(rows, ncols)[1] if rows else [])
-    pack = _packer(len(monos[0]), max((p.degree for p in polys if p.terms), default=0)
-                   + max(map(sum, monos)))
-    ints = [clear_denominators(p.terms.items()) for p in polys]
-    got = packed_relations([{pack(e): c for e, c in t.items()} for t, _ in ints],
-                           [den for _, den in ints], [pack(m) for m in monos], Budget(), skip)
+    got = packed_relations(*_packed_family(polys, monos), Budget(), skip)
     kept = [c for c in range(ncols) if c not in skip]
     want = []
     for v in fraction_kernel([[row[c] for c in kept] for row in dense], len(kept)):
@@ -266,3 +304,18 @@ def test_linear_relations_modulo_known_relations(case, data):
     assert _dense(got, ncols) == want
     assert len(got) == len(kernel) - known.rank
     assert _same_span(rows + _dense(got, ncols), kernel, ncols)
+
+
+@given(_poly_families(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_leading_key_feed_matches_the_column_order_feed(case, data):
+    # the columns fed in leading-key order and the relations inter-reduced
+    # give exactly the basis that the column-order feed reads off, with
+    # and without skipped columns; the families hold zero polynomials and
+    # multiples of others, so zero and dependent columns come
+    polys, monos = case
+    columns, dens, shifts = _packed_family(polys, monos)
+    ncols = len(polys) * len(monos)
+    for skip in (frozenset(), frozenset(data.draw(st.sets(st.integers(0, ncols - 1))))):
+        want = column_order_relations(columns, dens, shifts, skip)
+        assert packed_relations(columns, dens, shifts, Budget(), skip) == want

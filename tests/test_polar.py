@@ -549,12 +549,35 @@ def test_verdict_sc3_homaloidal():
     assert v.status == "Homaloidal"
 
 
-def test_verdict_generic3_via_inverse():
+def test_verdict_generic3_via_maximal_linear_rank():
+    # the 9 x 16 linear syzygy matrix of the generic-3 partials has rank at
+    # most 8, since the partials lie in its left kernel; one evaluation of
+    # rank 8 proves it, and the maximal linear rank decides before the
+    # candidate inverse is tried
     _, f, partials = det_and_partials("generic", m=3)
     v = polar.homaloidal_verdict(polar.polar_data(f), candidate_inverse=partials,
                                  try_ideal_routes=False)
     assert v.status == "Homaloidal"
-    assert any(e.criterion == "verified-inverse" for e in v.evidence)
+    crits = {e.criterion: e for e in v.evidence}
+    assert crits["linear-rank"].certainty == "proved"
+    assert crits["linear-rank"].result == "8 of max 8"
+    assert "maximal-linear-rank" in crits and "verified-inverse" not in crits
+
+
+def test_verdict_generic3_via_inverse():
+    # a generic-3 record whose linear rank is not proved maximal (only
+    # probabilistic, as a matrix beyond the symbolic echelon's size cap
+    # gets without a proved bound): the verified inverse decides
+    from detlab.syzygy import RankResult
+    _, f, partials = det_and_partials("generic", m=3)
+    form = polar.polar_data(f)
+    syz, rank = form.linear_syzygies()
+    form._memo["linear"] = (syz, RankResult(rank.rank, "probabilistic", rank.witness))
+    v = polar.homaloidal_verdict(form, candidate_inverse=partials, try_ideal_routes=False)
+    assert v.status == "Homaloidal"
+    crits = {e.criterion: e for e in v.evidence}
+    assert "maximal-linear-rank" not in crits
+    assert crits["verified-inverse"].certainty == "proved"
 
 
 def test_verdict_json_shape():

@@ -12,7 +12,8 @@ from detlab.groebner import (Ideal, hilbert_data, rees_ring, symmetric_algebra_i
                              _MEMORY_CACHE)
 from detlab.linalg import SparseEliminator
 from detlab.polyring import Polynomial, clear_denominators, dot, morph, xring
-from detlab.structmat import build_structured, build_gp_associated, determinant, minors_ideal_gens
+from detlab.structmat import (PolyMatrix, build_structured, build_gp_associated, determinant,
+                              minors_ideal_gens)
 from detlab.syzygy import (GradedSyzygyMatrix, ModuleBasis, fitting_condition_F1,
                            first_syzygy_module, graded_betti, linear_syzygies, minimal_generators,
                            module_groebner, poly_matrix_rank, rees_bigraded_kernel,
@@ -577,8 +578,9 @@ def _counting_ticks(monkeypatch) -> dict:
 def test_bigraded_kernel_work_count_lock(monkeypatch):
     # the (1,2) kernel of the cat-4-2 partials: its dimension and its work,
     # one "linear algebra" step per pivot column subtracted while the 550
-    # product columns are reduced; a change to the column order or to the
-    # pivot choice moves the count, and it repeats exactly
+    # product columns are reduced in leading-key order; a change to the
+    # feed order or to the pivot choice moves the count, and it repeats
+    # exactly
     ticks = _counting_ticks(monkeypatch)
     _, _, p42 = partials_of("catalecticant", m=4, r=2)
     counts = []
@@ -586,7 +588,7 @@ def test_bigraded_kernel_work_count_lock(monkeypatch):
         ticks.clear()
         assert len(rees_bigraded_kernel(p42, 1, 2, Budget())) == 62
         counts.append(dict(ticks))
-    assert counts == [{"bigraded kernel assembly": 550, "linear algebra": 783}] * 2
+    assert counts == [{"bigraded kernel assembly": 550, "linear algebra": 717}] * 2
 
 
 def test_bigraded_kernel_keeps_its_step_cap():
@@ -594,7 +596,7 @@ def test_bigraded_kernel_keeps_its_step_cap():
     # reduction when its budget runs out there
     _, _, p42 = partials_of("catalecticant", m=4, r=2)
     with pytest.raises(ComputationTimeout) as err:
-        rees_bigraded_kernel(p42, 1, 2, Budget(step_cap=550 + 783 // 2))
+        rees_bigraded_kernel(p42, 1, 2, Budget(step_cap=550 + 717 // 2))
     assert err.value.what == "linear algebra"
 
 
@@ -675,7 +677,7 @@ def test_bidegree12_reduction_step_lock(monkeypatch):
         ticks.clear()
         rees_minimal_bidegree12(forms, columns, Budget())
         counts.append(ticks["linear algebra"])
-    assert counts == [985, 985]
+    assert counts == [842, 842]
 
 
 def test_bidegree12_multiplies_no_polynomials(monkeypatch):
@@ -725,6 +727,68 @@ def test_poly_matrix_rank_random_products():
         assert exact <= min(r, rows, cols)
         res = poly_matrix_rank(M)
         assert res.rank == exact
+
+
+@st.composite
+def _forms_with_linear_syzygies(draw):
+    """Nonzero forms of one degree in three variables with linear syzygies:
+
+    * "minors": the maximal minors of a random 2 x 3 or 3 x 4 matrix of
+      linear forms (quadrics or cubics), whose rows are linear syzygies
+      (Hilbert-Burch), of rank k - 1 unless the draw degenerates;
+    * "multiples": l_i * g for random linear forms l_i and one form g,
+      with the Koszul syzygies of the l_i;
+    * "mixed": either kind plus repeated forms or random forms of the same
+      degree, so that the rank may fall short of k - 1."""
+    R = xring(3)
+
+    def form(d):
+        return Polynomial(R, {m: draw(st.integers(-2, 2)) for m in _monomials_of_degree(3, d)})
+
+    shape = draw(st.sampled_from(["minors", "multiples", "mixed"]))
+    if shape == "multiples" or shape == "mixed" and draw(st.booleans()):
+        g = form(draw(st.integers(1, 2)))
+        forms = [form(1) * g for _ in range(draw(st.integers(2, 4)))]
+    else:
+        t = draw(st.integers(2, 3))
+        A = [[form(1) for _ in range(t + 1)] for _ in range(t)]
+        forms = [determinant(PolyMatrix(t, t, [a for row in A for j, a in enumerate(row)
+                                               if j != c]))
+                 for c in range(t + 1)]
+    forms = [f for f in forms if f.terms]
+    assume(forms)
+    if shape == "mixed":
+        forms += [draw(st.sampled_from(forms)) if draw(st.booleans()) else form(forms[0].degree)
+                  for _ in range(draw(st.integers(1, 2)))]
+    forms = [f for f in forms if f.terms]
+    assume(len(forms) > 1)
+    return forms
+
+
+@given(_forms_with_linear_syzygies())
+@settings(max_examples=60, deadline=None)
+def test_linear_rank_with_its_proved_bound_matches_bareiss(forms):
+    # the columns are syzygies, so the forms lie in the left kernel and the
+    # rank is at most k - 1: with that bound the rank is the symbolic
+    # echelon's, and it is proved with no symbolic pass when it reaches
+    # k - 1
+    from detlab.structmat import _bareiss
+    k = len(forms)
+    syz, rank = linear_syzygies(forms)
+    assume(syz.columns)
+    M = syz.as_poly_matrix()
+    exact, _ = _bareiss([M.row(i) for i in range(M.rows)])
+    calls = []
+    bareiss = syzygy._bareiss
+    syzygy._bareiss = lambda rows: calls.append(1) or bareiss(rows)
+    try:
+        got = poly_matrix_rank(M, at_most=k - 1)
+    finally:
+        syzygy._bareiss = bareiss
+    assert got.rank == rank.rank == exact
+    assert got.certainty == rank.certainty == "proved"
+    if exact == k - 1:
+        assert calls == []
 
 
 def test_betti_complete_flag():
