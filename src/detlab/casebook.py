@@ -532,14 +532,11 @@ def _generic3_facts():
     def laplace(ctx):
         adj = cofactor_matrix(ctx["matrix"], ctx["budget"])
         M = ctx["matrix"]
-        ring = ctx["ring"]
         ok = True
         for i in range(3):
             for j in range(3):
-                s = ring.zero()
-                for k in range(3):
-                    s = s + M[i, k] * adj[k, j]
-                ok = ok and s == (ctx["form"].f if i == j else ring.zero())
+                s = dot([M[i, k] for k in range(3)], [adj[k, j] for k in range(3)])
+                ok = ok and s == (ctx["form"].f if i == j else ctx["ring"].zero())
         return _bool_fact("matrix times adjugate is the determinant times identity", ok)
 
     return [

@@ -862,18 +862,23 @@ def _disk_record(key: str, body: bytes) -> bytes:
                                        digest.encode()) + body
 
 
+def _digest(key: tuple) -> str:
+    """The cache key of a tuple: the hex sha256 of its repr.  The ideal,
+    colon and module keys all go through here."""
+    return hashlib.sha256(repr(key).encode()).hexdigest()
+
+
 def _cache_key(ring: Ring, gens: list[Polynomial]) -> str:
     body = sorted({tuple(sorted(g.terms.items())) for g in gens})
     # "QQ" names the one coefficient field; it stays so that keys written by
     # earlier versions still match
-    return hashlib.sha256(repr(("QQ", ring.variables, ring.order.id, body)).encode()).hexdigest()
+    return _digest(("QQ", ring.variables, ring.order.id, body))
 
 
 def _colon_key(ideal_key: str, g: Polynomial) -> str:
     """The key of I : g, from the key of I (which covers the variable
     names, the order and the generators) and the terms of g."""
-    key = ("colon", ideal_key, tuple(sorted(g.terms.items())))
-    return hashlib.sha256(repr(key).encode()).hexdigest()
+    return _digest(("colon", ideal_key, tuple(sorted(g.terms.items()))))
 
 
 def _settings(budget: Budget | None, config: Config | None) -> Config:

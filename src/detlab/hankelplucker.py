@@ -23,9 +23,9 @@ from fractions import Fraction
 
 from .config import Budget, ComputationTimeout
 from .groebner import Ideal, colon, ideal_power, ideal_product, radical_membership
-from .linalg import linear_relations
-from .polyring import Polynomial
+from .polyring import Polynomial, dot
 from .structmat import PolyMatrix, build_gp_associated, minor, minors_ideal_gens
+from .syzygy import rees_bigraded_kernel
 from . import polar
 
 # the largest order m of each capped check, read by the checks and the CLI
@@ -216,11 +216,8 @@ def golberg_delta_check(H: PolyMatrix, form: polar.PolarMapData) -> GolbergRepor
 
 def plucker_verify(m: int, r: int, terms: list[tuple[int | Fraction, tuple, tuple]]) -> bool:
     """Exact-zero test of a formal sum of bracket products."""
-    acc = None
-    for c, b1, b2 in terms:
-        t = bracket_minor(m, r, b1) * bracket_minor(m, r, b2) * c
-        acc = t if acc is None else acc + t
-    return acc is not None and acc.is_zero()
+    return bool(terms) and dot([bracket_minor(m, r, b1) * c for c, b1, _ in terms],
+                               [bracket_minor(m, r, b2) for _, _, b2 in terms]).is_zero()
 
 
 def three_term_plucker(m: int, r: int, quad: tuple[int, int, int, int]) -> bool:
@@ -239,17 +236,21 @@ class SolvedIdentity:
 
 
 def solve_bracket_identity(lhs: Polynomial, rhs_parts: list[Polynomial]) -> SolvedIdentity:
-    """Solve lhs = sum_i c_i * rhs_parts[i] for rational constants exactly."""
+    """Solve lhs = sum_i c_i * rhs_parts[i] for rational constants exactly.
+
+    The constant relations among rhs_parts + [lhs] are the (0,1) piece of
+    their blowup ideal, sum_i a_i * y_i with y_i standing for the i-th
+    part; one with a nonzero lhs coefficient solves the identity."""
     ncols = len(rhs_parts)
-    # one relation column per part plus lhs as the augmented column
-    vecs = linear_relations(rhs_parts + [lhs], [(0,) * lhs.ring.nvars])
-    for vec in vecs:
-        lam = vec.get(ncols, Fraction(0))
-        if lam:
-            coeffs = [-vec.get(i, Fraction(0)) / lam for i in range(ncols)]
-            check = lhs
-            for c, g in zip(coeffs, rhs_parts):
-                check = check - g * c
+    ring = lhs.ring
+    for rel in rees_bigraded_kernel(rhs_parts + [lhs], 0, 1):
+        a = [0] * (ncols + 1)
+        for e, c in rel.terms.items():
+            a[e.index(1)] = c  # the term c * y_i
+        if a[ncols]:
+            # integral coefficients come back as ints: divide as Fractions
+            coeffs = [Fraction(-c, a[ncols]) for c in a[:ncols]]
+            check = dot([ring.one()] + [ring.const(-c) for c in coeffs], [lhs] + rhs_parts)
             return SolvedIdentity(coeffs, check.is_zero())
     return SolvedIdentity([], False)
 

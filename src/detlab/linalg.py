@@ -10,18 +10,18 @@ no pivot holds becomes a pivot, so the rank grows; each reduction ticks
 vector carries its integer combination of the tagged vectors, and when it
 reduces to zero that combination is a relation.  Its callers:
 
-* `packed_relations`, where polynomials become a kernel: the degree-wise
-  syzygies and the bracket identities (through `linear_relations`, which
-  packs Polynomials for it) and the bigraded blowup-equation pieces.  Each
-  polynomial is cleared of denominators and packed once, so a product
-  p * x^m is its packed terms shifted by x^m, and the product columns are
-  added in the order of their leading keys, tagged by their index: a
-  column then meets only pivots whose leading keys are at most its own.  The relations
-  found span the kernel, and `kernel_basis` inter-reduces them into its
-  canonical (RREF) basis, one vector per free column, so the answer does
-  not depend on the feed order.  Columns the caller can skip come in as
-  `skip`, and the answer is the canonical basis of the matrix without
-  them.
+* `packed_relations`, where polynomials become a kernel: the bigraded
+  pieces of the blowup ideal, packed by `syzygy._y_products`, of which
+  the linear syzygies are the (1,1) piece and the bracket identities the
+  (0,1) piece.  Each polynomial is cleared of denominators and packed
+  once, so a product p * x^m is its packed terms shifted by x^m, and the
+  product columns are added in the order of their leading keys, tagged by
+  their index: a column then meets only pivots whose leading keys are at
+  most its own.  The relations found span the kernel, and `kernel_basis`
+  inter-reduces them into its canonical (RREF) basis, one vector per free
+  column, so the answer does not depend on the feed order.  Columns the
+  caller can skip come in as `skip`, and the answer is the canonical
+  basis of the matrix without them.
 * `syzygy.minimal_generators`, whose span tests are `add_row` answers.
 * the old span of `syzygy.rees_minimal_bidegree12`, whose rows are keyed
   by minus their column index: a row's leading key is then its first
@@ -37,10 +37,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import mul
 
 from .config import Budget
-from .polyring import Polynomial, _content_strip, clear_denominators
+from .polyring import _content_strip
 
 
 class SparseEliminator:
@@ -156,33 +155,6 @@ def _combine(u: dict, v: dict, key) -> dict:
         else:
             del out[k]
     return _content_strip(out)
-
-
-def _packer(nvars: int, degree: int):
-    """pack(e) for exponent tuples of total degree at most `degree`: one
-    field per variable, the last variable in the top field, each wide
-    enough to hold `degree`.  No field carries, so the pack of a product
-    of two monomials is the sum of their packs while its degree stays in
-    bounds."""
-    width = max(degree.bit_length(), 1)
-    weights = [1 << (width * i) for i in range(nvars)]
-
-    def pack(e):
-        return sum(map(mul, e, weights))
-    return pack
-
-
-def linear_relations(polys: list[Polynomial], monos: list[tuple],
-                     budget: Budget | None = None) -> list[dict[int, Fraction]]:
-    """Basis of the rational relations among the products p * x^m, p in
-    `polys`, m in `monos`: `packed_relations` of the polynomials cleared of
-    denominators and packed once, with the monomials as shifts."""
-    pack = _packer(len(monos[0]) if monos else 0,
-                   max((p.degree for p in polys if p.terms), default=0)
-                   + max(map(sum, monos), default=0))
-    ints = [clear_denominators(p.terms.items()) for p in polys]
-    return packed_relations([{pack(e): c for e, c in t.items()} for t, _ in ints],
-                            [den for _, den in ints], [pack(m) for m in monos], budget)
 
 
 def packed_relations(columns: list[dict], dens: list[int], shifts: list[int],

@@ -1,4 +1,4 @@
-"""Prime-field helpers: primality, modular inverses, univariate GF(p) arithmetic.
+"""Prime-field helpers: the sampling primes and univariate GF(p) arithmetic.
 
 Univariate polynomials over GF(p) are plain coefficient lists, low degree
 first, with no trailing zeros.  They back the line-restriction multiplicity
@@ -13,50 +13,9 @@ from __future__ import annotations
 PRIME_31 = (1 << 31) - 1
 PRIME_61 = (1 << 61) - 1
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for 64-bit-and-beyond word sizes."""
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    # This base set is deterministic for n < 3.3 * 10^24.
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def next_prime(n: int) -> int:
-    n += 1 + (n % 2)
-    if n % 2 == 0:
-        n += 1
-    while not is_prime(n):
-        n += 2
-    return n
-
-
-# A second big prime independent of PRIME_61, for two-prime zero testing.
-PRIME_61B = next_prime(PRIME_61 + 1)
-
-
-def inv_mod(a: int, p: int) -> int:
-    return pow(a, -1, p)
+# A second big prime independent of PRIME_61, for two-prime zero testing:
+# the least prime above it.
+PRIME_61B = (1 << 61) + 15
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +64,7 @@ def udivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
         raise ZeroDivisionError("univariate division by zero")
     a = list(a)
     q = [0] * max(0, len(a) - len(b) + 1)
-    binv = inv_mod(b[-1], p)
+    binv = pow(b[-1], -1, p)
     while len(a) >= len(b):
         c = a[-1] * binv % p
         k = len(a) - len(b)
@@ -126,7 +85,7 @@ def ugcd(a: list[int], b: list[int], p: int) -> list[int]:
         _, r = udivmod(a, b, p)
         a, b = b, r
     if a:
-        a = uscale(a, inv_mod(a[-1], p), p)
+        a = uscale(a, pow(a[-1], -1, p), p)
     return a
 
 
@@ -144,7 +103,7 @@ def uinterpolate(points: list[tuple[int, int]], p: int) -> list[int]:
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
             denom = (xs[i] - xs[i - j]) % p
-            dd[i] = (dd[i] - dd[i - 1]) * inv_mod(denom, p) % p
+            dd[i] = (dd[i] - dd[i - 1]) * pow(denom, -1, p) % p
     poly: list[int] = []
     basis = [1]
     for i in range(n):

@@ -2,12 +2,14 @@
 syzygy modules by module Groebner bases, Fitting-height checks, and small
 minimal free resolutions with graded Betti numbers.
 
-The degree-wise syzygies and the bigraded blowup-equation pieces are both
-kernels of `linalg.packed_relations` (forms times x-monomials, through
-`linalg.linear_relations`, and y-power products of the forms times
-x-monomials); this module builds the y-power products on packed integer
-terms and reshapes the kernel vectors.  Coefficients are rational,
-cleared of denominators on the way into the integer kernels.
+Every relation kernel here is a bigraded piece of the blowup ideal, read
+from one front end: `_y_products` packs the y-power products of the
+forms for a bidegree, choosing the packing width, and
+`linalg.packed_relations` solves for their relations times x-monomials.
+The linear syzygies are the y-coefficients of the (1,1) piece, and the
+blowup-equation pieces are its kernels as polynomials in the y,x ring.
+Coefficients are rational, cleared of denominators on the way into the
+integer kernels.
 
 Module Groebner bases run on the Buchberger engine of `groebner`: a term
 with component c and exponent e in a free module of rank r is the flat
@@ -30,12 +32,12 @@ kernels run unmetered and each engine call builds a default one.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
+from operator import mul
 
 from .config import Budget, Config, ComputationTimeout, DEFAULT_CONFIG
-from .linalg import SparseEliminator, _packer, dense_rank, linear_relations, packed_relations
-from .groebner import (Ideal, hilbert_data, rees_ring, _Entry, _buchberger, _cached,
+from .linalg import SparseEliminator, dense_rank, packed_relations
+from .groebner import (Ideal, hilbert_data, rees_ring, _Entry, _buchberger, _cached, _digest,
                        _pack_entries, _poly_t_mul, _reduce_terms, _settings)
 from .polyring import MonomialOrder, Polynomial, Ring, _content_strip, clear_denominators, dot
 from .structmat import MinorLadder, PolyMatrix, _bareiss
@@ -76,8 +78,7 @@ def module_groebner(int_vectors: list[dict], order: MonomialOrder, shifts,
                                      for v in vecs], rows)
         seeds.sort(key=lambda g: g.lm)
         return _buchberger(seeds, budget or DEFAULT_CONFIG.budget(), rank)
-    return _cached(hashlib.sha256(repr(key).encode()).hexdigest(), rows,
-                   _settings(budget, None), compute, rank)
+    return _cached(_digest(key), rows, _settings(budget, None), compute, rank)
 
 
 def _column_to_int_vector(col: list[Polynomial], rank: int) -> dict:
@@ -157,23 +158,6 @@ class GradedSyzygyMatrix:
         return PolyMatrix(rows, len(self.columns), ents, "syzygy")
 
 
-def syzygy_basis_in_degree(forms: list[Polynomial], shift_degree: int,
-                           budget: Budget | None = None) -> list[list[Polynomial]]:
-    """k-basis of syzygies whose entries have the given degree, by exact
-    linear algebra on coefficient space."""
-    ring = forms[0].ring
-    monos = list(_monomials_of_degree(ring.nvars, shift_degree))
-    out = []
-    for vec in linear_relations(forms, monos, budget):
-        col = [Polynomial(ring, {mono: vec[j] for j, mono in enumerate(monos, i * len(monos))
-                                 if j in vec})
-               for i in range(len(forms))]
-        if not dot(col, forms).is_zero():
-            raise ArithmeticError("kernel vector fails exact verification")
-        out.append(col)
-    return out
-
-
 def _monomials_of_degree(nvars: int, d: int):
     if d < 0:
         return
@@ -183,6 +167,20 @@ def _monomials_of_degree(nvars: int, d: int):
     for first in range(d, -1, -1):
         for rest in _monomials_of_degree(nvars - 1, d - first):
             yield (first,) + rest
+
+
+def _packer(nvars: int, degree: int):
+    """pack(e) for exponent tuples of total degree at most `degree`: one
+    field per variable, the last variable in the top field, each wide
+    enough to hold `degree`.  No field carries, so the pack of a product
+    of two monomials is the sum of their packs while its degree stays in
+    bounds."""
+    width = max(degree.bit_length(), 1)
+    weights = [1 << (width * i) for i in range(nvars)]
+
+    def pack(e):
+        return sum(map(mul, e, weights))
+    return pack
 
 
 def linear_syzygies(forms: list[Polynomial], budget: Budget | None = None,
@@ -197,7 +195,20 @@ def linear_syzygies(forms: list[Polynomial], budget: Budget | None = None,
         raise ValueError("forms must be homogeneous of one degree")
     if not all(f.is_homogeneous() for f in forms):
         raise ValueError("forms must be homogeneous")
-    cols = syzygy_basis_in_degree(forms, 1, budget)
+    ring = forms[0].ring
+    xmonos = list(_monomials_of_degree(ring.nvars, 1))
+    cols = []
+    # the (1,1) piece: the y-coefficients of its elements are the syzygies;
+    # read straight from the kernel, it takes no assembly charge
+    for vec in packed_relations(*_y_products(forms, 1, 1)[1:], budget):
+        entries = [{} for _ in forms]
+        for j, c in vec.items():
+            i, v = divmod(j, len(xmonos))
+            entries[i][xmonos[v]] = c
+        col = [Polynomial(ring, a) for a in entries]
+        if not dot(col, forms).is_zero():
+            raise ArithmeticError("kernel vector fails exact verification")
+        cols.append(col)
     d = degs.pop()
     mat = GradedSyzygyMatrix([d] * len(forms), cols, [d + 1] * len(cols))
     bound = len(forms) - 1 if any(f.terms for f in forms) else None
@@ -553,54 +564,57 @@ def rees_bigraded_kernel(forms: list[Polynomial], xdeg: int, ydeg: int,
                          budget: Budget | None = None) -> list[Polynomial]:
     """k-basis of bidegree (xdeg, ydeg) elements of the blowup ideal,
     returned in the y,x ring."""
-    pack = _packer(forms[0].ring.nvars, ydeg * _top_degree(forms) + xdeg)
-    return _bigraded_kernel(forms, _y_products(forms, ydeg, pack), xdeg, pack, budget)
+    return _bigraded_kernel(forms, _y_products(forms, ydeg, xdeg), xdeg, budget)
 
 
-def _top_degree(forms: list[Polynomial]) -> int:
-    return max((f.degree for f in forms if f.terms), default=0)
-
-
-def _y_products(forms: list[Polynomial], ydeg: int, pack) -> list[tuple]:
-    """(beta, terms, den) for the y-monomials beta of degree ydeg: terms
-    are the integer terms of den * f^beta, keyed by `pack`.  Packed
-    monomials multiply by adding, as the powers of t in `_poly_t_mul` do."""
+def _y_products(forms: list[Polynomial], ydeg: int, xdeg: int) -> tuple[list, list, list, list]:
+    """The product columns of the bidegree (xdeg, ydeg) piece, as
+    (betas, terms, dens, shifts).  For each y-monomial beta of degree ydeg,
+    terms are the integer terms of den * f^beta; shifts are the x-monomials
+    of degree xdeg.  All are packed wide enough for every product of that
+    bidegree, so `packed_relations(terms, dens, shifts)` gives the
+    relations among the products f^beta * x^alpha, in column
+    beta * len(shifts) + alpha.  Packed monomials multiply by adding, as
+    the powers of t in `_poly_t_mul` do."""
+    n = forms[0].ring.nvars
+    pack = _packer(n, ydeg * max((f.degree for f in forms if f.terms), default=0) + xdeg)
     ints = [clear_denominators(f.terms.items()) for f in forms]
     packed = [({pack(e): c for e, c in t.items()}, den) for t, den in ints]
-    out = []
-    for beta in _monomials_of_degree(len(forms), ydeg):
+    betas = list(_monomials_of_degree(len(forms), ydeg))
+    terms, dens = [], []
+    for beta in betas:
         acc, den = None, 1
         for (f, d), e in zip(packed, beta):
             for _ in range(e):
                 acc, den = f if acc is None else _poly_t_mul(acc, f), den * d
-        out.append((beta, {0: 1} if acc is None else acc, den))  # 0 packs x^0
-    return out
+        terms.append({0: 1} if acc is None else acc)  # 0 packs x^0
+        dens.append(den)
+    return betas, terms, dens, [pack(m) for m in _monomials_of_degree(n, xdeg)]
 
 
-def _bigraded_relations(yprods: list[tuple], shifts: list[int], budget: Budget | None,
-                        skip=frozenset()) -> list[dict]:
-    """The relations among the products f^beta * x^alpha, x^alpha packed
-    in `shifts`: column beta * len(shifts) + alpha, the columns in `skip`
-    left out (see `linalg.packed_relations`)."""
+def _bigraded_relations(terms: list[dict], dens: list[int], shifts: list[int],
+                        budget: Budget | None, skip=frozenset()) -> list[dict]:
+    """`packed_relations` of a blowup-equation piece, charged to the budget
+    as one "bigraded kernel assembly" step per product column."""
     if budget is not None:
-        budget.tick(len(yprods) * len(shifts), "bigraded kernel assembly")
-    return packed_relations([t for _, t, _ in yprods], [den for _, _, den in yprods], shifts,
-                            budget, skip)
+        budget.tick(len(terms) * len(shifts), "bigraded kernel assembly")
+    return packed_relations(terms, dens, shifts, budget, skip)
 
 
-def _bigraded_kernel(forms: list[Polynomial], yprods: list[tuple], xdeg: int, pack,
+def _bigraded_kernel(forms: list[Polynomial], piece: tuple, xdeg: int,
                      budget: Budget | None, skip=frozenset()) -> list[Polynomial]:
-    """The kernel of rees_bigraded_kernel from its y-products, as
-    polynomials in the y,x ring."""
+    """The kernel of rees_bigraded_kernel from its `_y_products` columns,
+    the columns in `skip` left out, as polynomials in the y,x ring."""
+    betas, terms, dens, shifts = piece
     target = rees_ring(forms[0].ring, len(forms))
     xmonos = list(_monomials_of_degree(forms[0].ring.nvars, xdeg))
     out = []
-    for vec in _bigraded_relations(yprods, [pack(m) for m in xmonos], budget, skip):
-        terms: dict = {}
+    for vec in _bigraded_relations(terms, dens, shifts, budget, skip):
+        rel: dict = {}
         for j, v in vec.items():
             beta, alpha = divmod(j, len(xmonos))
-            terms[yprods[beta][0] + xmonos[alpha]] = v
-        out.append(Polynomial(target, terms))
+            rel[betas[beta] + xmonos[alpha]] = v
+        out.append(Polynomial(target, rel))
     return out
 
 
@@ -623,16 +637,14 @@ def rees_minimal_bidegree12(forms: list[Polynomial],
     shifts of them.  Returns (new_generators, kernel_dim,
     old_span_dim), where kernel_dim = old_span_dim + len(new_generators).
     """
-    ring = forms[0].ring
-    k, n = len(forms), ring.nvars
-    pack = _packer(n, 2 * _top_degree(forms) + 1)
-    quadrics = _y_products(forms, 2, pack)
+    k, n = len(forms), forms[0].ring.nvars
+    quadrics = _y_products(forms, 2, 1)
+    betas, qterms, qdens, _ = quadrics
     # column of y_i*y_j*x_v in the (1,2) piece, whose x-monomials are the
     # unit vectors in order
-    quad = {beta: q for q, (beta, _, _) in enumerate(quadrics)}
+    quad = {beta: q for q, beta in enumerate(betas)}
     yy = [[quad[tuple((t == i) + (t == j) for t in range(k))] * n for j in range(k)]
           for i in range(k)]
-    zero = [pack((0,) * n)]
     old = SparseEliminator(budget)
 
     def add(items):
@@ -641,13 +653,13 @@ def rees_minimal_bidegree12(forms: list[Polynomial],
     for col in linear_columns:
         for j in range(k):
             add((yy[i][j] + e.index(1), c) for i, a in enumerate(col) for e, c in a.terms.items())
-    for tau in _bigraded_relations(quadrics, zero, budget):
+    for tau in _bigraded_relations(qterms, qdens, [0], budget):  # 0 packs x^0
         for v in range(n):
             add((q * n + v, c) for q, c in tau.items())
     # constant-coefficient linear relations would multiply in as well
-    for rho in _bigraded_relations(_y_products(forms, 1, pack), zero, budget):
+    for rho in _bigraded_relations(*_y_products(forms, 1, 0)[1:], budget):
         for v in range(n):
             for j in range(k):
                 add((yy[i][j] + v, c) for i, c in rho.items())
-    new_gens = _bigraded_kernel(forms, quadrics, 1, pack, budget, {-key for key in old.pivots})
+    new_gens = _bigraded_kernel(forms, quadrics, 1, budget, {-key for key in old.pivots})
     return new_gens, old.rank + len(new_gens), old.rank

@@ -585,15 +585,15 @@ def test_cat42_verdict_reuses_the_bidegree12_equations(monkeypatch):
 
 @pytest.mark.parametrize("sid,columns", [("cat-4-2", 100), ("cat-4-3", 169)])
 def test_degree_one_syzygy_kernel_runs_once(monkeypatch, sid, columns):
-    # linear-rank, bidegree-12, jacobian-dual and verdict share one kernel
+    # linear-rank, bidegree-12, jacobian-dual and verdict share one (1,1) kernel
     from detlab import syzygy
     sizes = []
-    original = syzygy.linear_relations
+    original = syzygy.packed_relations
 
-    def counting(polys, monos, budget=None):
-        sizes.append(len(polys) * len(monos))
-        return original(polys, monos, budget)
-    monkeypatch.setattr(syzygy, "linear_relations", counting)
+    def counting(columns, dens, shifts, budget=None, skip=frozenset()):
+        sizes.append(len(columns) * len(shifts))
+        return original(columns, dens, shifts, budget, skip)
+    monkeypatch.setattr(syzygy, "packed_relations", counting)
     assert run_scenario(sid, config=Config(seed=5)).verdict == "pass"
     assert sizes.count(columns) == 1
 
@@ -765,6 +765,47 @@ def test_casebook_run_matches_the_reference_output():
     assert proc.returncode == 0, proc.stderr
     reference = ROOT / "bench" / "reference" / "casebook-no-timings.json"
     assert proc.stdout == reference.read_text(encoding="utf-8")
+
+
+# Budget ticks by label of a default run: every scenario's default facts,
+# in one fresh process with no cache directory
+DEFAULT_RUN_TICKS = {
+    "Buchberger": 1372, "polynomial reduction": 5390, "colon labels": 2772,
+    "Hilbert series": 311, "linear algebra": 1917, "module Buchberger": 332,
+    "module reduction": 979, "bigraded kernel assembly": 1938,
+    "determinant expansion": 717, "Fitting minors": 53,
+}
+
+_COUNT_TICKS = """
+import json
+from detlab import config
+from detlab.casebook import registry, run_scenario
+totals = {}
+tick = config.Budget.tick
+
+def counting(self, n=1, what="computation"):
+    totals[what] = totals.get(what, 0) + n
+    tick(self, n, what)
+config.Budget.tick = counting
+verdicts = {run_scenario(sid, config=config.Config()).verdict for sid in sorted(registry())}
+print(json.dumps({"verdicts": sorted(verdicts), "ticks": totals}))
+"""
+
+
+@pytest.mark.parametrize("hashseed", ["0", "1"])
+def test_default_run_work_counts_are_pinned(hashseed):
+    # work counts are the machine-independent regression signal: a change
+    # that moves any label's total must say so and re-pin it here
+    env = {k: v for k, v in os.environ.items() if not k.startswith("DETLAB_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env["PYTHONHASHSEED"] = hashseed
+    proc = subprocess.run([sys.executable, "-c", _COUNT_TICKS], capture_output=True,
+                          text=True, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["verdicts"] == ["pass"]
+    assert out["ticks"] == DEFAULT_RUN_TICKS
 
 
 def test_dg3_quadric_relation_runs_under_the_budget():

@@ -3,8 +3,10 @@ radical/colon-filtration checkers.  The checks read the Hankel record from
 the `hankel_record` fixture."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from detlab import groebner
 from detlab.config import Budget, Config
@@ -14,8 +16,9 @@ from detlab.hankelplucker import (MAX_ORDER, bracket_compare, bracket_minor,
                                   integrality_check, plucker_verify,
                                   reduction_conjecture_check, solve_bracket_identity,
                                   star_expansion, three_term_plucker, _hankel_minor)
+from detlab.linalg import dense_rank
 from detlab.structmat import PolyMatrix
-from detlab.polyring import xring
+from detlab.polyring import Polynomial, xring
 from oracles import hankel_entry_dicts, leibniz_det
 
 
@@ -156,8 +159,37 @@ def test_plucker_identity_m4_solved_coefficients(hankel_record):
     sol = solve_bracket_identity(lhs, parts)
     assert sol.verified
     # display-normalization slack: solved constants have magnitudes 1/2 and 1
-    from fractions import Fraction
     assert sorted(abs(Fraction(c)) for c in sol.coefficients) == [Fraction(1, 2), 1]
+
+
+@st.composite
+def _combination(draw):
+    """1-4 linearly independent polynomials in 3 variables, rational
+    constants, and the combination of the polynomials they weigh."""
+    R = xring(3)
+    monos = list(itertools.product(range(3), repeat=3))
+    poly = st.dictionaries(st.sampled_from(monos), st.integers(-4, 4).filter(bool),
+                           min_size=1, max_size=5)
+    parts = [Polynomial(R, draw(poly)) for _ in range(draw(st.integers(1, 4)))]
+    support = sorted({e for p in parts for e in p.terms})
+    assume(dense_rank([[p.terms.get(e, 0) for e in support] for p in parts])[0] == len(parts))
+    coeffs = draw(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6),
+                           min_size=len(parts), max_size=len(parts)))
+    lhs = R.zero()
+    for c, p in zip(coeffs, parts):
+        lhs = lhs + p * c
+    return lhs, parts, coeffs
+
+
+@given(_combination())
+@settings(max_examples=100, deadline=None)
+def test_bracket_identity_recovers_rational_coefficients(case):
+    # independent parts have one solution: the drawn constants, as Fractions
+    lhs, parts, coeffs = case
+    sol = solve_bracket_identity(lhs, parts)
+    assert sol.verified
+    assert sol.coefficients == coeffs
+    assert all(type(c) is Fraction for c in sol.coefficients)
 
 
 def test_plucker_verify_explicit():

@@ -9,11 +9,10 @@ from itertools import combinations, permutations
 from hypothesis import given, settings, strategies as st
 
 from detlab.config import Budget
-from detlab.linalg import (SparseEliminator, _echelon, _packer, dense_det, dense_rank,
-                           linear_relations, packed_relations)
+from detlab.linalg import SparseEliminator, _echelon, dense_det, dense_rank, packed_relations
 from detlab.modp import PRIME_61
 from detlab.polyring import Polynomial, clear_denominators, xring
-from detlab.syzygy import _monomials_of_degree
+from detlab.syzygy import _monomials_of_degree, _packer
 from oracles import (column_order_relations, dict_mul, fraction_echelon, fraction_kernel,
                      fraction_rref, perm_sign)
 
@@ -265,14 +264,14 @@ def test_linear_relations_match_fraction_kernel(case, rnd):
     # polynomial holds its terms in
     polys, monos = case
     dense, ncols = _product_matrix(polys, monos)
-    got = linear_relations(polys, monos, Budget())
+    got = packed_relations(*_packed_family(polys, monos), Budget())
     assert _dense(got, ncols) == fraction_kernel(dense, ncols)
     shuffled = []
     for p in polys:
         terms = list(p.terms.items())
         rnd.shuffle(terms)
         shuffled.append(Polynomial(p.ring, dict(terms)))
-    assert linear_relations(shuffled, monos, Budget()) == got
+    assert packed_relations(*_packed_family(shuffled, monos), Budget()) == got
 
 
 @given(_poly_families(), st.data())

@@ -164,6 +164,23 @@ def test_hessian_on_line_matches_nodewise_evaluation(kind, shape, monkeypatch):
     assert restricted == [n * (n + 1) // 2]
 
 
+def test_second_sampling_prime_is_the_next_prime():
+    # PRIME_61B is a strong probable prime to the bases that decide primality
+    # below 3.3e24, and every n strictly between the two primes has a
+    # Fermat witness, so it is the least prime above PRIME_61
+    from detlab.modp import PRIME_61, PRIME_61B
+    n = PRIME_61B
+    assert n == 2305843009213693967
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        assert x in (1, n - 1) or any(pow(x, 1 << i, n) == n - 1 for i in range(1, r))
+    for m in range(PRIME_61 + 1, PRIME_61B):
+        assert any(pow(a, m - 1, m) != 1 for a in (2, 3, 5))
+
+
 def test_factor_multiplicity_big_catalecticants():
     _, f43, _ = det_and_partials("catalecticant", m=4, r=3)
     res = polar.factor_multiplicity(f43, polar.HessianDetOnLine(polar.polar_data(f43)))

@@ -17,7 +17,7 @@ from detlab.structmat import (PolyMatrix, build_structured, build_gp_associated,
 from detlab.syzygy import (GradedSyzygyMatrix, ModuleBasis, fitting_condition_F1,
                            first_syzygy_module, graded_betti, linear_syzygies, minimal_generators,
                            module_groebner, poly_matrix_rank, rees_bigraded_kernel,
-                           rees_minimal_bidegree12, syzygy_basis_in_degree, syzygy_generators,
+                           rees_minimal_bidegree12, syzygy_generators,
                            _monomials_of_degree)
 from oracles import all_minors_fitting_F1, row_minimal_generators
 from test_groebner import _LabelBudget, _disk_records, _fresh_process
@@ -152,6 +152,19 @@ def _ternary_forms(draw):
     return deg, [Polynomial(R, dict(zip(monos, row))) for row in rows]
 
 
+def _syzygies_in_degree(forms, d):
+    """The syzygies of the forms whose entries have degree d: the (d, 1)
+    piece of their blowup ideal, each element's y-coefficients a column."""
+    R, k = forms[0].ring, len(forms)
+    cols = []
+    for rel in rees_bigraded_kernel(forms, d, 1):
+        col = [{} for _ in forms]
+        for e, c in rel.terms.items():
+            col[e[:k].index(1)][e[k:]] = c
+        cols.append([Polynomial(R, a) for a in col])
+    return cols
+
+
 @given(_ternary_forms())
 @settings(max_examples=40, deadline=None)
 def test_module_gb_syzygies_match_degreewise_kernels(case):
@@ -163,7 +176,8 @@ def test_module_gb_syzygies_match_degreewise_kernels(case):
     assert all(dot(col, forms).is_zero() for col in syz.columns)
     mb = ModuleBasis(syz.columns, [deg] * len(forms))
     for d in range(3):
-        for col in syzygy_basis_in_degree(forms, d):
+        for col in _syzygies_in_degree(forms, d):
+            assert dot(col, forms).is_zero()
             assert mb.contains(col)
 
 
@@ -177,9 +191,9 @@ def test_rational_forms_have_the_relations_of_integral_forms(case, scales):
     scaled = [f * Fraction(a, b) for f, (a, b) in zip(forms, scales)]
     R = forms[0].ring
     for d in range(2):
-        cols = syzygy_basis_in_degree(scaled, d)
+        cols = _syzygies_in_degree(scaled, d)
         assert all(dot(col, scaled).is_zero() for col in cols)
-        assert len(cols) == len(syzygy_basis_in_degree(forms, d))
+        assert len(cols) == len(_syzygies_in_degree(forms, d))
     taus = rees_bigraded_kernel(scaled, 0, 2)
     assert all(t.compose(scaled + R.gens()).is_zero() for t in taus)
     assert len(taus) == len(rees_bigraded_kernel(forms, 0, 2))
@@ -188,14 +202,14 @@ def test_rational_forms_have_the_relations_of_integral_forms(case, scales):
 @given(_ternary_forms())
 @settings(max_examples=30, deadline=None)
 def test_degreewise_syzygies_are_the_y_linear_rees_pieces(case):
-    # both solvers build the same coefficient matrix, column for column, so
-    # the syzygies written as y-linear forms are the (d, 1) pieces in order
+    # the linear syzygies are read from the (1, 1) piece, so written as
+    # y-linear forms they are that piece, in order
     _, forms = case
+    assume(all(not f.is_zero() for f in forms))
     T = rees_ring(forms[0].ring, len(forms))
-    for d in range(3):
-        as_forms = [sum((morph(a, T) * T.var(i) for i, a in enumerate(col)), T.zero())
-                    for col in syzygy_basis_in_degree(forms, d)]
-        assert as_forms == rees_bigraded_kernel(forms, d, 1)
+    as_forms = [sum((morph(a, T) * T.var(i) for i, a in enumerate(col)), T.zero())
+                for col in linear_syzygies(forms)[0].columns]
+    assert as_forms == rees_bigraded_kernel(forms, 1, 1)
 
 
 def test_module_engine_work_is_pinned():
