@@ -19,8 +19,7 @@ from .config import Config, ComputationTimeout
 from .polyring import parse_polynomial, xring
 from .groebner import (Ideal, colon, eliminate, hilbert_data,
                        intersect, radical_membership, saturation, _read_packs)
-from .structmat import (build_structured, build_gp_associated, determinant,
-                        minors_ideal_gens, parse_matrix_spec)
+from .structmat import build_structured, determinant, minors_ideal_gens, parse_matrix_spec
 from .syzygy import linear_syzygies, first_syzygy_module, graded_betti
 from . import hankelplucker, polar, subhankel as subhankel_mod
 from .casebook import list_scenarios, run_scenario
@@ -68,8 +67,6 @@ def _load_matrix(args):
     kind = args.kind
     if kind is None:
         raise ValueError("need --kind or --spec")
-    if kind == "gp-associated":
-        return build_gp_associated(args.m, args.r)
     return build_structured(kind, m=args.m, r=args.r, n=args.n)
 
 

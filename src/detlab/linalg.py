@@ -30,7 +30,10 @@ reduces to zero that combination is a relation.  Its callers:
 The dense numeric helpers (rank with a nonzero-minor witness,
 determinant) share one forward elimination, `_echelon`, over GF(p), or
 over Q fraction-free: each row is cleared of its denominators and the
-rows are eliminated by Bareiss's rule over Z.
+rows go through `_bareiss`.  That is the one fraction-free (Bareiss)
+elimination of the package, over any integral domain given its exact
+division: Z here, and Q[x] for the symbolic rank of
+`syzygy.poly_matrix_rank`, metered by the caller's budget.
 """
 
 from __future__ import annotations
@@ -187,7 +190,8 @@ def packed_relations(columns: list[dict], dens: list[int], shifts: list[int],
 
 
 # ---------------------------------------------------------------------------
-# dense numeric helpers: one forward elimination over GF(p) or Q
+# dense helpers: one forward elimination over GF(p), one fraction-free over
+# an integral domain (Z, or Q[x] for `syzygy.poly_matrix_rank`)
 
 def _echelon(mat: list[list], p: int | None = None):
     """Forward elimination over GF(p) (ints mod p) or Q (ints and Fractions).
@@ -196,10 +200,22 @@ def _echelon(mat: list[list], p: int | None = None):
     row, swapped into place.  Returns the pivot rows (indices into `mat`),
     the pivot columns, and the product of the pivots times the sign of the
     row swaps, which is the determinant of a square matrix of full rank.
-    Over Q the elimination is `_bareiss_q`'s.
+
+    Over Q each row is multiplied by the least common multiple of its
+    denominators and the integer rows go through `_bareiss`.  An entry
+    then differs from the one a Fraction elimination leaves only by a
+    nonzero factor, so the pivots fall in the same rows and columns, and
+    the last pivot is the determinant of the pivot rows' scaled minor:
+    divided by their scales, it is the product of the Fraction pivots.
     """
     if p is None:
-        return _bareiss_q(mat)
+        m, scales = [], []
+        for row in mat:
+            den = lcm(*[v.denominator for v in row])
+            m.append([v.numerator * (den // v.denominator) for v in row])
+            scales.append(den)
+        rows, cols, sign, last = _bareiss(m, int.__floordiv__)
+        return rows, cols, Fraction(sign * last, prod(scales[i] for i in rows))
     m = [[v % p for v in row] for row in mat]
     nrows, ncols = len(m), len(m[0]) if m else 0
     order = list(range(nrows))
@@ -228,21 +244,21 @@ def _echelon(mat: list[list], p: int | None = None):
     return order[:len(pivot_cols)], pivot_cols, det
 
 
-def _bareiss_q(mat: list[list]):
-    """`_echelon` over Q, fraction-free: each row is multiplied by the
-    least common multiple of its denominators, and the integer rows are
-    eliminated by Bareiss's rule, each update divided exactly by the
-    previous pivot.  An entry then differs from the one a Fraction
-    elimination leaves only by a nonzero factor, so the pivots fall in the
-    same rows and columns, and the last pivot is the determinant of the
-    pivot rows' scaled minor: divided by their scales, it is the product
-    of the Fraction pivots."""
-    m, scales = [], []
-    for row in mat:
-        den = lcm(*[v.denominator for v in row])
-        m.append([v.numerator * (den // v.denominator) for v in row])
-        scales.append(den)
-    nrows, ncols = len(m), len(m[0]) if m else 0
+def _bareiss(rows: list[list], divide, budget: Budget | None = None):
+    """Fraction-free (Bareiss) forward elimination of `rows` over an
+    integral domain, in place.
+
+    Each column's pivot is its first nonzero entry at or below the current
+    row, swapped into place.  A row below it is updated to
+    pivot * row - row[c] * pivot row, divided exactly by the previous
+    pivot with `divide` (integer `//`, or an exact polynomial quotient),
+    so every entry stays in the domain and is a minor of the input.  With
+    a budget, each row update ticks "Bareiss elimination" once.  Returns
+    the pivot rows (indices into `rows` as given), the pivot columns, the
+    sign of the row swaps and the last pivot: for a square matrix of full
+    rank the determinant is sign * last pivot.
+    """
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
     order = list(range(nrows))
     pivot_cols = []
     sign, prev = 1, 1
@@ -250,23 +266,26 @@ def _bareiss_q(mat: list[list]):
         r = len(pivot_cols)
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
         if piv is None:
             continue
         if piv != r:
-            m[r], m[piv] = m[piv], m[r]
+            rows[r], rows[piv] = rows[piv], rows[r]
             order[r], order[piv] = order[piv], order[r]
             sign = -sign
-        top = m[r]
+        top = rows[r]
         pk = top[c]
-        for row in m[r + 1:]:
+        for row in rows[r + 1:]:
+            if budget is not None:
+                budget.tick(1, "Bareiss elimination")
             f = row[c]
             for j in range(c + 1, ncols):
-                row[j] = (pk * row[j] - f * top[j]) // prev
+                v = pk * row[j] - f * top[j]
+                # the first pivot's updates are 2-minors: nothing to divide
+                row[j] = divide(v, prev) if r else v
         prev = pk
         pivot_cols.append(c)
-    rows = order[:len(pivot_cols)]
-    return rows, pivot_cols, Fraction(sign * prev, prod(scales[i] for i in rows))
+    return order[:len(pivot_cols)], pivot_cols, sign, prev
 
 
 def dense_rank(mat: list[list], p: int | None = None):

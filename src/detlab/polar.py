@@ -103,7 +103,7 @@ class PolarMapData:
         """Rank of the Jacobian dual matrix of `blowup_equations`."""
         def compute():
             sym, new12 = self.blowup_equations(budget)
-            return jacobian_dual_rank(self.partials, sym + new12, self.config)
+            return jacobian_dual_rank(self.partials, sym + new12, self.config, budget)
         return self._once("jacobian-dual", compute)
 
     def syzygy_generators(self, budget: Budget | None = None) -> GradedSyzygyMatrix:
@@ -460,11 +460,12 @@ def linear_type_check(forms: list[Polynomial], syzygy_columns: list[list[Polynom
 
 
 def jacobian_dual_rank(forms: list[Polynomial], generators: list[Polynomial],
-                       config: Config | None = None) -> RankResult:
+                       config: Config | None = None, budget: Budget | None = None) -> RankResult:
     """Rank of the x-coefficient matrix of blowup equations linear in x.
 
     Each generator is written sum_i x_i * c_i(y); the stacked rows c(y)
-    are a matrix over the y-fraction field.
+    are a matrix over the y-fraction field, whose `poly_matrix_rank` is
+    metered by `budget`.
     """
     if not generators:
         return RankResult(0, "proved", None)
@@ -484,7 +485,7 @@ def jacobian_dual_rank(forms: list[Polynomial], generators: list[Polynomial],
         rows.append([Polynomial(yring, d) for d in coeffs])
     ents = [p for row in rows for p in row]
     M = PolyMatrix(len(rows), nx, ents, "jacobian-dual")
-    return poly_matrix_rank(M, config=config)
+    return poly_matrix_rank(M, config=config, budget=budget)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ one minor ladder, `MinorLadder`: Laplace expansion along the first
 selected row, memoized on (rows, cols), so the t-minors of a matrix are
 built from its (t-1)-minors with ring `+` and `*` only.  Determinants,
 minor ideals, adjugates, cofactor sums and Fitting ideals each read one
-ladder per matrix.  The fraction-free Bareiss echelon, `_bareiss`, is the
-one polynomial echelon of the package; it gives ranks over the fraction
-field (`syzygy.poly_matrix_rank`).
+ladder per matrix.  No elimination lives here: the symbolic rank of a
+polynomial matrix (`syzygy.poly_matrix_rank`) runs on `linalg._bareiss`,
+the one fraction-free elimination of the package.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 
 from .config import Budget
-from .polyring import Polynomial, evaluate_all, exact_divide, NOT_DIVISIBLE, xring
+from .polyring import Polynomial, evaluate_all, xring
 
 
 class PolyMatrix:
@@ -80,8 +80,9 @@ def build_structured(kind: str, m: int | None = None, r: int | None = None,
     """Build one of the supported matrix families over its minimal ring.
 
     kinds: generic(m), symmetric(m), catalecticant(m, r), hankel(m),
-    sub-hankel(n), degenerate-generic(m), sc3, plus per-entry overrides
-    (position -> variable index or 0) giving provenance "custom".
+    sub-hankel(n), degenerate-generic(m), sc3, gp-associated(m, r), plus
+    per-entry overrides (position -> variable index or 0) giving
+    provenance "custom".
     """
     kind = kind.lower().replace("_", "-")
     if kind in ("hankel", "generic"):
@@ -98,6 +99,8 @@ def build_structured(kind: str, m: int | None = None, r: int | None = None,
         mat = _degenerate_generic(m)
     elif kind == "sc3":
         mat = _sc3()
+    elif kind == "gp-associated":
+        mat = build_gp_associated(m, r)
     else:
         raise ValueError(f"unknown matrix kind {kind!r}")
     if overrides:
@@ -243,42 +246,6 @@ class MinorLadder:
         return acc
 
 
-def _bareiss(rows: list[list[Polynomial]]) -> tuple[int, int]:
-    """Fraction-free (Bareiss) forward echelon of `rows`, in place.
-
-    Each column's pivot is its first nonzero entry at or below the current
-    row, swapped into place; the exact divisions by the previous pivot stay
-    in the ring.  Returns the rank and the sign of the row swaps.  For a
-    square matrix of full rank the determinant is sign * rows[-1][-1].
-    """
-    nrows, ncols = len(rows), len(rows[0])
-    zero = rows[0][0].ring.zero()
-    sign = 1
-    prev = rows[0][0].ring.one()
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            sign = -sign
-        top = rows[r]
-        pk = top[c]
-        for row in rows[r + 1:]:
-            for j in range(c + 1, ncols):
-                q = exact_divide(pk * row[j] - row[c] * top[j], prev)
-                if q is NOT_DIVISIBLE:
-                    raise ArithmeticError("Bareiss division failed; non-domain input?")
-                row[j] = q
-            row[c] = zero
-        prev = pk
-        r += 1
-    return r, sign
-
-
 def determinant(M: PolyMatrix, budget: Budget | None = None) -> Polynomial:
     """Exact determinant, read off the minor ladder; with a budget, each
     new memo entry ticks "determinant expansion"."""
@@ -348,7 +315,5 @@ def parse_matrix_spec(text: str) -> PolyMatrix:
             i, j = (int(z) for z in pos.split(","))
             overrides[(i, j)] = 0 if val.strip() == "0" else int(val.strip().lstrip("x"))
     getint = lambda key: int(kv[key]) if key in kv else None
-    if kind.lower() in ("gp-associated", "gp_associated"):
-        return build_gp_associated(getint("m"), getint("r"))
     return build_structured(kind, m=getint("m"), r=getint("r"), n=getint("n"),
                             overrides=overrides or None)

@@ -36,11 +36,12 @@ import itertools
 from operator import mul
 
 from .config import Budget, Config, ComputationTimeout, DEFAULT_CONFIG
-from .linalg import SparseEliminator, dense_rank, packed_relations
+from .linalg import SparseEliminator, _bareiss, dense_rank, packed_relations
 from .groebner import (Ideal, hilbert_data, rees_ring, _Entry, _buchberger, _cached, _digest,
                        _pack_entries, _poly_t_mul, _reduce_terms, _settings)
-from .polyring import MonomialOrder, Polynomial, Ring, _content_strip, clear_denominators, dot
-from .structmat import MinorLadder, PolyMatrix, _bareiss
+from .polyring import (MonomialOrder, Polynomial, Ring, _content_strip, clear_denominators, dot,
+                       exact_divide, NOT_DIVISIBLE)
+from .structmat import MinorLadder, PolyMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +189,11 @@ def linear_syzygies(forms: list[Polynomial], budget: Budget | None = None,
     """Basis of the linear syzygy space and the rank of its column matrix.
 
     The columns are verified syzygies, so the vector of the forms lies in
-    the left kernel of that matrix: when a form is nonzero the rank is at
-    most len(forms) - 1, and `poly_matrix_rank` is told so."""
-    degs = {f.degree for f in forms}
+    the left kernel of that matrix: as some form is nonzero, the rank is
+    at most len(forms) - 1, and `poly_matrix_rank` is told so.  Zero forms
+    are allowed, and the degree is that of the nonzero ones; a family of
+    zero forms only is refused."""
+    degs = {f.degree for f in forms if f.terms}
     if len(degs) != 1:
         raise ValueError("forms must be homogeneous of one degree")
     if not all(f.is_homogeneous() for f in forms):
@@ -211,16 +214,25 @@ def linear_syzygies(forms: list[Polynomial], budget: Budget | None = None,
         cols.append(col)
     d = degs.pop()
     mat = GradedSyzygyMatrix([d] * len(forms), cols, [d + 1] * len(cols))
-    bound = len(forms) - 1 if any(f.terms for f in forms) else None
-    rank = poly_matrix_rank(mat.as_poly_matrix(), config, bound) if cols else \
-        RankResult(0, "proved", None)
+    rank = poly_matrix_rank(mat.as_poly_matrix(), config, len(forms) - 1, budget) if cols \
+        else RankResult(0, "proved", None)
     return mat, rank
 
 
 # random evaluations tried, and the largest matrix (rows * cols) whose rank
-# a symbolic echelon settles when the evaluations fall short
+# the symbolic elimination settles when the evaluations fall short; it
+# ticks the caller's budget, so a fact's step cap bounds it
 _RANK_TRIALS = 3
 _RANK_EXACT_SIZE_CAP = 120
+
+
+def _exact_quotient(num: Polynomial, den) -> Polynomial:
+    """num / den for `_bareiss` over Q[x]: Bareiss's divisions are exact
+    over a domain, so a remainder means the input was not one."""
+    q = exact_divide(num, den)
+    if q is NOT_DIVISIBLE:
+        raise ArithmeticError("Bareiss division failed; non-domain input?")
+    return q
 
 
 class RankResult:
@@ -237,15 +249,16 @@ class RankResult:
 
 
 def poly_matrix_rank(M: PolyMatrix, config: Config | None = None,
-                     at_most: int | None = None) -> RankResult:
+                     at_most: int | None = None, budget: Budget | None = None) -> RankResult:
     """Rank over the fraction field.
 
     Random evaluations over a ~2^61 prime field give a certified lower
     bound (a minor nonzero mod p is a nonzero rational).  A rank at a
     point that reaches an upper bound is already exact: full row or column
     rank, or `at_most`, a bound the caller has proved.  Otherwise a
-    fraction-free symbolic echelon pass settles the value when the matrix
-    is within budget, and the result is labeled probabilistic beyond it.
+    matrix of at most `_RANK_EXACT_SIZE_CAP` entries gets the fraction-free
+    symbolic elimination (`linalg._bareiss` with exact polynomial
+    division), metered by `budget`, and a larger one a probabilistic rank.
     """
     from .modp import PRIME_61
     config = config or DEFAULT_CONFIG
@@ -266,9 +279,9 @@ def poly_matrix_rank(M: PolyMatrix, config: Config | None = None,
         if best == top:
             return RankResult(best, "proved", witness, bound)
     if M.rows * M.cols <= _RANK_EXACT_SIZE_CAP:
-        exact, _ = _bareiss([M.row(i) for i in range(M.rows)])
+        rows, _, _, _ = _bareiss([M.row(i) for i in range(M.rows)], _exact_quotient, budget)
         # the evaluation bound never exceeds the true rank
-        return RankResult(exact, "proved", witness, bound)
+        return RankResult(len(rows), "proved", witness, bound)
     return RankResult(best, "probabilistic", witness, bound)
 
 
@@ -503,9 +516,8 @@ class BettiTable:
         return "BettiTable(" + ", ".join(f"b[{i},{j}]={v}" for (i, j), v in rows) + ")"
 
 
-# homological levels computed, and the largest shift recorded in the table
+# homological levels computed
 _BETTI_HOM_CAP = 4
-_BETTI_DEG_CAP = 40
 
 
 def graded_betti(I: Ideal, budget: Budget | None = None,
@@ -542,8 +554,7 @@ def graded_betti(I: Ideal, budget: Budget | None = None,
             break
         level += 1
         for d in syz.column_degrees:
-            if d <= _BETTI_DEG_CAP:
-                data[(level, d)] = data.get((level, d), 0) + 1
+            data[(level, d)] = data.get((level, d), 0) + 1
         stages.append(syz)
         cur_shifts = cur_degs
         cur_cols = syz.columns

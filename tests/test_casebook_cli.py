@@ -293,6 +293,15 @@ def test_cli_syz_linear(tmp_path):
     assert data["rank"] == 1
 
 
+def test_cli_syz_linear_with_a_zero_form(tmp_path):
+    forms = tmp_path / "forms.txt"
+    forms.write_text("x0\n0\nx1\n")
+    code, out, err = run_cli(["syz", "--linear", "--forms", str(forms), "--json"])
+    assert code == 0, err
+    data = json.loads(out)
+    assert (data["columns"], data["rank"], data["certainty"]) == (3, 2, "proved")
+
+
 def test_cli_syz_linear_rational_forms(tmp_path):
     half = tmp_path / "half.txt"
     half.write_text("x0^2 + 1/2*x1^2\nx0*x1\nx1^2\n")

@@ -9,7 +9,9 @@ from detlab.polyring import xring
 from detlab.structmat import (PolyMatrix, build_structured, build_gp_associated,
                               determinant, cofactor_matrix, minors_ideal_gens,
                               parse_matrix_spec,
-                              minor, MinorLadder, _bareiss)
+                              minor, MinorLadder)
+from detlab.linalg import _bareiss
+from detlab.syzygy import _exact_quotient
 from detlab.config import Budget, ComputationTimeout
 from detlab.polar import polar_data
 from oracles import hankel_entry_dicts, leibniz_det
@@ -103,6 +105,15 @@ def test_overrides_and_spec_file():
     assert M2.cols == 4
 
 
+def test_gp_associated_spec_applies_its_overrides():
+    M = parse_matrix_spec("kind = gp-associated\nm = 3\nr = 1\noverride = 0,0:0\n")
+    assert (M.rows, M.cols) == (2, 4)
+    assert str(M[0, 0]) == "0" and str(M[0, 1]) == "x1"
+    assert M.provenance == "custom"
+    G = build_structured("gp_associated", m=3, r=1)
+    assert G == build_gp_associated(3, 1) and G.provenance == "gp-associated(3,1)"
+
+
 # ---------------------------------------------------------------------------
 # determinants
 
@@ -119,13 +130,18 @@ def test_det_hankel3_against_leibniz_oracle():
     assert f == H.ring.from_string("x0*x2*x4 - x0*x3^2 - x1^2*x4 + 2*x1*x2*x3 - x2^3")
 
 
+def _bareiss_run(M):
+    """(pivot rows, sign, last pivot) of the Bareiss elimination over Q[x]."""
+    rows, _, sign, last = _bareiss([M.row(i) for i in range(M.rows)], _exact_quotient)
+    return rows, sign, last
+
+
 def _bareiss_det(M):
-    """Determinant read off the Bareiss echelon, whatever the entries."""
-    rows = [M.row(i) for i in range(M.rows)]
-    rank, sign = _bareiss(rows)
-    if rank < M.rows:
+    """Determinant read off the Bareiss elimination, whatever the entries."""
+    rows, sign, last = _bareiss_run(M)
+    if len(rows) < M.rows:
         return M.ring.zero()
-    return rows[-1][-1] if sign == 1 else -rows[-1][-1]
+    return last if sign == 1 else -last
 
 
 def _submatrix(M, rows, cols):
@@ -192,7 +208,7 @@ def _swap_first_product():
 def test_bareiss_matches_cofactor_on_products(case):
     k, M = case
     n = M.rows
-    rank, _ = _bareiss([M.row(i) for i in range(n)])
+    rank = len(_bareiss_run(M)[0])
     assert rank <= k
     f = determinant(M)
     assert f.is_zero() == (rank < n)
@@ -222,7 +238,7 @@ def test_ladder_minors_match_bareiss_on_products(M):
             assert d == _bareiss_det(_submatrix(M, rows, cols))
         if any(not d.is_zero() for d in level):
             ladder_rank = t
-    rank, _ = _bareiss([M.row(i) for i in range(M.rows)])
+    rank = len(_bareiss_run(M)[0])
     assert ladder_rank == rank
 
 

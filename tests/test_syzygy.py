@@ -41,6 +41,20 @@ def test_koszul_pair_linear_syzygy():
     assert [str(p) for p in col] in (["-x1", "x0"], ["x1", "-x0"])
 
 
+def test_linear_syzygies_allow_zero_forms():
+    # the degree is read from the nonzero forms: (x0, 0, x1) has the
+    # syzygies x0*e1, x1*e1 and the Koszul one, of rank 2
+    R = xring(2)
+    x0, x1 = R.gens()
+    forms = [x0, R.zero(), x1]
+    syz, rank = linear_syzygies(forms)
+    assert len(syz.columns) == 3
+    assert all(dot(col, forms).is_zero() for col in syz.columns)
+    assert (rank.rank, rank.certainty) == (2, "proved")
+    with pytest.raises(ValueError, match="one degree"):
+        linear_syzygies([R.zero(), R.zero()])
+
+
 def test_hankel3_linear_rank_and_displayed_columns():
     _, f, partials = partials_of("hankel", m=3)
     syz, rank = linear_syzygies(partials)
@@ -205,7 +219,7 @@ def test_degreewise_syzygies_are_the_y_linear_rees_pieces(case):
     # the linear syzygies are read from the (1, 1) piece, so written as
     # y-linear forms they are that piece, in order
     _, forms = case
-    assume(all(not f.is_zero() for f in forms))
+    assume(any(f.terms for f in forms))
     T = rees_ring(forms[0].ring, len(forms))
     as_forms = [sum((morph(a, T) * T.var(i) for i, a in enumerate(col)), T.zero())
                 for col in linear_syzygies(forms)[0].columns]
@@ -299,6 +313,23 @@ def test_poly_matrix_rank_deficient_exact():
     M = PolyMatrix(2, 2, [x0, x1, x0, x1], "custom")
     res = poly_matrix_rank(M)
     assert res.rank == 1 and res.certainty == "proved"
+
+
+def test_symbolic_rank_ticks_the_callers_budget():
+    # row 3 is row 1 + row 2, so no point proves the rank and the 3 x 3
+    # matrix goes to the symbolic elimination: 2 row updates at the first
+    # pivot and 1 at the second, each one tick of the caller's budget
+    R = xring(3)
+    x0, x1, x2 = R.gens()
+    M = PolyMatrix(3, 3, [x0, x1, x0 + x1,
+                          x1, x2, x1 + x2,
+                          x0 + x1, x1 + x2, x0 + x1 * 2 + x2], "custom")
+    budget = Budget()
+    res = poly_matrix_rank(M, budget=budget)
+    assert (res.rank, res.certainty, budget.steps) == (2, "proved", 3)
+    with pytest.raises(ComputationTimeout) as err:
+        poly_matrix_rank(M, budget=Budget(step_cap=1))
+    assert err.value.what == "Bareiss elimination"
 
 
 def test_rank_bound_reported():
@@ -559,6 +590,17 @@ def test_betti_alternating_sum_matches_hilbert_numerator(subhankel_record):
     assert bt.alternating_sum() == hilbert_data(P).numerator
 
 
+def test_betti_records_shifts_above_forty():
+    # the complete intersection (x0^21, x1^21): its Koszul syzygy has shift 42
+    R = xring(2)
+    x0, x1 = R.gens()
+    I = Ideal(R, [x0 ** 21, x1 ** 21])
+    bt, _ = graded_betti(I)
+    assert bt.complete
+    assert dict(bt.items()) == {(0, 0): 1, (1, 21): 2, (2, 42): 1}
+    assert bt.alternating_sum() == hilbert_data(I).numerator
+
+
 def test_betti_ambient_cap():
     R = xring(8)
     with pytest.raises(ValueError):
@@ -717,7 +759,7 @@ def test_poly_matrix_rank_random_products():
     import random
     from detlab.structmat import PolyMatrix
     from detlab.polyring import xring
-    from detlab.structmat import _bareiss
+    from detlab.linalg import _bareiss
     rng = random.Random(77)
     R = xring(3)
     x = R.gens()
@@ -737,7 +779,7 @@ def test_poly_matrix_rank_random_products():
                     acc = acc + A[i][k] * B[k][j]
                 ents.append(acc)
         M = PolyMatrix(rows, cols, ents, "custom")
-        exact, _ = _bareiss([M.row(i) for i in range(M.rows)])
+        exact = len(_bareiss([M.row(i) for i in range(M.rows)], syzygy._exact_quotient)[0])
         assert exact <= min(r, rows, cols)
         res = poly_matrix_rank(M)
         assert res.rank == exact
@@ -786,15 +828,15 @@ def test_linear_rank_with_its_proved_bound_matches_bareiss(forms):
     # rank is at most k - 1: with that bound the rank is the symbolic
     # echelon's, and it is proved with no symbolic pass when it reaches
     # k - 1
-    from detlab.structmat import _bareiss
+    from detlab.linalg import _bareiss
     k = len(forms)
     syz, rank = linear_syzygies(forms)
     assume(syz.columns)
     M = syz.as_poly_matrix()
-    exact, _ = _bareiss([M.row(i) for i in range(M.rows)])
+    exact = len(_bareiss([M.row(i) for i in range(M.rows)], syzygy._exact_quotient)[0])
     calls = []
     bareiss = syzygy._bareiss
-    syzygy._bareiss = lambda rows: calls.append(1) or bareiss(rows)
+    syzygy._bareiss = lambda *args: calls.append(1) or bareiss(*args)
     try:
         got = poly_matrix_rank(M, at_most=k - 1)
     finally:
