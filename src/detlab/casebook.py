@@ -647,7 +647,7 @@ def _subhankel_facts(n):
 
 def _dg3_facts():
     def hess_zero(ctx):
-        st = ctx["form"].hessian_status()
+        st = ctx["form"].hessian_status(ctx["budget"])
         return ("zero or probably_zero", st.kind,
                 st.kind in ("zero", "probably_zero"))
 

@@ -49,6 +49,15 @@ class Budget:
         self.deadline = None if timeout_secs is None else time.monotonic() + timeout_secs
         self._timecheck = 0
 
+    def share(self, timeout_secs: float | None = None, step_cap: int | None = None) -> "Budget":
+        """A meter of its own for a bounded attempt under this budget: its
+        own step count and cap, the same config, and a deadline no later
+        than this one's (now + timeout_secs, when given, if that is earlier)."""
+        sub = Budget(timeout_secs, step_cap, self.config)
+        if self.deadline is not None and (sub.deadline is None or self.deadline < sub.deadline):
+            sub.deadline = self.deadline
+        return sub
+
     def tick(self, n: int = 1, what: str = "computation") -> None:
         self.steps += n
         if self.step_cap is not None and self.steps > self.step_cap:

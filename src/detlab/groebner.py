@@ -27,8 +27,10 @@ doubled until the input fits; a new term that sets a guard bit restarts the
 computation at twice the width, so a field never wraps silently.  The pair
 criteria compare packed lcms with the same test, and the coprime test
 ANDs the leading monomials' support masks: the guard bits of the fields
-that hold a nonzero exponent, ((m | guard) - low) & var_guard.  The bases
-leave the engine as exponent-tuple dicts.
+that hold a nonzero exponent, ((m | guard) - low) & var_guard.  Bases stay
+packed in the memory and disk caches (below); they leave the engine as
+exponent tuples only for the monic basis and the leading monomials, and
+the Hilbert numerators pack those again under one degree-first row.
 
 Every reduction in the engine is made of one step, written once.  The
 divisor search `_DivisorIndex.divisor(m, keep)` keeps, for each support
@@ -47,9 +49,11 @@ the signature test, and passes its label u as `scaled`.  The one lcm is
 `_Packing.lcm` on exponent tuples, for the pairs, the J-pairs and
 `certify_groebner`; the colon builds it only for the J-pairs that pass the
 F5 test, which runs first on the variable fields alone (below).  An index
-belongs to one basis list: a Buchberger run
-extends it as the basis grows, a restart at a wider width builds a new
-one, and it is dropped when the run or the normal form ends.
+belongs to one basis list: a Buchberger run extends its own as the basis
+grows, and a restart at a wider width builds a new one; a reduced basis
+(`_Basis`) keeps one for its normal forms, membership tests, colons and
+certification, built at the first and dropped only when `_retry_wider`
+repacks the list, so it lives as long as the list's cache entry.
 
 The same engine computes Groebner bases of submodules of a free module of
 rank r (an ideal is the case r = 0).  A module term with component c and
@@ -103,10 +107,10 @@ import itertools
 import os
 import tempfile
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import mul
+from operator import mul, or_
 
 from .config import Budget, Config, DEFAULT_CONFIG
 from .polyring import (
@@ -150,14 +154,16 @@ class _Packing:
     field 0): no field borrows from the next.
 
     A packing is never changed after it is built, so `holding` and `wider`
-    hand out one shared packing per (rows, width).
+    hand out one shared packing per (rows, width).  `digest` names it in a
+    disk record: a short hex sha256 of the rows and the width.
     """
 
     __slots__ = ("rows", "width", "units", "guard", "low", "var_guard", "vals",
-                 "_given", "_reads", "_half", "_wmax")
+                 "digest", "_given", "_reads", "_half", "_wmax")
 
-    def __init__(self, rows: list[tuple], width: int):
-        self._given = tuple(rows)
+    def __init__(self, rows: tuple[tuple, ...], width: int):
+        self._given = rows
+        self.digest = hashlib.sha256(repr((tuple(rows), width)).encode()).hexdigest()[:16]
         nvars = len(rows[0]) if rows else 0
         reads: dict[int, int] = {}  # variable -> field holding its exponent
         for k, row in enumerate(rows):
@@ -182,16 +188,21 @@ class _Packing:
         self._wmax = max((max(row) for row in rows), default=0)
 
     @staticmethod
-    def shared(rows, width: int) -> "_Packing":
-        """The one packing of these rows at this width."""
-        key = (tuple(rows), width)
-        pk = _PACKINGS.get(key)
+    def shared(rows: tuple[tuple, ...], width: int) -> "_Packing":
+        """The one packing of these rows at this width.  The rows are found
+        by identity, so no lookup hashes them: `MonomialOrder.weight_rows`
+        and `syzygy._module_rows` hand out one tuple per order, and the
+        table keeps every tuple it holds alive, so no id is reused."""
+        family = _PACKINGS.get(id(rows))
+        if family is None:
+            family = _PACKINGS[id(rows)] = (rows, {})
+        pk = family[1].get(width)
         if pk is None:
-            pk = _PACKINGS[key] = _Packing(rows, width)
+            pk = family[1][width] = _Packing(rows, width)
         return pk
 
     @staticmethod
-    def holding(rows: list[tuple], degree: int) -> "_Packing":
+    def holding(rows: tuple[tuple, ...], degree: int) -> "_Packing":
         """The narrowest packing whose fields hold every monomial of at most
         the given total degree."""
         pk = _Packing.shared(rows, _FIELD_BITS)
@@ -244,7 +255,8 @@ class _Packing:
         return d & (ge - (ge >> (self.width - 1)))
 
 
-_PACKINGS: dict[tuple, _Packing] = {}  # (rows, width) -> its packing
+# id of the rows -> (the rows, width -> packing)
+_PACKINGS: dict[int, tuple[tuple, dict[int, _Packing]]] = {}
 
 
 class _Entry:
@@ -266,6 +278,14 @@ class _Entry:
         self.tail = {m: c for m, c in terms.items() if m != lm}
         self.sugar = sugar
         self.pk = pk
+
+    @staticmethod
+    def read(lm: int, lc: int, tail: dict, pk: _Packing) -> "_Entry":
+        """The entry of packed terms as they are: lc > 0 leads at lm, and
+        the tail holds the rest.  No sugar: only Buchberger seeds read it."""
+        g = _Entry.__new__(_Entry)
+        g.lm, g.mask, g.lc, g.tail, g.sugar, g.pk = lm, pk.support(lm), lc, tail, 0, pk
+        return g
 
     def packed(self) -> dict:
         d = dict(self.tail)
@@ -291,26 +311,45 @@ class _Entry:
         return _Entry({pk.pack(e): c for e, c in self.full().items()}, pk, self.sugar)
 
 
-def _pack_entries(dicts: list[dict], sugars: list[int], rows: list[tuple]) -> list[_Entry]:
+class _Basis(list):
+    """A list of entries of one packing, and the divisor index of the list
+    (`divisor_index`): built at the first search and kept until `widen`
+    repacks the entries, so it lives as long as the list."""
+
+    __slots__ = ("_index",)
+
+    def __init__(self, entries=()):
+        super().__init__(entries)
+        self._index = None
+
+    def divisor_index(self) -> "_DivisorIndex":
+        if self._index is None:
+            self._index = _DivisorIndex(self[0].pk, self)
+        return self._index
+
+    def widen(self) -> None:
+        """Repack the entries in place at twice the width."""
+        pk = self[0].pk.wider()
+        self[:] = [g.repack(pk) for g in self]
+        self._index = None
+
+
+def _pack_entries(dicts: list[dict], sugars: list[int], rows: tuple[tuple, ...]) -> _Basis:
     """Entries of exponent-tuple term dicts, at the narrowest width that
     holds all of their monomials."""
     pk = _Packing.holding(rows, max((sum(e) for d in dicts for e in d), default=0))
-    return [_Entry({pk.pack(e): c for e, c in d.items()}, pk, s)
-            for d, s in zip(dicts, sugars)]
+    return _Basis(_Entry({pk.pack(e): c for e, c in d.items()}, pk, s)
+                  for d, s in zip(dicts, sugars))
 
 
-def _retry_wider(entries: list[_Entry], run):
-    """run(entries) on a copy of the list; after a guard-bit hit, repack the
-    entries at twice the width, store them back into the list (so later
-    queries start wide enough) and run again."""
-    current = list(entries)
+def _retry_wider(entries: _Basis, run):
+    """run(entries); after a guard-bit hit, widen the entries in place (so
+    later queries start wide enough) and run again."""
     while True:
         try:
-            return run(current)
+            return run(entries)
         except _Overflow:
-            pk = current[0].pk.wider()
-            current = [g.repack(pk) for g in current]
-            entries[:] = current
+            entries.widen()
 
 
 class _DivisorIndex:
@@ -414,10 +453,11 @@ def _cancel(coeffs: dict, heap: list, m: int, c: int, red: _Entry,
     return mult, sc
 
 
-def _reduce_terms(terms: dict, basis: list[_Entry], budget: Budget | None,
+def _reduce_terms(terms: dict, basis: _Basis, budget: Budget | None,
                   what: str = "polynomial reduction") -> tuple[dict, int]:
-    """_normal_form_int of an exponent-tuple term dict; the remainder is
-    keyed by exponent tuples too."""
+    """_normal_form_int of an exponent-tuple term dict by the basis, with
+    the basis's own divisor index; the remainder is keyed by exponent
+    tuples too."""
     if not basis:
         return dict(terms), 1
     budget = budget or DEFAULT_CONFIG.budget()
@@ -425,7 +465,7 @@ def _reduce_terms(terms: dict, basis: list[_Entry], budget: Budget | None,
     def run(entries):
         pk = entries[0].pk
         rem, scale = _normal_form_int({pk.pack(e): c for e, c in terms.items()},
-                                      _DivisorIndex(pk, entries), budget, what=what)
+                                      entries.divisor_index(), budget, what=what)
         return {pk.unpack(m): c for m, c in rem.items()}, scale
     return _retry_wider(basis, run)
 
@@ -592,7 +632,7 @@ class _Pairs:
         return None
 
 
-def groebner_entries(int_gens: list[dict], order: MonomialOrder, budget: Budget) -> list[_Entry]:
+def groebner_entries(int_gens: list[dict], order: MonomialOrder, budget: Budget) -> _Basis:
     """Reduced Groebner basis as integer entries (primitive, positive lc)."""
     dicts = [_content_strip(dict(d)) for d in int_gens if d]
     seeds = _pack_entries(dicts, [max(sum(e) for e in d) for d in dicts], order.weight_rows())
@@ -600,7 +640,7 @@ def groebner_entries(int_gens: list[dict], order: MonomialOrder, budget: Budget)
     return _buchberger(seeds, budget)
 
 
-def _buchberger(seeds: list[_Entry], budget: Budget, rank: int = 0) -> list[_Entry]:
+def _buchberger(seeds: _Basis, budget: Budget, rank: int = 0) -> _Basis:
     """Reduced Groebner basis of the seed entries, taken in the given order.
 
     With rank r > 0 the terms are those of a free module of rank r (see the
@@ -609,11 +649,11 @@ def _buchberger(seeds: list[_Entry], budget: Budget, rank: int = 0) -> list[_Ent
     hit restarts the whole computation at twice the field width.
     """
     if not seeds:
-        return []
+        return _Basis()
     return _retry_wider(seeds, lambda entries: _buchberger_at_width(entries, budget, rank))
 
 
-def _buchberger_at_width(seeds: list[_Entry], budget: Budget, rank: int) -> list[_Entry]:
+def _buchberger_at_width(seeds: _Basis, budget: Budget, rank: int) -> _Basis:
     spair_what, reduce_what = (("module Buchberger", "module reduction") if rank
                                else ("Buchberger", "polynomial reduction"))
     pk = seeds[0].pk
@@ -644,7 +684,7 @@ def _buchberger_at_width(seeds: list[_Entry], budget: Budget, rank: int) -> list
     return _reduced(basis, budget, reduce_what)
 
 
-def _reduced(basis: list[_Entry], budget: Budget, what: str) -> list[_Entry]:
+def _reduced(basis: list[_Entry], budget: Budget, what: str) -> _Basis:
     """The reduced basis of the ideal of a Groebner basis (entries of one
     packing), sorted by leading monomial."""
     pk = basis[0].pk
@@ -659,7 +699,7 @@ def _reduced(basis: list[_Entry], budget: Budget, what: str) -> list[_Entry]:
         rem, _ = _normal_form_int(g.packed(), index, budget, skip=pos, what=what)
         reduced.append(_Entry(_content_strip(rem), pk, g.sugar))
     reduced.sort(key=lambda g: g.lm)
-    return reduced
+    return _Basis(reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -718,12 +758,12 @@ def _regular_reduce(u: dict, v: dict, sig: int, gidx: _DivisorIndex,
     return u, coeffs
 
 
-def _colon_at_width(G: list[_Entry], g: dict, budget: Budget) -> list[_Entry]:
+def _colon_at_width(G: _Basis, g: dict, budget: Budget) -> _Basis:
     """Reduced Groebner basis of I : g as entries of the packing of G, the
     reduced basis of I, for g a nonzero exponent-tuple integer term dict."""
     pk = G[0].pk
     guard, var_guard, vals, cofactor = pk.guard, pk.var_guard, pk.vals, pk.cofactor
-    gidx = _DivisorIndex(pk, G)
+    gidx = G.divisor_index()
     divisor = gidx.divisor
     gexps = [pk.unpack(e.lm) for e in G]
     # the labelled elements (u, v) with v != 0: signature lm(u), label u,
@@ -825,29 +865,32 @@ def _colon_at_width(G: list[_Entry], g: dict, budget: Budget) -> list[_Entry]:
 # under a key of "colon", the key of I and the terms of g, and a module
 # basis (`syzygy.module_groebner`) under a key of "module", the order, the
 # degree shifts and the vectors.  The memory cache holds the engine's own
-# entry lists (shared by every Ideal with that key; `_retry_wider` widens
-# them in place).
+# entry lists (`_Basis`, shared by every Ideal with that key, each with its
+# divisor index; `_retry_wider` widens them in place).
 #
 # On disk a cache directory holds `.gb` packs, one for each process that
-# wrote there.  A pack is a run of records: a header line `detlab-gb 4
-# <key> <body length> sha256=<sha256 of key, newline, body>`, then the body,
-# one line per entry with its primitive integer terms (positive leading
-# coefficient, content 1) as groups `c e_1 ... e_n` of decimal ints, the
-# leading term first.  A process's first fresh basis for a directory
-# creates its pack; each later one is appended with one write.  Its first
-# lookup there reads every pack once into an index of key -> bodies, each
-# file up to the first header that does not parse (a torn tail, or a file
-# of an older format), skipping records whose digest does not match (a
-# record copied under another key has one).  The records the process
-# appends join its index; those other processes append later are not
-# seen, and such a basis is recomputed and appended again.  A body is
-# served only when every line is a record of a nonzero polynomial (a
-# module element, for a module basis); otherwise the next record of its
-# key is tried, and when none is left the basis is recomputed.
+# wrote there.  A pack is a run of records: a header line `detlab-gb 5
+# <key> <body length> sha256=<sha256 of key, newline, body>`, then the body
+# in the engine's packed form.  Its first line names the packing, `<width>
+# <packing digest>` (`_Packing.digest`); then one line per entry holds its
+# primitive integer terms as pairs `<coefficient> <hex packed monomial>`,
+# the leading term first and the monomials strictly descending.  A record
+# carries no sugar: only Buchberger seeds read it, and those are packed
+# afresh.  A process's first fresh basis for a directory creates its pack;
+# each later one is appended with one write.  Its first lookup there reads
+# every pack once into an index of key -> bodies, each file up to the
+# first header that does not parse (a torn tail, or a file of an older
+# format: 3 held one basis per file, 4 exponent text), skipping records
+# whose digest does not match (a record copied under another key has one).
+# The records the process appends join its index; those other processes
+# append later are not seen, and such a basis is recomputed and appended
+# again.  A body is served as it is, with no unpacking, only when it is a
+# basis in the caller's packing (`_read_body`); otherwise the next record
+# of its key is tried, and when none is left the basis is recomputed.
 
-_MEMORY_CACHE: dict[str, list[_Entry]] = {}
+_MEMORY_CACHE: dict[str, _Basis] = {}
 
-_DISK_FORMAT = b"detlab-gb 4"  # 3 held one basis per file, 2 polynomial text
+_DISK_FORMAT = b"detlab-gb 5"
 
 # cache directory -> key -> bodies of its records, read at the first lookup
 _DISK_INDEX: dict[str, dict[bytes, list[bytes]]] = {}
@@ -886,12 +929,12 @@ def _settings(budget: Budget | None, config: Config | None) -> Config:
     return config or (budget.config if budget is not None else DEFAULT_CONFIG)
 
 
-def _cached(key: str, rows: list[tuple], config: Config, compute,
-            rank: int = 0) -> list[_Entry]:
+def _cached(key: str, rows: tuple[tuple, ...], config: Config, compute,
+            rank: int = 0) -> _Basis:
     """The entries stored under the key in the memory cache or the disk
     cache, or else compute() and store them in both.  A disk record is
-    packed in the weight rows `rows`, and holds a basis of a free module of
-    the given rank when that is positive (`_disk_get`)."""
+    served when it is packed in the weight rows `rows`, and holds a basis
+    of a free module of the given rank when that is positive (`_read_body`)."""
     entries = _MEMORY_CACHE.get(key)
     if entries is None and config.cache_dir:
         entries = _disk_get(config.cache_dir, key, rows, rank)
@@ -946,54 +989,68 @@ def _disk_index(cache_dir: str) -> dict[bytes, list[bytes]]:
     return index
 
 
-def _disk_get(cache_dir: str, key: str, rows: list[tuple], rank: int = 0) -> list[_Entry] | None:
-    """The cached basis, packed in the weight rows, or None when no record
-    of the key is a basis: lines that each hold a nonzero polynomial in
-    len(rows[0]) variables, the first `rank` exponents of every term
-    one-hot for a module basis."""
+def _disk_get(cache_dir: str, key: str, rows: tuple[tuple, ...], rank: int = 0) -> _Basis | None:
+    """The first record of the key that `_read_body` serves, or None."""
     bodies = _disk_index(cache_dir).get(key.encode(), [])
-    nvars = len(rows[0]) if rows else 0
     while bodies:
-        dicts = _read_body(bodies[0], nvars, rank)
-        if dicts:
-            return _pack_entries(dicts, [max(map(sum, d)) for d in dicts], rows)
+        entries = _read_body(bodies[0], rows, rank)
+        if entries is not None:
+            return entries
         del bodies[0]  # no basis: never tried again
     return None
 
 
-def _read_body(body: bytes, nvars: int, rank: int) -> list[dict] | None:
-    """The term dicts of a record's lines, or None when a line is no record
-    of a nonzero polynomial (see `_disk_get`)."""
-    step = nvars + 1
-    dicts = []
+def _read_body(body: bytes, rows: tuple[tuple, ...], rank: int) -> _Basis | None:
+    """The entries of a record body, or None when it is no basis in the
+    packing of the rows (see the cache comment above): a width that the
+    engine does not make (the first width doubled, with 8 a power of two
+    >= 8), a packing digest other than that packing's, no entry line, or a
+    line that holds no pairs, a zero coefficient, a leading coefficient
+    <= 0, a monomial with a guard bit set or negative, monomials not
+    strictly descending, or, for a module basis of rank r > 0, a term
+    without exactly one of the r component slots."""
+    head, _, text = body.partition(b"\n")
     try:
-        for line in body.splitlines():
-            ints = list(map(int, line.split()))  # ValueError on a non-integer token
-            coeffs = ints[::step]
-            del ints[::step]
-            if not coeffs or len(ints) != nvars * len(coeffs) or 0 in coeffs \
-                    or min(ints, default=0) < 0:
+        width, digest = head.split(b" ")
+        width = int(width)
+        times = width // _FIELD_BITS
+        if width != times * _FIELD_BITS or times < 1 or times & (times - 1):
+            return None
+        pk = _Packing.shared(rows, width)
+        if digest.decode() != pk.digest:
+            return None
+        guard = pk.guard
+        # the component slots are the top r fields: one slot is the value 1
+        # in one of them, and the rest of the term lies below them
+        below = width * (len(pk.rows) - rank)
+        slots = {1 << (width * c) for c in range(rank)}
+        entries = _Basis()
+        for line in text.splitlines():
+            tokens = line.split()
+            coeffs = list(map(int, tokens[::2]))
+            monos = [int(t, 16) for t in tokens[1::2]]
+            if not monos or len(coeffs) != len(monos) or coeffs[0] <= 0 or 0 in coeffs \
+                    or monos[-1] < 0 or reduce(or_, monos) & guard \
+                    or any(a <= b for a, b in zip(monos, monos[1:])) \
+                    or rank and any(m >> below not in slots for m in monos):
                 return None
-            d = dict(zip(zip(*[iter(ints)] * nvars), coeffs))
-            if len(d) != len(coeffs) or rank and any(sum(t[:rank]) != 1 for t in d):
-                return None
-            dicts.append(d)
-    except ValueError:
+            entries.append(_Entry.read(monos[0], coeffs[0],
+                                       dict(zip(monos[1:], coeffs[1:])), pk))
+    except (ValueError, UnicodeDecodeError):
         return None
-    return dicts
+    return entries or None
 
 
-def _disk_put(cache_dir: str, key: str, entries: list[_Entry]) -> None:
-    """Append the record of the entries to this process's pack in the cache
-    directory, creating the pack on its first record."""
-    lines = []
+def _disk_put(cache_dir: str, key: str, entries: _Basis) -> None:
+    """Append the record of the entries, as they are packed, to this
+    process's pack in the cache directory, creating the pack on its first
+    record."""
+    pk = entries[0].pk
+    lines = [f"{pk.width} {pk.digest}\n"]
     for g in entries:
-        unpack = g.pk.unpack
-        ints = []
-        for m, c in sorted(g.packed().items(), reverse=True):
-            ints.append(c)
-            ints.extend(unpack(m))
-        lines.append(" ".join(map(str, ints)) + "\n")
+        terms = [f"{g.lc} {g.lm:x}"]
+        terms += [f"{c} {m:x}" for m, c in sorted(g.tail.items(), reverse=True)]
+        lines.append(" ".join(terms) + "\n")
     body = "".join(lines).encode()
     pid = os.getpid()
     pack = _PACKS.get(cache_dir)
@@ -1032,7 +1089,7 @@ class Ideal:
             if not g.is_zero():
                 clean.setdefault(g)
         self.gens = list(clean)
-        self._gb: list[_Entry] | None = None  # entries of the reduced basis
+        self._gb: _Basis | None = None  # entries of the reduced basis
         self._monic: list[Polynomial] | None = None  # built on the first groebner_basis
 
     def __repr__(self):
@@ -1054,7 +1111,7 @@ class Ideal:
     def _key(self) -> str:
         return _cache_key(self.ring, self.gens)
 
-    def _entries(self, budget=None, config=None) -> list[_Entry]:
+    def _entries(self, budget=None, config=None) -> _Basis:
         """The engine's entries of the reduced basis, from this ideal, the
         memory cache, the disk cache or a computation, in that order."""
         if self._gb is None:
@@ -1065,25 +1122,31 @@ class Ideal:
                 return groebner_entries([to_int_terms(g) for g in self.gens], order,
                                         budget or config.budget())
             self._gb = (_cached(self._key, order.weight_rows(), config, compute)
-                        if self.gens else [])
+                        if self.gens else _Basis())
         return self._gb
+
+    def _remainder(self, f: Polynomial, budget=None, config=None) -> tuple[dict, int]:
+        """(integer remainder, d): the canonical remainder of f under full
+        reduction is remainder / d."""
+        if f.ring != self.ring:
+            raise ValueError("polynomial from a different ring")
+        entries = self._entries(budget, config)
+        ints, den = clear_denominators(f.terms.items())
+        if not ints or not entries:
+            return ints, den
+        rem, scale = _reduce_terms(ints, entries, budget or _settings(None, config).budget())
+        return rem, den * scale
 
     def normal_form(self, f: Polynomial, budget: Budget | None = None,
                     config: Config | None = None) -> Polynomial:
         """Canonical remainder of f under full reduction."""
-        if f.ring != self.ring:
-            raise ValueError("polynomial from a different ring")
-        entries = self._entries(budget, config)
-        if f.is_zero() or not entries:
-            return f
-        budget = budget or _settings(None, config).budget()
-        ints, den = clear_denominators(f.terms.items())
-        rem, scale = _reduce_terms(ints, entries, budget)
-        total = den * scale
-        return Polynomial(self.ring, {e: Fraction(c, total) for e, c in rem.items()})
+        rem, d = self._remainder(f, budget, config)
+        return Polynomial(self.ring, {e: Fraction(c, d) for e, c in rem.items()})
 
     def contains(self, f: Polynomial, budget=None, config=None) -> bool:
-        return self.normal_form(f, budget, config).is_zero()
+        """Whether the integer remainder of f is zero: no rational
+        polynomial is built."""
+        return not self._remainder(f, budget, config)[0]
 
     def contains_ideal(self, other: "Ideal", budget=None, config=None) -> bool:
         return all(self.contains(g, budget, config) for g in other.gens)
@@ -1134,7 +1197,7 @@ def _fresh_name(base: str, taken) -> str:
     return name
 
 
-def _seeded(ring: Ring, entries: list[_Entry]) -> Ideal:
+def _seeded(ring: Ring, entries: _Basis) -> Ideal:
     """The ideal generated by the reduced basis `entries` in the ring's
     order, with that basis already set on it, so no query computes it again."""
     out = Ideal(ring, [e.monic(ring) for e in entries])
@@ -1177,7 +1240,7 @@ def intersect(I: Ideal, J: Ideal, budget=None, config=None) -> Ideal:
     if J.ring != ring:
         raise ValueError("ideals in different rings")
     if I.is_zero() or J.is_zero():
-        return _seeded(ring, [])
+        return _seeded(ring, _Basis())
     for small, big in ((I, J), (J, I)):
         if big.contains_ideal(small, budget, config):
             return _seeded(ring, small._entries(budget, config))
@@ -1202,7 +1265,7 @@ def colon_poly(I: Ideal, g: Polynomial, budget=None, config=None) -> Ideal:
     if g.is_zero():
         raise ZeroDivisionError("colon by zero polynomial")
     if I.is_zero():
-        return _seeded(ring, [])
+        return _seeded(ring, _Basis())
     config = _settings(budget, config)
 
     def compute():
@@ -1287,30 +1350,6 @@ class HilbertData:
                 f"N={self.numerator_string()})")
 
 
-def _divides(a: tuple, b: tuple) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
-def _mask(e: tuple) -> int:
-    m = 0
-    for i, v in enumerate(e):
-        if v:
-            m |= 1 << i
-    return m
-
-
-def _minimalize_monomials(gens) -> tuple:
-    gens = sorted(set(gens), key=lambda e: (sum(e), e))
-    out = []
-    for g in gens:
-        if not any(_divides(h, g) for h in out):
-            out.append(g)
-    return tuple(out)
-
-
 def _poly_t_mul(a: dict, b: dict) -> dict:
     out: dict = {}
     for da, ca in a.items():
@@ -1324,43 +1363,58 @@ def _poly_t_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _hilbert_numerator(gens: tuple, nvars: int, memo: dict, budget: Budget) -> dict:
-    gens = _minimalize_monomials(gens)
+@lru_cache(maxsize=None)
+def _degree_rows(nvars: int) -> tuple[tuple, ...]:
+    """The one weight row of the degree-first packing: the total degree,
+    above the exponents, so integer order is the order of (sum(e), e)
+    (no row for no variables)."""
+    return ((1,) * nvars,) if nvars else ()
+
+
+def _hilbert_numerator(gens, pk: _Packing, memo: dict, budget: Budget) -> dict:
+    """The Hilbert numerator of the monomial ideal of the packed monomials
+    `gens` in the degree-first packing `pk`, whose fields hold every
+    monomial met (degrees only fall, but for the pivot variable itself)."""
+    guard = pk.guard
+    out = []
+    for g in sorted(set(gens)):  # minimal generators, by degree, then exponents
+        gg = g | guard
+        if not any((gg - h) & guard == guard for h in out):
+            out.append(g)
+    gens = tuple(out)
     if gens in memo:
         return memo[gens]
     budget.tick(1, "Hilbert series")
     if not gens:
         return {0: 1}
-    if any(sum(e) == 0 for e in gens):
+    if gens[0] == 0:
         return {}
+    supports = [pk.support(g) for g in gens]
     # disjoint supports: Koszul product formula
     seen_vars = 0
     disjoint = True
-    for e in gens:
-        m = _mask(e)
+    for m in supports:
         if m & seen_vars:
             disjoint = False
             break
         seen_vars |= m
+    top = pk.width * (len(pk.rows) - 1)  # the degree field
     if disjoint:
         acc = {0: 1}
-        for e in gens:
-            acc = _poly_t_mul(acc, {0: 1, sum(e): -1})
+        for g in gens:
+            acc = _poly_t_mul(acc, {0: 1, g >> top: -1})
         memo[gens] = acc
         return acc
-    # pivot on the most frequent variable
-    counts = [0] * nvars
-    for e in gens:
-        for i, v in enumerate(e):
-            if v:
-                counts[i] += 1
-    piv = max(range(nvars), key=lambda i: counts[i])
+    # pivot on the most frequent variable, the first of those
+    width = pk.width
+    counts = [sum(1 for m in supports if m >> (s + width - 1) & 1) for s in pk._reads]
+    piv = counts.index(max(counts))
     # I + (x_piv) and I : x_piv
-    plus = tuple(e for e in gens if not e[piv]) + (
-        tuple(1 if i == piv else 0 for i in range(nvars)),)
-    quot = tuple(e[:piv] + (e[piv] - 1 if e[piv] else 0,) + e[piv + 1:] for e in gens)
-    n_plus = _hilbert_numerator(plus, nvars, memo, budget)
-    n_quot = _hilbert_numerator(quot, nvars, memo, budget)
+    bit, unit = 1 << (pk._reads[piv] + width - 1), pk.units[piv]
+    plus = tuple(g for g, m in zip(gens, supports) if not m & bit) + (unit,)
+    quot = tuple(g - unit if m & bit else g for g, m in zip(gens, supports))
+    n_plus = _hilbert_numerator(plus, pk, memo, budget)
+    n_quot = _hilbert_numerator(quot, pk, memo, budget)
     out = dict(n_plus)
     for d, c in n_quot.items():
         v = out.get(d + 1, 0) + c
@@ -1403,7 +1457,8 @@ def hilbert_data(I: Ideal, budget=None, config=None) -> HilbertData:
     if I.is_zero():
         return HilbertData(nvars, 1, {0: 1})
     lms = I.leading_monomials(budget, config)
-    num = _hilbert_numerator(tuple(lms), nvars, {}, budget)
+    pk = _Packing.holding(_degree_rows(nvars), max(map(sum, lms)))
+    num = _hilbert_numerator([pk.pack(e) for e in lms], pk, {}, budget)
     if not num:
         return HilbertData(-1, 0, {})
     q, c = _divide_out_one_minus_t(num)
@@ -1455,7 +1510,7 @@ def certify_groebner(I: Ideal, budget=None, config=None) -> bool:
 
     def run(basis) -> bool:
         pk = basis[0].pk
-        index = _DivisorIndex(pk, basis)
+        index = basis.divisor_index()
         for gi, gj in itertools.combinations(basis, 2):
             top, _ = pk.lcm(pk.unpack(gi.lm), pk.unpack(gj.lm))
             sp = _spoly(gi, gj, top)

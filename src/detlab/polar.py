@@ -18,9 +18,10 @@ the totally-Hessian test among them.
 
 The record's config seeds its random draws; the readers and the verdict
 run under their caller's Budget, whose config gives the cache directory.
-Two bounded attempts have Budgets of their own: the Hessian's symbolic
-route (60 s) and the verdict's linear-type attempt (400 000 steps, off the
-caller's meter so that the later routes keep theirs).
+Two bounded attempts have meters of their own under the caller's deadline
+(`Budget.share`): the Hessian's symbolic route (at most 60 s) and the
+verdict's linear-type attempt (400 000 steps, off the caller's meter so
+that the later routes keep theirs).
 
 Certainty discipline: an exact nonzero integer evaluation is a proof (a
 nonzero value mod p certifies a nonzero integer), probabilistic identity
@@ -82,8 +83,8 @@ class PolarMapData:
             self._memo[key] = value
         return value
 
-    def hessian_status(self) -> HessianStatus:
-        return self._once("hessian", lambda: hessian_det_status(self))
+    def hessian_status(self, budget: Budget | None = None) -> HessianStatus:
+        return self._once("hessian", lambda: hessian_det_status(self, budget))
 
     def linear_syzygies(self, budget: Budget | None = None):
         """(linear syzygy matrix of the partials, its rank)."""
@@ -162,10 +163,11 @@ class HessianStatus:
     bound: float | None = None
 
 
-def hessian_det_status(form: PolarMapData) -> HessianStatus:
+def hessian_det_status(form: PolarMapData, budget: Budget | None = None) -> HessianStatus:
     """Status of the determinant of the record's Hessian: 'nonzero' with an
     explicit certificate point, 'probably_zero' with its trial count over
-    two primes and their bound, or 'zero' by the symbolic determinant."""
+    two primes and their bound, or 'zero' by the symbolic determinant, which
+    gets at most 60 s and ends by the budget's deadline."""
     H = form.hessian
     nv = H.cols
     rng = form.config.rng("hessian-status")
@@ -177,7 +179,7 @@ def hessian_det_status(form: PolarMapData) -> HessianStatus:
                 return HessianStatus("nonzero", point=pt, prime=p, trials=1)
     # candidate zero: try the symbolic route within budget
     try:
-        b = Budget(timeout_secs=_HESSIAN_SYMBOLIC_SECS, step_cap=None)
+        b = (budget or Budget()).share(_HESSIAN_SYMBOLIC_SECS)
         det = determinant(H, budget=b) if nv <= 8 else None
         if det is not None:
             if det.is_zero():
@@ -553,7 +555,7 @@ def _verdict_pipeline(form, budget, candidate_inverse, try_ideal_routes) -> Verd
                            f"partials vanish at indices {zero_partials}", "proved"))
         return Verdict("NotHomaloidal", ev, config.seed)
 
-    status = form.hessian_status()
+    status = form.hessian_status(budget)
     if status.kind == "nonzero":
         ev.append(Evidence("hessian-dominance", "nonzero", "proved",
                            {"point": status.point, "prime": status.prime}))
@@ -585,9 +587,9 @@ def _verdict_pipeline(form, budget, candidate_inverse, try_ideal_routes) -> Verd
     if try_ideal_routes:
         # keep the verdict responsive: unless the record already holds the
         # answer, the attempt runs under a bounded step budget of its own,
-        # off the caller's meter, so the routes below keep theirs
-        lt = form.linear_type(Budget(config.timeout_secs,
-                                     min(config.gb_step_cap, 400_000), config))
+        # off the caller's meter, so the routes below keep theirs; it ends
+        # by the caller's deadline
+        lt = form.linear_type(budget.share(step_cap=min(config.gb_step_cap, 400_000)))
         ev.append(Evidence("linear-type", lt.status,
                            "proved" if lt.status != "Timeout" else "timeout"))
         if lt.status == "LinearType" and rank.certainty == "proved" and rank.rank < n:

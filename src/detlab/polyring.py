@@ -49,7 +49,7 @@ class MonomialOrder:
     iff W·u < W·v lexicographically for W = weight_rows().
     """
 
-    __slots__ = ("blocks", "nvars", "id")
+    __slots__ = ("blocks", "nvars", "id", "_rows")
 
     def __init__(self, blocks):
         self.blocks = tuple(tuple(b) for b in blocks if len(b))
@@ -63,6 +63,7 @@ class MonomialOrder:
             b = self.blocks[0] if self.blocks else ()
             perm = "" if b == tuple(range(self.nvars)) else ":" + ",".join(map(str, b))
             self.id = f"grevlex:{self.nvars}{perm}"
+        self._rows = _weight_rows(self.blocks, self.nvars)
 
     def key(self, e: tuple) -> tuple:
         """Per block: its degree, then its negated exponents, last listed
@@ -73,23 +74,11 @@ class MonomialOrder:
             out += (-sum(neg),) + neg
         return out
 
-    def weight_rows(self) -> list[tuple]:
+    def weight_rows(self) -> tuple[tuple, ...]:
         """Nonnegative integer matrix W such that u < v in the order iff
-        W·u < W·v lexicographically.
-
-        A block b_0, ..., b_(k-1) gives the rows of the prefix sums
-        e_b0 + ... + e_b(j-1) for j = k down to 1: its degree first, then
-        the sums that a smaller exponent of a later variable makes larger.
-        The blocks' rows are stacked in block order.
-        """
-        rows = []
-        for b in self.blocks:
-            for j in range(len(b), 0, -1):
-                row = [0] * self.nvars
-                for i in b[:j]:
-                    row[i] = 1
-                rows.append(tuple(row))
-        return rows
+        W·u < W·v lexicographically (see `_weight_rows`), built once: equal
+        orders share one tuple."""
+        return self._rows
 
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and self.id == other.id
@@ -99,6 +88,25 @@ class MonomialOrder:
 
     def __repr__(self):
         return f"MonomialOrder({self.id})"
+
+
+@lru_cache(maxsize=None)
+def _weight_rows(blocks: tuple, nvars: int) -> tuple[tuple, ...]:
+    """The weight matrix of a block order, as a tuple of rows.
+
+    A block b_0, ..., b_(k-1) gives the rows of the prefix sums
+    e_b0 + ... + e_b(j-1) for j = k down to 1: its degree first, then
+    the sums that a smaller exponent of a later variable makes larger.
+    The blocks' rows are stacked in block order.
+    """
+    rows = []
+    for b in blocks:
+        for j in range(len(b), 0, -1):
+            row = [0] * nvars
+            for i in b[:j]:
+                row[i] = 1
+            rows.append(tuple(row))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)

@@ -33,6 +33,7 @@ kernels run unmetered and each engine call builds a default one.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from operator import mul
 
 from .config import Budget, Config, ComputationTimeout, DEFAULT_CONFIG
@@ -51,11 +52,12 @@ def _onehot(rank: int, c: int) -> tuple:
     return (0,) * c + (1,) + (0,) * (rank - c - 1)
 
 
-def _module_rows(order: MonomialOrder, rank: int) -> list[tuple]:
+@lru_cache(maxsize=None)
+def _module_rows(order: MonomialOrder, rank: int) -> tuple[tuple, ...]:
     """Weight rows of position over term: the one-hot slots, then the
-    order's rows on the exponent part."""
-    return ([_onehot(rank, c) + (0,) * order.nvars for c in range(rank)]
-            + [(0,) * rank + row for row in order.weight_rows()])
+    order's rows on the exponent part; one tuple per (order, rank)."""
+    return tuple([_onehot(rank, c) + (0,) * order.nvars for c in range(rank)]
+                 + [(0,) * rank + row for row in order.weight_rows()])
 
 
 def module_groebner(int_vectors: list[dict], order: MonomialOrder, shifts,

@@ -6,9 +6,9 @@ unit of work starts (`casebook.run_scenario`, the CLI command functions,
 and `polar.homaloidal_verdict` when its caller passes none) and where the
 engine needs an object to tick when a library caller passes no budget (the
 Groebner query fallbacks and `syzygy.module_groebner`).
-`Budget(...)` is built only in `config.py` and by the two bounded attempts
-of `polar.py`: the Hessian's symbolic route and the verdict's linear-type
-attempt.
+`Budget(...)` is built only in `config.py` (`Budget.share` gives the
+bounded attempts of `polar.py` their meters) and by the Hessian's symbolic
+route when its caller passes no budget.
 """
 
 import ast
@@ -18,12 +18,12 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "detlab"
 
 BUDGET_CALLS = {
     "casebook.py": {"run_scenario"},
-    "groebner.py": {"Ideal._entries", "Ideal.normal_form", "_reduce_terms", "colon_poly",
+    "groebner.py": {"Ideal._entries", "Ideal._remainder", "_reduce_terms", "colon_poly",
                     "hilbert_data", "certify_groebner"},
     "syzygy.py": {"module_groebner"},
     "polar.py": {"homaloidal_verdict"},
 }
-BUDGET_BUILDS = {"polar.py": {"hessian_det_status", "_verdict_pipeline"}}
+BUDGET_BUILDS = {"polar.py": {"hessian_det_status"}}
 
 
 def _sites(tree) -> list[tuple[str, str]]:

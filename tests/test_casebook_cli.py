@@ -421,7 +421,7 @@ def test_cli_casebook_jobs_share_one_cache(tmp_path):
 
 def _pack_keys(files):
     """The key of every record in the packs, read off the record headers
-    `detlab-gb 4 <key> <body length> sha256=<digest>`."""
+    `detlab-gb 5 <key> <body length> sha256=<digest>`."""
     keys = []
     for path in files:
         data, pos = path.read_bytes(), 0
@@ -778,6 +778,15 @@ def test_casebook_run_matches_the_reference_output():
 
 # Budget ticks by label of a default run: every scenario's default facts,
 # in one fresh process with no cache directory
+# Budget ticks by label of a default run that reads every basis from a
+# cache directory a first run filled: the membership tests, Hilbert series
+# and the work that is not a Groebner basis
+WARM_RUN_TICKS = {
+    "polynomial reduction": 772, "Hilbert series": 311, "linear algebra": 1917,
+    "module reduction": 7, "bigraded kernel assembly": 1938,
+    "determinant expansion": 717, "Fitting minors": 53,
+}
+
 DEFAULT_RUN_TICKS = {
     "Buchberger": 1372, "polynomial reduction": 5390, "colon labels": 2772,
     "Hilbert series": 311, "linear algebra": 1917, "module Buchberger": 332,
@@ -785,8 +794,10 @@ DEFAULT_RUN_TICKS = {
     "determinant expansion": 717, "Fitting minors": 53,
 }
 
+# every scenario's default facts, with the cache directory argv[1] if given
 _COUNT_TICKS = """
 import json
+import sys
 from detlab import config
 from detlab.casebook import registry, run_scenario
 totals = {}
@@ -796,25 +807,49 @@ def counting(self, n=1, what="computation"):
     totals[what] = totals.get(what, 0) + n
     tick(self, n, what)
 config.Budget.tick = counting
-verdicts = {run_scenario(sid, config=config.Config()).verdict for sid in sorted(registry())}
+cfg = config.Config(cache_dir=sys.argv[1] if len(sys.argv) > 1 else None)
+verdicts = {run_scenario(sid, config=cfg).verdict for sid in sorted(registry())}
 print(json.dumps({"verdicts": sorted(verdicts), "ticks": totals}))
 """
+
+
+def _count_ticks(*args, hashseed="0"):
+    """The verdicts and ticks by label of `_COUNT_TICKS` in a fresh process."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("DETLAB_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env["PYTHONHASHSEED"] = hashseed
+    proc = subprocess.run([sys.executable, "-c", _COUNT_TICKS, *args], capture_output=True,
+                          text=True, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 @pytest.mark.parametrize("hashseed", ["0", "1"])
 def test_default_run_work_counts_are_pinned(hashseed):
     # work counts are the machine-independent regression signal: a change
     # that moves any label's total must say so and re-pin it here
-    env = {k: v for k, v in os.environ.items() if not k.startswith("DETLAB_")}
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    env["PYTHONHASHSEED"] = hashseed
-    proc = subprocess.run([sys.executable, "-c", _COUNT_TICKS], capture_output=True,
-                          text=True, env=env, cwd=ROOT)
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    out = _count_ticks(hashseed=hashseed)
     assert out["verdicts"] == ["pass"]
     assert out["ticks"] == DEFAULT_RUN_TICKS
+
+
+def test_warm_run_work_counts_are_pinned(tmp_path):
+    # one process fills a cache directory with every default fact's bases;
+    # a second reads them all: it computes no basis (no pair, no colon
+    # label), appends nothing, and what it still ticks is pinned here
+    cache = str(tmp_path / "cache")
+    assert _count_ticks(cache)["ticks"] == DEFAULT_RUN_TICKS
+    packs = sorted(Path(cache).iterdir())
+    assert len(packs) == 1 and packs[0].suffix == ".gb"
+    written = [(p.name, p.stat().st_size, p.stat().st_mtime_ns) for p in packs]
+    out = _count_ticks(cache)
+    assert out["verdicts"] == ["pass"]
+    for label in ("Buchberger", "module Buchberger", "colon labels"):
+        assert out["ticks"].get(label, 0) == 0
+    assert out["ticks"] == WARM_RUN_TICKS
+    assert [(p.name, p.stat().st_size, p.stat().st_mtime_ns)
+            for p in sorted(Path(cache).iterdir())] == written
 
 
 def test_dg3_quadric_relation_runs_under_the_budget():

@@ -194,12 +194,13 @@ def test_a_narrow_first_width_restarts_wider_with_the_same_basis(tmp_path, monke
     # the basis of J, read back from the disk cache at a first width of 3
     # bits, fits that width; the lcm of a J-pair of J : x2 that passes the
     # F5 test does not.  (J : delta restarts nothing: each of its J-pairs
-    # whose lcm would not fit is dropped before the lcm is built.)
+    # whose lcm would not fit is dropped before the lcm is built.)  A record
+    # is served in the packing it was written in, so J's basis is written
+    # repacked at 3 bits.
     J, _ = hankel3()
     x2 = J.ring.from_string("x2")
     cfg = Config(cache_dir=str(tmp_path))
     _fresh_process()
-    J.groebner_basis(config=cfg)  # only the basis of J goes to the disk
     want = strings(colon_poly(J, x2))
     widths = []
     at_width = groebner._colon_at_width
@@ -209,6 +210,9 @@ def test_a_narrow_first_width_restarts_wider_with_the_same_basis(tmp_path, monke
         return at_width(G, g, budget)
     monkeypatch.setattr(groebner, "_FIELD_BITS", 3)
     monkeypatch.setattr(groebner, "_colon_at_width", counted)
+    narrow = groebner._Packing.shared(J.ring.order.weight_rows(), 3)
+    groebner._disk_put(cfg.cache_dir, J._key,
+                       groebner._Basis(g.repack(narrow) for g in J._entries()))
     _fresh_process()
     assert strings(colon_poly(Ideal(J.ring, J.gens), x2, config=cfg)) == want
     assert widths == [3, 6]

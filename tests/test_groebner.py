@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from detlab.groebner import (Ideal, certify_groebner, colon, colon_poly, elimina
                              symmetric_algebra_ideal, groebner_entries, to_int_terms,
                              _cache_key, _MEMORY_CACHE)
 from detlab.structmat import build_structured, build_gp_associated, determinant, minors_ideal_gens
+from detlab.syzygy import module_groebner, syzygy_generators, _module_rows
 from oracles import bidegree, naive_normal_form, naive_spoly, grevlex_key, lex, rees_ideal
 
 
@@ -190,7 +192,25 @@ def _text_record(version: str | None) -> str:
     return f"{version} sha256={hashlib.sha256(body.encode()).hexdigest()}\n{body}"
 
 
-def _damaged(good: bytes, damage: str, key: str) -> bytes:
+def _format4_record(good: bytes, key: str, rows) -> bytes:
+    """The record of a pack `good` holds, as the exponent-text format 4
+    wrote it: one line per entry of groups `c e_1 ... e_n`, leading term
+    first."""
+    _, packing, *lines = good.splitlines()
+    pk = groebner._Packing.shared(rows, int(packing.split()[0]))
+    body = b""
+    for line in lines:
+        tokens = line.split()
+        ints = []
+        for c, m in zip(tokens[::2], tokens[1::2]):
+            ints += [int(c), *pk.unpack(int(m, 16))]
+        body += b" ".join(b"%d" % i for i in ints) + b"\n"
+    digest = hashlib.sha256(key.encode() + b"\n" + body).hexdigest().encode()
+    return b"detlab-gb 4 %s %d sha256=%s\n" % (key.encode(), len(body), digest) + body
+
+
+def _damaged(good: bytes, damage: str, key: str, rows) -> bytes:
+    """The pack `good`, of one record of a basis packed in `rows`, damaged."""
     header, *lines = good.splitlines(keepends=True)
     if damage == "empty":
         return b""
@@ -206,40 +226,63 @@ def _damaged(good: bytes, damage: str, key: str) -> bytes:
         body = b"".join(lines)
         digest = hashlib.sha256(key.encode() + b"\n" + body).hexdigest().encode()
         return b"detlab-gb 3 sha256=" + digest + b"\n" + body
+    if damage == "exponent text format 4":  # the format before packed records
+        return _format4_record(good, key, rows)
     # the rest keep a valid length and digest: damaged records, not damaged bytes
-    first = lines[0].split()
+    packing, first, rest = lines[0].split(), lines[1].split(), lines[2:]
+    pk = groebner._Packing.shared(rows, int(packing[0]))
     if damage == "wrong arity":
         first = first[:-1]
-    elif damage == "negative exponent":
-        first[1] = b"-1"
-    elif damage == "zero coefficient":
-        first[0] = b"0"
+    elif damage == "negative exponent":  # a packed monomial below zero, the last
+        first[-1] = b"-" + first[-1]
+    elif damage == "zero coefficient":  # in the tail
+        first[2] = b"0"
+    elif damage == "leading coefficient not positive":
+        first[0] = b"-" + first[0]
     elif damage == "unparsable":  # a token that is no integer
         first[0] = b"x1"
     elif damage == "repeated monomial":  # the last term again, another coefficient
-        first += [b"7"] + first[-3:]
+        first += [b"7", first[-1]]
+    elif damage == "not descending":  # the first two monomials swapped
+        first[1], first[3] = first[3], first[1]
+    elif damage == "guard bit":  # of the top field, on the leading monomial
+        first[1] = b"%x" % (int(first[1], 16) | 1 << pk.guard.bit_length() - 1)
     elif damage == "blank line":
         first = []
     elif damage == "no lines":
         return groebner._disk_record(key, b"")
-    return groebner._disk_record(key, b" ".join(first) + b"\n" + b"".join(lines[1:]))
+    elif damage == "no entries":
+        return groebner._disk_record(key, lines[0])
+    elif damage == "foreign packing":  # lex rows at the same width
+        packing[1] = groebner._Packing.shared(lex(len(rows[0])).weight_rows(),
+                                              pk.width).digest.encode()
+    elif damage in ("width 12", "width 4"):  # named with their own digest
+        width = int(damage.split()[1])
+        packing = [b"%d" % width, groebner._Packing(rows, width).digest.encode()]
+    body = b" ".join(packing) + b"\n" + b" ".join(first) + b"\n" + b"".join(rest)
+    return groebner._disk_record(key, body)
 
 
 @pytest.mark.parametrize("damage", ["empty", "dropped line", "cut line", "old format",
-                                    "text format 2", "one basis per file", "wrong arity",
-                                    "negative exponent", "zero coefficient", "unparsable",
-                                    "repeated monomial", "blank line", "no lines"])
+                                    "text format 2", "one basis per file",
+                                    "exponent text format 4", "wrong arity",
+                                    "negative exponent", "zero coefficient",
+                                    "leading coefficient not positive", "unparsable",
+                                    "repeated monomial", "not descending", "guard bit",
+                                    "blank line", "no lines", "no entries",
+                                    "foreign packing", "width 12", "width 4"])
 def test_a_damaged_disk_entry_is_recomputed_and_rewritten(tmp_path, monkeypatch, damage):
-    # the one record of a pack is damaged: a new process recomputes the
-    # basis and writes the record a lone writer makes into a pack of its own,
-    # which the next process serves
+    # the one record of a pack is damaged or of an older format: a new
+    # process recomputes the basis and writes the record a lone writer
+    # makes into a pack of its own, which the next process serves
     R = xring(3)
     cfg = Config(cache_dir=str(tmp_path))
     _fresh_process()
     Ideal(R, _textless_gens(R)).groebner_basis(config=cfg)
     (path,) = tmp_path.glob("*.gb")
     good = path.read_bytes()
-    path.write_bytes(_damaged(good, damage, _cache_key(R, _textless_gens(R))))
+    path.write_bytes(_damaged(good, damage, _cache_key(R, _textless_gens(R)),
+                              R.order.weight_rows()))
     _fresh_process()
     computed = _counting_computations(monkeypatch)
     I = Ideal(R, _textless_gens(R))
@@ -252,6 +295,29 @@ def test_a_damaged_disk_entry_is_recomputed_and_rewritten(tmp_path, monkeypatch,
     monkeypatch.setattr(groebner, "groebner_entries", _refuse)
     served = Ideal(R, _textless_gens(R)).groebner_basis(config=cfg)
     assert [format_polynomial(g) for g in served] == _TEXTLESS_BASIS
+
+
+def test_a_module_term_in_no_component_slot_is_recomputed(tmp_path):
+    # a module record, valid but for the last term of its first line, which
+    # lost its one-hot slot (two slots set: tests/test_syzygy.py)
+    R = xring(3)
+    x0, x1, x2 = R.gens()
+    columns = [[x0 * x1], [x1 * x2], [x0 * x2]]
+    cfg = Config(cache_dir=str(tmp_path))
+    _fresh_process()
+    want = syzygy_generators(columns, [0], _LabelBudget(cfg))
+    ((key, [body]),) = _disk_records(tmp_path).items()
+    head, first, rest = body.split(b"\n", 2)
+    pk = groebner._Packing.shared(_module_rows(R.order, 4), int(head.split()[0]))
+    terms = first.split()
+    last = int(terms[-1], 16)
+    terms[-1] = b"%x" % (last - pk.units[pk.unpack(last).index(1)])
+    (path,) = tmp_path.glob("*.gb")
+    path.write_bytes(groebner._disk_record(key, b"\n".join([head, b" ".join(terms), rest])))
+    _fresh_process()
+    budget = _LabelBudget(cfg)
+    got = syzygy_generators(columns, [0], budget)
+    assert got.columns == want.columns and budget.by_label["module Buchberger"] > 0
 
 
 def test_a_record_under_another_key_is_not_served(tmp_path, monkeypatch):
@@ -416,6 +482,81 @@ def test_a_disk_record_reads_back_the_computed_basis(data):
         for p in probes:
             want_nf = computed.normal_form(p, config=cfg)
             assert read.normal_form(p, config=cfg) == want_nf
+
+
+def _same_entries(read, written) -> bool:
+    """Whether two entry lists agree in lm, lc, tail and packing."""
+    return len(read) == len(written) and all(
+        (a.lm, a.lc, a.tail, a.mask) == (b.lm, b.lc, b.tail, b.mask) and a.pk is b.pk
+        for a, b in zip(read, written))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_pack_record_reads_back_the_entries_written(data):
+    # ideal and module bases, some widened in place first: the record holds
+    # the entries as they are packed, and reads back into the same ones
+    n = data.draw(st.integers(1, 4))
+    order = data.draw(st.sampled_from([grevlex(n), lex(n)]))
+    rank = data.draw(st.integers(0, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    if rank:
+        exps = st.builds(lambda c, e: tuple(int(i == c) for i in range(rank)) + e,
+                         st.integers(0, rank - 1), exps)
+    coeffs = st.sampled_from([1, -1, 2, -3, 7, -2 ** 70 - 1])
+    gens = data.draw(st.lists(st.dictionaries(exps, coeffs, min_size=1, max_size=3),
+                              min_size=1, max_size=3))
+    budget = Budget(step_cap=300)
+    try:
+        if rank:
+            rows = _module_rows(order, rank)
+            entries = module_groebner(gens, order, [0] * rank, budget)
+        else:
+            rows = order.weight_rows()
+            entries = groebner_entries(gens, order, budget)
+    except ComputationTimeout:
+        assume(False)
+    for _ in range(data.draw(st.integers(0, 2))):
+        entries.widen()
+    with tempfile.TemporaryDirectory() as cache:
+        _fresh_process()
+        groebner._disk_put(cache, "round-trip", entries)
+        _fresh_process()
+        read = groebner._disk_get(cache, "round-trip", rows, rank)
+    assert read is not None and _same_entries(read, entries)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_kept_divisor_index_reduces_as_a_fresh_one(data):
+    # the normal forms by a basis that keeps its divisor index match, term
+    # for term and tick for tick, those by a copy that builds a new one, as
+    # the probes and explicit widenings repack the basis
+    n = data.draw(st.integers(2, 4))
+    R = xring(n, data.draw(st.sampled_from([grevlex(n), lex(n)])))
+    gens = [Polynomial(R, dict(ts)) for ts in data.draw(_small_polys(n, 2, 3))]
+    probes = [Polynomial(R, dict(ts)) * R.gens()[0] ** data.draw(st.integers(0, 8))
+              for ts in data.draw(_small_polys(n, 3, 4))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "_FIELD_BITS", data.draw(st.sampled_from([3, 4, 8])))
+        try:
+            basis = groebner_entries([to_int_terms(g) for g in gens], R.order,
+                                     Budget(step_cap=3000))
+        except ComputationTimeout:
+            assume(False)
+        for p in probes:
+            if data.draw(st.booleans()):
+                basis.widen()
+            index = basis.divisor_index()  # built on first use, dropped by a widening
+            assert index.pk is basis[0].pk and index.entries == list(basis)
+            fresh = groebner._Basis(basis)
+            kept_budget, fresh_budget = Budget(step_cap=5000), Budget(step_cap=5000)
+            try:
+                want = groebner._reduce_terms(to_int_terms(p), fresh, fresh_budget)
+            except ComputationTimeout:
+                assume(False)
+            got = groebner._reduce_terms(to_int_terms(p), basis, kept_budget)
+            assert got == want and kept_budget.steps == fresh_budget.steps
 
 
 @pytest.mark.parametrize("source", ["computed", "memory", "disk"])
@@ -719,6 +860,31 @@ def test_hilbert_trivial_cases():
     assert hilbert_data(Ideal(R, [R.one()])).dimension == -1
     hd = hilbert_data(Ideal(R, list(R.gens())))
     assert hd.dimension == 0 and hd.multiplicity == 1
+    R0 = Ring(())
+    assert hilbert_data(Ideal(R0, [R0.one()])).dimension == -1
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=4))))
+@settings(max_examples=60, deadline=None)
+def test_hilbert_numerator_counts_the_standard_monomials(case):
+    # N(t) = (1-t)^n * sum_d h(d) t^d, h(d) the monomials of degree d
+    # outside the monomial ideal; N has degree at most that of the lcm
+    n, gens = case
+    R = xring(n)
+    num = hilbert_data(Ideal(R, [Polynomial(R, {e: 1}) for e in gens])).numerator
+    top = sum(max(e[i] for e in gens) for i in range(n))
+
+    def standard(m):
+        return not any(all(a <= b for a, b in zip(e, m)) for e in gens)
+    h = [sum(1 for m in itertools.product(range(d + 1), repeat=n)
+             if sum(m) == d and standard(m)) for d in range(top + 1)]
+    want = {}
+    for d, c in enumerate(h):
+        for k in range(n + 1):
+            if d + k <= top:
+                want[d + k] = want.get(d + k, 0) + c * (-1) ** k * math.comb(n, k)
+    assert num == {d: c for d, c in want.items() if c}
 
 
 # ---------------------------------------------------------------------------

@@ -619,13 +619,13 @@ def test_proved_homaloidal_carries_certificates():
 
 
 def test_verdict_saturation_obstruction_route():
-    # time the linear-type route out: the saturation route, run under an
-    # unbounded budget of its own, must still refute
+    # time the linear-type route out by its own step cap, the config's: the
+    # saturation route, run under an unbounded budget, must still refute
     from detlab.config import Budget
     from detlab.groebner import _MEMORY_CACHE
     _MEMORY_CACHE.clear()  # a cached basis would let linear type finish
     _, f, _ = det_and_partials("hankel", m=3)
-    cfg = Config(timeout_secs=1e-6)
+    cfg = Config(gb_step_cap=1)
     v = polar.homaloidal_verdict(polar.polar_data(f, cfg), Budget(None, None, cfg))
     crits = {e.criterion: e for e in v.evidence}
     assert crits["linear-type"].certainty == "timeout"
@@ -645,6 +645,50 @@ def test_verdict_linear_type_attempt_keeps_the_deadline():
     assert crits["linear-type"].certainty == "timeout"
     assert crits["saturation-low-degree"].certainty == "timeout"
     assert v.status == "Inconclusive"
+
+
+def _endless(*args, budget=None, **kwargs):
+    """A computation that never finishes: it ticks its budget until that stops it."""
+    while True:
+        budget.tick(1, "stand-in")
+
+
+def test_polar_verdict_ends_near_its_timeout(monkeypatch, capsys):
+    # dg-3's Hessian determinant vanishes, so the verdict tries the symbolic
+    # route, here one that never ends: it stops at the command's deadline,
+    # not after the route's own 60 s, and the sampled status stands
+    import json
+    import time
+    from detlab.cli import main as cli_main
+    monkeypatch.setattr(polar, "determinant", _endless)
+    start = time.monotonic()
+    code = cli_main(["polar", "--kind", "degenerate-generic", "--m", "3", "--verdict",
+                     "--timeout-secs", "0.5", "--json"])
+    assert time.monotonic() - start < 5
+    out = json.loads(capsys.readouterr().out)
+    if code == 0:
+        assert out["evidence"][0]["result"] == "probably zero"
+    else:
+        assert code == 3 and out["status"] == "timeout"
+
+
+def test_verdict_linear_type_attempt_takes_the_callers_deadline(monkeypatch):
+    # the attempt's meter: the caller's deadline and config, a step cap of
+    # its own, and no step taken from the caller
+    _, f, _ = det_and_partials("hankel", m=3)
+    seen = []
+
+    def attempt(self, budget=None):
+        seen.append(budget)
+        return polar.LinearTypeResult("Timeout")
+    monkeypatch.setattr(polar.PolarMapData, "linear_type", attempt)
+    cfg = Config(timeout_secs=30)
+    caller = cfg.budget()
+    polar.homaloidal_verdict(polar.polar_data(f, cfg), caller)
+    (budget,) = seen
+    assert budget is not caller and budget.config is cfg
+    assert budget.deadline == caller.deadline and budget.step_cap == 400_000
+    assert budget.steps == 0 and caller.steps > 0
 
 
 def test_polar_record_keeps_no_timed_out_reader():

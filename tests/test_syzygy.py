@@ -18,7 +18,7 @@ from detlab.syzygy import (GradedSyzygyMatrix, ModuleBasis, fitting_condition_F1
                            first_syzygy_module, graded_betti, linear_syzygies, minimal_generators,
                            module_groebner, poly_matrix_rank, rees_bigraded_kernel,
                            rees_minimal_bidegree12, syzygy_generators,
-                           _monomials_of_degree)
+                           _module_rows, _monomials_of_degree)
 from oracles import all_minors_fitting_F1, row_minimal_generators
 from test_groebner import _LabelBudget, _disk_records, _fresh_process
 
@@ -275,12 +275,15 @@ def test_a_module_record_without_a_one_hot_prefix_is_recomputed(tmp_path):
     _fresh_process()
     want = syzygy_generators(columns, [0], _LabelBudget(cfg))
     ((key, [body]),) = _disk_records(tmp_path).items()
-    first, rest = body.split(b"\n", 1)
+    head, first, rest = body.split(b"\n", 2)
+    pk = groebner._Packing.shared(_module_rows(R.order, 4), int(head.split()[0]))
     terms = first.split()
-    assert sorted(terms[1:5]) == [b"0", b"0", b"0", b"1"]  # after the coefficient, rank 4
-    terms[1 + terms[1:5].index(b"0")] = b"1"
+    # the leading monomial gains a second component slot, and stays the largest
+    lm = int(terms[1], 16)
+    slot = next(c for c in range(4) if not pk.unpack(lm)[c])
+    terms[1] = b"%x" % (lm + pk.units[slot])
     (path,) = tmp_path.glob("*.gb")
-    path.write_bytes(groebner._disk_record(key, b" ".join(terms) + b"\n" + rest))
+    path.write_bytes(groebner._disk_record(key, b"\n".join([head, b" ".join(terms), rest])))
     _fresh_process()
     budget = _LabelBudget(cfg)
     got = syzygy_generators(columns, [0], budget)
