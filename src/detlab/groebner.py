@@ -29,8 +29,9 @@ criteria compare packed lcms with the same test, and the coprime test
 ANDs the leading monomials' support masks: the guard bits of the fields
 that hold a nonzero exponent, ((m | guard) - low) & var_guard.  Bases stay
 packed in the memory and disk caches (below); they leave the engine as
-exponent tuples only for the monic basis and the leading monomials, and
-the Hilbert numerators pack those again under one degree-first row.
+exponent tuples only for the monic basis, the leading monomials, and the
+key and the containment tests of a result ideal (below), and the Hilbert
+numerators pack the leading monomials again under one degree-first row.
 
 Every reduction in the engine is made of one step, written once.  The
 divisor search `_DivisorIndex.divisor(m, keep)` keeps, for each support
@@ -88,16 +89,26 @@ keeps ticks its budget by its number of terms, len(u) + len(v), under the
 label "colon labels": the v keep their unreduced tails, which can fill
 memory long before the J-pairs and reduction steps reach a step cap.
 
-An intersection I ∩ J is the smaller ideal when one contains the other,
+A reduced basis in a fixed order is a canonical form of its ideal: its
+entries are primitive with positive leading coefficient and sorted by
+leading monomial, so two ideals of one order are equal iff their entries
+are, term for term (`_same_basis`).  `ideal_equal` compares them, and
+falls back to mutual membership only when it cannot: for two orders on
+the same variable names, or two packings after a widening.  An
+intersection I ∩ J is the smaller ideal when one contains the other,
 which normal forms against the two bases decide; only otherwise is it the
 tag-variable elimination (u*I + (1-u)*J) ∩ k[x].  The colon by an ideal,
 ∩ I : g over its generators, meets mostly nested pairs.  So does the
 saturation, ∩ I : g^∞, where each I : g^∞ is a chain of colons by g, each
-from the basis the step before returned.  f lies in √I iff I : f^∞ = (1),
-so radical membership is one such chain, in the ring of I.  Every ideal
-that `colon_poly`, `intersect` or `eliminate` returns is generated by its
-reduced basis, already set on it (`_seeded`), so no query recomputes what
-the engine has just produced.
+from the basis the step before returned.  Both stop at the first step
+whose result equals the ideal it contains, by the same comparison.  f
+lies in √I iff I : f^∞ = (1), so radical membership is one such chain,
+in the ring of I.  Every ideal that `colon_poly`, `intersect` or
+`eliminate` returns holds only its packed reduced basis, which generates
+it (`_seeded`): no query recomputes what the engine has just produced,
+the monic basis is built only when its generators are read, its cache
+key comes from the integer entries, and another ideal contains it when
+its entries reduce to zero there.
 """
 
 from __future__ import annotations
@@ -314,13 +325,21 @@ class _Entry:
 class _Basis(list):
     """A list of entries of one packing, and the divisor index of the list
     (`divisor_index`): built at the first search and kept until `widen`
-    repacks the entries, so it lives as long as the list."""
+    repacks the entries, so it lives as long as the list.  The monic
+    rational basis of the entries (`monic`) is built at its first read and
+    kept with them."""
 
-    __slots__ = ("_index",)
+    __slots__ = ("_index", "_polys")
 
     def __init__(self, entries=()):
         super().__init__(entries)
         self._index = None
+        self._polys = None
+
+    def monic(self, ring: Ring) -> list[Polynomial]:
+        if self._polys is None:
+            self._polys = [g.monic(ring) for g in self]
+        return self._polys
 
     def divisor_index(self) -> "_DivisorIndex":
         if self._index is None:
@@ -862,11 +881,14 @@ def _colon_at_width(G: _Basis, g: dict, budget: Budget) -> _Basis:
 # Both levels share one key: a hash of the coefficient field, the variable
 # names, the order and the sorted, deduplicated term items of the
 # generators.  The reduced basis of a colon I : g is stored the same way
-# under a key of "colon", the key of I and the terms of g, and a module
-# basis (`syzygy.module_groebner`) under a key of "module", the order, the
-# degree shifts and the vectors.  The memory cache holds the engine's own
-# entry lists (`_Basis`, shared by every Ideal with that key, each with its
-# divisor index; `_retry_wider` widens them in place).
+# under a key of "colon", the key of I and the terms of g; when I is a
+# result ideal, its key is of a kind of its own, "basis", and hashes the
+# integer terms of its entries (`_basis_key`).  A module basis
+# (`syzygy.module_groebner`) is stored under a key of "module", the order,
+# the degree shifts and the vectors.  The memory cache holds the engine's
+# own entry lists (`_Basis`, shared by every Ideal with that key, each with
+# its divisor index and, once read, its monic basis; `_retry_wider` widens
+# them in place).
 #
 # On disk a cache directory holds `.gb` packs, one for each process that
 # wrote there.  A pack is a run of records: a header line `detlab-gb 5
@@ -916,6 +938,14 @@ def _cache_key(ring: Ring, gens: list[Polynomial]) -> str:
     # "QQ" names the one coefficient field; it stays so that keys written by
     # earlier versions still match
     return _digest(("QQ", ring.variables, ring.order.id, body))
+
+
+def _basis_key(ring: Ring, entries: _Basis) -> str:
+    """The key of the ideal a reduced basis generates, a kind of key of its
+    own: from the integer terms of the entries, keyed by exponent tuples
+    so the packing does not enter, and with no rational coefficient built."""
+    body = sorted(tuple(sorted(g.full().items())) for g in entries)
+    return _digest(("basis", ring.variables, ring.order.id, body))
 
 
 def _colon_key(ideal_key: str, g: Polynomial) -> str:
@@ -1076,7 +1106,8 @@ def _disk_put(cache_dir: str, key: str, entries: _Basis) -> None:
 
 class Ideal:
     """Generator list plus the reduced Groebner basis in the ring's order,
-    computed on first use."""
+    computed on first use.  A result ideal (`_seeded`) holds only its
+    reduced basis, which generates it."""
 
     def __init__(self, ring: Ring, gens):
         self.ring = ring
@@ -1088,9 +1119,14 @@ class Ideal:
                 raise ValueError("generator from a different ring")
             if not g.is_zero():
                 clean.setdefault(g)
-        self.gens = list(clean)
+        self._gens: list[Polynomial] | None = list(clean)  # None: a result ideal
         self._gb: _Basis | None = None  # entries of the reduced basis
-        self._monic: list[Polynomial] | None = None  # built on the first groebner_basis
+
+    @property
+    def gens(self) -> list[Polynomial]:
+        """The generators; those of a result ideal are its monic reduced
+        basis, built at the first read."""
+        return self._gb.monic(self.ring) if self._gens is None else self._gens
 
     def __repr__(self):
         show = ", ".join(str(g) for g in self.gens[:4])
@@ -1098,18 +1134,18 @@ class Ideal:
         return f"Ideal({show}{more})"
 
     def is_zero(self) -> bool:
-        return not self.gens
+        return not (self._gb if self._gens is None else self._gens)
 
     def groebner_basis(self, budget: Budget | None = None,
                        config: Config | None = None) -> list[Polynomial]:
         """Reduced (monic) Groebner basis in the ring's order."""
-        if self._monic is None:
-            self._monic = [e.monic(self.ring) for e in self._entries(budget, config)]
-        return self._monic
+        return self._entries(budget, config).monic(self.ring)
 
     @cached_property
     def _key(self) -> str:
-        return _cache_key(self.ring, self.gens)
+        if self._gens is None:
+            return _basis_key(self.ring, self._gb)
+        return _cache_key(self.ring, self._gens)
 
     def _entries(self, budget=None, config=None) -> _Basis:
         """The engine's entries of the reduced basis, from this ideal, the
@@ -1119,19 +1155,24 @@ class Ideal:
             order = self.ring.order
 
             def compute():
-                return groebner_entries([to_int_terms(g) for g in self.gens], order,
+                return groebner_entries([to_int_terms(g) for g in self._gens], order,
                                         budget or config.budget())
             self._gb = (_cached(self._key, order.weight_rows(), config, compute)
-                        if self.gens else _Basis())
+                        if self._gens else _Basis())
         return self._gb
 
-    def _remainder(self, f: Polynomial, budget=None, config=None) -> tuple[dict, int]:
+    def _remainder(self, f, budget=None, config=None) -> tuple[dict, int]:
         """(integer remainder, d): the canonical remainder of f under full
-        reduction is remainder / d."""
-        if f.ring != self.ring:
+        reduction is remainder / d.  f is a polynomial of this ring, or an
+        entry of a basis over the same variables, whose integer terms are
+        reduced as they are."""
+        if isinstance(f, _Entry):
+            ints, den = f.full(), 1
+        elif f.ring != self.ring:
             raise ValueError("polynomial from a different ring")
+        else:
+            ints, den = clear_denominators(f.terms.items())
         entries = self._entries(budget, config)
-        ints, den = clear_denominators(f.terms.items())
         if not ints or not entries:
             return ints, den
         rem, scale = _reduce_terms(ints, entries, budget or _settings(None, config).budget())
@@ -1149,7 +1190,17 @@ class Ideal:
         return not self._remainder(f, budget, config)[0]
 
     def contains_ideal(self, other: "Ideal", budget=None, config=None) -> bool:
-        return all(self.contains(g, budget, config) for g in other.gens)
+        """Whether every generator of `other` lies in this ideal.  A result
+        ideal is generated by its reduced basis: when that is this ideal's
+        own (`_same_basis`), the answer is yes at once; otherwise the
+        integer terms of its entries are reduced, and neither side builds a
+        rational polynomial."""
+        if other._gens is not None:
+            return all(self.contains(g, budget, config) for g in other._gens)
+        if other.ring != self.ring:
+            raise ValueError("polynomial from a different ring")
+        return (bool(_same_basis(self, other, budget, config))
+                or all(not self._remainder(g, budget, config)[0] for g in other._gb))
 
     def leading_monomials(self, budget=None, config=None) -> list[tuple]:
         return [g.pk.unpack(g.lm) for g in self._entries(budget, config)]
@@ -1178,11 +1229,35 @@ def ideal_power(I: Ideal, k: int) -> Ideal:
     return acc
 
 
+def _same_basis(I: Ideal, J: Ideal, budget=None, config=None) -> bool | None:
+    """Whether I and J have the same reduced basis, which in one order
+    decides I = J: the entries are primitive with lc > 0 and sorted by
+    lm, so two equal ideals have equal lm, lc and tail entry by entry.
+    None when the entries cannot tell: the orders differ (rings compare by
+    variable names only), or so do the packings (one list was widened)."""
+    if I.ring.order != J.ring.order:
+        return None
+    a, b = I._entries(budget, config), J._entries(budget, config)
+    if len(a) != len(b):
+        return False
+    if a is b or not a:
+        return True
+    if a[0].pk is not b[0].pk:
+        return None
+    return all(x.lm == y.lm and x.lc == y.lc and x.tail == y.tail for x, y in zip(a, b))
+
+
 def ideal_equal(I: Ideal, J: Ideal, budget=None, config=None) -> bool:
-    """Mutual membership of generators."""
+    """Whether I = J.  A reduced basis in a fixed order is a canonical form
+    of its ideal, so both bases are computed and compared
+    (`_same_basis`); only when that cannot tell (two orders, or two
+    packings) does mutual membership decide."""
     if I.ring != J.ring:
         raise ValueError("ideals in different rings")
-    return I.contains_ideal(J, budget, config) and J.contains_ideal(I, budget, config)
+    same = _same_basis(I, J, budget, config)
+    if same is None:
+        return I.contains_ideal(J, budget, config) and J.contains_ideal(I, budget, config)
+    return same
 
 
 # ---------------------------------------------------------------------------
@@ -1198,11 +1273,12 @@ def _fresh_name(base: str, taken) -> str:
 
 
 def _seeded(ring: Ring, entries: _Basis) -> Ideal:
-    """The ideal generated by the reduced basis `entries` in the ring's
-    order, with that basis already set on it, so no query computes it again."""
-    out = Ideal(ring, [e.monic(ring) for e in entries])
+    """The result ideal generated by the reduced basis `entries` in the
+    ring's order, which holds only that basis: no query computes it again,
+    and its generators, the monic basis, are built at their first read."""
+    out = Ideal(ring, [])
+    out._gens = None
     out._gb = entries
-    out._monic = out.gens
     return out
 
 
@@ -1288,7 +1364,7 @@ def _fold(I: Ideal, J, per_generator, budget, config) -> Ideal:
     for g in J.gens:
         c = per_generator(g)
         acc = c if acc is None else intersect(acc, c, budget, config)
-        if I.contains_ideal(acc, budget, config):
+        if ideal_equal(I, acc, budget, config):  # I lies in acc
             break
     return acc
 
@@ -1307,7 +1383,7 @@ def saturation(I: Ideal, J, budget=None, config=None) -> Ideal:
         cur = I
         while True:
             nxt = colon_poly(cur, g, budget, config)
-            if nxt.is_unit() or cur.contains_ideal(nxt, budget, config):
+            if nxt.is_unit() or ideal_equal(cur, nxt, budget, config):  # cur lies in nxt
                 return nxt
             cur = nxt
     return _fold(I, J, chain, budget, config)

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .config import Budget, ComputationTimeout
-from .groebner import Ideal, colon, ideal_power, ideal_product, radical_membership
+from .groebner import (Ideal, colon, ideal_equal, ideal_power, ideal_product,
+                       radical_membership)
 from .polyring import Polynomial, dot
 from .structmat import PolyMatrix, build_gp_associated, minor, minors_ideal_gens
 from .syzygy import rees_bigraded_kernel
@@ -312,8 +313,9 @@ class ReductionOutcome:
 def reduction_conjecture_check(H: PolyMatrix, form: polar.PolarMapData, P: Ideal, i: int,
                                budget: Budget | None = None) -> ReductionOutcome:
     """Colon filtration J*P^i : P^{i+1} against the minor ideal ladder, J
-    the gradient ideal of form.  The first generator of either side
-    outside the other is the NotEqual witness."""
+    the gradient ideal of form.  `ideal_equal` decides Equal; otherwise
+    the first generator of the colon outside the ladder ideal, else of the
+    ladder ideal outside the colon, is the NotEqual witness."""
     m = H.rows
     check_order("reduction", m, i)
     ring = H.ring
@@ -324,10 +326,10 @@ def reduction_conjecture_check(H: PolyMatrix, form: polar.PolarMapData, P: Ideal
         lhs_ideal = J if i == 0 else ideal_product(J, ideal_power(P, i))
         pw = ideal_power(P, i + 1)
         got = colon(lhs_ideal, pw, budget)
-        for gens, other in ((got.gens, rhs), (rhs.gens, got)):
-            for g in gens:
-                if not other.contains(g, budget=budget):
-                    return ReductionOutcome(m, i, "NotEqual", witness=str(g))
-        return ReductionOutcome(m, i, "Equal")
+        if ideal_equal(got, rhs, budget):
+            return ReductionOutcome(m, i, "Equal")
+        witness = next(g for gens, other in ((got.gens, rhs), (rhs.gens, got))
+                       for g in gens if not other.contains(g, budget=budget))
+        return ReductionOutcome(m, i, "NotEqual", witness=str(witness))
     except ComputationTimeout:
         return ReductionOutcome(m, i, "Timeout")

@@ -39,7 +39,7 @@ from .config import Budget, Config, ComputationTimeout, DEFAULT_CONFIG
 from .linalg import dense_det
 from .modp import (PRIME_61, PRIME_61B, factor_multiplicity_upoly, udeg,
                    ugcd, uderiv, uinterpolate)
-from .groebner import Ideal, colon_poly, symmetric_algebra_ideal, saturation
+from .groebner import Ideal, colon_poly, ideal_equal, symmetric_algebra_ideal, saturation
 from .polyring import (Polynomial, Ring, evaluate_all, exact_divide, morph, restrict_all,
                        NOT_DIVISIBLE)
 from .structmat import PolyMatrix, determinant
@@ -441,8 +441,8 @@ def linear_type_check(forms: list[Polynomial], syzygy_columns: list[list[Polynom
     ideal L in k[y, x] (`rees_ring`).  For a nonzero f in I, Sym(I) and
     Rees(I) agree once f is inverted, and Rees(I) is R-torsion-free, so the
     Rees ideal is L : f^inf (Vasconcelos, *Arithmetic of Blowup Algebras*,
-    1994, ch. 1).  Hence I is of linear type iff L : f = L.  Since L lies
-    in L : f, that holds iff the two reduced bases are equal; otherwise a
+    1994, ch. 1).  Hence I is of linear type iff L : f = L, which
+    `ideal_equal` decides from the two reduced bases; otherwise the first
     generator of L : f outside L, found by normal forms, is a blowup
     equation that L misses: the witness of NotLinearType.  f is the first
     form; the forms must be nonzero and homogeneous of one degree."""
@@ -451,11 +451,10 @@ def linear_type_check(forms: list[Polynomial], syzygy_columns: list[list[Polynom
         raise ValueError("need nonzero forms, homogeneous of one degree")
     try:
         sym = symmetric_algebra_ideal(forms, syzygy_columns)
-        basis = sym.groebner_basis(budget)
-        quotient = colon_poly(sym, morph(forms[0], sym.ring), budget).gens
-        if quotient == basis:
+        quotient = colon_poly(sym, morph(forms[0], sym.ring), budget)
+        if ideal_equal(sym, quotient, budget):
             return LinearTypeResult("LinearType")
-        witness = next(g for g in quotient if not sym.contains(g, budget=budget))
+        witness = next(g for g in quotient.gens if not sym.contains(g, budget=budget))
         return LinearTypeResult("NotLinearType", witness=witness)
     except ComputationTimeout:
         return LinearTypeResult("Timeout")

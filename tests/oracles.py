@@ -480,11 +480,18 @@ def rees_ideal(forms, budget=None, config=None):
 # saturation and radical membership by the routes that the colon chains
 # replaced: rounds of the colon by the whole ideal, and the Rabinowitsch tag
 
+def membership_equal(I, J, budget=None, config=None):
+    """I = J by mutual membership: every generator of J reduces to zero by
+    the basis of I, and every generator of I by that of J.  The route
+    that the comparison of reduced bases replaced."""
+    return (all(I.contains(g, budget, config) for g in J.gens)
+            and all(J.contains(g, budget, config) for g in I.gens))
+
+
 def rounds_saturation(I, J, budget=None, config=None):
     """I : J^∞ as the rounds I : J, (I : J) : J, ... until a round adds
     nothing; each round is ∩ I : g over the generators g of J, by the
     tag-variable colon and intersection."""
-    from detlab.groebner import ideal_equal
     if J.is_zero():
         raise ZeroDivisionError("saturation by the zero ideal")
     cur = I
@@ -492,7 +499,7 @@ def rounds_saturation(I, J, budget=None, config=None):
         nxt = tag_colon(cur, J.gens[0], budget, config)
         for g in J.gens[1:]:
             nxt = tag_intersect(nxt, tag_colon(cur, g, budget, config), budget, config)
-        if ideal_equal(nxt, cur, budget, config):
+        if membership_equal(nxt, cur, budget, config):
             return cur
         cur = nxt
 

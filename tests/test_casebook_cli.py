@@ -776,29 +776,35 @@ def test_casebook_run_matches_the_reference_output():
     assert proc.stdout == reference.read_text(encoding="utf-8")
 
 
-# Budget ticks by label of a default run: every scenario's default facts,
-# in one fresh process with no cache directory
 # Budget ticks by label of a default run that reads every basis from a
 # cache directory a first run filled: the membership tests, Hilbert series
 # and the work that is not a Groebner basis
 WARM_RUN_TICKS = {
-    "polynomial reduction": 772, "Hilbert series": 311, "linear algebra": 1917,
+    "polynomial reduction": 248, "Hilbert series": 311, "linear algebra": 1917,
     "module reduction": 7, "bigraded kernel assembly": 1938,
     "determinant expansion": 717, "Fitting minors": 53,
 }
 
+# Budget ticks by label of a default run: every scenario's default facts,
+# in one fresh process with no cache directory
 DEFAULT_RUN_TICKS = {
-    "Buchberger": 1372, "polynomial reduction": 5390, "colon labels": 2772,
+    "Buchberger": 1372, "polynomial reduction": 4866, "colon labels": 2772,
     "Hilbert series": 311, "linear algebra": 1917, "module Buchberger": 332,
     "module reduction": 979, "bigraded kernel assembly": 1938,
     "determinant expansion": 717, "Fitting minors": 53,
 }
 
-# every scenario's default facts, with the cache directory argv[1] if given
+# monic basis elements (`_Entry.monic` calls) the warm run builds: only
+# for the bases that facts read as polynomials; equality and membership
+# tests read the packed entries
+WARM_RUN_MONIC = 66
+
+# every scenario's default facts, with the cache directory argv[1] if given;
+# the ticks by label and the number of monic basis elements built
 _COUNT_TICKS = """
 import json
 import sys
-from detlab import config
+from detlab import config, groebner
 from detlab.casebook import registry, run_scenario
 totals = {}
 tick = config.Budget.tick
@@ -807,14 +813,22 @@ def counting(self, n=1, what="computation"):
     totals[what] = totals.get(what, 0) + n
     tick(self, n, what)
 config.Budget.tick = counting
+built = [0]
+monic = groebner._Entry.monic
+
+def counting_monic(self, ring):
+    built[0] += 1
+    return monic(self, ring)
+groebner._Entry.monic = counting_monic
 cfg = config.Config(cache_dir=sys.argv[1] if len(sys.argv) > 1 else None)
 verdicts = {run_scenario(sid, config=cfg).verdict for sid in sorted(registry())}
-print(json.dumps({"verdicts": sorted(verdicts), "ticks": totals}))
+print(json.dumps({"verdicts": sorted(verdicts), "ticks": totals, "monic": built[0]}))
 """
 
 
 def _count_ticks(*args, hashseed="0"):
-    """The verdicts and ticks by label of `_COUNT_TICKS` in a fresh process."""
+    """The verdicts, ticks by label and monic elements built of
+    `_COUNT_TICKS` in a fresh process."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("DETLAB_")}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -848,6 +862,7 @@ def test_warm_run_work_counts_are_pinned(tmp_path):
     for label in ("Buchberger", "module Buchberger", "colon labels"):
         assert out["ticks"].get(label, 0) == 0
     assert out["ticks"] == WARM_RUN_TICKS
+    assert out["monic"] == WARM_RUN_MONIC
     assert [(p.name, p.stat().st_size, p.stat().st_mtime_ns)
             for p in sorted(Path(cache).iterdir())] == written
 

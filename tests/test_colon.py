@@ -15,15 +15,18 @@ from unittest.mock import patch
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from detlab import groebner
+from detlab import groebner, polar
 from detlab.config import Budget, ComputationTimeout, Config
-from detlab.groebner import (Ideal, colon_poly, radical_membership, saturation, _colon_key,
-                             _MEMORY_CACHE)
-from detlab.polyring import Polynomial, format_polynomial, grevlex, xring
+from detlab.groebner import (Ideal, colon, colon_poly, ideal_power, ideal_product,
+                             radical_membership, saturation, symmetric_algebra_ideal,
+                             _colon_key, _MEMORY_CACHE)
+from detlab.hankelplucker import reduction_conjecture_check
+from detlab.polyring import Polynomial, format_polynomial, grevlex, morph, xring
 from detlab.structmat import (build_gp_associated, build_structured, determinant,
                               minors_ideal_gens)
-from oracles import (lex, rabinowitsch_radical_membership, rounds_saturation, tag_colon,
-                     tag_intersect)
+from detlab.syzygy import first_syzygy_module
+from oracles import (lex, membership_equal, rabinowitsch_radical_membership,
+                     rounds_saturation, tag_colon, tag_intersect)
 from test_groebner import _LabelBudget, _disk_records, _fresh_process
 
 CAT43_REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference" / "cat43-colon.json"
@@ -317,7 +320,7 @@ def test_the_intersection_matches_the_tag_variable_intersection(kind, data):
     assert got.gens == want.gens
     assert calls == ([1] if kind == "apart" else [])
     # the generators are the reduced basis, already set on the result
-    assert got._monic == got.gens
+    assert got.gens is got.groebner_basis()
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +415,104 @@ def test_radical_membership_matches_the_rabinowitsch_test(kind, data):
         assert not got
     elif kind == "constant":
         assert got == I.is_unit()
+
+
+# ---------------------------------------------------------------------------
+# equalities decided from reduced bases, against the routes that decided
+# them by mutual membership
+
+def _tag_colon_by_ideal(I, J, budget):
+    """I : J as ∩ I : g over the generators g of J, by the tag-variable
+    colon and intersection, generated by its reduced basis."""
+    out = tag_colon(I, J.gens[0], budget)
+    for g in J.gens[1:]:
+        out = tag_intersect(out, tag_colon(I, g, budget), budget)
+    return Ideal(I.ring, out.groebner_basis(budget))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_the_colon_by_an_ideal_matches_the_tag_variable_route(data):
+    n = data.draw(st.integers(2, 3))
+    R = xring(n, data.draw(st.sampled_from([grevlex(n), lex(n)])))
+    homogeneous = data.draw(st.booleans())
+    I = Ideal(R, [_poly(data, R, homogeneous, n) for _ in range(data.draw(st.integers(1, 3)))])
+    J = Ideal(R, [_poly(data, R, homogeneous, n) for _ in range(data.draw(st.integers(1, 2)))])
+    try:
+        got = colon(I, J, budget=Budget(step_cap=20_000))
+        budget = Budget(step_cap=20_000)
+        want = _tag_colon_by_ideal(I, J, budget)
+        equal = membership_equal(got, want, budget)
+    except ComputationTimeout:
+        assume(False)
+    assert equal
+    assert got.gens == want.gens
+
+
+def _linear_type_by_membership(forms, columns, budget):
+    """(status, witness) of the linear-type test by the route it replaced:
+    L : f by the tag-variable colon, L = L : f by mutual membership, and
+    the witness the first element of the reduced basis of L : f outside L."""
+    sym = symmetric_algebra_ideal(forms, columns)
+    quotient = Ideal(sym.ring, tag_colon(sym, morph(forms[0], sym.ring), budget)
+                     .groebner_basis(budget))
+    if membership_equal(sym, quotient, budget):
+        return "LinearType", None
+    return "NotLinearType", next(g for g in quotient.gens if not sym.contains(g, budget))
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_linear_type_matches_the_membership_route(data):
+    n = data.draw(st.integers(2, 3))
+    R = xring(n)
+    pool = _monomials(n, data.draw(st.integers(1, 2)))
+    forms = [Polynomial(R, data.draw(st.dictionaries(st.sampled_from(pool), _COEFFS,
+                                                     min_size=1, max_size=2)))
+             for _ in range(data.draw(st.integers(2, 3)))]
+    try:
+        columns = first_syzygy_module(forms, Budget(step_cap=20_000)).columns
+        want = _linear_type_by_membership(forms, columns, Budget(step_cap=20_000))
+    except ComputationTimeout:
+        assume(False)
+    out = polar.linear_type_check(forms, columns, Budget(step_cap=20_000))
+    assume(out.status != "Timeout")
+    assert (out.status, out.witness) == want
+
+
+def _reduction_by_membership(H, form, P, i, budget):
+    """(status, witness) of the filtration check by the route it replaced:
+    the colon by tag variables, equality by mutual membership, and the
+    witness the first generator of either side outside the other."""
+    ring = H.ring
+    t = H.rows - 2 - i
+    rhs = Ideal(ring, minors_ideal_gens(H, t) if t else [ring.one()])
+    lhs = form.J if i == 0 else ideal_product(form.J, ideal_power(P, i))
+    got = _tag_colon_by_ideal(lhs, ideal_power(P, i + 1), budget)
+    if membership_equal(got, rhs, budget):
+        return "Equal", None
+    return "NotEqual", next(str(g) for gens, other in ((got.gens, rhs), (rhs.gens, got))
+                            for g in gens if not other.contains(g, budget))
+
+
+@pytest.mark.parametrize("i", [0, 1])
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_the_reduction_check_matches_the_membership_route(hankel_record, i, data):
+    # the Hankel record of order 3 against small ideals P of linear forms
+    # and quadrics, the submaximal minor ideal among them
+    H, form, minors = hankel_record(3)
+    R = H.ring
+    P = data.draw(st.sampled_from([minors, Ideal(R, R.gens()), None]))
+    if P is None:
+        P = Ideal(R, [_poly(data, R, True, 5, 2) for _ in range(data.draw(st.integers(1, 2)))])
+    try:
+        want = _reduction_by_membership(H, form, P, i, Budget(step_cap=20_000))
+    except ComputationTimeout:
+        assume(False)
+    out = reduction_conjecture_check(H, form, P, i, Budget(step_cap=20_000))
+    assume(out.status != "Timeout")
+    assert (out.status, out.witness) == want
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from detlab.groebner import (Ideal, certify_groebner, colon, colon_poly, elimina
                              _cache_key, _MEMORY_CACHE)
 from detlab.structmat import build_structured, build_gp_associated, determinant, minors_ideal_gens
 from detlab.syzygy import module_groebner, syzygy_generators, _module_rows
-from oracles import bidegree, naive_normal_form, naive_spoly, grevlex_key, lex, rees_ideal
+from oracles import (bidegree, membership_equal, naive_normal_form, naive_spoly, grevlex_key, lex,
+                     rees_ideal)
 
 
 def hankel3_context():
@@ -938,6 +939,140 @@ def test_ideal_equal_mutual_membership():
     B = Ideal(R, [x0 + x1, x0 - x1])
     assert ideal_equal(A, B)
     assert not ideal_equal(A, Ideal(R, [x0]))
+
+
+# ---------------------------------------------------------------------------
+# ideal equality from reduced bases, against mutual membership
+
+_EQUAL_KINDS = ("regenerated", "result", "other", "tails", "zero", "unit", "widened", "orders")
+
+
+def _drawn_poly(data, R, homogeneous):
+    """A nonzero polynomial of R with one to three terms: homogeneous of a
+    drawn degree 1..2, or of degrees 0..2."""
+    degree = data.draw(st.integers(1, 2))
+    pool = [e for e in itertools.product(range(3), repeat=R.nvars)
+            if (sum(e) == degree if homogeneous else sum(e) <= 2)]
+    terms = data.draw(st.dictionaries(st.sampled_from(pool),
+                                      st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]),
+                                      min_size=1, max_size=3))
+    return Polynomial(R, terms)
+
+
+@pytest.mark.parametrize("kind", _EQUAL_KINDS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_ideal_equal_matches_mutual_membership(kind, data):
+    _MEMORY_CACHE.clear()  # a basis widened by an earlier example is not reused
+    n = data.draw(st.integers(2, 3))
+    R = xring(n, data.draw(st.sampled_from([grevlex(n), lex(n)])))
+    homogeneous = data.draw(st.booleans())
+    gens = [_drawn_poly(data, R, homogeneous) for _ in range(data.draw(st.integers(1, 3)))]
+    extra = _drawn_poly(data, R, homogeneous)
+    I = Ideal(R, gens)
+    if kind == "regenerated":  # the same ideal from other generators
+        J = Ideal(R, gens[::-1] + [extra * gens[0] + gens[-1]])
+    elif kind == "result":  # a result ideal, which holds only its basis
+        J = intersect(Ideal(R, gens + [extra * gens[0]]), Ideal(R, gens + [extra]))
+    elif kind == "other":
+        J = Ideal(R, gens + [extra])
+    elif kind == "tails":  # every generator moved in its tail
+        J = Ideal(R, [g + extra * data.draw(st.sampled_from([1, -1, 2])) for g in gens])
+        assume(not any(g.is_zero() for g in J.gens))
+    elif kind == "zero":
+        I, J = Ideal(R, []), data.draw(st.sampled_from([Ideal(R, []), I]))
+    elif kind == "unit":
+        J = Ideal(R, gens + [R.const(data.draw(st.sampled_from([1, -2, Fraction(3, 4)])))])
+    elif kind == "widened":  # the same ideal, packed wider on one side
+        J = Ideal(R, gens[::-1] + [extra * gens[0]])
+    else:  # the same generators, in a ring of the same names in another order
+        J = Ideal(xring(n, lex(n) if R.order == grevlex(n) else grevlex(n)),
+                  [Polynomial(R, g.terms) for g in gens])
+    if data.draw(st.booleans()):
+        I, J = J, I
+    try:
+        budget = Budget(step_cap=20_000)
+        if kind == "widened":
+            entries, width = J._entries(budget), I._entries(budget)[0].pk.width
+            assume(entries is not I._entries(budget))  # not one key
+            while entries[0].pk.width <= width:
+                entries.widen()
+        want = membership_equal(I, J, budget)
+        got = ideal_equal(I, J, budget)
+        same = groebner._same_basis(I, J, budget)
+        contains = I.contains_ideal(J, budget)
+        assert contains == all(I.contains(g, budget) for g in J.gens)
+    except ComputationTimeout:
+        assume(False)
+    assert got == want
+    assert same is None if kind in ("widened", "orders") else same == want
+    if kind in ("regenerated", "result", "widened", "orders"):
+        assert got
+
+
+def test_equal_leading_monomials_do_not_make_equal_ideals():
+    R = xring(2)
+    x0, x1 = R.gens()
+    plus, minus = Ideal(R, [x0 ** 2 + x1 ** 2]), Ideal(R, [x0 ** 2 - x1 ** 2])
+    assert plus.leading_monomials() == minus.leading_monomials()
+    assert not ideal_equal(plus, minus)
+    assert not plus.contains_ideal(intersect(minus, minus))
+
+
+def test_one_ideal_in_two_orders_has_bases_of_different_lengths():
+    # (x0 - x1^2, x1^3) is its own reduced basis in lex; in grevlex the
+    # basis is x1^2 - x0, x0*x1, x0^2.  The bases cannot decide equality:
+    # membership does
+    Rg, Rl = xring(2), xring(2, lex(2))
+    x0, x1 = Rg.gens()
+    I = Ideal(Rg, [x0 - x1 ** 2, x1 ** 3])
+    J = Ideal(Rl, [Polynomial(Rl, g.terms) for g in I.gens])
+    assert len(I.groebner_basis()) == 3 and len(J.groebner_basis()) == 2
+    assert groebner._same_basis(I, J) is None
+    assert ideal_equal(I, J) and ideal_equal(J, I)
+    assert not ideal_equal(I, Ideal(Rl, [Polynomial(Rl, (x0 - x1 ** 2).terms)]))
+
+
+def _no_monic(*args):
+    raise AssertionError("a monic basis was built")
+
+
+def test_equal_bases_decide_without_reduction(monkeypatch):
+    # an equal pair is decided by comparing the entries: no reduction
+    # step is taken and no monic basis is built
+    H, f, partials, J, P = hankel3_context()
+    J.groebner_basis()
+    K = Ideal(H.ring, partials[::-1] + [partials[0] * partials[1]])
+    K._entries()
+    P._entries()
+    result = intersect(Ideal(H.ring, partials + [f]), J)
+    monkeypatch.setattr(groebner._Entry, "monic", _no_monic)
+    budget = _LabelBudget()
+    assert ideal_equal(J, K, budget) and ideal_equal(result, J, budget)
+    assert J.contains_ideal(result, budget)
+    assert budget.by_label == {}
+    assert P.contains_ideal(result, budget) and not result.contains_ideal(P, budget)
+    assert set(budget.by_label) == {"polynomial reduction"}
+
+
+def test_a_result_ideal_is_keyed_by_its_whole_basis(monkeypatch):
+    # the key of a result ideal comes from the integer terms of its
+    # entries, builds no monic basis, and is of a kind of its own
+    R = xring(2)
+    x0, x1 = R.gens()
+
+    def result(f):
+        return intersect(Ideal(R, [f]), Ideal(R, [f, f * x0]))
+    plus, minus = result(x0 ** 2 + x1 ** 2), result(x0 ** 2 - x1 ** 2)
+    twice = result(2 * x0 ** 2 + 2 * x1 ** 2)
+    with monkeypatch.context() as m:
+        m.setattr(groebner._Entry, "monic", _no_monic)
+        keys = plus._key, minus._key, twice._key
+    assert keys[0] != keys[1] and keys[0] == keys[2]
+    assert keys[0] != Ideal(R, plus.gens)._key
+    g = x0 + x1
+    assert colon_poly(plus, g).groebner_basis() == plus.groebner_basis()
+    assert colon_poly(minus, g).groebner_basis() == [x0 - x1]
 
 
 def test_colon_by_zero_raises():
