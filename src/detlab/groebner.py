@@ -40,16 +40,23 @@ support lies inside it, and returns the first of those bits among `keep`,
 from the low end, whose entry passes the exact test: the divisor a scan of
 the basis in order would pick, so remainders and work counts do not depend
 on the index.  The cancellation `_cancel` scales the working terms and the
-dict passed as `scaled`, subtracts the reducer's shifted tail and pushes
-the new monomials onto the heap.  `_normal_form_int` (Buchberger, normal
-forms, module bases, tail reduction) passes the basis positions but the
-one it leaves out as `keep`, and its remainder as `scaled`;
-`_regular_reduce` (the colon below) searches the basis of I with every
-position, then the labelled elements, clearing from `keep` each that fails
-the signature test, and passes its label u as `scaled`.  The one lcm is
-`_Packing.lcm` on exponent tuples, for the pairs, the J-pairs and
-`certify_groebner`; the colon builds it only for the J-pairs that pass the
-F5 test, which runs first on the variable fields alone (below).  An index
+dict passed as `scaled`, then subtracts the reducer's shifted tail from
+the terms, pushing new monomials onto the heap, and the same multiple of
+a `label`, if given, from `scaled`, both by the one loop `_subtract`.
+`_normal_form_int` (Buchberger, normal forms, module bases, tail
+reduction) passes the basis positions but the one it leaves out as
+`keep`, and its remainder as `scaled`; `_regular_reduce` (the colon
+below) searches the basis of I with every position, then the labelled
+elements, clearing from `keep` each that fails the signature test, and
+passes its label u as `scaled` and a labelled reducer's label as
+`label`.  `_spoly` (Buchberger, `certify_groebner`) is one such step on
+gi's tail shifted to the lcm by `_shifted`, the one guard-checked shift,
+which also makes the colon's J-pair multiples t*u and t*v.  `_minimal`,
+the one minimal-monomial walk, serves the chain criterion among new
+pairs and the Hilbert numerators.  The one lcm is `_Packing.lcm` on
+exponent tuples, for the pairs, the J-pairs and `certify_groebner`; the
+colon builds it only for the J-pairs that pass the F5 test, which runs
+first on the variable fields alone (below).  An index
 belongs to one basis list: a Buchberger run extends its own as the basis
 grows, and a restart at a wider width builds a new one; a reduced basis
 (`_Basis`) keeps one for its normal forms, membership tests, colons and
@@ -96,8 +103,9 @@ are, term for term (`_same_basis`).  `ideal_equal` compares them, and
 falls back to mutual membership only when it cannot: for two orders on
 the same variable names, or two packings after a widening.  An
 intersection I ∩ J is the smaller ideal when one contains the other,
-which normal forms against the two bases decide; only otherwise is it the
-tag-variable elimination (u*I + (1-u)*J) ∩ k[x].  The colon by an ideal,
+which normal forms against the two bases decide, read in the order of
+I; only otherwise is it the tag-variable elimination (u*I + (1-u)*J) ∩
+k[x].  The colon by an ideal,
 ∩ I : g over its generators, meets mostly nested pairs.  So does the
 saturation, ∩ I : g^∞, where each I : g^∞ is a chain of colons by g, each
 from the basis the step before returned.  Both stop at the first step
@@ -436,26 +444,21 @@ class _DivisorIndex:
         return -1
 
 
-def _cancel(coeffs: dict, heap: list, m: int, c: int, red: _Entry,
-            scaled: dict) -> tuple[int, int]:
-    """One reduction step: cancel the term c*m, already taken out of the
-    packed term dict `coeffs`, by the multiple of `red` whose leading
-    monomial is m.  With d = gcd(c, lc(red)), `coeffs` and the dict
-    `scaled` are multiplied by sc = lc(red) / d, then mult = c / d times the
-    shifted tail of red is subtracted from `coeffs`; a new monomial is
-    pushed, negated, onto `heap`.  Returns (mult, sc).  Raises _Overflow
-    when a new term does not fit the packing."""
-    d = gcd(abs(c), red.lc)
-    mult = c // d
-    sc = red.lc // d
-    if sc != 1:
-        for k in coeffs:
-            coeffs[k] *= sc
-        for k in scaled:
-            scaled[k] *= sc
-    guard = red.pk.guard
-    shift = m - red.lm
-    for tm, tc in red.tail.items():
+def _shifted(terms: dict, t: int, guard: int) -> dict:
+    """The packed terms times the packed monomial t; raises _Overflow when
+    a product sets a guard bit."""
+    out = {m + t: c for m, c in terms.items()}
+    if any(m & guard for m in out):
+        raise _Overflow
+    return out
+
+
+def _subtract(coeffs: dict, heap: list, terms: dict, shift: int, mult: int,
+              guard: int) -> None:
+    """Subtract mult times the packed terms shifted by `shift` from
+    `coeffs`, pushing each new monomial, negated, onto `heap`; raises
+    _Overflow when a new monomial sets a guard bit."""
+    for tm, tc in terms.items():
         nm = tm + shift
         prev = coeffs.get(nm)
         if prev is None:
@@ -469,7 +472,32 @@ def _cancel(coeffs: dict, heap: list, m: int, c: int, red: _Entry,
                 coeffs[nm] = nv
             else:
                 del coeffs[nm]
-    return mult, sc
+
+
+def _cancel(coeffs: dict, heap: list, m: int, c: int, red: _Entry,
+            scaled: dict, label: dict | None = None) -> int:
+    """One reduction step: cancel the term c*m, already taken out of the
+    packed term dict `coeffs`, by the multiple of `red` whose leading
+    monomial is m.  With d = gcd(c, lc(red)), `coeffs` and the dict
+    `scaled` are multiplied by sc = lc(red) / d, then mult = c / d times the
+    shifted tail of red is subtracted from `coeffs`, its new monomials
+    pushed onto `heap` (`_subtract`), and the same multiple of `label`, if
+    given, from `scaled`.  Returns sc.  Raises _Overflow when a new term
+    does not fit the packing."""
+    d = gcd(abs(c), red.lc)
+    mult = c // d
+    sc = red.lc // d
+    if sc != 1:
+        for k in coeffs:
+            coeffs[k] *= sc
+        for k in scaled:
+            scaled[k] *= sc
+    guard = red.pk.guard
+    shift = m - red.lm
+    _subtract(coeffs, heap, red.tail, shift, mult, guard)
+    if label is not None:
+        _subtract(scaled, [], label, shift, mult, guard)
+    return sc
 
 
 def _reduce_terms(terms: dict, basis: _Basis, budget: Budget | None,
@@ -518,7 +546,7 @@ def _normal_form_int(terms: dict, index: _DivisorIndex, budget: Budget,
             out[m] = c
             continue
         budget.tick(1, what)
-        _, sc = _cancel(coeffs, heap, m, c, entries[k], out)
+        sc = _cancel(coeffs, heap, m, c, entries[k], out)
         if sc != 1:
             scale *= sc
             scale_events += 1
@@ -537,25 +565,22 @@ def _normal_form_int(terms: dict, index: _DivisorIndex, budget: Budget,
 
 def _spoly(gi: _Entry, gj: _Entry, top: int) -> dict:
     """Integer s-polynomial (packed) of two entries whose leading monomials
-    have the packed lcm `top`."""
-    guard = gi.pk.guard
-    d = gcd(gi.lc, gj.lc)
-    mi = gj.lc // d
-    mj = gi.lc // d
-    si = top - gi.lm
-    sj = top - gj.lm
-    out: dict = {}
-    for m, c in gi.tail.items():
-        out[m + si] = mi * c
-    for m, c in gj.tail.items():
-        nm = m + sj
-        v = out.get(nm, 0) - mj * c
-        if v:
-            out[nm] = v
-        else:
-            out.pop(nm, None)
-    if any(m & guard for m in out):
-        raise _Overflow
+    have the packed lcm `top`: gi's shifted tail, its lead cancelled by gj.
+    Raises _Overflow when a shifted tail term of either does not fit."""
+    out = _shifted(gi.tail, top - gi.lm, gi.pk.guard)
+    _cancel(out, [], top, gi.lc, gj, {})
+    return out
+
+
+def _minimal(monomials, guard: int) -> list[int]:
+    """The distinct packed monomials that no other divides, ascending:
+    walking upwards, a monomial is divisible by another iff by a minimal
+    one met before it."""
+    out: list[int] = []
+    for m in sorted(set(monomials)):
+        mg = m | guard
+        if not any((mg - a) & guard == guard for a in out):
+            out.append(m)
     return out
 
 
@@ -600,21 +625,13 @@ class _Pairs:
         for i, ei in enumerate(self.exps):
             if comps[i] == comp:
                 new[i], new_degs[i] = pk.lcm(ei, eh)
-        # the chain criterion among the new pairs: walking the distinct lcms
-        # upwards, an lcm is properly divisible by another iff by a minimal one
-        minimal: list[int] = []
-        divisible = set()
-        for lk in sorted(set(new.values())):
-            lg = lk | guard
-            if any((lg - a) & guard == guard for a in minimal):
-                divisible.add(lk)
-            else:
-                minimal.append(lk)
+        # the chain criterion among the new pairs: only minimal lcms stay
+        minimal = set(_minimal(new.values(), guard))
         masks, hmask = self.masks, h.mask
         seen: dict[int, int] = {}
         kept = []
         for i, lk in new.items():
-            if lk in divisible:
+            if lk not in minimal:
                 continue
             if not masks[i] & hmask:
                 seen.setdefault(lk, -1)  # coprime kills the later ones of its lcm
@@ -736,16 +753,14 @@ def _regular_reduce(u: dict, v: dict, sig: int, gidx: _DivisorIndex,
     t*v_k takes it off at a signature t*sigs[k] below sig; then t*u_k is
     taken off u with it, so lm(u) stays sig.  This repeats until v is zero
     or its leading term has no such reducer; the tail is left as it is.
-    Raises _Overflow when a new term does not fit the packing.
+    u and v are updated in place.  Raises _Overflow when a new term does
+    not fit the packing.
     """
-    guard = gidx.pk.guard
-    u = dict(u)
-    coeffs = dict(v)
-    heap = [-m for m in coeffs]
+    heap = [-m for m in v]
     heapify(heap)
     while heap:
         m = -heappop(heap)
-        c = coeffs.get(m)
+        c = v.get(m)
         if c is None:
             continue
         k = gidx.divisor(m)
@@ -758,23 +773,12 @@ def _regular_reduce(u: dict, v: dict, sig: int, gidx: _DivisorIndex,
             while (k := lidx.divisor(m, keep)) >= 0 and m - lidx.lms[k] + sigs[k] >= sig:
                 keep &= ~(1 << k)
             if k < 0:
-                return u, coeffs
+                return u, v
             red, label = lidx.entries[k], us[k]
         budget.tick(1, "polynomial reduction")
-        del coeffs[m]
-        mult, _ = _cancel(coeffs, heap, m, c, red, u)
-        if label is not None:
-            shift = m - red.lm
-            for tm, tc in label.items():
-                nm = tm + shift
-                if nm & guard:
-                    raise _Overflow
-                nv = u.get(nm, 0) - mult * tc
-                if nv:
-                    u[nm] = nv
-                else:
-                    del u[nm]
-    return u, coeffs
+        del v[m]
+        _cancel(v, heap, m, c, red, u, label)
+    return u, v
 
 
 def _colon_at_width(G: _Basis, g: dict, budget: Budget) -> _Basis:
@@ -867,10 +871,7 @@ def _colon_at_width(G: _Basis, g: dict, budget: Budget) -> _Basis:
             continue  # covered: a known element reaches sig with a smaller lm(v)
         budget.tick(1, "Buchberger")
         t = sig - sigs[i]
-        u = {m + t: c for m, c in us[i].items()}
-        v = {m + t: c for m, c in lidx.entries[i].packed().items()}
-        if any(m & guard for m in itertools.chain(u, v)):
-            raise _Overflow
+        u, v = _shifted(us[i], t, guard), _shifted(lidx.entries[i].packed(), t, guard)
         add(sig, *_regular_reduce(u, v, sig, gidx, lidx, sigs, us, budget))
     return _reduced(G + [_Entry(u, pk, 0) for _, u in found], budget, "polynomial reduction")
 
@@ -1308,9 +1309,9 @@ def eliminate(I: Ideal, keep_indices, budget=None, config=None) -> Ideal:
 
 
 def intersect(I: Ideal, J: Ideal, budget=None, config=None) -> Ideal:
-    """I ∩ J, generated by its reduced basis.  When one ideal contains the
-    other (normal forms against the two bases), that is the smaller one;
-    otherwise the tag-variable elimination (u*I + (1-u)*J) ∩ k[x] in a
+    """I ∩ J in the ring of I, generated by its reduced basis.  When one
+    ideal contains the other (normal forms against the two bases), that is
+    the smaller one; otherwise the tag-variable elimination (u*I + (1-u)*J) ∩ k[x] in a
     ring whose order is the tag block before the ring's own blocks."""
     ring = I.ring
     if J.ring != ring:
@@ -1319,7 +1320,9 @@ def intersect(I: Ideal, J: Ideal, budget=None, config=None) -> Ideal:
         return _seeded(ring, _Basis())
     for small, big in ((I, J), (J, I)):
         if big.contains_ideal(small, budget, config):
-            return _seeded(ring, small._entries(budget, config))
+            if small.ring.order == ring.order:
+                return _seeded(ring, small._entries(budget, config))
+            return Ideal(ring, [morph(g, ring) for g in small.gens])
     tag = _fresh_name("u", ring.variables)
     ext = Ring((tag,) + ring.variables,
                block_order([[0]] + [[i + 1 for i in b] for b in ring.order.blocks]))
@@ -1451,13 +1454,7 @@ def _hilbert_numerator(gens, pk: _Packing, memo: dict, budget: Budget) -> dict:
     """The Hilbert numerator of the monomial ideal of the packed monomials
     `gens` in the degree-first packing `pk`, whose fields hold every
     monomial met (degrees only fall, but for the pivot variable itself)."""
-    guard = pk.guard
-    out = []
-    for g in sorted(set(gens)):  # minimal generators, by degree, then exponents
-        gg = g | guard
-        if not any((gg - h) & guard == guard for h in out):
-            out.append(g)
-    gens = tuple(out)
+    gens = tuple(_minimal(gens, pk.guard))  # by degree, then exponents
     if gens in memo:
         return memo[gens]
     budget.tick(1, "Hilbert series")

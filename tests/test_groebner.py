@@ -751,6 +751,20 @@ def test_intersect_principal():
     assert ideal_equal(K, Ideal(R, [x0 * x1]))
 
 
+def test_intersect_answers_in_the_order_of_its_first_ring():
+    # J lies in I = (x0, x1), so I ∩ J is J, but read in the grevlex ring of
+    # I: its basis there, not J's lex one
+    R = xring(2)
+    x0, x1 = R.gens()
+    L = Ring(R.variables, block_order([[0], [1]]))
+    y0, y1 = L.gens()
+    J = Ideal(L, [y0 - y1 ** 2, y1 ** 3])
+    assert [str(g) for g in J.groebner_basis()] == ["x1^3", "-x1^2 + x0"]
+    K = intersect(Ideal(R, [x0, x1]), J)
+    assert K.ring.order == R.order
+    assert [str(g) for g in K.groebner_basis()] == ["x1^2 - x0", "x0*x1", "x0^2"]
+
+
 def test_colon_and_saturation_hankel3():
     H, f, partials, J, P = hankel3_context()
     R = H.ring

@@ -3,6 +3,8 @@ Buchberger engine against the naive division oracles, and its divisor
 index and pair criteria against their plain forms."""
 
 import itertools
+import math
+import operator
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -48,6 +50,11 @@ def _keyed_terms(draw):
     return _module_rows(order, rank), lambda t: t[:rank] + keyf(t[rank:]), terms, monos, rank
 
 
+def _fits(pk, e):
+    """Every field of the exponent tuple e stays below its guard bit."""
+    return all(sum(w * v for w, v in zip(row, e)) < 1 << (pk.width - 1) for row in pk.rows)
+
+
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_packing_is_the_order_and_divisibility(data):
@@ -74,7 +81,7 @@ def test_a_sum_past_the_field_width_hits_a_guard_bit(data):
     pk = _Packing.holding(rows, max(sum(a), sum(b)))
     s = pk.pack(a) + pk.pack(b)
     ab = tuple(x + y for x, y in zip(a, b))
-    fits = all(sum(w * v for w, v in zip(row, ab)) < 1 << (pk.width - 1) for row in pk.rows)
+    fits = _fits(pk, ab)
     assert (s & pk.guard == 0) == fits
     if fits:
         assert pk.unpack(s) == ab
@@ -163,8 +170,10 @@ def test_an_s_polynomial_term_past_the_width_is_refused():
     pk = _Packing(_LEX3.weight_rows(), 3)
     g1 = _Entry({pk.pack((1, 1, 0)): 1, pk.pack((0, 0, 3)): -1}, pk, 3)
     g2 = _Entry({pk.pack((1, 0, 1)): 1, pk.pack((0, 1, 0)): -1}, pk, 2)
-    with pytest.raises(_Overflow):
-        _spoly(g1, g2, pk.lcm((1, 1, 0), (1, 0, 1))[0])  # its tail term x2^4 does not fit
+    top = pk.lcm((1, 1, 0), (1, 0, 1))[0]
+    for gi, gj in ((g1, g2), (g2, g1)):  # the term x2^4 of g1's shifted tail does not fit
+        with pytest.raises(_Overflow):
+            _spoly(gi, gj, top)
     wide = pk.wider()
     w1, w2 = g1.repack(wide), g2.repack(wide)
     sp = _spoly(w1, w2, wide.lcm((1, 1, 0), (1, 0, 1))[0])
@@ -174,6 +183,39 @@ def test_an_s_polynomial_term_past_the_width_is_refused():
     pairs.add(w1)
     pairs.add(w2)
     assert pairs.pop() == (4, wide.pack((1, 1, 1)), 0, 1)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_spoly_matches_the_naive_s_polynomial(data):
+    # entries of an ideal or module packing whose fields hold their terms
+    # and lcm, at the narrowest such widths: the s-polynomial is the
+    # oracle's, cleared by lcm(lc_i, lc_j), or _Overflow when a term of
+    # either shifted tail does not fit
+    rows, key, terms, _, rank = data.draw(_keyed_terms())
+    polys = st.dictionaries(terms, st.integers(-4, 4).filter(bool), min_size=1, max_size=4)
+    f, g = data.draw(polys), data.draw(polys)
+    lf, lg = max(f, key=key), max(g, key=key)
+    assume(lf[:rank] == lg[:rank])  # a module pair lies in one component
+    lcm = tuple(map(max, lf, lg))
+    width = next(w for w in itertools.count(2)
+                 if all(_fits(_Packing(rows, w), e) for e in [lcm, *f, *g]))
+    pk = _Packing(rows, width + data.draw(st.sampled_from([0, 0, 1, 2])))
+
+    def pack(e):  # field by field, not by the degree bound of `pack`
+        return sum(map(operator.mul, e, pk.units))
+
+    gi, gj = (_Entry({pack(e): c for e, c in d.items()}, pk, 0) for d in (f, g))
+    fi, fj = gi.full(), gj.full()
+    shifted = [tuple(a + b - c for a, b, c in zip(e, lcm, lt))
+               for d, lt in ((fi, lf), (fj, lg)) for e in d if e != lt]
+    if not all(_fits(pk, e) for e in shifted):
+        with pytest.raises(_Overflow):
+            _spoly(gi, gj, pack(lcm))
+        return
+    scale = gi.lc * gj.lc // math.gcd(gi.lc, gj.lc)
+    want = {e: v * scale for e, v in naive_spoly(fi, fj, pack).items()}
+    assert {pk.unpack(m): c for m, c in _spoly(gi, gj, pack(lcm)).items()} == want
 
 
 def test_a_guard_hit_in_reduction_restarts():
