@@ -24,7 +24,7 @@ from .groebner import (Ideal, colon, hilbert_data, ideal_equal, ideal_sum,
                        intersect, rees_ring, saturation)
 from .polyring import Ring, dot
 from .structmat import (MinorLadder, PolyMatrix, build_gp_associated, build_structured,
-                        determinant, cofactor_matrix, minor, minors_ideal_gens)
+                        determinant, cofactor_matrix, minors_ideal_gens)
 from .hankelplucker import (golberg_delta_check, integrality_check,
                             reduction_conjecture_check)
 from .syzygy import fitting_condition_F1
@@ -352,10 +352,11 @@ def _cat32_facts():
         # ideal as the rectangular ones minus the columns-2-4 bracket, and
         # adding that bracket back recovers the full minor ideal
         budget = ctx["budget"]
-        gp_minors = minors_ideal_gens(ctx["gp"], 2, budget)
-        b = minor(ctx["gp"], range(2), [1, 3], budget)
+        ladder = MinorLadder(ctx["gp"], budget)
+        b = ladder.minor(range(2), [1, 3])
         R = ctx["ring"]
-        reduced = Ideal(R, [g for g in gp_minors if g not in (b, -b)])
+        reduced = Ideal(R, [g for g in dict.fromkeys(ladder.minors(2))
+                            if not g.is_zero() and g not in (b, -b)])
         eq1 = ideal_equal(ctx["I"], reduced, budget)
         eq2 = ideal_equal(ctx["P"], ideal_sum(ctx["I"], Ideal(R, [b])), budget)
         not_inside = not ctx["I"].contains(b, budget=budget)
@@ -370,11 +371,10 @@ def _cat32_facts():
                           ideal_equal(got, ctx["I"], ctx["budget"]))
 
     def bracket_partials(ctx):
-        R = ctx["ring"]
-        gp = ctx["gp"]
+        ladder = MinorLadder(ctx["gp"], ctx["budget"])
 
         def D(i, j):
-            return minor(gp, range(2), [i - 1, j - 1], ctx["budget"])
+            return ladder.minor(range(2), [i - 1, j - 1])
 
         want = [D(4, 5), -D(3, 5), 2 * D(3, 4) - D(2, 5), D(1, 5),
                 2 * D(2, 3) - D(1, 4), -D(1, 3), D(1, 2)]

@@ -19,7 +19,8 @@ from .config import Config, ComputationTimeout
 from .polyring import parse_polynomial, xring
 from .groebner import (Ideal, colon, eliminate, hilbert_data,
                        intersect, radical_membership, saturation, _read_packs)
-from .structmat import build_structured, determinant, minors_ideal_gens, parse_matrix_spec
+from .structmat import (MinorLadder, build_gp_associated, build_structured, determinant,
+                        minors_ideal_gens, parse_matrix_spec)
 from .syzygy import linear_syzygies, first_syzygy_module, graded_betti
 from . import hankelplucker, polar, subhankel as subhankel_mod
 from .casebook import list_scenarios, run_scenario
@@ -249,8 +250,9 @@ def _cmd_hankel(args) -> int:
     form = polar.polar_data(determinant(H, budget), config)
     if args.check == "star":
         rows = []
+        brackets = MinorLadder(build_gp_associated(m, 1))
         for j in range(2 * m - 1):
-            e = hankelplucker.star_expansion(form, j)
+            e = hankelplucker.star_expansion(brackets, form, j)
             rows.append({"partial": j, "epsilon": e.epsilon,
                          "combination": [[c, list(b)] for c, b in e.coefficients],
                          "incomparable": e.pairwise_incomparable()})

@@ -11,8 +11,10 @@ sign is recorded, never assumed.
 Every check reads the Hankel record: the m x m matrix `H` (m = H.rows),
 the polar record `form = polar.polar_data(determinant(H), config)`, whose
 partials it uses, and, for the radical and filtration checks, the
-submaximal minor ideal `P` and the caller's budget.  No check builds or
-expands a matrix.
+submaximal minor ideal `P` and the caller's budget.  No check expands the
+determinant again.  Brackets are read from a ladder of the associated
+matrix, `MinorLadder(build_gp_associated(m, r))`, that the caller holds:
+each check builds one for its length, so it builds that matrix once.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .config import Budget, ComputationTimeout
 from .groebner import (Ideal, colon, ideal_equal, ideal_power, ideal_product,
                        radical_membership)
 from .polyring import Polynomial, dot
-from .structmat import PolyMatrix, build_gp_associated, minor, minors_ideal_gens
+from .structmat import MinorLadder, PolyMatrix, build_gp_associated, minors_ideal_gens
 from .syzygy import rees_bigraded_kernel
 from . import polar
 
@@ -44,14 +46,16 @@ def check_order(check: str, m: int, i: int | None = None) -> None:
         raise ValueError("filtration index out of range")
 
 
-def bracket_minor(m: int, r: int, cols: tuple[int, ...]) -> Polynomial:
-    """Maximal minor of the (m-1) x (m+r) associated matrix on 1-based columns."""
-    G = build_gp_associated(m, r)
+def bracket_minor(brackets: MinorLadder, cols: tuple[int, ...]) -> Polynomial:
+    """Maximal minor on 1-based columns of the (m-1) x (m+r) associated
+    matrix, read from its ladder `brackets`, so that the brackets a caller
+    reads share their smaller minors."""
+    G = brackets.matrix
     cols = tuple(cols)
-    if len(cols) != m - 1 or any(not 1 <= c <= m + r for c in cols) or \
+    if len(cols) != G.rows or any(not 1 <= c <= G.cols for c in cols) or \
             list(cols) != sorted(set(cols)):
-        raise ValueError(f"bad bracket {cols} for ({m},{r})")
-    return minor(G, range(m - 1), [c - 1 for c in cols])
+        raise ValueError(f"bad bracket {cols} for ({G.rows + 1},{G.cols - G.rows - 1})")
+    return brackets.minor(range(G.rows), [c - 1 for c in cols])
 
 
 def bracket_compare(a: tuple, b: tuple) -> str:
@@ -88,12 +92,8 @@ class BracketExpansion:
                 return False
         return True
 
-    def value(self) -> Polynomial:
-        acc = None
-        for c, b in self.coefficients:
-            t = bracket_minor(self.m, 1, b) * c
-            acc = t if acc is None else acc + t
-        return acc * self.epsilon
+    def value(self, brackets: MinorLadder) -> Polynomial:
+        return sum(bracket_minor(brackets, b) * c for c, b in self.coefficients) * self.epsilon
 
 
 def _omit(m: int, omitted: tuple[int, int]) -> tuple:
@@ -101,9 +101,10 @@ def _omit(m: int, omitted: tuple[int, int]) -> tuple:
     return tuple(c for c in range(1, m + 2) if c not in (a, b))
 
 
-def star_expansion(form: polar.PolarMapData, j: int) -> BracketExpansion:
+def star_expansion(brackets: MinorLadder, form: polar.PolarMapData, j: int) -> BracketExpansion:
     """Expansion of the j-th partial of the anti-diagonal determinant into
-    incomparable brackets, with the global sign solved, not assumed."""
+    incomparable brackets, with the global sign solved, not assumed; the
+    brackets are read from `brackets`, the ladder of the (m, 1) matrix."""
     m = form.n // 2 + 1  # the determinant of the m x m matrix has 2m - 1 variables
     if not 0 <= j <= 2 * m - 2:
         raise ValueError("partial index out of range")
@@ -123,7 +124,7 @@ def star_expansion(form: polar.PolarMapData, j: int) -> BracketExpansion:
                 continue
             combo.append((coeff, _omit(m, omitted)))
     exp = BracketExpansion(m, j, combo, 1)
-    value, target = exp.value(), form.partials[j]
+    value, target = exp.value(brackets), form.partials[j]
     if value != target:
         if -value != target:
             raise ArithmeticError(f"bracket expansion mismatch for partial {j}")
@@ -147,29 +148,18 @@ class GolbergReport:
         return self.partials_ok and self.delta_ok
 
 
-def _hankel_minor(H, k: int, l: int) -> Polynomial:
-    """Submaximal minor omitting row l and column k (1-based, unsigned)."""
-    m = H.rows
-    rows = [i for i in range(m) if i != l - 1]
-    cols = [i for i in range(m) if i != k - 1]
-    return minor(H, rows, cols)
-
-
-def delta_bracket_expansion(m: int, j: int, i: int) -> Polynomial:
+def delta_bracket_expansion(brackets: MinorLadder, j: int, i: int) -> Polynomial:
     """Bracket combination carried by the minor omitting row i, column j:
-    sum over valid l of [omit l, omit i+j+1-l]."""
+    sum over valid l of [omit l, omit i+j+1-l], read from `brackets`, the
+    ladder of the (m, 1) matrix."""
+    m = brackets.matrix.rows + 1
     if j < i:
         j, i = i, j
-    acc = None
-    for l in range(max(1, i + j - m), min(i, (i + j) // 2) + 1):
-        other = i + j + 1 - l
-        if other <= l or other > m + 1:
-            continue
-        t = bracket_minor(m, 1, _omit(m, (l, other)))
-        acc = t if acc is None else acc + t
-    if acc is None:
+    bs = [_omit(m, (l, i + j + 1 - l)) for l in range(max(1, i + j - m), min(i, (i + j) // 2) + 1)
+          if l < i + j + 1 - l <= m + 1]
+    if not bs:
         raise ValueError(f"empty bracket expansion for minor ({j},{i})")
-    return acc
+    return sum(bracket_minor(brackets, b) for b in bs)
 
 
 def golberg_delta_check(H: PolyMatrix, form: polar.PolarMapData) -> GolbergReport:
@@ -177,16 +167,17 @@ def golberg_delta_check(H: PolyMatrix, form: polar.PolarMapData) -> GolbergRepor
     each minor as a bracket combination; both as exact identities."""
     m = H.rows
     check_order("golberg", m)
+    ladder, brackets = MinorLadder(H), MinorLadder(build_gp_associated(m, 1))
+
+    def sub(k, l):
+        """The minor omitting row l and column k (1-based, unsigned)."""
+        return ladder.minor([i for i in range(m) if i != l - 1],
+                            [i for i in range(m) if i != k - 1])
     signs = []
     partials_ok = True
     details = []
     for idx in range(2 * m - 1):
-        acc = None
-        for k in range(1, m + 1):
-            l = idx + 2 - k
-            if 1 <= l <= m:
-                t = _hankel_minor(H, k, l)
-                acc = t if acc is None else acc + t
+        acc = sum(sub(k, idx + 2 - k) for k in range(max(1, idx + 2 - m), min(m, idx + 1) + 1))
         target = form.partials[idx]
         if acc == target:
             signs.append(1)
@@ -199,9 +190,9 @@ def golberg_delta_check(H: PolyMatrix, form: polar.PolarMapData) -> GolbergRepor
     delta_ok = True
     for i in range(1, m + 1):
         for j in range(i, m + 1):
-            direct = _hankel_minor(H, j, i)
+            direct = sub(j, i)
             try:
-                expanded = delta_bracket_expansion(m, j, i)
+                expanded = delta_bracket_expansion(brackets, j, i)
             except ValueError:
                 delta_ok = False
                 details.append(f"minor ({j},{i}): no bracket expansion")
@@ -216,9 +207,11 @@ def golberg_delta_check(H: PolyMatrix, form: polar.PolarMapData) -> GolbergRepor
 # quadratic bracket relations
 
 def plucker_verify(m: int, r: int, terms: list[tuple[int | Fraction, tuple, tuple]]) -> bool:
-    """Exact-zero test of a formal sum of bracket products."""
-    return bool(terms) and dot([bracket_minor(m, r, b1) * c for c, b1, _ in terms],
-                               [bracket_minor(m, r, b2) for _, _, b2 in terms]).is_zero()
+    """Exact-zero test of a formal sum of bracket products, read from one
+    ladder of the (m, r) matrix."""
+    brackets = MinorLadder(build_gp_associated(m, r))
+    return bool(terms) and dot([bracket_minor(brackets, b1) * c for c, b1, _ in terms],
+                               [bracket_minor(brackets, b2) for _, _, b2 in terms]).is_zero()
 
 
 def three_term_plucker(m: int, r: int, quad: tuple[int, int, int, int]) -> bool:
@@ -278,11 +271,12 @@ def integrality_check(H: PolyMatrix, form: polar.PolarMapData, P: Ideal,
     certified both ways, with the quadratic-equation witnesses at m = 3."""
     m = H.rows
     check_order("radical", m)
+    brackets = MinorLadder(build_gp_associated(m, 1))
     J = form.J
     per_minor = []
     all_in = True
     for cols in itertools.combinations(range(1, m + 2), m - 1):
-        g = bracket_minor(m, 1, cols)
+        g = bracket_minor(brackets, cols)
         ok = radical_membership(g, J, budget)
         per_minor.append((cols, ok))
         all_in = all_in and ok
@@ -290,11 +284,11 @@ def integrality_check(H: PolyMatrix, form: polar.PolarMapData, P: Ideal,
     witnesses = []
     if m == 3:
         JP = ideal_product(J, P)
-        bs = star_expansion(form, 2).brackets()
+        bs = star_expansion(brackets, form, 2).brackets()
         f2 = form.partials[2]
         for bidx, b in enumerate(bs):
-            delta = bracket_minor(3, 1, b)
-            other = bracket_minor(3, 1, bs[1 - bidx])
+            delta = bracket_minor(brackets, b)
+            other = bracket_minor(brackets, bs[1 - bidx])
             sol = solve_bracket_identity(delta * delta, [f2 * delta, other * delta])
             member = JP.contains(delta * delta, budget=budget)
             witnesses.append({"bracket": b, "coefficients": [str(c) for c in sol.coefficients],

@@ -27,22 +27,23 @@ reduces to zero that combination is a relation.  Its callers:
   by minus their column index: a row's leading key is then its first
   column, and the pivot set is that of the span's RREF.
 
-The dense numeric helpers (rank with a nonzero-minor witness,
-determinant) share one forward elimination, `_echelon`, over GF(p), or
-over Q fraction-free: each row is cleared of its denominators and the
-rows go through `_bareiss`.  That is the one fraction-free (Bareiss)
-elimination of the package, over any integral domain given its exact
-division: Z here, and Q[x] for the symbolic rank of
-`syzygy.poly_matrix_rank`, metered by the caller's budget.
+The dense eliminations share one pivot walk, `_walk`, each with its own
+row update.  The dense numeric helpers (rank with a nonzero-minor witness,
+determinant) run `_echelon`, over GF(p), or over Q with each row cleared
+of its denominators and the rows sent through `_bareiss`.  That is the one
+fraction-free (Bareiss) elimination of the package, over any integral
+domain given its exact division: Z here, and Q[x] for the symbolic rank of
+`syzygy.poly_matrix_rank`, metered by the caller's budget.  GF(p) stays
+off it: a Bareiss update does about twice the work per entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from .config import Budget
-from .polyring import _content_strip
+from .polyring import _content_strip, clear_denominators
 
 
 class SparseEliminator:
@@ -190,78 +191,21 @@ def packed_relations(columns: list[dict], dens: list[int], shifts: list[int],
 
 
 # ---------------------------------------------------------------------------
-# dense helpers: one forward elimination over GF(p), one fraction-free over
-# an integral domain (Z, or Q[x] for `syzygy.poly_matrix_rank`)
+# dense helpers: one pivot walk, with a row update over GF(p) and a
+# fraction-free one over an integral domain (Z, or Q[x])
 
-def _echelon(mat: list[list], p: int | None = None):
-    """Forward elimination over GF(p) (ints mod p) or Q (ints and Fractions).
-
-    Each column's pivot is its first nonzero entry at or below the current
-    row, swapped into place.  Returns the pivot rows (indices into `mat`),
-    the pivot columns, and the product of the pivots times the sign of the
-    row swaps, which is the determinant of a square matrix of full rank.
-
-    Over Q each row is multiplied by the least common multiple of its
-    denominators and the integer rows go through `_bareiss`.  An entry
-    then differs from the one a Fraction elimination leaves only by a
-    nonzero factor, so the pivots fall in the same rows and columns, and
-    the last pivot is the determinant of the pivot rows' scaled minor:
-    divided by their scales, it is the product of the Fraction pivots.
-    """
-    if p is None:
-        m, scales = [], []
-        for row in mat:
-            den = lcm(*[v.denominator for v in row])
-            m.append([v.numerator * (den // v.denominator) for v in row])
-            scales.append(den)
-        rows, cols, sign, last = _bareiss(m, int.__floordiv__)
-        return rows, cols, Fraction(sign * last, prod(scales[i] for i in rows))
-    m = [[v % p for v in row] for row in mat]
-    nrows, ncols = len(m), len(m[0]) if m else 0
-    order = list(range(nrows))
-    pivot_cols = []
-    det = 1
-    for c in range(ncols):
-        r = len(pivot_cols)
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            order[r], order[piv] = order[piv], order[r]
-            det = -det
-        top = m[r]
-        det = det * top[c] % p
-        inv = pow(top[c], -1, p)
-        for row in m[r + 1:]:
-            if row[c]:
-                f = row[c] * inv % p
-                for j in range(c, ncols):
-                    row[j] = (row[j] - f * top[j]) % p
-        pivot_cols.append(c)
-    return order[:len(pivot_cols)], pivot_cols, det
-
-
-def _bareiss(rows: list[list], divide, budget: Budget | None = None):
-    """Fraction-free (Bareiss) forward elimination of `rows` over an
-    integral domain, in place.
+def _walk(rows: list[list], update):
+    """The pivot walk of a forward elimination of `rows`, in place.
 
     Each column's pivot is its first nonzero entry at or below the current
-    row, swapped into place.  A row below it is updated to
-    pivot * row - row[c] * pivot row, divided exactly by the previous
-    pivot with `divide` (integer `//`, or an exact polynomial quotient),
-    so every entry stays in the domain and is a minor of the input.  With
-    a budget, each row update ticks "Bareiss elimination" once.  Returns
-    the pivot rows (indices into `rows` as given), the pivot columns, the
-    sign of the row swaps and the last pivot: for a square matrix of full
-    rank the determinant is sign * last pivot.
+    row, swapped into place; `update(r, c)` then eliminates below the
+    pivot at (r, c).  Returns the pivot rows (indices into `rows` as
+    given), the pivot columns and the sign of the row swaps.
     """
     nrows, ncols = len(rows), len(rows[0]) if rows else 0
     order = list(range(nrows))
     pivot_cols = []
-    sign, prev = 1, 1
+    sign = 1
     for c in range(ncols):
         r = len(pivot_cols)
         if r == nrows:
@@ -273,6 +217,63 @@ def _bareiss(rows: list[list], divide, budget: Budget | None = None):
             rows[r], rows[piv] = rows[piv], rows[r]
             order[r], order[piv] = order[piv], order[r]
             sign = -sign
+        update(r, c)
+        pivot_cols.append(c)
+    return order[:len(pivot_cols)], pivot_cols, sign
+
+
+def _echelon(mat: list[list], p: int | None = None):
+    """Forward elimination over GF(p) (ints mod p) or Q (ints and Fractions).
+    Returns the pivot rows (indices into `mat`) and columns of `_walk`, and
+    the product of the pivots times the sign of the row swaps, which is the
+    determinant of a square matrix of full rank.
+
+    Over Q each row is cleared of its denominators and the integer rows go
+    through `_bareiss`.  An entry then differs from the one a Fraction
+    elimination leaves only by a nonzero factor, so the pivots fall in the
+    same rows and columns, and the last pivot is the determinant of the
+    pivot rows' scaled minor: divided by their scales, it is the product
+    of the Fraction pivots.
+    """
+    if p is None:
+        cleared = [clear_denominators(enumerate(row)) for row in mat]
+        rows, cols, sign, last = _bareiss([list(ints.values()) for ints, _ in cleared],
+                                          int.__floordiv__)
+        return rows, cols, Fraction(sign * last, prod(cleared[i][1] for i in rows))
+    m = [[v % p for v in row] for row in mat]
+    ncols = len(m[0]) if m else 0
+
+    def update(r, c):
+        top = m[r]
+        inv = pow(top[c], -1, p)
+        for row in m[r + 1:]:
+            if row[c]:
+                f = row[c] * inv % p
+                for j in range(c, ncols):
+                    row[j] = (row[j] - f * top[j]) % p
+    rows, cols, det = _walk(m, update)
+    for r, c in enumerate(cols):
+        det = det * m[r][c] % p
+    return rows, cols, det
+
+
+def _bareiss(rows: list[list], divide, budget: Budget | None = None):
+    """Fraction-free (Bareiss) forward elimination of `rows` over an
+    integral domain, in place, on the pivots of `_walk`.  A row below the
+    pivot is updated to pivot * row - row[c] * pivot row, divided exactly
+    by the previous pivot with `divide` (integer `//`, or an exact
+    polynomial quotient), so every entry stays in the domain and is a minor
+    of the input.  With a budget, each row update ticks "Bareiss
+    elimination" once.  Returns the pivot rows (indices into `rows` as
+    given), the pivot columns, the sign of the row swaps and the last
+    pivot: for a square matrix of full rank the determinant is sign * last
+    pivot.
+    """
+    ncols = len(rows[0]) if rows else 0
+    prev = 1
+
+    def update(r, c):
+        nonlocal prev
         top = rows[r]
         pk = top[c]
         for row in rows[r + 1:]:
@@ -284,8 +285,8 @@ def _bareiss(rows: list[list], divide, budget: Budget | None = None):
                 # the first pivot's updates are 2-minors: nothing to divide
                 row[j] = divide(v, prev) if r else v
         prev = pk
-        pivot_cols.append(c)
-    return order[:len(pivot_cols)], pivot_cols, sign, prev
+    order, cols, sign = _walk(rows, update)
+    return order, cols, sign, prev
 
 
 def dense_rank(mat: list[list], p: int | None = None):

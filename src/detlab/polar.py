@@ -171,34 +171,28 @@ def hessian_det_status(form: PolarMapData, budget: Budget | None = None) -> Hess
     H = form.hessian
     nv = H.cols
     rng = form.config.rng("hessian-status")
-    # an integer point with det != 0 mod p certifies a nonzero integer value
-    for p in (PRIME_61, PRIME_61B):
-        for _ in range(_HESSIAN_SEARCH_TRIALS // 2):
-            pt = [rng.randrange(0, 9) for _ in range(nv)]
-            if dense_det(H.evaluate(pt, p), p):
-                return HessianStatus("nonzero", point=pt, prime=p, trials=1)
-    # candidate zero: try the symbolic route within budget
-    try:
-        b = (budget or Budget()).share(_HESSIAN_SYMBOLIC_SECS)
-        det = determinant(H, budget=b) if nv <= 8 else None
-        if det is not None:
-            if det.is_zero():
-                return HessianStatus("zero")
-            # symbolic nonzero but unlucky sampling: widen the search
-            for _ in range(200):
-                pt = [rng.randrange(-99, 100) for _ in range(nv)]
-                v = det.evaluate(pt)
-                if v:
-                    return HessianStatus("nonzero", point=pt, prime=None, trials=1)
-    except ComputationTimeout:
-        pass
-    total = 0
-    for p in (PRIME_61, PRIME_61B):
-        for _ in range(_HESSIAN_ZERO_TRIALS):
-            pt = [rng.randrange(0, p) for _ in range(nv)]
-            if dense_det(H.evaluate(pt, p), p):
-                return HessianStatus("nonzero", point=pt, prime=p, trials=1)
-            total += 1
+    # an integer point with det != 0 mod p certifies a nonzero integer value:
+    # small points first, then, after the symbolic route, points mod p
+    for span, trials in ((9, _HESSIAN_SEARCH_TRIALS // 2), (None, _HESSIAN_ZERO_TRIALS)):
+        if span is None and nv <= 8:
+            # candidate zero: try the symbolic route within budget
+            try:
+                det = determinant(H, budget=(budget or Budget()).share(_HESSIAN_SYMBOLIC_SECS))
+                if det.is_zero():
+                    return HessianStatus("zero")
+                # symbolic nonzero but unlucky sampling: widen the search
+                for _ in range(200):
+                    pt = [rng.randrange(-99, 100) for _ in range(nv)]
+                    if det.evaluate(pt):
+                        return HessianStatus("nonzero", point=pt, prime=None, trials=1)
+            except ComputationTimeout:
+                pass
+        for p in (PRIME_61, PRIME_61B):
+            for _ in range(trials):
+                pt = [rng.randrange(0, span or p) for _ in range(nv)]
+                if dense_det(H.evaluate(pt, p), p):
+                    return HessianStatus("nonzero", point=pt, prime=p, trials=1)
+    total = 2 * _HESSIAN_ZERO_TRIALS
     deg = max(0, (form.d - 2) * nv)
     bound = (deg / PRIME_61) ** total if deg else 0.0
     return HessianStatus("probably_zero", trials=total, bound=bound)

@@ -5,9 +5,10 @@ zero over a fresh ring with the minimal variable set.  Every minor and
 every determinant, whatever its entries (Hessians included), comes from
 one minor ladder, `MinorLadder`: Laplace expansion along the first
 selected row, memoized on (rows, cols), so the t-minors of a matrix are
-built from its (t-1)-minors with ring `+` and `*` only.  Determinants,
-minor ideals, adjugates, cofactor sums and Fitting ideals each read one
-ladder per matrix.  No elimination lives here: the symbolic rank of a
+built from its (t-1)-minors with ring `+` and `*` only.  There is no
+one-minor function: determinants, minor ideals, adjugates, cofactor sums,
+Fitting ideals, the `hankelplucker` checks and the casebook's minor facts
+each hold one ladder per matrix.  No elimination lives here: the symbolic rank of a
 polynomial matrix (`syzygy.poly_matrix_rank`) runs on `linalg._bareiss`,
 the one fraction-free elimination of the package.
 """
@@ -271,11 +272,6 @@ def cofactor_matrix(M: PolyMatrix, budget: Budget | None = None) -> PolyMatrix:
             minor = ladder.minor(rows, cols)
             ents.append(minor if (i + j) % 2 == 0 else -minor)
     return PolyMatrix(n, n, ents, f"adjugate[{M.provenance}]")
-
-
-def minor(M: PolyMatrix, rows, cols, budget: Budget | None = None) -> Polynomial:
-    """One minor; callers taking several minors of M share a `MinorLadder`."""
-    return MinorLadder(M, budget).minor(rows, cols)
 
 
 def minors_ideal_gens(M: PolyMatrix, t: int, budget: Budget | None = None) -> list[Polynomial]:

@@ -1,7 +1,9 @@
 import os
+import random
 import sys
 
 import pytest
+from hypothesis import core as hypothesis_core
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -9,6 +11,19 @@ from detlab import polar
 from detlab.config import Config
 from detlab.groebner import Ideal
 from detlab.structmat import build_structured, determinant, minors_ideal_gens
+
+
+def pytest_configure(config):
+    # a fresh Hypothesis seed for every run, unless --hypothesis-seed gives
+    # one: the run prints it, and passing it back replays the run's draws
+    if config.getoption("--hypothesis-seed", None) is None:
+        hypothesis_core.global_force_seed = random.getrandbits(32)
+
+
+def pytest_report_collectionfinish(config):
+    # after the collection line of the header, printed under -q too
+    seed = hypothesis_core.global_force_seed
+    return f"hypothesis seed: {seed} (replay with --hypothesis-seed={seed})"
 
 
 def pytest_collection_modifyitems(config, items):

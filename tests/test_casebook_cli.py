@@ -782,7 +782,7 @@ def test_casebook_run_matches_the_reference_output():
 WARM_RUN_TICKS = {
     "polynomial reduction": 248, "Hilbert series": 311, "linear algebra": 1917,
     "module reduction": 7, "bigraded kernel assembly": 1938,
-    "determinant expansion": 717, "Fitting minors": 53,
+    "determinant expansion": 701, "Fitting minors": 53,
 }
 
 # Budget ticks by label of a default run: every scenario's default facts,
@@ -791,7 +791,7 @@ DEFAULT_RUN_TICKS = {
     "Buchberger": 1372, "polynomial reduction": 4866, "colon labels": 2772,
     "Hilbert series": 311, "linear algebra": 1917, "module Buchberger": 332,
     "module reduction": 979, "bigraded kernel assembly": 1938,
-    "determinant expansion": 717, "Fitting minors": 53,
+    "determinant expansion": 701, "Fitting minors": 53,
 }
 
 # monic basis elements (`_Entry.monic` calls) the warm run builds: only

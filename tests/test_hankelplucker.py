@@ -15,11 +15,16 @@ from detlab.hankelplucker import (MAX_ORDER, bracket_compare, bracket_minor,
                                   delta_bracket_expansion, golberg_delta_check,
                                   integrality_check, plucker_verify,
                                   reduction_conjecture_check, solve_bracket_identity,
-                                  star_expansion, three_term_plucker, _hankel_minor)
+                                  star_expansion, three_term_plucker)
 from detlab.linalg import dense_rank
-from detlab.structmat import PolyMatrix
+from detlab.structmat import MinorLadder, PolyMatrix, build_gp_associated
 from detlab.polyring import Polynomial, xring
 from oracles import hankel_entry_dicts, leibniz_det
+
+
+def _brackets(m, r=1):
+    """The ladder of the (m, r) associated matrix, which brackets are read from."""
+    return MinorLadder(build_gp_associated(m, r))
 
 
 # ---------------------------------------------------------------------------
@@ -27,9 +32,9 @@ from oracles import hankel_entry_dicts, leibniz_det
 
 def test_bracket_minor_values():
     R5 = xring(5)
-    assert bracket_minor(3, 1, (1, 2)) == R5.from_string("x0*x2 - x1^2")
-    assert bracket_minor(3, 1, (1, 4)) == R5.from_string("x0*x4 - x1*x3")
-    b = bracket_minor(4, 1, (1, 2, 3))
+    assert bracket_minor(_brackets(3), (1, 2)) == R5.from_string("x0*x2 - x1^2")
+    assert bracket_minor(_brackets(3), (1, 4)) == R5.from_string("x0*x4 - x1*x3")
+    b = bracket_minor(_brackets(4), (1, 2, 3))
     assert b.degree == 3 and b.is_homogeneous()
     # expansion oracle for the 3x3 block of the rectangular matrix
     ents = hankel_entry_dicts(4)[:3]
@@ -38,12 +43,12 @@ def test_bracket_minor_values():
 
 
 def test_bracket_minor_validation():
+    with pytest.raises(ValueError, match=r"bad bracket \(2, 1\) for \(3,1\)"):
+        bracket_minor(_brackets(3), (2, 1))
     with pytest.raises(ValueError):
-        bracket_minor(3, 1, (2, 1))
+        bracket_minor(_brackets(3), (1, 5))
     with pytest.raises(ValueError):
-        bracket_minor(3, 1, (1, 5))
-    with pytest.raises(ValueError):
-        bracket_minor(3, 1, (1, 2, 3))
+        bracket_minor(_brackets(3), (1, 2, 3))
 
 
 def test_bracket_compare_cases():
@@ -60,39 +65,40 @@ def test_bracket_compare_cases():
 # star expansions
 
 def test_star_expansion_middle_partial_m3(hankel_record):
-    e = star_expansion(hankel_record(3)[1], 2)
+    e = star_expansion(_brackets(3), hankel_record(3)[1], 2)
     assert e.epsilon == 1
     assert sorted(e.coefficients) == [(1, (1, 4)), (3, (2, 3))]
     R5 = xring(5)
-    assert e.value() == R5.from_string("x0*x4 + 2*x1*x3 - 3*x2^2")
+    assert e.value(_brackets(3)) == R5.from_string("x0*x4 + 2*x1*x3 - 3*x2^2")
 
 
 def test_star_expansion_endpoints_m3(hankel_record):
     _, form, _ = hankel_record(3)
-    e4 = star_expansion(form, 4)
+    e4 = star_expansion(_brackets(3), form, 4)
     assert e4.coefficients == [(1, (1, 2))] and e4.epsilon == 1
-    e3 = star_expansion(form, 3)
+    e3 = star_expansion(_brackets(3), form, 3)
     assert e3.coefficients == [(2, (1, 3))] and e3.epsilon == -1
 
 
 def test_star_expansion_matches_derivative_everywhere(hankel_record):
     for m in (3, 4):
         _, form, _ = hankel_record(m)
+        brackets = _brackets(m)
         for j in range(2 * m - 1):
-            e = star_expansion(form, j)
-            assert e.value() == form.f.diff(j)
+            e = star_expansion(brackets, form, j)
+            assert e.value(brackets) == form.f.diff(j)
 
 
 def test_star_expansion_incomparability_through_m5(hankel_record):
     for m in (3, 4, 5):
         _, form, _ = hankel_record(m)
         for j in range(2 * m - 1):
-            assert star_expansion(form, j).pairwise_incomparable()
+            assert star_expansion(_brackets(m), form, j).pairwise_incomparable()
 
 
 def test_star_expansion_range_check(hankel_record):
     with pytest.raises(ValueError):
-        star_expansion(hankel_record(3)[1], 5)
+        star_expansion(_brackets(3), hankel_record(3)[1], 5)
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +106,10 @@ def test_star_expansion_range_check(hankel_record):
 
 def test_golberg_m3_middle_instance(hankel_record):
     H, form, _ = hankel_record(3)
-    # f_2 equals the sum of the three minors along the anti-diagonal
-    want = 2 * _hankel_minor(H, 1, 3) + _hankel_minor(H, 2, 2)
+    ladder = MinorLadder(H)
+    # f_2 equals the sum of the three minors along the anti-diagonal: twice
+    # the one omitting row 3 and column 1, and the one omitting row 2, column 2
+    want = 2 * ladder.minor([0, 1], [1, 2]) + ladder.minor([0, 2], [0, 2])
     assert form.partials[2] == want
 
 
@@ -114,13 +122,36 @@ def test_golberg_delta_check_m3_m4(hankel_record):
         assert rep.partial_signs == [(-1) ** i for i in range(2 * m - 1)]
 
 
+def test_checks_build_the_bracket_matrix_once(hankel_record, monkeypatch):
+    # a check reads all its brackets from one ladder: one associated
+    # matrix per call, not one per bracket
+    from detlab import hankelplucker
+    builds = []
+    build = hankelplucker.build_gp_associated
+
+    def counting_build(m, r):
+        builds.append((m, r))
+        return build(m, r)
+    monkeypatch.setattr(hankelplucker, "build_gp_associated", counting_build)
+    for m in (3, 4):
+        H, form, P = hankel_record(m)
+        builds.clear()
+        assert golberg_delta_check(H, form).passed
+        assert builds == [(m, 1)]
+        builds.clear()
+        assert integrality_check(H, form, P).passed
+        assert builds == [(m, 1)]
+
+
 def test_delta_expansion_instances(hankel_record):
     H, _, _ = hankel_record(3)
-    assert delta_bracket_expansion(3, 2, 2) == _hankel_minor(H, 2, 2)
-    assert delta_bracket_expansion(3, 3, 1) == _hankel_minor(H, 3, 1)
+    ladder, brackets = MinorLadder(H), _brackets(3)
+    # the minors omitting row 2, column 2 and row 1, column 3
+    assert delta_bracket_expansion(brackets, 2, 2) == ladder.minor([0, 2], [0, 2])
+    assert delta_bracket_expansion(brackets, 3, 1) == ladder.minor([1, 2], [0, 1])
     # bracket content of the (2,2) minor: both incomparable pairs appear
-    got = delta_bracket_expansion(3, 2, 2)
-    assert got == bracket_minor(3, 1, (1, 4)) + bracket_minor(3, 1, (2, 3))
+    got = delta_bracket_expansion(brackets, 2, 2)
+    assert got == bracket_minor(brackets, (1, 4)) + bracket_minor(brackets, (2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +184,10 @@ def test_three_term_relation_generic_two_row():
 
 def test_plucker_identity_m4_solved_coefficients(hankel_record):
     partials = hankel_record(4)[1].partials
-    lhs = bracket_minor(4, 1, (1, 3, 4)) * bracket_minor(4, 1, (1, 2, 5))
-    parts = [bracket_minor(4, 1, (1, 3, 5)) * partials[5],
-             partials[6] * bracket_minor(4, 1, (1, 4, 5))]
+    brackets = _brackets(4)
+    lhs = bracket_minor(brackets, (1, 3, 4)) * bracket_minor(brackets, (1, 2, 5))
+    parts = [bracket_minor(brackets, (1, 3, 5)) * partials[5],
+             partials[6] * bracket_minor(brackets, (1, 4, 5))]
     sol = solve_bracket_identity(lhs, parts)
     assert sol.verified
     # display-normalization slack: solved constants have magnitudes 1/2 and 1

@@ -96,14 +96,18 @@ def _rational_matrices(draw):
     return M
 
 
-@given(_rational_matrices())
+@given(_rational_matrices(), _int_matrices())
 @settings(max_examples=200, deadline=None)
-def test_fraction_free_echelon_matches_fraction_elimination(M):
+def test_fraction_free_echelon_matches_fraction_elimination(M, N):
     # the same pivot rows and columns, and the same signed product of the
     # pivots: the determinant of a square matrix of full rank
     rows, cols, prod = _echelon(M)
     assert (rows, cols, prod) == fraction_echelon(M)
     assert type(prod) is Fraction
+    # over GF(p) the same walk: on integer matrices, whose minors stay far
+    # below p, the same pivots and that product mod p
+    rows, cols, prod = fraction_echelon(N)
+    assert _echelon(N, P) == (rows, cols, prod % P)
 
 
 def test_dense_edge_cases():

@@ -8,8 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from detlab.polyring import xring
 from detlab.structmat import (PolyMatrix, build_structured, build_gp_associated,
                               determinant, cofactor_matrix, minors_ideal_gens,
-                              parse_matrix_spec,
-                              minor, MinorLadder)
+                              parse_matrix_spec, MinorLadder)
 from detlab.linalg import _bareiss
 from detlab.syzygy import _exact_quotient
 from detlab.config import Budget, ComputationTimeout
@@ -261,7 +260,7 @@ def test_minor_rejects_bad_selections():
                        ([0, 1], [2, 2]),    # repeated column
                        ([], [])):
         with pytest.raises(ValueError):
-            minor(G, rows, cols)
+            MinorLadder(G).minor(rows, cols)
 
 
 def test_matrix_indexing_stays_inside_the_matrix():
@@ -387,7 +386,7 @@ def test_cat32_minor_exclusion_ideal_level():
     from detlab.groebner import Ideal, ideal_equal
     C = build_structured("catalecticant", m=3, r=2)
     G = build_gp_associated(3, 2)
-    b = minor(G, range(2), [1, 3])
+    b = MinorLadder(G).minor(range(2), [1, 3])
     I = Ideal(C.ring, minors_ideal_gens(C, 2))
     reduced = Ideal(C.ring, [g for g in minors_ideal_gens(G, 2) if g not in (b, -b)])
     assert ideal_equal(I, reduced)

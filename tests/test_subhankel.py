@@ -171,10 +171,11 @@ def test_hilbert_burch_display_n4(subhankel_record):
 
 
 def test_hilbert_burch_minors_regenerate_n4(subhankel_record):
-    from detlab.structmat import minor
+    from detlab.structmat import MinorLadder
     form = subhankel_record(4)
     phi = hilbert_burch(form, 2)
-    mins = [minor(phi, [r for r in range(3) if r != d], range(2)) for d in range(3)]
+    ladder = MinorLadder(phi)
+    mins = [ladder.minor([r for r in range(3) if r != d], range(2)) for d in range(3)]
     assert ideal_equal(Ideal(form.f.ring, mins), filtration_ideal(form, 2))
 
 
