@@ -335,9 +335,11 @@ def _hankel4_facts():
 # scenario: cat-3-2
 
 def _cat32_extras(C):
-    GP = build_gp_associated(3, 2)
-    return {"I": Ideal(C.ring, minors_ideal_gens(C, 2)), "gp": GP,
-            "P": Ideal(C.ring, minors_ideal_gens(GP, 2))}
+    # one ladder holds the brackets of the 2x5 associated matrix: P's
+    # generators and the bracket facts read the same expanded minors
+    brackets = MinorLadder(build_gp_associated(3, 2))
+    return {"I": Ideal(C.ring, minors_ideal_gens(C, 2)), "brackets": brackets,
+            "P": Ideal(C.ring, list(brackets.minors(2)))}
 
 
 def _cat32_facts():
@@ -352,11 +354,10 @@ def _cat32_facts():
         # ideal as the rectangular ones minus the columns-2-4 bracket, and
         # adding that bracket back recovers the full minor ideal
         budget = ctx["budget"]
-        ladder = MinorLadder(ctx["gp"], budget)
-        b = ladder.minor(range(2), [1, 3])
+        brackets = ctx["brackets"]
+        b = brackets.minor(range(2), [1, 3])
         R = ctx["ring"]
-        reduced = Ideal(R, [g for g in dict.fromkeys(ladder.minors(2))
-                            if not g.is_zero() and g not in (b, -b)])
+        reduced = Ideal(R, [g for g in brackets.minors(2) if g not in (b, -b)])
         eq1 = ideal_equal(ctx["I"], reduced, budget)
         eq2 = ideal_equal(ctx["P"], ideal_sum(ctx["I"], Ideal(R, [b])), budget)
         not_inside = not ctx["I"].contains(b, budget=budget)
@@ -371,10 +372,8 @@ def _cat32_facts():
                           ideal_equal(got, ctx["I"], ctx["budget"]))
 
     def bracket_partials(ctx):
-        ladder = MinorLadder(ctx["gp"], ctx["budget"])
-
         def D(i, j):
-            return ladder.minor(range(2), [i - 1, j - 1])
+            return ctx["brackets"].minor(range(2), [i - 1, j - 1])
 
         want = [D(4, 5), -D(3, 5), 2 * D(3, 4) - D(2, 5), D(1, 5),
                 2 * D(2, 3) - D(1, 4), -D(1, 3), D(1, 2)]
@@ -586,59 +585,40 @@ def _symmetric3_facts():
 # ---------------------------------------------------------------------------
 # scenario: subhankel-n
 
+# (fact id, check name in `subhankel.CHECKS`, description, expected text)
+_SUBHANKEL_FACTS = [
+    ("recurrence", "recurrence", "closed-form linear relations among the partials",
+     "both closed-form relations hold"),
+    ("gcd-powers", "gcd", "gcd of leading partials is the predicted power",
+     "gcd powers and variable supports"),
+    ("hilbert-burch", "hilbert-burch", "recurrent linear presentations of the filtration",
+     "recurrent presentations verified"),
+    ("multiplicities", "multiplicity", "filtration multiplicities",
+     "filtration multiplicities binomial(i+1,2)"),
+    ("colon-claim", "colon", "colon of the filtration by the last partial",
+     "colon of the last partial"),
+    ("resolution", "resolution", "three-step resolution and associated primes",
+     "resolution, numerator, radical, embedded prime, primary part"),
+    ("linear-type", "linear-type", "gradient ideal is of linear type",
+     "linear type with matching 1-form generators"),
+]
+
+
+def _subhankel_check_fact(name, expected):
+    """Check that the sub-Hankel check `name` passes on the scenario's form."""
+    def check(ctx):
+        rep = subhankel_mod.CHECKS[name](ctx["form"], ctx["budget"])
+        return _bool_fact(expected, rep.passed)
+    return check
+
+
 def _subhankel_facts(n):
-    def recurrence(ctx):
-        rep = subhankel_mod.recurrence_check(ctx["form"])
-        return _bool_fact("both closed-form relations hold", rep.passed)
-
-    def gcds(ctx):
-        ok = all(subhankel_mod.gcd_power_check(ctx["form"], i, ctx["budget"]).passed
-                 for i in range(n))
-        return _bool_fact("gcd powers and variable supports", ok)
-
-    def hb(ctx):
-        rep = subhankel_mod.hilbert_burch_check(ctx["form"], ctx["budget"])
-        return _bool_fact("recurrent presentations verified", rep.passed)
-
-    def mults(ctx):
-        rep = subhankel_mod.multiplicity_filtration_check(ctx["form"], ctx["budget"])
-        return _bool_fact("filtration multiplicities binomial(i+1,2)", rep.passed)
-
-    def colon_fact(ctx):
-        rep = subhankel_mod.colon_claim_check(ctx["form"], ctx["budget"])
-        return _bool_fact("colon of the last partial", rep.passed)
-
-    def resolution(ctx):
-        rep = subhankel_mod.resolution_and_ass_check(ctx["form"], ctx["budget"])
-        return _bool_fact("resolution, numerator, radical, embedded prime, "
-                          "primary part", rep.passed)
-
-    def lt(ctx):
-        rep = subhankel_mod.subhankel_linear_type_check(ctx["form"], ctx["budget"])
-        return _bool_fact("linear type with matching 1-form generators", rep.passed)
-
-    max_order = subhankel_mod.MAX_ORDER
-    facts = [
-        Fact("recurrence", "closed-form linear relations among the partials",
-             "recorded", recurrence),
-        Fact("gcd-powers", "gcd of leading partials is the predicted power",
-             "recorded", gcds),
-        Fact("hilbert-burch", "recurrent linear presentations of the filtration",
-             "recorded", hb),
-        Fact("multiplicities", "filtration multiplicities", "recorded", mults),
-    ]
-    if n <= max_order["colon"]:
-        facts.append(Fact("colon-claim", "colon of the filtration by the last partial",
-                          "recorded", colon_fact))
-    if n <= max_order["resolution"]:
-        facts.append(Fact("resolution", "three-step resolution and associated primes",
-                          "recorded", resolution))
-    if n <= max_order["linear-type"]:
-        facts += [
-            Fact("linear-type", "gradient ideal is of linear type", "recorded", lt),
-            Fact("verdict", "determinant is homaloidal",
-                 "recorded", _verdict_fact("Homaloidal")),
-        ]
+    facts = [Fact(fid, desc, "recorded", _subhankel_check_fact(name, expected))
+             for fid, name, desc, expected in _SUBHANKEL_FACTS
+             if subhankel_mod.supports(name, n)]
+    if subhankel_mod.supports("linear-type", n):
+        facts.append(Fact("verdict", "determinant is homaloidal",
+                          "recorded", _verdict_fact("Homaloidal")))
     return facts
 
 

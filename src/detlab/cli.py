@@ -44,8 +44,6 @@ def _config_from_args(args) -> Config:
 
 def _emit(args, payload: dict) -> None:
     payload = {"schema": 1, **payload}
-    if getattr(args, "no_timings", False):
-        payload.pop("millis", None)
     if getattr(args, "json", False) or getattr(args, "json_out", None):
         text = json.dumps(payload, sort_keys=True, indent=2, default=str)
         out = getattr(args, "json_out", None)
@@ -167,13 +165,11 @@ def _cmd_ideal(args) -> int:
             out = intersect(I, other, budget)
         payload = {"op": args.op,
                    "basis": [str(g) for g in out.groebner_basis(budget=budget)]}
-    elif args.op == "eliminate":
+    else:
+        # --op is one of the parser's choices: eliminate is left
         keep = [int(s) for s in args.keep.split(",")]
         out = eliminate(I, keep, budget)
         payload = {"op": "eliminate", "basis": [str(g) for g in out.gens]}
-    else:
-        print(f"unknown ideal op {args.op}", file=sys.stderr)
-        return EXIT_USAGE
     _emit(args, payload)
     return EXIT_OK
 
@@ -284,46 +280,18 @@ def _cmd_subhankel(args) -> int:
     if not 2 <= n <= 6:
         raise ValueError("order out of supported range 2..6")
     if args.all and n >= 3:
-        # the registry holds the curated fact list; emit its FactReport
-        rep = run_scenario(f"subhankel-{n}", config=config)
-        if args.json or args.json_out:
-            text = rep.to_json(no_timings=args.no_timings)
-            if args.json_out:
-                with open(args.json_out, "w", encoding="utf-8") as fh:
-                    fh.write(text + "\n")
-            else:
-                print(text)
-        else:
-            print(f"subhankel-{n}: {rep.verdict}")
-            for r in rep.records:
-                print(f"  [{r.match:>7}] {r.fact_id}")
-        return {"pass": EXIT_OK, "contradiction": EXIT_CONTRADICTION,
-                "incomplete": EXIT_TIMEOUT}[rep.verdict]
+        # the registry holds the curated fact list; report it as the casebook does
+        return _report(args, [run_scenario(f"subhankel-{n}", config=config)])
     budget = config.budget()
     form = polar.polar_data(determinant(build_structured("sub-hankel", n=n), budget), config)
-    checks = {
-        "recurrence": lambda form, budget: subhankel_mod.recurrence_check(form),
-        "gcd": lambda form, budget: min((subhankel_mod.gcd_power_check(form, i, budget)
-                                         for i in range(n)), key=lambda r: r.passed),
-        "hilbert-burch": subhankel_mod.hilbert_burch_check,
-        "multiplicity": subhankel_mod.multiplicity_filtration_check,
-        "colon": subhankel_mod.colon_claim_check,
-        "resolution": subhankel_mod.resolution_and_ass_check,
-        "linear-type": subhankel_mod.subhankel_linear_type_check,
-    }
-    names = list(checks) if args.all else [args.check]
     results = {}
     worst = EXIT_OK
-    for name in names:
-        if name not in checks:
-            print(f"unknown sub-hankel check {name}", file=sys.stderr)
-            return EXIT_USAGE
-        if not (subhankel_mod.MIN_ORDER.get(name, n) <= n
-                <= subhankel_mod.MAX_ORDER.get(name, n)):
+    for name in subhankel_mod.CHECKS if args.all else [args.check]:
+        if not subhankel_mod.supports(name, n):
             results[name] = {"status": "skipped (out of supported range)"}
             continue
         try:
-            rep = checks[name](form, budget)
+            rep = subhankel_mod.CHECKS[name](form, budget)
             results[name] = {"pass": rep.passed, "details": rep.details}
             if not rep.passed:
                 worst = EXIT_CONTRADICTION
@@ -333,6 +301,30 @@ def _cmd_subhankel(args) -> int:
                 worst = EXIT_TIMEOUT
     _emit(args, {"n": n, "checks": results})
     return worst
+
+
+def _report(args, reports) -> int:
+    """Write casebook reports: every report's JSON to --json-out (a list
+    for several), each printed under --json, else a summary per report;
+    the exit code of the worst verdict."""
+    if args.json_out:
+        data = [json.loads(r.to_json(no_timings=args.no_timings)) for r in reports]
+        with open(args.json_out, "w", encoding="utf-8") as fh:
+            json.dump(data if len(data) > 1 else data[0], fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    for rep in reports:
+        if args.json and not args.json_out:
+            print(rep.to_json(no_timings=args.no_timings))
+        else:
+            print(f"{rep.scenario_id}: {rep.verdict}")
+            for r in rep.records:
+                print(f"  [{r.match:>7}] {r.fact_id} ({r.tag}, {r.certainty})")
+            if rep.skipped_long:
+                print(f"  skipped (need --long): {', '.join(rep.skipped_long)}")
+    verdicts = {rep.verdict for rep in reports}
+    if "contradiction" in verdicts:
+        return EXIT_CONTRADICTION
+    return EXIT_TIMEOUT if "incomplete" in verdicts else EXIT_OK
 
 
 def _run_one_scenario(payload):
@@ -348,8 +340,6 @@ def _cmd_casebook(args) -> int:
         _emit(args, {"scenarios": list_scenarios()})
         return EXIT_OK
     ids = [args.id] if args.id else sorted(s["id"] for s in list_scenarios())
-    worst = EXIT_OK
-    reports = []
     if args.jobs > 1 and len(ids) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -357,28 +347,8 @@ def _cmd_casebook(args) -> int:
                 _run_one_scenario,
                 [(sid, config, args.long) for sid in ids]))
     else:
-        for sid in ids:
-            reports.append(run_scenario(sid, config=config, long=args.long))
-    for rep in reports:
-        if rep.verdict == "contradiction":
-            worst = EXIT_CONTRADICTION
-        elif rep.verdict == "incomplete" and worst == EXIT_OK:
-            worst = EXIT_TIMEOUT
-    if args.json_out:
-        data = [json.loads(r.to_json(no_timings=args.no_timings)) for r in reports]
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(data if len(data) > 1 else data[0], fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    for rep in reports:
-        if args.json and not args.json_out:
-            print(rep.to_json(no_timings=args.no_timings))
-        else:
-            print(f"{rep.scenario_id}: {rep.verdict}")
-            for r in rep.records:
-                print(f"  [{r.match:>7}] {r.fact_id} ({r.tag}, {r.certainty})")
-            if rep.skipped_long:
-                print(f"  skipped (need --long): {', '.join(rep.skipped_long)}")
-    return worst
+        reports = [run_scenario(sid, config=config, long=args.long) for sid in ids]
+    return _report(args, reports)
 
 
 def _cmd_cache(args) -> int:
@@ -389,12 +359,11 @@ def _cmd_cache(args) -> int:
         entries = len(_read_packs(cdir)) if cdir else 0
         _emit(args, {"cache_dir": cdir, "entries": entries})
         return EXIT_OK
-    if args.action == "clear":
-        if cdir and os.path.isdir(cdir):
-            shutil.rmtree(cdir)
-        _emit(args, {"cache_dir": cdir, "cleared": True})
-        return EXIT_OK
-    return EXIT_USAGE
+    # the action is one of the parser's choices: clear is left
+    if cdir and os.path.isdir(cdir):
+        shutil.rmtree(cdir)
+    _emit(args, {"cache_dir": cdir, "cleared": True})
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("subhankel", help="sub-Hankel case reports")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--all", action="store_true")
-    p.add_argument("--check", default="recurrence")
+    p.add_argument("--check", default="recurrence", choices=list(subhankel_mod.CHECKS))
     _add_common(p)
     p.set_defaults(fn=_cmd_subhankel)
 

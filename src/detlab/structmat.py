@@ -1,11 +1,17 @@
 """Structured matrix constructors and exact determinant/minor machinery.
 
 All constructors produce matrices whose entries are single variables or
-zero over a fresh ring with the minimal variable set.  Every minor and
-every determinant, whatever its entries (Hessians included), comes from
-one minor ladder, `MinorLadder`: Laplace expansion along the first
-selected row, memoized on (rows, cols), so the t-minors of a matrix are
-built from its (t-1)-minors with ring `+` and `*` only.  There is no
+zero over a fresh ring with the minimal variable set.  Every family but
+the symmetric one is one catalecticant grid, `_grid`, with entry (i, j) =
+x_{r*i+j}: Hankel (r = 1), generic (r = m), catalecticant and the
+(m-1) x (m+r) gp-associated matrix are whole grids, and the three
+degenerations are grids with zeroed entries (sub-Hankel where i+j > n,
+degenerate-generic at the last corner, sc3 as cat(3,2) zeroed at (2, 2)).
+
+Every minor and every determinant, whatever its entries (Hessians
+included), comes from one minor ladder, `MinorLadder`: Laplace expansion
+along the first selected row, memoized on (rows, cols), so the t-minors
+of a matrix are built from its (t-1)-minors with ring `+` and `*` only.  There is no
 one-minor function: determinants, minor ideals, adjugates, cofactor sums,
 Fitting ideals, the `hankelplucker` checks and the casebook's minor facts
 each hold one ladder per matrix.  No elimination lives here: the symbolic rank of a
@@ -95,11 +101,15 @@ def build_structured(kind: str, m: int | None = None, r: int | None = None,
     elif kind == "symmetric":
         mat = _symmetric(m)
     elif kind == "sub-hankel":
-        mat = _sub_hankel(n)
+        if n is None or n < 2:
+            raise ValueError("sub-hankel needs n >= 2")
+        mat = _grid(n, n, 1, f"sub-hankel({n})", lambda i, j: i + j > n)
     elif kind == "degenerate-generic":
-        mat = _degenerate_generic(m)
+        if m is None or m < 3:
+            raise ValueError("degenerate-generic needs m >= 3")
+        mat = _grid(m, m, m, f"degenerate-generic({m})", lambda i, j: i == j == m - 1)
     elif kind == "sc3":
-        mat = _sc3()
+        mat = _grid(3, 3, 2, "sc3", lambda i, j: i == j == 2)
     elif kind == "gp-associated":
         mat = build_gp_associated(m, r)
     else:
@@ -115,14 +125,21 @@ def build_structured(kind: str, m: int | None = None, r: int | None = None,
     return mat
 
 
+def _grid(rows: int, cols: int, r: int, name: str, zero=None) -> PolyMatrix:
+    """rows x cols matrix with entry (i, j) = x_{r*i+j}, or 0 where
+    zero(i, j), over the variables x_0 up to the last one used."""
+    idx = [None if zero and zero(i, j) else r * i + j
+           for i in range(rows) for j in range(cols)]
+    ring = xring(max(k for k in idx if k is not None) + 1)
+    ents = [ring.zero() if k is None else ring.var(k) for k in idx]
+    return PolyMatrix(rows, cols, ents, name)
+
+
 def _catalecticant(m: int, r: int) -> PolyMatrix:
     if m is None or r is None or m < 2 or not 1 <= r <= m:
         raise ValueError("catalecticant needs m >= 2 and 1 <= r <= m")
-    nvars = (m - 1) * (r + 1) + 1
-    ring = xring(nvars)
-    ents = [ring.var(r * i + j) for i in range(m) for j in range(m)]
-    name = {1: "hankel", m: "generic"}.get(r, "catalecticant")
-    return PolyMatrix(m, m, ents, f"{name}({m},{r})" if name == "catalecticant" else f"{name}({m})")
+    name = {1: f"hankel({m})", m: f"generic({m})"}.get(r, f"catalecticant({m},{r})")
+    return _grid(m, m, r, name)
 
 
 def _symmetric(m: int) -> PolyMatrix:
@@ -139,44 +156,13 @@ def _symmetric(m: int) -> PolyMatrix:
     return PolyMatrix(m, m, ents, f"symmetric({m})")
 
 
-def _sub_hankel(n: int) -> PolyMatrix:
-    if n is None or n < 2:
-        raise ValueError("sub-hankel needs n >= 2")
-    ring = xring(n + 1)
-    ents = [ring.var(i + j) if i + j <= n else ring.zero()
-            for i in range(n) for j in range(n)]
-    return PolyMatrix(n, n, ents, f"sub-hankel({n})")
-
-
-def _degenerate_generic(m: int) -> PolyMatrix:
-    if m is None or m < 3:
-        raise ValueError("degenerate-generic needs m >= 3")
-    ring = xring(m * m - 1)
-    ents = []
-    for i in range(m):
-        for j in range(m):
-            k = m * i + j
-            ents.append(ring.zero() if k == m * m - 1 else ring.var(k))
-    return PolyMatrix(m, m, ents, f"degenerate-generic({m})")
-
-
-def _sc3() -> PolyMatrix:
-    ring = xring(6)
-    idxs = [0, 1, 2, 2, 3, 4, 4, 5, None]
-    ents = [ring.zero() if k is None else ring.var(k) for k in idxs]
-    return PolyMatrix(3, 3, ents, "sc3")
-
-
 def build_gp_associated(m: int, r: int) -> PolyMatrix:
     """(m-1) x (m+r) matrix with entry (i,j) = x_{ri+j}, sharing the
     catalecticant's variable set; its maximal minors carry the submaximal
     minor combinatorics of the square matrix."""
     if m is None or r is None or m < 2 or not 1 <= r <= m - 1:
         raise ValueError("gp-associated needs m >= 2 and 1 <= r <= m-1")
-    nvars = (m - 1) * (r + 1) + 1
-    ring = xring(nvars)
-    ents = [ring.var(r * i + j) for i in range(m - 1) for j in range(m + r)]
-    return PolyMatrix(m - 1, m + r, ents, f"gp-associated({m},{r})")
+    return _grid(m - 1, m + r, r, f"gp-associated({m},{r})")
 
 
 # ---------------------------------------------------------------------------

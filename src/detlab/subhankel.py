@@ -12,6 +12,10 @@ sub-Hankel determinant, with n = form.n, and reads the partials from it;
 the filtration generators and ideals, the Hilbert-Burch matrices and the
 displayed syzygies are functions of that record.  The checks run under the
 caller's budget, whose config the Groebner queries read.
+
+`CHECKS` lists the checks by name and `supports` says at which orders each
+one runs: the casebook's subhankel-n facts and `detlab subhankel` both
+read them here, and list no check of their own.
 """
 
 from __future__ import annotations
@@ -31,9 +35,14 @@ from . import polar
 # the largest order n each capped check is run for, and the smallest for
 # the checks whose closed forms assume n >= 3 (at n = 2 the determinant is
 # a smooth conic: its Betti shifts collide and it has no embedded prime or
-# heavy syzygy); the casebook and the CLI read their limits here
+# heavy syzygy); `supports` reads them, for the casebook and the CLI
 MAX_ORDER = {"colon": 5, "resolution": 5, "linear-type": 4}
 MIN_ORDER = {"resolution": 3, "linear-type": 3}
+
+
+def supports(check: str, n: int) -> bool:
+    """Whether the check named `check` runs at order n."""
+    return MIN_ORDER.get(check, n) <= n <= MAX_ORDER.get(check, n)
 
 
 def _check_order(check: str, n: int, what: str) -> None:
@@ -137,6 +146,14 @@ def gcd_power_check(form: polar.PolarMapData, i: int,
         p.support_vars() <= set(range(n - i, n + 1)) for p in form.partials[:i + 1])
     return CheckReport(f"gcd(n={n},i={i})", ht >= 2 and support_ok,
                        {"power": n - i - 1, "quotient_codim": ht, "support_ok": support_ok})
+
+
+def gcd_powers_check(form: polar.PolarMapData,
+                     budget: Budget | None = None) -> CheckReport:
+    """`gcd_power_check` for every i: the first failing report, else the
+    first report."""
+    reports = [gcd_power_check(form, i, budget) for i in range(form.n)]
+    return next((r for r in reports if not r.passed), reports[0])
 
 
 def hilbert_burch_check(form: polar.PolarMapData,
@@ -330,3 +347,15 @@ def subhankel_linear_type_check(form: polar.PolarMapData,
                         "displayed_in_span": span_ok,
                         "minimal_syzygies": {"linear": n_linear, "heavy": len(heavy)},
                         "tail_generator_shape": tailgen_ok})
+
+
+# every check by name: check(form, budget) -> CheckReport
+CHECKS = {
+    "recurrence": lambda form, budget=None: recurrence_check(form),
+    "gcd": gcd_powers_check,
+    "hilbert-burch": hilbert_burch_check,
+    "multiplicity": multiplicity_filtration_check,
+    "colon": colon_claim_check,
+    "resolution": resolution_and_ass_check,
+    "linear-type": subhankel_linear_type_check,
+}

@@ -22,10 +22,11 @@ def run_cli(args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def run_cli_default_config(args):
+def run_cli_default_config(args, overrides=None):
     """The CLI from the repository root with no DETLAB_* overrides, the
-    setting of the recorded reference outputs."""
+    setting of the recorded reference outputs, or with `overrides` alone."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("DETLAB_")}
+    env.update(overrides or {})
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, "-m", "detlab.cli", *args],
@@ -244,6 +245,40 @@ def test_cli_subhankel_all_emits_fact_report():
     assert data["verdict"] == "pass"
     ids = {f["anchor"] for f in data["facts"]}
     assert "subhankel-3/recurrence" in ids and "subhankel-3/linear-type" in ids
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json", "--no-timings"]])
+def test_cli_subhankel_all_is_the_casebook_report(fmt):
+    # `subhankel --all` at n >= 3 writes the subhankel-n report through the
+    # casebook's one writer, in text and in JSON
+    sub = run_cli_default_config(["subhankel", "--n", "3", "--all", *fmt])
+    book = run_cli_default_config(["casebook", "run", "--id", "subhankel-3", *fmt])
+    assert sub.returncode == book.returncode == 0, sub.stderr
+    assert sub.stdout == book.stdout
+    if not fmt:
+        assert "  [    yes] recurrence (recorded, proved)\n" in sub.stdout
+
+
+def test_cli_subhankel_all_json_out_is_the_casebook_report(tmp_path):
+    # the same file, and the same summary on stdout
+    sub, book = tmp_path / "sub.json", tmp_path / "book.json"
+    procs = [run_cli_default_config([*argv, "--json-out", str(out), "--no-timings"])
+             for argv, out in ((["subhankel", "--n", "3", "--all"], sub),
+                               (["casebook", "run", "--id", "subhankel-3"], book))]
+    assert [p.returncode for p in procs] == [0, 0]
+    assert procs[0].stdout == procs[1].stdout
+    assert procs[0].stdout.startswith("subhankel-3: pass\n")
+    assert sub.read_bytes() == book.read_bytes()
+
+
+def test_cli_subhankel_unknown_check_is_refused_before_any_work():
+    # one expansion step would time out the determinant: the name is
+    # checked first, by the parser
+    proc = run_cli_default_config(["subhankel", "--n", "4", "--check", "bogus"],
+                                  {"DETLAB_GB_STEP_CAP": "1"})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "invalid choice: 'bogus'" in proc.stderr
 
 
 def test_cli_subhankel_single_check():
@@ -710,6 +745,23 @@ def test_syzygy_module_and_linear_type_computed_once(monkeypatch, sid):
     assert len(checks) == 1
 
 
+def test_cat32_expands_its_brackets_once(monkeypatch):
+    # P's generators, `minor-exclusion` and `bracket-partials` read the
+    # brackets of the associated 2x5 matrix from one ladder
+    from detlab.structmat import MinorLadder
+    ladders = []
+    init = MinorLadder.__init__
+
+    def counting_init(self, M, budget=None):
+        if M.provenance == "gp-associated(3,2)":
+            ladders.append(self)
+        init(self, M, budget)
+    monkeypatch.setattr(MinorLadder, "__init__", counting_init)
+    assert run_scenario("cat-3-2", config=Config(seed=5)).verdict == "pass"
+    # the ten 2-minors and the five 1x1 minors on the second row
+    assert len(ladders) == 1 and len(ladders[0]._memo) == 15
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_subhankel_scenario_expands_its_determinant_once(monkeypatch, n):
     # every sub-Hankel fact reads the scenario's polar record; none rebuilds
@@ -782,7 +834,7 @@ def test_casebook_run_matches_the_reference_output():
 WARM_RUN_TICKS = {
     "polynomial reduction": 248, "Hilbert series": 311, "linear algebra": 1917,
     "module reduction": 7, "bigraded kernel assembly": 1938,
-    "determinant expansion": 701, "Fitting minors": 53,
+    "determinant expansion": 672, "Fitting minors": 53,
 }
 
 # Budget ticks by label of a default run: every scenario's default facts,
@@ -791,7 +843,7 @@ DEFAULT_RUN_TICKS = {
     "Buchberger": 1372, "polynomial reduction": 4866, "colon labels": 2772,
     "Hilbert series": 311, "linear algebra": 1917, "module Buchberger": 332,
     "module reduction": 979, "bigraded kernel assembly": 1938,
-    "determinant expansion": 701, "Fitting minors": 53,
+    "determinant expansion": 672, "Fitting minors": 53,
 }
 
 # monic basis elements (`_Entry.monic` calls) the warm run builds: only

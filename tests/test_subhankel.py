@@ -11,13 +11,14 @@ from detlab.casebook import registry
 from detlab.cli import main as cli_main
 from detlab.groebner import Ideal, hilbert_data, ideal_equal
 from detlab.polyring import exact_divide, NOT_DIVISIBLE
-from detlab.subhankel import (MAX_ORDER, MIN_ORDER, colon_claim_check,
+from detlab.subhankel import (CHECKS, MAX_ORDER, MIN_ORDER, CheckReport,
+                              colon_claim_check, gcd_powers_check, supports,
                               displayed_symmetric_generators, filtration_generators,
                               filtration_ideal, gcd_power_check, hilbert_burch,
                               hilbert_burch_check, multiplicity_filtration_check,
                               recurrence_check, resolution_and_ass_check,
                               subhankel_linear_type_check)
-from detlab import polar
+from detlab import polar, subhankel
 
 
 def test_case_construction_n3(subhankel_record):
@@ -142,6 +143,33 @@ def test_gcd_power_values(subhankel_record, n, i, power):
     xn = form.f.ring.var(n)
     gens = filtration_generators(form, i)
     assert [g * xn ** power for g in gens] == form.partials[:i + 1]
+
+
+def test_gcd_powers_check_reports_the_first_failure(monkeypatch, subhankel_record):
+    # every i runs; the first failing report is returned, else the first one
+    form = subhankel_record(4)
+    ran = []
+
+    def fake(form, i, budget=None):
+        ran.append(i)
+        return CheckReport(f"gcd(i={i})", i not in failing)
+    monkeypatch.setattr(subhankel, "gcd_power_check", fake)
+    for failing, want in (({1, 2}, "gcd(i=1)"), (set(), "gcd(i=0)"), ({3}, "gcd(i=3)")):
+        ran.clear()
+        assert gcd_powers_check(form).name == want
+        assert ran == [0, 1, 2, 3]
+
+
+def test_check_table_and_orders():
+    # the one table both front ends read, and the orders each check runs at
+    assert list(CHECKS) == ["recurrence", "gcd", "hilbert-burch", "multiplicity",
+                            "colon", "resolution", "linear-type"]
+    for name in CHECKS:
+        for n in range(2, 7):
+            assert supports(name, n) == (MIN_ORDER.get(name, 2) <= n
+                                         <= MAX_ORDER.get(name, 6))
+    assert not supports("resolution", 2) and supports("resolution", 3)
+    assert supports("linear-type", 4) and not supports("linear-type", 5)
 
 
 def test_gcd_division_is_exact(subhankel_record):
