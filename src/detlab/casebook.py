@@ -733,7 +733,7 @@ def _registry() -> dict[str, Scenario]:
         _build("generic", m=3), _generic3_facts())
     add("symmetric-3", "generic symmetric 3x3 determinant case study",
         _build("symmetric", m=3), _symmetric3_facts())
-    for n in (3, 4, 5, 6):
+    for n in subhankel_mod.ORDERS[1:]:  # no scenario for the conic, n = 2
         add(f"subhankel-{n}", f"order-{n} sub-Hankel degeneration case study",
             _build("sub-hankel", n=n), _subhankel_facts(n))
     add("dg-3", "generic 3x3 with one zero entry (vanishing Hessian)",

@@ -277,9 +277,10 @@ def _cmd_hankel(args) -> int:
 def _cmd_subhankel(args) -> int:
     config = _config_from_args(args)
     n = args.n
-    if not 2 <= n <= 6:
-        raise ValueError("order out of supported range 2..6")
-    if args.all and n >= 3:
+    orders = subhankel_mod.ORDERS
+    if n not in orders:
+        raise ValueError(f"order out of supported range {orders[0]}..{orders[-1]}")
+    if args.all and n in orders[1:]:
         # the registry holds the curated fact list; report it as the casebook does
         return _report(args, [run_scenario(f"subhankel-{n}", config=config)])
     budget = config.budget()

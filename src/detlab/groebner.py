@@ -53,10 +53,13 @@ passes its label u as `scaled` and a labelled reducer's label as
 gi's tail shifted to the lcm by `_shifted`, the one guard-checked shift,
 which also makes the colon's J-pair multiples t*u and t*v.  `_minimal`,
 the one minimal-monomial walk, serves the chain criterion among new
-pairs and the Hilbert numerators.  The one lcm is `_Packing.lcm` on
-exponent tuples, for the pairs, the J-pairs and `certify_groebner`; the
-colon builds it only for the J-pairs that pass the F5 test, which runs
-first on the variable fields alone (below).  An index
+pairs and the Hilbert numerators.  The one lcm is packed too:
+`_Packing.cofactor(a, b)` gives the monomial t with t*a = lcm(a, b) on the
+variable fields, `_Packing.lift(t, deg a)` packs t in full, reading only
+its nonzero fields, and checks the lcm's degree against the width, and
+lcm(a, b) is a plus the packed t.  It serves the pairs, the J-pairs and
+`certify_groebner`; the colon builds it only for the J-pairs it pushes,
+after their F5 test on the variable fields alone (below).  An index
 belongs to one basis list: a Buchberger run extends its own as the basis
 grows, and a restart at a wider width builds a new one; a reduced basis
 (`_Basis`) keeps one for its normal forms, membership tests, colons and
@@ -83,12 +86,16 @@ colon element already found divides its signature, or when it is covered:
 an element whose signature divides it reaches it with a smaller multiple of
 its lm(v).  The first of these tests, F5's (Roune and Stillman, ISSAC
 2012), decides most J-pairs, and it runs when the pair is formed, before
-its lcm: `_Packing.cofactor` gives the multiplier t with t*lm(v) = lcm in
-the variable fields, the signature's variable fields plus t are the
-candidate signature there, and the divisor search of G reads no other
-field.  Only a J-pair that passes gets its packed lcm and goes on the heap,
-so the heap holds what it would if every lcm were built first.  The
-leading term of v is reduced regularly: by G always, by a labelled element
+its lcm: the cofactor t with t*lm(v) = lcm, on the variable fields, plus
+the signature's variable fields is the candidate signature there, and the
+divisor search of G reads no other field; for a pair with an entry g_k of
+G, lm(g_k) itself is tried before the search.  A pair of two labelled
+elements (u, v) and (u_j, v_j) is pushed at the larger of its two
+signatures, lm(u)*lcm/lm(v) and lm(u_j)*lcm/lm(v_j), which compare as
+lm(u)*lm(v_j) and lm(u_j)*lm(v) do; so that side is picked first, and only
+its F5 test runs.  Only a J-pair that passes gets its packed lcm and goes
+on the heap, so the heap holds what it would if every lcm and both tests
+were made first.  The leading term of v is reduced regularly: by G always, by a labelled element
 only below the pair's signature.  A v that reaches 0
 gives u in I : g, and G with those u is a Groebner basis of I : g, so only
 the pairs that yield colon elements reduce to zero.  Each pair the colon
@@ -129,7 +136,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import mul, or_
+from operator import or_
 
 from .config import Budget, Config, DEFAULT_CONFIG
 from .polyring import (
@@ -178,7 +185,7 @@ class _Packing:
     """
 
     __slots__ = ("rows", "width", "units", "guard", "low", "var_guard", "vals",
-                 "digest", "_given", "_reads", "_half", "_wmax")
+                 "digest", "_given", "_reads", "_lifts", "_half", "_wmax")
 
     def __init__(self, rows: tuple[tuple, ...], width: int):
         self._given = rows
@@ -203,6 +210,8 @@ class _Packing:
         self._reads = [width * (top - reads[i]) for i in range(nvars)]
         self.var_guard = sum(1 << (s + width - 1) for s in self._reads)
         self.vals = self.var_guard - (self.var_guard >> (width - 1))
+        # guard bit of a variable's field -> (its shift, the variable's unit)
+        self._lifts = {1 << (s + width - 1): (s, u) for s, u in zip(self._reads, self.units)}
         self._half = 1 << (width - 1)
         self._wmax = max((max(row) for row in rows), default=0)
 
@@ -254,15 +263,25 @@ class _Packing:
         monomial divides m only if its support lies inside this one."""
         return ((m | self.guard) - self.low) & self.var_guard
 
-    def lcm(self, a: tuple, b: tuple) -> tuple[int, int]:
-        """The packed lcm of two exponent tuples and its degree; raises
-        _Overflow when the lcm does not fit."""
-        # a list display, not map(max, a, b): about twice as fast on short tuples
-        lt = tuple([x if x > y else y for x, y in zip(a, b)])
-        d = sum(lt)
-        if not self.fits(d):
+    def lift(self, t: int, degree: int) -> tuple[int, int]:
+        """The monomial t, given on its variable fields only, packed in
+        full, and degree plus its degree; raises _Overflow when that sum
+        does not fit.  For a packed a of degree d, a + lift(cofactor(a, b),
+        d)[0] is lcm(a, b), of the degree returned: the one lcm routine.
+        Only the nonzero fields of t are read."""
+        low = self._half - 1
+        rest = ((t | self.guard) - self.low) & self.var_guard
+        m = 0
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            s, u = self._lifts[b]
+            e = (t >> s) & low
+            m += e * u
+            degree += e
+        if not self.fits(degree):
             raise _Overflow
-        return sum(map(mul, lt, self.units)), d
+        return m, degree
 
     def cofactor(self, a: int, b: int) -> int:
         """The monomial t with t*a = lcm(a, b), for packed a and b, held in
@@ -587,7 +606,8 @@ def _minimal(monomials, guard: int) -> list[int]:
 class _Pairs:
     """The critical pairs of a growing basis under the normal (sugar)
     selection strategy and Gebauer and Möller's criteria, all on packed
-    lcms.
+    lcms: lcm(lm_i, lm_h) is lm_h times its cofactor packed by `lift`, from
+    the packed leading monomials `lms` and their degrees `degs`.
 
     `add(h)` pairs a new element with every earlier one of its component
     (rank r > 0: the first r exponents are the one-hot component slots).
@@ -599,13 +619,13 @@ class _Pairs:
     with i < j, or None.  An lcm past the packing raises _Overflow.
     """
 
-    __slots__ = ("pk", "rank", "exps", "degs", "comps", "masks", "sugars",
+    __slots__ = ("pk", "rank", "lms", "degs", "comps", "masks", "sugars",
                  "live", "heap")
 
     def __init__(self, pk: _Packing, rank: int = 0):
         self.pk = pk
         self.rank = rank
-        self.exps: list[tuple] = []  # leading exponents, for the lcms only
+        self.lms: list[int] = []
         self.degs: list[int] = []
         self.comps: list[tuple] = []
         self.masks: list[int] = []
@@ -615,16 +635,18 @@ class _Pairs:
 
     def add(self, h: _Entry) -> None:
         pk = self.pk
-        guard = pk.guard
-        eh = pk.unpack(h.lm)
+        guard, cofactor, lift = pk.guard, pk.cofactor, pk.lift
+        hl = h.lm
+        eh = pk.unpack(hl)
         dh = sum(eh)
         comp = eh[:self.rank]
         comps = self.comps
         new: dict[int, int] = {}  # i -> packed lcm(lm_i, lm_h)
         new_degs: dict[int, int] = {}
-        for i, ei in enumerate(self.exps):
+        for i, li in enumerate(self.lms):
             if comps[i] == comp:
-                new[i], new_degs[i] = pk.lcm(ei, eh)
+                t, new_degs[i] = lift(cofactor(hl, li), dh)
+                new[i] = hl + t
         # the chain criterion among the new pairs: only minimal lcms stay
         minimal = set(_minimal(new.values(), guard))
         masks, hmask = self.masks, h.mask
@@ -640,20 +662,19 @@ class _Pairs:
                 kept.append(i)
         # the old pairs: drop (i, j) when lm(h) divides lcm(i, j) and that
         # lcm is neither lcm(i, h) nor lcm(j, h)
-        hl = h.lm
         live = self.live
         dead = [ij for ij, lk in live.items()
                 if ((lk | guard) - hl) & guard == guard
                 and new[ij[0]] != lk and new[ij[1]] != lk]
         for ij in dead:
             del live[ij]
-        n = len(self.exps)
+        n = len(self.lms)
         for i in kept:
             lk, d = new[i], new_degs[i]
             sugar = max(self.sugars[i] + d - self.degs[i], h.sugar + d - dh)
             live[(i, n)] = lk
             heappush(self.heap, (sugar, lk, i, n))
-        self.exps.append(eh)
+        self.lms.append(hl)
         self.degs.append(dh)
         comps.append(comp)
         masks.append(hmask)
@@ -785,16 +806,16 @@ def _colon_at_width(G: _Basis, g: dict, budget: Budget) -> _Basis:
     """Reduced Groebner basis of I : g as entries of the packing of G, the
     reduced basis of I, for g a nonzero exponent-tuple integer term dict."""
     pk = G[0].pk
-    guard, var_guard, vals, cofactor = pk.guard, pk.var_guard, pk.vals, pk.cofactor
+    guard, var_guard, vals = pk.guard, pk.var_guard, pk.vals
+    cofactor, lift = pk.cofactor, pk.lift
     gidx = G.divisor_index()
     divisor = gidx.divisor
-    gexps = [pk.unpack(e.lm) for e in G]
     # the labelled elements (u, v) with v != 0: signature lm(u), label u,
-    # and v as the entries of lidx
+    # the degree of lm(v), and v as the entries of lidx
     lidx = _DivisorIndex(pk)
     sigs: list[int] = []
     us: list[dict] = []
-    vexps: list[tuple] = []
+    degs: list[int] = []
     found: list[tuple] = []  # (signature, label u) of the pairs whose v reached 0
     heap: list[tuple] = []  # J-pairs (signature, lcm, element)
 
@@ -820,39 +841,42 @@ def _colon_at_width(G: _Basis, g: dict, budget: Budget) -> _Basis:
             v = {m: c // common for m, c in v.items()}
         h = _Entry(v, pk, 0)
         hm = h.lm
-        eh = pk.unpack(hm)
+        dh = sum(pk.unpack(hm))
         n = len(sigs)
         # the F5 test, on the variable fields of each candidate signature
         # before its lcm is built: a signature in lm(G) is a multiple of a
-        # syzygy (h, 0), h in I
+        # syzygy (h, 0), h in I.  gm itself divides many of them.
         sv = sig & vals
-        for gm, ek in zip(gidx.lms, gexps):
-            vh = sv + cofactor(hm, gm)
+        for gm in gidx.lms:
+            t = cofactor(hm, gm)
+            vh = sv + t
             if vh & var_guard:
                 raise _Overflow
-            if divisor(vh) < 0:
-                top, _ = pk.lcm(eh, ek)
-                push(top - hm + sig, top, n)
-        for j, (lj, ej) in enumerate(zip(lidx.lms, vexps)):
-            vh = sv + cofactor(hm, lj)
-            vj = (sigs[j] & vals) + cofactor(lj, hm)
-            if (vh | vj) & var_guard:
+            if ((vh | guard) - gm) & var_guard != var_guard and divisor(vh) < 0:
+                lt, _ = lift(t, dh)
+                push(sig + lt, hm + lt, n)
+        # a pair with an element j is pushed at the larger of its two
+        # signatures, sig*lcm/hm and sigs[j]*lcm/lj, which compare as
+        # sig*lj and sigs[j]*hm do (a sum of two packed monomials may set a
+        # guard bit but never carries); only that side takes the F5 test
+        for j, lj in enumerate(lidx.lms):
+            sj = sigs[j]
+            if sig + lj > sj + hm:
+                s, m, d, other, k = sig, hm, dh, lj, n
+            elif sig + lj < sj + hm:
+                s, m, d, other, k = sj, lj, degs[j], hm, j
+            else:
+                continue
+            t = cofactor(m, other)
+            vs = (s & vals) + t
+            if vs & var_guard:
                 raise _Overflow
-            if vh == vj:
-                continue
-            h_in = divisor(vh) >= 0
-            if h_in and divisor(vj) >= 0:
-                continue
-            top, _ = pk.lcm(eh, ej)
-            sh, sj = top - hm + sig, top - lj + sigs[j]
-            if sh > sj:
-                if not h_in:
-                    push(sh, top, n)
-            elif h_in or divisor(vj) < 0:  # with h_in, vj has passed already
-                push(sj, top, j)
+            if divisor(vs) < 0:
+                lt, _ = lift(t, d)
+                push(s + lt, m + lt, k)
         sigs.append(sig)
         us.append(u)
-        vexps.append(eh)
+        degs.append(dh)
         lidx.append(h)
 
     add(0, *_regular_reduce({0: 1}, {pk.pack(e): c for e, c in g.items()}, 0,
@@ -1585,8 +1609,8 @@ def certify_groebner(I: Ideal, budget=None, config=None) -> bool:
         pk = basis[0].pk
         index = basis.divisor_index()
         for gi, gj in itertools.combinations(basis, 2):
-            top, _ = pk.lcm(pk.unpack(gi.lm), pk.unpack(gj.lm))
-            sp = _spoly(gi, gj, top)
+            lt, _ = pk.lift(pk.cofactor(gi.lm, gj.lm), sum(pk.unpack(gi.lm)))
+            sp = _spoly(gi, gj, gi.lm + lt)
             if sp and _normal_form_int(sp, index, budget)[0]:
                 return False
         return True

@@ -13,9 +13,10 @@ the filtration generators and ideals, the Hilbert-Burch matrices and the
 displayed syzygies are functions of that record.  The checks run under the
 caller's budget, whose config the Groebner queries read.
 
-`CHECKS` lists the checks by name and `supports` says at which orders each
-one runs: the casebook's subhankel-n facts and `detlab subhankel` both
-read them here, and list no check of their own.
+`CHECKS` lists the checks by name, `supports` says at which orders each
+one runs and `ORDERS` holds the orders n accepted at all: the casebook's
+subhankel-n scenarios and facts and `detlab subhankel` read them here, and
+list no check or order of their own.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ from . import polar
 # heavy syzygy); `supports` reads them, for the casebook and the CLI
 MAX_ORDER = {"colon": 5, "resolution": 5, "linear-type": 4}
 MIN_ORDER = {"resolution": 3, "linear-type": 3}
+# the orders the front ends accept: `detlab subhankel` runs its checks at
+# each, and the casebook has a subhankel-n scenario at each but the first,
+# the conic n = 2
+ORDERS = range(2, 7)
 
 
 def supports(check: str, n: int) -> bool:

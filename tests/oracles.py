@@ -253,6 +253,85 @@ def regular_reduce_reference(u, v, sig, basis, labelled, key, budget):
     return u, v
 
 
+def two_sided_colon_pushes(G, g, key, budget):
+    """The J-pairs of the signature colon I : g in push order, as
+    (signature, lcm, element) on exponent tuples, under the rule the colon
+    used before it picked a pair's side first: a pair with a labelled
+    element takes the F5 test on both of its signatures, and pushes the
+    larger one if that one passed.  G is the reduced basis of I as tuple
+    dicts with positive leading coefficients, g a nonzero integer term
+    dict and `key` the order's sort key.  Otherwise this is the engine's
+    colon (`groebner._colon_at_width`) written on tuples: the reduction is
+    `regular_reduce_reference`, which ticks the budget."""
+    import heapq
+    from math import gcd
+    divides = lambda a, b: all(x <= y for x, y in zip(a, b))  # noqa: E731
+    lcm = lambda a, b: tuple(max(x, y) for x, y in zip(a, b))  # noqa: E731
+    times = lambda a, b, c=None: tuple(  # noqa: E731  a*b, or a*b/c
+        x + y - (c[k] if c else 0) for k, (x, y) in enumerate(zip(a, b)))
+    glms = [max(d, key=key) for d in G]
+    in_G = lambda s: any(divides(gm, s) for gm in glms)  # noqa: E731
+    labelled, lms, found, heap, pushes = [], [], [], [], []
+
+    def push(sig, top, i):
+        pushes.append((sig, top, i))
+        heapq.heappush(heap, (key(sig), key(top), i, sig, top))
+
+    def add(sig, u, v):
+        if not v:
+            found.append(sig)
+            return
+        hm = max(v, key=key)
+        common = 0
+        for c in list(v.values()) + list(u.values()):
+            common = gcd(common, c)
+        if v[hm] < 0:
+            common = -common
+        u = {e: c // common for e, c in u.items()}
+        v = {e: c // common for e, c in v.items()}
+        n = len(labelled)
+        for gm in glms:
+            top = lcm(hm, gm)
+            sh = times(sig, top, hm)
+            if not in_G(sh):
+                push(sh, top, n)
+        for j, (sj, _, _) in enumerate(labelled):
+            top = lcm(hm, lms[j])
+            sh, s2 = times(sig, top, hm), times(sj, top, lms[j])
+            if sh == s2:
+                continue
+            h_in, j_in = in_G(sh), in_G(s2)
+            if h_in and j_in:
+                continue
+            if key(sh) > key(s2):
+                if not h_in:
+                    push(sh, top, n)
+            elif not j_in:
+                push(s2, top, j)
+        labelled.append((sig, u, v))
+        lms.append(hm)
+
+    one = (0,) * len(next(iter(g)))
+    add(one, *regular_reduce_reference({one: 1}, g, one, G, labelled, key, budget))
+    last = None
+    while heap:
+        _, _, i, sig, top = heapq.heappop(heap)
+        if sig == last:  # one J-pair per signature: the smallest lcm
+            continue
+        last = sig
+        if any(divides(s, sig) for s in found):
+            continue
+        if any(divides(s, sig) and key(times(sig, lm, s)) < key(top)
+               for (s, _, _), lm in zip(labelled, lms)):
+            continue
+        si, ui, vi = labelled[i]
+        t = tuple(a - b for a, b in zip(sig, si))
+        u = {times(e, t): c for e, c in ui.items()}
+        v = {times(e, t): c for e, c in vi.items()}
+        add(sig, *regular_reduce_reference(u, v, sig, G, labelled, key, budget))
+    return pushes
+
+
 class TuplePairs:
     """The pair criteria on exponent tuples: the same selection as the
     engine's packed `_Pairs`, written with tuple lcms and divisibility.

@@ -8,6 +8,7 @@ ideal results carry."""
 import hashlib
 import json
 from fractions import Fraction
+from heapq import heappush
 from itertools import combinations_with_replacement
 from pathlib import Path
 from unittest.mock import patch
@@ -19,14 +20,14 @@ from detlab import groebner, polar
 from detlab.config import Budget, ComputationTimeout, Config
 from detlab.groebner import (Ideal, colon, colon_poly, ideal_power, ideal_product,
                              radical_membership, saturation, symmetric_algebra_ideal,
-                             _colon_key, _MEMORY_CACHE)
+                             to_int_terms, _colon_key, _MEMORY_CACHE)
 from detlab.hankelplucker import reduction_conjecture_check
 from detlab.polyring import Polynomial, format_polynomial, grevlex, morph, xring
 from detlab.structmat import (build_gp_associated, build_structured, determinant,
                               minors_ideal_gens)
 from detlab.syzygy import first_syzygy_module
 from oracles import (lex, membership_equal, rabinowitsch_radical_membership,
-                     rounds_saturation, tag_colon, tag_intersect)
+                     rounds_saturation, tag_colon, tag_intersect, two_sided_colon_pushes)
 from test_groebner import _LabelBudget, _disk_records, _fresh_process
 
 CAT43_REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference" / "cat43-colon.json"
@@ -109,6 +110,45 @@ def test_the_colon_matches_the_tag_variable_colon(data):
         assert basis == I.groebner_basis()
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_the_one_sided_jpair_rule_pushes_what_the_two_sided_rule_did(data):
+    # the colon picks a J-pair's side before its F5 test and builds the lcm
+    # only for a pair it pushes; the J-pairs pushed, in order, are those of
+    # the rule that tested both sides first
+    n = data.draw(st.integers(2, 4))
+    R = xring(n, data.draw(st.sampled_from([grevlex(n), lex(n)])))
+    homogeneous = data.draw(st.booleans())
+
+    def form(degree):  # 2-4 terms of the degree, and of one less if inhomogeneous
+        pool = _monomials(n, degree) + ([] if homogeneous else _monomials(n, degree - 1))
+        return Polynomial(R, data.draw(st.dictionaries(st.sampled_from(pool), _COEFFS,
+                                                       min_size=2, max_size=4)))
+    gens = [form(data.draw(st.integers(2, 3))) for _ in range(data.draw(st.integers(2, 3)))]
+    g = to_int_terms(form(data.draw(st.integers(1, 2))))
+    pushes = []
+
+    def recording(heap, item):
+        if isinstance(item, tuple):  # a J-pair (signature, lcm, element)
+            pushes.append(item)
+        heappush(heap, item)
+
+    def run(G):
+        pushes.clear()
+        with patch.object(groebner, "heappush", recording):
+            groebner._colon_at_width(G, g, Budget(step_cap=5000))
+        pk = G[0].pk
+        return [(pk.unpack(s), pk.unpack(t), i) for s, t, i in pushes]
+    try:
+        G = Ideal(R, gens)._entries(Budget(step_cap=5000))
+        got = groebner._retry_wider(G, run)
+        want = two_sided_colon_pushes([e.full() for e in G], g, R.order.key,
+                                      Budget(step_cap=5000))
+    except ComputationTimeout:
+        assume(False)
+    assert got == want
+
+
 def test_the_zero_and_the_unit_ideal():
     R = xring(2)
     x0, x1 = R.gens()
@@ -129,21 +169,22 @@ def test_the_cat43_prime_generators_match_the_recorded_digests(monkeypatch):
     _MEMORY_CACHE.clear()
     budget = _LabelBudget()
     lcms = []
-    lcm = groebner._Packing.lcm
+    lift = groebner._Packing.lift
 
-    def counted(pk, a, b):
+    def counted(pk, t, degree):
         lcms.append(1)
-        return lcm(pk, a, b)
-    monkeypatch.setattr(groebner._Packing, "lcm", counted)
+        return lift(pk, t, degree)
+    monkeypatch.setattr(groebner._Packing, "lift", counted)
     for g, t in zip(gens, ref):
         text = "\n".join(strings(colon_poly(J, g, budget=budget)))
         assert hashlib.sha256(text.encode()).hexdigest() == t["digest"], t["poly"]
     # the work of all 35 colons, pinned like the Hankel-3 colon below
     assert dict(budget.by_label) == {"Buchberger": 1373, "polynomial reduction": 10943,
                                      "colon labels": 76277}
-    # the lcms built: only the J-pairs whose signature passes the F5 test
-    # get one (every J-pair formed, 67967, did before the test ran first)
-    assert len(lcms) == 24190
+    # the lcms built: only the J-pairs pushed get one (24190 did when both
+    # sides of a J-pair took the F5 test and its lcm came before the side
+    # was picked, and every J-pair formed, 67967, before the test ran first)
+    assert len(lcms) == 10946
 
 
 # ---------------------------------------------------------------------------
@@ -195,29 +236,29 @@ def test_a_damaged_colon_record_is_recomputed_and_rewritten(tmp_path):
 
 def test_a_narrow_first_width_restarts_wider_with_the_same_basis(tmp_path, monkeypatch):
     # the basis of J, read back from the disk cache at a first width of 3
-    # bits, fits that width; the lcm of a J-pair of J : x2 that passes the
-    # F5 test does not.  (J : delta restarts nothing: each of its J-pairs
-    # whose lcm would not fit is dropped before the lcm is built.)  A record
-    # is served in the packing it was written in, so J's basis is written
-    # repacked at 3 bits.
+    # bits, fits that width, and so does x2^2; the lcm of a J-pair that
+    # J : x2^2 pushes does not.  (J : x2 and J : delta restart nothing: each
+    # of their J-pairs whose lcm would not fit is dropped before the lcm is
+    # built.)  A record is served in the packing it was written in, so J's
+    # basis is written repacked at 3 bits.
     J, _ = hankel3()
-    x2 = J.ring.from_string("x2")
+    g = J.ring.from_string("x2^2")
     cfg = Config(cache_dir=str(tmp_path))
     _fresh_process()
-    want = strings(colon_poly(J, x2))
+    want = strings(colon_poly(J, g))
     widths = []
     at_width = groebner._colon_at_width
 
-    def counted(G, g, budget):
+    def counted(G, h, budget):
         widths.append(G[0].pk.width)
-        return at_width(G, g, budget)
+        return at_width(G, h, budget)
     monkeypatch.setattr(groebner, "_FIELD_BITS", 3)
     monkeypatch.setattr(groebner, "_colon_at_width", counted)
     narrow = groebner._Packing.shared(J.ring.order.weight_rows(), 3)
     groebner._disk_put(cfg.cache_dir, J._key,
-                       groebner._Basis(g.repack(narrow) for g in J._entries()))
+                       groebner._Basis(e.repack(narrow) for e in J._entries()))
     _fresh_process()
-    assert strings(colon_poly(Ideal(J.ring, J.gens), x2, config=cfg)) == want
+    assert strings(colon_poly(Ideal(J.ring, J.gens), g, config=cfg)) == want
     assert widths == [3, 6]
 
 

@@ -13,7 +13,8 @@ from detlab import groebner
 from detlab.config import Budget, ComputationTimeout
 from detlab.groebner import (Ideal, _DivisorIndex, _Entry, _Overflow, _Packing, _Pairs,
                              _normal_form_int, _pack_entries, _regular_reduce, _retry_wider,
-                             _spoly, certify_groebner, groebner_entries, to_int_terms)
+                             _spoly, certify_groebner, groebner_entries, rees_ring,
+                             to_int_terms)
 from detlab.polyring import Polynomial, block_order, grevlex, xring
 from detlab.syzygy import _module_rows, _onehot
 from oracles import (TuplePairs, linear_scan_normal_form, naive_normal_form, naive_spoly,
@@ -170,13 +171,13 @@ def test_an_s_polynomial_term_past_the_width_is_refused():
     pk = _Packing(_LEX3.weight_rows(), 3)
     g1 = _Entry({pk.pack((1, 1, 0)): 1, pk.pack((0, 0, 3)): -1}, pk, 3)
     g2 = _Entry({pk.pack((1, 0, 1)): 1, pk.pack((0, 1, 0)): -1}, pk, 2)
-    top = pk.lcm((1, 1, 0), (1, 0, 1))[0]
+    top = pk.pack((1, 1, 1))
     for gi, gj in ((g1, g2), (g2, g1)):  # the term x2^4 of g1's shifted tail does not fit
         with pytest.raises(_Overflow):
             _spoly(gi, gj, top)
     wide = pk.wider()
     w1, w2 = g1.repack(wide), g2.repack(wide)
-    sp = _spoly(w1, w2, wide.lcm((1, 1, 0), (1, 0, 1))[0])
+    sp = _spoly(w1, w2, wide.pack((1, 1, 1)))
     assert {wide.unpack(m): c for m, c in sp.items()} == {(0, 0, 4): -1, (0, 2, 0): 1}
     # the pair's sugar: max(3 + 3 - 2, 2 + 3 - 2)
     pairs = _Pairs(wide)
@@ -262,6 +263,51 @@ def test_the_cofactor_and_the_divisor_search_on_variable_fields(data):
         first = next((k for k, e in enumerate(lms)
                       if keep >> k & 1 and all(x <= y for x, y in zip(e, m))), -1)
         assert index.divisor(pm, keep) == index.divisor(pm & pk.vals, keep) == first
+
+
+@st.composite
+def _engine_rows(draw):
+    """(weight rows, rank) of the orders the engine packs: grevlex, the
+    x-first grevlex of `rees_ring`, an elimination order as `eliminate`
+    builds it (the dropped variables in a first block, then the rest), and
+    position over term (`_module_rows`, rank 1-3) over each of them."""
+    n = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["grevlex", "rees", "elimination"]))
+    if kind == "grevlex":
+        order = grevlex(n)
+    elif kind == "rees":
+        order = rees_ring(xring(n), draw(st.integers(1, 3))).order
+    else:
+        drop = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)))
+        order = block_order([drop, [i for i in range(n) if i not in drop]])
+    rank = draw(st.sampled_from([0, 0, 1, 2, 3]))
+    return (_module_rows(order, rank) if rank else order.weight_rows()), rank
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_packed_lcm_is_the_tuple_lcm(data):
+    # a + lift(cofactor(a, b), deg a) is the packed tuple lcm, of the degree
+    # returned, from either side, at widths from the narrowest holding a
+    # and b up; _Overflow exactly when the lcm's degree passes the bound
+    rows, rank = data.draw(_engine_rows())
+    comp = _onehot(rank, data.draw(st.integers(0, rank - 1))) if rank else ()
+    exps = st.tuples(*[st.integers(0, 5)] * (len(rows[0]) - rank))
+    a, b = comp + data.draw(exps), comp + data.draw(exps)
+    width = next(w for w in itertools.count(2) if _Packing(rows, w).fits(max(sum(a), sum(b))))
+    pk = _Packing(rows, width + data.draw(st.sampled_from([0, 0, 0, 1])))
+    pa, pb = pk.pack(a), pk.pack(b)
+    lcm = tuple(map(max, a, b))
+    wmax = max(max(row) for row in pk.rows)
+    for x, px, y, py in ((a, pa, b, pb), (b, pb, a, pa)):
+        t = pk.cofactor(px, py)
+        if sum(lcm) * wmax >= 1 << (pk.width - 1):
+            with pytest.raises(_Overflow):
+                pk.lift(t, sum(x))
+            continue
+        lt, degree = pk.lift(t, sum(x))
+        assert px + lt == pk.pack(lcm) and degree == sum(lcm)
+        assert pk.lift(t, 0) == (lt, sum(lcm) - sum(x))
 
 
 def _reduce_both(terms, entries, skip):

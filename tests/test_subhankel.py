@@ -43,10 +43,15 @@ def test_case_construction_n4_supports(subhankel_record):
 
 
 def test_case_range_validation(capsys):
-    # the order comes from outside input only through the CLI, which checks it
+    # the order comes from outside input only through the CLI, which checks
+    # it against subhankel.ORDERS; the casebook reads the same orders, with
+    # a scenario at each but the conic n = 2
+    assert list(subhankel.ORDERS) == [2, 3, 4, 5, 6]
     for n in (1, 7):
         assert cli_main(["subhankel", "--n", str(n)]) == 2
         assert "order out of supported range 2..6" in capsys.readouterr().err
+    assert ({sid for sid in registry() if sid.startswith("subhankel-")}
+            == {f"subhankel-{n}" for n in subhankel.ORDERS[1:]})
 
 
 def test_capped_checks_refuse_larger_orders(subhankel_record):
