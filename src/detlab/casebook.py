@@ -9,7 +9,10 @@ proved contradiction fails it.
 
 Each fact runs under one Budget, `ctx["budget"]`, from the scenario's
 config: the deadline and the step cap bound the whole fact, and every
-computation below it reads the GB cache directory from that budget.
+computation below it reads the GB cache directory from that budget.  A
+spent budget raises ComputationTimeout out of the check, and
+`run_scenario` records that fact as a timeout: no check reads a timeout
+as a failed answer.
 """
 
 from __future__ import annotations
@@ -104,11 +107,6 @@ def _bool_fact(expected_desc, ok):
     return expected_desc, expected_desc if ok else f"NOT({expected_desc})", bool(ok)
 
 
-def _status_fact(expected, status):
-    """A check's status against the expected one; "Timeout" is a timeout."""
-    return expected, status, "timeout" if status == "Timeout" else status == expected
-
-
 def _build(kind, extras=None, **shape):
     """Scenario builder: the structured matrix, its determinant's polar
     record (`form`) and the record's gradient ideal (`J`); `extras(matrix)`
@@ -147,8 +145,8 @@ def _verdict_fact(expected, accepted=None, full=False, inverse=False):
 
 def _linear_type_fact(ctx):
     """Check that the gradient ideal is of linear type, read off the
-    scenario's polar record; a timeout is a timeout, not a contradiction."""
-    return _status_fact("LinearType", ctx["form"].linear_type(ctx["budget"]).status)
+    scenario's polar record."""
+    return _eq_fact("LinearType", ctx["form"].linear_type(ctx["budget"]).status)
 
 
 def _linear_rank_fact(want):
@@ -177,11 +175,11 @@ def _radical_fact(ctx):
 
 
 def _reduction_fact(i):
-    """Check of colon filtration step i; a timeout is not a contradiction."""
+    """Check of colon filtration step i."""
     def check(ctx):
         out = reduction_conjecture_check(ctx["matrix"], ctx["form"], ctx["P"], i,
                                          ctx["budget"])
-        return _status_fact("Equal", out.status)
+        return _eq_fact("Equal", out.status)
     return check
 
 

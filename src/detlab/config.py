@@ -35,8 +35,10 @@ class Budget:
     built from (`DEFAULT_CONFIG` unless given).  One Budget meters a casebook
     fact or a CLI command; the computations under it read the GB cache
     directory from its config.  `tick` raises ComputationTimeout rather than
-    ever returning a wrong answer; callers that promise a Timeout *result*
-    catch it.
+    ever returning a wrong answer, and a timeout travels only as that
+    exception: it is caught only where there is something else to do (the
+    casebook and CLI boundaries, the CLI's sub-Hankel check loop, and
+    polar's bounded Hessian attempt and verdict routes).
     """
 
     __slots__ = ("step_cap", "steps", "deadline", "config", "_timecheck")

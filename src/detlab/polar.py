@@ -23,6 +23,11 @@ Two bounded attempts have meters of their own under the caller's deadline
 verdict's linear-type attempt (400 000 steps, off the caller's meter so
 that the later routes keep theirs).
 
+A spent budget raises ComputationTimeout through every reader and check.
+Only the symbolic Hessian route, which falls back to sampling, and the
+verdict's three ideal-theoretic routes, each of which records "timeout"
+evidence and yields to the next, catch it.
+
 Certainty discipline: an exact nonzero integer evaluation is a proof (a
 nonzero value mod p certifies a nonzero integer), probabilistic identity
 tests carry explicit Schwartz-Zippel bounds, and a probabilistic zero
@@ -62,9 +67,8 @@ class PolarMapData:
     generating set gives the same symmetric-algebra ideal, and
     `syzygy_module` picks minimal generators from it for the readers of a
     minimal presentation.  A reader runs under the budget of the caller that
-    first asks; when that call times out nothing is kept (nor a "Timeout"
-    linear-type answer), so the next caller computes afresh under its own
-    budget.
+    first asks; when that call raises ComputationTimeout nothing is kept,
+    so the next caller computes afresh under its own budget.
     """
     f: Polynomial
     partials: list[Polynomial]
@@ -75,13 +79,10 @@ class PolarMapData:
     config: Config
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def _once(self, key: str, compute, keep=lambda value: True):
-        if key in self._memo:
-            return self._memo[key]
-        value = compute()
-        if keep(value):
-            self._memo[key] = value
-        return value
+    def _once(self, key: str, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     def hessian_status(self, budget: Budget | None = None) -> HessianStatus:
         return self._once("hessian", lambda: hessian_det_status(self, budget))
@@ -123,13 +124,8 @@ class PolarMapData:
         """Whether the gradient ideal is of linear type, against the
         1-forms of `syzygy_generators`: any generating set of the syzygies
         gives the same symmetric-algebra ideal, so none is minimalised."""
-        def compute():
-            try:
-                syz = self.syzygy_generators(budget)
-            except ComputationTimeout:
-                return LinearTypeResult("Timeout")
-            return linear_type_check(self.partials, syz.columns, budget)
-        return self._once("linear-type", compute, keep=lambda lt: lt.status != "Timeout")
+        return self._once("linear-type", lambda: linear_type_check(
+            self.partials, self.syzygy_generators(budget).columns, budget))
 
 
 def polar_data(f: Polynomial, config: Config | None = None) -> PolarMapData:
@@ -421,7 +417,9 @@ def inversion_check(f_list: list[Polynomial], g_list: list[Polynomial]) -> Inver
 
 @dataclass
 class LinearTypeResult:
-    status: str  # 'LinearType' | 'NotLinearType' | 'Timeout'
+    """The linear-type answer; a spent budget raises ComputationTimeout
+    instead, so there is no timed-out result."""
+    status: str  # 'LinearType' | 'NotLinearType'
     witness: Polynomial | None = None
 
 
@@ -443,15 +441,12 @@ def linear_type_check(forms: list[Polynomial], syzygy_columns: list[list[Polynom
     if (len({f.degree for f in forms}) != 1 or forms[0].is_zero()
             or not all(f.is_homogeneous() for f in forms)):
         raise ValueError("need nonzero forms, homogeneous of one degree")
-    try:
-        sym = symmetric_algebra_ideal(forms, syzygy_columns)
-        quotient = colon_poly(sym, morph(forms[0], sym.ring), budget)
-        if ideal_equal(sym, quotient, budget):
-            return LinearTypeResult("LinearType")
-        witness = next(g for g in quotient.gens if not sym.contains(g, budget=budget))
-        return LinearTypeResult("NotLinearType", witness=witness)
-    except ComputationTimeout:
-        return LinearTypeResult("Timeout")
+    sym = symmetric_algebra_ideal(forms, syzygy_columns)
+    quotient = colon_poly(sym, morph(forms[0], sym.ring), budget)
+    if ideal_equal(sym, quotient, budget):
+        return LinearTypeResult("LinearType")
+    witness = next(g for g in quotient.gens if not sym.contains(g, budget=budget))
+    return LinearTypeResult("NotLinearType", witness=witness)
 
 
 def jacobian_dual_rank(forms: list[Polynomial], generators: list[Polynomial],
@@ -582,14 +577,18 @@ def _verdict_pipeline(form, budget, candidate_inverse, try_ideal_routes) -> Verd
         # answer, the attempt runs under a bounded step budget of its own,
         # off the caller's meter, so the routes below keep theirs; it ends
         # by the caller's deadline
-        lt = form.linear_type(budget.share(step_cap=min(config.gb_step_cap, 400_000)))
-        ev.append(Evidence("linear-type", lt.status,
-                           "proved" if lt.status != "Timeout" else "timeout"))
-        if lt.status == "LinearType" and rank.certainty == "proved" and rank.rank < n:
+        attempt = budget.share(step_cap=min(config.gb_step_cap, 400_000))
+        try:
+            lt = form.linear_type(attempt).status
+            ev.append(Evidence("linear-type", lt, "proved"))
+        except ComputationTimeout:
+            lt = None
+            ev.append(Evidence("linear-type", "Timeout", "timeout"))
+        if lt == "LinearType" and rank.certainty == "proved" and rank.rank < n:
             ev.append(Evidence("linear-type-obstruction",
                                "linear type with submaximal linear rank", "proved"))
             return Verdict("NotHomaloidal", ev, config.seed)
-        if lt.status == "LinearType" and dominant and rank.rank == n:
+        if lt == "LinearType" and dominant and rank.rank == n:
             return Verdict("Homaloidal", ev, config.seed)
 
     if dominant and rank.rank < n:

@@ -36,7 +36,7 @@ import itertools
 from functools import lru_cache
 from operator import mul
 
-from .config import Budget, Config, ComputationTimeout, DEFAULT_CONFIG
+from .config import Budget, Config, DEFAULT_CONFIG
 from .linalg import SparseEliminator, _bareiss, dense_rank, packed_relations
 from .groebner import (Ideal, hilbert_data, rees_ring, _Entry, _buchberger, _cached, _digest,
                        _pack_entries, _poly_t_mul, _reduce_terms, _settings)
@@ -379,11 +379,12 @@ def minimal_generators(syz: GradedSyzygyMatrix, budget: Budget | None = None) ->
 # Fitting condition and Betti tables
 
 class FittingReport:
-    """The F1 check of a presentation.  Each row is a dict with keys "t",
-    "height", "required", "pass", "status" ("complete" or "timeout") and
-    "exact".  An exact height is ht I_t itself; otherwise "height" is the
-    height of an ideal of some t-minors, a lower bound that already meets
-    "required"."""
+    """The F1 check of a presentation, every row scored.  Each row is a
+    dict with keys "t", "height", "required", "pass" and "exact".  An
+    exact height is ht I_t itself; otherwise "height" is the height of an
+    ideal of some t-minors, a lower bound that already meets "required".
+    A check that runs out of budget raises ComputationTimeout and makes
+    no report."""
 
     def __init__(self, rank: int, rows: list[dict], passed: bool):
         self.rank = rank
@@ -448,9 +449,9 @@ def fitting_condition_F1(forms: list[Polynomial], syz: GradedSyzygyMatrix,
     `first_syzygy_module`).  Each column is checked orthogonal to the
     forms, which are not all zero, so the rank is at most k - 1; the
     certificate at t = k - 1 reads a nonzero minor, so it is k - 1.  Each
-    height is certified by a few t-minors (`_certified_height`).  A
-    timeout while the rank is certified propagates, since no row can be
-    scored without it; a timeout in a row marks that row.
+    height is certified by a few t-minors (`_certified_height`).  A spent
+    budget, in the rank certificate or in any row, raises
+    ComputationTimeout: an unscored row is not a failed one.
     """
     k = len(forms)
     if all(f.is_zero() for f in forms):
@@ -468,21 +469,12 @@ def fitting_condition_F1(forms: list[Polynomial], syz: GradedSyzygyMatrix,
     if next(_nonzero_minors(ladder, rank), None) is None:
         raise ValueError(f"the presentation has no nonzero {rank}-minor")
     rows = []
-    passed = True
     for t in range(1, rank + 1):
         required = rank - t + 2
-        try:
-            ht, exact = _certified_height(phi.ring, _nonzero_minors(ladder, t), required,
-                                          budget)
-            ok = ht >= required
-            rows.append({"t": t, "height": ht, "required": required,
-                         "pass": ok, "status": "complete", "exact": exact})
-        except ComputationTimeout:
-            ok = False
-            rows.append({"t": t, "height": None, "required": required,
-                         "pass": False, "status": "timeout", "exact": False})
-        passed = passed and ok
-    return FittingReport(rank, rows, passed)
+        ht, exact = _certified_height(phi.ring, _nonzero_minors(ladder, t), required, budget)
+        rows.append({"t": t, "height": ht, "required": required,
+                     "pass": ht >= required, "exact": exact})
+    return FittingReport(rank, rows, all(row["pass"] for row in rows))
 
 
 class BettiTable:

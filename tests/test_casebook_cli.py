@@ -112,6 +112,16 @@ def test_cli_determinants_time_out_cleanly(monkeypatch, capsys):
         assert json.loads(capsys.readouterr().out) == {"schema": 1, "status": "timeout"}
 
 
+def test_cli_reduction_times_out_like_every_command(monkeypatch, capsys):
+    # the cap lets the 15 expansion steps of the determinant through and
+    # stops the colon filtration check
+    monkeypatch.setenv("DETLAB_GB_STEP_CAP", "200")
+    from detlab.groebner import _MEMORY_CACHE
+    _MEMORY_CACHE.clear()  # a cached basis would take no steps
+    assert cli_main(["hankel", "--m", "4", "--check", "reduction", "--json"]) == 3
+    assert json.loads(capsys.readouterr().out) == {"schema": 1, "status": "timeout"}
+
+
 def test_cli_ideal_timeout_names_its_op(tmp_path, monkeypatch, capsys):
     gens = tmp_path / "gens.txt"
     gens.write_text("x0^2 - x1*x2\nx1^2 - x0*x2\nx2^2 - x0*x1\n")
@@ -817,6 +827,36 @@ def test_cat43_budget_timeout_is_no_contradiction():
     by_id = {r.fact_id: r for r in rep.records}
     for fid in ("jacobian-dual", "verdict"):
         assert by_id[fid].match == "timeout" and by_id[fid].certainty == "timeout"
+    assert all(r.match != "no" for r in rep.records)
+
+
+@pytest.mark.parametrize("cap", [20, 227, 300, 341, 500, 512, 4_000, 44_000])
+def test_no_step_cap_turns_a_timeout_into_a_contradiction(cap):
+    # every default fact under caps that stop its computations at different
+    # points: a spent budget is a timeout, never a failed answer
+    from detlab.groebner import _MEMORY_CACHE
+    for sid in sorted(registry()):
+        _MEMORY_CACHE.clear()  # each scenario computes its bases under the cap
+        rep = run_scenario(sid, config=Config(seed=5, gb_step_cap=cap))
+        assert [r.anchor for r in rep.records if r.match == "no"] == []
+        assert rep.verdict in ("pass", "incomplete"), sid
+
+
+def test_a_timed_out_colon_is_a_timed_out_linear_type_fact(monkeypatch):
+    # the sub-Hankel linear-type check reads the record's linear-type
+    # answer; a colon that runs out of budget makes the fact a timeout
+    from detlab import polar
+    from detlab.config import ComputationTimeout
+
+    def spent(*args, **kwargs):
+        raise ComputationTimeout("colon labels")
+    monkeypatch.setattr(polar, "colon_poly", spent)
+    rep = run_scenario("subhankel-4", config=Config(seed=5))
+    by_id = {r.fact_id: r for r in rep.records}
+    lt = by_id["linear-type"]
+    assert (lt.expected, lt.computed) == ("", "colon labels: budget exceeded")
+    assert lt.match == lt.certainty == "timeout"
+    assert rep.verdict == "incomplete"
     assert all(r.match != "no" for r in rep.records)
 
 

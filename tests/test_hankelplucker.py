@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from detlab import groebner
-from detlab.config import Budget, Config
+from detlab.config import Budget, ComputationTimeout, Config
 from detlab.groebner import Ideal, hilbert_data, ideal_equal, _MEMORY_CACHE
 from detlab.hankelplucker import (MAX_ORDER, bracket_compare, bracket_minor,
                                   delta_bracket_expansion, golberg_delta_check,
@@ -312,9 +312,11 @@ def test_max_order_caps_raise_their_messages(hankel_record):
 
 
 def test_reduction_timeout_reported(hankel_record):
+    # a spent budget is a timeout, never an outcome
+    _MEMORY_CACHE.clear()  # a cached basis would spend the steps elsewhere
     cfg = Config(gb_step_cap=200)
-    out = reduction_conjecture_check(*hankel_record(4, cfg), 0, budget=cfg.budget())
-    assert out.status == "Timeout"
+    with pytest.raises(ComputationTimeout, match="polynomial reduction"):
+        reduction_conjecture_check(*hankel_record(4, cfg), 0, budget=cfg.budget())
 
 
 def test_three_term_relation_two_row_antidiagonal_matrices():

@@ -361,11 +361,13 @@ def test_linear_type_hankel3_and_cat32():
 
 
 def test_linear_type_timeout_reported():
-    from detlab.config import Config
+    # a spent budget is a timeout, never an answer
+    from detlab.groebner import _MEMORY_CACHE
+    _MEMORY_CACHE.clear()  # a cached basis would spend the steps elsewhere
     _, _, p4 = det_and_partials("hankel", m=4)
     cfg = Config(gb_step_cap=500)
-    out = _linear_type(p4, budget=cfg.budget())
-    assert out.status == "Timeout"
+    with pytest.raises(ComputationTimeout, match="polynomial reduction"):
+        _linear_type(p4, budget=cfg.budget())
 
 
 def test_linear_type_requires_nonzero_forms_of_one_degree():
@@ -406,10 +408,8 @@ def _against_the_rees_oracle(forms, cap=20_000, syzygies=first_syzygy_module):
         rees = rees_ideal(forms, Budget(step_cap=cap))
         budget = Budget(step_cap=cap)
         linear = all(sym.contains(g, budget=budget) for g in rees.gens)
+        out = polar.linear_type_check(forms, columns, Budget(step_cap=cap))
     except ComputationTimeout:
-        return None
-    out = polar.linear_type_check(forms, columns, Budget(step_cap=cap))
-    if out.status == "Timeout":
         return None
     assert out.status == ("LinearType" if linear else "NotLinearType")
     assert (out.witness is None) == linear
@@ -680,7 +680,7 @@ def test_verdict_linear_type_attempt_takes_the_callers_deadline(monkeypatch):
 
     def attempt(self, budget=None):
         seen.append(budget)
-        return polar.LinearTypeResult("Timeout")
+        raise ComputationTimeout("stand-in")
     monkeypatch.setattr(polar.PolarMapData, "linear_type", attempt)
     cfg = Config(timeout_secs=30)
     caller = cfg.budget()
@@ -712,7 +712,8 @@ def test_polar_record_keeps_no_timed_out_module_or_linear_type():
     spent = Budget(step_cap=1)
     with pytest.raises(ComputationTimeout):
         form.syzygy_module(spent)
-    assert form.linear_type(spent).status == "Timeout"
+    with pytest.raises(ComputationTimeout, match="module Buchberger"):
+        form.linear_type(spent)
     # nothing was kept: fresh budgets compute the real answers, which stay
     syz = form.syzygy_module(Budget())
     assert syz.columns == first_syzygy_module(partials).columns
