@@ -206,7 +206,7 @@ def _hessian_multiplicity_fact(n, dual_dim, residual_degree):
     def check(ctx):
         form = ctx["form"]
         mr = polar.factor_multiplicity(form.f, polar.HessianDetOnLine(form),
-                                       config=form.config)
+                                       config=form.config, budget=ctx["budget"])
         return _eq_fact((polar.expected_multiplicity(n, dual_dim), residual_degree),
                         (mr.value, mr.residual_degree))
     return check

@@ -211,7 +211,7 @@ def _cmd_polar(args) -> int:
                    **v.to_dict(no_timings=getattr(args, "no_timings", False))}
     elif args.hessian_mult:
         mr = polar.factor_multiplicity(form.f, polar.HessianDetOnLine(form),
-                                       config=config)
+                                       config=config, budget=budget)
         payload = {"mode": "hessian-mult", "multiplicity": mr.value,
                    "certainty": mr.certainty, "residual_degree": mr.residual_degree,
                    "per_line_bound": mr.per_line_bound, "seed": config.seed}

@@ -89,6 +89,14 @@ def ugcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
+def ueval(a: list[int], t: int, p: int) -> int:
+    """Value of `a` at t mod p, by Horner's rule."""
+    v = 0
+    for c in reversed(a):
+        v = (v * t + c) % p
+    return v
+
+
 def uderiv(a: list[int], p: int) -> list[int]:
     return utrim([(i * v) % p for i, v in enumerate(a)][1:])
 

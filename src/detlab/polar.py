@@ -14,7 +14,13 @@ ideal of the generators' 1-forms).  Every Hessian analytic takes the
 record; casebook facts and `homaloidal_verdict`, the single verdict entry
 point, read the same record, so no derived object is computed twice.
 `hessian_identity` is the one sampler for identities H(f) = c * prod g^e,
-the totally-Hessian test among them.
+the totally-Hessian test among them.  `factor_multiplicity` reads the
+multiplicity of f in g on random lines; on each, `line_multiplicity` tries
+e from deg g // deg f down, interpolating g / f^e from the fewest values
+of g on the line and testing it at one random node, so the Hessian
+determinant (`HessianDetOnLine`) is computed at no more nodes than the
+answer needs, each one a "Hessian line determinant" tick of the caller's
+Budget.
 
 The record's config seeds its random draws; the readers and the verdict
 run under their caller's Budget, whose config gives the cache directory.
@@ -42,8 +48,8 @@ from math import prod
 
 from .config import Budget, Config, ComputationTimeout, DEFAULT_CONFIG
 from .linalg import dense_det
-from .modp import (PRIME_61, PRIME_61B, factor_multiplicity_upoly, udeg,
-                   ugcd, uderiv, uinterpolate)
+from .modp import (PRIME_61, PRIME_61B, factor_multiplicity_upoly, udeg, udivmod,
+                   ueval, ugcd, uderiv, uinterpolate)
 from .groebner import Ideal, colon_poly, ideal_equal, symmetric_algebra_ideal, saturation
 from .polyring import (Polynomial, Ring, evaluate_all, exact_divide, morph, restrict_all,
                        NOT_DIVISIBLE)
@@ -198,33 +204,48 @@ class HessianDetOnLine:
     """Line-evaluable determinant of a record's Hessian, for matrices too
     large to expand.
 
-    The Hessian is symmetric, so only its n(n+1)/2 entries on or above the
-    diagonal are restricted to the line, from one table of coordinate
-    powers (`restrict_all`).  The determinant's restriction is recovered
-    exactly over GF(p) from the numeric determinants, the entries read by
-    Horner's rule and mirrored, at deg+1 interpolation nodes.
+    `reader` reads the determinant mod p at given nodes t of a line
+    base + t*direction.  The Hessian is symmetric, so only its n(n+1)/2
+    entries on or above the diagonal are restricted to the line, once per
+    reader, from one table of coordinate powers (`restrict_all`); at each
+    node they are read by Horner's rule and mirrored, and one dense mod-p
+    determinant gives the value (under a budget, one "Hessian line
+    determinant" tick).  `restrict_to_line` is the reader's full case: the
+    determinant's restriction, interpolated exactly from deg+1 nodes.
     """
 
     def __init__(self, form: PolarMapData):
         self.matrix = form.hessian
         self.degree = (form.d - 2) * self.matrix.cols
 
-    def restrict_to_line(self, base, direction, p: int) -> list[int]:
-        """Coefficients mod p, lowest first, of the determinant on the line,
-        as `Polynomial.restrict_to_line` gives them."""
+    def reader(self, base, direction, p: int, budget: Budget | None = None):
+        """The function from a list of nodes t to the determinant's values
+        mod p at base + t*direction."""
         n = self.matrix.cols
         upper = [(r, c) for r in range(n) for c in range(r, n)]
         lines = restrict_all([self.matrix[r, c] for r, c in upper], base, direction, p)
-        pts = []
-        for t in range(self.degree + 1):
-            vals = [[0] * n for _ in range(n)]
-            for (r, c), coeffs in zip(upper, lines):
-                v = 0
-                for a in reversed(coeffs):
-                    v = (v * t + a) % p
-                vals[r][c] = vals[c][r] = v
-            pts.append((t, dense_det(vals, p)))
-        return uinterpolate(pts, p)
+
+        def read(nodes) -> list[int]:
+            out = []
+            for t in nodes:
+                vals = [[0] * n for _ in range(n)]
+                for (r, c), coeffs in zip(upper, lines):
+                    v = 0  # Horner's rule inline: a call per entry and node costs more
+                    for a in reversed(coeffs):
+                        v = (v * t + a) % p
+                    vals[r][c] = vals[c][r] = v
+                if budget is not None:
+                    budget.tick(1, "Hessian line determinant")
+                out.append(dense_det(vals, p))
+            return out
+        return read
+
+    def restrict_to_line(self, base, direction, p: int) -> list[int]:
+        """Coefficients mod p, lowest first, of the determinant on the line,
+        as `Polynomial.restrict_to_line` gives them."""
+        nodes = range(self.degree + 1)
+        values = self.reader(base, direction, p)(nodes)
+        return uinterpolate(list(zip(nodes, values)), p)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +253,11 @@ class HessianDetOnLine:
 
 @dataclass
 class MultiplicityResult:
+    """The multiplicity e of f in g, agreed on `lines_used` lines.  A
+    probabilistic value may be too high, with chance at most
+    `per_line_bound` per line, never too low; `residual_degree` is
+    deg g - e * deg f, or the degree of g / f^e when exact division
+    confirmed e ('proved')."""
     value: int | None
     certainty: str  # 'proved' | 'probabilistic' | 'inconclusive'
     lines_used: int = 0
@@ -249,14 +275,77 @@ _MULT_LINE_CAP = 10
 _MULT_EXACT_CONFIRM_TERMS = 20000
 
 
-def factor_multiplicity(f: Polynomial, g, config: Config | None = None) -> MultiplicityResult:
+def _values_of(G: list[int], p: int):
+    """The reader of a known restriction G: its values mod p at nodes."""
+    return lambda nodes: [ueval(G, t, p) for t in nodes]
+
+
+def line_multiplicity(Fl: list[int], read, gdeg: int, p: int, rng) -> int | None:
+    """Largest e with Fl^e dividing G over GF(p)[t], where G, of degree at
+    most gdeg, is known by its values `read(nodes)`; None when G has
+    degree below gdeg (the line is rejected).
+
+    Candidates go from e = gdeg // deg Fl down to 1.  Each interpolates
+    R = G / Fl^e, of degree at most r = gdeg - e * deg Fl, from G at the
+    first r + 1 nodes t = 0, 1, ... where Fl does not vanish (nodes the
+    candidates share), and tests G = Fl^e * R at one node drawn uniformly
+    by `rng`.  A failed test proves that Fl^e does not divide G; a false
+    pass has chance at most gdeg / p.  The first candidate that passes is
+    the answer when R has full degree (below it, G drops degree) and Fl does
+    not divide R.  Otherwise, or when no candidate passes, G is
+    interpolated in full from the values already read and more.
+    """
+    fdeg = udeg(Fl)
+    nodes: list[int] = []
+    values: list[int] = []
+    weights: list[int] = []  # Fl^-1 at the nodes
+    t = 0
+
+    def extend(k):
+        nonlocal t
+        new = []
+        while len(nodes) + len(new) < k:
+            w = ueval(Fl, t, p)
+            if w:
+                new.append(t)
+                weights.append(pow(w, -1, p))
+            t += 1
+        nodes.extend(new)
+        values.extend(read(new))
+
+    for e in range(gdeg // fdeg, 0, -1):
+        r = gdeg - e * fdeg
+        extend(r + 1)
+        R = uinterpolate([(x, y * pow(w, e, p)) for x, y, w
+                          in zip(nodes[:r + 1], values, weights)], p)
+        s = rng.randrange(p)
+        if read([s])[0] != pow(ueval(Fl, s, p), e, p) * ueval(R, s, p) % p:
+            continue
+        if udeg(R) < r:
+            return None
+        if udivmod(R, Fl, p)[1]:
+            return e
+        break  # Fl | R contradicts the refuted e + 1: a false pass; settle it in full
+    extend(gdeg + 1)
+    G = uinterpolate(list(zip(nodes[:gdeg + 1], values)), p)
+    return factor_multiplicity_upoly(Fl, G, p) if udeg(G) == gdeg else None
+
+
+def factor_multiplicity(f: Polynomial, g, config: Config | None = None,
+                        budget: Budget | None = None) -> MultiplicityResult:
     """Largest e with f^e dividing g, by consensus of restrictions to
     random lines over a ~2^61 prime field.
 
-    A line is trusted only when the restriction of f keeps full degree and
-    is squarefree; undercounting is then impossible and overcounting is a
-    Schwartz-Zippel event bounded by deg f * deg g / p per line.  When g is
-    small enough, repeated exact division confirms the answer exactly.
+    g is a Polynomial, read on a line from its exact restriction, or
+    line-evaluable like `HessianDetOnLine`: a `degree` and a `reader(base,
+    direction, p, budget)`.  A line is trusted only when the restriction
+    of f keeps full degree and is squarefree; `line_multiplicity` then
+    reads the restriction of g at the fewest nodes, its check nodes drawn
+    from a generator of their own, so that the lines do not depend on them.  Undercounting is impossible, and overcounting
+    is a Schwartz-Zippel event, bounded per line by deg f * deg g / p for
+    the line and deg g / p for each of the deg g // deg f candidates.
+    When g is small enough, repeated exact division confirms the answer
+    exactly.
     """
     config = config or DEFAULT_CONFIG
     if f.is_constant():
@@ -265,6 +354,7 @@ def factor_multiplicity(f: Polynomial, g, config: Config | None = None) -> Multi
         raise ValueError("g must be nonzero")
     gdeg = int(g.degree) if isinstance(g, Polynomial) else g.degree
     rng = config.rng("factor-multiplicity")
+    checks = config.rng("factor-multiplicity-check")
     p = PRIME_61
     nv = f.ring.nvars
     fdeg = int(f.degree)
@@ -279,14 +369,17 @@ def factor_multiplicity(f: Polynomial, g, config: Config | None = None) -> Multi
             continue
         if udeg(ugcd(Fl, uderiv(Fl, p), p)) != 0:
             continue  # restriction not squarefree; resample
-        G = g.restrict_to_line(base, direction, p)
-        if udeg(G) != gdeg:
-            continue
-        values.append(factor_multiplicity_upoly(Fl, G, p))
+        if isinstance(g, Polynomial):
+            read = _values_of(g.restrict_to_line(base, direction, p), p)
+        else:
+            read = g.reader(base, direction, p, budget)
+        e = line_multiplicity(Fl, read, gdeg, p, checks)
+        if e is not None:
+            values.append(e)
     if len(values) < _MULT_LINES or len(set(values)) != 1:
         return MultiplicityResult(None, "inconclusive", lines_used=len(values))
     e = values[0]
-    bound = fdeg * gdeg / p
+    bound = (fdeg + gdeg // fdeg) * gdeg / p
     certainty = "probabilistic"
     residual_degree = gdeg - e * fdeg
     if isinstance(g, Polynomial) and len(g.terms) <= _MULT_EXACT_CONFIRM_TERMS:

@@ -875,6 +875,7 @@ WARM_RUN_TICKS = {
     "polynomial reduction": 248, "Hilbert series": 311, "linear algebra": 1917,
     "module reduction": 7, "bigraded kernel assembly": 1938,
     "determinant expansion": 672, "Fitting minors": 53,
+    "Hessian line determinant": 105,
 }
 
 # Budget ticks by label of a default run: every scenario's default facts,
@@ -884,6 +885,7 @@ DEFAULT_RUN_TICKS = {
     "Hilbert series": 311, "linear algebra": 1917, "module Buchberger": 332,
     "module reduction": 979, "bigraded kernel assembly": 1938,
     "determinant expansion": 672, "Fitting minors": 53,
+    "Hessian line determinant": 105,
 }
 
 # monic basis elements (`_Entry.monic` calls) the warm run builds: only

@@ -2,11 +2,14 @@
 linear type, Jacobian duals, and verdict assembly."""
 
 import dataclasses
+import random
+from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from detlab.config import Budget, ComputationTimeout, Config
+from detlab.modp import PRIME_61, factor_multiplicity_upoly, uadd, udeg, umul, utrim
 from detlab.polyring import Polynomial, Ring, xring
 from detlab.groebner import Ideal, symmetric_algebra_ideal
 from detlab.structmat import PolyMatrix, build_structured, determinant, cofactor_matrix
@@ -127,7 +130,9 @@ def test_factor_multiplicity_line_protocol_hankel4():
     res = polar.factor_multiplicity(f, polar.HessianDetOnLine(polar.polar_data(f)))
     assert res.value == 2
     assert res.lines_used == 3
-    assert res.per_line_bound < 2 ** -30
+    # per line: deg f * deg H / p for the line, deg H / p for each of the
+    # deg H // deg f candidates' checks (deg f = 4, deg H = 14)
+    assert res.per_line_bound == (4 + 14 // 4) * 14 / PRIME_61
     assert res.residual_degree == 6
 
 
@@ -196,6 +201,123 @@ def test_factor_multiplicity_input_validation():
         polar.factor_multiplicity(R.one(), R.gens()[0])
     with pytest.raises(ValueError):
         polar.factor_multiplicity(R.gens()[0], R.zero())
+
+
+@pytest.mark.parametrize("kind,shape,per_line", [("catalecticant", {"m": 4, "r": 3}, 9),
+                                                 ("catalecticant", {"m": 4, "r": 2}, 17),
+                                                 ("hankel", {"m": 4}, 9)])
+def test_factor_multiplicity_reads_each_line_once(kind, shape, per_line, monkeypatch):
+    # the Hessian's upper triangle is restricted once per line, whatever the
+    # number of candidates, and the highest-first search computes 9, 17 and
+    # 9 determinants a line (27, 21 and 15 for the full interpolation)
+    from detlab.polyring import restrict_all
+    restricted = []
+
+    def counting(polys, *args):
+        restricted.append(len(polys))
+        return restrict_all(polys, *args)
+    monkeypatch.setattr(polar, "restrict_all", counting)
+    _, f, _ = det_and_partials(kind, **shape)
+    form = polar.polar_data(f)
+    budget = Budget()
+    res = polar.factor_multiplicity(f, polar.HessianDetOnLine(form), budget=budget)
+    n = form.hessian.cols
+    assert res.lines_used == 3
+    assert restricted == [n * (n + 1) // 2] * 3
+    assert budget.steps == 3 * per_line
+
+
+# ---------------------------------------------------------------------------
+# the per-line multiplicity search against the full interpolation
+
+def _full_interpolation_multiplicity(Fl, G, gdeg):
+    """The reference answer on a line: the multiplicity of Fl in the whole
+    restriction G, or None when G drops degree."""
+    return factor_multiplicity_upoly(Fl, G, PRIME_61) if udeg(G) == gdeg else None
+
+
+@st.composite
+def _small_form(draw, R):
+    mons = _monomials(R.nvars, draw(st.integers(0, 3)))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(mons), max_size=len(mons)))
+    return sum((R.monomial(e, c) for e, c in zip(mons, coeffs) if c), R.zero())
+
+
+_LINE_POINT = st.lists(st.integers(0, PRIME_61 - 1), min_size=3, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), _LINE_POINT, _LINE_POINT, st.integers(0, 3), st.integers(0, 2 ** 32))
+def test_line_multiplicity_matches_the_full_interpolation_on_forms(data, base, direction,
+                                                                   k, seed):
+    R = xring(3)
+    f, h = data.draw(_small_form(R)), data.draw(_small_form(R))
+    g = f ** k * h
+    assume(not f.is_constant() and not g.is_zero() and any(direction))
+    Fl = f.restrict_to_line(base, direction, PRIME_61)
+    G = g.restrict_to_line(base, direction, PRIME_61)
+    assume(udeg(Fl) >= 1)
+    gdeg = int(g.degree)
+    got = polar.line_multiplicity(Fl, polar._values_of(G, PRIME_61), gdeg, PRIME_61,
+                                  random.Random(seed))
+    assert got == _full_interpolation_multiplicity(Fl, G, gdeg)
+
+
+def _stand_in_restriction(kind, Fl, e, r, rng):
+    """The restriction G, of degree at most e * deg Fl + r, that a stand-in
+    line-evaluable g has on the line where f restricts to Fl:
+    Fl^e * R with R of degree r, or of lower degree ('low'), zero, a random
+    G ('coprime'), or Fl^e * R plus a multiple of prod (t - j) over the
+    nodes j < deg G, which agrees with Fl^e * R at every small node and
+    only a check at a random node tells apart ('fooled'; 'fooled-wrapped'
+    takes the node -1 for the last of them)."""
+    p = PRIME_61
+    gdeg = e * udeg(Fl) + r
+    if kind == "zero":
+        return []
+    if kind == "coprime":
+        return [rng.randrange(p) for _ in range(gdeg)] + [rng.randrange(1, p)]
+    R = [rng.randrange(p) for _ in range(r)] + [rng.randrange(1, p)]
+    if kind == "low":  # nonzero when r > 0: a zero R is the 'zero' case
+        R = utrim(R[:rng.randrange(1, r + 1)] if r else [])
+    G = umul(reduce(lambda a, b: umul(a, b, p), [Fl] * e), R, p)
+    if kind.startswith("fooled"):
+        roots = [*range(gdeg - 1), gdeg - 1 if kind == "fooled" else p - 1]
+        W = reduce(lambda a, j: umul(a, [-j % p, 1], p), roots, [rng.randrange(1, p)])
+        G = uadd(G, W, p)
+    return G
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["power", "low", "zero", "coprime", "fooled", "fooled-wrapped"]),
+       st.lists(st.integers(0, PRIME_61 - 1), min_size=2, max_size=5),
+       st.integers(1, 4), st.integers(0, 8), st.integers(0, 2 ** 32))
+def test_line_multiplicity_matches_the_full_interpolation_on_stand_ins(kind, Fl, e, r, seed):
+    # the stand-in's restriction is chosen against Fl; the residual degree r
+    # may exceed deg Fl, so the search may start above e
+    Fl = utrim(Fl)
+    assume(udeg(Fl) >= 1)
+    rng = random.Random(seed)
+    G = _stand_in_restriction(kind, Fl, e, r, rng)
+    gdeg = e * udeg(Fl) + r
+    got = polar.line_multiplicity(Fl, polar._values_of(G, PRIME_61), gdeg, PRIME_61, rng)
+    assert got == _full_interpolation_multiplicity(Fl, G, gdeg)
+
+
+def test_factor_multiplicity_is_not_fooled_by_the_fixed_nodes():
+    # on every line g restricts to Fl^2 * R plus a multiple of the product
+    # of (t - j) over its fixed nodes j; no power of f divides it
+    class StandIn:
+        degree = 2 * 2 + 4
+
+        def reader(self, base, direction, p, budget=None):
+            Fl = f.restrict_to_line(base, direction, p)
+            G = _stand_in_restriction("fooled", Fl, 2, 4, random.Random(base[0]))
+            return polar._values_of(G, p)
+    R = xring(3)
+    f = R.from_string("x0*x2 - x1^2 + x0*x1")
+    res = polar.factor_multiplicity(f, StandIn())
+    assert (res.value, res.certainty, res.lines_used) == (0, "probabilistic", 3)
 
 
 def test_expected_multiplicity():
